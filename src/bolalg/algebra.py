@@ -24,15 +24,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .linalg import Vec, is_zero_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .linalg import Vec, is_zero_vec, unit_vec, vec_add, vec_scale, vec_sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-# A slot in a multilinear evaluation: either a basis index or a vector.
-Elem = "int | Vec"
 
 
 @dataclass(frozen=True)
@@ -87,86 +84,88 @@ class VerificationError(ValueError):
         self.report = report
 
 
-def _freeze2(grid) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in grid)
+def zeros(*shape) -> list:
+    """Nested lists of zeros with the given shape, to be filled and frozen."""
+    if len(shape) == 1:
+        return [_ZERO] * shape[0]
+    return [zeros(*shape[1:]) for _ in range(shape[0])]
 
 
-def _freeze3(t3) -> tuple:
-    return tuple(_freeze2(plane) for plane in t3)
+def freeze(x):
+    """Nested lists to nested tuples (the stored form of every tensor)."""
+    return tuple(freeze(y) for y in x) if isinstance(x, list) else x
 
 
-def _freeze4(t4) -> tuple:
-    return tuple(_freeze3(cube) for cube in t4)
+def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
+    """Argument tuples with i<j in the first two slots, lexicographic order.
 
-
-def zero_binary_tensor(n: int) -> tuple:
-    return tuple(
-        tuple(tuple(_ZERO for _ in range(n)) for _ in range(n)) for _ in range(n)
-    )
-
-
-def zero_ternary_tensor(n: int) -> tuple:
-    return tuple(
-        tuple(tuple(tuple(_ZERO for _ in range(n)) for _ in range(n)) for _ in range(n))
-        for _ in range(n)
-    )
-
-
-def binary_tensor_from_entries(
-    n: int, entries: Iterable[tuple[tuple[int, int], Mapping[int, Fraction]]]
-) -> tuple:
-    """Build c[k][i][j] from entries {(i,j) with i<j: {k: coeff}}.
-
-    Only i<j slots may be given; the j>i half is filled by antisymmetry, so
-    the result always satisfies c[k][i][j] = -c[k][j][i].  Duplicate or
-    diagonal argument pairs are rejected.
+    These index the independent entries of a tensor antisymmetric in its
+    first two arguments: the sparse file entries and cochain coordinates.
     """
-    c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen = set()
-    for (i, j), coeffs in entries:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"binary entry args ({i},{j}) out of range for dimension {n}")
-        if i == j:
-            raise ValueError(f"diagonal binary entry ({i},{j})")
-        if i > j:
-            raise ValueError(f"binary entry args ({i},{j}) must satisfy i<j")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate binary entry ({i},{j})")
-        seen.add((i, j))
-        for k, val in coeffs.items():
-            if not 0 <= k < n:
-                raise ValueError(f"binary entry ({i},{j}): index {k} out of range")
-            val = Fraction(val)
-            c[k][i][j] = val
-            c[k][j][i] = -val
-    return _freeze3(c)
+    rng = range(n)
+    return [(i, j) + rest for i in rng for j in range(i + 1, n)
+            for rest in itertools.product(rng, repeat=arity - 2)]
 
 
-def ternary_tensor_from_entries(
-    n: int, entries: Iterable[tuple[tuple[int, int, int], Mapping[int, Fraction]]]
+def entry_values(t, args: tuple[int, ...]) -> Vec:
+    """Coordinates t[v][args...] over the value index v (outermost)."""
+    out = []
+    for plane in t:
+        for a in args:
+            plane = plane[a]
+        out.append(plane)
+    return tuple(out)
+
+
+def tensor_from_entries(
+    n: int, value_dim: int, arity: int,
+    entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
 ) -> tuple:
-    """Build t[l][i][j][k] from entries {(i,j,k) with i<j: {l: coeff}}."""
-    t = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    """Build t[v][i][j](...) from sparse entries {(i,j,...) with i<j: {v: coeff}}.
+
+    The value index v is outermost.  Only i<j argument tuples may be
+    given; the (j,i,...) half is filled by antisymmetry in slots 1 and 2.
+    Out-of-range, diagonal, unordered and duplicate argument tuples are
+    rejected, naming the entry as ``what`` (e.g. "binary", "omega").
+    """
+    t = zeros(value_dim, *([n] * arity))
     seen = set()
-    for (i, j, k), coeffs in entries:
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(
-                f"ternary entry args ({i},{j},{k}) out of range for dimension {n}"
-            )
-        if i == j:
-            raise ValueError(f"diagonal ternary entry ({i},{j},{k})")
-        if i > j:
-            raise ValueError(f"ternary entry args ({i},{j},{k}) must satisfy i<j")
-        if (i, j, k) in seen:
-            raise ValueError(f"duplicate ternary entry ({i},{j},{k})")
-        seen.add((i, j, k))
-        for l, val in coeffs.items():
-            if not 0 <= l < n:
-                raise ValueError(f"ternary entry ({i},{j},{k}): index {l} out of range")
+    for args, coeffs in entries:
+        args = tuple(args)
+        if (len(args) != arity or not all(0 <= a < n for a in args)
+                or args[0] >= args[1] or args in seen):
+            raise ValueError(_entry_error(what, args, arity, n))
+        seen.add(args)
+        for v, val in coeffs.items():
+            if not 0 <= v < value_dim:
+                raise ValueError(f"{what} entry {_shown(args)}: index {v} out of range")
             val = Fraction(val)
-            t[l][i][j][k] = val
-            t[l][j][i][k] = -val
-    return _freeze4(t)
+            _put(t[v], args, val)
+            _put(t[v], (args[1], args[0]) + args[2:], -val)
+    return freeze(t)
+
+
+def _shown(args: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, args)) + ")"
+
+
+def _entry_error(what: str, args: tuple[int, ...], arity: int, n: int) -> str:
+    shown = _shown(args)
+    if len(args) != arity:
+        return f"{what} entry args {shown} must have {arity} indices"
+    if not all(0 <= a < n for a in args):
+        return f"{what} entry args {shown} out of range for dimension {n}"
+    if args[0] == args[1]:
+        return f"diagonal {what} entry {shown}"
+    if args[0] > args[1]:
+        return f"{what} entry args {shown} must satisfy i<j"
+    return f"duplicate {what} entry {shown}"
+
+
+def _put(t: list, args: tuple[int, ...], val) -> None:
+    for a in args[:-1]:
+        t = t[a]
+    t[args[-1]] = val
 
 
 def _coeffs(x, n: int):
@@ -182,12 +181,17 @@ def _coeffs(x, n: int):
 
 
 def bilinear_eval(c, x, y, n: int) -> Vec:
-    """Multilinear extension of a binary tensor c[k][i][j] to x, y slots."""
-    out = [_ZERO] * n
+    """Multilinear extension of a binary tensor c[k][i][j] to x, y slots.
+
+    Slots range over an n-dimensional space; the output has len(c)
+    coordinates.
+    """
+    d = len(c)
+    out = [_ZERO] * d
     for i, a in _coeffs(x, n):
         for j, b in _coeffs(y, n):
             ab = a * b
-            for k in range(n):
+            for k in range(d):
                 s = c[k][i][j]
                 if s:
                     out[k] += ab * s
@@ -195,22 +199,39 @@ def bilinear_eval(c, x, y, n: int) -> Vec:
 
 
 def trilinear_eval(t, x, y, z, n: int) -> Vec:
-    """Multilinear extension of a ternary tensor t[l][i][j][k]."""
-    out = [_ZERO] * n
+    """Multilinear extension of a ternary tensor t[l][i][j][k]; see bilinear_eval."""
+    d = len(t)
+    out = [_ZERO] * d
     for i, a in _coeffs(x, n):
         for j, b in _coeffs(y, n):
             ab = a * b
             for k, cz in _coeffs(z, n):
                 abc = ab * cz
-                for l in range(n):
+                for l in range(d):
                     s = t[l][i][j][k]
                     if s:
                         out[l] += abc * s
     return tuple(out)
 
 
+class _BinaryProduct:
+    """The binary product of a structure tensor ``c[k][i][j]`` on ``n`` slots."""
+
+    def product(self, x, y) -> Vec:
+        return bilinear_eval(self.c, x, y, self.n)
+
+    @cached_property
+    def _pair(self) -> tuple:
+        # _pair[i][j] = coordinates of e_i * e_j
+        n = self.n
+        return tuple(tuple(entry_values(self.c, (i, j)) for j in range(n)) for i in range(n))
+
+    def basis_product(self, i: int, j: int) -> Vec:
+        return self._pair[i][j]
+
+
 @dataclass(frozen=True)
-class MaltsevAlgebra:
+class MaltsevAlgebra(_BinaryProduct):
     """Anticommutative algebra candidate; verify_maltsev decides the identity."""
 
     n: int
@@ -219,26 +240,12 @@ class MaltsevAlgebra:
 
     @classmethod
     def from_entries(cls, n, binary, basis_names=None) -> "MaltsevAlgebra":
-        return cls(n, binary_tensor_from_entries(n, binary),
+        return cls(n, tensor_from_entries(n, n, 2, binary, "binary"),
                    tuple(basis_names) if basis_names else None)
-
-    def product(self, x, y) -> Vec:
-        return bilinear_eval(self.c, x, y, self.n)
-
-    @cached_property
-    def _pair(self) -> tuple:
-        n = self.n
-        return tuple(
-            tuple(tuple(self.c[k][i][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    def basis_product(self, i: int, j: int) -> Vec:
-        return self._pair[i][j]
 
 
 @dataclass(frozen=True)
-class BolAlgebra:
+class BolAlgebra(_BinaryProduct):
     """Binary + ternary structure constants; verify_bol decides the axioms."""
 
     n: int
@@ -250,32 +257,17 @@ class BolAlgebra:
     def from_entries(cls, n, binary, ternary, basis_names=None) -> "BolAlgebra":
         return cls(
             n,
-            binary_tensor_from_entries(n, binary),
-            ternary_tensor_from_entries(n, ternary),
+            tensor_from_entries(n, n, 2, binary, "binary"),
+            tensor_from_entries(n, n, 3, ternary, "ternary"),
             tuple(basis_names) if basis_names else None,
         )
 
     @classmethod
     def zero(cls, n: int) -> "BolAlgebra":
-        return cls(n, zero_binary_tensor(n), zero_ternary_tensor(n))
-
-    def product(self, x, y) -> Vec:
-        return bilinear_eval(self.c, x, y, self.n)
+        return cls(n, freeze(zeros(n, n, n)), freeze(zeros(n, n, n, n)))
 
     def triple(self, x, y, z) -> Vec:
         return trilinear_eval(self.t, x, y, z, self.n)
-
-    @cached_property
-    def _pair(self) -> tuple:
-        # _pair[i][j] = coordinates of e_i * e_j
-        n = self.n
-        return tuple(
-            tuple(tuple(self.c[k][i][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-
-    def basis_product(self, i: int, j: int) -> Vec:
-        return self._pair[i][j]
 
     def basis_triple(self, i: int, j: int, k: int) -> Vec:
         return tuple(self.t[l][i][j][k] for l in range(self.n))
@@ -361,27 +353,12 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
                  lambda i, j: vec_add(M.product(i, j), M.product(j, i)))
 
-    def x_values():
-        for i in rng:
-            yield (i,), i
-        for i in rng:
-            for j in range(i + 1, n):
-                xv = tuple(
-                    _ONE if k in (i, j) else _ZERO for k in range(n)
-                )
-                yield (i, j), xv
-
-    identity = ConditionCheck("maltsev-identity", True)
-    done = False
-    for x_spec, x in x_values():
-        if done:
-            break
-        for y, z in itertools.product(rng, repeat=2):
-            r = _maltsev_residual(M, x, y, z)
-            if not is_zero_vec(r):
-                identity = ConditionCheck("maltsev-identity", False, (x_spec, y, z), r)
-                done = True
-                break
+    xs = {(i,): i for i in rng}
+    xs.update({(i, j): vec_add(unit_vec(n, i), unit_vec(n, j))
+               for i in rng for j in range(i + 1, n)})
+    identity = _scan("maltsev-identity",
+                     ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
+                     lambda x, y, z: _maltsev_residual(M, xs[x], y, z))
     return AxiomReport((anti, identity))
 
 
@@ -397,11 +374,11 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
         raise VerificationError("input is not a Maltsev algebra", report)
     n = M.n
     third = Fraction(1, 3)
-    t = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    t = zeros(n, n, n, n)
     for i, j, k in itertools.product(range(n), repeat=3):
         val = M.product(i, M.product(j, k))
         val = vec_sub(val, M.product(j, M.product(i, k)))
         val = vec_add(val, vec_scale(Fraction(2), M.product(M.product(i, j), k)))
         for l in range(n):
             t[l][i][j][k] = third * val[l]
-    return BolAlgebra(n, M.c, _freeze4(t), M.basis_names)
+    return BolAlgebra(n, M.c, freeze(t), M.basis_names)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
     VerificationError,
+    entry_args,
+    entry_values,
     maltsev_to_bol,
     verify_bol,
     verify_maltsev,
@@ -36,7 +37,6 @@ from .deformation import (
     generates_infinitesimal_deformation,
 )
 from .extension import (
-    AbelianExtension,
     InvalidExtensionError,
     extensions_equivalent,
     induced_cocycle,
@@ -46,6 +46,7 @@ from .extension import (
 )
 from .formats import (
     ParseError,
+    _dumps,
     algebra_to_obj,
     cochain_to_obj,
     extension_to_obj,
@@ -54,12 +55,14 @@ from .formats import (
     parse_cochain,
     parse_extension,
     parse_representation,
+    render_algebra,
+    render_extension,
+    render_representation,
     render_scalar,
     representation_to_obj,
 )
 from .linalg import Mat, Vec
 from .representation import (
-    PseudoderivationData,
     Representation,
     adjoint_representation,
     check_delta_identity,
@@ -122,18 +125,12 @@ def _check_lines(report: CheckReport) -> list[str]:
 
 def _cochain_lines(c: CochainPair, indent: str = "  ") -> list[str]:
     lines = []
-    n, m = c.n, c.m
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = tuple(c.nu[a][i][j] for a in range(m))
+    for name, t, arity in (("nu", c.nu, 2), ("omega", c.omega, 3)):
+        for args in entry_args(c.n, arity):
+            val = entry_values(t, args)
             if any(val):
-                lines.append(f"{indent}nu(e{i},e{j}) = {_vec_text(val)}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                val = tuple(c.omega[a][i][j][k] for a in range(m))
-                if any(val):
-                    lines.append(f"{indent}omega(e{i},e{j},e{k}) = {_vec_text(val)}")
+                slots = ",".join(f"e{x}" for x in args)
+                lines.append(f"{indent}{name}({slots}) = {_vec_text(val)}")
     if not lines:
         lines.append(f"{indent}(zero cochain)")
     return lines
@@ -178,14 +175,17 @@ def _require_verified_bol(B: BolAlgebra) -> None:
         raise VerificationError("algebra fails Bol verification", report)
 
 
-def _load_representation(args, B: BolAlgebra) -> Representation:
-    if getattr(args, "adjoint", False):
-        return adjoint_representation(B)
+def _load_with_representation(args) -> tuple[BolAlgebra, Representation]:
+    """The verified algebra ``args.algebra`` and its verified --adjoint/--rep module."""
+    B = _load_bol(args.algebra)
+    _require_verified_bol(B)
+    if args.adjoint:
+        return B, adjoint_representation(B)
     R = parse_representation(_read(args.rep), B)
     report = verify_representation(R)
     if not report.passed:
         raise VerificationError("representation fails verification", report)
-    return R
+    return B, R
 
 
 def _write_output(args, text: str, report: dict, lines: list[str]) -> None:
@@ -200,6 +200,17 @@ def _write_output(args, text: str, report: dict, lines: list[str]) -> None:
 # subcommand handlers; each returns (status, report dict, text lines)
 
 
+def _check_result(command: str, report: CheckReport, fields: dict, header: list[str]):
+    """(status, report dict, text lines) of a command that reports one
+    CheckReport: ``fields`` go between the status and the checks, the
+    ``header`` lines before the check lines."""
+    status = "pass" if report.passed else "fail"
+    obj = {"command": command, "status": status, **fields,
+           "checks": _checks_json(report)}
+    lines = header + _check_lines(report) + [f"result: {status.upper()}"]
+    return status, obj, lines
+
+
 def _cmd_verify(args):
     alg = parse_algebra(_read(args.algebra))
     if isinstance(alg, BolAlgebra):
@@ -208,25 +219,13 @@ def _cmd_verify(args):
     else:
         report = verify_maltsev(alg)
         kind = "maltsev"
-    status = "pass" if report.passed else "fail"
-    obj = {
-        "command": "verify",
-        "status": status,
-        "kind": kind,
-        "dimension": alg.n,
-        "checks": _checks_json(report),
-    }
-    lines = [f"algebra: {args.algebra} ({kind}, dimension {alg.n})"]
-    lines += _check_lines(report)
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _check_result("verify", report, {"kind": kind, "dimension": alg.n},
+                         [f"algebra: {args.algebra} ({kind}, dimension {alg.n})"])
 
 
 def _cmd_maltsev_to_bol(args):
     M = _load_maltsev(args.algebra)
     B = maltsev_to_bol(M)
-    from .formats import render_algebra
-
     obj = {
         "command": "maltsev-to-bol",
         "status": "pass",
@@ -242,8 +241,6 @@ def _cmd_maltsev_to_bol(args):
 def _cmd_adjoint(args):
     B = _load_bol(args.algebra)
     R = adjoint_representation(B)
-    from .formats import render_representation
-
     obj = {
         "command": "adjoint",
         "status": "pass",
@@ -261,8 +258,6 @@ def _cmd_induce_rep(args):
     M = _load_maltsev(args.algebra)
     m, rho = parse_action(_read(args.action), M.n)
     R = induce_from_maltsev(M, rho)
-    from .formats import render_representation
-
     obj = {
         "command": "induce-rep",
         "status": "pass",
@@ -283,45 +278,21 @@ def _cmd_verify_rep(args):
     B = _load_bol(args.algebra)
     _require_verified_bol(B)
     R = parse_representation(_read(args.rep), B)
-    report = verify_representation(R)
-    status = "pass" if report.passed else "fail"
-    obj = {
-        "command": "verify-rep",
-        "status": status,
-        "dimension": B.n,
-        "module_dimension": R.m,
-        "checks": _checks_json(report),
-    }
-    lines = [f"algebra: {args.algebra} (bol, dimension {B.n})",
-             f"representation: {args.rep} (module dimension {R.m})"]
-    lines += _check_lines(report)
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _check_result("verify-rep", verify_representation(R),
+                         {"dimension": B.n, "module_dimension": R.m},
+                         [f"algebra: {args.algebra} (bol, dimension {B.n})",
+                          f"representation: {args.rep} (module dimension {R.m})"])
 
 
 def _cmd_delta_check(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
-    report = check_delta_identity(R)
-    status = "pass" if report.passed else "fail"
-    obj = {
-        "command": "delta-check",
-        "status": status,
-        "dimension": B.n,
-        "module_dimension": R.m,
-        "checks": _checks_json(report),
-    }
-    lines = [f"algebra: {args.algebra} (bol, dimension {B.n})"]
-    lines += _check_lines(report)
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    B, R = _load_with_representation(args)
+    return _check_result("delta-check", check_delta_identity(R),
+                         {"dimension": B.n, "module_dimension": R.m},
+                         [f"algebra: {args.algebra} (bol, dimension {B.n})"])
 
 
 def _cmd_pseudoderivations(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
+    B, R = _load_with_representation(args)
     basis = pseudoderivation_space(R)
     obj = {
         "command": "pseudoderivations",
@@ -341,9 +312,7 @@ def _cmd_pseudoderivations(args):
 
 
 def _cmd_cohomology(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
+    B, R = _load_with_representation(args)
     rep = cohomology(R)
     obj = {
         "command": "cohomology",
@@ -373,29 +342,15 @@ def _cmd_cohomology(args):
 
 
 def _cmd_is_cocycle(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
+    B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
-    report = is_cocycle(R, c)
-    status = "pass" if report.passed else "fail"
-    obj = {
-        "command": "is-cocycle",
-        "status": status,
-        "dimension": B.n,
-        "module_dimension": c.m,
-        "checks": _checks_json(report),
-    }
-    lines = [f"cochain: {args.cochain}"]
-    lines += _check_lines(report)
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _check_result("is-cocycle", is_cocycle(R, c),
+                         {"dimension": B.n, "module_dimension": c.m},
+                         [f"cochain: {args.cochain}"])
 
 
 def _cmd_is_coboundary(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
+    B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
     found, wit = is_coboundary(R, c)
     status = "pass" if found else "fail"
@@ -431,7 +386,7 @@ def _load_deformation(args, B: BolAlgebra, attr: str = "cochain") -> Deformation
 def _cmd_deform_check(args):
     B = _load_bol(args.algebra)
     d = _load_deformation(args, B)
-    rep = generates_infinitesimal_deformation(d, cross_check=True)
+    rep = generates_infinitesimal_deformation(d)
     status = "pass" if rep.passed else "fail"
     obj = {
         "command": "deform-check",
@@ -459,18 +414,8 @@ def _cmd_deform_check(args):
 def _cmd_deform_formal(args):
     B = _load_bol(args.algebra)
     d = _load_deformation(args, B)
-    report = check_first_order_formal(d)
-    status = "pass" if report.passed else "fail"
-    obj = {
-        "command": "deform-formal",
-        "status": status,
-        "dimension": B.n,
-        "checks": _checks_json(report),
-    }
-    lines = [f"cochain: {args.cochain}"]
-    lines += _check_lines(report)
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _check_result("deform-formal", check_first_order_formal(d),
+                         {"dimension": B.n}, [f"cochain: {args.cochain}"])
 
 
 def _cmd_deform_equiv(args):
@@ -499,13 +444,9 @@ def _cmd_deform_equiv(args):
 
 
 def _cmd_extend_build(args):
-    B = _load_bol(args.algebra)
-    _require_verified_bol(B)
-    R = _load_representation(args, B)
+    B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
     E = twisted_product(R, c)
-    from .formats import render_extension
-
     obj = {
         "command": "extend-build",
         "status": "pass",
@@ -524,48 +465,23 @@ def _cmd_extend_build(args):
 
 def _cmd_extend_analyze(args):
     E = parse_extension(_read(args.bundle))
-    report = validate_extension(E)
-    if not report.passed:
-        obj = {
-            "command": "extend-analyze",
-            "status": "fail",
-            "dimension": E.base.n,
-            "module_dimension": E.m,
-            "checks": _checks_json(report),
-        }
-        lines = [f"bundle: {args.bundle}"]
-        lines += _check_lines(report)
-        lines.append("result: FAIL")
-        return "fail", obj, lines
+    status, obj, lines = _check_result(
+        "extend-analyze", validate_extension(E),
+        {"dimension": E.base.n, "module_dimension": E.m}, [f"bundle: {args.bundle}"])
+    if status == "fail":
+        return status, obj, lines
     R = induced_representation(E)
     c = induced_cocycle(E)
-    obj = {
-        "command": "extend-analyze",
-        "status": "pass",
-        "dimension": E.base.n,
-        "module_dimension": E.m,
-        "checks": _checks_json(report),
-        "representation": representation_to_obj(R),
-        "cochain": cochain_to_obj(c),
-    }
-    lines = [f"bundle: {args.bundle}"]
-    lines += _check_lines(report)
+    analysis = {"representation": representation_to_obj(R), "cochain": cochain_to_obj(c)}
+    obj.update(analysis)
+    result = lines.pop()
     lines.append("induced representation:")
-    for i in range(E.base.n):
-        lines.append(f"  rho(e{i}) = {_mat_text(R.rho[i])}")
+    lines += [f"  rho(e{i}) = {_mat_text(R.rho[i])}" for i in range(E.base.n)]
     lines.append("induced cocycle:")
     lines += _cochain_lines(c, "  ")
-    lines.append("result: PASS")
-    if args.output:
-        analysis = {
-            "representation": representation_to_obj(R),
-            "cochain": cochain_to_obj(c),
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(analysis, indent=2) + "\n")
-        obj["output"] = args.output
-        lines.append(f"written: {args.output}")
-    return "pass", obj, lines
+    lines.append(result)
+    _write_output(args, _dumps(analysis), obj, lines)
+    return status, obj, lines
 
 
 def _cmd_extend_equiv(args):

@@ -36,19 +36,28 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import BolAlgebra, CheckReport, ConditionCheck
-from .linalg import Mat, Vec, is_zero_vec, kernel_basis, rref, solve, vec_add, vec_sub
+from .algebra import (
+    BolAlgebra,
+    CheckReport,
+    _scan,
+    bilinear_eval,
+    entry_args,
+    entry_values,
+    freeze,
+    tensor_from_entries,
+    trilinear_eval,
+    zeros,
+)
+from .linalg import Mat, Vec, kernel_basis, rref, solve, unit_vec, vec_add, vec_sub
 from .representation import (
     PseudoderivationData,
     Representation,
     coboundary_tensors,
-    pack_params,
     pseudoderivation_params,
     unpack_params,
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -92,86 +101,23 @@ class CochainPair:
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "CochainPair":
         n = base.n
-        nu = tuple(tuple((_ZERO,) * n for _ in range(n)) for _ in range(m))
-        omega = tuple(
-            tuple(tuple((_ZERO,) * n for _ in range(n)) for _ in range(n))
-            for _ in range(m)
-        )
-        return cls(base, m, nu, omega)
+        return cls(base, m, freeze(zeros(m, n, n)), freeze(zeros(m, n, n, n)))
 
     @classmethod
     def from_entries(cls, base: BolAlgebra, m: int, nu_entries, omega_entries
                      ) -> "CochainPair":
         """Build from sparse i<j entries {(i,j): {a: coeff}} / {(i,j,k): {a: coeff}}."""
         n = base.n
-        nu = [[[_ZERO] * n for _ in range(n)] for _ in range(m)]
-        seen = set()
-        for (i, j), coeffs in nu_entries:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"nu entry args ({i},{j}) out of range")
-            if i == j:
-                raise ValueError(f"diagonal nu entry ({i},{j})")
-            if i > j:
-                raise ValueError(f"nu entry args ({i},{j}) must satisfy i<j")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate nu entry ({i},{j})")
-            seen.add((i, j))
-            for a, val in coeffs.items():
-                if not 0 <= a < m:
-                    raise ValueError(f"nu entry ({i},{j}): coordinate {a} out of range")
-                val = Fraction(val)
-                nu[a][i][j] = val
-                nu[a][j][i] = -val
-        omega = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(m)]
-        seen = set()
-        for (i, j, k), coeffs in omega_entries:
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise ValueError(f"omega entry args ({i},{j},{k}) out of range")
-            if i == j:
-                raise ValueError(f"diagonal omega entry ({i},{j},{k})")
-            if i > j:
-                raise ValueError(f"omega entry args ({i},{j},{k}) must satisfy i<j")
-            if (i, j, k) in seen:
-                raise ValueError(f"duplicate omega entry ({i},{j},{k})")
-            seen.add((i, j, k))
-            for a, val in coeffs.items():
-                if not 0 <= a < m:
-                    raise ValueError(
-                        f"omega entry ({i},{j},{k}): coordinate {a} out of range")
-                val = Fraction(val)
-                omega[a][i][j][k] = val
-                omega[a][j][i][k] = -val
-
-        def freeze(x):
-            return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-
-        return cls(base, m, freeze(nu), freeze(omega))
+        return cls(base, m, tensor_from_entries(n, m, 2, nu_entries, "nu"),
+                   tensor_from_entries(n, m, 3, omega_entries, "omega"))
 
     # -- multilinear evaluation; slots take a basis index or a Vec over B --
 
     def nu_val(self, x, y) -> Vec:
-        out = [_ZERO] * self.m
-        for i, s in _slot(x):
-            for j, u in _slot(y):
-                su = s * u
-                for a in range(self.m):
-                    v = self.nu[a][i][j]
-                    if v:
-                        out[a] += su * v
-        return tuple(out)
+        return bilinear_eval(self.nu, x, y, self.n)
 
     def omega_val(self, x, y, z) -> Vec:
-        out = [_ZERO] * self.m
-        for i, s in _slot(x):
-            for j, u in _slot(y):
-                su = s * u
-                for k, w in _slot(z):
-                    suw = su * w
-                    for a in range(self.m):
-                        v = self.omega[a][i][j][k]
-                        if v:
-                            out[a] += suw * v
-        return tuple(out)
+        return trilinear_eval(self.omega, x, y, z, self.n)
 
     def __add__(self, other: "CochainPair") -> "CochainPair":
         self._check_compatible(other)
@@ -194,24 +140,11 @@ class CochainPair:
 
     def coords(self) -> Vec:
         """Canonical coordinate vector (nu block then omega block)."""
-        n, m = self.n, self.m
         out = []
-        for i, j in _index_pairs(n):
-            for a in range(m):
-                out.append(self.nu[a][i][j])
-        for i, j, k in _index_triples(n):
-            for a in range(m):
-                out.append(self.omega[a][i][j][k])
+        for t, arity in ((self.nu, 2), (self.omega, 3)):
+            for args in entry_args(self.n, arity):
+                out.extend(entry_values(t, args))
         return tuple(out)
-
-
-def _slot(x):
-    if isinstance(x, int):
-        yield x, _ONE
-    else:
-        for i, s in enumerate(x):
-            if s:
-                yield i, s
 
 
 def _tensor_map1(c: CochainPair, fn) -> CochainPair:
@@ -240,14 +173,6 @@ def _tensor_map2(c: CochainPair, d: CochainPair, fn) -> CochainPair:
     return CochainPair(c.base, c.m, nu, omega)
 
 
-def _index_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _index_triples(n: int) -> list[tuple[int, int, int]]:
-    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-
-
 def cochain_dim(n: int, m: int) -> int:
     """Dimension of the coupled cochain space: n(n-1)/2 * m * (1 + n)."""
     pairs = n * (n - 1) // 2
@@ -258,26 +183,15 @@ def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
     n = base.n
     if len(coords) != cochain_dim(n, m):
         raise ValueError("coordinate vector has wrong length")
-    nu = [[[_ZERO] * n for _ in range(n)] for _ in range(m)]
+    blocks = []
     pos = 0
-    for i, j in _index_pairs(n):
-        for a in range(m):
-            v = coords[pos]
-            pos += 1
-            nu[a][i][j] = v
-            nu[a][j][i] = -v
-    omega = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(m)]
-    for i, j, k in _index_triples(n):
-        for a in range(m):
-            v = coords[pos]
-            pos += 1
-            omega[a][i][j][k] = v
-            omega[a][j][i][k] = -v
-
-    def freeze(x):
-        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-
-    return CochainPair(base, m, freeze(nu), freeze(omega))
+    for arity in (2, 3):
+        entries = []
+        for args in entry_args(n, arity):
+            entries.append((args, {a: v for a, v in enumerate(coords[pos:pos + m]) if v}))
+            pos += m
+        blocks.append(tensor_from_entries(n, m, arity, entries, "coordinate"))
+    return CochainPair(base, m, *blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +241,13 @@ def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
         raise ValueError("cochain does not match the representation's data")
     n = R.base.n
     rng = range(n)
-
-    def scan(name, tuples, fn):
-        for idx in tuples:
-            r = fn(*idx)
-            if not is_zero_vec(r):
-                return ConditionCheck(name, False, tuple(idx), r)
-        return ConditionCheck(name, True)
-
     checks = (
-        scan("CC1", itertools.product(rng, repeat=3),
-             lambda a, b, d: _cc1_residual(c, a, b, d)),
-        scan("CC2", itertools.product(rng, repeat=4),
-             lambda a, b, d, e: _cc2_residual(R, c, a, b, d, e)),
-        scan("CC3", itertools.product(rng, repeat=5),
-             lambda a, b, d, e, f: _cc3_residual(R, c, a, b, d, e, f)),
+        _scan("CC1", itertools.product(rng, repeat=3),
+              lambda a, b, d: _cc1_residual(c, a, b, d)),
+        _scan("CC2", itertools.product(rng, repeat=4),
+              lambda a, b, d, e: _cc2_residual(R, c, a, b, d, e)),
+        _scan("CC3", itertools.product(rng, repeat=5),
+              lambda a, b, d, e, f: _cc3_residual(R, c, a, b, d, e, f)),
     )
     return CheckReport(checks)
 
@@ -376,8 +282,7 @@ def _coboundary_matrix(R: Representation) -> Mat:
     nparams = pseudoderivation_params(n, m)
     cols = []
     for idx in range(nparams):
-        params = tuple(_ONE if i == idx else _ZERO for i in range(nparams))
-        image = coboundary_of(R, unpack_params(n, m, params))
+        image = coboundary_of(R, unpack_params(n, m, unit_vec(nparams, idx)))
         cols.append(image.coords())
     return Mat.from_cols(cols, rows=cochain_dim(n, m))
 
@@ -457,7 +362,7 @@ def cohomology(R: Representation) -> CohomologyReport:
     Z is the kernel of the assembled CC1-CC3 constraint matrix; B is the
     image of the coboundary map from (f, chi)-space; representatives of H
     are the Z-basis vectors that extend a basis of B inside Z, taken
-    greedily in the canonical order.
+    greedily in the canonical order (read off one RREF).
     """
     B = R.base
     n, m = B.n, R.m
@@ -467,8 +372,7 @@ def cohomology(R: Representation) -> CohomologyReport:
     # repeated/zero rows changes neither the row space nor the kernel.
     columns = []
     for idx in range(dim_c):
-        coords = tuple(_ONE if i == idx else _ZERO for i in range(dim_c))
-        unit = coords_to_cochain(B, m, coords)
+        unit = coords_to_cochain(B, m, unit_vec(dim_c, idx))
         columns.append(_cocycle_residual_vector(R, unit))
     nrows = len(columns[0]) if columns else 0
     seen = {}
@@ -494,17 +398,11 @@ def cohomology(R: Representation) -> CohomologyReport:
     if dim_b + len(kernel_basis(bmat)) != nparams:
         raise AssertionError("coboundary rank/nullity bookkeeping is wrong")
 
-    # Greedy extension of B to a basis of Z; the added vectors represent H.
-    stack = [list(r) for r in b_coords]
-    rank = dim_b
-    reps = []
-    for z in z_coords:
-        trial = stack + [list(z)]
-        trial_rank = rref(Mat.from_rows(trial)).rank if trial else 0
-        if trial_rank > rank:
-            stack = trial
-            rank = trial_rank
-            reps.append(z)
+    # Extend B to a basis of Z in the canonical order: with the B basis
+    # first, the pivot columns past dim_b are exactly the Z vectors that
+    # are independent of B and of the Z vectors before them.
+    pivots = rref(Mat.from_cols(b_coords + z_coords, rows=dim_c)).pivots
+    reps = [z_coords[p - dim_b] for p in pivots if p >= dim_b]
     if len(reps) != dim_z - dim_b:
         raise AssertionError(
             "coboundaries do not sit inside the cocycle space; "

@@ -50,17 +50,15 @@ from .algebra import (
     AxiomReport,
     BolAlgebra,
     CheckReport,
-    ConditionCheck,
     VerificationError,
+    _scan,
     bilinear_eval,
     trilinear_eval,
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, is_zero_vec, vec_add, vec_sub
-from .representation import PseudoderivationData, Representation, adjoint_representation
-
-_ZERO = Fraction(0)
+from .linalg import Mat, Vec, vec_add, vec_sub
+from .representation import PseudoderivationData, adjoint_representation
 
 _SAMPLE_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
 
@@ -120,31 +118,23 @@ def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
     n = d.n
     rng = range(n)
-
-    def scan(name, tuples, fn):
-        for idx in tuples:
-            r = fn(*idx)
-            if not is_zero_vec(r):
-                return ConditionCheck(name, False, tuple(idx), r)
-        return ConditionCheck(name, True)
-
     nu = lambda i, j: tuple(d.nu[k][i][j] for k in range(n))
     mu = lambda i, j: tuple(d.mu[k][i][j] for k in range(n))
     om = lambda i, j, k: tuple(d.omega[l][i][j][k] for l in range(n))
 
     checks = (
-        scan("B01'", itertools.product(rng, repeat=2),
-             lambda i, j: vec_add(nu(i, j), nu(j, i))),
-        scan("B02'", itertools.product(rng, repeat=2),
-             lambda i, j: vec_add(mu(i, j), mu(j, i))),
-        scan("B03'", itertools.product(rng, repeat=3),
-             lambda i, j, k: vec_add(om(i, j, k), om(j, i, k))),
-        scan("B1'", itertools.product(rng, repeat=3),
-             lambda i, j, k: vec_add(om(i, j, k), om(j, k, i), om(k, i, j))),
-        scan("B2'", itertools.product(rng, repeat=4),
-             lambda a, b, c, e: _b2p_residual(d, a, b, c, e)),
-        scan("B3'", itertools.product(rng, repeat=5),
-             lambda a, b, c, e, f: _b3p_residual(d, a, b, c, e, f)),
+        _scan("B01'", itertools.product(rng, repeat=2),
+              lambda i, j: vec_add(nu(i, j), nu(j, i))),
+        _scan("B02'", itertools.product(rng, repeat=2),
+              lambda i, j: vec_add(mu(i, j), mu(j, i))),
+        _scan("B03'", itertools.product(rng, repeat=3),
+              lambda i, j, k: vec_add(om(i, j, k), om(j, i, k))),
+        _scan("B1'", itertools.product(rng, repeat=3),
+              lambda i, j, k: vec_add(om(i, j, k), om(j, k, i), om(k, i, j))),
+        _scan("B2'", itertools.product(rng, repeat=4),
+              lambda a, b, c, e: _b2p_residual(d, a, b, c, e)),
+        _scan("B3'", itertools.product(rng, repeat=5),
+              lambda a, b, c, e, f: _b3p_residual(d, a, b, c, e, f)),
     )
     return CheckReport(checks)
 
@@ -172,36 +162,33 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
 
 @dataclass(frozen=True)
 class InfinitesimalDeformationReport:
-    """Predicate route, optional t-sampling route, and their agreement."""
+    """Predicate route, t-sampling route, and their agreement."""
 
     deformation_type: CheckReport
     cocycle: CheckReport
-    sampling: tuple[tuple[Fraction, AxiomReport], ...] | None
+    sampling: tuple[tuple[Fraction, AxiomReport], ...]
 
     @property
     def passed(self) -> bool:
         return self.deformation_type.passed and self.cocycle.passed
 
     @property
-    def sampling_passed(self) -> bool | None:
-        if self.sampling is None:
-            return None
+    def sampling_passed(self) -> bool:
         return all(rep.passed for _, rep in self.sampling)
 
     @property
     def routes_agree(self) -> bool:
-        return self.sampling is None or self.passed == self.sampling_passed
+        return self.passed == self.sampling_passed
 
 
-def generates_infinitesimal_deformation(d: DeformationDatum,
-                                        cross_check: bool = True
+def generates_infinitesimal_deformation(d: DeformationDatum
                                         ) -> InfinitesimalDeformationReport:
     """Decide whether (nu, omega) generates a t-parameter deformation.
 
     Predicate route: deformation type with mu = * plus the adjoint cocycle
-    conditions.  With cross_check, also verifies B_t for t in {1,2,3,5};
-    every deformed axiom has degree <= 3 in t, so the two routes must
-    agree, and the report exposes both.
+    conditions.  Sampling route: verify B_t for t in {1,2,3,5}; every
+    deformed axiom has degree <= 3 in t, so the two routes must agree,
+    and the report exposes both.
     """
     base, pair = d.base, d.pair
     base_report = verify_bol(base)
@@ -210,11 +197,7 @@ def generates_infinitesimal_deformation(d: DeformationDatum,
     candidate = DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)
     type_report = is_deformation_type(candidate)
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
-    sampling = None
-    if cross_check:
-        sampling = tuple(
-            (t, verify_bol(deformed_algebra(d, t))) for t in _SAMPLE_VALUES
-        )
+    sampling = tuple((t, verify_bol(deformed_algebra(d, t))) for t in _SAMPLE_VALUES)
     return InfinitesimalDeformationReport(type_report, cocycle_report, sampling)
 
 
@@ -240,21 +223,13 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     rng = range(n)
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
     candidate = DeformationTypeCandidate(n, base.c, pair.nu, pair.omega)
-
-    def scan(name, tuples, fn):
-        for idx in tuples:
-            r = fn(*idx)
-            if not is_zero_vec(r):
-                return ConditionCheck(name, False, tuple(idx), r)
-        return ConditionCheck(name, True)
-
     checks = tuple(cocycle_report.checks) + (
-        scan("B2'", itertools.product(rng, repeat=4),
-             lambda a, b, c, e: _b2p_residual(candidate, a, b, c, e)),
-        scan("B3'", itertools.product(rng, repeat=5),
-             lambda a, b, c, e, f: _b3p_residual(candidate, a, b, c, e, f)),
-        scan("o3", itertools.product(rng, repeat=4),
-             lambda a, b, c, e: _o3_residual(d, a, b, c, e)),
+        _scan("B2'", itertools.product(rng, repeat=4),
+              lambda a, b, c, e: _b2p_residual(candidate, a, b, c, e)),
+        _scan("B3'", itertools.product(rng, repeat=5),
+              lambda a, b, c, e, f: _b3p_residual(candidate, a, b, c, e, f)),
+        _scan("o3", itertools.product(rng, repeat=4),
+              lambda a, b, c, e: _o3_residual(d, a, b, c, e)),
     )
     return CheckReport(checks)
 

@@ -40,21 +40,20 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .algebra import (
     BolAlgebra,
     CheckReport,
     ConditionCheck,
     VerificationError,
+    _scan,
+    freeze,
     verify_bol,
+    zeros,
 )
-from .cohomology import CochainPair, coboundary_of, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, hstack, image_rank, inverse, is_zero_vec
+from .cohomology import CochainPair, is_cocycle, solve_coboundary
+from .linalg import Mat, Vec, hstack, image_rank, inverse, unit_vec, vec_sub
 from .representation import Representation, verify_representation
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InvalidExtensionError(ValueError):
@@ -117,57 +116,40 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
     # i is a homomorphism from V with trivial operations: all products of
     # i-images must vanish in hat(B).
     i_cols = [E.i.col(a) for a in range(m)]
-    ih: ConditionCheck | None = None
-    for a, b in itertools.product(range(m), repeat=2):
-        r = hat.product(i_cols[a], i_cols[b])
-        if not is_zero_vec(r):
-            ih = ConditionCheck("i-homomorphism", False, ("binary", a, b), r)
-            break
-    if ih is None:
-        for a, b, c in itertools.product(range(m), repeat=3):
-            r = hat.triple(i_cols[a], i_cols[b], i_cols[c])
-            if not is_zero_vec(r):
-                ih = ConditionCheck("i-homomorphism", False, ("ternary", a, b, c), r)
-                break
-    checks.append(ih or ConditionCheck("i-homomorphism", True))
-
-    ph: ConditionCheck | None = None
+    checks.append(_scan("i-homomorphism", _binary_then_ternary(m),
+                        lambda kind, *args: _operate(hat, [i_cols[a] for a in args])))
     p_cols = [E.p.col(x) for x in range(N)]
-    for x, y in itertools.product(range(N), repeat=2):
-        r = tuple(u - v for u, v in zip(E.p.apply(hat.basis_product(x, y)),
-                                        base.product(p_cols[x], p_cols[y])))
-        if not is_zero_vec(r):
-            ph = ConditionCheck("p-homomorphism", False, ("binary", x, y), r)
-            break
-    if ph is None:
-        for x, y, z in itertools.product(range(N), repeat=3):
-            r = tuple(u - v for u, v in zip(
-                E.p.apply(hat.basis_triple(x, y, z)),
-                base.triple(p_cols[x], p_cols[y], p_cols[z])))
-            if not is_zero_vec(r):
-                ph = ConditionCheck("p-homomorphism", False, ("ternary", x, y, z), r)
-                break
-    checks.append(ph or ConditionCheck("p-homomorphism", True))
+    checks.append(_scan("p-homomorphism", _binary_then_ternary(N),
+                        lambda kind, *args: vec_sub(
+                            E.p.apply(_operate(hat, args)),
+                            _operate(base, [p_cols[x] for x in args]))))
 
     # abelian ideal: ternary products with two i-arguments vanish for any
     # third hat argument (the pure binary case sits in i-homomorphism).
-    ab: ConditionCheck | None = None
-    for a, b in itertools.product(range(m), repeat=2):
-        if ab is not None:
-            break
-        u, v = i_cols[a], i_cols[b]
-        for w in range(N):
-            for name, r in (("[i,i,.]", hat.triple(u, v, w)),
-                            ("[i,.,i]", hat.triple(u, w, v)),
-                            ("[.,i,i]", hat.triple(w, u, v))):
-                if not is_zero_vec(r):
-                    ab = ConditionCheck("abelian-ideal", False, (name, a, b, w), r)
-                    break
-            if ab is not None:
-                break
-    checks.append(ab or ConditionCheck("abelian-ideal", True))
+    placements = {"[i,i,.]": lambda u, v, w: (u, v, w),
+                  "[i,.,i]": lambda u, v, w: (u, w, v),
+                  "[.,i,i]": lambda u, v, w: (w, u, v)}
+    checks.append(_scan(
+        "abelian-ideal",
+        ((name, a, b, w) for a, b in itertools.product(range(m), repeat=2)
+         for w in range(N) for name in placements),
+        lambda name, a, b, w: hat.triple(*placements[name](i_cols[a], i_cols[b], w))))
 
-    return CheckReport(tuple(checks))
+    report = CheckReport(tuple(checks))
+    if report.passed:
+        _validated.add(E)
+    return report
+
+
+def _binary_then_ternary(dim: int):
+    """Tagged argument tuples ("binary", x, y), then ("ternary", x, y, z)."""
+    return itertools.chain(
+        (("binary",) + xy for xy in itertools.product(range(dim), repeat=2)),
+        (("ternary",) + xyz for xyz in itertools.product(range(dim), repeat=3)))
+
+
+def _operate(A: BolAlgebra, args) -> Vec:
+    return A.product(*args) if len(args) == 2 else A.triple(*args)
 
 
 # validation of immutable bundles is idempotent; remember the survivors
@@ -181,7 +163,6 @@ def _require_valid(E: AbelianExtension) -> None:
     if not report.passed:
         raise InvalidExtensionError(
             f"invalid extension: {report.first_failure().name} fails", report)
-    _validated.add(E)
 
 
 def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
@@ -202,7 +183,7 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     n, m = B.n, R.m
     N = n + m
 
-    cgrid = [[[_ZERO] * N for _ in range(N)] for _ in range(N)]
+    cgrid = zeros(N, N, N)
     for i, j in itertools.product(range(n), repeat=2):
         prod = B.basis_product(i, j)
         for k in range(n):
@@ -216,7 +197,7 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
                 cgrid[n + a][i][n + b] = col[a]
                 cgrid[n + a][n + b][i] = -col[a]
 
-    tgrid = [[[[_ZERO] * N for _ in range(N)] for _ in range(N)] for _ in range(N)]
+    tgrid = zeros(N, N, N, N)
     for i, j, k in itertools.product(range(n), repeat=3):
         trip = B.basis_triple(i, j, k)
         for l in range(n):
@@ -234,16 +215,10 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
                 tgrid[n + a][i][n + b][j] = -tvals[a]       # -theta(x1,x3)(u2)
                 tgrid[n + a][n + b][i][j] = tvals[a]        # +theta(x2,x3)(u1)
 
-    def freeze(x):
-        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-
     hat = BolAlgebra(N, freeze(cgrid), freeze(tgrid))
-    inj = Mat.from_rows([[_ONE if (r - n) == a else _ZERO for a in range(m)]
-                         for r in range(N)])
-    proj = Mat.from_rows([[_ONE if r == x else _ZERO for x in range(N)]
-                          for r in range(n)])
-    sect = Mat.from_rows([[_ONE if r == x else _ZERO for x in range(n)]
-                          for r in range(N)])
+    inj = Mat.from_rows([unit_vec(m, r - n) for r in range(N)])
+    proj = Mat.from_rows([unit_vec(N, r) for r in range(n)])
+    sect = Mat.from_rows([unit_vec(n, r) for r in range(N)])
     return AbelianExtension(B, m, hat, inj, proj, sect)
 
 
@@ -313,24 +288,20 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
     Tinv = _splitting(E)
     s_cols = [E.sigma.col(x) for x in range(n)]
 
-    nu = [[[_ZERO] * n for _ in range(n)] for _ in range(m)]
+    nu = zeros(m, n, n)
     for x, y in itertools.product(range(n), repeat=2):
         w = hat.product(s_cols[x], s_cols[y])
         w = tuple(a - b for a, b in zip(w, E.sigma.apply(base.basis_product(x, y))))
         coords = _fiber_coords(Tinv, w, n, m, "nu value")
         for a in range(m):
             nu[a][x][y] = coords[a]
-    omega = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(m)]
+    omega = zeros(m, n, n, n)
     for x, y, z in itertools.product(range(n), repeat=3):
         w = hat.triple(s_cols[x], s_cols[y], s_cols[z])
         w = tuple(a - b for a, b in zip(w, E.sigma.apply(base.basis_triple(x, y, z))))
         coords = _fiber_coords(Tinv, w, n, m, "omega value")
         for a in range(m):
             omega[a][x][y][z] = coords[a]
-
-    def freeze(x):
-        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-
     return CochainPair(base, m, freeze(nu), freeze(omega))
 
 
@@ -418,10 +389,9 @@ def extensions_equivalent(E1: AbelianExtension, E2: AbelianExtension
     phi_tw_rows = []
     for r in range(N):
         if r < n:
-            row = [_ONE if x == r else _ZERO for x in range(n)] + [_ZERO] * m
+            row = unit_vec(N, r)
         else:
-            row = list(ftilde.row(r - n)) + [
-                _ONE if a == r - n else _ZERO for a in range(m)]
+            row = ftilde.row(r - n) + unit_vec(m, r - n)
         phi_tw_rows.append(row)
     phi_tw = Mat.from_rows(phi_tw_rows)
     phi = hstack(E2.sigma, E2.i) @ phi_tw @ _splitting(E1)

@@ -16,15 +16,18 @@ the file.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra
+from .algebra import BolAlgebra, MaltsevAlgebra, entry_args, entry_values
 from .cohomology import CochainPair
 from .extension import AbelianExtension
 from .linalg import Mat
 from .representation import Representation
 
-_ZERO = Fraction(0)
+# ASCII decimals only: str.isdigit and int() also take other Unicode digits.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integer
 
 
 class ParseError(ValueError):
@@ -42,11 +45,10 @@ class ParseError(ValueError):
 def parse_scalar(text, path: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise ParseError(path, f"rational must be a string, got {type(text).__name__}")
-    body = text[1:] if text.startswith("-") else text
-    num, sep, den = body.partition("/")
-    if not num.isdigit() or (sep and not den.isdigit()):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
-    if sep and int(den) == 0:
+    if match.group(1) and int(match.group(1)[1:]) == 0:
         raise ParseError(path, f"zero denominator in {text!r}")
     return Fraction(text)
 
@@ -59,9 +61,32 @@ def render_scalar(x: Fraction) -> str:
 # low-level helpers
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that names some key twice; ``key`` is the first such.
+
+    JSON parsing keeps the last value of a repeated key.  Readers of index
+    maps reject these objects instead of losing an entry silently.
+    """
+
+    def __init__(self, pairs, key: str):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                return _RepeatedKeys(pairs, key)
+            seen.add(key)
+    return obj
+
+
 def _loads(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                              f"{exc.msg}") from None
@@ -86,10 +111,13 @@ def _int_field(obj: dict, key: str, path: str, minimum: int = 0) -> int:
 def _parse_value_map(obj, dim: int, path: str) -> dict[int, Fraction]:
     if not isinstance(obj, dict):
         raise ParseError(path, "value must be an object mapping index to rational")
+    if isinstance(obj, _RepeatedKeys):
+        raise ParseError(f"{path}.{obj.key}", "duplicate index")
     out = {}
     for key, raw in obj.items():
-        if not (isinstance(key, str) and key.lstrip("-").isdigit()):
-            raise ParseError(f"{path}.{key}", "index key must be a decimal string")
+        if not _INDEX_KEY.fullmatch(key):
+            raise ParseError(f"{path}.{key}",
+                             "index key must be a decimal string without leading zeros")
         idx = int(key)
         if not 0 <= idx < dim:
             raise ParseError(f"{path}.{key}", f"index out of range [0, {dim})")
@@ -137,24 +165,14 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
     return entries
 
 
-def _render_entries(tensor, arity: int, n: int, value_dim: int) -> list:
+def _render_entries(tensor, arity: int, n: int) -> list:
     """Sparse i<j entries of an antisymmetric tensor, canonically ordered."""
     out = []
-    if arity == 2:
-        index_tuples = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        get = lambda a, idx: tensor[a][idx[0]][idx[1]]
-    else:
-        index_tuples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
-                        for k in range(n)]
-        get = lambda a, idx: tensor[a][idx[0]][idx[1]][idx[2]]
-    for idx in index_tuples:
-        value = {}
-        for a in range(value_dim):
-            coeff = get(a, idx)
-            if coeff:
-                value[str(a)] = render_scalar(coeff)
+    for args in entry_args(n, arity):
+        value = {str(a): render_scalar(coeff)
+                 for a, coeff in enumerate(entry_values(tensor, args)) if coeff}
         if value:
-            out.append({"args": list(idx), "value": value})
+            out.append({"args": list(args), "value": value})
     return out
 
 
@@ -189,9 +207,9 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
     }
     if A.basis_names:
         obj["basis_names"] = list(A.basis_names)
-    obj["binary"] = _render_entries(A.c, 2, A.n, A.n)
+    obj["binary"] = _render_entries(A.c, 2, A.n)
     if isinstance(A, BolAlgebra):
-        obj["ternary"] = _render_entries(A.t, 3, A.n, A.n)
+        obj["ternary"] = _render_entries(A.t, 3, A.n)
     return obj
 
 
@@ -301,8 +319,8 @@ def render_representation(R: Representation) -> str:
 def cochain_to_obj(c: CochainPair) -> dict:
     return {
         "module_dimension": c.m,
-        "nu": _render_entries(c.nu, 2, c.n, c.m),
-        "omega": _render_entries(c.omega, 3, c.n, c.m),
+        "nu": _render_entries(c.nu, 2, c.n),
+        "omega": _render_entries(c.omega, 3, c.n),
     }
 
 

@@ -32,19 +32,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    AxiomReport,
     BolAlgebra,
     CheckReport,
-    ConditionCheck,
     MaltsevAlgebra,
     VerificationError,
+    _coeffs,
+    _scan,
+    freeze,
     maltsev_to_bol,
     verify_bol,
+    zeros,
 )
-from .linalg import Mat, Vec, commutator, vec, zero_vec
+from .linalg import Mat, Vec, commutator, kernel_basis, unit_vec, vec, zero_vec
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _THIRD = Fraction(1, 3)
 
 
@@ -76,20 +76,15 @@ class Representation:
     # -- linear/bilinear extensions; slots take a basis index or a Vec ----
 
     def rho_of(self, x) -> Mat:
-        if isinstance(x, int):
-            return self.rho[x]
-        acc = Mat.zeros(self.m, self.m)
-        for i, s in enumerate(x):
-            if s:
-                acc = acc + s * self.rho[i]
-        return acc
+        return _lincomb(self.rho, x, self.m)
 
     def _grid_of(self, grid, x, y) -> Mat:
         if isinstance(x, int) and isinstance(y, int):
             return grid[x][y]
         acc = Mat.zeros(self.m, self.m)
-        for i, a in _slot(x):
-            for j, b in _slot(y):
+        n = self.base.n
+        for i, a in _coeffs(x, n):
+            for j, b in _coeffs(y, n):
                 mat = grid[i][j]
                 if not mat.is_zero():
                     acc = acc + (a * b) * mat
@@ -120,22 +115,15 @@ class Representation:
                    tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
 
-def _slot(x):
+def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
+    """sum_i x_i mats[i] for a Vec x; a basis index x picks mats[x]."""
     if isinstance(x, int):
-        yield x, _ONE
-    else:
-        for i, s in enumerate(x):
-            if s:
-                yield i, s
-
-
-def _mat_check(name, tuples, residual_fn) -> ConditionCheck:
-    """First-failure scan where residuals are matrices (flattened in reports)."""
-    for idx in tuples:
-        r = residual_fn(*idx)
-        if not r.is_zero():
-            return ConditionCheck(name, False, tuple(idx), r.entries)
-    return ConditionCheck(name, True)
+        return mats[x]
+    acc = Mat.zeros(m, m)
+    for i, s in enumerate(x):
+        if s:
+            acc = acc + s * mats[i]
+    return acc
 
 
 def verify_representation(R: Representation) -> CheckReport:
@@ -145,7 +133,7 @@ def verify_representation(R: Representation) -> CheckReport:
     rng = range(n)
 
     def r1(i, j):
-        return R.D[i][j] + R.theta[i][j] - R.theta[j][i]
+        return (R.D[i][j] + R.theta[i][j] - R.theta[j][i]).entries
 
     def r21(x1, x2, y1):
         xx = B.basis_product(x1, x2)
@@ -153,7 +141,7 @@ def verify_representation(R: Representation) -> CheckReport:
         res = res - R.rho_of(B.basis_triple(x1, x2, y1))
         res = res + R.theta_of(y1, xx)
         res = res - R.rho_of(xx) @ R.rho[y1]
-        return res
+        return res.entries
 
     def r22(x1, y1, y2):
         yy = B.basis_product(y1, y2)
@@ -161,34 +149,34 @@ def verify_representation(R: Representation) -> CheckReport:
         res = res - R.rho[y1] @ R.theta[x1][y2]
         res = res + R.rho[y2] @ R.theta[x1][y1]
         res = res + (R.D[y1][y2] - R.rho_of(yy)) @ R.rho[x1]
-        return res
+        return res.entries
 
     def r31(x1, x2, y1, y2):
         res = commutator(R.D[x1][x2], R.D[y1][y2])
         res = res - R.D_of(B.basis_triple(x1, x2, y1), y2)
         res = res - R.D_of(y1, B.basis_triple(x1, x2, y2))
-        return res
+        return res.entries
 
     def r32(x1, x2, y1, y2):
         res = commutator(R.D[x1][x2], R.theta[y1][y2])
         res = res - R.theta_of(B.basis_triple(x1, x2, y1), y2)
         res = res - R.theta_of(y1, B.basis_triple(x1, x2, y2))
-        return res
+        return res.entries
 
     def r33(x1, y1, y2, y3):
         res = R.theta_of(x1, B.basis_triple(y1, y2, y3))
         res = res - R.theta[y2][y3] @ R.theta[x1][y1]
         res = res + R.theta[y1][y3] @ R.theta[x1][y2]
         res = res - R.D[y1][y2] @ R.theta[x1][y3]
-        return res
+        return res.entries
 
     checks = (
-        _mat_check("R1", itertools.product(rng, repeat=2), r1),
-        _mat_check("R21", itertools.product(rng, repeat=3), r21),
-        _mat_check("R22", itertools.product(rng, repeat=3), r22),
-        _mat_check("R31", itertools.product(rng, repeat=4), r31),
-        _mat_check("R32", itertools.product(rng, repeat=4), r32),
-        _mat_check("R33", itertools.product(rng, repeat=4), r33),
+        _scan("R1", itertools.product(rng, repeat=2), r1),
+        _scan("R21", itertools.product(rng, repeat=3), r21),
+        _scan("R22", itertools.product(rng, repeat=3), r22),
+        _scan("R31", itertools.product(rng, repeat=4), r31),
+        _scan("R32", itertools.product(rng, repeat=4), r32),
+        _scan("R33", itertools.product(rng, repeat=4), r33),
     )
     return CheckReport(checks)
 
@@ -231,24 +219,17 @@ def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckRepor
     n = M.n
     m = rho[0].rows if rho else 0
 
-    def rho_of(v: Vec) -> Mat:
-        acc = Mat.zeros(m, m)
-        for i, s in enumerate(v):
-            if s:
-                acc = acc + s * rho[i]
-        return acc
-
     def residual(x, y, z):
-        d1 = commutator(rho[x], rho[y]) + rho_of(M.basis_product(x, y))
+        d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
         bracket1 = M.product(x, M.basis_product(y, z))
         bracket1 = vec(a - b for a, b in zip(
             bracket1, M.product(y, M.basis_product(x, z))))
         bracket1 = vec(a + b for a, b in zip(
             bracket1, M.product(M.basis_product(x, y), z)))
-        return commutator(d1, rho[z]) - rho_of(bracket1)
+        return (commutator(d1, rho[z]) - _lincomb(rho, bracket1, m)).entries
 
-    check = _mat_check("maltsev-representation",
-                       itertools.product(range(n), repeat=3), residual)
+    check = _scan("maltsev-representation",
+                  itertools.product(range(n), repeat=3), residual)
     return CheckReport((check,))
 
 
@@ -263,32 +244,24 @@ def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Che
     n = M.n
     m = rho[0].rows if rho else 0
 
-    def rho_of(v: Vec) -> Mat:
-        acc = Mat.zeros(m, m)
-        for i, s in enumerate(v):
-            if s:
-                acc = acc + s * rho[i]
-        return acc
-
     def jordan(a: Mat, b: Mat) -> Mat:
         return a @ b + b @ a
 
     def residual(x, y, z):
-        res = rho_of(M.product(x, M.basis_product(y, z)))
+        res = _lincomb(rho, M.product(x, M.basis_product(y, z)), m)
         res = res - rho[z] @ jordan(rho[x], rho[y])
         res = res + rho[y] @ jordan(rho[x], rho[z])
-        res = res - jordan(rho[x], rho_of(M.basis_product(y, z)))
-        res = res + rho[z] @ rho_of(M.basis_product(x, y))
-        res = res - rho[y] @ rho_of(M.basis_product(x, z))
-        return res
+        res = res - jordan(rho[x], _lincomb(rho, M.basis_product(y, z), m))
+        res = res + rho[z] @ _lincomb(rho, M.basis_product(x, y), m)
+        res = res - rho[y] @ _lincomb(rho, M.basis_product(x, z), m)
+        return res.entries
 
-    check = _mat_check("maltsev-representation-jordan",
-                       itertools.product(range(n), repeat=3), residual)
+    check = _scan("maltsev-representation-jordan",
+                  itertools.product(range(n), repeat=3), residual)
     return CheckReport((check,))
 
 
-def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...],
-                        cross_check: bool = True) -> Representation:
+def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:
     """Representation of the associated Bol algebra induced by a Maltsev action.
 
     With theta_2(x,y) = rho(x)rho(y) + 2 rho(y)rho(x) - rho(x*y) and
@@ -296,7 +269,8 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...],
     theta = (1/3) theta_2 and D = (1/3) D_2 over maltsev_to_bol(M).
 
     The action must satisfy the Maltsev-representation condition; it is
-    rejected with the witness triple otherwise.
+    rejected with the witness triple otherwise, and the Jordan-form
+    condition is checked as well, so the two forms cross-check each other.
     """
     rho = tuple(rho)
     n = M.n
@@ -311,20 +285,11 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...],
     if not report.passed:
         raise VerificationError(
             "action does not satisfy the Maltsev representation condition", report)
-    if cross_check:
-        jordan = maltsev_action_jordan_report(M, rho)
-        if not jordan.passed:
-            raise VerificationError(
-                "Maltsev representation cross-check disagrees", jordan)
+    jordan = maltsev_action_jordan_report(M, rho)
+    if not jordan.passed:
+        raise VerificationError("Maltsev representation cross-check disagrees", jordan)
 
     base = maltsev_to_bol(M)
-
-    def rho_of(v: Vec) -> Mat:
-        acc = Mat.zeros(m, m)
-        for i, s in enumerate(v):
-            if s:
-                acc = acc + s * rho[i]
-        return acc
 
     D = []
     theta = []
@@ -332,7 +297,7 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...],
         drow = []
         trow = []
         for j in range(n):
-            rp = rho_of(M.basis_product(i, j))
+            rp = _lincomb(rho, M.basis_product(i, j), m)
             theta2 = rho[i] @ rho[j] + Fraction(2) * (rho[j] @ rho[i]) - rp
             d2 = commutator(rho[i], rho[j]) + Fraction(2) * rp
             trow.append(_THIRD * theta2)
@@ -354,17 +319,13 @@ def check_delta_identity(R: Representation) -> CheckReport:
 
     def residual(x1, x2, y1, y2):
         res = commutator(R.delta(x1, x2), R.delta(y1, y2))
-        res = res - R.delta(B.basis_triple(x1, x2, y1), _unit(B.n, y2))
-        res = res - R.delta(_unit(B.n, y1), B.basis_triple(x1, x2, y2))
+        res = res - R.delta(B.basis_triple(x1, x2, y1), unit_vec(B.n, y2))
+        res = res - R.delta(unit_vec(B.n, y1), B.basis_triple(x1, x2, y2))
         res = res + R.delta(B.basis_product(y1, y2), B.basis_product(x1, x2))
-        return res
+        return res.entries
 
-    check = _mat_check("delta-identity", itertools.product(rng, repeat=4), residual)
+    check = _scan("delta-identity", itertools.product(rng, repeat=4), residual)
     return CheckReport((check,))
-
-
-def _unit(n: int, i: int) -> Vec:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -401,7 +362,7 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
     def f_of(v: Vec) -> Vec:
         return f.apply(v)
 
-    nu = [[[_ZERO] * n for _ in range(n)] for _ in range(m)]
+    nu = zeros(m, n, n)
     for i in range(n):
         for j in range(n):
             val = R.rho[i].apply(fcols[j])
@@ -411,7 +372,7 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
             for a in range(m):
                 nu[a][i][j] = val[a]
 
-    omega = [[[[_ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(m)]
+    omega = zeros(m, n, n, n)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -421,10 +382,6 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
                 val = tuple(a - b for a, b in zip(val, f_of(B.basis_triple(i, j, k))))
                 for a in range(m):
                     omega[a][i][j][k] = val[a]
-
-    def freeze(x):
-        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
-
     return freeze(nu), freeze(omega)
 
 
@@ -466,18 +423,15 @@ def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:
     parameter order is f's columns (module coordinate innermost) followed
     by chi.
     """
-    from .linalg import Mat as _Mat, kernel_basis
-
     B = R.base
     n, m = B.n, R.m
     nparams = pseudoderivation_params(n, m)
     cols = []
     for idx in range(nparams):
-        params = tuple(_ONE if i == idx else _ZERO for i in range(nparams))
-        nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
+        nu, omega = coboundary_tensors(R, unpack_params(n, m, unit_vec(nparams, idx)))
         col = [x for plane in nu for row in plane for x in row]
         col += [x for cube in omega for plane in cube for row in plane for x in row]
         cols.append(col)
     rows = m * n * n + m * n * n * n
-    matrix = _Mat.from_cols(cols, rows=rows)
+    matrix = Mat.from_cols(cols, rows=rows)
     return [unpack_params(n, m, v) for v in kernel_basis(matrix)]

@@ -143,10 +143,10 @@ def test_criterion_5_deformation_predicate_agrees_with_t_sampling():
         data.append(DeformationDatum(B, coords_to_cochain(B, 2, coords)))
     outcomes = set()
     for d in data:
-        rep = generates_infinitesimal_deformation(d, cross_check=True)
+        rep = generates_infinitesimal_deformation(d)
         assert rep.routes_agree
         outcomes.add(rep.passed)
-    first = generates_infinitesimal_deformation(data[0], cross_check=True)
+    first = generates_infinitesimal_deformation(data[0])
     assert first.passed  # the structure pair itself deforms
     assert outcomes == {True, False}  # the sample mixes both verdicts
     _verdict(5, "deformation predicate agrees with 4-point t-sampling on 21 pairs")

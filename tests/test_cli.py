@@ -79,6 +79,15 @@ class TestVerify:
         assert "diagonal binary entry" in err
 
 
+    def test_aliased_index_key_is_input_error(self, run, tmp_path):
+        bad = tmp_path / "alias.alg"
+        bad.write_text('{"kind": "bol", "dimension": 2, "binary": [{"args": '
+                       '[0, 1], "value": {"1": "-1", "01": "5"}}], "ternary": []}')
+        code, _, err = run("verify", str(bad))
+        assert code == 2
+        assert "binary[0].value.01" in err
+
+
 class TestConstructions:
     def test_maltsev_to_bol_writes_verifiable_file(self, run, tmp_path):
         out = tmp_path / "m0_bol.alg"

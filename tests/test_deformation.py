@@ -122,8 +122,7 @@ class TestFirstOrderFormal:
         for _ in range(20):
             d = random_datum(rng, b2_1)
             if check_first_order_formal(d).passed:
-                assert generates_infinitesimal_deformation(
-                    d, cross_check=False).passed
+                assert generates_infinitesimal_deformation(d).passed
 
     def test_condition_names_follow_the_axiom_families(self, b2_1):
         report = check_first_order_formal(

@@ -103,6 +103,20 @@ class TestValidation:
         assert "i-homomorphism" in failing or "abelian-ideal" in failing
 
 
+    def test_passing_validation_is_remembered(self, adj_1, monkeypatch):
+        # a bundle no other test builds, so nothing validated it before
+        E = perturb_section(semidirect_product(adj_1),
+                            Mat.from_rows([[F(7, 11), F(0)], [F(0), F(-13, 5)]]))
+        assert validate_extension(E).passed
+
+        def fail(_):
+            raise AssertionError("bundle validated a second time")
+
+        monkeypatch.setattr("bolalg.extension.verify_bol", fail)
+        assert induced_representation(E) == adj_1
+        induced_cocycle(E)
+
+
 class TestInducedData:
     def test_round_trip_recovers_representation_and_cocycle(self, adj_1, adj_m1,
                                                             ex28_rep):

@@ -51,6 +51,12 @@ class TestScalars:
         with pytest.raises(ParseError, match="string"):
             parse_scalar(1)
 
+    @pytest.mark.parametrize("bad", ["\u0661", "\u00b2", "1/\u0662", "-\u0663",
+                                     "\uff11", "1\u0660"])
+    def test_non_ascii_digits_are_malformed(self, bad):
+        with pytest.raises(ParseError, match="malformed rational"):
+            parse_scalar(bad)
+
     def test_round_trip_is_identity(self):
         import random
 
@@ -144,6 +150,43 @@ class TestAlgebraFiles:
                           "ternary": []})
         with pytest.raises(ParseError, match=r"binary\[0\].value.0"):
             parse_algebra(bad)
+
+
+class TestIndexKeys:
+    @staticmethod
+    def _binary(value: str) -> str:
+        return ('{"kind": "maltsev", "dimension": 2, "binary": '
+                '[{"args": [0, 1], "value": ' + value + '}]}')
+
+    @pytest.mark.parametrize("key", ["01", "00", "-0", "--1", "+1", " 1", "1 ",
+                                     "\u0661", "\u00b2", "1.0", ""])
+    def test_non_canonical_key_rejected_with_path(self, key):
+        value = json.dumps({key: "1"})
+        with pytest.raises(ParseError, match=r"binary\[0\]\.value\."):
+            parse_algebra(self._binary(value))
+
+    def test_leading_zero_cannot_alias_an_index(self):
+        # "01" must not silently overwrite e0*e1 = -e1 with 5 e1
+        with pytest.raises(ParseError, match=r"binary\[0\]\.value\.01"):
+            parse_algebra(self._binary('{"1": "-1", "01": "5"}'))
+
+    def test_repeated_index_rejected_with_path(self):
+        with pytest.raises(ParseError, match=r"binary\[0\]\.value\.1: duplicate index"):
+            parse_algebra(self._binary('{"1": "-1", "1": "5"}'))
+
+    def test_repeated_module_coordinate_in_cochain(self, b2_1):
+        text = ('{"module_dimension": 2, "nu": [], "omega": '
+                '[{"args": [0, 1, 0], "value": {"0": "1", "1": "2", "0": "3"}}]}')
+        with pytest.raises(ParseError, match=r"omega\[0\]\.value\.0: duplicate index"):
+            parse_cochain(text, b2_1)
+
+    def test_negative_canonical_key_is_out_of_range(self):
+        with pytest.raises(ParseError, match=r"value\.-1: index out of range"):
+            parse_algebra(self._binary('{"-1": "1"}'))
+
+    def test_canonical_keys_still_parse(self):
+        A = parse_algebra(self._binary('{"0": "2", "1": "-1"}'))
+        assert A.product(0, 1) == (F(2), F(-1))
 
 
 class TestRepresentationFiles:
