@@ -20,6 +20,7 @@ reporting the first failing tuple in lexicographic order as a witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,6 +274,25 @@ class BolAlgebra(_BinaryProduct):
         return tuple(self.t[l][i][j][k] for l in range(self.n))
 
 
+def _once_per_object(fn):
+    """Run ``fn(obj)`` once per immutable ``obj`` and keep the result on it.
+
+    The result sits in the object's ``__dict__``, as ``cached_property``
+    keeps ``_BinaryProduct._pair``: it lives and dies with the object, and
+    dataclass equality and hashing ignore it.  Two threads racing on a new
+    object can at worst both compute it.
+    """
+    key = f"_{fn.__name__}"
+
+    @functools.wraps(fn)
+    def once(obj):
+        kept = obj.__dict__
+        if key not in kept:
+            kept[key] = fn(obj)
+        return kept[key]
+    return once
+
+
 def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     """First-failure scan over index tuples in the given (lexicographic) order."""
     for idx in tuples:
@@ -303,12 +323,14 @@ def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
     return r
 
 
+@_once_per_object
 def verify_bol(B: BolAlgebra) -> AxiomReport:
     """Check B01, B02 tensor-wise and B1/B2/B3 on all basis tuples.
 
     Every axiom is multilinear, so exhaustive basis evaluation decides it.
     Failure is data, not an error: each condition records its first failing
-    tuple and the exact residual.
+    tuple and the exact residual.  The report is kept on B, so each algebra
+    is scanned once.
     """
     n = B.n
     rng = range(n)

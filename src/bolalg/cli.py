@@ -5,6 +5,10 @@ files, prints a deterministic report (text by default, a machine-readable
 object with --json), and exits 0 when the property holds or the
 construction succeeded, 1 when the property fails (the report carries the
 witness), and 2 on input errors.
+
+The subcommands are declared once, in ``_COMMANDS``.  Each handler returns
+``(status, fields, lines)``; ``main`` wraps the fields in the report
+envelope ``{"command", "status", ...}`` and ``_emit`` prints every report.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .algebra import (
     BolAlgebra,
@@ -47,6 +52,7 @@ from .extension import (
 from .formats import (
     ParseError,
     _dumps,
+    _render_matrix,
     algebra_to_obj,
     cochain_to_obj,
     extension_to_obj,
@@ -55,9 +61,6 @@ from .formats import (
     parse_cochain,
     parse_extension,
     parse_representation,
-    render_algebra,
-    render_extension,
-    render_representation,
     render_scalar,
     representation_to_obj,
 )
@@ -74,6 +77,7 @@ from .representation import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+_EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_ERROR}
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +94,6 @@ def _vec_json(v: Vec | None):
     if v is None:
         return None
     return [render_scalar(x) for x in v]
-
-
-def _mat_json(m: Mat):
-    return [[render_scalar(x) for x in m.row(r)] for r in range(m.rows)]
 
 
 def _checks_json(report: CheckReport):
@@ -123,16 +123,16 @@ def _check_lines(report: CheckReport) -> list[str]:
     return lines
 
 
-def _cochain_lines(c: CochainPair, indent: str = "  ") -> list[str]:
+def _cochain_lines(c: CochainPair) -> list[str]:
     lines = []
     for name, t, arity in (("nu", c.nu, 2), ("omega", c.omega, 3)):
         for args in entry_args(c.n, arity):
             val = entry_values(t, args)
             if any(val):
                 slots = ",".join(f"e{x}" for x in args)
-                lines.append(f"{indent}{name}({slots}) = {_vec_text(val)}")
+                lines.append(f"  {name}({slots}) = {_vec_text(val)}")
     if not lines:
-        lines.append(f"{indent}(zero cochain)")
+        lines.append("  (zero cochain)")
     return lines
 
 
@@ -141,6 +141,15 @@ def _mat_text(m: Mat) -> str:
         "[" + ", ".join(render_scalar(x) for x in m.row(r)) + "]"
         for r in range(m.rows)
     ) + "]"
+
+
+def _emit(obj: dict, lines: list[str], as_json: bool) -> None:
+    """Print a report: the JSON object on stdout, or else its text lines,
+    which go to stderr for an input error and to stdout otherwise."""
+    if as_json:
+        print(json.dumps(obj, indent=2))
+    else:
+        print("\n".join(lines), file=sys.stderr if obj["status"] == "error" else sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +164,14 @@ def _read(path: str) -> str:
         raise ParseError(path, f"cannot read file: {exc.strerror}") from None
 
 
-def _load_bol(path: str) -> BolAlgebra:
-    alg = parse_algebra(_read(path))
-    if not isinstance(alg, BolAlgebra):
-        raise ParseError(path, "expected a bol algebra file")
-    return alg
+_ALGEBRA_TYPES = {"bol": BolAlgebra, "maltsev": MaltsevAlgebra}
 
 
-def _load_maltsev(path: str) -> MaltsevAlgebra:
+def _load_algebra(path: str, kind: str = "bol") -> BolAlgebra | MaltsevAlgebra:
+    """The algebra in ``path``, which must be of the given kind."""
     alg = parse_algebra(_read(path))
-    if not isinstance(alg, MaltsevAlgebra):
-        raise ParseError(path, "expected a maltsev algebra file")
+    if not isinstance(alg, _ALGEBRA_TYPES[kind]):
+        raise ParseError(path, f"expected a {kind} algebra file")
     return alg
 
 
@@ -177,7 +183,7 @@ def _require_verified_bol(B: BolAlgebra) -> None:
 
 def _load_with_representation(args) -> tuple[BolAlgebra, Representation]:
     """The verified algebra ``args.algebra`` and its verified --adjoint/--rep module."""
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     _require_verified_bol(B)
     if args.adjoint:
         return B, adjoint_representation(B)
@@ -188,97 +194,90 @@ def _load_with_representation(args) -> tuple[BolAlgebra, Representation]:
     return B, R
 
 
-def _write_output(args, text: str, report: dict, lines: list[str]) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        report["output"] = args.output
-        lines.append(f"written: {args.output}")
+def _load_deformation(args, B: BolAlgebra, attr: str = "cochain") -> DeformationDatum:
+    c = parse_cochain(_read(getattr(args, attr)), B)
+    if c.m != B.n:
+        raise ParseError(getattr(args, attr),
+                         "deformation data needs module_dimension equal to the "
+                         "algebra dimension (adjoint coefficients)")
+    return DeformationDatum(B, c)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (status, report dict, text lines)
+# subcommand handlers; each returns (status, report fields, text lines)
 
 
-def _check_result(command: str, report: CheckReport, fields: dict, header: list[str]):
-    """(status, report dict, text lines) of a command that reports one
-    CheckReport: ``fields`` go between the status and the checks, the
-    ``header`` lines before the check lines."""
-    status = "pass" if report.passed else "fail"
-    obj = {"command": command, "status": status, **fields,
-           "checks": _checks_json(report)}
-    lines = header + _check_lines(report) + [f"result: {status.upper()}"]
-    return status, obj, lines
+def _verdict(passed: bool, fields: dict, lines: list[str]):
+    """(status, fields, lines) of a command that decides a property; the
+    last text line states the result."""
+    status = "pass" if passed else "fail"
+    return status, fields, lines + [f"result: {status.upper()}"]
+
+
+def _check_result(report: CheckReport, fields: dict, header: list[str]):
+    """The verdict of a command that reports one CheckReport: ``fields`` go
+    before the checks, the ``header`` lines before the check lines."""
+    return _verdict(report.passed, {**fields, "checks": _checks_json(report)},
+                    header + _check_lines(report))
+
+
+def _write_output(args, value: dict, fields: dict, lines: list[str]):
+    """The (status, fields, lines) of a construction that succeeded; with -o
+    it first writes ``value``, an object the report embeds, to the file."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(_dumps(value))
+        fields["output"] = args.output
+        lines.append(f"written: {args.output}")
+    return "pass", fields, lines
 
 
 def _cmd_verify(args):
     alg = parse_algebra(_read(args.algebra))
-    if isinstance(alg, BolAlgebra):
-        report = verify_bol(alg)
-        kind = "bol"
-    else:
-        report = verify_maltsev(alg)
-        kind = "maltsev"
-    return _check_result("verify", report, {"kind": kind, "dimension": alg.n},
+    kind = "bol" if isinstance(alg, BolAlgebra) else "maltsev"
+    report = verify_bol(alg) if kind == "bol" else verify_maltsev(alg)
+    return _check_result(report, {"kind": kind, "dimension": alg.n},
                          [f"algebra: {args.algebra} ({kind}, dimension {alg.n})"])
 
 
 def _cmd_maltsev_to_bol(args):
-    M = _load_maltsev(args.algebra)
+    M = _load_algebra(args.algebra, "maltsev")
     B = maltsev_to_bol(M)
-    obj = {
-        "command": "maltsev-to-bol",
-        "status": "pass",
-        "dimension": B.n,
-        "algebra": algebra_to_obj(B),
-    }
+    fields = {"dimension": B.n, "algebra": algebra_to_obj(B)}
     lines = [f"maltsev algebra: {args.algebra} (dimension {M.n})",
              "associated bol algebra constructed; axioms verified"]
-    _write_output(args, render_algebra(B), obj, lines)
-    return "pass", obj, lines
+    return _write_output(args, fields["algebra"], fields, lines)
 
 
 def _cmd_adjoint(args):
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     R = adjoint_representation(B)
-    obj = {
-        "command": "adjoint",
-        "status": "pass",
-        "dimension": B.n,
-        "module_dimension": R.m,
-        "representation": representation_to_obj(R),
-    }
+    fields = {"dimension": B.n, "module_dimension": R.m,
+              "representation": representation_to_obj(R)}
     lines = [f"algebra: {args.algebra} (bol, dimension {B.n})",
              f"adjoint representation on module of dimension {R.m}"]
-    _write_output(args, render_representation(R), obj, lines)
-    return "pass", obj, lines
+    return _write_output(args, fields["representation"], fields, lines)
 
 
 def _cmd_induce_rep(args):
-    M = _load_maltsev(args.algebra)
+    M = _load_algebra(args.algebra, "maltsev")
     m, rho = parse_action(_read(args.action), M.n)
     R = induce_from_maltsev(M, rho)
-    obj = {
-        "command": "induce-rep",
-        "status": "pass",
-        "dimension": M.n,
-        "module_dimension": m,
-        "representation": representation_to_obj(R),
-    }
+    fields = {"dimension": M.n, "module_dimension": m,
+              "representation": representation_to_obj(R)}
     lines = [
         f"maltsev algebra: {args.algebra} (dimension {M.n})",
         f"action file: {args.action} (module dimension {m})",
         "induced representation of the associated bol algebra constructed",
     ]
-    _write_output(args, render_representation(R), obj, lines)
-    return "pass", obj, lines
+    return _write_output(args, fields["representation"], fields, lines)
 
 
 def _cmd_verify_rep(args):
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     _require_verified_bol(B)
     R = parse_representation(_read(args.rep), B)
-    return _check_result("verify-rep", verify_representation(R),
+    return _check_result(verify_representation(R),
                          {"dimension": B.n, "module_dimension": R.m},
                          [f"algebra: {args.algebra} (bol, dimension {B.n})",
                           f"representation: {args.rep} (module dimension {R.m})"])
@@ -286,7 +285,7 @@ def _cmd_verify_rep(args):
 
 def _cmd_delta_check(args):
     B, R = _load_with_representation(args)
-    return _check_result("delta-check", check_delta_identity(R),
+    return _check_result(check_delta_identity(R),
                          {"dimension": B.n, "module_dimension": R.m},
                          [f"algebra: {args.algebra} (bol, dimension {B.n})"])
 
@@ -294,29 +293,25 @@ def _cmd_delta_check(args):
 def _cmd_pseudoderivations(args):
     B, R = _load_with_representation(args)
     basis = pseudoderivation_space(R)
-    obj = {
-        "command": "pseudoderivations",
-        "status": "pass",
+    fields = {
         "dimension": B.n,
         "module_dimension": R.m,
         "pseudoderivation_dimension": len(basis),
         "pseudoderivation_basis": [
-            {"f": _mat_json(p.f), "chi": _vec_json(p.chi)} for p in basis
+            {"f": _render_matrix(p.f), "chi": _vec_json(p.chi)} for p in basis
         ],
     }
     lines = [f"algebra: {args.algebra} (bol, dimension {B.n})",
              f"pseudoderivation space dimension: {len(basis)}"]
     for idx, p in enumerate(basis):
         lines.append(f"basis[{idx}]: f = {_mat_text(p.f)}, chi = {_vec_text(p.chi)}")
-    return "pass", obj, lines
+    return "pass", fields, lines
 
 
 def _cmd_cohomology(args):
     B, R = _load_with_representation(args)
     rep = cohomology(R)
-    obj = {
-        "command": "cohomology",
-        "status": "pass",
+    fields = {
         "dimension": rep.n,
         "module_dimension": rep.m,
         "dim_C": rep.dim_C,
@@ -337,14 +332,14 @@ def _cmd_cohomology(args):
     ]
     for idx, c in enumerate(rep.h_representatives):
         lines.append(f"h_representative[{idx}]:")
-        lines += _cochain_lines(c, "  ")
-    return "pass", obj, lines
+        lines += _cochain_lines(c)
+    return "pass", fields, lines
 
 
 def _cmd_is_cocycle(args):
     B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
-    return _check_result("is-cocycle", is_cocycle(R, c),
+    return _check_result(is_cocycle(R, c),
                          {"dimension": B.n, "module_dimension": c.m},
                          [f"cochain: {args.cochain}"])
 
@@ -353,15 +348,12 @@ def _cmd_is_coboundary(args):
     B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
     found, wit = is_coboundary(R, c)
-    status = "pass" if found else "fail"
-    obj = {
-        "command": "is-coboundary",
-        "status": status,
+    fields = {
         "dimension": B.n,
         "module_dimension": c.m,
         "coboundary": found,
         "witness": None if wit is None else
-        {"f": _mat_json(wit.f), "chi": _vec_json(wit.chi)},
+        {"f": _render_matrix(wit.f), "chi": _vec_json(wit.chi)},
     }
     lines = [f"cochain: {args.cochain}"]
     if found:
@@ -370,27 +362,14 @@ def _cmd_is_coboundary(args):
         lines.append(f"witness chi = {_vec_text(wit.chi)}")
     else:
         lines.append("coboundary: no (system inconsistent)")
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
-
-
-def _load_deformation(args, B: BolAlgebra, attr: str = "cochain") -> DeformationDatum:
-    c = parse_cochain(_read(getattr(args, attr)), B)
-    if c.m != B.n:
-        raise ParseError(getattr(args, attr),
-                         "deformation data needs module_dimension equal to the "
-                         "algebra dimension (adjoint coefficients)")
-    return DeformationDatum(B, c)
+    return _verdict(found, fields, lines)
 
 
 def _cmd_deform_check(args):
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     d = _load_deformation(args, B)
     rep = generates_infinitesimal_deformation(d)
-    status = "pass" if rep.passed else "fail"
-    obj = {
-        "command": "deform-check",
-        "status": status,
+    fields = {
         "dimension": B.n,
         "deformation_type_checks": _checks_json(rep.deformation_type),
         "cocycle_checks": _checks_json(rep.cocycle),
@@ -407,29 +386,25 @@ def _cmd_deform_check(args):
     for t, r in rep.sampling:
         lines.append(f"  t={render_scalar(t)}: {'pass' if r.passed else 'FAIL'}")
     lines.append(f"routes agree: {'yes' if rep.routes_agree else 'NO'}")
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _verdict(rep.passed, fields, lines)
 
 
 def _cmd_deform_formal(args):
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     d = _load_deformation(args, B)
-    return _check_result("deform-formal", check_first_order_formal(d),
-                         {"dimension": B.n}, [f"cochain: {args.cochain}"])
+    return _check_result(check_first_order_formal(d), {"dimension": B.n},
+                         [f"cochain: {args.cochain}"])
 
 
 def _cmd_deform_equiv(args):
-    B = _load_bol(args.algebra)
+    B = _load_algebra(args.algebra)
     d1 = _load_deformation(args, B, "cochain1")
     d2 = _load_deformation(args, B, "cochain2")
     res = first_order_equivalent(B, d1, d2)
-    status = "pass" if res.equivalent else "fail"
-    obj = {
-        "command": "deform-equiv",
-        "status": status,
+    fields = {
         "dimension": B.n,
         "equivalent": res.equivalent,
-        "phi": None if res.phi is None else _mat_json(res.phi),
+        "phi": None if res.phi is None else _render_matrix(res.phi),
         "routes_agree": res.routes_agree,
     }
     lines = [f"data: {args.cochain1} vs {args.cochain2}"]
@@ -439,76 +414,119 @@ def _cmd_deform_equiv(args):
     else:
         lines.append("equivalent at first order: no (linear system inconsistent)")
     lines.append(f"routes agree: {'yes' if res.routes_agree else 'NO'}")
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _verdict(res.equivalent, fields, lines)
 
 
 def _cmd_extend_build(args):
     B, R = _load_with_representation(args)
     c = parse_cochain(_read(args.cochain), B)
     E = twisted_product(R, c)
-    obj = {
-        "command": "extend-build",
-        "status": "pass",
-        "dimension": B.n,
-        "module_dimension": R.m,
-        "extension": extension_to_obj(E),
-    }
+    fields = {"dimension": B.n, "module_dimension": R.m,
+              "extension": extension_to_obj(E)}
     lines = [
         f"algebra: {args.algebra} (bol, dimension {B.n})",
         f"cocycle: {args.cochain}",
         f"twisted product built: dimension {E.hat.n}, axioms verified",
     ]
-    _write_output(args, render_extension(E), obj, lines)
-    return "pass", obj, lines
+    return _write_output(args, fields["extension"], fields, lines)
 
 
 def _cmd_extend_analyze(args):
     E = parse_extension(_read(args.bundle))
-    status, obj, lines = _check_result(
-        "extend-analyze", validate_extension(E),
-        {"dimension": E.base.n, "module_dimension": E.m}, [f"bundle: {args.bundle}"])
+    status, fields, lines = _check_result(
+        validate_extension(E), {"dimension": E.base.n, "module_dimension": E.m},
+        [f"bundle: {args.bundle}"])
     if status == "fail":
-        return status, obj, lines
+        return status, fields, lines
     R = induced_representation(E)
     c = induced_cocycle(E)
     analysis = {"representation": representation_to_obj(R), "cochain": cochain_to_obj(c)}
-    obj.update(analysis)
+    fields.update(analysis)
     result = lines.pop()
     lines.append("induced representation:")
     lines += [f"  rho(e{i}) = {_mat_text(R.rho[i])}" for i in range(E.base.n)]
     lines.append("induced cocycle:")
-    lines += _cochain_lines(c, "  ")
+    lines += _cochain_lines(c)
     lines.append(result)
-    _write_output(args, _dumps(analysis), obj, lines)
-    return status, obj, lines
+    return _write_output(args, analysis, fields, lines)
 
 
 def _cmd_extend_equiv(args):
     E1 = parse_extension(_read(args.bundle1))
     E2 = parse_extension(_read(args.bundle2))
     res = extensions_equivalent(E1, E2)
-    status = "pass" if res.equivalent else "fail"
-    obj = {
-        "command": "extend-equiv",
-        "status": status,
+    fields = {
         "dimension": E1.base.n,
         "module_dimension": E1.m,
         "equivalence_status": res.status,
         "cohomologous": res.cohomologous,
-        "phi": None if res.phi is None else _mat_json(res.phi),
+        "phi": None if res.phi is None else _render_matrix(res.phi),
     }
     lines = [f"bundles: {args.bundle1} vs {args.bundle2}",
              f"status: {res.status}",
              f"cohomologous: {'yes' if res.cohomologous else 'no'}"]
     if res.phi is not None:
         lines.append(f"phi = {_mat_text(res.phi)}")
-    lines.append(f"result: {status.upper()}")
-    return status, obj, lines
+    return _verdict(res.equivalent, fields, lines)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the subcommand table and the parser
+
+
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    positionals: tuple       # argument names, or (name, help) pairs
+    rep_source: bool = False  # takes the --adjoint | --rep FILE group
+    output: str | None = None  # help of -o, for commands that write a file
+
+
+_COMMANDS = {
+    "verify": _Command(_cmd_verify, "verify the axioms of an algebra file",
+                       ("algebra",)),
+    "maltsev-to-bol": _Command(
+        _cmd_maltsev_to_bol, "construct the Bol algebra associated with a Maltsev algebra",
+        ("algebra",), output="write the constructed algebra here"),
+    "adjoint": _Command(_cmd_adjoint, "construct the adjoint representation",
+                        ("algebra",), output="write the representation here"),
+    "induce-rep": _Command(
+        _cmd_induce_rep, "induce a Bol representation from a Maltsev action",
+        (("algebra", "maltsev algebra file"),
+         ("action", "action file (module_dimension + rho)")),
+        output="write the representation here"),
+    "verify-rep": _Command(_cmd_verify_rep, "verify a representation file",
+                           ("algebra", "rep")),
+    "delta-check": _Command(
+        _cmd_delta_check, "check the Delta commutator identity of a representation",
+        ("algebra",), rep_source=True),
+    "pseudoderivations": _Command(
+        _cmd_pseudoderivations, "basis of the pseudoderivation space (maps with companion)",
+        ("algebra",), rep_source=True),
+    "cohomology": _Command(_cmd_cohomology, "dimensions and bases of the (2,3)-cohomology",
+                           ("algebra",), rep_source=True),
+    "is-cocycle": _Command(_cmd_is_cocycle, "test the cocycle conditions",
+                           ("algebra", "cochain"), rep_source=True),
+    "is-coboundary": _Command(_cmd_is_coboundary, "test for a coboundary witness (f, chi)",
+                              ("algebra", "cochain"), rep_source=True),
+    "deform-check": _Command(
+        _cmd_deform_check, "does the pair generate a t-parameter infinitesimal deformation?",
+        ("algebra", "cochain")),
+    "deform-formal": _Command(_cmd_deform_formal,
+                              "first-order formal deformation closure equations",
+                              ("algebra", "cochain")),
+    "deform-equiv": _Command(_cmd_deform_equiv,
+                             "first-order equivalence of two deformation data",
+                             ("algebra", "cochain1", "cochain2")),
+    "extend-build": _Command(
+        _cmd_extend_build, "build the twisted-product extension of a cocycle",
+        ("algebra", "cochain"), rep_source=True, output="write the extension bundle here"),
+    "extend-analyze": _Command(
+        _cmd_extend_analyze, "validate an extension bundle and read off its data",
+        ("bundle",), output="write the induced representation and cocycle here"),
+    "extend-equiv": _Command(_cmd_extend_equiv, "equivalence of two extension bundles",
+                             ("bundle1", "bundle2")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,142 +537,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "abelian extensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
-        p.set_defaults(handler=handler)
-        return p
-
-    def add_rep_source(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--adjoint", action="store_true",
-                           help="use the adjoint representation")
-        group.add_argument("--rep", metavar="FILE",
-                           help="representation file over the algebra")
-
-    p = add("verify", _cmd_verify, "verify the axioms of an algebra file")
-    p.add_argument("algebra")
-
-    p = add("maltsev-to-bol", _cmd_maltsev_to_bol,
-            "construct the Bol algebra associated with a Maltsev algebra")
-    p.add_argument("algebra")
-    p.add_argument("-o", "--output", help="write the constructed algebra here")
-
-    p = add("adjoint", _cmd_adjoint, "construct the adjoint representation")
-    p.add_argument("algebra")
-    p.add_argument("-o", "--output", help="write the representation here")
-
-    p = add("induce-rep", _cmd_induce_rep,
-            "induce a Bol representation from a Maltsev action")
-    p.add_argument("algebra", help="maltsev algebra file")
-    p.add_argument("action", help="action file (module_dimension + rho)")
-    p.add_argument("-o", "--output", help="write the representation here")
-
-    p = add("verify-rep", _cmd_verify_rep, "verify a representation file")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-
-    p = add("delta-check", _cmd_delta_check,
-            "check the Delta commutator identity of a representation")
-    p.add_argument("algebra")
-    add_rep_source(p)
-
-    p = add("pseudoderivations", _cmd_pseudoderivations,
-            "basis of the pseudoderivation space (maps with companion)")
-    p.add_argument("algebra")
-    add_rep_source(p)
-
-    p = add("cohomology", _cmd_cohomology,
-            "dimensions and bases of the (2,3)-cohomology")
-    p.add_argument("algebra")
-    add_rep_source(p)
-
-    p = add("is-cocycle", _cmd_is_cocycle, "test the cocycle conditions")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_rep_source(p)
-
-    p = add("is-coboundary", _cmd_is_coboundary,
-            "test for a coboundary witness (f, chi)")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_rep_source(p)
-
-    p = add("deform-check", _cmd_deform_check,
-            "does the pair generate a t-parameter infinitesimal deformation?")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-
-    p = add("deform-formal", _cmd_deform_formal,
-            "first-order formal deformation closure equations")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-
-    p = add("deform-equiv", _cmd_deform_equiv,
-            "first-order equivalence of two deformation data")
-    p.add_argument("algebra")
-    p.add_argument("cochain1")
-    p.add_argument("cochain2")
-
-    p = add("extend-build", _cmd_extend_build,
-            "build the twisted-product extension of a cocycle")
-    p.add_argument("algebra")
-    p.add_argument("cochain")
-    add_rep_source(p)
-    p.add_argument("-o", "--output", help="write the extension bundle here")
-
-    p = add("extend-analyze", _cmd_extend_analyze,
-            "validate an extension bundle and read off its data")
-    p.add_argument("bundle")
-    p.add_argument("-o", "--output",
-                   help="write the induced representation and cocycle here")
-
-    p = add("extend-equiv", _cmd_extend_equiv,
-            "equivalence of two extension bundles")
-    p.add_argument("bundle1")
-    p.add_argument("bundle2")
-
+        for arg in command.positionals:
+            arg_name, arg_help = (arg, None) if isinstance(arg, str) else arg
+            p.add_argument(arg_name, help=arg_help)
+        if command.rep_source:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--adjoint", action="store_true",
+                               help="use the adjoint representation")
+            group.add_argument("--rep", metavar="FILE",
+                               help="representation file over the algebra")
+        if command.output:
+            p.add_argument("-o", "--output", help=command.output)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    args = build_parser().parse_args(argv)
     try:
-        status, obj, lines = args.handler(args)
+        status, fields, lines = _COMMANDS[args.command].handler(args)
     except (VerificationError, InvalidExtensionError) as exc:
-        obj = {
-            "command": command,
-            "status": "fail",
-            "message": str(exc),
-        }
+        status, fields, lines = "fail", {"message": str(exc)}, [f"FAIL: {exc}"]
         if exc.report is not None:
-            obj["checks"] = _checks_json(exc.report)
-        if args.json:
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"FAIL: {exc}")
-            if exc.report is not None:
-                for line in _check_lines(exc.report):
-                    print(line)
-        return EXIT_FAIL
+            fields["checks"] = _checks_json(exc.report)
+            lines += _check_lines(exc.report)
     except (ParseError, ValueError) as exc:
-        obj = {"command": command, "status": "error", "message": str(exc)}
-        if args.json:
-            print(json.dumps(obj, indent=2))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    if args.json:
-        print(json.dumps(obj, indent=2))
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_PASS if status == "pass" else EXIT_FAIL
+        status, fields, lines = "error", {"message": str(exc)}, [f"error: {exc}"]
+    _emit({"command": args.command, "status": status, **fields}, lines, args.json)
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

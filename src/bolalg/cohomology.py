@@ -39,6 +39,7 @@ from fractions import Fraction
 from .algebra import (
     BolAlgebra,
     CheckReport,
+    _once_per_object,
     _scan,
     bilinear_eval,
     entry_args,
@@ -276,8 +277,11 @@ def coboundary_of(R: Representation, p: PseudoderivationData) -> CochainPair:
     return CochainPair(R.base, R.m, nu, omega)
 
 
+@_once_per_object
 def _coboundary_matrix(R: Representation) -> Mat:
-    """Matrix of (f, chi) -> cochain coordinates, one column per parameter."""
+    """Matrix of (f, chi) -> cochain coordinates, one column per parameter.
+
+    Kept on R: every coboundary solve and cohomology() over R shares it."""
     n, m = R.base.n, R.m
     nparams = pseudoderivation_params(n, m)
     cols = []

@@ -38,7 +38,6 @@ reported as cohomologous but without a certified equivalence map.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, replace
 
 from .algebra import (
@@ -46,6 +45,7 @@ from .algebra import (
     CheckReport,
     ConditionCheck,
     VerificationError,
+    _once_per_object,
     _scan,
     freeze,
     verify_bol,
@@ -84,8 +84,11 @@ class AbelianExtension:
             raise InvalidExtensionError(f"section must be {N}x{n}, got {self.sigma.shape}")
 
 
+@_once_per_object
 def validate_extension(E: AbelianExtension) -> CheckReport:
-    """Check all extension invariants; failure is data with a witness."""
+    """Check all extension invariants; failure is data with a witness.
+
+    The report is kept on E, so each bundle is validated once."""
     base, hat, m = E.base, E.hat, E.m
     n, N = base.n, hat.n
     checks: list[ConditionCheck] = []
@@ -135,10 +138,7 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
          for w in range(N) for name in placements),
         lambda name, a, b, w: hat.triple(*placements[name](i_cols[a], i_cols[b], w))))
 
-    report = CheckReport(tuple(checks))
-    if report.passed:
-        _validated.add(E)
-    return report
+    return CheckReport(tuple(checks))
 
 
 def _binary_then_ternary(dim: int):
@@ -152,13 +152,7 @@ def _operate(A: BolAlgebra, args) -> Vec:
     return A.product(*args) if len(args) == 2 else A.triple(*args)
 
 
-# validation of immutable bundles is idempotent; remember the survivors
-_validated: "weakref.WeakSet[AbelianExtension]" = weakref.WeakSet()
-
-
 def _require_valid(E: AbelianExtension) -> None:
-    if E in _validated:
-        return
     report = validate_extension(E)
     if not report.passed:
         raise InvalidExtensionError(

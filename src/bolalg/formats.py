@@ -64,8 +64,9 @@ def render_scalar(x: Fraction) -> str:
 class _RepeatedKeys(dict):
     """A JSON object that names some key twice; ``key`` is the first such.
 
-    JSON parsing keeps the last value of a repeated key.  Readers of index
-    maps reject these objects instead of losing an entry silently.
+    JSON parsing keeps the last value of a repeated key.  Readers reject
+    these objects instead of losing a value silently: ``_require`` (the
+    first read of every object with fields) and the index-map reader.
     """
 
     def __init__(self, pairs, key: str):
@@ -96,6 +97,8 @@ def _loads(text: str) -> dict:
 
 
 def _require(obj: dict, key: str, path: str):
+    if isinstance(obj, _RepeatedKeys):
+        raise ParseError(f"{path}.{obj.key}", "duplicate key")
     if key not in obj:
         raise ParseError(path, f"missing field {key!r}")
     return obj[key]

@@ -45,10 +45,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(v: Vec) -> Vec:
-    return tuple(-a for a in v)
-
-
 def vec_scale(s: Fraction, v: Vec) -> Vec:
     return tuple(s * a for a in v)
 

@@ -37,6 +37,7 @@ from .algebra import (
     MaltsevAlgebra,
     VerificationError,
     _coeffs,
+    _once_per_object,
     _scan,
     freeze,
     maltsev_to_bol,
@@ -126,8 +127,9 @@ def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
     return acc
 
 
+@_once_per_object
 def verify_representation(R: Representation) -> CheckReport:
-    """Check (R1)-(R33) as exact matrix identities on basis tuples."""
+    """Check (R1)-(R33) as exact matrix identities on basis tuples (once per R)."""
     B = R.base
     n = B.n
     rng = range(n)
@@ -395,16 +397,6 @@ def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:
 
 def pseudoderivation_params(n: int, m: int) -> int:
     return n * m + m
-
-
-def pack_params(p: PseudoderivationData) -> Vec:
-    """Flatten (f, chi) to the canonical parameter vector: f columns, then chi."""
-    m, n = p.f.shape
-    out = []
-    for j in range(n):
-        out.extend(p.f.col(j))
-    out.extend(p.chi)
-    return tuple(out)
 
 
 def unpack_params(n: int, m: int, params: Vec) -> PseudoderivationData:

@@ -4,6 +4,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import bolalg.algebra as algebra
+import bolalg.representation as representation
 from bolalg.cli import main
 
 from .conftest import DATA
@@ -78,6 +80,16 @@ class TestVerify:
         assert code == 2
         assert "diagonal binary entry" in err
 
+
+    def test_repeated_key_is_input_error(self, run, tmp_path):
+        bad = tmp_path / "twice.alg"
+        bad.write_text('{"kind": "maltsev", "dimension": 2, "dimension": 3, '
+                       '"binary": []}')
+        code, _, err = run("verify", str(bad))
+        assert code == 2
+        assert err == "error: file.dimension: duplicate key\n"
+        code, obj, _ = run("verify", str(bad), "--json")
+        assert code == 2 and obj["status"] == "error"
 
     def test_aliased_index_key_is_input_error(self, run, tmp_path):
         bad = tmp_path / "alias.alg"
@@ -265,6 +277,35 @@ class TestExtensionCommands:
         code, _, err = run("extend-equiv", str(e1), str(e2))
         assert code == 2
         assert "different base" in err
+
+
+class TestEachVerificationRunsOnce:
+    def test_adjoint_command_scans_the_algebra_once(self, run, monkeypatch):
+        calls = []
+        original = algebra._b3_residual
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_b3_residual", counting)
+        assert run("delta-check", ALG1, "--adjoint")[0] == 0
+        assert len(calls) == 2 ** 5  # one B3 scan over all n^5 tuples
+
+    def test_extend_build_verifies_the_representation_once(self, run, monkeypatch,
+                                                           tmp_path):
+        rep = tmp_path / "adj.rep"
+        assert run("adjoint", ALG1, "-o", str(rep))[0] == 0
+        scanned = []
+        original = representation._scan
+
+        def counting(name, *args):
+            scanned.append(name)
+            return original(name, *args)
+
+        monkeypatch.setattr(representation, "_scan", counting)
+        assert run("extend-build", ALG1, SCALE, "--rep", str(rep))[0] == 0
+        assert scanned == ["R1", "R21", "R22", "R31", "R32", "R33"]
 
 
 class TestCliPlumbing:

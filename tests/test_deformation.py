@@ -1,8 +1,10 @@
+import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import bolalg.algebra as algebra
 from bolalg.algebra import verify_bol
 from bolalg.cohomology import (
     CochainPair,
@@ -25,6 +27,9 @@ from bolalg.linalg import Mat
 from bolalg.representation import PseudoderivationData
 
 from .conftest import make_b2
+
+# the module; the package attribute bolalg.cohomology is the function
+COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
 
 def scale_pair(B):
@@ -201,3 +206,56 @@ class TestFirstOrderEquivalence:
         d2 = DeformationDatum(b2_m1, CochainPair.zero(b2_m1, 2))
         with pytest.raises(ValueError):
             first_order_equivalent(b2_1, d1, d2)
+
+
+class TestEachComputationRunsOnce:
+    """The base is Bol-verified once although both the operation and the
+    adjoint representation require it; the coboundary matrix is built once
+    for both solves."""
+
+    @staticmethod
+    def _b3_scans_of(B, monkeypatch):
+        calls = []
+        original = algebra._b3_residual
+
+        def counting(A, *args):
+            if A is B:
+                calls.append(args)
+            return original(A, *args)
+
+        monkeypatch.setattr(algebra, "_b3_residual", counting)
+        return calls
+
+    def test_first_order_equivalent(self, monkeypatch):
+        B = make_b2(1)
+        calls = self._b3_scans_of(B, monkeypatch)
+        d = DeformationDatum(B, scale_pair(B))
+        assert first_order_equivalent(B, d, d).equivalent
+        assert len(calls) == 2 ** 5
+
+    def test_check_first_order_formal(self, monkeypatch):
+        B = make_b2(1)
+        calls = self._b3_scans_of(B, monkeypatch)
+        assert check_first_order_formal(DeformationDatum(B, scale_pair(B))).passed
+        assert len(calls) == 2 ** 5
+
+    def test_generates_infinitesimal_deformation(self, monkeypatch):
+        B = make_b2(1)
+        calls = self._b3_scans_of(B, monkeypatch)
+        assert generates_infinitesimal_deformation(DeformationDatum(B, scale_pair(B))).passed
+        assert len(calls) == 2 ** 5
+
+    def test_coboundary_matrix_built_once(self, monkeypatch):
+        calls = []
+        original = COHOMOLOGY.coboundary_tensors
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(COHOMOLOGY, "coboundary_tensors", counting)
+        B = make_b2(1)
+        d1 = DeformationDatum(B, scale_pair(B))
+        d2 = DeformationDatum(B, CochainPair.zero(B, 2))
+        first_order_equivalent(B, d1, d2)
+        assert len(calls) == 2 * 2 + 2  # one column per parameter (f, chi)

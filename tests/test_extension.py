@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -25,6 +26,9 @@ from bolalg.representation import (
 )
 
 from .conftest import make_b2
+
+# the module; the package attribute bolalg.cohomology is the function
+COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
 
 def random_g(rng, m, n):
@@ -240,3 +244,18 @@ class TestEquivalence:
         E2 = semidirect_product(Representation.zero(b2_1, 3))
         with pytest.raises(ValueError):
             extensions_equivalent(E1, E2)
+
+
+def test_equivalence_builds_the_coboundary_matrix_once(monkeypatch):
+    calls = []
+    original = COHOMOLOGY.coboundary_tensors
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(COHOMOLOGY, "coboundary_tensors", counting)
+    E = semidirect_product(adjoint_representation(make_b2(1)))
+    moved = perturb_section(E, Mat.from_rows([[F(1), F(2)], [F(0), F(3)]]))
+    assert extensions_equivalent(E, moved).equivalent  # needs both solves
+    assert len(calls) == 2 * 2 + 2  # one column per parameter (f, chi)

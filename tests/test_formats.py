@@ -189,6 +189,37 @@ class TestIndexKeys:
         assert A.product(0, 1) == (F(2), F(-1))
 
 
+class TestRepeatedKeys:
+    def test_top_level_key(self):
+        with pytest.raises(ParseError, match=r"^file\.dimension: duplicate key$"):
+            parse_algebra('{"kind": "maltsev", "dimension": 2, "dimension": 3, '
+                          '"binary": []}')
+
+    def test_entry_key(self):
+        text = ('{"kind": "maltsev", "dimension": 2, "binary": [{"args": [0, 1], '
+                '"value": {"1": "-1"}, "value": {"0": "1"}}]}')
+        with pytest.raises(ParseError, match=r"^binary\[0\]\.value: duplicate key$"):
+            parse_algebra(text)
+
+    def test_representation_and_cochain_files(self, b2_1, adj_1):
+        text = render_representation(adj_1)
+        with pytest.raises(ParseError, match=r"^file\.module_dimension: duplicate key$"):
+            parse_representation(text.replace('"rho"', '"module_dimension": 2, "rho"'),
+                                 b2_1)
+        with pytest.raises(ParseError, match=r"^file\.nu: duplicate key$"):
+            parse_cochain('{"module_dimension": 2, "nu": [], "omega": [], "nu": []}',
+                          b2_1)
+
+    def test_bundle_keys(self, adj_1):
+        text = render_extension(semidirect_product(adj_1))
+        top = text.replace('"fiber_dimension"', '"p": [], "fiber_dimension"')
+        with pytest.raises(ParseError, match=r"^file\.p: duplicate key$"):
+            parse_extension(top)
+        nested = text.replace('"base": {', '"base": {"dimension": 2,', 1)
+        with pytest.raises(ParseError, match=r"^base\.dimension: duplicate key$"):
+            parse_extension(nested)
+
+
 class TestRepresentationFiles:
     def test_round_trip(self, b2_1, adj_1):
         text = render_representation(adj_1)
