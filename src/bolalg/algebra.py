@@ -85,6 +85,12 @@ class VerificationError(ValueError):
         self.report = report
 
 
+def _require_passed(report: CheckReport, message: str) -> None:
+    """Raise VerificationError(message, report) unless the report passes."""
+    if not report.passed:
+        raise VerificationError(message, report)
+
+
 def zeros(*shape) -> list:
     """Nested lists of zeros with the given shape, to be filled and frozen."""
     if len(shape) == 1:
@@ -95,6 +101,22 @@ def zeros(*shape) -> list:
 def freeze(x):
     """Nested lists to nested tuples (the stored form of every tensor)."""
     return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+
+
+def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
+    """The frozen tensor t[v][a1]...[ak] = fn(a1, ..., ak)[v], slots over range(n).
+
+    fn is called once per argument tuple, in lexicographic order, and must
+    return value_dim coordinates.
+    """
+    rng = range(n)
+    values = {args: fn(*args) for args in itertools.product(rng, repeat=arity)}
+
+    def plane(v, prefix):
+        if len(prefix) == arity:
+            return values[prefix][v]
+        return tuple(plane(v, prefix + (a,)) for a in rng)
+    return tuple(plane(v, ()) for v in range(value_dim))
 
 
 def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
@@ -391,16 +413,12 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     binary product.  The input must pass verify_maltsev; otherwise the
     offending axiom report is raised.
     """
-    report = verify_maltsev(M)
-    if not report.passed:
-        raise VerificationError("input is not a Maltsev algebra", report)
-    n = M.n
+    _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
     third = Fraction(1, 3)
-    t = zeros(n, n, n, n)
-    for i, j, k in itertools.product(range(n), repeat=3):
+
+    def bracket(i, j, k):
         val = M.product(i, M.product(j, k))
         val = vec_sub(val, M.product(j, M.product(i, k)))
         val = vec_add(val, vec_scale(Fraction(2), M.product(M.product(i, j), k)))
-        for l in range(n):
-            t[l][i][j][k] = third * val[l]
-    return BolAlgebra(n, M.c, freeze(t), M.basis_names)
+        return vec_scale(third, val)
+    return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, bracket), M.basis_names)

@@ -4,7 +4,9 @@ One subcommand per library operation; every command reads JSON input
 files, prints a deterministic report (text by default, a machine-readable
 object with --json), and exits 0 when the property holds or the
 construction succeeded, 1 when the property fails (the report carries the
-witness), and 2 on input errors.
+witness), 2 on input errors, and 3 on an internal error (an unexpected
+exception, such as a failed bookkeeping check; the traceback goes to
+stderr).
 
 The subcommands are declared once, in ``_COMMANDS``.  Each handler returns
 ``(status, fields, lines)``; ``main`` wraps the fields in the report
@@ -23,6 +25,7 @@ from .algebra import (
     CheckReport,
     MaltsevAlgebra,
     VerificationError,
+    _require_passed,
     entry_args,
     entry_values,
     maltsev_to_bol,
@@ -77,7 +80,9 @@ from .representation import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-_EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_ERROR}
+EXIT_INTERNAL = 3
+_EXIT_CODES = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_ERROR,
+               "internal-error": EXIT_INTERNAL}
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +150,12 @@ def _mat_text(m: Mat) -> str:
 
 def _emit(obj: dict, lines: list[str], as_json: bool) -> None:
     """Print a report: the JSON object on stdout, or else its text lines,
-    which go to stderr for an input error and to stdout otherwise."""
+    which go to stdout for a verdict and to stderr for an error."""
     if as_json:
         print(json.dumps(obj, indent=2))
     else:
-        print("\n".join(lines), file=sys.stderr if obj["status"] == "error" else sys.stdout)
+        print("\n".join(lines),
+              file=sys.stdout if obj["status"] in ("pass", "fail") else sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +181,14 @@ def _load_algebra(path: str, kind: str = "bol") -> BolAlgebra | MaltsevAlgebra:
     return alg
 
 
-def _require_verified_bol(B: BolAlgebra) -> None:
-    report = verify_bol(B)
-    if not report.passed:
-        raise VerificationError("algebra fails Bol verification", report)
-
-
 def _load_with_representation(args) -> tuple[BolAlgebra, Representation]:
     """The verified algebra ``args.algebra`` and its verified --adjoint/--rep module."""
     B = _load_algebra(args.algebra)
-    _require_verified_bol(B)
+    _require_passed(verify_bol(B), "algebra fails Bol verification")
     if args.adjoint:
         return B, adjoint_representation(B)
     R = parse_representation(_read(args.rep), B)
-    report = verify_representation(R)
-    if not report.passed:
-        raise VerificationError("representation fails verification", report)
+    _require_passed(verify_representation(R), "representation fails verification")
     return B, R
 
 
@@ -225,8 +223,11 @@ def _write_output(args, value: dict, fields: dict, lines: list[str]):
     """The (status, fields, lines) of a construction that succeeded; with -o
     it first writes ``value``, an object the report embeds, to the file."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(_dumps(value))
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(_dumps(value))
+        except OSError as exc:
+            raise ParseError(args.output, f"cannot write file: {exc.strerror}") from None
         fields["output"] = args.output
         lines.append(f"written: {args.output}")
     return "pass", fields, lines
@@ -275,7 +276,7 @@ def _cmd_induce_rep(args):
 
 def _cmd_verify_rep(args):
     B = _load_algebra(args.algebra)
-    _require_verified_bol(B)
+    _require_passed(verify_bol(B), "algebra fails Bol verification")
     R = parse_representation(_read(args.rep), B)
     return _check_result(verify_representation(R),
                          {"dimension": B.n, "module_dimension": R.m},
@@ -566,6 +567,13 @@ def main(argv=None) -> int:
             lines += _check_lines(exc.report)
     except (ParseError, ValueError) as exc:
         status, fields, lines = "error", {"message": str(exc)}, [f"error: {exc}"]
+    except Exception as exc:  # a library bug must not read as "property fails"
+        import traceback  # only a crash needs it; importing it costs every start 2 ms
+
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        status, fields, lines = "internal-error", {"message": message}, [
+            f"internal error: {message}"]
     _emit({"command": args.command, "status": status, **fields}, lines, args.json)
     return _EXIT_CODES[status]
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     BolAlgebra,
@@ -49,7 +50,9 @@ from .algebra import (
     trilinear_eval,
     zeros,
 )
-from .linalg import Mat, Vec, kernel_basis, rref, solve, unit_vec, vec_add, vec_sub
+from .linalg import (
+    Mat, Vec, kernel_basis, matrix_of, rref, solve, vec_add, vec_scale, vec_sub,
+)
 from .representation import (
     PseudoderivationData,
     Representation,
@@ -120,17 +123,19 @@ class CochainPair:
     def omega_val(self, x, y, z) -> Vec:
         return trilinear_eval(self.omega, x, y, z, self.n)
 
+    # Arithmetic goes through the coordinates, which determine an
+    # antisymmetric pair.
+
     def __add__(self, other: "CochainPair") -> "CochainPair":
         self._check_compatible(other)
-        return _tensor_map2(self, other, lambda a, b: a + b)
+        return coords_to_cochain(self.base, self.m, vec_add(self.coords(), other.coords()))
 
     def __sub__(self, other: "CochainPair") -> "CochainPair":
         self._check_compatible(other)
-        return _tensor_map2(self, other, lambda a, b: a - b)
+        return coords_to_cochain(self.base, self.m, vec_sub(self.coords(), other.coords()))
 
     def __rmul__(self, s) -> "CochainPair":
-        s = Fraction(s)
-        return _tensor_map1(self, lambda a: s * a)
+        return coords_to_cochain(self.base, self.m, vec_scale(Fraction(s), self.coords()))
 
     def is_zero(self) -> bool:
         return not any(self.coords())
@@ -146,32 +151,6 @@ class CochainPair:
             for args in entry_args(self.n, arity):
                 out.extend(entry_values(t, args))
         return tuple(out)
-
-
-def _tensor_map1(c: CochainPair, fn) -> CochainPair:
-    nu = tuple(
-        tuple(tuple(fn(x) for x in row) for row in plane) for plane in c.nu
-    )
-    omega = tuple(
-        tuple(tuple(tuple(fn(x) for x in row) for row in plane) for plane in cube)
-        for cube in c.omega
-    )
-    return CochainPair(c.base, c.m, nu, omega)
-
-
-def _tensor_map2(c: CochainPair, d: CochainPair, fn) -> CochainPair:
-    nu = tuple(
-        tuple(tuple(fn(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(p1, p2))
-        for p1, p2 in zip(c.nu, d.nu)
-    )
-    omega = tuple(
-        tuple(
-            tuple(tuple(fn(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(q1, q2))
-            for q1, q2 in zip(c1, c2)
-        )
-        for c1, c2 in zip(c.omega, d.omega)
-    )
-    return CochainPair(c.base, c.m, nu, omega)
 
 
 def cochain_dim(n: int, m: int) -> int:
@@ -236,35 +215,25 @@ def _cc3_residual(R: Representation, c: CochainPair, x1, x2, y1, y2, y3) -> Vec:
     return r
 
 
+def _cc_conditions(R: Representation, c: CochainPair):
+    """(name, index tuples in lexicographic order, residual) of CC1-CC3."""
+    rng = range(R.base.n)
+    return (("CC1", itertools.product(rng, repeat=3), partial(_cc1_residual, c)),
+            ("CC2", itertools.product(rng, repeat=4), partial(_cc2_residual, R, c)),
+            ("CC3", itertools.product(rng, repeat=5), partial(_cc3_residual, R, c)))
+
+
 def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
     """Check CC1/CC2/CC3 on all basis tuples; first witness per condition."""
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
-    n = R.base.n
-    rng = range(n)
-    checks = (
-        _scan("CC1", itertools.product(rng, repeat=3),
-              lambda a, b, d: _cc1_residual(c, a, b, d)),
-        _scan("CC2", itertools.product(rng, repeat=4),
-              lambda a, b, d, e: _cc2_residual(R, c, a, b, d, e)),
-        _scan("CC3", itertools.product(rng, repeat=5),
-              lambda a, b, d, e, f: _cc3_residual(R, c, a, b, d, e, f)),
-    )
-    return CheckReport(checks)
+    return CheckReport(tuple(_scan(*condition) for condition in _cc_conditions(R, c)))
 
 
-def _cocycle_residual_vector(R: Representation, c: CochainPair) -> list[Fraction]:
+def _cocycle_residual_vector(R: Representation, c: CochainPair) -> Vec:
     """All CC residual components, rows in the fixed deterministic order."""
-    n = R.base.n
-    rng = range(n)
-    out: list[Fraction] = []
-    for x1, x2, x3 in itertools.product(rng, repeat=3):
-        out.extend(_cc1_residual(c, x1, x2, x3))
-    for x1, x2, y1, y2 in itertools.product(rng, repeat=4):
-        out.extend(_cc2_residual(R, c, x1, x2, y1, y2))
-    for idx in itertools.product(rng, repeat=5):
-        out.extend(_cc3_residual(R, c, *idx))
-    return out
+    return tuple(x for _, tuples, residual in _cc_conditions(R, c)
+                 for idx in tuples for x in residual(*idx))
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +252,8 @@ def _coboundary_matrix(R: Representation) -> Mat:
 
     Kept on R: every coboundary solve and cohomology() over R shares it."""
     n, m = R.base.n, R.m
-    nparams = pseudoderivation_params(n, m)
-    cols = []
-    for idx in range(nparams):
-        image = coboundary_of(R, unpack_params(n, m, unit_vec(nparams, idx)))
-        cols.append(image.coords())
-    return Mat.from_cols(cols, rows=cochain_dim(n, m))
+    return matrix_of(lambda params: coboundary_of(R, unpack_params(n, m, params)).coords(),
+                     pseudoderivation_params(n, m), cochain_dim(n, m))
 
 
 def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"
@@ -373,21 +338,14 @@ def cohomology(R: Representation) -> CohomologyReport:
     dim_c = cochain_dim(n, m)
 
     # Constraint matrix, one column per cochain coordinate.  Dropping
-    # repeated/zero rows changes neither the row space nor the kernel.
-    columns = []
-    for idx in range(dim_c):
-        unit = coords_to_cochain(B, m, unit_vec(dim_c, idx))
-        columns.append(_cocycle_residual_vector(R, unit))
-    nrows = len(columns[0]) if columns else 0
-    seen = {}
-    kept_rows = []
-    for r in range(nrows):
-        row = tuple(col[r] for col in columns)
-        if any(row) and row not in seen:
-            seen[row] = True
-            kept_rows.append(list(row))
-    constraint = (Mat.from_rows(kept_rows)
-                  if kept_rows else Mat.zeros(0, dim_c))
+    # repeated/zero rows (the first of each kept, in order) changes neither
+    # the row space nor the kernel.
+    def residual(coords: Vec) -> Vec:
+        return _cocycle_residual_vector(R, coords_to_cochain(B, m, coords))
+    residuals = matrix_of(residual, dim_c, m * (n ** 3 + n ** 4 + n ** 5))
+    rows = (residuals.row(r) for r in range(residuals.rows))
+    kept = dict.fromkeys(row for row in rows if any(row))
+    constraint = Mat(len(kept), dim_c, tuple(x for row in kept for x in row))
     z_coords = kernel_basis(constraint)
     dim_z = len(z_coords)
 

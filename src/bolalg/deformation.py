@@ -50,14 +50,17 @@ from .algebra import (
     AxiomReport,
     BolAlgebra,
     CheckReport,
-    VerificationError,
+    _b3_residual,
+    _require_passed,
     _scan,
     bilinear_eval,
+    entry_values,
+    tabulate,
     trilinear_eval,
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, vec_add, vec_sub
+from .linalg import Mat, Vec, vec_add, vec_scale, vec_sub
 from .representation import PseudoderivationData, adjoint_representation
 
 _SAMPLE_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
@@ -104,38 +107,33 @@ def _b2p_residual(d: DeformationTypeCandidate, x1, x2, y1, y2) -> Vec:
     return r
 
 
-def _b3p_residual(d: DeformationTypeCandidate, x1, x2, y1, y2, y3) -> Vec:
-    n = d.n
-    om = lambda a, b, c: trilinear_eval(d.omega, a, b, c, n)
-    r = om(x1, x2, om(y1, y2, y3))
-    r = vec_sub(r, om(om(x1, x2, y1), y2, y3))
-    r = vec_sub(r, om(y1, om(x1, x2, y2), y3))
-    r = vec_sub(r, om(y1, y2, om(x1, x2, y3)))
-    return r
+def _closure_checks(d: DeformationTypeCandidate) -> tuple:
+    """The (B2') and (B3') scans; (B3') is the B3 axiom of (nu, omega)."""
+    rng = range(d.n)
+    pair = BolAlgebra(d.n, d.nu, d.omega)
+    return (_scan("B2'", itertools.product(rng, repeat=4),
+                  lambda a, b, c, e: _b2p_residual(d, a, b, c, e)),
+            _scan("B3'", itertools.product(rng, repeat=5),
+                  lambda a, b, c, e, f: _b3_residual(pair, a, b, c, e, f)))
 
 
 def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
-    n = d.n
-    rng = range(n)
-    nu = lambda i, j: tuple(d.nu[k][i][j] for k in range(n))
-    mu = lambda i, j: tuple(d.mu[k][i][j] for k in range(n))
-    om = lambda i, j, k: tuple(d.omega[l][i][j][k] for l in range(n))
-
+    rng = range(d.n)
+    nu, mu, om = d.nu, d.mu, d.omega
     checks = (
         _scan("B01'", itertools.product(rng, repeat=2),
-              lambda i, j: vec_add(nu(i, j), nu(j, i))),
+              lambda i, j: vec_add(entry_values(nu, (i, j)), entry_values(nu, (j, i)))),
         _scan("B02'", itertools.product(rng, repeat=2),
-              lambda i, j: vec_add(mu(i, j), mu(j, i))),
+              lambda i, j: vec_add(entry_values(mu, (i, j)), entry_values(mu, (j, i)))),
         _scan("B03'", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(om(i, j, k), om(j, i, k))),
+              lambda i, j, k: vec_add(entry_values(om, (i, j, k)),
+                                      entry_values(om, (j, i, k)))),
         _scan("B1'", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(om(i, j, k), om(j, k, i), om(k, i, j))),
-        _scan("B2'", itertools.product(rng, repeat=4),
-              lambda a, b, c, e: _b2p_residual(d, a, b, c, e)),
-        _scan("B3'", itertools.product(rng, repeat=5),
-              lambda a, b, c, e, f: _b3p_residual(d, a, b, c, e, f)),
-    )
+              lambda i, j, k: vec_add(entry_values(om, (i, j, k)),
+                                      entry_values(om, (j, k, i)),
+                                      entry_values(om, (k, i, j)))),
+    ) + _closure_checks(d)
     return CheckReport(checks)
 
 
@@ -144,20 +142,12 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     base, pair = d.base, d.pair
     n = base.n
     t = Fraction(t)
-    c = tuple(
-        tuple(tuple(base.c[k][i][j] + t * pair.nu[k][i][j] for j in range(n))
-              for i in range(n))
-        for k in range(n)
-    )
-    tt = tuple(
-        tuple(
-            tuple(tuple(base.t[l][i][j][k] + t * pair.omega[l][i][j][k]
-                        for k in range(n))
-                  for j in range(n))
-            for i in range(n))
-        for l in range(n)
-    )
-    return BolAlgebra(n, c, tt, base.basis_names)
+
+    def deformed(tensor, first_order, arity):
+        return tabulate(n, n, arity, lambda *args: vec_add(
+            entry_values(tensor, args), vec_scale(t, entry_values(first_order, args))))
+    return BolAlgebra(n, deformed(base.c, pair.nu, 2), deformed(base.t, pair.omega, 3),
+                      base.basis_names)
 
 
 @dataclass(frozen=True)
@@ -191,9 +181,7 @@ def generates_infinitesimal_deformation(d: DeformationDatum
     and the report exposes both.
     """
     base, pair = d.base, d.pair
-    base_report = verify_bol(base)
-    if not base_report.passed:
-        raise VerificationError("deformation base must be a Bol algebra", base_report)
+    _require_passed(verify_bol(base), "deformation base must be a Bol algebra")
     candidate = DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)
     type_report = is_deformation_type(candidate)
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
@@ -216,22 +204,12 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     generates_infinitesimal_deformation; the converse can fail.
     """
     base, pair = d.base, d.pair
-    base_report = verify_bol(base)
-    if not base_report.passed:
-        raise VerificationError("deformation base must be a Bol algebra", base_report)
-    n = base.n
-    rng = range(n)
+    _require_passed(verify_bol(base), "deformation base must be a Bol algebra")
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
-    candidate = DeformationTypeCandidate(n, base.c, pair.nu, pair.omega)
-    checks = tuple(cocycle_report.checks) + (
-        _scan("B2'", itertools.product(rng, repeat=4),
-              lambda a, b, c, e: _b2p_residual(candidate, a, b, c, e)),
-        _scan("B3'", itertools.product(rng, repeat=5),
-              lambda a, b, c, e, f: _b3p_residual(candidate, a, b, c, e, f)),
-        _scan("o3", itertools.product(rng, repeat=4),
-              lambda a, b, c, e: _o3_residual(d, a, b, c, e)),
-    )
-    return CheckReport(checks)
+    candidate = DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)
+    return CheckReport(cocycle_report.checks + _closure_checks(candidate) + (
+        _scan("o3", itertools.product(range(base.n), repeat=4),
+              lambda a, b, c, e: _o3_residual(d, a, b, c, e)),))
 
 
 @dataclass(frozen=True)
@@ -262,9 +240,7 @@ def first_order_equivalent(base: BolAlgebra, d1: DeformationDatum,
     """
     if d1.base != base or d2.base != base:
         raise ValueError("both deformation data must live over the given base")
-    base_report = verify_bol(base)
-    if not base_report.passed:
-        raise VerificationError("equivalence base must be a Bol algebra", base_report)
+    _require_passed(verify_bol(base), "equivalence base must be a Bol algebra")
     R = adjoint_representation(base)
     diff = d2.pair - d1.pair
     direct = solve_coboundary(R, diff, companion="none")

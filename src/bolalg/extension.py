@@ -44,15 +44,17 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     ConditionCheck,
-    VerificationError,
     _once_per_object,
+    _require_passed,
     _scan,
-    freeze,
+    entry_values,
+    tabulate,
     verify_bol,
-    zeros,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, hstack, image_rank, inverse, unit_vec, vec_sub
+from .linalg import (
+    Mat, Vec, hstack, image_rank, inverse, matrix_of, vec_add, vec_scale, vec_sub, zero_vec,
+)
 from .representation import Representation, verify_representation
 
 
@@ -165,55 +167,44 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     Preconditions enforced: the representation verifies and the pair is a
     cocycle (rejected with the failing condition's witness otherwise).
     """
-    rep_report = verify_representation(R)
-    if not rep_report.passed:
-        raise VerificationError("twisted product needs a verified representation",
-                                rep_report)
-    cc = is_cocycle(R, c)
-    if not cc.passed:
-        raise VerificationError("twisted product needs a cocycle", cc)
-
+    _require_passed(verify_representation(R),
+                    "twisted product needs a verified representation")
+    _require_passed(is_cocycle(R, c), "twisted product needs a cocycle")
     B = R.base
     n, m = B.n, R.m
     N = n + m
 
-    cgrid = zeros(N, N, N)
-    for i, j in itertools.product(range(n), repeat=2):
-        prod = B.basis_product(i, j)
-        for k in range(n):
-            cgrid[k][i][j] = prod[k]
-        for a in range(m):
-            cgrid[n + a][i][j] = c.nu[a][i][j]
-    for i in range(n):
-        for b in range(m):
-            col = R.rho[i].col(b)
-            for a in range(m):
-                cgrid[n + a][i][n + b] = col[a]
-                cgrid[n + a][n + b][i] = -col[a]
+    def fiber(u: Vec) -> Vec:
+        return zero_vec(n) + u
 
-    tgrid = zeros(N, N, N, N)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        trip = B.basis_triple(i, j, k)
-        for l in range(n):
-            tgrid[l][i][j][k] = trip[l]
-        for a in range(m):
-            tgrid[n + a][i][j][k] = c.omega[a][i][j][k]
-    for i, j in itertools.product(range(n), repeat=2):
-        dcol = R.D[i][j]
-        tcol = R.theta[i][j]
-        for b in range(m):
-            dvals = dcol.col(b)
-            tvals = tcol.col(b)
-            for a in range(m):
-                tgrid[n + a][i][j][n + b] = dvals[a]        # D(x1,x2)(u3)
-                tgrid[n + a][i][n + b][j] = -tvals[a]       # -theta(x1,x3)(u2)
-                tgrid[n + a][n + b][i][j] = tvals[a]        # +theta(x2,x3)(u1)
+    # Basis products of hat(B): an index x < n is e_x in B, any other is
+    # e_(x-n) in V; each case is one term of the module docstring's formulas.
+    def binary(x, y):
+        match x < n, y < n:
+            case True, True:
+                return B.basis_product(x, y) + entry_values(c.nu, (x, y))
+            case True, False:
+                return fiber(R.rho[x].col(y - n))
+            case False, True:
+                return fiber(vec_scale(-1, R.rho[y].col(x - n)))
+        return zero_vec(N)
 
-    hat = BolAlgebra(N, freeze(cgrid), freeze(tgrid))
-    inj = Mat.from_rows([unit_vec(m, r - n) for r in range(N)])
-    proj = Mat.from_rows([unit_vec(N, r) for r in range(n)])
-    sect = Mat.from_rows([unit_vec(n, r) for r in range(N)])
-    return AbelianExtension(B, m, hat, inj, proj, sect)
+    def ternary(x, y, z):
+        match x < n, y < n, z < n:
+            case True, True, True:
+                return B.basis_triple(x, y, z) + entry_values(c.omega, (x, y, z))
+            case True, True, False:
+                return fiber(R.D[x][y].col(z - n))
+            case True, False, True:
+                return fiber(vec_scale(-1, R.theta[x][z].col(y - n)))
+            case False, True, True:
+                return fiber(R.theta[y][z].col(x - n))
+        return zero_vec(N)
+
+    hat = BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
+    return AbelianExtension(B, m, hat, matrix_of(fiber, m, N),
+                            matrix_of(lambda v: v[:n], N, n),
+                            matrix_of(lambda v: v + zero_vec(m), n, N))
 
 
 def _splitting(E: AbelianExtension) -> Mat:
@@ -240,37 +231,19 @@ def induced_representation(E: AbelianExtension) -> Representation:
     n = base.n
     Tinv = _splitting(E)
     s_cols = [E.sigma.col(x) for x in range(n)]
-    i_cols = [E.i.col(a) for a in range(m)]
 
-    rho = tuple(
-        Mat.from_cols([
-            _fiber_coords(Tinv, hat.product(s_cols[x], i_cols[a]), n, m, "rho image")
-            for a in range(m)
-        ], rows=m)
-        for x in range(n)
-    )
-    D = tuple(
-        tuple(
-            Mat.from_cols([
-                _fiber_coords(Tinv, hat.triple(s_cols[x], s_cols[y], i_cols[a]),
-                              n, m, "D image")
-                for a in range(m)
-            ], rows=m)
-            for y in range(n)
-        )
-        for x in range(n)
-    )
-    theta = tuple(
-        tuple(
-            Mat.from_cols([
-                _fiber_coords(Tinv, hat.triple(i_cols[a], s_cols[x], s_cols[y]),
-                              n, m, "theta image")
-                for a in range(m)
-            ], rows=m)
-            for y in range(n)
-        )
-        for x in range(n)
-    )
+    def fiber_map(what, image):
+        """Matrix of u -> image(i(u)) read in fiber coordinates."""
+        return matrix_of(lambda u: _fiber_coords(Tinv, image(E.i.apply(u)), n, m, what),
+                         m, m)
+
+    rho = tuple(fiber_map("rho image", lambda w: hat.product(s_cols[x], w))
+                for x in range(n))
+    D = tuple(tuple(fiber_map("D image", lambda w: hat.triple(s_cols[x], s_cols[y], w))
+                    for y in range(n)) for x in range(n))
+    theta = tuple(tuple(fiber_map("theta image",
+                                  lambda w: hat.triple(w, s_cols[x], s_cols[y]))
+                        for y in range(n)) for x in range(n))
     return Representation(base, m, rho, D, theta)
 
 
@@ -282,21 +255,16 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
     Tinv = _splitting(E)
     s_cols = [E.sigma.col(x) for x in range(n)]
 
-    nu = zeros(m, n, n)
-    for x, y in itertools.product(range(n), repeat=2):
-        w = hat.product(s_cols[x], s_cols[y])
-        w = tuple(a - b for a, b in zip(w, E.sigma.apply(base.basis_product(x, y))))
-        coords = _fiber_coords(Tinv, w, n, m, "nu value")
-        for a in range(m):
-            nu[a][x][y] = coords[a]
-    omega = zeros(m, n, n, n)
-    for x, y, z in itertools.product(range(n), repeat=3):
-        w = hat.triple(s_cols[x], s_cols[y], s_cols[z])
-        w = tuple(a - b for a, b in zip(w, E.sigma.apply(base.basis_triple(x, y, z))))
-        coords = _fiber_coords(Tinv, w, n, m, "omega value")
-        for a in range(m):
-            omega[a][x][y][z] = coords[a]
-    return CochainPair(base, m, freeze(nu), freeze(omega))
+    def nu(x, y):
+        w = vec_sub(hat.product(s_cols[x], s_cols[y]),
+                    E.sigma.apply(base.basis_product(x, y)))
+        return _fiber_coords(Tinv, w, n, m, "nu value")
+
+    def omega(x, y, z):
+        w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
+                    E.sigma.apply(base.basis_triple(x, y, z)))
+        return _fiber_coords(Tinv, w, n, m, "omega value")
+    return CochainPair(base, m, tabulate(m, n, 2, nu), tabulate(m, n, 3, omega))
 
 
 @dataclass(frozen=True)
@@ -377,17 +345,9 @@ def extensions_equivalent(E1: AbelianExtension, E2: AbelianExtension
     if zero_wit is None:
         return ExtensionEquivalence("cohomologous-uncertified", True, None)
 
-    n, m = E1.base.n, E1.m
-    N = n + m
-    ftilde = zero_wit.f
-    phi_tw_rows = []
-    for r in range(N):
-        if r < n:
-            row = unit_vec(N, r)
-        else:
-            row = ftilde.row(r - n) + unit_vec(m, r - n)
-        phi_tw_rows.append(row)
-    phi_tw = Mat.from_rows(phi_tw_rows)
+    n, f = E1.base.n, zero_wit.f
+    # x + u -> x + f(x) + u in section coordinates
+    phi_tw = matrix_of(lambda v: v[:n] + vec_add(f.apply(v[:n]), v[n:]), n + E1.m, n + E1.m)
     phi = hstack(E2.sigma, E2.i) @ phi_tw @ _splitting(E1)
     _check_phi(E1, E2, phi)
     return ExtensionEquivalence("equivalent", True, phi)

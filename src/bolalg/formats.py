@@ -65,7 +65,7 @@ class _RepeatedKeys(dict):
     """A JSON object that names some key twice; ``key`` is the first such.
 
     JSON parsing keeps the last value of a repeated key.  Readers reject
-    these objects instead of losing a value silently: ``_require`` (the
+    these objects instead of losing a value silently: ``_fields`` (the
     first read of every object with fields) and the index-map reader.
     """
 
@@ -96,18 +96,35 @@ def _loads(text: str) -> dict:
     return obj
 
 
-def _require(obj: dict, key: str, path: str):
+# The fields of each kind of object with fields; any other key is an error.
+_ALGEBRA_FIELDS = ("kind", "dimension", "basis_names", "binary", "ternary")
+_ENTRY_FIELDS = ("args", "value")
+_REPRESENTATION_FIELDS = ("module_dimension", "rho", "D", "theta")
+_ACTION_FIELDS = ("module_dimension", "rho")
+_COCHAIN_FIELDS = ("module_dimension", "nu", "omega")
+_EXTENSION_FIELDS = ("base", "fiber_dimension", "hat", "i", "p", "sigma")
+
+
+def _fields(obj: dict, path: str, known: tuple[str, ...]) -> dict:
+    """``obj`` once it names each key at most once and only ``known`` keys."""
     if isinstance(obj, _RepeatedKeys):
         raise ParseError(f"{path}.{obj.key}", "duplicate key")
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{path}.{key}", "unknown field")
+    return obj
+
+
+def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise ParseError(path, f"missing field {key!r}")
     return obj[key]
 
 
-def _int_field(obj: dict, key: str, path: str, minimum: int = 0) -> int:
+def _int_field(obj: dict, key: str, path: str) -> int:
     val = _require(obj, key, path)
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise ParseError(f"{path}.{key}", f"must be an integer >= {minimum}")
+    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+        raise ParseError(f"{path}.{key}", "must be an integer >= 0")
     return val
 
 
@@ -129,20 +146,18 @@ def _parse_value_map(obj, dim: int, path: str) -> dict[int, Fraction]:
 
 
 def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
-                   required: bool) -> list:
-    if key not in obj:
-        if required:
-            raise ParseError("", f"missing field {key!r}")
-        return []
-    raw = obj[key]
+                   parent: str) -> list:
+    """The entries listed under ``key`` of the object at ``parent`` ("" for a file)."""
+    raw = _require(obj, key, parent or "file")
+    field = f"{parent}.{key}" if parent else key
     if not isinstance(raw, list):
-        raise ParseError(key, "must be a list of entries")
+        raise ParseError(field, "must be a list of entries")
     entries = []
     for pos, entry in enumerate(raw):
-        path = f"{key}[{pos}]"
+        path = f"{field}[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError(path, "entry must be an object")
-        args = _require(entry, "args", path)
+        args = _require(_fields(entry, path, _ENTRY_FIELDS), "args", path)
         if (not isinstance(args, list) or len(args) != arity
                 or not all(isinstance(a, int) and not isinstance(a, bool)
                            for a in args)):
@@ -163,7 +178,7 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
     seen = set()
     for args, _ in entries:
         if args in seen:
-            raise ParseError(key, f"duplicate entry {args}")
+            raise ParseError(field, f"duplicate entry {args}")
         seen.add(args)
     return entries
 
@@ -218,23 +233,24 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
 
 def obj_to_algebra(obj: dict, path: str = "") -> BolAlgebra | MaltsevAlgebra:
     prefix = f"{path}." if path else ""
-    kind = _require(obj, "kind", path or "file")
+    where = path or "file"
+    kind = _require(_fields(obj, where, _ALGEBRA_FIELDS), "kind", where)
     if kind not in ("bol", "maltsev"):
         raise ParseError(f"{prefix}kind", f"unknown kind {kind!r}")
-    n = _int_field(obj, "dimension", path or "file")
+    n = _int_field(obj, "dimension", where)
     names = obj.get("basis_names")
     if names is not None:
         if (not isinstance(names, list) or len(names) != n
                 or not all(isinstance(s, str) for s in names)):
             raise ParseError(f"{prefix}basis_names",
                              f"must be a list of {n} strings")
-    binary = _parse_entries(obj, "binary", 2, n, n, required=True)
+    binary = _parse_entries(obj, "binary", 2, n, n, path)
     if kind == "maltsev":
         if "ternary" in obj:
             raise ParseError(f"{prefix}ternary",
                              "a maltsev file must not carry a ternary block")
         return MaltsevAlgebra.from_entries(n, binary, names)
-    ternary = _parse_entries(obj, "ternary", 3, n, n, required=True)
+    ternary = _parse_entries(obj, "ternary", 3, n, n, path)
     return BolAlgebra.from_entries(n, binary, ternary, names)
 
 
@@ -288,7 +304,7 @@ def parse_representation(text: str, base: BolAlgebra) -> Representation:
     derivable from the other; the verifier checks their consistency, which
     catches transcription errors in inputs.
     """
-    obj = _loads(text)
+    obj = _fields(_loads(text), "file", _REPRESENTATION_FIELDS)
     m = _int_field(obj, "module_dimension", "file")
     rho = _parse_mat_list(obj, "rho", base.n, m)
     D = _parse_mat_grid(obj, "D", base.n, m)
@@ -298,7 +314,7 @@ def parse_representation(text: str, base: BolAlgebra) -> Representation:
 
 def parse_action(text: str, n: int) -> tuple[int, tuple[Mat, ...]]:
     """Action file for induce-rep: module_dimension and rho only."""
-    obj = _loads(text)
+    obj = _fields(_loads(text), "file", _ACTION_FIELDS)
     m = _int_field(obj, "module_dimension", "file")
     rho = _parse_mat_list(obj, "rho", n, m)
     return m, rho
@@ -328,9 +344,9 @@ def cochain_to_obj(c: CochainPair) -> dict:
 
 
 def obj_to_cochain(obj: dict, base: BolAlgebra) -> CochainPair:
-    m = _int_field(obj, "module_dimension", "file")
-    nu_entries = _parse_entries(obj, "nu", 2, base.n, m, required=True)
-    omega_entries = _parse_entries(obj, "omega", 3, base.n, m, required=True)
+    m = _int_field(_fields(obj, "file", _COCHAIN_FIELDS), "module_dimension", "file")
+    nu_entries = _parse_entries(obj, "nu", 2, base.n, m, "")
+    omega_entries = _parse_entries(obj, "omega", 3, base.n, m, "")
     return CochainPair.from_entries(base, m, nu_entries, omega_entries)
 
 
@@ -358,7 +374,7 @@ def extension_to_obj(E: AbelianExtension) -> dict:
 
 
 def parse_extension(text: str) -> AbelianExtension:
-    obj = _loads(text)
+    obj = _fields(_loads(text), "file", _EXTENSION_FIELDS)
     base_obj = _require(obj, "base", "file")
     if not isinstance(base_obj, dict):
         raise ParseError("base", "must be an algebra object")

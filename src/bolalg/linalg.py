@@ -37,8 +37,11 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(_ONE if j == i else _ZERO for j in range(n))
 
 
-def vec_add(*vs: Vec) -> Vec:
-    return tuple(sum(col) for col in zip(*vs))
+def vec_add(u: Vec, *vs: Vec) -> Vec:
+    # pairwise, not sum(): sum() starts from int 0, one more Fraction addition per entry
+    for v in vs:
+        u = tuple(a + b for a, b in zip(u, v))
+    return u
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -180,6 +183,18 @@ class Mat:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
+
+
+def matrix_of(fn, dim: int, rows: int) -> Mat:
+    """The rows x dim matrix of a linear map: column i is fn(e_i).
+
+    The map is probed on the unit vectors in order; the columns must
+    already hold Fractions, so no entry is converted again.
+    """
+    cols = [fn(unit_vec(dim, i)) for i in range(dim)]
+    if any(len(col) != rows for col in cols):
+        raise ValueError(f"matrix_of: a column is not of length {rows}")
+    return Mat(rows, dim, tuple(x for row in zip(*cols) for x in row))
 
 
 def commutator(a: Mat, b: Mat) -> Mat:

@@ -35,16 +35,17 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    VerificationError,
     _coeffs,
     _once_per_object,
+    _require_passed,
     _scan,
-    freeze,
     maltsev_to_bol,
+    tabulate,
     verify_bol,
-    zeros,
 )
-from .linalg import Mat, Vec, commutator, kernel_basis, unit_vec, vec, zero_vec
+from .linalg import (
+    Mat, Vec, commutator, kernel_basis, matrix_of, unit_vec, vec, vec_add, vec_sub, zero_vec,
+)
 
 _THIRD = Fraction(1, 3)
 
@@ -185,10 +186,7 @@ def verify_representation(R: Representation) -> CheckReport:
 
 def adjoint_representation(B: BolAlgebra) -> Representation:
     """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v]."""
-    report = verify_bol(B)
-    if not report.passed:
-        raise VerificationError("adjoint representation needs a verified Bol algebra",
-                                report)
+    _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
     n = B.n
     rho = tuple(
         Mat.from_rows([[B.c[r][i][c] for c in range(n)] for r in range(n)])
@@ -283,13 +281,10 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representati
         if mat.shape != (m, m):
             raise ValueError("action matrices must share one square shape")
 
-    report = maltsev_action_report(M, rho)
-    if not report.passed:
-        raise VerificationError(
-            "action does not satisfy the Maltsev representation condition", report)
-    jordan = maltsev_action_jordan_report(M, rho)
-    if not jordan.passed:
-        raise VerificationError("Maltsev representation cross-check disagrees", jordan)
+    _require_passed(maltsev_action_report(M, rho),
+                    "action does not satisfy the Maltsev representation condition")
+    _require_passed(maltsev_action_jordan_report(M, rho),
+                    "Maltsev representation cross-check disagrees")
 
     base = maltsev_to_bol(M)
 
@@ -361,38 +356,27 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
         raise ValueError(f"companion must live in the {m}-dim module")
     fcols = [f.col(j) for j in range(n)]
 
-    def f_of(v: Vec) -> Vec:
-        return f.apply(v)
+    def nu(i, j):
+        val = vec_sub(R.rho[i].apply(fcols[j]), R.rho[j].apply(fcols[i]))
+        val = vec_add(val, R.delta(i, j).apply(chi))
+        return vec_sub(val, f.apply(B.basis_product(i, j)))
 
-    nu = zeros(m, n, n)
-    for i in range(n):
-        for j in range(n):
-            val = R.rho[i].apply(fcols[j])
-            val = tuple(a - b for a, b in zip(val, R.rho[j].apply(fcols[i])))
-            val = tuple(a + b for a, b in zip(val, R.delta(i, j).apply(chi)))
-            val = tuple(a - b for a, b in zip(val, f_of(B.basis_product(i, j))))
-            for a in range(m):
-                nu[a][i][j] = val[a]
+    def omega(i, j, k):
+        val = vec_sub(R.theta[j][k].apply(fcols[i]), R.theta[i][k].apply(fcols[j]))
+        val = vec_add(val, R.D[i][j].apply(fcols[k]))
+        return vec_sub(val, f.apply(B.basis_triple(i, j, k)))
+    return tabulate(m, n, 2, nu), tabulate(m, n, 3, omega)
 
-    omega = zeros(m, n, n, n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = R.theta[j][k].apply(fcols[i])
-                val = tuple(a - b for a, b in zip(val, R.theta[i][k].apply(fcols[j])))
-                val = tuple(a + b for a, b in zip(val, R.D[i][j].apply(fcols[k])))
-                val = tuple(a - b for a, b in zip(val, f_of(B.basis_triple(i, j, k))))
-                for a in range(m):
-                    omega[a][i][j][k] = val[a]
-    return freeze(nu), freeze(omega)
+
+def _flat(nu, omega) -> Vec:
+    """Every entry of a (nu, omega) pair of tensors, nu first, row-major."""
+    return (tuple(x for plane in nu for row in plane for x in row)
+            + tuple(x for cube in omega for plane in cube for row in plane for x in row))
 
 
 def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:
     """True iff (f, chi) satisfies both pseudoderivation conditions exactly."""
-    nu, omega = coboundary_tensors(R, p)
-    flat = [x for plane in nu for row in plane for x in row]
-    flat += [x for cube in omega for plane in cube for row in plane for x in row]
-    return not any(flat)
+    return not any(_flat(*coboundary_tensors(R, p)))
 
 
 def pseudoderivation_params(n: int, m: int) -> int:
@@ -415,15 +399,9 @@ def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:
     parameter order is f's columns (module coordinate innermost) followed
     by chi.
     """
-    B = R.base
-    n, m = B.n, R.m
-    nparams = pseudoderivation_params(n, m)
-    cols = []
-    for idx in range(nparams):
-        nu, omega = coboundary_tensors(R, unpack_params(n, m, unit_vec(nparams, idx)))
-        col = [x for plane in nu for row in plane for x in row]
-        col += [x for cube in omega for plane in cube for row in plane for x in row]
-        cols.append(col)
-    rows = m * n * n + m * n * n * n
-    matrix = Mat.from_cols(cols, rows=rows)
+    n, m = R.base.n, R.m
+
+    def coboundary(params: Vec) -> Vec:
+        return _flat(*coboundary_tensors(R, unpack_params(n, m, params)))
+    matrix = matrix_of(coboundary, pseudoderivation_params(n, m), m * n * n + m * n ** 3)
     return [unpack_params(n, m, v) for v in kernel_basis(matrix)]

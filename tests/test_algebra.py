@@ -9,6 +9,7 @@ from bolalg.algebra import (
     MaltsevAlgebra,
     VerificationError,
     maltsev_to_bol,
+    tabulate,
     verify_bol,
     verify_maltsev,
 )
@@ -221,3 +222,25 @@ class TestConstructors:
         B = make_b2(1)
         assert B.c[1][1][0] == F(1)
         assert B.t[1][1][0][0] == F(-1)
+
+
+class TestTabulate:
+    def test_value_index_is_outermost(self):
+        t = tabulate(2, 3, 2, lambda i, j: (F(i), F(10 * j)))
+        assert all(t[0][i][j] == i and t[1][i][j] == 10 * j
+                   for i in range(3) for j in range(3))
+        assert [len(t), len(t[0]), len(t[0][0])] == [2, 3, 3]
+
+    def test_calls_in_lexicographic_order(self):
+        calls = []
+        tabulate(1, 2, 3, lambda *args: calls.append(args) or (F(0),))
+        assert calls == list(itertools.product(range(2), repeat=3))
+
+    def test_reproduces_the_stored_tensors(self):
+        B = make_maltsev_dim4()
+        assert tabulate(B.n, B.n, 2, B.basis_product) == B.c
+        A = maltsev_to_bol(B)
+        assert tabulate(A.n, A.n, 3, A.basis_triple) == A.t
+
+    def test_empty_slots(self):
+        assert tabulate(2, 0, 3, lambda *args: 1 / 0) == ((), ())

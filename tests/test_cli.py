@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import bolalg.algebra as algebra
+import bolalg.cli as cli
 import bolalg.representation as representation
 from bolalg.cli import main
 
@@ -91,6 +92,17 @@ class TestVerify:
         code, obj, _ = run("verify", str(bad), "--json")
         assert code == 2 and obj["status"] == "error"
 
+    def test_unknown_field_is_input_error(self, run, tmp_path):
+        bad = tmp_path / "misspelt.alg"
+        bad.write_text('{"kind": "maltsev", "dimension": 2, "basis_name": ["a", "b"], '
+                       '"binary": []}')
+        code, _, err = run("verify", str(bad))
+        assert code == 2
+        assert err == "error: file.basis_name: unknown field\n"
+        code, obj, _ = run("verify", str(bad), "--json")
+        assert code == 2 and obj["status"] == "error"
+        assert obj["message"] == "file.basis_name: unknown field"
+
     def test_aliased_index_key_is_input_error(self, run, tmp_path):
         bad = tmp_path / "alias.alg"
         bad.write_text('{"kind": "bol", "dimension": 2, "binary": [{"args": '
@@ -107,6 +119,12 @@ class TestConstructions:
         assert code == 0 and out.exists()
         code, _, _ = run("verify", str(out))
         assert code == 0
+
+    def test_unwritable_output_is_input_error(self, run, tmp_path):
+        target = tmp_path / "missing-dir" / "m.alg"
+        code, _, err = run("maltsev-to-bol", M0, "-o", str(target))
+        assert code == 2
+        assert err == f"error: {target}: cannot write file: No such file or directory\n"
 
     def test_maltsev_to_bol_rejects_bol_input(self, run):
         code, _, err = run("maltsev-to-bol", ALG1)
@@ -331,6 +349,22 @@ class TestCliPlumbing:
         assert code == 1
         assert obj["status"] == "fail"
         assert any(not c["passed"] for c in obj["checks"])
+
+    def test_internal_error_exits_3_with_a_report(self, run, monkeypatch):
+        def broken(R):
+            raise AssertionError("coboundary rank/nullity bookkeeping is wrong")
+
+        monkeypatch.setattr(cli, "cohomology", broken)
+        code, obj, err = run("cohomology", ALG1, "--adjoint", "--json")
+        assert code == 3
+        assert obj == {"command": "cohomology", "status": "internal-error",
+                       "message": "AssertionError: coboundary rank/nullity "
+                                  "bookkeeping is wrong"}
+        assert "Traceback" in err
+        code, out, err = run("cohomology", ALG1, "--adjoint")
+        assert code == 3 and out == ""
+        assert err.endswith("internal error: AssertionError: coboundary rank/nullity "
+                            "bookkeeping is wrong\n")
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         main(["cohomology", ALG1, "--adjoint", "--json"])

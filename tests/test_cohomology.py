@@ -66,6 +66,20 @@ class TestCochainPair:
         assert (a + b) - b == a
         assert (F(2) * a).coords() == tuple(2 * x for x in a.coords())
 
+    def test_arithmetic_is_entrywise(self, b2_1):
+        rng = random.Random(44)
+        a = random_cochain(rng, b2_1, 2)
+        b = random_cochain(rng, b2_1, 2)
+        s, d, h = a + b, a - b, F(-3, 2) * a
+        for k, i, j in itertools.product(range(2), repeat=3):
+            assert s.nu[k][i][j] == a.nu[k][i][j] + b.nu[k][i][j]
+            assert d.nu[k][i][j] == a.nu[k][i][j] - b.nu[k][i][j]
+            assert h.nu[k][i][j] == F(-3, 2) * a.nu[k][i][j]
+        for k, i, j, l in itertools.product(range(2), repeat=4):
+            assert s.omega[k][i][j][l] == a.omega[k][i][j][l] + b.omega[k][i][j][l]
+            assert d.omega[k][i][j][l] == a.omega[k][i][j][l] - b.omega[k][i][j][l]
+            assert h.omega[k][i][j][l] == F(-3, 2) * a.omega[k][i][j][l]
+
     def test_from_entries_validation(self, b2_1):
         with pytest.raises(ValueError, match="i<j"):
             CochainPair.from_entries(b2_1, 2, [((1, 0), {0: F(1)})], [])

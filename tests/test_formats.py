@@ -220,6 +220,94 @@ class TestRepeatedKeys:
             parse_extension(nested)
 
 
+class TestEntryPaths:
+    """Entry paths and missing fields name the algebra of a bundle they sit in."""
+
+    @staticmethod
+    def _bundle(adj_1) -> dict:
+        return json.loads(render_extension(semidirect_product(adj_1)))
+
+    def test_entry_path_in_hat(self, adj_1):
+        obj = self._bundle(adj_1)
+        obj["hat"]["binary"][0]["value"] = {"9": "1"}
+        with pytest.raises(ParseError,
+                           match=r"^hat\.binary\[0\]\.value\.9: index out of range \[0, 4\)$"):
+            parse_extension(json.dumps(obj))
+
+    def test_entry_path_in_base(self, adj_1):
+        obj = self._bundle(adj_1)
+        obj["base"]["ternary"][0]["args"] = [1, 0, 0]
+        with pytest.raises(ParseError, match=r"^base\.ternary\[0\]\.args: "):
+            parse_extension(json.dumps(obj))
+        obj["base"]["ternary"] = {}
+        with pytest.raises(ParseError, match=r"^base\.ternary: must be a list of entries$"):
+            parse_extension(json.dumps(obj))
+
+    def test_missing_entries_in_bundle(self, adj_1):
+        obj = self._bundle(adj_1)
+        del obj["base"]["ternary"]
+        with pytest.raises(ParseError, match=r"^base: missing field 'ternary'$"):
+            parse_extension(json.dumps(obj))
+
+    def test_missing_entries_in_file(self, b2_1):
+        with pytest.raises(ParseError, match=r"^file: missing field 'ternary'$"):
+            parse_algebra('{"kind": "bol", "dimension": 2, "binary": []}')
+        with pytest.raises(ParseError, match=r"^file: missing field 'omega'$"):
+            parse_cochain('{"module_dimension": 2, "nu": []}', b2_1)
+
+    def test_top_level_entry_paths_are_unchanged(self):
+        text = ('{"kind": "maltsev", "dimension": 2, "binary": '
+                '[{"args": [0, 1], "value": {"9": "1"}}]}')
+        with pytest.raises(ParseError,
+                           match=r"^binary\[0\]\.value\.9: index out of range \[0, 2\)$"):
+            parse_algebra(text)
+
+
+class TestUnknownFields:
+    def test_misspelt_top_level_field(self):
+        text = ('{"kind": "maltsev", "dimension": 2, "basis_name": ["a", "b"], '
+                '"binary": []}')
+        with pytest.raises(ParseError, match=r"^file\.basis_name: unknown field$"):
+            parse_algebra(text)
+
+    def test_entry_field(self):
+        text = ('{"kind": "maltsev", "dimension": 2, "binary": '
+                '[{"args": [0, 1], "value": {"1": "-1"}, "values": {}}]}')
+        with pytest.raises(ParseError, match=r"^binary\[0\]\.values: unknown field$"):
+            parse_algebra(text)
+
+    def test_representation_action_and_cochain_files(self, b2_1, adj_1):
+        obj = json.loads(render_representation(adj_1))
+        with pytest.raises(ParseError, match=r"^file\.Theta: unknown field$"):
+            parse_representation(json.dumps({**obj, "Theta": []}), b2_1)
+        # an action file carries module_dimension and rho only
+        with pytest.raises(ParseError, match=r"^file\.D: unknown field$"):
+            parse_action(json.dumps(obj), 2)
+        with pytest.raises(ParseError, match=r"^file\.mu: unknown field$"):
+            parse_cochain('{"module_dimension": 2, "nu": [], "omega": [], "mu": []}',
+                          b2_1)
+
+    def test_bundle_fields(self, adj_1):
+        obj = json.loads(render_extension(semidirect_product(adj_1)))
+        with pytest.raises(ParseError, match=r"^file\.tau: unknown field$"):
+            parse_extension(json.dumps({**obj, "tau": []}))
+        for part in ("base", "hat"):
+            bad = json.loads(json.dumps(obj))
+            bad[part]["binary"][0]["note"] = "x"
+            with pytest.raises(ParseError,
+                               match=rf"^{part}\.binary\[0\]\.note: unknown field$"):
+                parse_extension(json.dumps(bad))
+            bad = json.loads(json.dumps(obj))
+            bad[part]["names"] = []
+            with pytest.raises(ParseError, match=rf"^{part}\.names: unknown field$"):
+                parse_extension(json.dumps(bad))
+
+    def test_documented_optional_fields_still_parse(self):
+        A = parse_algebra('{"kind": "bol", "dimension": 1, "basis_names": ["e"], '
+                          '"binary": [], "ternary": []}')
+        assert A.basis_names == ("e",)
+
+
 class TestRepresentationFiles:
     def test_round_trip(self, b2_1, adj_1):
         text = render_representation(adj_1)

@@ -9,6 +9,7 @@ from bolalg.linalg import (
     image_rank,
     inverse,
     kernel_basis,
+    matrix_of,
     rref,
     solve,
     unit_vec,
@@ -134,3 +135,17 @@ def test_matmul_and_hstack_shapes():
     assert hstack(a, b).shape == (2, 4)
     with pytest.raises(ValueError):
         a @ frac_rows([[1, 2, 3]])
+
+
+def test_matrix_of_a_linear_map():
+    rng = random.Random(7)
+    for rows, cols in ((3, 4), (1, 5), (4, 1), (0, 2), (2, 0)):
+        m = Mat.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+                           for _ in range(rows)]) if rows else Mat.zeros(0, cols)
+        assert matrix_of(m.apply, cols, rows) == m
+    probes = []
+    assert matrix_of(lambda v: probes.append(v) or v[::-1], 3, 3) == Mat.from_rows(
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert probes == [unit_vec(3, 0), unit_vec(3, 1), unit_vec(3, 2)]
+    with pytest.raises(ValueError):
+        matrix_of(lambda v: v[:1] if v[0] else v, 2, 2)  # ragged columns
