@@ -140,6 +140,25 @@ def entry_values(t, args: tuple[int, ...]) -> Vec:
     return tuple(out)
 
 
+def entry_coords(n: int, *tensors) -> Vec:
+    """Coordinates of tensors antisymmetric in their first two slots.
+
+    ``tensors`` are (name, t, arity) triples; each contributes t[v][args]
+    over entry_args(n, arity), value index v innermost.  The first failing
+    antisymmetry tuple raises ValueError naming the tensor.
+    """
+    out = []
+    for name, t, arity in tensors:
+        check = _antisymmetry(name, t, n, arity)
+        if not check.passed:
+            v = next(v for v, x in enumerate(check.residual) if x)
+            raise ValueError(f"{name} is not antisymmetric in its first two slots "
+                             f"at a={v}, args {_shown(check.witness)}")
+        for args in entry_args(n, arity):
+            out.extend(entry_values(t, args))
+    return tuple(out)
+
+
 def tensor_from_entries(
     n: int, value_dim: int, arity: int,
     entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
@@ -324,6 +343,21 @@ def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     return ConditionCheck(name, True)
 
 
+def _antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
+    """Scan t(i,j,...) + t(j,i,...) over all argument tuples."""
+    return _scan(name, itertools.product(range(n), repeat=arity),
+                 lambda *args: vec_add(entry_values(t, args),
+                                       entry_values(t, (args[1], args[0]) + args[2:])))
+
+
+def _cyclic(name: str, t, n: int) -> ConditionCheck:
+    """Scan the cyclic sum t(i,j,k) + t(j,k,i) + t(k,i,j) over all triples."""
+    return _scan(name, itertools.product(range(n), repeat=3),
+                 lambda i, j, k: vec_add(entry_values(t, (i, j, k)),
+                                         entry_values(t, (j, k, i)),
+                                         entry_values(t, (k, i, j))))
+
+
 def _b2_residual(B: BolAlgebra, x, y, u, v) -> Vec:
     # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y)
     uv = B.basis_product(u, v)
@@ -357,14 +391,9 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     n = B.n
     rng = range(n)
     checks = [
-        _scan("B01", itertools.product(rng, repeat=2),
-              lambda i, j: vec_add(B.basis_product(i, j), B.basis_product(j, i))),
-        _scan("B02", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(B.basis_triple(i, j, k), B.basis_triple(j, i, k))),
-        _scan("B1", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(B.basis_triple(i, j, k),
-                                      B.basis_triple(j, k, i),
-                                      B.basis_triple(k, i, j))),
+        _antisymmetry("B01", B.c, n, 2),
+        _antisymmetry("B02", B.t, n, 3),
+        _cyclic("B1", B.t, n),
         _scan("B2", itertools.product(rng, repeat=4),
               lambda x, y, u, v: _b2_residual(B, x, y, u, v)),
         _scan("B3", itertools.product(rng, repeat=5),

@@ -44,24 +44,25 @@ from .algebra import (
     _scan,
     bilinear_eval,
     entry_args,
-    entry_values,
+    entry_coords,
     freeze,
     tensor_from_entries,
     trilinear_eval,
     zeros,
 )
 from .linalg import (
-    Mat, Vec, kernel_basis, matrix_of, rref, solve, vec_add, vec_scale, vec_sub,
+    Mat, Vec, kernel_basis, matrix_of, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,
     Representation,
+    cochain_dim,
+    coboundary_matrix,
     coboundary_tensors,
     pseudoderivation_params,
+    pseudoderivation_space,
     unpack_params,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -86,17 +87,7 @@ class CochainPair:
                 for plane in cube
             ):
                 raise ValueError("omega tensor must be m x n x n x n")
-        for a in range(m):
-            for i in range(n):
-                for j in range(n):
-                    if self.nu[a][i][j] != -self.nu[a][j][i]:
-                        raise ValueError(
-                            f"nu is not antisymmetric at a={a}, (i,j)=({i},{j})")
-                    for k in range(n):
-                        if self.omega[a][i][j][k] != -self.omega[a][j][i][k]:
-                            raise ValueError(
-                                "omega is not antisymmetric in its first two slots "
-                                f"at a={a}, (i,j,k)=({i},{j},{k})")
+        self.coords()  # raises on the first antisymmetry failure
 
     @property
     def n(self) -> int:
@@ -144,19 +135,10 @@ class CochainPair:
         if self.base != other.base or self.m != other.m:
             raise ValueError("cochains live over different data")
 
+    @_once_per_object
     def coords(self) -> Vec:
-        """Canonical coordinate vector (nu block then omega block)."""
-        out = []
-        for t, arity in ((self.nu, 2), (self.omega, 3)):
-            for args in entry_args(self.n, arity):
-                out.extend(entry_values(t, args))
-        return tuple(out)
-
-
-def cochain_dim(n: int, m: int) -> int:
-    """Dimension of the coupled cochain space: n(n-1)/2 * m * (1 + n)."""
-    pairs = n * (n - 1) // 2
-    return pairs * m + pairs * n * m
+        """Canonical coordinate vector (nu block then omega block), kept on the pair."""
+        return entry_coords(self.n, ("nu", self.nu, 2), ("omega", self.omega, 3))
 
 
 def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
@@ -246,16 +228,6 @@ def coboundary_of(R: Representation, p: PseudoderivationData) -> CochainPair:
     return CochainPair(R.base, R.m, nu, omega)
 
 
-@_once_per_object
-def _coboundary_matrix(R: Representation) -> Mat:
-    """Matrix of (f, chi) -> cochain coordinates, one column per parameter.
-
-    Kept on R: every coboundary solve and cohomology() over R shares it."""
-    n, m = R.base.n, R.m
-    return matrix_of(lambda params: coboundary_of(R, unpack_params(n, m, params)).coords(),
-                     pseudoderivation_params(n, m), cochain_dim(n, m))
-
-
 def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"
                      ) -> PseudoderivationData | None:
     """Find (f, chi) with coboundary_of(R, (f, chi)) = c, or None.
@@ -269,34 +241,26 @@ def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
     n, m = R.base.n, R.m
-    matrix = _coboundary_matrix(R)
-    target = list(c.coords())
-
-    if companion == "free":
-        pass
-    elif companion == "none":
-        zero_rows = [
-            [_ZERO] * (n * m) + list(row)
-            for row in Mat.identity(m).to_rows()
-        ]
-        matrix = Mat.from_rows(matrix.to_rows() + zero_rows)
-        target += [_ZERO] * m
+    matrix, target = coboundary_matrix(R), c.coords()
+    fdim = n * m
+    if companion == "none":
+        # Solve in f's columns alone and pad chi with zeros: rows forcing
+        # chi = 0 would make every chi column a pivot, same RREF solution.
+        matrix = Mat(matrix.rows, fdim, tuple(
+            x for r in range(matrix.rows) for x in matrix.row(r)[:fdim]))
     elif companion == "delta-kernel":
-        extra = []
-        for i in range(n):
-            for j in range(n):
-                delta = R.delta(i, j)
-                for r in range(m):
-                    extra.append([_ZERO] * (n * m) + list(delta.row(r)))
-        matrix = Mat.from_rows(matrix.to_rows() + extra)
-        target += [_ZERO] * (len(extra))
-    else:
+        deltas = (R.delta(i, j) for i in range(n) for j in range(n))
+        delta_rows = tuple(x for d in deltas for r in range(m)
+                           for x in zero_vec(fdim) + d.row(r))
+        matrix = Mat(matrix.rows + n * n * m, matrix.cols, matrix.entries + delta_rows)
+        target += zero_vec(n * n * m)
+    elif companion != "free":
         raise ValueError(f"unknown companion mode {companion!r}")
 
-    sol = solve(matrix, tuple(target))
+    sol = solve(matrix, target)
     if sol is None:
         return None
-    return unpack_params(n, m, sol)
+    return unpack_params(n, m, sol + zero_vec(pseudoderivation_params(n, m) - matrix.cols))
 
 
 def is_coboundary(R: Representation, c: CochainPair
@@ -349,15 +313,14 @@ def cohomology(R: Representation) -> CohomologyReport:
     z_coords = kernel_basis(constraint)
     dim_z = len(z_coords)
 
-    bmat = _coboundary_matrix(R)
+    bmat = coboundary_matrix(R)
     bres = rref(bmat.transpose())
     b_coords = [bres.reduced.row(r) for r in range(bres.rank)]
     dim_b = len(b_coords)
 
     # Companion parameters that change nothing are exactly the
     # pseudoderivations, so rank + kernel = parameter count.
-    nparams = pseudoderivation_params(n, m)
-    if dim_b + len(kernel_basis(bmat)) != nparams:
+    if dim_b + len(pseudoderivation_space(R)) != pseudoderivation_params(n, m):
         raise AssertionError("coboundary rank/nullity bookkeeping is wrong")
 
     # Extend B to a basis of Z in the canonical order: with the B basis

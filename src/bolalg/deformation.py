@@ -50,7 +50,9 @@ from .algebra import (
     AxiomReport,
     BolAlgebra,
     CheckReport,
+    _antisymmetry,
     _b3_residual,
+    _cyclic,
     _require_passed,
     _scan,
     bilinear_eval,
@@ -119,20 +121,12 @@ def _closure_checks(d: DeformationTypeCandidate) -> tuple:
 
 def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
-    rng = range(d.n)
-    nu, mu, om = d.nu, d.mu, d.omega
+    n = d.n
     checks = (
-        _scan("B01'", itertools.product(rng, repeat=2),
-              lambda i, j: vec_add(entry_values(nu, (i, j)), entry_values(nu, (j, i)))),
-        _scan("B02'", itertools.product(rng, repeat=2),
-              lambda i, j: vec_add(entry_values(mu, (i, j)), entry_values(mu, (j, i)))),
-        _scan("B03'", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(entry_values(om, (i, j, k)),
-                                      entry_values(om, (j, i, k)))),
-        _scan("B1'", itertools.product(rng, repeat=3),
-              lambda i, j, k: vec_add(entry_values(om, (i, j, k)),
-                                      entry_values(om, (j, k, i)),
-                                      entry_values(om, (k, i, j)))),
+        _antisymmetry("B01'", d.nu, n, 2),
+        _antisymmetry("B02'", d.mu, n, 2),
+        _antisymmetry("B03'", d.omega, n, 3),
+        _cyclic("B1'", d.omega, n),
     ) + _closure_checks(d)
     return CheckReport(checks)
 

@@ -207,8 +207,12 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
                             matrix_of(lambda v: v + zero_vec(m), n, N))
 
 
+@_once_per_object
 def _splitting(E: AbelianExtension) -> Mat:
-    """Inverse of [sigma | i]: rows give (base, fiber) coordinates in hat(B)."""
+    """Inverse of [sigma | i]: rows give (base, fiber) coordinates in hat(B).
+
+    Kept on E, so each bundle is inverted once; a singular [sigma | i]
+    raises on every call."""
     T = hstack(E.sigma, E.i)
     try:
         return inverse(T)

@@ -28,6 +28,9 @@ from .representation import Representation
 # ASCII decimals only: str.isdigit and int() also take other Unicode digits.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integer
+# Python's default int() limit on decimal digits; checked first, so a longer
+# numerator or denominator is rejected with its path, not by int().
+_MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -48,6 +51,9 @@ def parse_scalar(text, path: str = "value") -> Fraction:
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
+    if max(len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS:
+        raise ParseError(path, f"rational has a numerator or denominator longer than "
+                               f"{_MAX_DIGITS} digits")
     if match.group(1) and int(match.group(1)[1:]) == 0:
         raise ParseError(path, f"zero denominator in {text!r}")
     return Fraction(text)

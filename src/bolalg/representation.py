@@ -39,9 +39,12 @@ from .algebra import (
     _once_per_object,
     _require_passed,
     _scan,
+    entry_coords,
+    freeze,
     maltsev_to_bol,
     tabulate,
     verify_bol,
+    zeros,
 )
 from .linalg import (
     Mat, Vec, commutator, kernel_basis, matrix_of, unit_vec, vec, vec_add, vec_sub, zero_vec,
@@ -368,15 +371,10 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
     return tabulate(m, n, 2, nu), tabulate(m, n, 3, omega)
 
 
-def _flat(nu, omega) -> Vec:
-    """Every entry of a (nu, omega) pair of tensors, nu first, row-major."""
-    return (tuple(x for plane in nu for row in plane for x in row)
-            + tuple(x for cube in omega for plane in cube for row in plane for x in row))
-
-
 def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:
-    """True iff (f, chi) satisfies both pseudoderivation conditions exactly."""
-    return not any(_flat(*coboundary_tensors(R, p)))
+    """True iff every entry of the full coboundary tensors of (f, chi) vanishes."""
+    n, m = R.base.n, R.m
+    return coboundary_tensors(R, p) == (freeze(zeros(m, n, n)), freeze(zeros(m, n, n, n)))
 
 
 def pseudoderivation_params(n: int, m: int) -> int:
@@ -392,16 +390,30 @@ def unpack_params(n: int, m: int, params: Vec) -> PseudoderivationData:
     return PseudoderivationData(f, chi)
 
 
+def cochain_dim(n: int, m: int) -> int:
+    """Dimension of the coupled cochain space: n(n-1)/2 * m * (1 + n)."""
+    return n * (n - 1) // 2 * m * (1 + n)
+
+
+@_once_per_object
+def coboundary_matrix(R: Representation) -> Mat:
+    """Matrix of (f, chi) -> (nu, omega) in cochain coordinates, one column
+    per parameter; a coboundary that is not antisymmetric (R unverified)
+    raises ValueError.  Kept on R for pseudoderivations, coboundary solves
+    and cohomology()."""
+    n, m = R.base.n, R.m
+
+    def coords(params: Vec) -> Vec:
+        nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
+        return entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
+    return matrix_of(coords, pseudoderivation_params(n, m), cochain_dim(n, m))
+
+
 def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:
     """Deterministic basis of all (f, chi) with vanishing coboundary.
 
-    This is the kernel of the linear map (f, chi) -> (nu, omega); the
-    parameter order is f's columns (module coordinate innermost) followed
-    by chi.
+    This is the kernel of ``coboundary_matrix``; the parameter order is
+    f's columns (module coordinate innermost) followed by chi.
     """
     n, m = R.base.n, R.m
-
-    def coboundary(params: Vec) -> Vec:
-        return _flat(*coboundary_tensors(R, unpack_params(n, m, params)))
-    matrix = matrix_of(coboundary, pseudoderivation_params(n, m), m * n * n + m * n ** 3)
-    return [unpack_params(n, m, v) for v in kernel_basis(matrix)]
+    return [unpack_params(n, m, v) for v in kernel_basis(coboundary_matrix(R))]

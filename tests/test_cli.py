@@ -82,6 +82,17 @@ class TestVerify:
         assert "diagonal binary entry" in err
 
 
+    def test_numeral_over_the_digit_limit_is_input_error_with_its_path(self, run, tmp_path):
+        bad = tmp_path / "huge.alg"
+        bad.write_text('{"kind": "bol", "dimension": 2, "binary": [{"args": [0, 1], '
+                       '"value": {"0": "' + "1" * 4301 + '"}}], "ternary": []}')
+        code, _, err = run("verify", str(bad))
+        assert code == 2
+        assert err == ("error: binary[0].value.0: rational has a numerator or "
+                       "denominator longer than 4300 digits\n")
+        code, obj, _ = run("verify", str(bad), "--json")
+        assert code == 2 and obj["status"] == "error"
+
     def test_repeated_key_is_input_error(self, run, tmp_path):
         bad = tmp_path / "twice.alg"
         bad.write_text('{"kind": "maltsev", "dimension": 2, "dimension": 3, '

@@ -28,8 +28,8 @@ from bolalg.representation import PseudoderivationData
 
 from .conftest import make_b2
 
-# the module; the package attribute bolalg.cohomology is the function
-COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+# coboundary_matrix looks coboundary_tensors up in this module
+REPRESENTATION = importlib.import_module("bolalg.representation")
 
 
 def scale_pair(B):
@@ -247,13 +247,13 @@ class TestEachComputationRunsOnce:
 
     def test_coboundary_matrix_built_once(self, monkeypatch):
         calls = []
-        original = COHOMOLOGY.coboundary_tensors
+        original = REPRESENTATION.coboundary_tensors
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(COHOMOLOGY, "coboundary_tensors", counting)
+        monkeypatch.setattr(REPRESENTATION, "coboundary_tensors", counting)
         B = make_b2(1)
         d1 = DeformationDatum(B, scale_pair(B))
         d2 = DeformationDatum(B, CochainPair.zero(B, 2))

@@ -27,8 +27,9 @@ from bolalg.representation import (
 
 from .conftest import make_b2
 
-# the module; the package attribute bolalg.cohomology is the function
-COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+# coboundary_matrix looks coboundary_tensors up in this module
+REPRESENTATION = importlib.import_module("bolalg.representation")
+EXTENSION = importlib.import_module("bolalg.extension")
 
 
 def random_g(rng, m, n):
@@ -248,14 +249,50 @@ class TestEquivalence:
 
 def test_equivalence_builds_the_coboundary_matrix_once(monkeypatch):
     calls = []
-    original = COHOMOLOGY.coboundary_tensors
+    original = REPRESENTATION.coboundary_tensors
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(COHOMOLOGY, "coboundary_tensors", counting)
+    monkeypatch.setattr(REPRESENTATION, "coboundary_tensors", counting)
     E = semidirect_product(adjoint_representation(make_b2(1)))
     moved = perturb_section(E, Mat.from_rows([[F(1), F(2)], [F(0), F(3)]]))
     assert extensions_equivalent(E, moved).equivalent  # needs both solves
     assert len(calls) == 2 * 2 + 2  # one column per parameter (f, chi)
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    original = EXTENSION.inverse
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(EXTENSION, "inverse", counting)
+    return calls
+
+
+def test_analysis_inverts_the_splitting_once(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    E = semidirect_product(adjoint_representation(make_b2(1)))
+    induced_representation(E)
+    induced_cocycle(E)
+    assert len(calls) == 1
+
+
+def test_equivalence_inverts_each_splitting_once(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    E = semidirect_product(adjoint_representation(make_b2(1)))
+    moved = perturb_section(E, Mat.from_rows([[F(1), F(2)], [F(0), F(3)]]))
+    assert extensions_equivalent(E, moved).equivalent
+    assert len(calls) == 2
+
+
+def test_singular_splitting_raises_on_every_call():
+    E = semidirect_product(adjoint_representation(make_b2(1)))
+    bad = AbelianExtension(E.base, E.m, E.hat, E.i, E.p, Mat.zeros(4, 2))
+    for _ in range(2):
+        with pytest.raises(InvalidExtensionError, match="do not split"):
+            EXTENSION._splitting(bad)

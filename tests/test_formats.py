@@ -57,6 +57,17 @@ class TestScalars:
         with pytest.raises(ParseError, match="malformed rational"):
             parse_scalar(bad)
 
+    @pytest.mark.parametrize("text", ["1" * 4301, "-1/" + "7" * 4301, "7" * 4301 + "/3"],
+                             ids=["numerator", "denominator", "numerator-of-fraction"])
+    def test_numerals_over_the_digit_limit_are_rejected_with_their_path(self, text):
+        with pytest.raises(ParseError, match="longer than 4300 digits") as info:
+            parse_scalar(text, "file.value")
+        assert info.value.path == "file.value"
+
+    def test_numerals_at_the_digit_limit_parse(self):
+        assert parse_scalar("-" + "9" * 4300 + "/" + "1" * 4300) == F(
+            -(10 ** 4300 - 1), (10 ** 4300 - 1) // 9)
+
     def test_round_trip_is_identity(self):
         import random
 
