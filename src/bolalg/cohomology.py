@@ -33,6 +33,7 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -40,18 +41,19 @@ from functools import partial
 from .algebra import (
     BolAlgebra,
     CheckReport,
+    _ZERO,
+    _coeffs,
     _once_per_object,
     _scan,
-    bilinear_eval,
     entry_args,
     entry_coords,
     freeze,
+    tabulate,
     tensor_from_entries,
-    trilinear_eval,
     zeros,
 )
 from .linalg import (
-    Mat, Vec, kernel_basis, matrix_of, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
+    Mat, Vec, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,
@@ -106,14 +108,6 @@ class CochainPair:
         return cls(base, m, tensor_from_entries(n, m, 2, nu_entries, "nu"),
                    tensor_from_entries(n, m, 3, omega_entries, "omega"))
 
-    # -- multilinear evaluation; slots take a basis index or a Vec over B --
-
-    def nu_val(self, x, y) -> Vec:
-        return bilinear_eval(self.nu, x, y, self.n)
-
-    def omega_val(self, x, y, z) -> Vec:
-        return trilinear_eval(self.omega, x, y, z, self.n)
-
     # Arithmetic goes through the coordinates, which determine an
     # antisymmetric pair.
 
@@ -141,81 +135,118 @@ class CochainPair:
         return entry_coords(self.n, ("nu", self.nu, 2), ("omega", self.omega, 3))
 
 
+def _coordinate_index(n: int, m: int) -> dict:
+    """args -> (first cochain coordinate of its i<j entry, sign) for every
+    nu (two args) and omega (three args) tuple with i != j."""
+    index = {}
+    for pos, args in enumerate(entry_args(n, 2) + entry_args(n, 3)):
+        index[args] = (pos * m, 1)
+        index[(args[1], args[0]) + args[2:]] = (pos * m, -1)
+    return index
+
+
 def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
     n = base.n
     if len(coords) != cochain_dim(n, m):
         raise ValueError("coordinate vector has wrong length")
-    blocks = []
-    pos = 0
-    for arity in (2, 3):
-        entries = []
-        for args in entry_args(n, arity):
-            entries.append((args, {a: v for a, v in enumerate(coords[pos:pos + m]) if v}))
-            pos += m
-        blocks.append(tensor_from_entries(n, m, arity, entries, "coordinate"))
-    return CochainPair(base, m, *blocks)
+    index = _coordinate_index(n, m)
+
+    def value(*args):
+        start, sign = index.get(args, (0, 0))
+        return tuple(sign * Fraction(x) for x in coords[start:start + m]) if sign else zero_vec(m)
+    return CochainPair(base, m, tabulate(m, n, 2, value), tabulate(m, n, 3, value))
 
 
 # ---------------------------------------------------------------------------
-# cocycle conditions
+# cocycle conditions as constraint rows
 
 
-def _cc1_residual(c: CochainPair, x1, x2, x3) -> Vec:
-    return vec_add(c.omega_val(x1, x2, x3),
-                   c.omega_val(x2, x3, x1),
-                   c.omega_val(x3, x1, x2))
+def _cc_conditions(R: Representation):
+    """(name, index tuples in lexicographic order, terms) of CC1-CC3.
 
-
-def _cc2_residual(R: Representation, c: CochainPair, x1, x2, y1, y2) -> Vec:
+    The terms of a tuple are those of LHS - RHS in the module docstring:
+    (sign, module map or None, the slots of one nu value (two slots) or
+    omega value (three)); a slot is a basis index or a Vec over B."""
     B = R.base
-    xx = B.basis_product(x1, x2)
-    yy = B.basis_product(y1, y2)
-    r = c.omega_val(x1, x2, yy)
-    r = vec_add(r, R.D[x1][x2].apply(c.nu_val(y1, y2)))
-    r = vec_sub(r, c.omega_val(y1, y2, xx))
-    r = vec_sub(r, R.D[y1][y2].apply(c.nu_val(x1, x2)))
-    r = vec_sub(r, c.nu_val(B.basis_triple(x1, x2, y1), y2))
-    r = vec_sub(r, c.nu_val(y1, B.basis_triple(x1, x2, y2)))
-    r = vec_sub(r, R.rho[y1].apply(c.omega_val(x1, x2, y2)))
-    r = vec_add(r, R.rho[y2].apply(c.omega_val(x1, x2, y1)))
-    r = vec_sub(r, R.rho_of(xx).apply(c.nu_val(y1, y2)))
-    r = vec_add(r, R.rho_of(yy).apply(c.nu_val(x1, x2)))
-    r = vec_add(r, c.nu_val(yy, xx))
-    return r
+    rng = range(B.n)
+    prod, triple, D, rho, theta = B.basis_product, B.basis_triple, R.D, R.rho, R.theta
+
+    def cc1(x1, x2, x3):
+        return ((1, None, (x1, x2, x3)), (1, None, (x2, x3, x1)), (1, None, (x3, x1, x2)))
+
+    def cc2(x1, x2, y1, y2):
+        xx, yy = prod(x1, x2), prod(y1, y2)
+        return ((1, None, (x1, x2, yy)), (1, D[x1][x2], (y1, y2)),
+                (-1, None, (y1, y2, xx)), (-1, D[y1][y2], (x1, x2)),
+                (-1, None, (triple(x1, x2, y1), y2)), (-1, None, (y1, triple(x1, x2, y2))),
+                (-1, rho[y1], (x1, x2, y2)), (1, rho[y2], (x1, x2, y1)),
+                (-1, R.rho_of(xx), (y1, y2)), (1, R.rho_of(yy), (x1, x2)),
+                (1, None, (yy, xx)))
+
+    def cc3(x1, x2, y1, y2, y3):
+        return ((1, None, (x1, x2, triple(y1, y2, y3))), (1, D[x1][x2], (y1, y2, y3)),
+                (-1, None, (triple(x1, x2, y1), y2, y3)),
+                (-1, None, (y1, triple(x1, x2, y2), y3)),
+                (-1, None, (y1, y2, triple(x1, x2, y3))), (-1, D[y1][y2], (x1, x2, y3)),
+                (-1, theta[y2][y3], (x1, x2, y1)), (1, theta[y1][y3], (x1, x2, y2)))
+    return (("CC1", itertools.product(rng, repeat=3), cc1),
+            ("CC2", itertools.product(rng, repeat=4), cc2),
+            ("CC3", itertools.product(rng, repeat=5), cc3))
 
 
-def _cc3_residual(R: Representation, c: CochainPair, x1, x2, y1, y2, y3) -> Vec:
-    B = R.base
-    r = c.omega_val(x1, x2, B.basis_triple(y1, y2, y3))
-    r = vec_add(r, R.D[x1][x2].apply(c.omega_val(y1, y2, y3)))
-    r = vec_sub(r, c.omega_val(B.basis_triple(x1, x2, y1), y2, y3))
-    r = vec_sub(r, c.omega_val(y1, B.basis_triple(x1, x2, y2), y3))
-    r = vec_sub(r, c.omega_val(y1, y2, B.basis_triple(x1, x2, y3)))
-    r = vec_sub(r, R.D[y1][y2].apply(c.omega_val(x1, x2, y3)))
-    r = vec_sub(r, R.theta[y2][y3].apply(c.omega_val(x1, x2, y1)))
-    r = vec_add(r, R.theta[y1][y3].apply(c.omega_val(x1, x2, y2)))
-    return r
+def _reads(R: Representation, index: dict, terms):
+    """(coefficient, first cochain coordinate, module map or None) of each
+    i<j nu or omega entry that one tuple's terms read."""
+    n = R.base.n
+    for sign, op, slots in terms:
+        # a basis index slot reads with coefficient int 1: no Fraction arithmetic
+        expanded = (((x, 1),) if isinstance(x, int) else tuple(_coeffs(x, n)) for x in slots)
+        for combo in itertools.product(*expanded):
+            start, coeff = index.get(tuple(i for i, _ in combo), (0, 0))
+            if coeff:
+                yield sign * coeff * math.prod(s for _, s in combo), start, op
 
 
-def _cc_conditions(R: Representation, c: CochainPair):
-    """(name, index tuples in lexicographic order, residual) of CC1-CC3."""
-    rng = range(R.base.n)
-    return (("CC1", itertools.product(rng, repeat=3), partial(_cc1_residual, c)),
-            ("CC2", itertools.product(rng, repeat=4), partial(_cc2_residual, R, c)),
-            ("CC3", itertools.product(rng, repeat=5), partial(_cc3_residual, R, c)))
+def _constraint_rows(R: Representation):
+    """Each nonzero CC1-CC3 row in (condition, tuple, module coordinate)
+    order, as its sorted (cochain coordinate, coefficient) pairs scaled to
+    a leading 1."""
+    m, index = R.m, _coordinate_index(R.base.n, R.m)
+    for _, tuples, terms in _cc_conditions(R):
+        for idx in tuples:
+            rows = [{} for _ in range(m)]
+            for coeff, start, op in _reads(R, index, terms(*idx)):
+                pairs = (((a, a, 1) for a in range(m)) if op is None else
+                         ((e // m, e % m, s) for e, s in enumerate(op.entries) if s))
+                for a, b, s in pairs:
+                    rows[a][start + b] = rows[a].get(start + b, _ZERO) + coeff * s
+            for row in rows:
+                row = sorted((k, x) for k, x in row.items() if x)
+                if row:
+                    yield tuple((k, x / row[0][1]) for k, x in row)
 
 
 def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
-    """Check CC1/CC2/CC3 on all basis tuples; first witness per condition."""
+    """Check CC1/CC2/CC3 on all basis tuples; first witness per condition.
+
+    The residual at a tuple is its m constraint rows times c.coords(),
+    summed one read entry at a time: coefficient * map(entry's coordinates).
+    Entries that are zero in c cost no arithmetic."""
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
-    return CheckReport(tuple(_scan(*condition) for condition in _cc_conditions(R, c)))
+    m, index, coords = R.m, _coordinate_index(R.base.n, R.m), c.coords()
 
-
-def _cocycle_residual_vector(R: Representation, c: CochainPair) -> Vec:
-    """All CC residual components, rows in the fixed deterministic order."""
-    return tuple(x for _, tuples, residual in _cc_conditions(R, c)
-                 for idx in tuples for x in residual(*idx))
+    def residual(terms, *idx):
+        out = [_ZERO] * m
+        for coeff, start, op in _reads(R, index, terms(*idx)):
+            v = coords[start:start + m]
+            if any(v):
+                for a, x in enumerate(v if op is None else op.apply(v)):
+                    if x:
+                        out[a] += coeff * x
+        return tuple(out)
+    return CheckReport(tuple(_scan(name, tuples, partial(residual, terms))
+                             for name, tuples, terms in _cc_conditions(R)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +333,13 @@ def cohomology(R: Representation) -> CohomologyReport:
     dim_c = cochain_dim(n, m)
 
     # Constraint matrix, one column per cochain coordinate.  Dropping
-    # repeated/zero rows (the first of each kept, in order) changes neither
-    # the row space nor the kernel.
-    def residual(coords: Vec) -> Vec:
-        return _cocycle_residual_vector(R, coords_to_cochain(B, m, coords))
-    residuals = matrix_of(residual, dim_c, m * (n ** 3 + n ** 4 + n ** 5))
-    rows = (residuals.row(r) for r in range(residuals.rows))
-    kept = dict.fromkeys(row for row in rows if any(row))
-    constraint = Mat(len(kept), dim_c, tuple(x for row in kept for x in row))
+    # repeated rows (the first of each kept) keeps the row space and kernel.
+    kept = dict.fromkeys(_constraint_rows(R))
+    entries = [_ZERO] * (len(kept) * dim_c)
+    for r, row in enumerate(kept):
+        for k, x in row:
+            entries[r * dim_c + k] = x
+    constraint = Mat(len(kept), dim_c, tuple(entries))
     z_coords = kernel_basis(constraint)
     dim_z = len(z_coords)
 

@@ -94,19 +94,10 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
     base, hat, m = E.base, E.hat, E.m
     n, N = base.n, hat.n
     checks: list[ConditionCheck] = []
-
-    base_rep = verify_bol(base)
-    fb = base_rep.first_failure()
-    checks.append(ConditionCheck(
-        "base-axioms", base_rep.passed,
-        None if fb is None else (fb.name,) + fb.witness,
-        None if fb is None else fb.residual))
-    hat_rep = verify_bol(hat)
-    fh = hat_rep.first_failure()
-    checks.append(ConditionCheck(
-        "hat-axioms", hat_rep.passed,
-        None if fh is None else (fh.name,) + fh.witness,
-        None if fh is None else fh.residual))
+    for name, A in (("base-axioms", base), ("hat-axioms", hat)):
+        f = verify_bol(A).first_failure()
+        checks.append(ConditionCheck(name, f is None, None if f is None else (f.name,) + f.witness,
+                                     None if f is None else f.residual))
 
     pi = E.p @ E.i
     exact = pi.is_zero() and image_rank(E.i) == m and image_rank(E.p) == n
@@ -296,19 +287,10 @@ class ExtensionEquivalence:
 
 def _check_phi(E1: AbelianExtension, E2: AbelianExtension, phi: Mat) -> None:
     """phi must be a hat homomorphism commuting with both short sequences."""
-    hat1, hat2 = E1.hat, E2.hat
-    N = hat1.n
-    cols = [phi.col(x) for x in range(N)]
-    for x, y in itertools.product(range(N), repeat=2):
-        lhs = phi.apply(hat1.basis_product(x, y))
-        rhs = hat2.product(cols[x], cols[y])
-        if lhs != rhs:
-            raise AssertionError("constructed phi fails the binary homomorphism law")
-    for x, y, z in itertools.product(range(N), repeat=3):
-        lhs = phi.apply(hat1.basis_triple(x, y, z))
-        rhs = hat2.triple(cols[x], cols[y], cols[z])
-        if lhs != rhs:
-            raise AssertionError("constructed phi fails the ternary homomorphism law")
+    cols = [phi.col(x) for x in range(E1.hat.n)]
+    for kind, *args in _binary_then_ternary(E1.hat.n):
+        if phi.apply(_operate(E1.hat, args)) != _operate(E2.hat, [cols[x] for x in args]):
+            raise AssertionError(f"constructed phi fails the {kind} homomorphism law")
     if phi @ E1.i != E2.i:
         raise AssertionError("constructed phi does not commute with the injections")
     if E2.p @ phi != E1.p:

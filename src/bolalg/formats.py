@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .algebra import BolAlgebra, MaltsevAlgebra, entry_args, entry_values
@@ -31,6 +32,10 @@ _INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integ
 # Python's default int() limit on decimal digits; checked first, so a longer
 # numerator or denominator is rejected with its path, not by int().
 _MAX_DIGITS = 4300
+
+
+class RenderOverflowError(OverflowError):
+    """A result too long for Python's decimal conversion; not an input error."""
 
 
 class ParseError(ValueError):
@@ -60,7 +65,11 @@ def parse_scalar(text, path: str = "value") -> Fraction:
 
 
 def render_scalar(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # str() refuses integers over sys.get_int_max_str_digits()
+        raise RenderOverflowError(f"the result has a numerator or denominator over "
+                                  f"{sys.get_int_max_str_digits():,} digits") from None
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .algebra import (
     zeros,
 )
 from .linalg import (
-    Mat, Vec, commutator, kernel_basis, matrix_of, unit_vec, vec, vec_add, vec_sub, zero_vec,
+    Mat, Vec, commutator, kernel_basis, matrix_of, unit_vec, vec_add, vec_sub, zero_vec,
 )
 
 _THIRD = Fraction(1, 3)
@@ -190,27 +190,14 @@ def verify_representation(R: Representation) -> CheckReport:
 def adjoint_representation(B: BolAlgebra) -> Representation:
     """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v]."""
     _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
-    n = B.n
-    rho = tuple(
-        Mat.from_rows([[B.c[r][i][c] for c in range(n)] for r in range(n)])
-        if n else Mat.zeros(0, 0)
-        for i in range(n)
-    )
-    D = tuple(
-        tuple(
-            Mat.from_rows([[B.t[r][i][j][c] for c in range(n)] for r in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    theta = tuple(
-        tuple(
-            Mat.from_rows([[B.t[r][c][i][j] for c in range(n)] for r in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Representation(B, n, rho, D, theta)
+    rng = range(B.n)
+
+    def matrix(image):  # column w is the image of e_w
+        return Mat.from_cols([image(w) for w in rng], rows=B.n)
+    rho = tuple(matrix(lambda w: B.basis_product(u, w)) for u in rng)
+    D = tuple(tuple(matrix(lambda w: B.basis_triple(u, v, w)) for v in rng) for u in rng)
+    theta = tuple(tuple(matrix(lambda w: B.basis_triple(w, u, v)) for v in rng) for u in rng)
+    return Representation(B, B.n, rho, D, theta)
 
 
 def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
@@ -224,11 +211,9 @@ def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckRepor
 
     def residual(x, y, z):
         d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
-        bracket1 = M.product(x, M.basis_product(y, z))
-        bracket1 = vec(a - b for a, b in zip(
-            bracket1, M.product(y, M.basis_product(x, z))))
-        bracket1 = vec(a + b for a, b in zip(
-            bracket1, M.product(M.basis_product(x, y), z)))
+        bracket1 = vec_add(vec_sub(M.product(x, M.basis_product(y, z)),
+                                   M.product(y, M.basis_product(x, z))),
+                           M.product(M.basis_product(x, y), z))
         return (commutator(d1, rho[z]) - _lincomb(rho, bracket1, m)).entries
 
     check = _scan("maltsev-representation",
@@ -289,22 +274,12 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representati
     _require_passed(maltsev_action_jordan_report(M, rho),
                     "Maltsev representation cross-check disagrees")
 
-    base = maltsev_to_bol(M)
-
-    D = []
-    theta = []
-    for i in range(n):
-        drow = []
-        trow = []
-        for j in range(n):
-            rp = _lincomb(rho, M.basis_product(i, j), m)
-            theta2 = rho[i] @ rho[j] + Fraction(2) * (rho[j] @ rho[i]) - rp
-            d2 = commutator(rho[i], rho[j]) + Fraction(2) * rp
-            trow.append(_THIRD * theta2)
-            drow.append(_THIRD * d2)
-        D.append(tuple(drow))
-        theta.append(tuple(trow))
-    return Representation(base, m, rho, tuple(D), tuple(theta))
+    def grid(fn):  # fn(rho(e_i), rho(e_j), rho(e_i * e_j))
+        return tuple(tuple(_THIRD * fn(rho[i], rho[j], _lincomb(rho, M.basis_product(i, j), m))
+                           for j in range(n)) for i in range(n))
+    D = grid(lambda ri, rj, rp: commutator(ri, rj) + Fraction(2) * rp)
+    theta = grid(lambda ri, rj, rp: ri @ rj + Fraction(2) * (rj @ ri) - rp)
+    return Representation(maltsev_to_bol(M), m, rho, D, theta)
 
 
 def check_delta_identity(R: Representation) -> CheckReport:

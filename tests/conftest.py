@@ -51,6 +51,11 @@ def make_so3() -> MaltsevAlgebra:
     ])
 
 
+def make_solvable(n: int) -> MaltsevAlgebra:
+    """The solvable Lie algebra e0*ek = k ek (1 <= k < n)."""
+    return MaltsevAlgebra.from_entries(n, binary=[((0, k), {k: F(k)}) for k in range(1, n)])
+
+
 def m0_action() -> tuple[Mat, Mat]:
     """Action of the subalgebra on the complementary ideal V = span{e2,e3}."""
     M4 = make_maltsev_dim4()

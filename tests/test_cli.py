@@ -377,6 +377,21 @@ class TestCliPlumbing:
         assert err.endswith("internal error: AssertionError: coboundary rank/nullity "
                             "bookkeeping is wrong\n")
 
+    def test_result_too_long_to_render_is_an_internal_error(self, run, tmp_path):
+        # a valid input whose ternary product has numerals of about 6,000 digits
+        lie = tmp_path / "huge.alg"
+        lie.write_text('{"kind": "maltsev", "dimension": 2, "binary": [{"args": [0, 1], '
+                       '"value": {"1": "1' + "0" * 3000 + '"}}]}')
+        message = ("RenderOverflowError: the result has a numerator or denominator "
+                   "over 4,300 digits")
+        code, out, err = run("maltsev-to-bol", str(lie))
+        assert code == 3 and out == ""
+        assert err.endswith(f"internal error: {message}\n")
+        code, obj, _ = run("maltsev-to-bol", str(lie), "--json")
+        assert code == 3
+        assert obj == {"command": "maltsev-to-bol", "status": "internal-error",
+                       "message": message}
+
     def test_identical_invocations_are_byte_identical(self, capsys):
         main(["cohomology", ALG1, "--adjoint", "--json"])
         first = capsys.readouterr().out

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, MaltsevAlgebra
+from bolalg.algebra import BolAlgebra, MaltsevAlgebra, bilinear_eval, trilinear_eval
 from bolalg.cohomology import CochainPair, cohomology
 from bolalg.extension import semidirect_product, twisted_product
 from bolalg.formats import (
     ParseError,
+    RenderOverflowError,
     parse_algebra,
     parse_action,
     parse_cochain,
@@ -67,6 +68,14 @@ class TestScalars:
     def test_numerals_at_the_digit_limit_parse(self):
         assert parse_scalar("-" + "9" * 4300 + "/" + "1" * 4300) == F(
             -(10 ** 4300 - 1), (10 ** 4300 - 1) // 9)
+
+    @pytest.mark.parametrize("value", [F(10 ** 4300), F(1, 10 ** 4300)],
+                             ids=["numerator", "denominator"])
+    def test_results_over_the_digit_limit_are_no_input_error(self, value):
+        with pytest.raises(RenderOverflowError, match="over 4,300 digits") as info:
+            render_scalar(value)
+        assert not isinstance(info.value, ValueError)
+        assert render_scalar(F(10 ** 4299 - 1)) == "9" * 4299
 
     def test_round_trip_is_identity(self):
         import random
@@ -348,8 +357,8 @@ class TestCochainFiles:
 
     def test_sample_file(self, b2_1):
         c = parse_cochain((DATA / "scale_b2.cochain").read_text(), b2_1)
-        assert c.nu_val(0, 1) == (F(0), F(-1))
-        assert c.omega_val(0, 1, 0) == (F(0), F(1))
+        assert bilinear_eval(c.nu, 0, 1, 2) == (F(0), F(-1))
+        assert trilinear_eval(c.omega, 0, 1, 0, 2) == (F(0), F(1))
 
     def test_module_dimension_out_of_range_coordinate(self, b2_1):
         bad = json.dumps({"module_dimension": 1,
