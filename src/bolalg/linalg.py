@@ -5,10 +5,11 @@ The base field is fixed to Q: every entry is a ``fractions.Fraction``
 denominator), so identities either hold exactly or fail exactly.  Nothing
 in this module rounds.
 
-Elimination uses one fixed pivot rule -- the first row carrying a nonzero
-entry in the leftmost unprocessed column, rows scanned in order -- so
-reduced forms, kernel bases and particular solutions are reproducible
-down to the byte across runs and platforms.
+All elimination goes through one sparse routine, ``_echelon``, which
+returns the canonical reduced row-echelon form.  That form is unique, so
+reduced forms, kernel bases, particular solutions and inverses are fixed
+by the matrix alone -- not by row order or pivot choice -- and are
+reproducible down to the byte across runs and platforms.
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ class Mat:
     def col(self, j: int) -> Vec:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -218,43 +216,53 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(m: Mat) -> RrefResult:
-    """Unique reduced row-echelon form of ``m``.
+def _sparse_rows(m: Mat) -> list[dict[int, Fraction]]:
+    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
-    Pivot rule: leftmost unprocessed column, first row (in order) with a
-    nonzero entry there.  The result is the canonical RREF, with pivot
-    entries 1 and zeros above and below each pivot.
-    """
-    grid = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if grid[r][pc]:
-                pivot_row = r
+
+def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]):
+    """row -= f * prow in place, dropping the entries that become zero."""
+    for k, x in prow.items():
+        y = row.get(k, _ZERO) - f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Canonical RREF of sparse rows ``{col: entry}`` as ``{pivot col: row}``;
+    the rows are consumed.  Sparsest first, each row is reduced by the pivots
+    found so far until its leading column is new, then scaled to a leading 1
+    and kept.  Last, each pivot row is cleared by the pivots to its right,
+    last pivot first.  Row order changes the work, never the result."""
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                inv = _ONE / row[lead]
+                echelon[lead] = {k: inv * x for k, x in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            grid[pr], grid[pivot_row] = grid[pivot_row], grid[pr]
-        inv = 1 / grid[pr][pc]
-        if inv != 1:
-            grid[pr] = [inv * x for x in grid[pr]]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            factor = grid[r][pc]
-            if factor:
-                prow = grid[pr]
-                grid[r] = [x - factor * y for x, y in zip(grid[r], prow)]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    flat = tuple(x for row in grid for x in row)
-    return RrefResult(Mat(nrows, ncols, flat), tuple(pivots))
+            _subtract(row, row[lead], prow)
+    for pc in sorted(echelon, reverse=True):
+        row = echelon[pc]
+        for k in [k for k in row if k > pc and k in echelon]:
+            _subtract(row, row[k], echelon[k])
+    return echelon
+
+
+def rref(m: Mat) -> RrefResult:
+    """Canonical reduced row-echelon form of ``m``: pivot entries 1, zeros
+    above and below each pivot, zero rows last."""
+    echelon = _echelon(_sparse_rows(m))
+    pivots = tuple(sorted(echelon))
+    entries = [_ZERO] * (m.rows * m.cols)
+    for r, pc in enumerate(pivots):
+        for k, x in echelon[pc].items():
+            entries[r * m.cols + k] = x
+    return RrefResult(Mat(m.rows, m.cols, tuple(entries)), pivots)
 
 
 def image_rank(m: Mat) -> int:
@@ -262,22 +270,15 @@ def image_rank(m: Mat) -> int:
 
 
 def kernel_basis(m: Mat) -> list[Vec]:
-    """Deterministic basis of the null space {v : m v = 0}.
-
-    Each basis vector carries a 1 in its free column and the canonical
-    RREF parametrization elsewhere; vectors come out ordered by free
-    column.  Basis size is cols - rank.
-    """
-    res = rref(m)
-    red, pivots = res.reduced, res.pivots
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
+    """Basis of the null space {v : m v = 0}, one vector per free column fc
+    in order: 1 at fc, minus column fc of the canonical RREF at the pivots."""
+    echelon = _echelon(_sparse_rows(m))
     basis = []
-    for fc in free_cols:
+    for fc in (j for j in range(m.cols) if j not in echelon):
         v = [_ZERO] * m.cols
         v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, fc]
+        for pc, row in echelon.items():
+            v[pc] = -row.get(fc, _ZERO)
         basis.append(tuple(v))
     return basis
 
@@ -285,27 +286,25 @@ def kernel_basis(m: Mat) -> list[Vec]:
 def solve(m: Mat, b: Vec) -> Vec | None:
     """One exact solution of m x = b (free variables set to 0), or None.
 
-    Returns None exactly when the system is inconsistent.
-    """
+    None exactly when the system is inconsistent; b is column m.cols."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != row count {m.rows}")
-    aug = hstack(m, Mat.from_cols([b], rows=m.rows))
-    res = rref(aug)
-    if m.cols in res.pivots:
+    echelon = _echelon([row | {m.cols: x} if x else row for row, x in zip(_sparse_rows(m), b)])
+    if m.cols in echelon:
         return None
     x = [_ZERO] * m.cols
-    for r, pc in enumerate(res.pivots):
-        x[pc] = res.reduced[r, m.cols]
+    for pc, row in echelon.items():
+        x[pc] = row.get(m.cols, _ZERO)
     return tuple(x)
 
 
 def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
+    """Exact inverse of a square matrix (the identity is columns n..2n-1);
+    raises ValueError if singular."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    res = rref(hstack(m, Mat.identity(n)))
-    if res.pivots != tuple(range(n)):
+    echelon = _echelon([row | {n + i: _ONE} for i, row in enumerate(_sparse_rows(m))])
+    if any(i not in echelon for i in range(n)):
         raise ValueError("matrix is singular")
-    rows = [list(res.reduced.row(i))[n:] for i in range(n)]
-    return Mat.from_rows(rows) if n else Mat.zeros(0, 0)
+    return Mat(n, n, tuple(echelon[i].get(n + j, _ZERO) for i in range(n) for j in range(n)))

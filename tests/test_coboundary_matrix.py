@@ -64,8 +64,9 @@ def _full_tensor_kernel(R):
 def _identity_row_solve(R, c):
     """The zero-companion solve with rows [0 | I] appended to force chi = 0."""
     n, m = R.base.n, R.m
-    rows = coboundary_matrix(R).to_rows()
-    rows += [[F(0)] * (n * m) + row for row in Mat.identity(m).to_rows()]
+    M = coboundary_matrix(R)
+    rows = [list(M.row(i)) for i in range(M.rows)]
+    rows += [[F(0)] * (n * m) + list(Mat.identity(m).row(i)) for i in range(m)]
     sol = solve(Mat.from_rows(rows), c.coords() + (F(0),) * m)
     return None if sol is None else unpack_params(n, m, sol)
 

@@ -1,8 +1,22 @@
+"""Linear algebra over Q, and the sparse elimination against the dense one
+it replaced.
+
+``linalg._echelon`` reduces sparse rows sparsest first and back-substitutes
+last pivot first.  The reference below is the former dense loop (first row
+with a nonzero in the leftmost unprocessed column, rows scanned in order)
+with the former augmented-matrix ``kernel_basis``, ``solve`` and
+``inverse`` on top of it.  Both compute the canonical RREF, so they agree
+exactly, whatever the row order.
+"""
+
+import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from bolalg.algebra import maltsev_to_bol
+from bolalg.cohomology import cohomology
 from bolalg.linalg import (
     Mat,
     hstack,
@@ -15,6 +29,12 @@ from bolalg.linalg import (
     unit_vec,
     vec,
 )
+from bolalg.representation import adjoint_representation
+
+from .conftest import make_so3, make_solvable
+from .test_acceptance import _closure_corpus
+
+COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
 
 def frac_rows(rows):
@@ -149,3 +169,176 @@ def test_matrix_of_a_linear_map():
     assert probes == [unit_vec(3, 0), unit_vec(3, 1), unit_vec(3, 2)]
     with pytest.raises(ValueError):
         matrix_of(lambda v: v[:1] if v[0] else v, 2, 2)  # ragged columns
+
+
+# ---------------------------------------------------------------------------
+# the dense reference
+
+
+def _dense_rref(m):
+    """The former dense loop: leftmost unprocessed column, first row (in
+    order) with a nonzero entry there."""
+    grid = [list(m.row(i)) for i in range(m.rows)]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for r in range(pr, nrows):
+            if grid[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            grid[pr], grid[pivot_row] = grid[pivot_row], grid[pr]
+        inv = F(1) / grid[pr][pc]
+        if inv != 1:
+            grid[pr] = [inv * x for x in grid[pr]]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            factor = grid[r][pc]
+            if factor:
+                prow = grid[pr]
+                grid[r] = [x - factor * y for x, y in zip(grid[r], prow)]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return Mat(nrows, ncols, tuple(x for row in grid for x in row)), tuple(pivots)
+
+
+def _dense_kernel(m):
+    red, pivots = _dense_rref(m)
+    basis = []
+    for fc in (j for j in range(m.cols) if j not in pivots):
+        v = [F(0)] * m.cols
+        v[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _dense_solve(m, b):
+    red, pivots = _dense_rref(hstack(m, Mat.from_cols([b], rows=m.rows)))
+    if m.cols in pivots:
+        return None
+    x = [F(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r, m.cols]
+    return tuple(x)
+
+
+def _dense_inverse(m):
+    n = m.rows
+    red, pivots = _dense_rref(hstack(m, Mat.identity(n)))
+    if pivots != tuple(range(n)):
+        return None
+    return Mat(n, n, tuple(x for i in range(n) for x in red.row(i)[n:]))
+
+
+def _permuted(m, order):
+    return Mat(m.rows, m.cols, tuple(x for i in order for x in m.row(i)))
+
+
+def _assert_matches_reference(m, rng):
+    """rref, kernel_basis, solve and inverse equal the dense reference, on m
+    and on a shuffled and a reversed copy of its rows."""
+    reduced, pivots = _dense_rref(m)
+    kernel = _dense_kernel(m)
+    x = tuple(F(rng.randint(-3, 3)) for _ in range(m.cols))
+    rhs = [m.apply(x), tuple(F(rng.randint(-2, 2)) for _ in range(m.rows))]
+    solutions = [_dense_solve(m, b) for b in rhs]
+    assert solutions[0] is not None
+    inv = _dense_inverse(m) if m.rows == m.cols else None
+    shuffled = list(range(m.rows))
+    rng.shuffle(shuffled)
+    for order in (range(m.rows), shuffled, range(m.rows - 1, -1, -1)):
+        pm = _permuted(m, order)
+        res = rref(pm)
+        assert (res.reduced, res.pivots) == (reduced, pivots)
+        assert image_rank(pm) == len(pivots)
+        assert kernel_basis(pm) == kernel
+        for b, sol in zip(rhs, solutions):
+            assert solve(pm, tuple(b[i] for i in order)) == sol
+        if m.rows == m.cols:
+            perm = _permuted(Mat.identity(m.rows), order)  # pm == perm @ m
+            if inv is None:
+                with pytest.raises(ValueError):
+                    inverse(pm)
+            else:
+                assert inverse(pm) == inv @ perm.transpose()
+
+
+def _random_sparse(rng, rows, cols, density):
+    return Mat(rows, cols, tuple(
+        F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) if rng.random() < density else F(0)
+        for _ in range(rows * cols)))
+
+
+def _deficient(rng, rows, cols):
+    """rank <= k < min(rows, cols), with repeated and zero rows mixed in."""
+    k = rng.randint(0, max(0, min(rows, cols) - 1))
+    m = _random_sparse(rng, rows, k, 0.7) @ _random_sparse(rng, k, cols, 0.6)
+    picked = [m.row(rng.randrange(rows)) for _ in range(rows)]  # rows repeat
+    picked[rng.randrange(rows)] = (F(0),) * cols
+    return Mat(rows, cols, tuple(x for row in picked for x in row))
+
+
+def test_matches_the_dense_reference_on_random_matrices():
+    rng = random.Random(505)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        _assert_matches_reference(_random_sparse(rng, rows, cols, rng.random()), rng)
+        _assert_matches_reference(_deficient(rng, rows, cols), rng)
+    for _ in range(20):  # square, mostly invertible
+        n = rng.randint(1, 6)
+        _assert_matches_reference(_random_sparse(rng, n, n, 0.8), rng)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (0, 1), (1, 0)])
+def test_matches_the_dense_reference_on_empty_shapes(shape):
+    rows, cols = shape
+    m = Mat.zeros(rows, cols)
+    _assert_matches_reference(m, random.Random(606))
+    assert rref(m).reduced == m and rref(m).pivots == ()
+    assert kernel_basis(m) == [unit_vec(cols, j) for j in range(cols)]
+    assert solve(m, (F(0),) * rows) == (F(0),) * cols
+    if rows:
+        assert solve(m, (F(1),) * rows) is None
+    if rows == cols:
+        assert inverse(m) == m
+
+
+def _constraint_modules():
+    return ([adjoint_representation(maltsev_to_bol(make_so3())),
+             adjoint_representation(maltsev_to_bol(make_solvable(3)))]
+            + [R for _, R in _closure_corpus()])
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_matches_the_dense_reference_on_constraint_matrices(index, monkeypatch):
+    """The deduplicated constraint matrix cohomology() hands to kernel_basis."""
+    seen = []
+    original = COHOMOLOGY.kernel_basis
+    monkeypatch.setattr(COHOMOLOGY, "kernel_basis",
+                        lambda matrix: seen.append(matrix) or original(matrix))
+    cohomology(_constraint_modules()[index])
+    m = seen[0]
+    assert m.rows and m.cols
+    _assert_matches_reference(m, random.Random(707 + index))
+
+
+def test_int_entries_come_back_as_fractions():
+    """A Mat built directly from ints still yields exact Fractions, never floats."""
+    singular, regular = Mat(2, 2, (2, 1, 4, 2)), Mat(3, 3, (2, 1, 0, 1, 1, 0, 0, 3, 4))
+    outputs = [rref(singular).reduced.entries, rref(regular).reduced.entries,
+               *kernel_basis(singular), *kernel_basis(Mat(1, 3, (3, 1, 2))),
+               solve(regular, (3, 4, 5)), solve(singular, (1, 2)),
+               inverse(regular).entries]
+    assert rref(singular).reduced.entries == (1, F(1, 2), 0, 0)
+    assert kernel_basis(singular) == [(F(-1, 2), 1)]
+    for values in outputs:
+        assert all(type(x) is F for x in values), values
