@@ -16,6 +16,10 @@ Everything is stored as structure tensors over Q:
 Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
+The scans read a sparse form kept once per algebra, the nonzeros of each
+e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``): a
+residual adds up only nonzero terms into a {coordinate: Fraction} dict and
+is returned as the dense vector of that dict (``_vec_of``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, is_zero_vec, unit_vec, vec_add, vec_scale, vec_sub
+from .linalg import Vec, is_zero_vec, vec_add, vec_scale, vec_sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -334,6 +338,42 @@ def _once_per_object(fn):
     return once
 
 
+def _nonzeros(v: Vec) -> tuple:
+    """The nonzero coordinates ((k, v_k), ...) of v, k ascending."""
+    return tuple((k, x) for k, x in enumerate(v) if x)
+
+
+@_once_per_object
+def _product_terms(A) -> tuple:
+    """The kept sparse form of the binary product: [i][j] = nonzeros of e_i*e_j."""
+    rng = range(A.n)
+    return tuple(tuple(_nonzeros(A.basis_product(i, j)) for j in rng) for i in rng)
+
+
+@_once_per_object
+def _triple_terms(B: BolAlgebra) -> tuple:
+    """The kept sparse form of the ternary product: [i][j][k] = nonzeros of [e_i,e_j,e_k]."""
+    rng = range(B.n)
+    return tuple(tuple(tuple(_nonzeros(B.basis_triple(i, j, k)) for k in rng)
+                       for j in rng) for i in rng)
+
+
+def _add_terms(acc: dict, s, terms) -> None:
+    """acc += s * v for v given by its nonzeros ``terms``; acc is {coordinate: Fraction}."""
+    for k, c in terms:
+        acc[k] = acc.get(k, _ZERO) + s * c
+
+
+def _vec_of(acc: dict, size: int) -> Vec:
+    """The dense Vec of an accumulator; coordinates it lacks are Fraction zeros.
+
+    Test the values, not the keys: coordinate 0 is a falsy key.
+    """
+    if not any(acc.values()):
+        return (_ZERO,) * size
+    return tuple(acc.get(k, _ZERO) for k in range(size))
+
+
 def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     """First-failure scan over index tuples in the given (lexicographic) order."""
     for idx in tuples:
@@ -360,23 +400,37 @@ def _cyclic(name: str, t, n: int) -> ConditionCheck:
 
 def _b2_residual(B: BolAlgebra, x, y, u, v) -> Vec:
     # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y)
-    uv = B.basis_product(u, v)
-    xy = B.basis_product(x, y)
-    r = B.triple(x, y, uv)
-    r = vec_sub(r, B.product(B.basis_triple(x, y, u), v))
-    r = vec_sub(r, B.product(u, B.basis_triple(x, y, v)))
-    r = vec_sub(r, B.triple(u, v, xy))
-    r = vec_add(r, B.product(uv, xy))
-    return r
+    P, T = _product_terms(B), _triple_terms(B)
+    Txy, Tuv, uv, xy = T[x][y], T[u][v], P[u][v], P[x][y]
+    acc = {}
+    for k, c in uv:
+        _add_terms(acc, c, Txy[k])
+    for k, c in Txy[u]:
+        _add_terms(acc, -c, P[k][v])
+    for k, c in Txy[v]:
+        _add_terms(acc, -c, P[u][k])
+    for k, c in xy:
+        _add_terms(acc, -c, Tuv[k])
+    for a, c in uv:
+        for b, d in xy:
+            _add_terms(acc, c * d, P[a][b])
+    return _vec_of(acc, B.n)
 
 
 def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
     # [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]
-    r = B.triple(x, y, B.basis_triple(u, v, w))
-    r = vec_sub(r, B.triple(B.basis_triple(x, y, u), v, w))
-    r = vec_sub(r, B.triple(u, B.basis_triple(x, y, v), w))
-    r = vec_sub(r, B.triple(u, v, B.basis_triple(x, y, w)))
-    return r
+    T = _triple_terms(B)
+    Txy, Tuv = T[x][y], T[u][v]
+    acc = {}
+    for k, c in Tuv[w]:
+        _add_terms(acc, c, Txy[k])
+    for k, c in Txy[u]:
+        _add_terms(acc, -c, T[k][v][w])
+    for k, c in Txy[v]:
+        _add_terms(acc, -c, T[u][k][w])
+    for k, c in Txy[w]:
+        _add_terms(acc, -c, Tuv[k])
+    return _vec_of(acc, B.n)
 
 
 @_once_per_object
@@ -402,16 +456,28 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
-def _maltsev_residual(M: MaltsevAlgebra, x, y, z) -> Vec:
+def _times(P: tuple, u, v) -> tuple:
+    """The nonzeros of u*v for u, v given by their nonzeros; P = _product_terms."""
+    acc = {}
+    for i, a in u:
+        for j, b in v:
+            _add_terms(acc, a * b, P[i][j])
+    return tuple((k, c) for k, c in acc.items() if c)
+
+
+def _maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> Vec:
     # Sagle's identity: (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y
-    p = M.product
-    xy = p(x, y)
-    xz = p(x, z)
-    r = p(xy, xz)
-    r = vec_sub(r, p(p(xy, z), x))
-    r = vec_sub(r, p(p(p(y, z), x), x))
-    r = vec_sub(r, p(p(p(z, x), x), y))
-    return r
+    # x is given by its nonzeros, y and z are basis indices
+    P = _product_terms(M)
+    ey, ez = ((y, _ONE),), ((z, _ONE),)
+    xy = _times(P, x, ey)
+    acc = {}
+    _add_terms(acc, _ONE, _times(P, xy, _times(P, x, ez)))
+    for rhs in (_times(P, _times(P, xy, ez), x),
+                _times(P, _times(P, P[y][z], x), x),
+                _times(P, _times(P, _times(P, ez, x), x), ey)):
+        _add_terms(acc, -_ONE, rhs)
+    return _vec_of(acc, M.n)
 
 
 def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
@@ -423,16 +489,12 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     """
     n = M.n
     rng = range(n)
-    anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
-                 lambda i, j: vec_add(M.product(i, j), M.product(j, i)))
-
-    xs = {(i,): i for i in rng}
-    xs.update({(i, j): vec_add(unit_vec(n, i), unit_vec(n, j))
-               for i in rng for j in range(i + 1, n)})
+    xs = {(i,): ((i, _ONE),) for i in rng}
+    xs.update({(i, j): ((i, _ONE), (j, _ONE)) for i in rng for j in range(i + 1, n)})
     identity = _scan("maltsev-identity",
                      ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
                      lambda x, y, z: _maltsev_residual(M, xs[x], y, z))
-    return AxiomReport((anti, identity))
+    return AxiomReport((_antisymmetry("anticommutativity", M.c, n, 2), identity))
 
 
 def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:

@@ -16,6 +16,10 @@ maps D, theta: B x B -> End(V) satisfying six conditions:
                                 + D(y1,y2) theta(x1,y3)
 
 All conditions are multilinear, so they are decided on basis tuples.  The
+scans read sparse forms kept once per object: the nonzeros of each
+product and bracket of B (``algebra._product_terms``/``_triple_terms``)
+and of each rho, D, theta and Delta matrix by row (``_map_rows``,
+``_delta_rows``); each residual adds up only nonzero terms.  The
 operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator identity
 checked by check_delta_identity, and drives the companion term of
 pseudoderivations: a linear map f: B -> V with companion chi in V is a
@@ -35,10 +39,15 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _coeffs,
+    _ONE,
+    _ZERO,
+    _nonzeros,
     _once_per_object,
+    _product_terms,
     _require_passed,
     _scan,
+    _triple_terms,
+    _vec_of,
     entry_coords,
     freeze,
     maltsev_to_bol,
@@ -47,7 +56,7 @@ from .algebra import (
     zeros,
 )
 from .linalg import (
-    Mat, Vec, commutator, kernel_basis, matrix_of, unit_vec, vec_add, vec_sub, zero_vec,
+    Mat, Vec, commutator, kernel_basis, matrix_of, vec_add, vec_sub, zero_vec,
 )
 
 _THIRD = Fraction(1, 3)
@@ -83,32 +92,9 @@ class Representation:
     def rho_of(self, x) -> Mat:
         return _lincomb(self.rho, x, self.m)
 
-    def _grid_of(self, grid, x, y) -> Mat:
-        if isinstance(x, int) and isinstance(y, int):
-            return grid[x][y]
-        acc = Mat.zeros(self.m, self.m)
-        n = self.base.n
-        for i, a in _coeffs(x, n):
-            for j, b in _coeffs(y, n):
-                mat = grid[i][j]
-                if not mat.is_zero():
-                    acc = acc + (a * b) * mat
-        return acc
-
-    def D_of(self, x, y) -> Mat:
-        return self._grid_of(self.D, x, y)
-
-    def theta_of(self, x, y) -> Mat:
-        return self._grid_of(self.theta, x, y)
-
-    def delta(self, x, y) -> Mat:
-        """Delta(x,y) = D(x,y) - rho(x*y), extended bilinearly."""
-        B = self.base
-        if isinstance(x, int) and isinstance(y, int):
-            prod = B.basis_product(x, y)
-        else:
-            prod = B.product(x, y)
-        return self.D_of(x, y) - self.rho_of(prod)
+    def delta(self, x: int, y: int) -> Mat:
+        """Delta(e_x, e_y) = D(e_x, e_y) - rho(e_x * e_y)."""
+        return self.D[x][y] - self.rho_of(self.base.basis_product(x, y))
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "Representation":
@@ -131,57 +117,123 @@ def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
     return acc
 
 
+def _rows(mat: Mat) -> tuple:
+    """The nonzeros of a matrix by row: [r] = ((col, value), ...)."""
+    return tuple(_nonzeros(mat.row(r)) for r in range(mat.rows))
+
+
+@_once_per_object
+def _map_rows(R: Representation) -> tuple:
+    """The kept sparse form (rho, D, theta) of R, each matrix as its _rows."""
+    grid = lambda g: tuple(tuple(_rows(mat) for mat in row) for row in g)
+    return tuple(_rows(mat) for mat in R.rho), grid(R.D), grid(R.theta)
+
+
+@_once_per_object
+def _delta_rows(R: Representation) -> tuple:
+    """The kept sparse form of Delta: [i][j] = _rows(Delta(e_i, e_j))."""
+    rng = range(R.base.n)
+    return tuple(tuple(_rows(R.delta(i, j)) for j in rng) for i in rng)
+
+
+def _add_mat(acc: dict, s, a: tuple, m: int) -> None:
+    """acc += s * A for A in _rows form; acc is {row * m + col: Fraction}."""
+    for r, row in enumerate(a):
+        base = r * m
+        for c, x in row:
+            k = base + c
+            acc[k] = acc.get(k, _ZERO) + s * x
+
+
+def _add_matmul(acc: dict, s, a: tuple, b: tuple, m: int) -> None:
+    """acc += s * A @ B for A, B in _rows form."""
+    for r, row in enumerate(a):
+        base = r * m
+        for l, x in row:
+            sx = s * x
+            for c, y in b[l]:
+                k = base + c
+                acc[k] = acc.get(k, _ZERO) + sx * y
+
+
+def _add_commutator(acc: dict, a: tuple, b: tuple, m: int) -> None:
+    """acc += A @ B - B @ A."""
+    _add_matmul(acc, _ONE, a, b, m)
+    _add_matmul(acc, -_ONE, b, a, m)
+
+
 @_once_per_object
 def verify_representation(R: Representation) -> CheckReport:
-    """Check (R1)-(R33) as exact matrix identities on basis tuples (once per R)."""
+    """Check (R1)-(R33) as exact matrix identities on basis tuples (once per R).
+
+    Each residual adds up only the nonzero terms of the kept sparse forms
+    of B and R; it is returned as the row-major entries of LHS - RHS.
+    """
     B = R.base
-    n = B.n
+    n, m = B.n, R.m
     rng = range(n)
+    P, T = _product_terms(B), _triple_terms(B)
+    rho, D, theta = _map_rows(R)
 
     def r1(i, j):
-        return (R.D[i][j] + R.theta[i][j] - R.theta[j][i]).entries
+        acc = {}
+        _add_mat(acc, _ONE, D[i][j], m)
+        _add_mat(acc, _ONE, theta[i][j], m)
+        _add_mat(acc, -_ONE, theta[j][i], m)
+        return _vec_of(acc, m * m)
 
     def r21(x1, x2, y1):
-        xx = B.basis_product(x1, x2)
-        res = commutator(R.D[x1][x2], R.rho[y1])
-        res = res - R.rho_of(B.basis_triple(x1, x2, y1))
-        res = res + R.theta_of(y1, xx)
-        res = res - R.rho_of(xx) @ R.rho[y1]
-        return res.entries
+        # [D(x1,x2), rho(y1)] - rho([x1,x2,y1]) + theta(y1, x1*x2) - rho(x1*x2) rho(y1)
+        acc = {}
+        _add_commutator(acc, D[x1][x2], rho[y1], m)
+        for k, c in T[x1][x2][y1]:
+            _add_mat(acc, -c, rho[k], m)
+        for k, c in P[x1][x2]:
+            _add_mat(acc, c, theta[y1][k], m)
+            _add_matmul(acc, -c, rho[k], rho[y1], m)
+        return _vec_of(acc, m * m)
 
     def r22(x1, y1, y2):
-        yy = B.basis_product(y1, y2)
-        res = R.theta_of(x1, yy)
-        res = res - R.rho[y1] @ R.theta[x1][y2]
-        res = res + R.rho[y2] @ R.theta[x1][y1]
-        res = res + (R.D[y1][y2] - R.rho_of(yy)) @ R.rho[x1]
-        return res.entries
+        # theta(x1, y1*y2) - rho(y1) theta(x1,y2) + rho(y2) theta(x1,y1)
+        #   + (D(y1,y2) - rho(y1*y2)) rho(x1)
+        acc = {}
+        for k, c in P[y1][y2]:
+            _add_mat(acc, c, theta[x1][k], m)
+            _add_matmul(acc, -c, rho[k], rho[x1], m)
+        _add_matmul(acc, -_ONE, rho[y1], theta[x1][y2], m)
+        _add_matmul(acc, _ONE, rho[y2], theta[x1][y1], m)
+        _add_matmul(acc, _ONE, D[y1][y2], rho[x1], m)
+        return _vec_of(acc, m * m)
 
-    def r31(x1, x2, y1, y2):
-        res = commutator(R.D[x1][x2], R.D[y1][y2])
-        res = res - R.D_of(B.basis_triple(x1, x2, y1), y2)
-        res = res - R.D_of(y1, B.basis_triple(x1, x2, y2))
-        return res.entries
-
-    def r32(x1, x2, y1, y2):
-        res = commutator(R.D[x1][x2], R.theta[y1][y2])
-        res = res - R.theta_of(B.basis_triple(x1, x2, y1), y2)
-        res = res - R.theta_of(y1, B.basis_triple(x1, x2, y2))
-        return res.entries
+    def derivation(grid):
+        # [D(x1,x2), grid(y1,y2)] - grid([x1,x2,y1], y2) - grid(y1, [x1,x2,y2])
+        def residual(x1, x2, y1, y2):
+            acc = {}
+            _add_commutator(acc, D[x1][x2], grid[y1][y2], m)
+            for k, c in T[x1][x2][y1]:
+                _add_mat(acc, -c, grid[k][y2], m)
+            for k, c in T[x1][x2][y2]:
+                _add_mat(acc, -c, grid[y1][k], m)
+            return _vec_of(acc, m * m)
+        return residual
 
     def r33(x1, y1, y2, y3):
-        res = R.theta_of(x1, B.basis_triple(y1, y2, y3))
-        res = res - R.theta[y2][y3] @ R.theta[x1][y1]
-        res = res + R.theta[y1][y3] @ R.theta[x1][y2]
-        res = res - R.D[y1][y2] @ R.theta[x1][y3]
-        return res.entries
+        # theta(x1, [y1,y2,y3]) - theta(y2,y3) theta(x1,y1)
+        #   + theta(y1,y3) theta(x1,y2) - D(y1,y2) theta(x1,y3)
+        acc = {}
+        for k, c in T[y1][y2][y3]:
+            _add_mat(acc, c, theta[x1][k], m)
+        _add_matmul(acc, -_ONE, theta[y2][y3], theta[x1][y1], m)
+        _add_matmul(acc, _ONE, theta[y1][y3], theta[x1][y2], m)
+        _add_matmul(acc, -_ONE, D[y1][y2], theta[x1][y3], m)
+        return _vec_of(acc, m * m)
 
     checks = (
         _scan("R1", itertools.product(rng, repeat=2), r1),
         _scan("R21", itertools.product(rng, repeat=3), r21),
         _scan("R22", itertools.product(rng, repeat=3), r22),
-        _scan("R31", itertools.product(rng, repeat=4), r31),
-        _scan("R32", itertools.product(rng, repeat=4), r32),
+        _scan("R31", itertools.product(rng, repeat=4), derivation(D)),
+        _scan("R32", itertools.product(rng, repeat=4), derivation(theta)),
         _scan("R33", itertools.product(rng, repeat=4), r33),
     )
     return CheckReport(checks)
@@ -290,16 +342,22 @@ def check_delta_identity(R: Representation) -> CheckReport:
                                    - Delta(y1*y2, x1*x2).
     """
     B = R.base
-    rng = range(B.n)
+    m = R.m
+    P, T, delta = _product_terms(B), _triple_terms(B), _delta_rows(R)
 
     def residual(x1, x2, y1, y2):
-        res = commutator(R.delta(x1, x2), R.delta(y1, y2))
-        res = res - R.delta(B.basis_triple(x1, x2, y1), unit_vec(B.n, y2))
-        res = res - R.delta(unit_vec(B.n, y1), B.basis_triple(x1, x2, y2))
-        res = res + R.delta(B.basis_product(y1, y2), B.basis_product(x1, x2))
-        return res.entries
+        acc = {}
+        _add_commutator(acc, delta[x1][x2], delta[y1][y2], m)
+        for k, c in T[x1][x2][y1]:
+            _add_mat(acc, -c, delta[k][y2], m)
+        for k, c in T[x1][x2][y2]:
+            _add_mat(acc, -c, delta[y1][k], m)
+        for a, c in P[y1][y2]:
+            for b, d in P[x1][x2]:
+                _add_mat(acc, c * d, delta[a][b], m)
+        return _vec_of(acc, m * m)
 
-    check = _scan("delta-identity", itertools.product(rng, repeat=4), residual)
+    check = _scan("delta-identity", itertools.product(range(B.n), repeat=4), residual)
     return CheckReport((check,))
 
 

@@ -1,15 +1,52 @@
-"""The library's exactness and stdlib-only runtime, checked on its source.
+"""The library's exactness and stdlib-only runtime, checked on its source
+and at run time.
 
 Every module under ``src/bolalg`` is parsed and walked: no float or
 complex literal, no use of the name ``float``, and no import from outside
-the standard library and ``bolalg`` itself.
+the standard library and ``bolalg`` itself.  The source walk cannot see a
+true division of two ints, which makes a float at run time, nor an int
+zero an accumulator starts from; so every residual entry of every failing
+verifier report is also checked to be a ``Fraction``.
 """
 
 import ast
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from bolalg.algebra import (
+    BolAlgebra,
+    MaltsevAlgebra,
+    _vec_of,
+    maltsev_to_bol,
+    verify_bol,
+    verify_maltsev,
+)
+from bolalg.cohomology import coords_to_cochain, is_cocycle
+from bolalg.deformation import (
+    DeformationDatum,
+    DeformationTypeCandidate,
+    check_first_order_formal,
+    generates_infinitesimal_deformation,
+    is_deformation_type,
+)
+from bolalg.extension import AbelianExtension, semidirect_product, validate_extension
+from bolalg.formats import parse_algebra
+from bolalg.linalg import Mat
+from bolalg.representation import (
+    Representation,
+    adjoint_representation,
+    check_delta_identity,
+    cochain_dim,
+    maltsev_action_jordan_report,
+    maltsev_action_report,
+    verify_representation,
+)
+
+from .conftest import DATA, make_b2, make_m0, make_so3, random_fraction
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bolalg").glob("*.py"))
 
@@ -48,3 +85,75 @@ def test_module_is_exact_and_stdlib_only(source):
                                   "from sympy import Rational", "import numpy.linalg"])
 def test_the_guard_catches(code):
     assert len(_violations(ast.parse(code))) == 1
+
+
+# ---------------------------------------------------------------------------
+# run time: the residuals of failing reports
+
+
+def _random_mat(rng, m):
+    return Mat.from_rows([[random_fraction(rng) for _ in range(m)] for _ in range(m)])
+
+
+def _failing_reports():
+    rng = random.Random(7)
+    b2 = make_b2(1)
+    n = b2.n
+    grid = lambda: tuple(tuple(_random_mat(rng, 2) for _ in range(n)) for _ in range(n))
+    module = Representation(b2, 2, tuple(_random_mat(rng, 2) for _ in range(n)), grid(), grid())
+    adjoint = adjoint_representation(b2)
+    cochain = coords_to_cochain(b2, n, tuple(random_fraction(rng)
+                                             for _ in range(cochain_dim(n, n))))
+    so3 = adjoint_representation(maltsev_to_bol(make_so3()))
+    so3_cochain = coords_to_cochain(so3.base, 3, tuple(random_fraction(rng)
+                                                       for _ in range(cochain_dim(3, 3))))
+    candidate = BolAlgebra.from_entries(3, [((0, 1), {2: Fraction(1, 2)}), ((1, 2), {0: 3})],
+                                        [((0, 1, 2), {1: Fraction(-2, 3)}), ((0, 2, 2), {0: 1}),
+                                         ((1, 2, 0), {2: 5})])
+    semidirect = semidirect_product(adjoint)
+    datum = DeformationDatum(b2, cochain)
+    infinitesimal = generates_infinitesimal_deformation(datum)
+    return [
+        verify_bol(parse_algebra((DATA / "broken_b2.alg").read_text())),
+        verify_bol(candidate),
+        verify_maltsev(MaltsevAlgebra.from_entries(3, [((0, 1), {1: 1}), ((0, 2), {0: 2}),
+                                                       ((1, 2), {2: Fraction(1, 3)})])),
+        verify_representation(module),
+        check_delta_identity(module),
+        maltsev_action_report(make_m0(), module.rho),
+        maltsev_action_jordan_report(make_m0(), module.rho),
+        is_cocycle(so3, so3_cochain),
+        is_deformation_type(DeformationTypeCandidate(3, candidate.c, candidate.c, candidate.t)),
+        check_first_order_formal(datum),
+        infinitesimal.deformation_type,
+        infinitesimal.cocycle,
+        *(report for _, report in infinitesimal.sampling),
+        validate_extension(AbelianExtension(semidirect.base, semidirect.m, semidirect.hat,
+                                            semidirect.i, semidirect.p, Mat.zeros(4, 2))),
+    ]
+
+
+def test_every_residual_entry_of_a_failing_report_is_a_fraction():
+    failed = [c for report in _failing_reports() for c in report.failures()]
+    assert {c.name for c in failed} >= {
+        "B2", "B3", "maltsev-identity", "R1", "R21", "R22", "R31", "R32", "R33",
+        "delta-identity", "maltsev-representation", "maltsev-representation-jordan",
+        "CC1", "CC2", "CC3", "B2'", "B3'", "section"}
+    for check in failed:
+        if check.residual is not None:
+            assert all(type(x) is Fraction for x in check.residual), check
+
+
+def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
+    # acc.get(k, 0) would leave int zeros in the residual
+    assert [type(x) for x in _vec_of({}, 2)] == [Fraction, Fraction]
+    assert [type(x) for x in _vec_of({1: Fraction(3)}, 3)] == [Fraction] * 3
+    # any(acc) tests the keys, and key 0 is falsy: use any(acc.values())
+    assert _vec_of({0: Fraction(-1)}, 2) == (Fraction(-1), Fraction(0))
+    assert _vec_of({1: Fraction(0)}, 2) == (Fraction(0), Fraction(0))
+    # a one-dimensional module has one residual coordinate, key 0
+    zero = Mat.zeros(1, 1)
+    D = ((zero, Mat.identity(1)), (zero, zero))
+    R = Representation(make_b2(1), 1, (zero, zero), D, ((zero, zero), (zero, zero)))
+    assert verify_representation(R)["R1"].witness == (0, 1)
+    assert verify_representation(R)["R1"].residual == (Fraction(1),)

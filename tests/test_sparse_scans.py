@@ -1,0 +1,422 @@
+"""The sparse first-failure scans against the dense scans they replaced.
+
+``verify_bol`` (B2, B3), ``verify_maltsev`` (Sagle's identity),
+``verify_representation`` (R1-R33) and ``check_delta_identity`` add up
+only the nonzero terms of the sparse forms kept on each algebra and
+representation.  The dense residuals they replaced are kept here as the
+slow reference.  Every report must equal the reference report: the same
+first failing tuple, and a residual equal in value with every entry a
+``Fraction``.  The inputs fail every condition somewhere: random
+candidates fail near the first tuple, and single-entry defects planted in
+sol3 (+) so3 fail at every depth of the scans.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from bolalg.algebra import (
+    BolAlgebra,
+    CheckReport,
+    MaltsevAlgebra,
+    _antisymmetry,
+    _coeffs,
+    _cyclic,
+    _scan,
+    freeze,
+    maltsev_to_bol,
+    tabulate,
+    verify_bol,
+    verify_maltsev,
+)
+from bolalg.formats import parse_algebra
+from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_sub
+from bolalg.representation import (
+    Representation,
+    adjoint_representation,
+    check_delta_identity,
+    verify_representation,
+)
+
+from .conftest import (
+    DATA,
+    make_b2,
+    make_m0,
+    make_maltsev_dim4,
+    make_so3,
+    make_solvable,
+    random_fraction,
+    random_representation_corpus,
+)
+from .test_basis_change import _unitriangular, transport
+from .test_acceptance import _closure_corpus
+
+# ---------------------------------------------------------------------------
+# the former dense residuals
+
+
+def _b2(B, x, y, u, v):
+    # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y)
+    uv = B.basis_product(u, v)
+    xy = B.basis_product(x, y)
+    r = B.triple(x, y, uv)
+    r = vec_sub(r, B.product(B.basis_triple(x, y, u), v))
+    r = vec_sub(r, B.product(u, B.basis_triple(x, y, v)))
+    r = vec_sub(r, B.triple(u, v, xy))
+    return vec_add(r, B.product(uv, xy))
+
+
+def _b3(B, x, y, u, v, w):
+    # [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]
+    r = B.triple(x, y, B.basis_triple(u, v, w))
+    r = vec_sub(r, B.triple(B.basis_triple(x, y, u), v, w))
+    r = vec_sub(r, B.triple(u, B.basis_triple(x, y, v), w))
+    return vec_sub(r, B.triple(u, v, B.basis_triple(x, y, w)))
+
+
+def _reference_bol(B):
+    n, rng = B.n, range(B.n)
+    return CheckReport((
+        _antisymmetry("B01", B.c, n, 2),
+        _antisymmetry("B02", B.t, n, 3),
+        _cyclic("B1", B.t, n),
+        _scan("B2", itertools.product(rng, repeat=4), lambda *a: _b2(B, *a)),
+        _scan("B3", itertools.product(rng, repeat=5), lambda *a: _b3(B, *a)),
+    ))
+
+
+def _sagle(M, x, y, z):
+    # (x*y)*(x*z) - ((x*y)*z)*x - ((y*z)*x)*x - ((z*x)*x)*y
+    p = M.product
+    xy, xz = p(x, y), p(x, z)
+    r = p(xy, xz)
+    r = vec_sub(r, p(p(xy, z), x))
+    r = vec_sub(r, p(p(p(y, z), x), x))
+    return vec_sub(r, p(p(p(z, x), x), y))
+
+
+def _reference_maltsev(M):
+    n, rng = M.n, range(M.n)
+    anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
+                 lambda i, j: vec_add(M.product(i, j), M.product(j, i)))
+    xs = {(i,): i for i in rng}
+    xs.update({(i, j): vec_add(unit_vec(n, i), unit_vec(n, j))
+               for i in rng for j in range(i + 1, n)})
+    identity = _scan("maltsev-identity",
+                     ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
+                     lambda x, y, z: _sagle(M, xs[x], y, z))
+    return CheckReport((anti, identity))
+
+
+def _grid_of(R, grid, x, y):
+    """grid(x, y) extended bilinearly; a slot is a basis index or a Vec."""
+    if isinstance(x, int) and isinstance(y, int):
+        return grid[x][y]
+    acc = Mat.zeros(R.m, R.m)
+    n = R.base.n
+    for i, a in _coeffs(x, n):
+        for j, b in _coeffs(y, n):
+            if not grid[i][j].is_zero():
+                acc = acc + (a * b) * grid[i][j]
+    return acc
+
+
+def _reference_representation(R):
+    B = R.base
+    rng = range(B.n)
+    D_of = lambda x, y: _grid_of(R, R.D, x, y)
+    theta_of = lambda x, y: _grid_of(R, R.theta, x, y)
+
+    def r1(i, j):
+        return (R.D[i][j] + R.theta[i][j] - R.theta[j][i]).entries
+
+    def r21(x1, x2, y1):
+        xx = B.basis_product(x1, x2)
+        res = commutator(R.D[x1][x2], R.rho[y1])
+        res = res - R.rho_of(B.basis_triple(x1, x2, y1))
+        res = res + theta_of(y1, xx)
+        res = res - R.rho_of(xx) @ R.rho[y1]
+        return res.entries
+
+    def r22(x1, y1, y2):
+        yy = B.basis_product(y1, y2)
+        res = theta_of(x1, yy)
+        res = res - R.rho[y1] @ R.theta[x1][y2]
+        res = res + R.rho[y2] @ R.theta[x1][y1]
+        res = res + (R.D[y1][y2] - R.rho_of(yy)) @ R.rho[x1]
+        return res.entries
+
+    def r31(x1, x2, y1, y2):
+        res = commutator(R.D[x1][x2], R.D[y1][y2])
+        res = res - D_of(B.basis_triple(x1, x2, y1), y2)
+        res = res - D_of(y1, B.basis_triple(x1, x2, y2))
+        return res.entries
+
+    def r32(x1, x2, y1, y2):
+        res = commutator(R.D[x1][x2], R.theta[y1][y2])
+        res = res - theta_of(B.basis_triple(x1, x2, y1), y2)
+        res = res - theta_of(y1, B.basis_triple(x1, x2, y2))
+        return res.entries
+
+    def r33(x1, y1, y2, y3):
+        res = theta_of(x1, B.basis_triple(y1, y2, y3))
+        res = res - R.theta[y2][y3] @ R.theta[x1][y1]
+        res = res + R.theta[y1][y3] @ R.theta[x1][y2]
+        res = res - R.D[y1][y2] @ R.theta[x1][y3]
+        return res.entries
+
+    return CheckReport(tuple(
+        _scan(name, itertools.product(rng, repeat=arity), fn)
+        for name, arity, fn in (("R1", 2, r1), ("R21", 3, r21), ("R22", 3, r22),
+                                ("R31", 4, r31), ("R32", 4, r32), ("R33", 4, r33))))
+
+
+def _reference_delta(R):
+    B = R.base
+    n = B.n
+
+    def delta(x, y):
+        if isinstance(x, int) and isinstance(y, int):
+            prod = B.basis_product(x, y)
+        else:
+            prod = B.product(x, y)
+        return _grid_of(R, R.D, x, y) - R.rho_of(prod)
+
+    def residual(x1, x2, y1, y2):
+        res = commutator(delta(x1, x2), delta(y1, y2))
+        res = res - delta(B.basis_triple(x1, x2, y1), unit_vec(n, y2))
+        res = res - delta(unit_vec(n, y1), B.basis_triple(x1, x2, y2))
+        res = res + delta(B.basis_product(y1, y2), B.basis_product(x1, x2))
+        return res.entries
+
+    return CheckReport((_scan("delta-identity", itertools.product(range(n), repeat=4),
+                              residual),))
+
+
+def _assert_same(report, reference):
+    assert report == reference
+    for got, want in zip(report.checks, reference.checks):
+        if not want.passed:
+            assert [type(x) for x in got.residual] == [type(x) for x in want.residual]
+            assert all(type(x) is F for x in got.residual)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _dense_maltsev(M, seed):
+    """M in the basis of the columns of a seeded unitriangular T."""
+    n = M.n
+    T = _unitriangular(random.Random(seed), n)
+    Tinv, cols = inverse(T), [T.col(i) for i in range(n)]
+    return MaltsevAlgebra(n, tabulate(n, n, 2,
+                                      lambda i, j: Tinv.apply(M.product(cols[i], cols[j]))))
+
+
+def _sol3_so3() -> MaltsevAlgebra:
+    """sol3 (+) so3: e0*ek = k ek (k = 1, 2), e3e4 = e5, e4e5 = e3, e5e3 = e4."""
+    return MaltsevAlgebra.from_entries(6, binary=[
+        ((0, 1), {1: 1}), ((0, 2), {2: 2}),
+        ((3, 4), {5: 1}), ((4, 5), {3: 1}), ((3, 5), {4: -1})])
+
+
+def _nested(t):
+    return [_nested(x) for x in t] if isinstance(t, tuple) else t
+
+
+def _planted_bol(B, i, j, k, out):
+    """[e_i, e_j, e_k] gains an e_out component (antisymmetric in i, j)."""
+    t = _nested(B.t)
+    t[out][i][j][k] += 1
+    t[out][j][i][k] -= 1
+    return BolAlgebra(B.n, B.c, freeze(t))
+
+
+def _planted_maltsev(M, i, j, out):
+    """e_i * e_j gains an e_out component (anticommutative)."""
+    c = _nested(M.c)
+    c[out][i][j] += 1
+    c[out][j][i] -= 1
+    return MaltsevAlgebra(M.n, freeze(c))
+
+
+def _random_entries(rng, n, arity, count):
+    args = rng.sample([a for a in itertools.product(range(n), repeat=arity) if a[0] < a[1]],
+                      count)
+    return [(a, {rng.randrange(n): random_fraction(rng)}) for a in args]
+
+
+def _random_bol(seed, n=3):
+    rng = random.Random(seed)
+    return BolAlgebra.from_entries(n, _random_entries(rng, n, 2, 2),
+                                   _random_entries(rng, n, 3, 4))
+
+
+def _random_maltsev(seed, n=3):
+    return MaltsevAlgebra.from_entries(n, _random_entries(random.Random(seed), n, 2, 2))
+
+
+def _bol_inputs():
+    so3, sol3 = maltsev_to_bol(make_so3()), maltsev_to_bol(make_solvable(3))
+    dim4 = maltsev_to_bol(make_maltsev_dim4())
+    broken = parse_algebra((DATA / "broken_b2.alg").read_text())
+    out = [BolAlgebra.zero(0), BolAlgebra.zero(1), BolAlgebra.zero(3), make_b2(1),
+           make_b2(F(5, 3)), so3, sol3, dim4, broken]
+    out += list({R.base: None for R in random_representation_corpus()})
+    out += [transport(B, _unitriangular(random.Random(seed), B.n))
+            for seed, B in enumerate((so3, sol3, dim4, make_b2(-1), broken), start=1)]
+    out += [_random_bol(seed) for seed in range(6)]
+    return out
+
+
+BOL = _bol_inputs()
+PLANTED_BASE = maltsev_to_bol(_sol3_so3())
+POSITIONS = list(itertools.combinations(range(6), 3))
+
+
+@pytest.mark.parametrize("index", range(len(BOL)))
+def test_verify_bol_equals_the_dense_scans(index):
+    B = BOL[index]
+    _assert_same(verify_bol(B), _reference_bol(B))
+
+
+@pytest.mark.parametrize("slot", (0, 1))
+@pytest.mark.parametrize("position", POSITIONS, ids=lambda p: "".join(map(str, p)))
+def test_verify_bol_finds_each_planted_defect_as_the_dense_scans(position, slot):
+    B = _planted_bol(PLANTED_BASE, *position, position[slot])
+    report = verify_bol(B)
+    assert report.first_failure().name == "B1"
+    assert report["B1"].witness == position
+    _assert_same(report, _reference_bol(B))
+
+
+def _maltsev_inputs():
+    base = [MaltsevAlgebra.from_entries(0, []), MaltsevAlgebra.from_entries(1, []),
+            make_m0(), make_so3(), make_solvable(3), make_maltsev_dim4()]
+    out = base + [_dense_maltsev(M, seed) for seed, M in enumerate(base[2:], start=1)]
+    out += [_random_maltsev(seed) for seed in range(6)]
+    # e_i * e_j gains an e_k component, at every i<j<k of sol3 (+) so3
+    out += [_planted_maltsev(_sol3_so3(), i, j, k) for i, j, k in POSITIONS]
+    return out
+
+
+MALTSEV = _maltsev_inputs()
+
+
+@pytest.mark.parametrize("index", range(len(MALTSEV)))
+def test_verify_maltsev_equals_the_dense_scans(index):
+    M = MALTSEV[index]
+    _assert_same(verify_maltsev(M), _reference_maltsev(M))
+
+
+def _moved(mat, r, c):
+    entries = list(mat.entries)
+    entries[r * mat.cols + c] += 1
+    return Mat(mat.rows, mat.cols, tuple(entries))
+
+
+def _perturbed(R, which, i, j, r, c):
+    """R with one entry (r, c) of rho[i], D[i][j] or theta[i][j] moved by 1."""
+    rho, D, theta = R.rho, R.D, R.theta
+    if which == "rho":
+        rho = rho[:i] + (_moved(rho[i], r, c),) + rho[i + 1:]
+    else:
+        grid = [list(row) for row in (D if which == "D" else theta)]
+        grid[i][j] = _moved(grid[i][j], r, c)
+        grid = tuple(map(tuple, grid))
+        D, theta = (grid, theta) if which == "D" else (D, grid)
+    return Representation(R.base, R.m, rho, D, theta)
+
+
+def _random_representation(seed, B, m=2):
+    rng = random.Random(seed)
+    rand = lambda: Mat.from_rows([[random_fraction(rng) if rng.random() < 0.4 else 0
+                                   for _ in range(m)] for _ in range(m)])
+    rng_n = range(B.n)
+    return Representation(B, m, tuple(rand() for _ in rng_n),
+                          tuple(tuple(rand() for _ in rng_n) for _ in rng_n),
+                          tuple(tuple(rand() for _ in rng_n) for _ in rng_n))
+
+
+def _representation_inputs():
+    so3, dim4 = maltsev_to_bol(make_so3()), maltsev_to_bol(make_maltsev_dim4())
+    out = [R for _, R in _closure_corpus()] + random_representation_corpus()
+    out += [Representation.zero(B, m) for B, m in ((BolAlgebra.zero(0), 2), (BolAlgebra.zero(1), 0),
+                                                    (BolAlgebra.zero(1), 2), (make_b2(1), 3))]
+    out += [adjoint_representation(transport(B, _unitriangular(random.Random(seed), B.n)))
+            for seed, B in ((1, so3), (2, maltsev_to_bol(make_solvable(3))), (3, make_b2(1)))]
+    out += [_random_representation(seed, B) for seed, B in
+            enumerate((make_b2(1), so3, _random_bol(7), BolAlgebra.zero(2)))]
+    adj4 = adjoint_representation(dim4)
+    out += [_perturbed(adj4, which, i, j, r, c)
+            for which in ("rho", "D", "theta")
+            for i, j, r, c in ((0, 1, 0, 0), (1, 2, 3, 1), (2, 3, 2, 3), (3, 0, 1, 2))]
+    return out
+
+
+REPRESENTATIONS = _representation_inputs()
+
+
+@pytest.mark.parametrize("index", range(len(REPRESENTATIONS)))
+def test_verify_representation_equals_the_dense_scans(index):
+    R = REPRESENTATIONS[index]
+    _assert_same(verify_representation(R), _reference_representation(R))
+
+
+@pytest.mark.parametrize("index", range(len(REPRESENTATIONS)))
+def test_check_delta_identity_equals_the_dense_scan(index):
+    R = REPRESENTATIONS[index]
+    _assert_same(check_delta_identity(R), _reference_delta(R))
+
+
+@pytest.mark.parametrize("which", ("rho", "D", "theta"))
+@pytest.mark.parametrize("position", ((0, 1, 2), (3, 4, 5)), ids=("early", "late"))
+def test_a_planted_module_defect_is_found_as_by_the_dense_scans(position, which):
+    # entry (i, j) of rho(e_i), D(e_i, e_j) or theta(e_i, e_j) of the sol3 (+) so3
+    # adjoint module moves, at the benchmark's planted verify-rep positions
+    i, j, _ = position
+    R = _perturbed(adjoint_representation(PLANTED_BASE), which, i, j, i, j)
+    report = verify_representation(R)
+    assert not report.passed
+    _assert_same(report, _reference_representation(R))
+    if which == "D":  # Delta = D - rho(x*y); a moved rho is compared at n=4 only
+        _assert_same(check_delta_identity(R), _reference_delta(R))
+
+
+def test_the_inputs_fail_every_condition_somewhere():
+    failed = set()
+    for report in ([verify_bol(B) for B in BOL] + [verify_maltsev(M) for M in MALTSEV]
+                   + [verify_representation(R) for R in REPRESENTATIONS]
+                   + [check_delta_identity(R) for R in REPRESENTATIONS]):
+        failed |= {c.name for c in report.failures()}
+    assert failed >= {"B2", "B3", "maltsev-identity", "R1", "R21", "R22", "R31", "R32",
+                      "R33", "delta-identity"}
+
+
+# Lines of the Fano plane on e0..e6; e_i e_j = e_k along each cyclically
+# ordered line of the octonion multiplication table.
+FANO_LINES = ((0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2))
+
+
+def _octonions() -> MaltsevAlgebra:
+    """The traceless octonions under the commutator: [e_i, e_j] = 2 e_k on lines."""
+    entries = []
+    for line in FANO_LINES:
+        for r in range(3):
+            i, j, k = line[r], line[(r + 1) % 3], line[(r + 2) % 3]
+            entries.append(((min(i, j), max(i, j)), {k: 2 if i < j else -2}))
+    return MaltsevAlgebra.from_entries(7, entries)
+
+
+def test_the_octonions_pass_every_scan():
+    # n = 7: 16,807 B3 tuples and 2,401 tuples of each four-slot R scan
+    M = _octonions()
+    assert verify_maltsev(M).passed
+    B = maltsev_to_bol(M)
+    assert verify_bol(B).passed
+    R = adjoint_representation(B)
+    assert verify_representation(R).passed
+    assert check_delta_identity(R).passed
