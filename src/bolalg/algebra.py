@@ -17,21 +17,31 @@ Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
 The scans read a sparse form kept once per algebra, the nonzeros of each
-e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``): a
-residual adds up only nonzero terms into a {coordinate: Fraction} dict and
-is returned as the dense vector of that dict (``_vec_of``).
+e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``), so a
+residual adds up only nonzero terms.  B2, B3 and Sagle's identity read
+the integer form kept next to it (``_integer_terms``): the same nonzeros
+times D, the lcm of every denominator of c (and of t for a Bol algebra).
+A product of k such coefficients is D**k times the true one, so these
+residuals add up plain ints, each term scaled to one common degree, and
+divide by D**k only when the dense vector is built (``_over``): the
+arithmetic is still exact and the residuals equal the Fraction ones.  The
+representation verifiers keep the Fraction forms and their
+{coordinate: Fraction} dicts (``_vec_of``).  An all-zero residual is the
+one shared zero Vec of its size (``linalg.zero_vec``), which ``_scan``
+recognises without reading its entries.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, is_zero_vec, vec_add, vec_scale, vec_sub
+from .linalg import Vec, is_zero_vec, vec_add, vec_scale, vec_sub, zero_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -358,27 +368,56 @@ def _triple_terms(B: BolAlgebra) -> tuple:
                        for j in rng) for i in rng)
 
 
-def _add_terms(acc: dict, s, terms) -> None:
-    """acc += s * v for v given by its nonzeros ``terms``; acc is {coordinate: Fraction}."""
+@_once_per_object
+def _integer_terms(A) -> tuple:
+    """The kept integer form (D, P, T) of the sparse forms, for B2, B3 and Sagle.
+
+    D is the lcm of every denominator of c, and of t for a Bol algebra;
+    P[i][j] and T[i][j][k] are _product_terms and _triple_terms with every
+    coefficient times D, as ints (T is () for a Maltsev algebra).
+    """
+    P = _product_terms(A)
+    T = _triple_terms(A) if isinstance(A, BolAlgebra) else ()
+    p_terms = [terms for row in P for terms in row]
+    t_terms = [terms for plane in T for row in plane for terms in row]
+    D = math.lcm(*{c.denominator for terms in p_terms + t_terms for _, c in terms})
+
+    def scaled(terms):
+        return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
+    return (D, tuple(tuple(scaled(terms) for terms in row) for row in P),
+            tuple(tuple(tuple(scaled(terms) for terms in row) for row in plane)
+                  for plane in T))
+
+
+def _add_terms(acc: list, s: int, terms) -> None:
+    """acc += s * v for v given by its integer nonzeros ``terms``; acc is a list of ints."""
     for k, c in terms:
-        acc[k] = acc.get(k, _ZERO) + s * c
+        acc[k] += s * c
+
+
+def _over(acc: list, denominator: int) -> Vec:
+    """The Vec acc / denominator of integer numerators, every entry a Fraction."""
+    if not any(acc):
+        return zero_vec(len(acc))
+    return tuple(Fraction(a, denominator) for a in acc)
 
 
 def _vec_of(acc: dict, size: int) -> Vec:
-    """The dense Vec of an accumulator; coordinates it lacks are Fraction zeros.
+    """The dense Vec of a {coordinate: value} accumulator; missing coordinates are zero.
 
-    Test the values, not the keys: coordinate 0 is a falsy key.
+    Every entry is a Fraction, also where a value is still an int.  Test
+    the values, not the keys: coordinate 0 is a falsy key.
     """
     if not any(acc.values()):
-        return (_ZERO,) * size
-    return tuple(acc.get(k, _ZERO) for k in range(size))
+        return zero_vec(size)
+    return _over([acc.get(k, 0) for k in range(size)], 1)
 
 
 def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     """First-failure scan over index tuples in the given (lexicographic) order."""
     for idx in tuples:
         r = residual_fn(*idx)
-        if not is_zero_vec(r):
+        if r is not zero_vec(len(r)) and not is_zero_vec(r):
             return ConditionCheck(name, False, tuple(idx), r)
     return ConditionCheck(name, True)
 
@@ -400,28 +439,29 @@ def _cyclic(name: str, t, n: int) -> ConditionCheck:
 
 def _b2_residual(B: BolAlgebra, x, y, u, v) -> Vec:
     # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y)
-    P, T = _product_terms(B), _triple_terms(B)
+    # in the integer form: the four terms of degree 2 times D, plus the one of degree 3
+    D, P, T = _integer_terms(B)
     Txy, Tuv, uv, xy = T[x][y], T[u][v], P[u][v], P[x][y]
-    acc = {}
+    acc = [0] * B.n
     for k, c in uv:
-        _add_terms(acc, c, Txy[k])
+        _add_terms(acc, D * c, Txy[k])
     for k, c in Txy[u]:
-        _add_terms(acc, -c, P[k][v])
+        _add_terms(acc, -D * c, P[k][v])
     for k, c in Txy[v]:
-        _add_terms(acc, -c, P[u][k])
+        _add_terms(acc, -D * c, P[u][k])
     for k, c in xy:
-        _add_terms(acc, -c, Tuv[k])
+        _add_terms(acc, -D * c, Tuv[k])
     for a, c in uv:
         for b, d in xy:
             _add_terms(acc, c * d, P[a][b])
-    return _vec_of(acc, B.n)
+    return _over(acc, D ** 3)
 
 
 def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
     # [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]
-    T = _triple_terms(B)
+    D, _, T = _integer_terms(B)
     Txy, Tuv = T[x][y], T[u][v]
-    acc = {}
+    acc = [0] * B.n
     for k, c in Tuv[w]:
         _add_terms(acc, c, Txy[k])
     for k, c in Txy[u]:
@@ -430,7 +470,7 @@ def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
         _add_terms(acc, -c, T[u][k][w])
     for k, c in Txy[w]:
         _add_terms(acc, -c, Tuv[k])
-    return _vec_of(acc, B.n)
+    return _over(acc, D ** 2)
 
 
 @_once_per_object
@@ -457,40 +497,44 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
 
 
 def _times(P: tuple, u, v) -> tuple:
-    """The nonzeros of u*v for u, v given by their nonzeros; P = _product_terms."""
-    acc = {}
+    """The nonzeros of u*v for u, v given by their integer nonzeros; P as in _integer_terms."""
+    acc = [0] * len(P)
     for i, a in u:
         for j, b in v:
             _add_terms(acc, a * b, P[i][j])
-    return tuple((k, c) for k, c in acc.items() if c)
+    return tuple((k, c) for k, c in enumerate(acc) if c)
 
 
 def _maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> Vec:
     # Sagle's identity: (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y
-    # x is given by its nonzeros, y and z are basis indices
-    P = _product_terms(M)
-    ey, ez = ((y, _ONE),), ((z, _ONE),)
+    # x is given by its nonzeros (coefficients 1), y and z are basis indices;
+    # every term has degree 3 in the integer form
+    D, P, _ = _integer_terms(M)
+    ey, ez = ((y, 1),), ((z, 1),)
     xy = _times(P, x, ey)
-    acc = {}
-    _add_terms(acc, _ONE, _times(P, xy, _times(P, x, ez)))
+    acc = [0] * M.n
+    _add_terms(acc, 1, _times(P, xy, _times(P, x, ez)))
     for rhs in (_times(P, _times(P, xy, ez), x),
                 _times(P, _times(P, P[y][z], x), x),
                 _times(P, _times(P, _times(P, ez, x), x), ey)):
-        _add_terms(acc, -_ONE, rhs)
-    return _vec_of(acc, M.n)
+        _add_terms(acc, -1, rhs)
+    return _over(acc, D ** 3)
 
 
+@_once_per_object
 def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     """Check anticommutativity and the Maltsev identity.
 
     The identity is quadratic in the repeated slot x and linear in y, z;
     over Q it therefore vanishes identically iff it vanishes for x in
     {e_i} and {e_i + e_j : i < j} with y, z over the basis (polarization).
+    The report is kept on M, so maltsev_to_bol after verify_maltsev does
+    not scan again.
     """
     n = M.n
     rng = range(n)
-    xs = {(i,): ((i, _ONE),) for i in rng}
-    xs.update({(i, j): ((i, _ONE), (j, _ONE)) for i in rng for j in range(i + 1, n)})
+    xs = {(i,): ((i, 1),) for i in rng}
+    xs.update({(i, j): ((i, 1), (j, 1)) for i in rng for j in range(i + 1, n)})
     identity = _scan("maltsev-identity",
                      ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
                      lambda x, y, z: _maltsev_residual(M, xs[x], y, z))

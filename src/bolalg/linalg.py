@@ -14,6 +14,7 @@ reproducible down to the byte across runs and platforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,7 +31,9 @@ def vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
+@functools.lru_cache(maxsize=128)
 def zero_vec(n: int) -> Vec:
+    """The zero Vec of length n; one shared tuple per length while it is cached."""
     return (_ZERO,) * n
 
 

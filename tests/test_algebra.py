@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bolalg import algebra
 from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
@@ -198,6 +199,22 @@ class TestMaltsevToBol:
             maltsev_to_bol(A)
         assert not err.value.report.passed
         assert err.value.report["maltsev-identity"].witness == ((0,), 1, 2)
+
+    def test_verify_then_convert_scans_the_identity_once(self, monkeypatch):
+        calls = []
+        original = algebra._maltsev_residual
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(algebra, "_maltsev_residual", counting)
+        M = make_maltsev_dim4()
+        n = M.n
+        assert verify_maltsev(M).passed
+        maltsev_to_bol(M)
+        # x over the n basis vectors and the n(n-1)/2 sums e_i + e_j; y, z over the basis
+        assert len(calls) == (n + n * (n - 1) // 2) * n * n
 
 
 class TestConstructors:

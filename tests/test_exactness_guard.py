@@ -6,10 +6,13 @@ complex literal, no use of the name ``float``, and no import from outside
 the standard library and ``bolalg`` itself.  The source walk cannot see a
 true division of two ints, which makes a float at run time, nor an int
 zero an accumulator starts from; so every residual entry of every failing
-verifier report is also checked to be a ``Fraction``.
+verifier report is also checked to be a ``Fraction``, and so is every
+entry of the B2, B3 and Sagle residuals, which add up integer numerators,
+on zero and on failing tuples.
 """
 
 import ast
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -20,6 +23,11 @@ import pytest
 from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
+    _add_terms,
+    _b2_residual,
+    _b3_residual,
+    _maltsev_residual,
+    _over,
     _vec_of,
     maltsev_to_bol,
     verify_bol,
@@ -38,6 +46,7 @@ from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat
 from bolalg.representation import (
     Representation,
+    _add_mat,
     adjoint_representation,
     check_delta_identity,
     cochain_dim,
@@ -144,8 +153,45 @@ def test_every_residual_entry_of_a_failing_report_is_a_fraction():
             assert all(type(x) is Fraction for x in check.residual), check
 
 
+def _integer_residuals():
+    """Every B2, B3 and Sagle residual of a passing and a failing algebra (n = 3)."""
+    candidate = BolAlgebra.from_entries(3, [((0, 1), {2: Fraction(1, 2)}), ((1, 2), {0: 3})],
+                                        [((0, 1, 2), {1: Fraction(-2, 3)}), ((0, 2, 2), {0: 1}),
+                                         ((1, 2, 0), {2: 5})])
+    for B in (maltsev_to_bol(make_so3()), candidate):
+        for args in itertools.product(range(3), repeat=4):
+            yield _b2_residual(B, *args)
+        for args in itertools.product(range(3), repeat=5):
+            yield _b3_residual(B, *args)
+    non_maltsev = MaltsevAlgebra.from_entries(3, [((0, 1), {1: 1}), ((0, 2), {0: 2}),
+                                                  ((1, 2), {2: Fraction(1, 3)})])
+    xs = [((0, 1),), ((1, 1),), ((2, 1),), ((0, 1), (2, 1))]
+    for M in (make_so3(), non_maltsev):
+        for x, y, z in itertools.product(xs, range(3), range(3)):
+            yield _maltsev_residual(M, x, y, z)
+
+
+def test_integer_scans_give_fraction_residuals_on_zero_and_failing_tuples():
+    residuals = list(_integer_residuals())
+    assert any(any(r) for r in residuals) and not all(any(r) for r in residuals)
+    for r in residuals:
+        assert len(r) == 3 and all(type(x) is Fraction for x in r), r
+
+
 def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
-    # acc.get(k, 0) would leave int zeros in the residual
+    # an integer accumulator is divided out into Fractions, zero or not
+    acc = [0, 0, 0]
+    _add_terms(acc, 2, ((0, 3), (2, -1)))
+    assert _over(acc, 4) == (Fraction(3, 2), Fraction(0), Fraction(-1, 2))
+    assert [type(x) for x in _over(acc, 4)] == [Fraction] * 3
+    assert [type(x) for x in _over([0, 0], 7)] == [Fraction, Fraction]
+    # a {coordinate: value} accumulator that starts from int 0, as the
+    # representation verifiers' would with acc.get(k, 0), still gives Fractions
+    acc = {0: 0}
+    _add_mat(acc, Fraction(1), ((), ((1, Fraction(2)),)), 2)
+    assert [type(x) for x in _vec_of(acc, 4)] == [Fraction] * 4
+    assert _vec_of(acc, 4) == (0, 0, 0, 2)
+    assert [type(x) for x in _vec_of({0: 0, 1: 5}, 2)] == [Fraction, Fraction]
     assert [type(x) for x in _vec_of({}, 2)] == [Fraction, Fraction]
     assert [type(x) for x in _vec_of({1: Fraction(3)}, 3)] == [Fraction] * 3
     # any(acc) tests the keys, and key 0 is falsy: use any(acc.values())

@@ -3,12 +3,15 @@
 ``verify_bol`` (B2, B3), ``verify_maltsev`` (Sagle's identity),
 ``verify_representation`` (R1-R33) and ``check_delta_identity`` add up
 only the nonzero terms of the sparse forms kept on each algebra and
-representation.  The dense residuals they replaced are kept here as the
-slow reference.  Every report must equal the reference report: the same
-first failing tuple, and a residual equal in value with every entry a
-``Fraction``.  The inputs fail every condition somewhere: random
-candidates fail near the first tuple, and single-entry defects planted in
-sol3 (+) so3 fail at every depth of the scans.
+representation; B2, B3 and Sagle's identity add up integer numerators
+over one common denominator.  The dense Fraction residuals they replaced
+are kept here as the slow reference.  Every report must equal the
+reference report: the same first failing tuple, and a residual equal in
+value with every entry a ``Fraction``.  The inputs fail every condition
+somewhere: random candidates fail near the first tuple, single-entry
+defects planted in sol3 (+) so3 fail at every depth of the scans, and
+defects planted in a basis with distinct-prime denominators fail late
+behind a common denominator of over 100 bits.
 """
 
 import itertools
@@ -17,6 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bolalg import algebra
 from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
@@ -24,6 +28,7 @@ from bolalg.algebra import (
     _antisymmetry,
     _coeffs,
     _cyclic,
+    _integer_terms,
     _scan,
     freeze,
     maltsev_to_bol,
@@ -207,13 +212,17 @@ def _assert_same(report, reference):
 # inputs
 
 
-def _dense_maltsev(M, seed):
-    """M in the basis of the columns of a seeded unitriangular T."""
-    n = M.n
-    T = _unitriangular(random.Random(seed), n)
-    Tinv, cols = inverse(T), [T.col(i) for i in range(n)]
+def _moved_maltsev(M, T):
+    """M in the basis of the columns of T."""
+    n, Tinv = M.n, inverse(T)
+    cols = [T.col(i) for i in range(n)]
     return MaltsevAlgebra(n, tabulate(n, n, 2,
                                       lambda i, j: Tinv.apply(M.product(cols[i], cols[j]))))
+
+
+def _dense_maltsev(M, seed):
+    """M in the basis of the columns of a seeded unitriangular T."""
+    return _moved_maltsev(M, _unitriangular(random.Random(seed), M.n))
 
 
 def _sol3_so3() -> MaltsevAlgebra:
@@ -227,11 +236,11 @@ def _nested(t):
     return [_nested(x) for x in t] if isinstance(t, tuple) else t
 
 
-def _planted_bol(B, i, j, k, out):
-    """[e_i, e_j, e_k] gains an e_out component (antisymmetric in i, j)."""
+def _planted_bol(B, i, j, k, out, by=1):
+    """[e_i, e_j, e_k] gains ``by`` e_out (antisymmetric in i, j)."""
     t = _nested(B.t)
-    t[out][i][j][k] += 1
-    t[out][j][i][k] -= 1
+    t[out][i][j][k] += by
+    t[out][j][i][k] -= by
     return BolAlgebra(B.n, B.c, freeze(t))
 
 
@@ -420,3 +429,65 @@ def test_the_octonions_pass_every_scan():
     R = adjoint_representation(B)
     assert verify_representation(R).passed
     assert check_delta_identity(R).passed
+
+
+def test_a_zero_residual_is_recognised_without_reading_its_entries(monkeypatch):
+    # every passing Sagle and R residual is the shared zero Vec of its size
+    read = []
+    monkeypatch.setattr(algebra, "is_zero_vec", lambda v: read.append(v) or not any(v))
+    M = _octonions()
+    assert verify_maltsev(M).passed
+    assert len(read) == M.n ** 2  # the anticommutativity scan only
+    R = adjoint_representation(maltsev_to_bol(M))
+    read.clear()
+    assert verify_representation(R).passed
+    assert read == []
+
+
+# ---------------------------------------------------------------------------
+# a basis with distinct-prime denominators: the common denominator D of the
+# integer scans has over 100 bits
+
+
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061, 1063, 1069)
+
+
+def _prime_basis(n=6, block=3) -> Mat:
+    """Dense on each block of basis vectors, off-diagonal entries 1/p for distinct primes p.
+
+    The blocks keep sol3 (+) so3 a direct sum, so a defect planted in the
+    second block passes every tuple that starts in the first.
+    """
+    primes = iter(PRIMES)
+    return Mat.from_rows([[1 if i == j else F(1, next(primes)) if i // block == j // block
+                           else 0 for j in range(n)] for i in range(n)])
+
+
+PRIME_BASE = _moved_maltsev(_sol3_so3(), _prime_basis())
+
+
+def test_the_prime_basis_passes_behind_a_denominator_of_over_100_bits():
+    B = maltsev_to_bol(PRIME_BASE)
+    assert _integer_terms(PRIME_BASE)[0].bit_length() > 100
+    assert _integer_terms(B)[0].bit_length() > 100
+    assert verify_maltsev(PRIME_BASE).passed and verify_bol(B).passed
+
+
+@pytest.mark.parametrize("planted", ((3, 4, 3), (3, 5, 5), (4, 5, 4)))
+def test_a_late_sagle_defect_in_the_prime_basis_is_found_as_by_the_dense_scan(planted):
+    M = _planted_maltsev(PRIME_BASE, *planted)
+    report = verify_maltsev(M)
+    assert report.first_failure().name == "maltsev-identity"
+    assert report["maltsev-identity"].witness[0] >= (3,)
+    _assert_same(report, _reference_maltsev(M))
+
+
+@pytest.mark.parametrize("planted", ((3, 4, 5, 5), (3, 4, 5, 3), (4, 5, 3, 4)))
+def test_a_late_b2_b3_defect_in_the_prime_basis_is_found_as_by_the_dense_scans(planted):
+    # [e_i,e_j,e_k] gains e_out and [e_j,e_k,e_i] loses it: the cyclic sum B1 holds
+    i, j, k, out = planted
+    B = _planted_bol(_planted_bol(maltsev_to_bol(PRIME_BASE), i, j, k, out), j, k, i, out, -1)
+    report = verify_bol(B)
+    assert [c.name for c in report.failures()] == ["B2", "B3"]
+    assert report["B2"].witness[0] >= 3 and report["B3"].witness[0] >= 3
+    _assert_same(report, _reference_bol(B))
