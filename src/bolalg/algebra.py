@@ -18,17 +18,18 @@ so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
 The scans read a sparse form kept once per algebra, the nonzeros of each
 e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``), so a
-residual adds up only nonzero terms.  B2, B3 and Sagle's identity read
-the integer form kept next to it (``_integer_terms``): the same nonzeros
-times D, the lcm of every denominator of c (and of t for a Bol algebra).
-A product of k such coefficients is D**k times the true one, so these
-residuals add up plain ints, each term scaled to one common degree, and
-divide by D**k only when the dense vector is built (``_over``): the
-arithmetic is still exact and the residuals equal the Fraction ones.  The
-representation verifiers keep the Fraction forms and their
-{coordinate: Fraction} dicts (``_vec_of``).  An all-zero residual is the
-one shared zero Vec of its size (``linalg.zero_vec``), which ``_scan``
-recognises without reading its entries.
+residual adds up only nonzero terms.  Every axiom scan of verify_bol and
+verify_maltsev reads the integer form kept next to it
+(``_integer_terms``): the same nonzeros times D, the lcm of every
+denominator of c (and of t for a Bol algebra).  A product of k such
+coefficients is D**k times the true one, so these residuals add up plain
+ints, each term scaled to one common degree, and divide by D**k only when
+the dense vector is built (``_over``): the arithmetic is still exact and
+the residuals equal the Fraction ones.  The representation verifiers keep
+the Fraction forms and their {coordinate: Fraction} dicts (``_vec_of``).
+An all-zero residual is the one shared zero Vec of its size
+(``linalg.zero_vec``), which ``_scan`` recognises without reading its
+entries.
 """
 
 from __future__ import annotations
@@ -368,9 +369,20 @@ def _triple_terms(B: BolAlgebra) -> tuple:
                        for j in rng) for i in rng)
 
 
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of rational ``values`` (1 for none)."""
+    return math.lcm(*{x.denominator for x in values})
+
+
+def _scaled(terms, D: int) -> tuple:
+    """The nonzeros ((k, c), ...) with every c times D, as ints; D is a
+    multiple of every denominator."""
+    return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
+
+
 @_once_per_object
 def _integer_terms(A) -> tuple:
-    """The kept integer form (D, P, T) of the sparse forms, for B2, B3 and Sagle.
+    """The kept integer form (D, P, T) of the sparse forms, for the axiom scans.
 
     D is the lcm of every denominator of c, and of t for a Bol algebra;
     P[i][j] and T[i][j][k] are _product_terms and _triple_terms with every
@@ -380,12 +392,9 @@ def _integer_terms(A) -> tuple:
     T = _triple_terms(A) if isinstance(A, BolAlgebra) else ()
     p_terms = [terms for row in P for terms in row]
     t_terms = [terms for plane in T for row in plane for terms in row]
-    D = math.lcm(*{c.denominator for terms in p_terms + t_terms for _, c in terms})
-
-    def scaled(terms):
-        return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
-    return (D, tuple(tuple(scaled(terms) for terms in row) for row in P),
-            tuple(tuple(tuple(scaled(terms) for terms in row) for row in plane)
+    D = _common_denominator(c for terms in p_terms + t_terms for _, c in terms)
+    return (D, tuple(tuple(_scaled(terms, D) for terms in row) for row in P),
+            tuple(tuple(tuple(_scaled(terms, D) for terms in row) for row in plane)
                   for plane in T))
 
 
@@ -393,6 +402,14 @@ def _add_terms(acc: list, s: int, terms) -> None:
     """acc += s * v for v given by its integer nonzeros ``terms``; acc is a list of ints."""
     for k, c in terms:
         acc[k] += s * c
+
+
+def _integer_sum(D: int, size: int, *vectors) -> Vec:
+    """The Vec (v1 + v2 + ...) / D for vectors given by their integer nonzeros."""
+    acc = [0] * size
+    for terms in vectors:
+        _add_terms(acc, 1, terms)
+    return _over(acc, D)
 
 
 def _over(acc: list, denominator: int) -> Vec:
@@ -484,10 +501,14 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     """
     n = B.n
     rng = range(n)
+    D, P, T = _integer_terms(B)
     checks = [
-        _antisymmetry("B01", B.c, n, 2),
-        _antisymmetry("B02", B.t, n, 3),
-        _cyclic("B1", B.t, n),
+        _scan("B01", itertools.product(rng, repeat=2),
+              lambda i, j: _integer_sum(D, n, P[i][j], P[j][i])),
+        _scan("B02", itertools.product(rng, repeat=3),
+              lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][i][k])),
+        _scan("B1", itertools.product(rng, repeat=3),
+              lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
         _scan("B2", itertools.product(rng, repeat=4),
               lambda x, y, u, v: _b2_residual(B, x, y, u, v)),
         _scan("B3", itertools.product(rng, repeat=5),
@@ -533,12 +554,15 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     """
     n = M.n
     rng = range(n)
+    D, P, _ = _integer_terms(M)
+    anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
+                 lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
     xs = {(i,): ((i, 1),) for i in rng}
     xs.update({(i, j): ((i, 1), (j, 1)) for i in rng for j in range(i + 1, n)})
     identity = _scan("maltsev-identity",
                      ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
                      lambda x, y, z: _maltsev_residual(M, xs[x], y, z))
-    return AxiomReport((_antisymmetry("anticommutativity", M.c, n, 2), identity))
+    return AxiomReport((anti, identity))
 
 
 def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:

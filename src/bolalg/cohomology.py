@@ -22,6 +22,22 @@ cocycle space Z and the coboundary space B live inside the single coupled
 coefficient space C^2 (+) C^3; dimensions and bases below always refer to
 that coupled space, with the nu/omega split kept only for display.
 
+CC1-CC3 are stated once, in integers (``_cocycle_conditions``), and read
+by both ``is_cocycle`` and the constraint rows of ``cohomology``.  The
+statement reads the nonzero structure constants times D_A, the lcm of
+every denominator of B (``algebra._integer_terms``), and the module maps
+times D_R, the lcm of every denominator of rho, D and theta
+(``representation._integer_maps``).  A term with a factors from B and r
+from the module maps is then D_A**a * D_R**r times its true value, so each
+condition scales its terms to one degree and carries that denominator:
+CC1 has no such factor (denominator 1); CC2 has degree 2 in D_A (the
+nu(y1*y2, x1*x2) term) and 1 in D_R (denominator D_A**2 * D_R); CC3 has
+degree 1 in each (denominator D_A * D_R).  is_cocycle also scales the
+cochain by D_C, the lcm of the denominators of its coordinates, adds up
+ints and divides once per residual; a constraint row is divided by its
+leading entry, where the common factor cancels.  The arithmetic is exact,
+and residuals and rows equal those of the Fraction statement.
+
 Coordinates on the cochain space are fixed once and for all: all
 nu[a][i][j] with i<j in lexicographic (i,j) order, module coordinate a
 innermost, then all omega[a][i][j][k] with i<j in lexicographic (i,j,k)
@@ -33,7 +49,6 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -42,8 +57,12 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     _ZERO,
-    _coeffs,
+    _common_denominator,
+    _integer_terms,
+    _nonzeros,
     _once_per_object,
+    _over,
+    _scaled,
     _scan,
     entry_args,
     entry_coords,
@@ -58,6 +77,7 @@ from .linalg import (
 from .representation import (
     PseudoderivationData,
     Representation,
+    _integer_maps,
     cochain_dim,
     coboundary_matrix,
     coboundary_tensors,
@@ -161,92 +181,106 @@ def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
 # cocycle conditions as constraint rows
 
 
-def _cc_conditions(R: Representation):
-    """(name, index tuples in lexicographic order, terms) of CC1-CC3.
+def _cocycle_conditions(R: Representation):
+    """(name, denominator, index tuples in lexicographic order, reads) of CC1-CC3.
 
-    The terms of a tuple are those of LHS - RHS in the module docstring:
-    (sign, module map or None, the slots of one nu value (two slots) or
-    omega value (three)); a slot is a basis index or a Vec over B."""
+    reads(*idx) lists the terms of LHS - RHS at one tuple (module docstring)
+    in integer form, expanded to the cochain entries they read: (int
+    coefficient, integer column form of a module map, the args of one nu
+    (two) or omega (three) entry).  LHS - RHS is the sum of coefficient *
+    map(entry) over the reads, divided by the denominator."""
     B = R.base
+    DA, P, T = _integer_terms(B)
+    DR, rho, D, theta = _integer_maps(R)
+    I = tuple(((b, 1),) for b in range(R.m))  # no module map
     rng = range(B.n)
-    prod, triple, D, rho, theta = B.basis_product, B.basis_triple, R.D, R.rho, R.theta
 
     def cc1(x1, x2, x3):
-        return ((1, None, (x1, x2, x3)), (1, None, (x2, x3, x1)), (1, None, (x3, x1, x2)))
+        return ((1, I, (x1, x2, x3)), (1, I, (x2, x3, x1)), (1, I, (x3, x1, x2)))
+
+    # a term of degree a in D_A and r in D_R is scaled by D_A**(2-a) * D_R**(1-r)
+    aa, ar = DA * DA, DA * DR
 
     def cc2(x1, x2, y1, y2):
-        xx, yy = prod(x1, x2), prod(y1, y2)
-        return ((1, None, (x1, x2, yy)), (1, D[x1][x2], (y1, y2)),
-                (-1, None, (y1, y2, xx)), (-1, D[y1][y2], (x1, x2)),
-                (-1, None, (triple(x1, x2, y1), y2)), (-1, None, (y1, triple(x1, x2, y2))),
-                (-1, rho[y1], (x1, x2, y2)), (1, rho[y2], (x1, x2, y1)),
-                (-1, R.rho_of(xx), (y1, y2)), (1, R.rho_of(yy), (x1, x2)),
-                (1, None, (yy, xx)))
+        xx, yy, Txy = P[x1][x2], P[y1][y2], T[x1][x2]
+        reads = [(aa, D[x1][x2], (y1, y2)), (-aa, D[y1][y2], (x1, x2)),
+                 (-aa, rho[y1], (x1, x2, y2)), (aa, rho[y2], (x1, x2, y1))]
+        for k, c in yy:
+            reads += ((ar * c, I, (x1, x2, k)), (DA * c, rho[k], (x1, x2)))
+            reads += ((DR * c * d, I, (k, l)) for l, d in xx)
+        for k, c in xx:
+            reads += ((-ar * c, I, (y1, y2, k)), (-DA * c, rho[k], (y1, y2)))
+        reads += ((-ar * c, I, (k, y2)) for k, c in Txy[y1])
+        reads += ((-ar * c, I, (y1, k)) for k, c in Txy[y2])
+        return reads
 
+    # a term of degree a in D_A and r in D_R is scaled by D_A**(1-a) * D_R**(1-r)
     def cc3(x1, x2, y1, y2, y3):
-        return ((1, None, (x1, x2, triple(y1, y2, y3))), (1, D[x1][x2], (y1, y2, y3)),
-                (-1, None, (triple(x1, x2, y1), y2, y3)),
-                (-1, None, (y1, triple(x1, x2, y2), y3)),
-                (-1, None, (y1, y2, triple(x1, x2, y3))), (-1, D[y1][y2], (x1, x2, y3)),
-                (-1, theta[y2][y3], (x1, x2, y1)), (1, theta[y1][y3], (x1, x2, y2)))
-    return (("CC1", itertools.product(rng, repeat=3), cc1),
-            ("CC2", itertools.product(rng, repeat=4), cc2),
-            ("CC3", itertools.product(rng, repeat=5), cc3))
-
-
-def _reads(R: Representation, index: dict, terms):
-    """(coefficient, first cochain coordinate, module map or None) of each
-    i<j nu or omega entry that one tuple's terms read."""
-    n = R.base.n
-    for sign, op, slots in terms:
-        # a basis index slot reads with coefficient int 1: no Fraction arithmetic
-        expanded = (((x, 1),) if isinstance(x, int) else tuple(_coeffs(x, n)) for x in slots)
-        for combo in itertools.product(*expanded):
-            start, coeff = index.get(tuple(i for i, _ in combo), (0, 0))
-            if coeff:
-                yield sign * coeff * math.prod(s for _, s in combo), start, op
+        Txy = T[x1][x2]
+        reads = [(DA, D[x1][x2], (y1, y2, y3)), (-DA, D[y1][y2], (x1, x2, y3)),
+                 (-DA, theta[y2][y3], (x1, x2, y1)), (DA, theta[y1][y3], (x1, x2, y2))]
+        reads += ((DR * c, I, (x1, x2, k)) for k, c in T[y1][y2][y3])
+        reads += ((-DR * c, I, (k, y2, y3)) for k, c in Txy[y1])
+        reads += ((-DR * c, I, (y1, k, y3)) for k, c in Txy[y2])
+        reads += ((-DR * c, I, (y1, y2, k)) for k, c in Txy[y3])
+        return reads
+    return (("CC1", 1, itertools.product(rng, repeat=3), cc1),
+            ("CC2", aa * DR, itertools.product(rng, repeat=4), cc2),
+            ("CC3", ar, itertools.product(rng, repeat=5), cc3))
 
 
 def _constraint_rows(R: Representation):
     """Each nonzero CC1-CC3 row in (condition, tuple, module coordinate)
     order, as its sorted (cochain coordinate, coefficient) pairs scaled to
-    a leading 1."""
+    a leading 1.  The rows add up ints; the condition's denominator cancels
+    in the scaling."""
     m, index = R.m, _coordinate_index(R.base.n, R.m)
-    for _, tuples, terms in _cc_conditions(R):
+    for _, _, tuples, reads in _cocycle_conditions(R):
         for idx in tuples:
             rows = [{} for _ in range(m)]
-            for coeff, start, op in _reads(R, index, terms(*idx)):
-                pairs = (((a, a, 1) for a in range(m)) if op is None else
-                         ((e // m, e % m, s) for e, s in enumerate(op.entries) if s))
-                for a, b, s in pairs:
-                    rows[a][start + b] = rows[a].get(start + b, _ZERO) + coeff * s
+            for coeff, cols, args in reads(*idx):
+                start, sign = index.get(args, (0, 0))
+                if sign:
+                    s = sign * coeff
+                    for k, col in enumerate(cols, start):
+                        for a, x in col:
+                            rows[a][k] = rows[a].get(k, 0) + s * x
             for row in rows:
                 row = sorted((k, x) for k, x in row.items() if x)
                 if row:
-                    yield tuple((k, x / row[0][1]) for k, x in row)
+                    lead = row[0][1]
+                    yield tuple((k, Fraction(x, lead)) for k, x in row)
 
 
 def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
     """Check CC1/CC2/CC3 on all basis tuples; first witness per condition.
 
-    The residual at a tuple is its m constraint rows times c.coords(),
-    summed one read entry at a time: coefficient * map(entry's coordinates).
-    Entries that are zero in c cost no arithmetic."""
+    The residual at a tuple adds up, over its reads, coefficient * map(entry)
+    for the nonzero entries of c times D_C, the lcm of the denominators of
+    c.coords(), as ints; entries that are zero in c are not in the lookup
+    and cost no arithmetic."""
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
-    m, index, coords = R.m, _coordinate_index(R.base.n, R.m), c.coords()
+    m, coords = R.m, c.coords()
+    DC = _common_denominator(coords)
+    entries = {}
+    for args, (start, sign) in _coordinate_index(R.base.n, m).items():
+        v = _scaled(_nonzeros(coords[start:start + m]), sign * DC)
+        if v:
+            entries[args] = v
 
-    def residual(terms, *idx):
-        out = [_ZERO] * m
-        for coeff, start, op in _reads(R, index, terms(*idx)):
-            v = coords[start:start + m]
-            if any(v):
-                for a, x in enumerate(v if op is None else op.apply(v)):
-                    if x:
-                        out[a] += coeff * x
-        return tuple(out)
-    return CheckReport(tuple(_scan(name, tuples, partial(residual, terms))
-                             for name, tuples, terms in _cc_conditions(R)))
+    def residual(denominator, reads, *idx):
+        acc = [0] * m
+        for coeff, cols, args in reads(*idx):
+            v = entries.get(args)
+            if v:
+                for b, x in v:
+                    s = coeff * x
+                    for a, y in cols[b]:
+                        acc[a] += s * y
+        return _over(acc, denominator * DC)
+    return CheckReport(tuple(_scan(name, tuples, partial(residual, denominator, reads))
+                             for name, denominator, tuples, reads in _cocycle_conditions(R)))
 
 
 # ---------------------------------------------------------------------------

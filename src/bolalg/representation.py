@@ -41,10 +41,12 @@ from .algebra import (
     MaltsevAlgebra,
     _ONE,
     _ZERO,
+    _common_denominator,
     _nonzeros,
     _once_per_object,
     _product_terms,
     _require_passed,
+    _scaled,
     _scan,
     _triple_terms,
     _vec_of,
@@ -127,6 +129,21 @@ def _map_rows(R: Representation) -> tuple:
     """The kept sparse form (rho, D, theta) of R, each matrix as its _rows."""
     grid = lambda g: tuple(tuple(_rows(mat) for mat in row) for row in g)
     return tuple(_rows(mat) for mat in R.rho), grid(R.D), grid(R.theta)
+
+
+@_once_per_object
+def _integer_maps(R: Representation) -> tuple:
+    """The kept integer form (D_R, rho, D, theta) of R, for the cocycle conditions.
+
+    D_R is the lcm of every denominator of rho, D and theta; each matrix is
+    kept by column, [b] = ((a, entry (a, b) times D_R as an int), ...) over
+    its nonzeros.
+    """
+    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
+    DR = _common_denominator(x for mat in mats for x in mat.entries)
+    cols = lambda mat: tuple(_scaled(_nonzeros(mat.col(b)), DR) for b in range(R.m))
+    grid = lambda g: tuple(tuple(cols(mat) for mat in row) for row in g)
+    return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
 
 
 @_once_per_object

@@ -1,15 +1,20 @@
 """The CC1-CC3 constraint rows against the unit-cochain probe they replaced.
 
-``cohomology._constraint_rows`` writes the rows from the terms of the
-cocycle conditions, and ``is_cocycle`` evaluates the same terms on
-``c.coords()``.  The references below are the former construction: a
-tensor evaluator of CC1-CC3 (one residual function per condition), run on
-every unit cochain through ``linalg.matrix_of`` for the rows, and scanned
-for the first failing tuple for ``is_cocycle``.
+``cohomology._constraint_rows`` writes the rows from the one integer
+statement of the cocycle conditions, and ``is_cocycle`` evaluates the same
+statement on ``c.coords()``.  The references below are the former
+construction: a tensor evaluator of CC1-CC3 in Fractions (one residual
+function per condition), run on every unit cochain through
+``linalg.matrix_of`` for the rows, and scanned for the first failing tuple
+for ``is_cocycle``.  Besides the corpus, a module and cochains with
+distinct-prime denominators put each common denominator of the integer
+statement over 60 bits, with defects planted in the last cochain
+coordinates.
 """
 
 import functools
 import importlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -17,25 +22,34 @@ import pytest
 
 from bolalg.algebra import (
     CheckReport,
+    _common_denominator,
+    _integer_terms,
     _scan,
     bilinear_eval,
     maltsev_to_bol,
     trilinear_eval,
 )
 from bolalg.cohomology import (
-    _cc_conditions,
     _constraint_rows,
+    _coordinate_index,
     cochain_dim,
     coboundary_of,
     cohomology,
     coords_to_cochain,
     is_cocycle,
 )
-from bolalg.linalg import matrix_of, vec_add, vec_sub
-from bolalg.representation import adjoint_representation
+from bolalg.linalg import Mat, matrix_of, vec_add, vec_sub
+from bolalg.representation import (
+    PseudoderivationData,
+    _integer_maps,
+    adjoint_representation,
+    induce_from_maltsev,
+    verify_representation,
+)
 
-from .conftest import make_so3
+from .conftest import conjugate_representation, make_so3, make_solvable
 from .test_coboundary_matrix import _corpus, _random_pseudo
+from .test_sparse_scans import PRIME_BASE, _moved_maltsev
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
@@ -85,10 +99,10 @@ def _cc3_residual(R, c, x1, x2, y1, y2, y3):
 
 def _reference_conditions(R, c):
     """(name, index tuples, residual) of CC1-CC3, evaluated on the tensors."""
-    tuples = [tuples for _, tuples, _ in _cc_conditions(R)]
-    return (("CC1", tuples[0], functools.partial(_cc1_residual, c)),
-            ("CC2", tuples[1], functools.partial(_cc2_residual, R, c)),
-            ("CC3", tuples[2], functools.partial(_cc3_residual, R, c)))
+    tuples = lambda arity: itertools.product(range(R.base.n), repeat=arity)
+    return (("CC1", tuples(3), functools.partial(_cc1_residual, c)),
+            ("CC2", tuples(4), functools.partial(_cc2_residual, R, c)),
+            ("CC3", tuples(5), functools.partial(_cc3_residual, R, c)))
 
 
 def _reference_scan(R, c):
@@ -190,3 +204,104 @@ def test_the_non_cocycles_fail_each_condition_somewhere():
         for c in _cochains(R, 300 + index)[1]:
             failing.update(check.name for check in _reference_scan(R, c).failures())
     assert failing == {"CC1", "CC2", "CC3"}
+
+
+# ---------------------------------------------------------------------------
+# distinct-prime denominators: the common denominators D_A (of B), D_R (of
+# rho, D, theta) and D_C (of a cochain) of the integer statement each have
+# over 60 bits
+
+
+PRIMES = tuple(p for p in range(1009, 1500) if all(p % d for d in range(2, 39)))
+
+
+def _prime_matrix(size, primes):
+    """The identity plus 1/p off the diagonal, one prime p per entry."""
+    return Mat.from_rows([[1 if i == j else F(1, next(primes)) for j in range(size)]
+                          for i in range(size)])
+
+
+@functools.cache
+def _prime_module():
+    """sol3 (e0*ek = k ek) acting on Q^2 by rho(e0) = diag(1, 0), rho(e1) = E_01,
+    rho(e2) = 0, induced to its Bol algebra: B on a basis and V conjugated by
+    matrices with distinct-prime denominators.  Not an adjoint module; rho,
+    D and theta are all nonzero."""
+    primes = iter(PRIMES)
+    T = _prime_matrix(3, primes)
+    M = _moved_maltsev(make_solvable(3), T)
+    action = (Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]]), Mat.zeros(2, 2))
+    rho = tuple(sum((s * action[k] for k, s in enumerate(T.col(i))), Mat.zeros(2, 2))
+                for i in range(3))
+    R = conjugate_representation(induce_from_maltsev(M, rho), _prime_matrix(2, primes))
+    assert verify_representation(R).passed
+    return R
+
+
+def _prime_cochains():
+    """A coboundary, the coboundary plus a combination of the Z basis, and two
+    defects planted in the last coordinates: nu(e1, e2) (CC2 alone fails) and
+    omega(e1, e2, e2) (the cyclic sums of CC1 still vanish)."""
+    R = _prime_module()
+    n, m = R.base.n, R.m
+    primes = iter(PRIMES[8:])  # the module took the first 8
+    f = Mat.from_rows([[F(1, next(primes)) for _ in range(n)] for _ in range(m)])
+    coboundary = coboundary_of(R, PseudoderivationData(f, tuple(F(1, next(primes))
+                                                                for _ in range(m))))
+    z = cohomology(R).z_basis
+    coords = list(coboundary.coords())
+    for v, p in zip(z, primes):
+        coords = [x + F(1, p) * y for x, y in zip(coords, v.coords())]
+    cocycles = [coboundary, coords_to_cochain(R.base, m, tuple(coords))]
+    planted = []
+    for k in (3 * m - 1, cochain_dim(n, m) - 1):
+        coords = list(coboundary.coords())
+        coords[k] += F(1, next(primes))
+        planted.append(coords_to_cochain(R.base, m, tuple(coords)))
+    return R, cocycles, planted
+
+
+def test_the_prime_module_rows_equal_the_probe_rows():
+    R = _prime_module()
+    assert _integer_terms(R.base)[0].bit_length() > 60
+    assert _integer_maps(R)[0].bit_length() > 60
+    rows = list(_constraint_rows(R))
+    assert rows == _probe_rows(R)
+    assert all(type(x) is F for row in rows for _, x in row)
+
+
+def test_is_cocycle_on_the_prime_module_equals_the_reference_scan():
+    R, cocycles, planted = _prime_cochains()
+    failed = []
+    for c in cocycles + planted:
+        assert _common_denominator(c.coords()).bit_length() > 60
+        got, want = is_cocycle(R, c), _reference_scan(R, c)
+        for g, w in zip(got.checks, want.checks, strict=True):
+            assert (g.name, g.passed, g.witness, g.residual) == (
+                w.name, w.passed, w.witness, w.residual)
+            assert g.residual is None or all(type(x) is F for x in g.residual)
+        failed.append([check.name for check in got.failures()])
+    assert failed[:2] == [[], []]
+    assert failed[2] == ["CC2"]
+    assert "CC1" not in failed[3] and "CC3" in failed[3]
+
+
+def test_a_late_defect_behind_prime_denominators_is_found_as_by_the_reference_scan():
+    # sol3 (+) so3 on a basis with distinct-prime denominators inside each block:
+    # a defect in omega(e4, e5, e5) of a coboundary of the adjoint module is read
+    # only by tuples that start in the second block
+    B = maltsev_to_bol(PRIME_BASE)
+    R = adjoint_representation(B)
+    n = m = B.n
+    primes = iter(PRIMES)
+    f = Mat.from_rows([[F(1, next(primes)) for _ in range(n)] for _ in range(m)])
+    coords = list(coboundary_of(R, PseudoderivationData(f, (F(0),) * m)).coords())
+    coords[_coordinate_index(n, m)[(4, 5, 5)][0] + m - 1] += F(1, next(primes))
+    c = coords_to_cochain(B, m, tuple(coords))
+    assert min(_integer_terms(B)[0], _integer_maps(R)[0],
+               _common_denominator(c.coords())).bit_length() > 60
+    got = is_cocycle(R, c)
+    assert got == _reference_scan(R, c)
+    assert [check.name for check in got.failures()] == ["CC2", "CC3"]
+    assert got["CC2"].witness[0] == got["CC3"].witness[0] == 3
+    assert all(type(x) is F for check in got.failures() for x in check.residual)

@@ -2,7 +2,7 @@
 
 The oracle imports nothing from bolalg and takes sympy ranks, so it checks
 the constraint rows and the elimination from outside.  The files are
-written here with bolalg's own renderer.
+written here with bolalg's own renderer, or read from data/.
 """
 
 import importlib.util
@@ -12,7 +12,8 @@ import pytest
 
 from bolalg.algebra import maltsev_to_bol
 from bolalg.cohomology import cohomology
-from bolalg.formats import render_algebra
+from bolalg.algebra import _integer_terms
+from bolalg.formats import parse_algebra, render_algebra
 from bolalg.representation import adjoint_representation
 
 from .conftest import make_so3, make_solvable
@@ -47,3 +48,13 @@ def test_so3_from_the_command_line(oracle, tmp_path, capsys):
 def test_solvable3_dimensions(oracle, tmp_path):
     path, dims = _write(tmp_path, "solvable3", make_solvable(3))
     assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == (36, 13, 5, 8)
+
+
+def test_b2_lambda_5_3_dimensions(oracle):
+    # the ternary constant 5/3 makes the integer statement's D_A = 3
+    path = ROOT / "data" / "b2_lambda_5_3.alg"
+    B = parse_algebra(path.read_text())
+    assert _integer_terms(B)[0] == 3
+    rep = cohomology(adjoint_representation(B))
+    dims = (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
+    assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == (6, 5, 3, 2)

@@ -1,10 +1,10 @@
 """The sparse first-failure scans against the dense scans they replaced.
 
-``verify_bol`` (B2, B3), ``verify_maltsev`` (Sagle's identity),
-``verify_representation`` (R1-R33) and ``check_delta_identity`` add up
-only the nonzero terms of the sparse forms kept on each algebra and
-representation; B2, B3 and Sagle's identity add up integer numerators
-over one common denominator.  The dense Fraction residuals they replaced
+``verify_bol`` (B01-B3), ``verify_maltsev`` (anticommutativity, Sagle's
+identity), ``verify_representation`` (R1-R33) and ``check_delta_identity``
+add up only the nonzero terms of the sparse forms kept on each algebra and
+representation; the axiom scans of ``verify_bol`` and ``verify_maltsev``
+add up integer numerators over one common denominator.  The dense Fraction residuals they replaced
 are kept here as the slow reference.  Every report must equal the
 reference report: the same first failing tuple, and a residual equal in
 value with every entry a ``Fraction``.  The inputs fail every condition
@@ -36,9 +36,11 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
+from bolalg.cohomology import coboundary_of, is_cocycle
 from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_sub
 from bolalg.representation import (
+    PseudoderivationData,
     Representation,
     adjoint_representation,
     check_delta_identity,
@@ -432,15 +434,18 @@ def test_the_octonions_pass_every_scan():
 
 
 def test_a_zero_residual_is_recognised_without_reading_its_entries(monkeypatch):
-    # every passing Sagle and R residual is the shared zero Vec of its size
+    # every passing axiom, R and cocycle residual is the shared zero Vec of its size
     read = []
     monkeypatch.setattr(algebra, "is_zero_vec", lambda v: read.append(v) or not any(v))
     M = _octonions()
-    assert verify_maltsev(M).passed
-    assert len(read) == M.n ** 2  # the anticommutativity scan only
-    R = adjoint_representation(maltsev_to_bol(M))
-    read.clear()
-    assert verify_representation(R).passed
+    B = maltsev_to_bol(M)
+    assert verify_maltsev(M).passed and verify_bol(B).passed
+    assert read == []
+    R = adjoint_representation(B)
+    f = Mat.from_rows([[(i * 3 + j) % 5 - 2 for j in range(M.n)] for i in range(M.n)])
+    c = coboundary_of(R, PseudoderivationData(f, (F(0),) * M.n))
+    read.clear()  # building c scans its antisymmetry
+    assert verify_representation(R).passed and is_cocycle(R, c).passed
     assert read == []
 
 
@@ -491,3 +496,23 @@ def test_a_late_b2_b3_defect_in_the_prime_basis_is_found_as_by_the_dense_scans(p
     assert [c.name for c in report.failures()] == ["B2", "B3"]
     assert report["B2"].witness[0] >= 3 and report["B3"].witness[0] >= 3
     _assert_same(report, _reference_bol(B))
+
+
+@pytest.mark.parametrize("by", (F(1, 1087), F(-2, 1091)))
+def test_late_antisymmetry_and_cyclic_defects_in_the_prime_basis_are_found_as_by_the_dense_scans(by):
+    # e4*e5 gains by*e5 and [e4,e5,e3] gains by*e3, without their antisymmetric partners
+    B = maltsev_to_bol(PRIME_BASE)
+    c, t = _nested(B.c), _nested(B.t)
+    c[5][4][5] += by
+    t[3][4][5][3] += by
+    broken_c = BolAlgebra(B.n, freeze(c), B.t)
+    broken_t = BolAlgebra(B.n, B.c, freeze(t))
+    M = MaltsevAlgebra(B.n, freeze(c))
+    assert broken_c.c != B.c and broken_t.t != B.t
+    assert verify_bol(broken_c)["B01"].witness == (4, 5)
+    assert verify_bol(broken_t)["B02"].witness == (4, 5, 3)
+    assert verify_bol(broken_t)["B1"].witness == (3, 4, 5)
+    assert verify_maltsev(M)["anticommutativity"].witness == (4, 5)
+    _assert_same(verify_bol(broken_c), _reference_bol(broken_c))
+    _assert_same(verify_bol(broken_t), _reference_bol(broken_t))
+    _assert_same(verify_maltsev(M), _reference_maltsev(M))
