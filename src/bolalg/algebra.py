@@ -167,8 +167,7 @@ def entry_coords(n: int, *tensors) -> Vec:
         check = _antisymmetry(name, t, n, arity)
         if not check.passed:
             v = next(v for v, x in enumerate(check.residual) if x)
-            raise ValueError(f"{name} is not antisymmetric in its first two slots "
-                             f"at a={v}, args {_shown(check.witness)}")
+            raise ValueError(_antisymmetry_error(name, check.witness, v))
         for args in entry_args(n, arity):
             out.extend(entry_values(t, args))
     return tuple(out)
@@ -204,6 +203,12 @@ def tensor_from_entries(
 
 def _shown(args: tuple[int, ...]) -> str:
     return "(" + ",".join(map(str, args)) + ")"
+
+
+def _antisymmetry_error(name: str, args: tuple[int, ...], v: int | None = None) -> str:
+    """The message of the first failing tuple (and value index v) of an antisymmetry."""
+    at = "" if v is None else f"a={v}, "
+    return f"{name} is not antisymmetric in its first two slots at {at}args {_shown(args)}"
 
 
 def _entry_error(what: str, args: tuple[int, ...], arity: int, n: int) -> str:

@@ -16,6 +16,7 @@ envelope ``{"command", "status", ...}`` and ``_emit`` prints every report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -530,7 +531,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bolalg parser, built once per process: parsing does not change it,
+    and help text reads the terminal width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="bolalg",
         description="Exact computations with Bol algebras: verification, "

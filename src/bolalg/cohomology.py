@@ -38,6 +38,21 @@ ints and divides once per residual; a constraint row is divided by its
 leading entry, where the common factor cancels.  The arithmetic is exact,
 and residuals and rows equal those of the Fraction statement.
 
+is_cocycle scans every tuple, so its witness is the lexicographically
+first failure.  The constraint rows visit one tuple per orbit of the
+antisymmetries: x1<x2<x3 for CC1, x1<x2 and y1<y2 for CC2 and CC3.  CC1
+is a cyclic sum of omega, so it changes sign under any swap of x1, x2, x3.
+CC2 and CC3 change sign when x1, x2 or y1, y2 are swapped, provided the
+product c, the ternary product t (in its first two slots) and D are
+antisymmetric.  A tuple with x1 = x2 or y1 = y2 (for CC1, any repeated
+index) then has a zero row, and any other tuple has, up to sign, the row
+of the smallest tuple of its orbit, which is the representative.  A row scaled to a leading 1 forgets
+its sign, so the representatives give the distinct rows of every tuple,
+in the same order of first occurrence, and the same constraint matrix.
+cohomology() builds the coboundary map first, which on a nonzero module
+is antisymmetric only if c, t and D are; _constraint_rows checks the three
+again on the kept sparse forms.
+
 Coordinates on the cochain space are fixed once and for all: all
 nu[a][i][j] with i<j in lexicographic (i,j) order, module coordinate a
 innermost, then all omega[a][i][j][k] with i<j in lexicographic (i,j,k)
@@ -56,14 +71,16 @@ from functools import partial
 from .algebra import (
     BolAlgebra,
     CheckReport,
-    _ZERO,
+    _antisymmetry_error,
     _common_denominator,
     _integer_terms,
     _nonzeros,
     _once_per_object,
     _over,
+    _product_terms,
     _scaled,
     _scan,
+    _triple_terms,
     entry_args,
     entry_coords,
     freeze,
@@ -77,7 +94,9 @@ from .linalg import (
 from .representation import (
     PseudoderivationData,
     Representation,
+    _dense,
     _integer_maps,
+    _map_rows,
     cochain_dim,
     coboundary_matrix,
     coboundary_tensors,
@@ -181,10 +200,12 @@ def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
 # cocycle conditions as constraint rows
 
 
-def _cocycle_conditions(R: Representation):
+def _cocycle_conditions(R: Representation, representatives: bool = False):
     """(name, denominator, index tuples in lexicographic order, reads) of CC1-CC3.
 
-    reads(*idx) lists the terms of LHS - RHS at one tuple (module docstring)
+    The tuples are every tuple, or with ``representatives`` only the orbit
+    representatives of the module docstring (valid when c, t and D are
+    antisymmetric).  reads(*idx) lists the terms of LHS - RHS at one tuple
     in integer form, expanded to the cochain entries they read: (int
     coefficient, integer column form of a module map, the args of one nu
     (two) or omega (three) entry).  LHS - RHS is the sum of coefficient *
@@ -194,6 +215,13 @@ def _cocycle_conditions(R: Representation):
     DR, rho, D, theta = _integer_maps(R)
     I = tuple(((b, 1),) for b in range(R.m))  # no module map
     rng = range(B.n)
+    if representatives:
+        pairs = tuple(itertools.combinations(rng, 2))
+        tuples = (itertools.combinations(rng, 3),
+                  (x + y for x in pairs for y in pairs),
+                  (x + y + (k,) for x in pairs for y in pairs for k in rng))
+    else:
+        tuples = tuple(itertools.product(rng, repeat=arity) for arity in (3, 4, 5))
 
     def cc1(x1, x2, x3):
         return ((1, I, (x1, x2, x3)), (1, I, (x2, x3, x1)), (1, I, (x3, x1, x2)))
@@ -224,18 +252,36 @@ def _cocycle_conditions(R: Representation):
         reads += ((-DR * c, I, (y1, k, y3)) for k, c in Txy[y2])
         reads += ((-DR * c, I, (y1, y2, k)) for k, c in Txy[y3])
         return reads
-    return (("CC1", 1, itertools.product(rng, repeat=3), cc1),
-            ("CC2", aa * DR, itertools.product(rng, repeat=4), cc2),
-            ("CC3", ar, itertools.product(rng, repeat=5), cc3))
+    return (("CC1", 1, tuples[0], cc1), ("CC2", aa * DR, tuples[1], cc2),
+            ("CC3", ar, tuples[2], cc3))
+
+
+def _require_antisymmetric(R: Representation) -> None:
+    """Raise ValueError at the first tuple (i<=j, lexicographic) where the
+    product of B, its ternary product or D is not antisymmetric in its
+    first two slots, checked in that order on the kept sparse forms."""
+    B = R.base
+    P, T, D = _product_terms(B), _triple_terms(B), _map_rows(R)[1]
+    negated = lambda terms: tuple((k, -x) for k, x in terms)
+    forms = (("binary", 2, lambda i, j: (P[i][j],)),
+             ("ternary", 3, lambda i, j, k: (T[i][j][k],)),
+             ("D", 2, lambda i, j: D[i][j]))  # D by rows
+    for name, arity, terms in forms:
+        for i, j, *rest in itertools.product(range(B.n), repeat=arity):
+            if i <= j and terms(i, j, *rest) != tuple(map(negated, terms(j, i, *rest))):
+                raise ValueError(_antisymmetry_error(name, (i, j, *rest)))
 
 
 def _constraint_rows(R: Representation):
-    """Each nonzero CC1-CC3 row in (condition, tuple, module coordinate)
-    order, as its sorted (cochain coordinate, coefficient) pairs scaled to
-    a leading 1.  The rows add up ints; the condition's denominator cancels
-    in the scaling."""
+    """Each nonzero CC1-CC3 row at the orbit representatives, in (condition,
+    tuple, module coordinate) order, as its sorted (cochain coordinate,
+    coefficient) pairs scaled to a leading 1.  Their distinct rows, in order
+    of first occurrence, are those of every tuple (module docstring), so c,
+    t and D are checked antisymmetric first.  The rows add up ints; the
+    condition's denominator cancels in the scaling."""
+    _require_antisymmetric(R)
     m, index = R.m, _coordinate_index(R.base.n, R.m)
-    for _, _, tuples, reads in _cocycle_conditions(R):
+    for _, _, tuples, reads in _cocycle_conditions(R, representatives=True):
         for idx in tuples:
             rows = [{} for _ in range(m)]
             for coeff, cols, args in reads(*idx):
@@ -366,18 +412,15 @@ def cohomology(R: Representation) -> CohomologyReport:
     n, m = B.n, R.m
     dim_c = cochain_dim(n, m)
 
+    # The coboundary map first: an unverified R fails here as in
+    # pseudoderivation_space and solve_coboundary.
+    bmat = coboundary_matrix(R)
+
     # Constraint matrix, one column per cochain coordinate.  Dropping
     # repeated rows (the first of each kept) keeps the row space and kernel.
-    kept = dict.fromkeys(_constraint_rows(R))
-    entries = [_ZERO] * (len(kept) * dim_c)
-    for r, row in enumerate(kept):
-        for k, x in row:
-            entries[r * dim_c + k] = x
-    constraint = Mat(len(kept), dim_c, tuple(entries))
-    z_coords = kernel_basis(constraint)
+    z_coords = kernel_basis(_dense(tuple(dict.fromkeys(_constraint_rows(R))), dim_c))
     dim_z = len(z_coords)
 
-    bmat = coboundary_matrix(R)
     bres = rref(bmat.transpose())
     b_coords = [bres.reduced.row(r) for r in range(bres.rank)]
     dim_b = len(b_coords)

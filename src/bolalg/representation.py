@@ -41,6 +41,7 @@ from .algebra import (
     MaltsevAlgebra,
     _ONE,
     _ZERO,
+    _antisymmetry_error,
     _common_denominator,
     _nonzeros,
     _once_per_object,
@@ -50,7 +51,6 @@ from .algebra import (
     _scan,
     _triple_terms,
     _vec_of,
-    entry_coords,
     freeze,
     maltsev_to_bol,
     tabulate,
@@ -58,7 +58,7 @@ from .algebra import (
     zeros,
 )
 from .linalg import (
-    Mat, Vec, commutator, kernel_basis, matrix_of, vec_add, vec_sub, zero_vec,
+    Mat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec,
 )
 
 _THIRD = Fraction(1, 3)
@@ -446,17 +446,78 @@ def cochain_dim(n: int, m: int) -> int:
 
 
 @_once_per_object
+def _coboundary_rows(R: Representation) -> tuple:
+    """The kept sparse rows of (f, chi) -> (nu, omega), one per cochain coordinate.
+
+    A row holds the nonzero (parameter, coefficient) pairs of one module
+    coordinate a of nu(args) or omega(args), parameter ascending, written
+    from the formulas of coboundary_tensors and the kept sparse forms of B
+    and R: parameter j*m + b is entry b of f(e_j), and n*m + b is entry b of
+    chi.  The map is antisymmetric when row(args) + row(args with the first
+    two swapped) vanishes at every tuple, diagonal ones included; otherwise
+    ValueError names the failure the coboundary of the first failing unit
+    parameter has: nu before omega, its lexicographically first tuple and
+    first module coordinate.  The rows kept are those of the i<j tuples, in
+    the canonical cochain order.
+    """
+    B = R.base
+    n, m = B.n, R.m
+    P, T = _product_terms(B), _triple_terms(B)
+    rho, D, theta = _map_rows(R)
+    delta = _delta_rows(R)
+
+    def row(*parts):  # part: (sign, start, step, terms); adds sign * x at start + step * k
+        acc = {}
+        for sign, start, step, terms in parts:
+            for k, x in terms:
+                key = start + step * k
+                acc[key] = acc.get(key, _ZERO) + sign * x
+        return tuple(sorted((k, x) for k, x in acc.items() if x))
+
+    def nu(x1, x2, a):
+        # rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi) - f(x1*x2)
+        return row((1, x2 * m, 1, rho[x1][a]), (-1, x1 * m, 1, rho[x2][a]),
+                   (1, n * m, 1, delta[x1][x2][a]), (-1, a, m, P[x1][x2]))
+
+    def omega(x1, x2, x3, a):
+        # theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3) - f([x1,x2,x3])
+        return row((1, x1 * m, 1, theta[x2][x3][a]), (-1, x2 * m, 1, theta[x1][x3][a]),
+                   (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
+
+    kept, failures = [], []  # failure: (first parameter, nu/omega, args, a)
+    for which, (arity, fn) in enumerate(((2, nu), (3, omega))):
+        for i, j, *rest in itertools.product(range(n), repeat=arity):
+            if i > j:
+                continue
+            for a in range(m):
+                r = fn(i, j, *rest, a)
+                residual = r if i == j else row((1, 0, 1, r), (1, 0, 1, fn(j, i, *rest, a)))
+                if residual:
+                    failures.append((residual[0][0], which, (i, j, *rest), a))
+                if i < j:
+                    kept.append(r)
+    if failures:
+        _, which, args, a = min(failures)
+        raise ValueError(_antisymmetry_error(("nu", "omega")[which], args, a))
+    return tuple(kept)
+
+
+def _dense(rows, cols: int) -> Mat:
+    """The Mat of sparse rows ((column, value), ...) with ``cols`` columns."""
+    entries = [_ZERO] * (len(rows) * cols)
+    for r, row in enumerate(rows):
+        for k, x in row:
+            entries[r * cols + k] = x
+    return Mat(len(rows), cols, tuple(entries))
+
+
+@_once_per_object
 def coboundary_matrix(R: Representation) -> Mat:
     """Matrix of (f, chi) -> (nu, omega) in cochain coordinates, one column
-    per parameter; a coboundary that is not antisymmetric (R unverified)
-    raises ValueError.  Kept on R for pseudoderivations, coboundary solves
-    and cohomology()."""
-    n, m = R.base.n, R.m
-
-    def coords(params: Vec) -> Vec:
-        nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
-        return entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
-    return matrix_of(coords, pseudoderivation_params(n, m), cochain_dim(n, m))
+    per parameter: the dense form of _coboundary_rows, so a coboundary that
+    is not antisymmetric (R unverified) raises ValueError.  Kept on R for
+    pseudoderivations, coboundary solves and cohomology()."""
+    return _dense(_coboundary_rows(R), pseudoderivation_params(R.base.n, R.m))
 
 
 def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:

@@ -1,12 +1,14 @@
 """Shared fixtures: the worked examples and a reproducible random corpus."""
 
+import functools
+import importlib
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, MaltsevAlgebra
+from bolalg.algebra import BolAlgebra, MaltsevAlgebra, _once_per_object
 from bolalg.linalg import Mat, inverse
 from bolalg.representation import (
     Representation,
@@ -97,6 +99,26 @@ def adj_m1(b2_m1):
 @pytest.fixture(scope="session")
 def ex28_rep():
     return make_ex28_representation()
+
+
+@pytest.fixture
+def coboundary_row_builds(monkeypatch):
+    """The representations whose coboundary rows are built, one entry per build.
+
+    The kept row form ``representation._coboundary_rows`` is rebuilt around
+    a counting copy of its builder; callers look it up in that module.
+    """
+    module = importlib.import_module("bolalg.representation")
+    build = module._coboundary_rows.__wrapped__
+    builds = []
+
+    @functools.wraps(build)
+    def counting(R):
+        builds.append(R)
+        return build(R)
+
+    monkeypatch.setattr(module, "_coboundary_rows", _once_per_object(counting))
+    return builds
 
 
 # ---------------------------------------------------------------------------

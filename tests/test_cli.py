@@ -427,3 +427,20 @@ class TestCliPlumbing:
             code, obj, _ = run(*argv, "--json")
             assert code == 0, argv
             assert obj["command"] == argv[0]
+
+
+def test_the_kept_parser_prints_help_at_the_current_width(monkeypatch, capsys):
+    """main reuses one parser; its help still follows COLUMNS at print time,
+    as that of a parser built for the call."""
+    assert cli.build_parser() is cli.build_parser()
+    shown = {}
+    for columns in ("80", "40", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit):
+                parse(["cohomology", "--help"])
+        kept, fresh = capsys.readouterr().out.split("usage:")[1:]
+        assert kept == fresh
+        shown.setdefault(columns, kept)
+        assert kept == shown[columns]
+    assert shown["40"] != shown["80"]

@@ -1,19 +1,22 @@
 """The one (f, chi) coboundary matrix against independent reference systems.
 
-``representation.coboundary_matrix`` is read in cochain coordinates (i<j
-entries only).  The references below rebuild the two systems it replaced:
-the pseudoderivation kernel probed over the full n x n and n x n x n
-tensors, and the zero-companion solve that appends rows forcing chi = 0.
+``representation.coboundary_matrix`` is the dense form of the sparse rows
+``_coboundary_rows`` writes from the kept sparse forms of B and R, read in
+cochain coordinates (i<j entries only).  The references below are the
+constructions it replaced: the unit-parameter probe (``matrix_of`` over
+``coboundary_tensors`` and ``entry_coords``), with its errors on an
+unverified R; the pseudoderivation kernel probed over the full n x n and
+n x n x n tensors; and the zero-companion solve that appends rows forcing
+chi = 0.
 """
 
 import functools
-import importlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra
+from bolalg.algebra import BolAlgebra, entry_coords, freeze, maltsev_to_bol
 from bolalg.cohomology import (
     CochainPair,
     cochain_dim,
@@ -22,7 +25,7 @@ from bolalg.cohomology import (
     coords_to_cochain,
     solve_coboundary,
 )
-from bolalg.linalg import Mat, kernel_basis, matrix_of, solve
+from bolalg.linalg import Mat, kernel_basis, matrix_of, solve, unit_vec
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -34,10 +37,13 @@ from bolalg.representation import (
     unpack_params,
 )
 
-from .conftest import make_b2, make_ex28_representation, random_representation_corpus
+from .conftest import (
+    make_b2,
+    make_ex28_representation,
+    make_so3,
+    random_representation_corpus,
+)
 from .test_acceptance import _closure_corpus
-
-REPRESENTATION = importlib.import_module("bolalg.representation")
 
 
 @functools.cache
@@ -108,6 +114,36 @@ def test_matrix_rows_are_the_cochain_coordinates():
         assert matrix.apply(params) == coboundary_of(R, p).coords()
 
 
+def _probe_coords(R, params):
+    """The cochain coordinates of the coboundary of one parameter vector."""
+    n, m = R.base.n, R.m
+    nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
+    return entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
+
+
+def _probe_matrix(R):
+    """The former coboundary_matrix: the map probed one unit parameter at a time."""
+    n, m = R.base.n, R.m
+    return matrix_of(functools.partial(_probe_coords, R), pseudoderivation_params(n, m),
+                     cochain_dim(n, m))
+
+
+@functools.cache
+def _probe_modules():
+    # the prime-denominator module is not adjoint: rho, D and theta are all nonzero
+    from .test_constraint_rows import _prime_module
+    return (_corpus() + [adjoint_representation(maltsev_to_bol(make_so3())),
+                         _prime_module()])
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_matrix_equals_the_probe(index):
+    R = _probe_modules()[index]
+    matrix = coboundary_matrix(R)
+    assert matrix == _probe_matrix(R)
+    assert all(type(x) is F for x in matrix.entries)  # exact, never int or float
+
+
 def _r1_violation():
     """D(e0, e1) = 1 with D(e1, e0) = 0 on a 1-dim module: R1 fails."""
     base = make_b2(1)
@@ -116,30 +152,60 @@ def _r1_violation():
     return Representation(base, 1, (z, z), D, ((z, z), (z, z)))
 
 
-def test_non_antisymmetric_coboundary_raises_the_same_error_everywhere():
-    R = _r1_violation()
-    messages = []
+def _symmetric_d():
+    """D(e_i, e_j) = I for all i, j on V = Q^2 over the base with c = 0 and
+    the matching [e_i, e_j, e_k] = e_k: the symmetric parts of D and of the
+    ternary product cancel in omega, and Delta = D is not antisymmetric."""
+    n = 2
+    t = [[[[F(int(l == k)) for k in range(n)] for j in range(n)] for i in range(n)]
+         for l in range(n)]
+    base = BolAlgebra(n, freeze([[[F(0)] * n for _ in range(n)] for _ in range(n)]),
+                      freeze(t))
+    z, one = Mat.zeros(n, n), Mat.identity(n)
+    grid = lambda mat: tuple(tuple(mat for _ in range(n)) for _ in range(n))
+    return Representation(base, n, (z, z), grid(one), grid(z))
+
+
+def _symmetric_product():
+    """e0*e0 = e1 (c not antisymmetric) with the zero 1-dim module."""
+    c = [[[F(0), F(0)], [F(0), F(0)]], [[F(1), F(0)], [F(0), F(0)]]]
+    return Representation.zero(BolAlgebra(2, freeze(c), BolAlgebra.zero(2).t), 1)
+
+
+@pytest.mark.parametrize("make,message", [
+    # the first column, f(e_0), meets D(e_0, e_1) f(e_0) in omega(e_0, e_1, e_0)
+    (_r1_violation, "omega is not antisymmetric in its first two slots at a=0, args (0,1,0)"),
+    # omega holds; Delta(e_0, e_0) = I meets the first chi column in nu(e_0, e_0)
+    (_symmetric_d, "nu is not antisymmetric in its first two slots at a=0, args (0,0)"),
+    # f(e_1) meets e0*e0 = e1 in nu(e_0, e_0)
+    (_symmetric_product, "nu is not antisymmetric in its first two slots at a=0, args (0,0)"),
+])
+def test_non_antisymmetric_coboundary_raises_the_probe_error_everywhere(make, message):
+    R = make()
+    with pytest.raises(ValueError) as info:
+        _probe_matrix(R)
+    assert str(info.value) == message
     for call in (pseudoderivation_space, cohomology,
                  lambda R: solve_coboundary(R, CochainPair.zero(R.base, R.m))):
-        with pytest.raises(ValueError, match="not antisymmetric") as info:
-            call(R)
-        messages.append(str(info.value))
-    assert len(set(messages)) == 1
-    # the first column, f(e_0), meets D(e_0, e_1) f(e_0) in omega(e_0, e_1, e_0)
-    assert messages[0] == ("omega is not antisymmetric in its first two slots "
-                           "at a=0, args (0,1,0)")
+        with pytest.raises(ValueError) as info:
+            call(make())  # a new R: nothing kept from the calls before
+        assert str(info.value) == message
 
 
-def test_pseudoderivations_then_cohomology_probe_each_parameter_once(monkeypatch):
-    calls = []
-    original = REPRESENTATION.coboundary_tensors
+def test_only_the_chi_columns_of_the_symmetric_d_fail():
+    R = _symmetric_d()
+    n, m = R.base.n, R.m
+    failing = []
+    for p in range(pseudoderivation_params(n, m)):
+        try:
+            _probe_coords(R, unit_vec(pseudoderivation_params(n, m), p))
+        except ValueError:
+            failing.append(p)
+    assert failing == list(range(n * m, n * m + m))
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
 
-    monkeypatch.setattr(REPRESENTATION, "coboundary_tensors", counting)
+def test_pseudoderivations_then_cohomology_build_the_rows_once(coboundary_row_builds):
     R = adjoint_representation(make_b2(1))
     basis = pseudoderivation_space(R)
     assert cohomology(R).dim_B + len(basis) == 2 * 2 + 2
-    assert len(calls) == 2 * 2 + 2  # one column per parameter (f, chi)
+    assert coboundary_row_builds == [R]

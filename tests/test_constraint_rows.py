@@ -1,12 +1,14 @@
 """The CC1-CC3 constraint rows against the unit-cochain probe they replaced.
 
 ``cohomology._constraint_rows`` writes the rows from the one integer
-statement of the cocycle conditions, and ``is_cocycle`` evaluates the same
-statement on ``c.coords()``.  The references below are the former
+statement of the cocycle conditions at the orbit representatives of the
+antisymmetries, and ``is_cocycle`` evaluates the same statement on
+``c.coords()`` at every tuple.  The references below are the former
 construction: a tensor evaluator of CC1-CC3 in Fractions (one residual
 function per condition), run on every unit cochain through
 ``linalg.matrix_of`` for the rows, and scanned for the first failing tuple
-for ``is_cocycle``.  Besides the corpus, a module and cochains with
+for ``is_cocycle``.  The elimination reads the distinct rows in order of
+first occurrence, so that is what the rows are compared on.  Besides the corpus, a module and cochains with
 distinct-prime denominators put each common denominator of the integer
 statement over 60 bits, with defects planted in the last cochain
 coordinates.
@@ -21,11 +23,13 @@ from fractions import Fraction as F
 import pytest
 
 from bolalg.algebra import (
+    BolAlgebra,
     CheckReport,
     _common_denominator,
     _integer_terms,
     _scan,
     bilinear_eval,
+    freeze,
     maltsev_to_bol,
     trilinear_eval,
 )
@@ -41,14 +45,16 @@ from bolalg.cohomology import (
 from bolalg.linalg import Mat, matrix_of, vec_add, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
+    Representation,
     _integer_maps,
     adjoint_representation,
+    coboundary_matrix,
     induce_from_maltsev,
     verify_representation,
 )
 
-from .conftest import conjugate_representation, make_so3, make_solvable
-from .test_coboundary_matrix import _corpus, _random_pseudo
+from .conftest import conjugate_representation, make_b2, make_so3, make_solvable
+from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
 from .test_sparse_scans import PRIME_BASE, _moved_maltsev
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
@@ -134,12 +140,87 @@ def _modules():
     return _corpus() + [adjoint_representation(maltsev_to_bol(make_so3()))]
 
 
+def _distinct(rows):
+    """The distinct rows in order of first occurrence, as the elimination reads them."""
+    return list(dict.fromkeys(rows))
+
+
 @pytest.mark.parametrize("index", range(11))
 def test_rows_equal_the_probe_rows(index):
     R = _modules()[index]
     rows = list(_constraint_rows(R))
-    assert rows == _probe_rows(R)
+    assert _distinct(rows) == _distinct(_probe_rows(R))
     assert all(type(x) is F for row in rows for _, x in row)  # exact, never int or float
+
+
+@pytest.mark.parametrize("index", range(11))
+def test_representatives_give_the_rows_of_every_tuple(index, monkeypatch):
+    R = _modules()[index]
+    representatives = list(_constraint_rows(R))
+    conditions = COHOMOLOGY._cocycle_conditions
+    monkeypatch.setattr(COHOMOLOGY, "_cocycle_conditions", lambda R, representatives: conditions(R))
+    every = list(_constraint_rows(R))
+    assert _distinct(representatives) == _distinct(every)
+    assert len(representatives) < len(every) or not every
+
+
+def _symmetric_d():
+    """D(e_i, e_j) = I on a 1-dim module over b2: D alone is not antisymmetric."""
+    z, one = Mat.zeros(1, 1), Mat.identity(1)
+    return Representation(make_b2(1), 1, (z, z), ((one, one), (one, one)),
+                          ((z, z), (z, z)))
+
+
+def test_rows_refuse_a_d_that_is_not_antisymmetric():
+    with pytest.raises(ValueError) as info:
+        list(_constraint_rows(_symmetric_d()))
+    assert str(info.value) == "D is not antisymmetric in its first two slots at args (0,0)"
+    # cohomology() builds the coboundary map first, where D(e_0, e_0) f(e_0) fails
+    with pytest.raises(ValueError) as info:
+        cohomology(_symmetric_d())
+    assert str(info.value) == ("omega is not antisymmetric in its first two slots "
+                               "at a=0, args (0,0,0)")
+
+
+def test_cohomology_refuses_a_product_the_coboundary_map_cannot_see():
+    # on the zero module V = 0 the coboundary map has no rows to check, so only
+    # the check of _constraint_rows sees that e0*e0 = e1
+    R = Representation.zero(_symmetric_product().base, 0)
+    assert coboundary_matrix(R).shape == (0, 0)
+    with pytest.raises(ValueError) as info:
+        cohomology(R)
+    assert str(info.value) == "binary is not antisymmetric in its first two slots at args (0,0)"
+
+
+def _with_symmetric_part(R, which, rng):
+    """R with a random nonzero symmetric part added to its product, ternary product or D."""
+    B, n, m = R.base, R.base.n, R.m
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    if which == "D":
+        a, b = rng.randrange(m), rng.randrange(m)
+        extra = Mat.from_rows([[F(int((r, s) == (a, b))) for s in range(m)] for r in range(m)])
+        D = tuple(tuple(R.D[x][y] + extra if {x, y} == {i, j} else R.D[x][y]
+                        for y in range(n)) for x in range(n))
+        return Representation(B, m, R.rho, D, R.theta)
+    at = {(i, j), (j, i)} if which == "c" else {(i, j, k), (j, i, k)}
+    l, s = rng.randrange(n), F(rng.choice((-2, -1, 1, 2)))
+    c = [[[B.c[o][x][y] + s * (o == l and (x, y) in at) for y in range(n)] for x in range(n)]
+         for o in range(n)] if which == "c" else B.c
+    t = [[[[B.t[o][x][y][z] + s * (o == l and (x, y, z) in at) for z in range(n)]
+           for y in range(n)] for x in range(n)] for o in range(n)] if which == "t" else B.t
+    return Representation(BolAlgebra(n, freeze(c), freeze(t)), m, R.rho, R.D, R.theta)
+
+
+@pytest.mark.parametrize("which", ["c", "t", "D"])
+def test_the_coboundary_check_refuses_every_symmetric_part(which):
+    # On a nonzero module the coboundary map is antisymmetric only if c, t and D
+    # are (nu: chi reads Delta and f reads c; omega: f reads D and t), so
+    # cohomology() never reaches the representatives with one that is not.
+    rng = random.Random(7)
+    for R in _modules():
+        if R.m and R.base.n:
+            with pytest.raises(ValueError, match="not antisymmetric"):
+                cohomology(_with_symmetric_part(R, which, rng))
 
 
 @pytest.mark.parametrize("index", [0, 2, 7, 10])
@@ -266,7 +347,7 @@ def test_the_prime_module_rows_equal_the_probe_rows():
     assert _integer_terms(R.base)[0].bit_length() > 60
     assert _integer_maps(R)[0].bit_length() > 60
     rows = list(_constraint_rows(R))
-    assert rows == _probe_rows(R)
+    assert _distinct(rows) == _distinct(_probe_rows(R))
     assert all(type(x) is F for row in rows for _, x in row)
 
 
