@@ -145,7 +145,12 @@ def _operate(A: BolAlgebra, args) -> Vec:
     return A.product(*args) if len(args) == 2 else A.triple(*args)
 
 
+@_once_per_object
 def _require_valid(E: AbelianExtension) -> None:
+    """Raise InvalidExtensionError unless E validates.
+
+    Kept on E like the report, so a valid bundle reads it once; a raising
+    call keeps nothing, so an invalid bundle raises on every call."""
     report = validate_extension(E)
     if not report.passed:
         raise InvalidExtensionError(

@@ -9,12 +9,16 @@ All elimination goes through one sparse routine, ``_echelon``, which
 returns the canonical reduced row-echelon form.  That form is unique, so
 reduced forms, kernel bases, particular solutions and inverses are fixed
 by the matrix alone -- not by row order or pivot choice -- and are
-reproducible down to the byte across runs and platforms.
+reproducible down to the byte across runs and platforms.  Inside it the
+rows are primitive arbitrary-precision int rows, reduced by
+cross-multiplication; ``Fraction``s are built only for the entries of the
+result.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -223,37 +227,66 @@ def _sparse_rows(m: Mat) -> list[dict[int, Fraction]]:
     return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, prow: dict[int, Fraction]):
-    """row -= f * prow in place, dropping the entries that become zero."""
-    for k, x in prow.items():
-        y = row.get(k, _ZERO) - f * x
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """row divided by the gcd of its entries; an empty row stays empty."""
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {k: x // g for k, x in row.items()}
+
+
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """The primitive int row proportional to a rational row."""
+    d = math.lcm(*(x.denominator for x in row.values()))
+    return _primitive({k: x.numerator * (d // x.denominator) for k, x in row.items()})
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], k: int) -> dict[int, int]:
+    """The primitive multiple of row - (row[k] / prow[k]) * prow, which is 0 at k.
+
+    Cross-multiplied: (p/g) * row - (r/g) * prow with g = gcd(p, r), so
+    every entry stays an int; row may be changed in place."""
+    p, r = prow[k], row[k]
+    g = math.gcd(p, r)
+    a, b = p // g, r // g
+    if a != 1:
+        row = {j: a * x for j, x in row.items()}
+    for j, x in prow.items():
+        y = row.get(j, 0) - b * x
         if y:
-            row[k] = y
+            row[j] = y
         else:
-            del row[k]
+            del row[j]
+    return _primitive(row)
 
 
 def _echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Canonical RREF of sparse rows ``{col: entry}`` as ``{pivot col: row}``;
-    the rows are consumed.  Sparsest first, each row is reduced by the pivots
-    found so far until its leading column is new, then scaled to a leading 1
-    and kept.  Last, each pivot row is cleared by the pivots to its right,
-    last pivot first.  Row order changes the work, never the result."""
-    echelon: dict[int, dict[int, Fraction]] = {}
+    """Canonical RREF of sparse rows ``{col: entry}`` as ``{pivot col: row}``.
+
+    Fraction-free (Bareiss 1968): each row becomes a primitive int row (its
+    denominators cleared, then divided by the gcd of its numerators).
+    Sparsest first, each row is reduced by the pivots found so far until its
+    leading column is new, and kept.  Last, each pivot row is cleared by the
+    pivots to its right, last pivot first.  Every row is a nonzero multiple
+    of the one that dividing by each lead in ``Fraction``s would give at the
+    same step, so leads and pivots come out the same; each kept entry is
+    divided by its row's lead once, at the end.  Row order changes the work,
+    never the result."""
+    echelon: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
+        row = _integer_row(row)
         while row:
             lead = min(row)
             prow = echelon.get(lead)
             if prow is None:
-                inv = _ONE / row[lead]
-                echelon[lead] = {k: inv * x for k, x in row.items()}
+                echelon[lead] = row
                 break
-            _subtract(row, row[lead], prow)
+            row = _eliminate(row, prow, lead)
     for pc in sorted(echelon, reverse=True):
         row = echelon[pc]
         for k in [k for k in row if k > pc and k in echelon]:
-            _subtract(row, row[k], echelon[k])
-    return echelon
+            row = _eliminate(row, echelon[k], k)
+        echelon[pc] = row
+    return {pc: {k: Fraction(x, row[pc]) for k, x in row.items()}
+            for pc, row in echelon.items()}
 
 
 def rref(m: Mat) -> RrefResult:

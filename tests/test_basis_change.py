@@ -31,6 +31,17 @@ def _unitriangular(rng: random.Random, n: int) -> Mat:
                            for j in range(n)] for i in range(n)])
 
 
+def dense_basis(rng: random.Random, n: int) -> Mat:
+    """T = L U, L and U unitriangular with nonzero rational entries off the
+    diagonal: invertible, and dense unless two products happen to cancel."""
+    nonzero = lambda: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 5)))
+    L = Mat.from_rows([[1 if i == j else nonzero() if i > j else 0 for j in range(n)]
+                       for i in range(n)])
+    U = Mat.from_rows([[1 if i == j else nonzero() if i < j else 0 for j in range(n)]
+                       for i in range(n)])
+    return L @ U
+
+
 def transport(B: BolAlgebra, T: Mat) -> BolAlgebra:
     n, Tinv = B.n, inverse(T)
     cols = [T.col(i) for i in range(n)]

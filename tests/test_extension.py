@@ -119,6 +119,14 @@ class TestValidation:
         assert induced_representation(E) == adj_1
         induced_cocycle(E)
 
+    def test_an_invalid_bundle_raises_on_every_call(self, adj_1):
+        E = semidirect_product(adj_1)
+        bad = AbelianExtension(E.base, E.m, E.hat, E.i, E.p, Mat.zeros(4, 2))
+        for read in (induced_representation, induced_cocycle, induced_representation):
+            with pytest.raises(InvalidExtensionError, match="section fails"):
+                read(bad)
+        assert not validate_extension(bad).passed
+
 
 class TestInducedData:
     def test_round_trip_recovers_representation_and_cocycle(self, adj_1, adj_m1,

@@ -1,14 +1,17 @@
-"""Linear algebra over Q, and the sparse elimination against the dense one
-it replaced.
+"""Linear algebra over Q, and the elimination against two slow references.
 
 ``linalg._echelon`` reduces sparse rows sparsest first and back-substitutes
-last pivot first.  The reference below is the former dense loop (first row
-with a nonzero in the leftmost unprocessed column, rows scanned in order)
-with the former augmented-matrix ``kernel_basis``, ``solve`` and
-``inverse`` on top of it.  Both compute the canonical RREF, so they agree
-exactly, whatever the row order.
+last pivot first, on primitive int rows.  The first reference is the former
+dense loop (first row with a nonzero in the leftmost unprocessed column,
+rows scanned in order) with the former augmented-matrix ``kernel_basis``,
+``solve`` and ``inverse`` on top of it.  All of them compute the canonical
+RREF, so they agree exactly, whatever the row order.  The second is the
+former ``Fraction`` loop of ``_echelon`` itself, which divides by each lead
+as it goes: the int rows are nonzero multiples of its rows, step by step,
+so it finds the same pivots in the same order.
 """
 
+import copy
 import importlib
 import random
 from fractions import Fraction as F
@@ -19,6 +22,9 @@ from bolalg.algebra import maltsev_to_bol
 from bolalg.cohomology import cohomology
 from bolalg.linalg import (
     Mat,
+    _echelon,
+    _eliminate,
+    _integer_row,
     hstack,
     image_rank,
     inverse,
@@ -33,8 +39,16 @@ from bolalg.representation import adjoint_representation
 
 from .conftest import make_so3, make_solvable
 from .test_acceptance import _closure_corpus
+from .test_basis_change import dense_basis, transport
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+LINALG = importlib.import_module("bolalg.linalg")
+
+
+def _assert_exact(*values):
+    """Every entry is an exact Fraction: never an int, never a float."""
+    for entries in values:
+        assert all(type(x) is F for x in entries), entries
 
 
 def frac_rows(rows):
@@ -257,19 +271,24 @@ def _assert_matches_reference(m, rng):
     rng.shuffle(shuffled)
     for order in (range(m.rows), shuffled, range(m.rows - 1, -1, -1)):
         pm = _permuted(m, order)
-        res = rref(pm)
+        res, basis = rref(pm), kernel_basis(pm)
+        _assert_exact(res.reduced.entries, *basis)
         assert (res.reduced, res.pivots) == (reduced, pivots)
         assert image_rank(pm) == len(pivots)
-        assert kernel_basis(pm) == kernel
+        assert basis == kernel
         for b, sol in zip(rhs, solutions):
-            assert solve(pm, tuple(b[i] for i in order)) == sol
+            got = solve(pm, tuple(b[i] for i in order))
+            assert got == sol
+            _assert_exact(got or ())
         if m.rows == m.cols:
             perm = _permuted(Mat.identity(m.rows), order)  # pm == perm @ m
             if inv is None:
                 with pytest.raises(ValueError):
                     inverse(pm)
             else:
-                assert inverse(pm) == inv @ perm.transpose()
+                got = inverse(pm)
+                assert got == inv @ perm.transpose()
+                _assert_exact(got.entries)
 
 
 def _random_sparse(rng, rows, cols, density):
@@ -340,5 +359,156 @@ def test_int_entries_come_back_as_fractions():
                inverse(regular).entries]
     assert rref(singular).reduced.entries == (1, F(1, 2), 0, 0)
     assert kernel_basis(singular) == [(F(-1, 2), 1)]
-    for values in outputs:
-        assert all(type(x) is F for x in values), values
+    _assert_exact(*outputs)
+    rng = random.Random(808)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = Mat(rows, cols, tuple(rng.choice((0, 0, 1, -1, 2, -3, 6))
+                                  for _ in range(rows * cols)))
+        b = tuple(rng.randint(-3, 3) for _ in range(rows))
+        _assert_exact(rref(m).reduced.entries, *kernel_basis(m), solve(m, b) or ())
+        if rows == cols:
+            try:
+                _assert_exact(inverse(m).entries)
+            except ValueError:
+                pass
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference of _echelon
+
+
+def _subtract(row, f, prow):
+    for k, x in prow.items():
+        y = row.get(k, F(0)) - f * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _fraction_echelon(rows):
+    """The former body of linalg._echelon: one Fraction operation per fill-in
+    entry, each new pivot row divided by its lead when it is found."""
+    echelon = {}
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            prow = echelon.get(lead)
+            if prow is None:
+                inv = F(1) / row[lead]
+                echelon[lead] = {k: inv * x for k, x in row.items()}
+                break
+            _subtract(row, row[lead], prow)
+    for pc in sorted(echelon, reverse=True):
+        row = echelon[pc]
+        for k in [k for k in row if k > pc and k in echelon]:
+            _subtract(row, row[k], echelon[k])
+    return echelon
+
+
+def _assert_echelon_matches(rows):
+    """The same dict as the Fraction loop, pivots inserted in the same order,
+    exact entries, and the input rows left as they were."""
+    given = copy.deepcopy(rows)
+    expected = _fraction_echelon(copy.deepcopy(rows))
+    got = _echelon(rows)
+    assert got == expected
+    assert list(got) == list(expected)
+    assert all(type(x) is F for row in got.values() for x in row.values())
+    assert rows == given
+    return got
+
+
+def test_rows_stay_primitive_ints():
+    assert _integer_row({0: F(2, 3), 4: F(-4, 9)}) == {0: 3, 4: -2}
+    assert _integer_row({2: F(-5)}) == {2: -1}
+    assert _integer_row({}) == {}
+    # g = gcd(9, 6) = 3: (9/g)*row - (6/g)*prow = {1: 10, 2: 15}, then divided by 5
+    assert _eliminate({0: 6, 1: 4, 2: 5}, {0: 9, 1: 1}, 0) == {1: 2, 2: 3}
+    # a negative pivot lead negates the row
+    assert _eliminate({0: 2, 1: 1}, {0: -4, 1: 3}, 0) == {1: -1}
+
+
+@pytest.fixture
+def checked_echelon(monkeypatch):
+    """Every _echelon call checked against the Fraction loop; returns the
+    inputs seen."""
+    seen = []
+
+    def checked(rows):
+        seen.append(rows)
+        return _assert_echelon_matches(rows)
+
+    monkeypatch.setattr(LINALG, "_echelon", checked)
+    return seen
+
+
+_DENOMINATORS = (1, 1, 2, 3, 7, 101, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+def _random_rows(rng, nrows, ncols):
+    """Sparse rational rows with prime denominators (two of them over 64
+    bits), negative leads, zero rows, repeated rows, multiples of other rows
+    and columns no row touches."""
+    used = [j for j in range(ncols) if rng.random() < 0.8]
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if rows and roll < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and roll < 0.3:
+            s = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(_DENOMINATORS))
+            rows.append({k: s * x for k, x in rng.choice(rows).items()})
+        elif roll < 0.4:
+            rows.append({})
+        else:
+            rows.append({j: F(rng.choice((-1, 1)) * rng.randint(1, 2**rng.choice((3, 70))),
+                              rng.choice(_DENOMINATORS))
+                         for j in used if rng.random() < 0.6})
+    return rows
+
+
+def test_echelon_matches_the_fraction_loop_on_random_rows():
+    rng = random.Random(909)
+    negative_leads = big_denominators = 0
+    for _ in range(150):
+        rows = _random_rows(rng, rng.randint(1, 9), rng.randint(1, 8))
+        leads = [row[min(row)] for row in rows if row]
+        negative_leads += any(x < 0 for x in leads)
+        big_denominators += any(x.denominator.bit_length() > 64
+                                for row in rows for x in row.values())
+        _assert_echelon_matches(rows)
+    assert negative_leads > 50 and big_denominators > 50
+
+
+@pytest.mark.parametrize("rows", [[], [{}], [{}, {}, {}], [{0: F(-3, 2**89 - 1)}] * 3,
+                                  [{5: F(-2)}, {5: F(4, 3)}, {}]])
+def test_echelon_matches_the_fraction_loop_on_degenerate_rows(rows):
+    _assert_echelon_matches(rows)
+
+
+def test_solve_and_inverse_rows_match_the_fraction_loop(checked_echelon):
+    rng = random.Random(1010)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = _random_sparse(rng, n, n, 0.7)
+        solve(m, tuple(F(rng.randint(-3, 3), rng.choice(_DENOMINATORS)) for _ in range(n)))
+        try:
+            inverse(m)
+        except ValueError:
+            pass
+    assert len(checked_echelon) == 60  # one elimination per solve and per inverse
+
+
+@pytest.mark.parametrize("make, dim_z", [(make_so3, 6), (lambda: make_solvable(3), 13)],
+                         ids=["so3", "sol3"])
+def test_dense_basis_constraint_rows_match_the_fraction_loop(make, dim_z, checked_echelon):
+    """Every elimination of a cohomology() run in a seeded dense rational basis."""
+    moved = transport(maltsev_to_bol(make()), dense_basis(random.Random(11), 3))
+    checked_echelon.clear()  # transport's own inverse
+    report = cohomology(adjoint_representation(moved))
+    rows = max(checked_echelon, key=len)  # the distinct constraint rows
+    assert len(rows) > 36 and sum(map(len, rows)) > 6 * len(rows)
+    assert any(x.denominator > 1 for row in rows for x in row.values())
+    assert report.dim_Z == dim_z

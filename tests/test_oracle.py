@@ -6,17 +6,19 @@ written here with bolalg's own renderer, or read from data/.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import maltsev_to_bol
+from bolalg.algebra import BolAlgebra, _integer_terms, maltsev_to_bol, tabulate, verify_bol
 from bolalg.cohomology import cohomology
-from bolalg.algebra import _integer_terms
 from bolalg.formats import parse_algebra, render_algebra
+from bolalg.linalg import unit_vec, vec_sub, zero_vec
 from bolalg.representation import adjoint_representation
 
 from .conftest import make_so3, make_solvable
+from .test_basis_change import dense_basis, transport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,8 +32,8 @@ def oracle():
     return module
 
 
-def _write(tmp_path, name, maltsev):
-    B = maltsev_to_bol(maltsev)
+def _write(tmp_path, name, algebra):
+    B = algebra if isinstance(algebra, BolAlgebra) else maltsev_to_bol(algebra)
     path = tmp_path / f"{name}.alg"
     path.write_text(render_algebra(B))
     rep = cohomology(adjoint_representation(B))
@@ -58,3 +60,35 @@ def test_b2_lambda_5_3_dimensions(oracle):
     rep = cohomology(adjoint_representation(B))
     dims = (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
     assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == (6, 5, 3, 2)
+
+
+def _nonzeros(tensor):
+    return [x for part in tensor
+            for x in (_nonzeros(part) if isinstance(part, tuple) else (part,)) if x]
+
+
+def test_so3_in_a_dense_basis(oracle, tmp_path):
+    sparse = maltsev_to_bol(make_so3())
+    moved = transport(sparse, dense_basis(random.Random(5), 3))
+    for before, after in ((sparse.c, moved.c), (sparse.t, moved.t)):
+        assert len(_nonzeros(after)) >= 3 * len(_nonzeros(before))
+    assert any(x.denominator > 1 for x in _nonzeros(moved.c) + _nonzeros(moved.t))
+    path, dims = _write(tmp_path, "so3_dense", moved)
+    _, sparse_dims = _write(tmp_path, "so3", sparse)
+    assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == sparse_dims == (36, 6, 6, 0)
+
+
+def _sphere(n):
+    """The sphere Lie triple system: [x,y,z] = <y,z>x - <x,z>y, zero product."""
+    zero = zero_vec(n)
+    return BolAlgebra(n, tabulate(n, n, 2, lambda i, j: zero),
+                      tabulate(n, n, 3, lambda i, j, k: vec_sub(
+                          unit_vec(n, i) if j == k else zero,
+                          unit_vec(n, j) if i == k else zero)))
+
+
+def test_sphere_system_at_n3(oracle, tmp_path):
+    B = _sphere(3)
+    assert verify_bol(B).passed
+    path, dims = _write(tmp_path, "sphere3", B)
+    assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == (36, 9, 9, 0)
