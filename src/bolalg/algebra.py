@@ -30,6 +30,18 @@ the Fraction forms and their {coordinate: Fraction} dicts (``_vec_of``).
 An all-zero residual is the one shared zero Vec of its size
 (``linalg.zero_vec``), which ``_scan`` recognises without reading its
 entries.
+
+Most scans, here and in the other modules, sit on antisymmetries: once
+the products or module maps they read are antisymmetric in their first
+two slots (B01, B02 and their kin), the residual changes sign when a pair
+of its slots is swapped, and so vanishes where the two are equal.  Its
+failing tuples are then closed under the swap, so the lexicographically
+first one has the pair increasing.  Such a scan visits only the orbit
+representatives (``slot_tuples``: i<j for a pair, i<j<k for a triple that
+changes sign under any swap), in lexicographic order and with the same
+residual function, and reports the same witness and residual as a scan of
+every tuple.  When the antisymmetry is not known to hold, the same helper
+gives every tuple.
 """
 
 from __future__ import annotations
@@ -134,15 +146,27 @@ def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
     return tuple(plane(v, ()) for v in range(value_dim))
 
 
+def slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
+    """Index tuples over range(n) in lexicographic order, built from groups of slots.
+
+    A group of size k runs over itertools.combinations(range(n), k): 1 is a
+    free slot, 2 an i<j pair, 3 an i<j<k triple; a tuple is its groups
+    concatenated.  With ``grouped`` false every group is split into free
+    slots, which gives the full product range(n) ** sum(sizes).
+    """
+    if not grouped:
+        sizes = (1,) * sum(sizes)
+    groups = (itertools.combinations(range(n), k) for k in sizes)
+    return (sum(tup, ()) for tup in itertools.product(*groups))
+
+
 def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
     """Argument tuples with i<j in the first two slots, lexicographic order.
 
     These index the independent entries of a tensor antisymmetric in its
     first two arguments: the sparse file entries and cochain coordinates.
     """
-    rng = range(n)
-    return [(i, j) + rest for i in rng for j in range(i + 1, n)
-            for rest in itertools.product(rng, repeat=arity - 2)]
+    return list(slot_tuples(n, (2,) + (1,) * (arity - 2)))
 
 
 def entry_values(t, args: tuple[int, ...]) -> Vec:
@@ -451,9 +475,11 @@ def _antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
                                        entry_values(t, (args[1], args[0]) + args[2:])))
 
 
-def _cyclic(name: str, t, n: int) -> ConditionCheck:
-    """Scan the cyclic sum t(i,j,k) + t(j,k,i) + t(k,i,j) over all triples."""
-    return _scan(name, itertools.product(range(n), repeat=3),
+def _cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:
+    """Scan the cyclic sum t(i,j,k) + t(j,k,i) + t(k,i,j) over all triples,
+    or with ``grouped`` over i<j<k only (valid when t is antisymmetric in
+    its first two slots: the sum then changes sign under any swap)."""
+    return _scan(name, slot_tuples(n, (3,), grouped),
                  lambda i, j, k: vec_add(entry_values(t, (i, j, k)),
                                          entry_values(t, (j, k, i)),
                                          entry_values(t, (k, i, j))))
@@ -497,26 +523,30 @@ def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
 
 @_once_per_object
 def verify_bol(B: BolAlgebra) -> AxiomReport:
-    """Check B01, B02 tensor-wise and B1/B2/B3 on all basis tuples.
+    """Check B01, B02 tensor-wise and B1/B2/B3 on basis tuples.
 
-    Every axiom is multilinear, so exhaustive basis evaluation decides it.
+    Every axiom is multilinear, so exhaustive basis evaluation decides it;
+    B1-B3 visit the orbit representatives once B01 and B02 pass.
     Failure is data, not an error: each condition records its first failing
     tuple and the exact residual.  The report is kept on B, so each algebra
     is scanned once.
     """
     n = B.n
-    rng = range(n)
     D, P, T = _integer_terms(B)
+    b01 = _scan("B01", slot_tuples(n, (1, 1)),
+                lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
+    b02 = _scan("B02", slot_tuples(n, (1, 1, 1)),
+                lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][i][k]))
+    # With t antisymmetric in x, y (B02), the B1 cyclic sum changes sign under
+    # any swap, and B3 when x, y or u, v are swapped; B2 needs c antisymmetric
+    # (B01) as well.  So the orbit representatives find the first failure.
     checks = [
-        _scan("B01", itertools.product(rng, repeat=2),
-              lambda i, j: _integer_sum(D, n, P[i][j], P[j][i])),
-        _scan("B02", itertools.product(rng, repeat=3),
-              lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][i][k])),
-        _scan("B1", itertools.product(rng, repeat=3),
+        b01, b02,
+        _scan("B1", slot_tuples(n, (3,), b02.passed),
               lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
-        _scan("B2", itertools.product(rng, repeat=4),
+        _scan("B2", slot_tuples(n, (2, 2), b01.passed and b02.passed),
               lambda x, y, u, v: _b2_residual(B, x, y, u, v)),
-        _scan("B3", itertools.product(rng, repeat=5),
+        _scan("B3", slot_tuples(n, (2, 2, 1), b02.passed),
               lambda x, y, u, v, w: _b3_residual(B, x, y, u, v, w)),
     ]
     return AxiomReport(tuple(checks))

@@ -38,20 +38,24 @@ ints and divides once per residual; a constraint row is divided by its
 leading entry, where the common factor cancels.  The arithmetic is exact,
 and residuals and rows equal those of the Fraction statement.
 
-is_cocycle scans every tuple, so its witness is the lexicographically
-first failure.  The constraint rows visit one tuple per orbit of the
-antisymmetries: x1<x2<x3 for CC1, x1<x2 and y1<y2 for CC2 and CC3.  CC1
-is a cyclic sum of omega, so it changes sign under any swap of x1, x2, x3.
-CC2 and CC3 change sign when x1, x2 or y1, y2 are swapped, provided the
-product c, the ternary product t (in its first two slots) and D are
-antisymmetric.  A tuple with x1 = x2 or y1 = y2 (for CC1, any repeated
-index) then has a zero row, and any other tuple has, up to sign, the row
-of the smallest tuple of its orbit, which is the representative.  A row scaled to a leading 1 forgets
-its sign, so the representatives give the distinct rows of every tuple,
-in the same order of first occurrence, and the same constraint matrix.
-cohomology() builds the coboundary map first, which on a nonzero module
-is antisymmetric only if c, t and D are; _constraint_rows checks the three
-again on the kept sparse forms.
+The constraint rows and is_cocycle visit one tuple per orbit of the
+antisymmetries (``algebra.slot_tuples``): x1<x2<x3 for CC1, x1<x2 and
+y1<y2 for CC2 and CC3.  CC1 is a cyclic sum of omega, so it changes sign
+under any swap of x1, x2, x3.  CC2 and CC3 change sign when x1, x2 or y1,
+y2 are swapped, provided the product c, the ternary product t (in its
+first two slots) and D are antisymmetric.  A tuple with x1 = x2 or
+y1 = y2 (for CC1, any repeated index) then has a zero row and residual,
+and any other tuple has, up to sign, the row and residual of the smallest
+tuple of its orbit, which is the representative.  A row scaled to a
+leading 1 forgets its sign, so the representatives give the distinct rows
+of every tuple, in the same order of first occurrence, and the same
+constraint matrix; the failing tuples are closed under the swaps, so the
+first failing representative is is_cocycle's lexicographically first
+failing tuple.  Whether c, t and D are antisymmetric is checked once per
+R on the kept sparse forms (``representation._antisymmetry_failure``):
+_constraint_rows refuses an R where they are not, and is_cocycle then
+scans every tuple.  cohomology() builds the coboundary map first, which
+on a nonzero module is antisymmetric only if c, t and D are.
 
 Coordinates on the cochain space are fixed once and for all: all
 nu[a][i][j] with i<j in lexicographic (i,j) order, module coordinate a
@@ -63,7 +67,6 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -71,19 +74,17 @@ from functools import partial
 from .algebra import (
     BolAlgebra,
     CheckReport,
-    _antisymmetry_error,
     _common_denominator,
     _integer_terms,
     _nonzeros,
     _once_per_object,
     _over,
-    _product_terms,
     _scaled,
     _scan,
-    _triple_terms,
     entry_args,
     entry_coords,
     freeze,
+    slot_tuples,
     tabulate,
     tensor_from_entries,
     zeros,
@@ -94,14 +95,13 @@ from .linalg import (
 from .representation import (
     PseudoderivationData,
     Representation,
+    _antisymmetry_failure,
     _dense,
     _integer_maps,
-    _map_rows,
     cochain_dim,
     coboundary_matrix,
     coboundary_tensors,
     pseudoderivation_params,
-    pseudoderivation_space,
     unpack_params,
 )
 
@@ -214,14 +214,8 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
     DA, P, T = _integer_terms(B)
     DR, rho, D, theta = _integer_maps(R)
     I = tuple(((b, 1),) for b in range(R.m))  # no module map
-    rng = range(B.n)
-    if representatives:
-        pairs = tuple(itertools.combinations(rng, 2))
-        tuples = (itertools.combinations(rng, 3),
-                  (x + y for x in pairs for y in pairs),
-                  (x + y + (k,) for x in pairs for y in pairs for k in rng))
-    else:
-        tuples = tuple(itertools.product(rng, repeat=arity) for arity in (3, 4, 5))
+    tuples = tuple(slot_tuples(B.n, sizes, representatives)
+                   for sizes in ((3,), (2, 2), (2, 2, 1)))
 
     def cc1(x1, x2, x3):
         return ((1, I, (x1, x2, x3)), (1, I, (x2, x3, x1)), (1, I, (x3, x1, x2)))
@@ -256,22 +250,6 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
             ("CC3", ar, tuples[2], cc3))
 
 
-def _require_antisymmetric(R: Representation) -> None:
-    """Raise ValueError at the first tuple (i<=j, lexicographic) where the
-    product of B, its ternary product or D is not antisymmetric in its
-    first two slots, checked in that order on the kept sparse forms."""
-    B = R.base
-    P, T, D = _product_terms(B), _triple_terms(B), _map_rows(R)[1]
-    negated = lambda terms: tuple((k, -x) for k, x in terms)
-    forms = (("binary", 2, lambda i, j: (P[i][j],)),
-             ("ternary", 3, lambda i, j, k: (T[i][j][k],)),
-             ("D", 2, lambda i, j: D[i][j]))  # D by rows
-    for name, arity, terms in forms:
-        for i, j, *rest in itertools.product(range(B.n), repeat=arity):
-            if i <= j and terms(i, j, *rest) != tuple(map(negated, terms(j, i, *rest))):
-                raise ValueError(_antisymmetry_error(name, (i, j, *rest)))
-
-
 def _constraint_rows(R: Representation):
     """Each nonzero CC1-CC3 row at the orbit representatives, in (condition,
     tuple, module coordinate) order, as its sorted (cochain coordinate,
@@ -279,7 +257,9 @@ def _constraint_rows(R: Representation):
     of first occurrence, are those of every tuple (module docstring), so c,
     t and D are checked antisymmetric first.  The rows add up ints; the
     condition's denominator cancels in the scaling."""
-    _require_antisymmetric(R)
+    failure = _antisymmetry_failure(R)
+    if failure:
+        raise ValueError(failure)
     m, index = R.m, _coordinate_index(R.base.n, R.m)
     for _, _, tuples, reads in _cocycle_conditions(R, representatives=True):
         for idx in tuples:
@@ -299,12 +279,14 @@ def _constraint_rows(R: Representation):
 
 
 def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
-    """Check CC1/CC2/CC3 on all basis tuples; first witness per condition.
+    """Check CC1/CC2/CC3 on basis tuples; first witness per condition.
 
-    The residual at a tuple adds up, over its reads, coefficient * map(entry)
-    for the nonzero entries of c times D_C, the lcm of the denominators of
-    c.coords(), as ints; entries that are zero in c are not in the lookup
-    and cost no arithmetic."""
+    The tuples are the orbit representatives of the module docstring when c,
+    t and D are antisymmetric, and every tuple otherwise.  The residual at a
+    tuple adds up, over its reads, coefficient * map(entry) for the nonzero
+    entries of c times D_C, the lcm of the denominators of c.coords(), as
+    ints; entries that are zero in c are not in the lookup and cost no
+    arithmetic."""
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
     m, coords = R.m, c.coords()
@@ -325,8 +307,12 @@ def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
                     for a, y in cols[b]:
                         acc[a] += s * y
         return _over(acc, denominator * DC)
+    # c is antisymmetric by construction; with c, t and D antisymmetric too,
+    # CC1 changes sign under any swap and CC2, CC3 when x1, x2 or y1, y2 are
+    # swapped, so the first failing tuple is a representative.
+    conditions = _cocycle_conditions(R, representatives=_antisymmetry_failure(R) is None)
     return CheckReport(tuple(_scan(name, tuples, partial(residual, denominator, reads))
-                             for name, denominator, tuples, reads in _cocycle_conditions(R)))
+                             for name, denominator, tuples, reads in conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +410,6 @@ def cohomology(R: Representation) -> CohomologyReport:
     bres = rref(bmat.transpose())
     b_coords = [bres.reduced.row(r) for r in range(bres.rank)]
     dim_b = len(b_coords)
-
-    # Companion parameters that change nothing are exactly the
-    # pseudoderivations, so rank + kernel = parameter count.
-    if dim_b + len(pseudoderivation_space(R)) != pseudoderivation_params(n, m):
-        raise AssertionError("coboundary rank/nullity bookkeeping is wrong")
 
     # Extend B to a basis of Z in the canonical order: with the B basis
     # first, the pivot columns past dim_b are exactly the Z vectors that

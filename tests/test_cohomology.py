@@ -20,10 +20,14 @@ from bolalg.representation import (
     PseudoderivationData,
     Representation,
     adjoint_representation,
+    coboundary_matrix,
+    pseudoderivation_params,
     pseudoderivation_space,
 )
 
 from .conftest import make_b2, random_representation_corpus
+from .test_constraint_rows import _modules
+from .test_linalg import _fraction_echelon
 
 # Frozen dimensions, confirmed against tools/cohomology_oracle.py.
 ORACLE_DIMS = {
@@ -38,6 +42,10 @@ def random_pseudo(rng, n, m):
                        for _ in range(m)])
     chi = tuple(F(rng.randint(-3, 3)) for _ in range(m))
     return PseudoderivationData(f, chi)
+
+
+def _sparse_rows(matrix):
+    return [{k: x for k, x in enumerate(matrix.row(r)) if x} for r in range(matrix.rows)]
 
 
 def random_cochain(rng, base, m):
@@ -181,6 +189,19 @@ class TestCohomology:
             rep = cohomology(R)
             n, m = R.base.n, R.m
             assert rep.dim_B + len(pseudoderivation_space(R)) == n * m + m
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_rank_and_nullity_of_the_coboundary_map_from_the_reference_elimination(
+            self, index):
+        # dim B is the rank of the coboundary map and the pseudoderivations its
+        # kernel, so the two add up to the parameter count; both are counted
+        # here with the Fraction elimination, on the matrix and its transpose
+        R = _modules()[index]
+        matrix = coboundary_matrix(R)
+        rank = len(_fraction_echelon(_sparse_rows(matrix)))
+        assert len(_fraction_echelon(_sparse_rows(matrix.transpose()))) == rank
+        assert cohomology(R).dim_B == rank
+        assert len(pseudoderivation_space(R)) == pseudoderivation_params(R.base.n, R.m) - rank
 
     def test_deterministic(self, adj_1):
         assert cohomology(adj_1) == cohomology(adj_1)

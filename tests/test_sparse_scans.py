@@ -12,10 +12,19 @@ somewhere: random candidates fail near the first tuple, single-entry
 defects planted in sol3 (+) so3 fail at every depth of the scans, and
 defects planted in a basis with distinct-prime denominators fail late
 behind a common denominator of over 100 bits.
+
+Once the antisymmetries a scan sits on hold, it visits only the orbit
+representatives of ``slot_tuples``; that holds for verify_bol, the R and
+Delta scans, is_cocycle, the deformation-type and first-order-formal
+scans and the homomorphism scans of validate_extension.  The last section
+compares each with its scan of every tuple (``itertools.product``), on
+defects planted at every position, and on inputs whose antisymmetry
+fails, where every tuple is scanned and a witness may have x > y.
 """
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -32,16 +41,34 @@ from bolalg.algebra import (
     _scan,
     freeze,
     maltsev_to_bol,
+    slot_tuples,
     tabulate,
     verify_bol,
     verify_maltsev,
+    zeros,
 )
-from bolalg.cohomology import coboundary_of, is_cocycle
+from bolalg.cohomology import (
+    CochainPair,
+    coboundary_of,
+    cohomology,
+    coords_to_cochain,
+    is_cocycle,
+)
+from bolalg.deformation import (
+    DeformationDatum,
+    DeformationTypeCandidate,
+    _b2p_residual,
+    _o3_residual,
+    check_first_order_formal,
+    is_deformation_type,
+)
+from bolalg.extension import semidirect_product, twisted_product, validate_extension
 from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
+    _antisymmetry_failure,
     adjoint_representation,
     check_delta_identity,
     verify_representation,
@@ -323,20 +350,20 @@ def test_verify_maltsev_equals_the_dense_scans(index):
     _assert_same(verify_maltsev(M), _reference_maltsev(M))
 
 
-def _moved(mat, r, c):
+def _moved(mat, r, c, by=1):
     entries = list(mat.entries)
-    entries[r * mat.cols + c] += 1
+    entries[r * mat.cols + c] += by
     return Mat(mat.rows, mat.cols, tuple(entries))
 
 
-def _perturbed(R, which, i, j, r, c):
-    """R with one entry (r, c) of rho[i], D[i][j] or theta[i][j] moved by 1."""
+def _perturbed(R, which, i, j, r, c, by=1):
+    """R with one entry (r, c) of rho[i], D[i][j] or theta[i][j] moved by ``by``."""
     rho, D, theta = R.rho, R.D, R.theta
     if which == "rho":
-        rho = rho[:i] + (_moved(rho[i], r, c),) + rho[i + 1:]
+        rho = rho[:i] + (_moved(rho[i], r, c, by),) + rho[i + 1:]
     else:
         grid = [list(row) for row in (D if which == "D" else theta)]
-        grid[i][j] = _moved(grid[i][j], r, c)
+        grid[i][j] = _moved(grid[i][j], r, c, by)
         grid = tuple(map(tuple, grid))
         D, theta = (grid, theta) if which == "D" else (D, grid)
     return Representation(R.base, R.m, rho, D, theta)
@@ -516,3 +543,286 @@ def test_late_antisymmetry_and_cyclic_defects_in_the_prime_basis_are_found_as_by
     _assert_same(verify_bol(broken_c), _reference_bol(broken_c))
     _assert_same(verify_bol(broken_t), _reference_bol(broken_t))
     _assert_same(verify_maltsev(M), _reference_maltsev(M))
+
+
+# ---------------------------------------------------------------------------
+# orbit representatives: once the antisymmetries a scan's residual sits on
+# hold, the scan visits the increasing tuples of slot_tuples only.  Each
+# report must equal the scan of every tuple (itertools.product) that it
+# replaced, on verified inputs, on defects planted at every position
+# (swapped x>y and diagonal ones included), and on inputs whose
+# antisymmetry fails, where every tuple is scanned and a witness may have
+# x>y.
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (1, 1, 1), (2, 2), (2, 2, 1), (1, 2),
+                                   (2, 1, 1), (1, 2, 1)], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_slot_tuples_are_the_product_with_each_group_increasing(n, sizes):
+    full = list(itertools.product(range(n), repeat=sum(sizes)))
+    starts = list(itertools.accumulate((0,) + sizes))
+
+    def increasing(t):
+        return all(t[a] < t[a + 1] for s, k in zip(starts, sizes) for a in range(s, s + k - 1))
+    assert list(slot_tuples(n, sizes, grouped=False)) == full
+    assert list(slot_tuples(n, sizes)) == [t for t in full if increasing(t)]
+
+
+def _planted_product(B, i, j, out, paired=True):
+    """e_i * e_j gains e_out, and e_j * e_i loses it when ``paired``."""
+    c = _nested(B.c)
+    c[out][i][j] += 1
+    if paired:
+        c[out][j][i] -= 1
+    return BolAlgebra(B.n, freeze(c), B.t)
+
+
+def _unpaired_bol(B, i, j, k, out):
+    """[e_i, e_j, e_k] gains e_out alone: B02 fails unless the plant is undone."""
+    t = _nested(B.t)
+    t[out][i][j][k] += 1
+    return BolAlgebra(B.n, B.c, freeze(t))
+
+
+ORBIT_BASE = maltsev_to_bol(make_maltsev_dim4())
+TRIPLES = list(itertools.product(range(4), repeat=3))
+
+
+def _b2_b3_defect(i, j, k):
+    # [e_i,e_j,e_k] gains e_out and [e_j,e_k,e_i] loses it: B02 holds, and B1
+    # too unless j = k
+    out = (i + 2 * j + k) % 4
+    return _planted_bol(_planted_bol(ORBIT_BASE, i, j, k, out), j, k, i, out, -1)
+
+
+@pytest.mark.parametrize("position", [p for p in TRIPLES if p[0] != p[1]],
+                         ids=lambda p: "".join(map(str, p)))
+def test_a_b2_b3_defect_at_every_position_is_found_as_by_the_full_scans(position):
+    B = _b2_b3_defect(*position)
+    report = verify_bol(B)
+    assert report["B01"].passed and report["B02"].passed
+    _assert_same(report, _reference_bol(B))
+
+
+def test_the_planted_defects_fail_b2_and_b3_with_many_witnesses():
+    witnesses = {"B2": set(), "B3": set()}
+    for position in TRIPLES:
+        if position[0] != position[1]:
+            for check in verify_bol(_b2_b3_defect(*position)).failures():
+                witnesses[check.name].add(check.witness)
+    assert len(witnesses["B2"]) > 5 and len(witnesses["B3"]) > 5
+
+
+@pytest.mark.parametrize("position", TRIPLES, ids=lambda p: "".join(map(str, p)))
+def test_without_b02_every_tuple_is_scanned(position):
+    B = _unpaired_bol(ORBIT_BASE, *position, position[2])
+    report = verify_bol(B)
+    assert not report["B02"].passed
+    _assert_same(report, _reference_bol(B))
+
+
+@pytest.mark.parametrize("paired", (True, False))
+def test_a_product_defect_at_every_position_is_found_as_by_the_full_scans(paired):
+    for i, j in itertools.product(range(4), repeat=2):
+        B = _planted_product(ORBIT_BASE, i, j, (i + j + 1) % 4, paired)
+        report = verify_bol(B)
+        # unpaired, B01 fails and B2 scans every tuple; B1 and B3 need B02 only
+        assert report["B01"].passed == paired
+        _assert_same(report, _reference_bol(B))
+
+
+def test_the_full_scans_find_witnesses_with_x_after_y():
+    # [e_1, e_0, e_2] = e_1 with [e_0, e_1, e_2] = 0 on the zero algebra
+    B = _unpaired_bol(BolAlgebra.zero(3), 1, 0, 2, 1)
+    report = verify_bol(B)
+    assert report["B02"].witness == (0, 1, 2)
+    assert report["B1"].witness == (0, 2, 1)  # the orbit's representative is (0, 1, 2)
+    assert report["B3"].witness[:2] == (1, 0)
+    _assert_same(report, _reference_bol(B))
+
+
+ORBIT_MODULE = adjoint_representation(maltsev_to_bol(make_so3()))
+PAIRS = list(itertools.product(range(3), repeat=2))
+
+
+def _module_defects():
+    """so3's adjoint module with one entry moved at every position: rho, theta
+    and D with its antisymmetric partner keep c, t and D antisymmetric; D
+    alone does not, except on the diagonal where both moves cancel."""
+    R = ORBIT_MODULE
+    out = [_perturbed(R, "rho", i, 0, i, (i + 1) % 3) for i in range(3)]
+    for i, j in PAIRS:
+        r, c = (i + j) % 3, (2 * i + j) % 3
+        out.append(_perturbed(R, "theta", i, j, r, c))
+        out.append(_perturbed(R, "D", i, j, r, c))
+        out.append(_perturbed(_perturbed(R, "D", i, j, r, c), "D", j, i, r, c, -1))
+    return out
+
+
+MODULE_DEFECTS = _module_defects()
+
+
+@pytest.mark.parametrize("index", range(len(MODULE_DEFECTS)))
+def test_a_module_defect_at_every_position_is_found_as_by_the_full_scans(index):
+    R = MODULE_DEFECTS[index]
+    _assert_same(verify_representation(R), _reference_representation(R))
+    _assert_same(check_delta_identity(R), _reference_delta(R))
+
+
+def test_the_module_defects_fail_every_condition_with_and_without_d_antisymmetric():
+    failed = {True: set(), False: set()}
+    for R in MODULE_DEFECTS:
+        report = verify_representation(R)
+        failed[_antisymmetry_failure(R) is None] |= {c.name for c in report.failures()}
+    assert failed[True] == failed[False] == {"R1", "R21", "R22", "R31", "R32", "R33"}
+
+
+def test_without_d_antisymmetric_every_tuple_is_scanned():
+    # D(e_1, e_0) = E_00 alone: R1 fails at (1, 0) only, which no representative visits
+    R = _perturbed(Representation.zero(BolAlgebra.zero(2), 1), "D", 1, 0, 0, 0)
+    assert _antisymmetry_failure(R) == "D is not antisymmetric in its first two slots at args (0,1)"
+    report = verify_representation(R)
+    assert report["R1"].witness == (1, 0)
+    _assert_same(report, _reference_representation(R))
+    _assert_same(check_delta_identity(R), _reference_delta(R))
+
+
+def _reference_cocycle(R, c):
+    from .test_constraint_rows import _reference_scan  # that module imports this one
+    return _reference_scan(R, c)
+
+
+def _moved_cochain(c, k, by=1):
+    coords = list(c.coords())
+    coords[k] += by
+    return coords_to_cochain(c.base, c.m, tuple(coords))
+
+
+@pytest.mark.parametrize("module", ("so3", "sol3"))
+def test_a_cochain_defect_at_every_coordinate_is_found_as_by_the_full_scan(module):
+    # a cocycle moved at each coordinate, that is at an i<j entry and its j<i partner
+    R = ORBIT_MODULE if module == "so3" else adjoint_representation(
+        maltsev_to_bol(make_solvable(3)))
+    z = cohomology(R).z_basis
+    cocycle = coords_to_cochain(R.base, R.m, tuple(map(sum, zip(*(v.coords() for v in z)))))
+    assert is_cocycle(R, cocycle).passed
+    failed = set()
+    for k in range(len(cocycle.coords())):
+        c = _moved_cochain(cocycle, k, F(1, k + 1))
+        report = is_cocycle(R, c)
+        failed |= {check.name for check in report.failures()}
+        _assert_same(report, _reference_cocycle(R, c))
+    assert failed == {"CC1", "CC2", "CC3"}
+
+
+def test_without_d_antisymmetric_is_cocycle_scans_every_tuple():
+    # D(e_1, e_0) = 1 alone on a 1-dim module over b2: CC2 and CC3 fail first
+    # at y1 > y2, where D(y1, y2) is read
+    R = _perturbed(Representation.zero(make_b2(1), 1), "D", 1, 0, 0, 0)
+    assert _antisymmetry_failure(R) is not None
+    for k, witness in ((0, (0, 1, 1, 0)), (1, (0, 1, 1, 0, 0)), (2, (0, 1, 1, 0, 1))):
+        c = coords_to_cochain(R.base, 1, tuple(F(k == i) for i in range(3)))
+        report = is_cocycle(R, c)
+        assert report.first_failure().witness == witness
+        _assert_same(report, _reference_cocycle(R, c))
+
+
+def _reference_deformation_type(d):
+    n, rng = d.n, range(d.n)
+    pair = BolAlgebra(n, d.nu, d.omega)
+    return CheckReport((
+        _antisymmetry("B01'", d.nu, n, 2),
+        _antisymmetry("B02'", d.mu, n, 2),
+        _antisymmetry("B03'", d.omega, n, 3),
+        _cyclic("B1'", d.omega, n),
+        _scan("B2'", itertools.product(rng, repeat=4), lambda *a: _b2p_residual(d, *a)),
+        _scan("B3'", itertools.product(rng, repeat=5), lambda *a: _b3(pair, *a)),
+    ))
+
+
+def _reference_first_order_formal(datum):
+    base, pair = datum.base, datum.pair
+    closure = _reference_deformation_type(
+        DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)).checks[4:]
+    o3 = _scan("o3", itertools.product(range(base.n), repeat=4),
+               lambda *a: _o3_residual(datum, *a))
+    return CheckReport(_reference_cocycle(adjoint_representation(base), pair).checks
+                       + closure + (o3,))
+
+
+@pytest.mark.parametrize("module", ("so3", "sol3"))
+def test_a_deformation_defect_at_every_coordinate_is_found_as_by_the_full_scans(module):
+    R = ORBIT_MODULE if module == "so3" else adjoint_representation(
+        maltsev_to_bol(make_solvable(3)))
+    B = R.base
+    scale = CochainPair(B, B.n, B.c, B.t)  # deforms to the (1+t)-rescaled algebra
+    failed = set()
+    for k in range(len(scale.coords())):
+        datum = DeformationDatum(B, _moved_cochain(scale, k, F(-1, k + 2)))
+        candidate = DeformationTypeCandidate(B.n, B.c, datum.pair.nu, datum.pair.omega)
+        report = check_first_order_formal(datum)
+        failed |= {check.name for check in report.failures()}
+        _assert_same(report, _reference_first_order_formal(datum))
+        _assert_same(is_deformation_type(candidate), _reference_deformation_type(candidate))
+    assert failed >= {"B2'", "B3'", "o3"}
+
+
+def test_without_antisymmetric_nu_the_deformation_scans_every_tuple():
+    # nu(e_2, e_0) = e_0 alone over so3: B01' fails, and B2' first at y1 > y2
+    B = ORBIT_MODULE.base
+    nu = _nested(freeze(zeros(3, 3, 3)))
+    nu[0][2][0] = F(1)
+    d = DeformationTypeCandidate(3, B.c, freeze(nu), B.t)
+    report = is_deformation_type(d)
+    assert report["B01'"].witness == (0, 2)
+    assert report["B2'"].witness == (0, 1, 2, 0)
+    _assert_same(report, _reference_deformation_type(d))
+
+
+def _reference_homomorphisms(E):
+    """The i- and p-homomorphism scans of validate_extension over every tuple."""
+    hat, base, m, N = E.hat, E.base, E.m, E.hat.n
+
+    def tagged(dim):
+        return itertools.chain(
+            (("binary",) + a for a in itertools.product(range(dim), repeat=2)),
+            (("ternary",) + a for a in itertools.product(range(dim), repeat=3)))
+
+    def operate(A, args):
+        return A.product(*args) if len(args) == 2 else A.triple(*args)
+    i_cols = [E.i.col(a) for a in range(m)]
+    p_cols = [E.p.col(x) for x in range(N)]
+    return (_scan("i-homomorphism", tagged(m),
+                  lambda kind, *args: operate(hat, [i_cols[a] for a in args])),
+            _scan("p-homomorphism", tagged(N),
+                  lambda kind, *args: vec_sub(E.p.apply(operate(hat, args)),
+                                              operate(base, [p_cols[x] for x in args]))))
+
+
+def _assert_same_homomorphisms(E):
+    report = validate_extension(E)
+    _assert_same(CheckReport((report["i-homomorphism"], report["p-homomorphism"])),
+                 CheckReport(_reference_homomorphisms(E)))
+    return report
+
+
+def test_a_map_defect_at_every_entry_is_found_as_by_the_full_scans():
+    E = twisted_product(ORBIT_MODULE, cohomology(ORBIT_MODULE).z_basis[0])
+    assert validate_extension(E).passed
+    failed = set()
+    for which in ("i", "p"):
+        mat = getattr(E, which)
+        for r, c in itertools.product(range(mat.rows), range(mat.cols)):
+            report = _assert_same_homomorphisms(replace(E, **{which: _moved(mat, r, c)}))
+            assert report["base-axioms"].passed and report["hat-axioms"].passed
+            failed |= {check.name for check in report.failures()}
+    assert failed >= {"i-homomorphism", "p-homomorphism"}
+
+
+def test_without_hat_axioms_the_homomorphism_scans_visit_every_tuple():
+    # e_1 * e_0 gains e_0 in hat(B) alone: p fails to be a homomorphism at (1, 0)
+    E = semidirect_product(ORBIT_MODULE)
+    E = replace(E, hat=_planted_product(E.hat, 1, 0, 0, paired=False))
+    report = _assert_same_homomorphisms(E)
+    assert not report["hat-axioms"].passed
+    assert report["p-homomorphism"].witness == ("binary", 1, 0)
