@@ -19,9 +19,9 @@ reporting the first failing tuple in lexicographic order as a witness.
 The scans read a sparse form kept once per algebra, the nonzeros of each
 e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``), so a
 residual adds up only nonzero terms.  Every axiom scan of verify_bol and
-verify_maltsev reads the integer form kept next to it
-(``_integer_terms``): the same nonzeros times D, the lcm of every
-denominator of c (and of t for a Bol algebra).  A product of k such
+verify_maltsev, and the ternary product of maltsev_to_bol, read the
+integer form kept next to it (``_integer_terms``): the same nonzeros
+times D, the lcm of every denominator of c (and of t for a Bol algebra).  A product of k such
 coefficients is D**k times the true one, so these residuals add up plain
 ints, each term scaled to one common degree, and divide by D**k only when
 the dense vector is built (``_over``): the arithmetic is still exact and
@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, is_zero_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .linalg import Vec, is_zero_vec, vec_add, zero_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -209,6 +209,20 @@ def tensor_from_entries(
     rejected, naming the entry as ``what`` (e.g. "binary", "omega").
     """
     t = zeros(value_dim, *([n] * arity))
+    for args, v, val in _checked_entries(n, value_dim, arity, entries, what):
+        _put(t[v], args, val)
+        _put(t[v], (args[1], args[0]) + args[2:], -val)
+    return freeze(t)
+
+
+def _checked_entries(
+    n: int, value_dim: int, arity: int,
+    entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
+):
+    """(args, v, Fraction coefficient) for each coefficient of sparse i<j entries.
+
+    Raises the ValueError of tensor_from_entries on the first bad entry.
+    """
     seen = set()
     for args, coeffs in entries:
         args = tuple(args)
@@ -219,10 +233,7 @@ def tensor_from_entries(
         for v, val in coeffs.items():
             if not 0 <= v < value_dim:
                 raise ValueError(f"{what} entry {_shown(args)}: index {v} out of range")
-            val = Fraction(val)
-            _put(t[v], args, val)
-            _put(t[v], (args[1], args[0]) + args[2:], -val)
-    return freeze(t)
+            yield args, v, Fraction(val)
 
 
 def _shown(args: tuple[int, ...]) -> str:
@@ -608,11 +619,16 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     offending axiom report is raised.
     """
     _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
-    third = Fraction(1, 3)
+    D, P, _ = _integer_terms(M)
 
+    # each term has degree 2 in the integer form, so the sum is 3 D**2 times the bracket
     def bracket(i, j, k):
-        val = M.product(i, M.product(j, k))
-        val = vec_sub(val, M.product(j, M.product(i, k)))
-        val = vec_add(val, vec_scale(Fraction(2), M.product(M.product(i, j), k)))
-        return vec_scale(third, val)
+        acc = [0] * M.n
+        for a, c in P[j][k]:
+            _add_terms(acc, c, P[i][a])
+        for a, c in P[i][k]:
+            _add_terms(acc, -c, P[j][a])
+        for a, c in P[i][j]:
+            _add_terms(acc, 2 * c, P[a][k])
+        return _over(acc, 3 * D * D)
     return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, bracket), M.basis_names)

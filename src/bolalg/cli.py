@@ -27,8 +27,6 @@ from .algebra import (
     MaltsevAlgebra,
     VerificationError,
     _require_passed,
-    entry_args,
-    entry_values,
     maltsev_to_bol,
     verify_bol,
     verify_maltsev,
@@ -131,9 +129,8 @@ def _check_lines(report: CheckReport) -> list[str]:
 
 def _cochain_lines(c: CochainPair) -> list[str]:
     lines = []
-    for name, t, arity in (("nu", c.nu, 2), ("omega", c.omega, 3)):
-        for args in entry_args(c.n, arity):
-            val = entry_values(t, args)
+    for name, arity in (("nu", 2), ("omega", 3)):
+        for args, val in c.entries(arity):
             if any(val):
                 slots = ",".join(f"e{x}" for x in args)
                 lines.append(f"  {name}({slots}) = {_vec_text(val)}")

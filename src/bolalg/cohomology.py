@@ -69,25 +69,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .algebra import (
     BolAlgebra,
     CheckReport,
+    _checked_entries,
     _common_denominator,
     _integer_terms,
     _nonzeros,
-    _once_per_object,
     _over,
     _scaled,
     _scan,
     entry_args,
     entry_coords,
-    freeze,
     slot_tuples,
-    tabulate,
     tensor_from_entries,
-    zeros,
 )
 from .linalg import (
     Mat, Vec, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
@@ -106,29 +103,46 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CochainPair:
-    """Coefficient tensors nu[a][i][j], omega[a][i][j][k] of a (2,3)-cochain."""
+    """A (2,3)-cochain, held as its canonical coordinate vector.
+
+    ``CochainPair(base, m, nu, omega)`` takes the coefficient tensors
+    nu[a][i][j] and omega[a][i][j][k] and raises ValueError on a bad shape
+    or at the first tuple where they are not antisymmetric.  The other
+    constructors (``zero``, ``from_entries``, ``coords_to_cochain``) write
+    the coordinates directly; the tensors are then built on first access
+    and kept on the pair.  Two pairs are equal when their base, m and
+    coordinates are.
+    """
 
     base: BolAlgebra
     m: int
-    nu: tuple
-    omega: tuple
+    _coords: Vec
 
-    def __post_init__(self):
-        n, m = self.base.n, self.m
-        if len(self.nu) != m or len(self.omega) != m:
+    def __init__(self, base: BolAlgebra, m: int, nu: tuple, omega: tuple):
+        n = base.n
+        if len(nu) != m or len(omega) != m:
             raise ValueError("cochain tensors must have one plane per module coordinate")
-        for plane in self.nu:
+        for plane in nu:
             if len(plane) != n or any(len(row) != n for row in plane):
                 raise ValueError("nu tensor must be m x n x n")
-        for cube in self.omega:
+        for cube in omega:
             if len(cube) != n or any(
                 len(plane) != n or any(len(row) != n for row in plane)
                 for plane in cube
             ):
                 raise ValueError("omega tensor must be m x n x n x n")
-        self.coords()  # raises on the first antisymmetry failure
+        # raises on the first antisymmetry failure
+        coords = entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
+        self.__dict__.update(base=base, m=m, _coords=coords, nu=nu, omega=omega)
+
+    @classmethod
+    def _of_coords(cls, base: BolAlgebra, m: int, coords: Vec) -> "CochainPair":
+        """The pair with canonical coordinates ``coords`` (Fractions, right length)."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(base=base, m=m, _coords=coords)
+        return pair
 
     @property
     def n(self) -> int:
@@ -136,16 +150,41 @@ class CochainPair:
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "CochainPair":
-        n = base.n
-        return cls(base, m, freeze(zeros(m, n, n)), freeze(zeros(m, n, n, n)))
+        return cls._of_coords(base, m, zero_vec(cochain_dim(base.n, m)))
 
     @classmethod
     def from_entries(cls, base: BolAlgebra, m: int, nu_entries, omega_entries
                      ) -> "CochainPair":
         """Build from sparse i<j entries {(i,j): {a: coeff}} / {(i,j,k): {a: coeff}}."""
         n = base.n
-        return cls(base, m, tensor_from_entries(n, m, 2, nu_entries, "nu"),
-                   tensor_from_entries(n, m, 3, omega_entries, "omega"))
+        coords = list(zero_vec(cochain_dim(n, m)))
+        index = _coordinate_index(n, m)
+        for name, arity, entries in (("nu", 2, nu_entries), ("omega", 3, omega_entries)):
+            for args, a, x in _checked_entries(n, m, arity, entries, name):
+                coords[index[args][0] + a] = x
+        return cls._of_coords(base, m, tuple(coords))
+
+    def entries(self, arity: int) -> list:
+        """[(args, values), ...] over entry_args(n, arity): the m module
+        coordinates of nu (arity 2) or omega (arity 3) at each i<j tuple,
+        read off the coordinates."""
+        m = self.m
+        return [(args, self._coords[p * m:p * m + m]) for p, args in
+                enumerate(entry_args(self.n, 2) + entry_args(self.n, 3)) if len(args) == arity]
+
+    @cached_property
+    def nu(self) -> tuple:
+        """The tensor nu[a][i][j], built from the coordinates once."""
+        return self._tensor("nu", 2)
+
+    @cached_property
+    def omega(self) -> tuple:
+        """The tensor omega[a][i][j][k], built from the coordinates once."""
+        return self._tensor("omega", 3)
+
+    def _tensor(self, name: str, arity: int) -> tuple:
+        return tensor_from_entries(self.n, self.m, arity, (
+            (args, dict(enumerate(values))) for args, values in self.entries(arity)), name)
 
     # Arithmetic goes through the coordinates, which determine an
     # antisymmetric pair.
@@ -168,10 +207,9 @@ class CochainPair:
         if self.base != other.base or self.m != other.m:
             raise ValueError("cochains live over different data")
 
-    @_once_per_object
     def coords(self) -> Vec:
-        """Canonical coordinate vector (nu block then omega block), kept on the pair."""
-        return entry_coords(self.n, ("nu", self.nu, 2), ("omega", self.omega, 3))
+        """Canonical coordinate vector (nu block then omega block)."""
+        return self._coords
 
 
 def _coordinate_index(n: int, m: int) -> dict:
@@ -185,15 +223,11 @@ def _coordinate_index(n: int, m: int) -> dict:
 
 
 def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
-    n = base.n
-    if len(coords) != cochain_dim(n, m):
+    if len(coords) != cochain_dim(base.n, m):
         raise ValueError("coordinate vector has wrong length")
-    index = _coordinate_index(n, m)
-
-    def value(*args):
-        start, sign = index.get(args, (0, 0))
-        return tuple(sign * Fraction(x) for x in coords[start:start + m]) if sign else zero_vec(m)
-    return CochainPair(base, m, tabulate(m, n, 2, value), tabulate(m, n, 3, value))
+    if not all(type(x) is Fraction for x in coords):
+        coords = map(Fraction, coords)
+    return CochainPair._of_coords(base, m, tuple(coords))
 
 
 # ---------------------------------------------------------------------------

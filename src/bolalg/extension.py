@@ -47,6 +47,7 @@ from .algebra import (
     _once_per_object,
     _require_passed,
     _scan,
+    entry_args,
     entry_values,
     slot_tuples,
     tabulate,
@@ -254,7 +255,11 @@ def induced_representation(E: AbelianExtension) -> Representation:
 
 
 def induced_cocycle(E: AbelianExtension) -> CochainPair:
-    """(nu, omega) read off hat(B) through the section."""
+    """(nu, omega) read off hat(B) through the section, at the i<j tuples.
+
+    Both algebras are verified, so each value changes sign when x, y are
+    swapped and vanishes at x = y: the first value that leaves the fiber
+    in lexicographic order has x < y, and nu is read before omega."""
     _require_valid(E)
     base, hat, m = E.base, E.hat, E.m
     n = base.n
@@ -270,7 +275,9 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
         w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
                     E.sigma.apply(base.basis_triple(x, y, z)))
         return _fiber_coords(Tinv, w, n, m, "omega value")
-    return CochainPair(base, m, tabulate(m, n, 2, nu), tabulate(m, n, 3, omega))
+    nu_entries = [(args, dict(enumerate(nu(*args)))) for args in entry_args(n, 2)]
+    omega_entries = [(args, dict(enumerate(omega(*args)))) for args in entry_args(n, 3)]
+    return CochainPair.from_entries(base, m, nu_entries, omega_entries)
 
 
 @dataclass(frozen=True)

@@ -198,15 +198,20 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
     return entries
 
 
-def _render_entries(tensor, arity: int, n: int) -> list:
-    """Sparse i<j entries of an antisymmetric tensor, canonically ordered."""
+def _render_entries(entries) -> list:
+    """Sparse entries from (args, values) pairs in canonical (i<j) order;
+    zero coefficients and all-zero entries are omitted."""
     out = []
-    for args in entry_args(n, arity):
-        value = {str(a): render_scalar(coeff)
-                 for a, coeff in enumerate(entry_values(tensor, args)) if coeff}
+    for args, values in entries:
+        value = {str(a): render_scalar(coeff) for a, coeff in enumerate(values) if coeff}
         if value:
             out.append({"args": list(args), "value": value})
     return out
+
+
+def _tensor_entries(tensor, arity: int, n: int):
+    """(args, values) of an antisymmetric tensor at each i<j argument tuple."""
+    return ((args, entry_values(tensor, args)) for args in entry_args(n, arity))
 
 
 def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
@@ -240,9 +245,9 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
     }
     if A.basis_names:
         obj["basis_names"] = list(A.basis_names)
-    obj["binary"] = _render_entries(A.c, 2, A.n)
+    obj["binary"] = _render_entries(_tensor_entries(A.c, 2, A.n))
     if isinstance(A, BolAlgebra):
-        obj["ternary"] = _render_entries(A.t, 3, A.n)
+        obj["ternary"] = _render_entries(_tensor_entries(A.t, 3, A.n))
     return obj
 
 
@@ -353,8 +358,8 @@ def render_representation(R: Representation) -> str:
 def cochain_to_obj(c: CochainPair) -> dict:
     return {
         "module_dimension": c.m,
-        "nu": _render_entries(c.nu, 2, c.n),
-        "omega": _render_entries(c.omega, 3, c.n),
+        "nu": _render_entries(c.entries(2)),
+        "omega": _render_entries(c.entries(3)),
     }
 
 

@@ -51,6 +51,7 @@ from .algebra import (
     _scan,
     _triple_terms,
     _vec_of,
+    entry_args,
     freeze,
     maltsev_to_bol,
     slot_tuples,
@@ -167,11 +168,31 @@ def _integer_maps(R: Representation) -> tuple:
     return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
 
 
+def _sparse_row(*parts) -> tuple:
+    """The nonzero (key, value) pairs of a sum, key ascending; a part (s,
+    start, step, terms) adds s * x at key start + step * k for each (k, x)
+    in terms."""
+    acc = {}
+    for s, start, step, terms in parts:
+        for k, x in terms:
+            key = start + step * k
+            acc[key] = acc.get(key, _ZERO) + s * x
+    return tuple(sorted((k, x) for k, x in acc.items() if x))
+
+
 @_once_per_object
 def _delta_rows(R: Representation) -> tuple:
-    """The kept sparse form of Delta: [i][j] = _rows(Delta(e_i, e_j))."""
+    """The kept sparse form of Delta: [i][j] = _rows(Delta(e_i, e_j)), row r
+    of D(e_i, e_j) - sum_k c_ij^k rho(e_k) read off the kept sparse forms."""
+    P = _product_terms(R.base)
+    rho, D, _ = _map_rows(R)
     rng = range(R.base.n)
-    return tuple(tuple(_rows(R.delta(i, j)) for j in rng) for i in rng)
+
+    def delta(i, j):
+        return tuple(_sparse_row((1, 0, 1, D[i][j][r]),
+                                 *((-c, 0, 1, rho[k][r]) for k, c in P[i][j]))
+                     for r in range(R.m))
+    return tuple(tuple(delta(i, j) for j in rng) for i in rng)
 
 
 def _add_mat(acc: dict, s, a: tuple, m: int) -> None:
@@ -486,6 +507,10 @@ def _coboundary_rows(R: Representation) -> tuple:
     parameter has: nu before omega, its lexicographically first tuple and
     first module coordinate.  The rows kept are those of the i<j tuples, in
     the canonical cochain order.
+
+    When c, t and D are antisymmetric (``_antisymmetry_failure``), so is
+    Delta = D - rho(x*y), and with them the map; only the i<j rows are
+    built.  Otherwise every tuple with i<=j is checked against its swap.
     """
     B = R.base
     n, m = B.n, R.m
@@ -493,24 +518,19 @@ def _coboundary_rows(R: Representation) -> tuple:
     rho, D, theta = _map_rows(R)
     delta = _delta_rows(R)
 
-    def row(*parts):  # part: (sign, start, step, terms); adds sign * x at start + step * k
-        acc = {}
-        for sign, start, step, terms in parts:
-            for k, x in terms:
-                key = start + step * k
-                acc[key] = acc.get(key, _ZERO) + sign * x
-        return tuple(sorted((k, x) for k, x in acc.items() if x))
-
     def nu(x1, x2, a):
         # rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi) - f(x1*x2)
-        return row((1, x2 * m, 1, rho[x1][a]), (-1, x1 * m, 1, rho[x2][a]),
-                   (1, n * m, 1, delta[x1][x2][a]), (-1, a, m, P[x1][x2]))
+        return _sparse_row((1, x2 * m, 1, rho[x1][a]), (-1, x1 * m, 1, rho[x2][a]),
+                           (1, n * m, 1, delta[x1][x2][a]), (-1, a, m, P[x1][x2]))
 
     def omega(x1, x2, x3, a):
         # theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3) - f([x1,x2,x3])
-        return row((1, x1 * m, 1, theta[x2][x3][a]), (-1, x2 * m, 1, theta[x1][x3][a]),
-                   (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
+        return _sparse_row((1, x1 * m, 1, theta[x2][x3][a]), (-1, x2 * m, 1, theta[x1][x3][a]),
+                           (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
 
+    if _antisymmetry_failure(R) is None:
+        return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
+                     for args in entry_args(n, arity) for a in range(m))
     kept, failures = [], []  # failure: (first parameter, nu/omega, args, a)
     for which, (arity, fn) in enumerate(((2, nu), (3, omega))):
         for i, j, *rest in itertools.product(range(n), repeat=arity):
@@ -518,7 +538,8 @@ def _coboundary_rows(R: Representation) -> tuple:
                 continue
             for a in range(m):
                 r = fn(i, j, *rest, a)
-                residual = r if i == j else row((1, 0, 1, r), (1, 0, 1, fn(j, i, *rest, a)))
+                residual = r if i == j else _sparse_row((1, 0, 1, r),
+                                                        (1, 0, 1, fn(j, i, *rest, a)))
                 if residual:
                     failures.append((residual[0][0], which, (i, j, *rest), a))
                 if i < j:

@@ -7,10 +7,13 @@ constructions it replaced: the unit-parameter probe (``matrix_of`` over
 ``coboundary_tensors`` and ``entry_coords``), with its errors on an
 unverified R; the pseudoderivation kernel probed over the full n x n and
 n x n x n tensors; and the zero-companion solve that appends rows forcing
-chi = 0.
+chi = 0.  The rows built from the i<j tuples alone equal those of the
+scan that checks every tuple against its swap, and the kept sparse Delta
+rows equal the rows of the dense ``R.delta`` matrices.
 """
 
 import functools
+import importlib
 import random
 from fractions import Fraction as F
 
@@ -29,6 +32,9 @@ from bolalg.linalg import Mat, kernel_basis, matrix_of, solve, unit_vec
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
+    _antisymmetry_failure,
+    _delta_rows,
+    _rows,
     adjoint_representation,
     coboundary_matrix,
     coboundary_tensors,
@@ -44,6 +50,8 @@ from .conftest import (
     random_representation_corpus,
 )
 from .test_acceptance import _closure_corpus
+
+REPRESENTATION = importlib.import_module("bolalg.representation")
 
 
 @functools.cache
@@ -209,3 +217,24 @@ def test_pseudoderivations_then_cohomology_build_the_rows_once(coboundary_row_bu
     basis = pseudoderivation_space(R)
     assert cohomology(R).dim_B + len(basis) == 2 * 2 + 2
     assert coboundary_row_builds == [R]
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_the_rows_are_the_same_without_the_swapped_scan(index, monkeypatch):
+    # with c, t and D antisymmetric only the i<j rows are built; forcing the
+    # swapped-tuple scan must give the same rows
+    R = _probe_modules()[index]
+    assert _antisymmetry_failure(R) is None
+    build = REPRESENTATION._coboundary_rows.__wrapped__
+    rows = build(R)
+    monkeypatch.setattr(REPRESENTATION, "_antisymmetry_failure", lambda R: "scan every tuple")
+    assert build(R) == rows
+
+
+@pytest.mark.parametrize("index", range(15))
+def test_the_delta_rows_are_the_rows_of_the_dense_delta(index):
+    R = (_probe_modules() + [_r1_violation(), _symmetric_d(), _symmetric_product()])[index]
+    rng = range(R.base.n)
+    rows = _delta_rows(R)
+    assert rows == tuple(tuple(_rows(R.delta(i, j)) for j in rng) for i in rng)
+    assert all(type(x) is F for grid in rows for delta in grid for row in delta for _, x in row)

@@ -1,10 +1,11 @@
 import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import VerificationError, verify_bol
+from bolalg.algebra import BolAlgebra, VerificationError, tabulate, verify_bol
 from bolalg.cohomology import CochainPair, coboundary_of, cohomology
 from bolalg.extension import (
     AbelianExtension,
@@ -17,7 +18,7 @@ from bolalg.extension import (
     twisted_product,
     validate_extension,
 )
-from bolalg.linalg import Mat
+from bolalg.linalg import Mat, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -294,3 +295,50 @@ def test_singular_splitting_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(InvalidExtensionError, match="do not split"):
             EXTENSION._splitting(bad)
+
+
+def _reference_induced_cocycle(E):
+    """The former induced_cocycle: every nu and omega value tabulated, then rescanned."""
+    EXTENSION._require_valid(E)
+    base, hat, m = E.base, E.hat, E.m
+    n = base.n
+    Tinv = EXTENSION._splitting(E)
+    s_cols = [E.sigma.col(x) for x in range(n)]
+
+    def nu(x, y):
+        w = vec_sub(hat.product(s_cols[x], s_cols[y]),
+                    E.sigma.apply(base.basis_product(x, y)))
+        return EXTENSION._fiber_coords(Tinv, w, n, m, "nu value")
+
+    def omega(x, y, z):
+        w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
+                    E.sigma.apply(base.basis_triple(x, y, z)))
+        return EXTENSION._fiber_coords(Tinv, w, n, m, "omega value")
+    return CochainPair(base, m, tabulate(m, n, 2, nu), tabulate(m, n, 3, omega))
+
+
+def test_the_induced_cocycle_equals_the_former_tabulation(adj_1, adj_m1, ex28_rep):
+    rng = random.Random(12)
+    for R in (adj_1, adj_m1, ex28_rep):
+        for z in (CochainPair.zero(R.base, R.m),) + cohomology(R).z_basis:
+            E = twisted_product(R, z)
+            for bundle in (E, perturb_section(E, random_g(rng, R.m, R.base.n))):
+                c, ref = induced_cocycle(bundle), _reference_induced_cocycle(bundle)
+                assert c == ref and c.coords() == ref.coords()
+                assert c.nu == ref.nu and c.omega == ref.omega
+
+
+@pytest.mark.parametrize("base, message", [
+    (lambda: BolAlgebra.zero(2), "nu value"),  # e0*e1 differs: nu fails first
+    (lambda: make_b2(-1), "omega value"),      # same product, [e0,e1,e0] differs
+])
+def test_an_inconsistent_bundle_leaves_the_fiber_as_before(adj_1, monkeypatch, base, message):
+    E = replace(twisted_product(adj_1, cohomology(adj_1).z_basis[0]), base=base())
+    assert validate_extension(E).first_failure().name == "p-homomorphism"
+    monkeypatch.setattr(EXTENSION, "_require_valid", lambda E: None)
+    errors = []
+    for build in (induced_cocycle, _reference_induced_cocycle):
+        with pytest.raises(InvalidExtensionError) as info:
+            build(E)
+        errors.append(str(info.value))
+    assert errors == 2 * [f"{message} does not land in the fiber; extension data is inconsistent"]

@@ -11,7 +11,9 @@ value with every entry a ``Fraction``.  The inputs fail every condition
 somewhere: random candidates fail near the first tuple, single-entry
 defects planted in sol3 (+) so3 fail at every depth of the scans, and
 defects planted in a basis with distinct-prime denominators fail late
-behind a common denominator of over 100 bits.
+behind a common denominator of over 100 bits.  The ternary product
+``maltsev_to_bol`` adds up from the integer form is compared with the
+former one, six dense products per triple.
 
 Once the antisymmetries a scan sits on hold, it visits only the orbit
 representatives of ``slot_tuples``; that holds for verify_bol, the R and
@@ -64,7 +66,7 @@ from bolalg.deformation import (
 )
 from bolalg.extension import semidirect_product, twisted_product, validate_extension
 from bolalg.formats import parse_algebra
-from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_sub
+from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_scale, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -84,7 +86,7 @@ from .conftest import (
     random_fraction,
     random_representation_corpus,
 )
-from .test_basis_change import _unitriangular, transport
+from .test_basis_change import _unitriangular, dense_basis, transport
 from .test_acceptance import _closure_corpus
 
 # ---------------------------------------------------------------------------
@@ -496,6 +498,30 @@ def _prime_basis(n=6, block=3) -> Mat:
 
 
 PRIME_BASE = _moved_maltsev(_sol3_so3(), _prime_basis())
+
+
+def _reference_maltsev_to_bol(M):
+    """The former maltsev_to_bol: six dense products on Vec slots per triple."""
+    third = F(1, 3)
+
+    def bracket(i, j, k):
+        val = M.product(i, M.product(j, k))
+        val = vec_sub(val, M.product(j, M.product(i, k)))
+        val = vec_add(val, vec_scale(F(2), M.product(M.product(i, j), k)))
+        return vec_scale(third, val)
+    return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, bracket), M.basis_names)
+
+
+@pytest.mark.parametrize("make", [
+    _octonions, lambda: make_solvable(7),
+    lambda: _moved_maltsev(_sol3_so3(), dense_basis(random.Random(3), 6)),
+    lambda: PRIME_BASE,
+], ids=["octonions", "sol7", "sol3+so3-dense", "prime-basis"])
+def test_maltsev_to_bol_equals_the_dense_brackets(make):
+    M = make()
+    B = maltsev_to_bol(M)
+    assert B == _reference_maltsev_to_bol(M)
+    assert all(type(x) is F for plane in B.t for a in plane for b in a for x in b)
 
 
 def test_the_prime_basis_passes_behind_a_denominator_of_over_100_bits():

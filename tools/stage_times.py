@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time the stages of bolalg's cohomology() on the adjoint module of one algebra.
+
+Usage, from the root of a checkout:
+
+    python3 tools/stage_times.py ALGEBRA_FILE [--runs N]
+
+ALGEBRA_FILE is a Bol or Maltsev algebra file; a Maltsev algebra is taken
+to its Bol algebra first.  Each run parses the file again, so nothing is
+kept from an earlier run, builds the adjoint representation, and calls
+cohomology() with the functions it calls rebound, in the
+``bolalg.cohomology`` module only, to timing wrappers:
+
+    coboundary_matrix   the (f, chi) coboundary map (its sparse rows and dense Mat)
+    _constraint_rows    the CC1-CC3 rows, consumed inside the wrapper
+    _dense              the dense constraint Mat of the distinct rows
+    kernel_basis        the cocycle space Z
+    rref                the B basis, then the pivots of [B | Z]
+    coords_to_cochain   the Z, B and H cochains
+
+"other" is the rest of cohomology(), the deduplication of the rows among
+it.  Prints, per stage, its calls in one run and the median seconds over
+the runs, then the dimensions.  Wall clock, so a busy machine reads slower;
+use several runs.  Stdlib only; the library is read from src/ of this
+checkout.
+"""
+
+import argparse
+import importlib
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bolalg.algebra import MaltsevAlgebra, maltsev_to_bol  # noqa: E402
+from bolalg.formats import parse_algebra  # noqa: E402
+from bolalg.representation import adjoint_representation  # noqa: E402
+
+COHOMOLOGY = importlib.import_module("bolalg.cohomology")  # the module, not the function
+STAGES = ("coboundary_matrix", "_constraint_rows", "_dense", "kernel_basis", "rref",
+          "coords_to_cochain")
+
+
+def _timed(totals: dict, name: str, fn, consume: bool):
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        if consume:  # a generator does its work when read
+            result = tuple(result)
+        totals[name][0] += time.perf_counter() - start
+        totals[name][1] += 1
+        return result
+    return wrapper
+
+
+def run_once(text: str) -> tuple[dict, tuple]:
+    """{stage: [seconds, calls]} of one cohomology() call, and its dims C/Z/B/H."""
+    A = parse_algebra(text)
+    R = adjoint_representation(maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A)
+    totals = {name: [0.0, 0] for name in STAGES}
+    saved = {name: getattr(COHOMOLOGY, name) for name in STAGES}
+    try:
+        for name, fn in saved.items():
+            setattr(COHOMOLOGY, name, _timed(totals, name, fn, name == "_constraint_rows"))
+        start = time.perf_counter()
+        rep = COHOMOLOGY.cohomology(R)
+        total = time.perf_counter() - start
+    finally:
+        for name, fn in saved.items():
+            setattr(COHOMOLOGY, name, fn)
+    totals["other"] = [total - sum(s for s, _ in totals.values()), 1]
+    totals["cohomology"] = [total, 1]
+    return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("algebra", help="Bol or Maltsev algebra file")
+    parser.add_argument("--runs", type=int, default=1, help="runs to take the median over")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    text = Path(args.algebra).read_text()
+    runs = [run_once(text) for _ in range(args.runs)]
+    print(f"{'stage':<20} {'calls':>6} {'median s':>10}")
+    for name in runs[0][0]:
+        seconds = statistics.median(totals[name][0] for totals, _ in runs)
+        print(f"{name:<20} {runs[0][0][name][1]:>6} {seconds:>10.4f}")
+    print("dims C/Z/B/H: " + "/".join(map(str, runs[0][1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
