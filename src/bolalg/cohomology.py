@@ -87,13 +87,13 @@ from .algebra import (
     tensor_from_entries,
 )
 from .linalg import (
-    Mat, Vec, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
+    SparseMat, Vec, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
-    _dense,
+    _delta_rows,
     _integer_maps,
     cochain_dim,
     coboundary_matrix,
@@ -377,13 +377,12 @@ def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"
     if companion == "none":
         # Solve in f's columns alone and pad chi with zeros: rows forcing
         # chi = 0 would make every chi column a pivot, same RREF solution.
-        matrix = Mat(matrix.rows, fdim, tuple(
-            x for r in range(matrix.rows) for x in matrix.row(r)[:fdim]))
+        matrix = SparseMat(fdim, tuple(tuple((k, x) for k, x in row if k < fdim)
+                                       for row in matrix.nonzero_rows))
     elif companion == "delta-kernel":
-        deltas = (R.delta(i, j) for i in range(n) for j in range(n))
-        delta_rows = tuple(x for d in deltas for r in range(m)
-                           for x in zero_vec(fdim) + d.row(r))
-        matrix = Mat(matrix.rows + n * n * m, matrix.cols, matrix.entries + delta_rows)
+        delta_rows = tuple(tuple((fdim + k, x) for k, x in row)
+                           for grid in _delta_rows(R) for delta in grid for row in delta)
+        matrix = SparseMat(matrix.cols, matrix.nonzero_rows + delta_rows)
         target += zero_vec(n * n * m)
     elif companion != "free":
         raise ValueError(f"unknown companion mode {companion!r}")
@@ -438,7 +437,7 @@ def cohomology(R: Representation) -> CohomologyReport:
 
     # Constraint matrix, one column per cochain coordinate.  Dropping
     # repeated rows (the first of each kept) keeps the row space and kernel.
-    z_coords = kernel_basis(_dense(tuple(dict.fromkeys(_constraint_rows(R))), dim_c))
+    z_coords = kernel_basis(SparseMat(dim_c, tuple(dict.fromkeys(_constraint_rows(R)))))
     dim_z = len(z_coords)
 
     bres = rref(bmat.transpose())
@@ -448,7 +447,8 @@ def cohomology(R: Representation) -> CohomologyReport:
     # Extend B to a basis of Z in the canonical order: with the B basis
     # first, the pivot columns past dim_b are exactly the Z vectors that
     # are independent of B and of the Z vectors before them.
-    pivots = rref(Mat.from_cols(b_coords + z_coords, rows=dim_c)).pivots
+    vectors = SparseMat(dim_c, tuple(map(_nonzeros, b_coords + z_coords)))
+    pivots = rref(vectors.transpose()).pivots
     reps = [z_coords[p - dim_b] for p in pivots if p >= dim_b]
     if len(reps) != dim_z - dim_b:
         raise AssertionError(

@@ -12,7 +12,9 @@ by the matrix alone -- not by row order or pivot choice -- and are
 reproducible down to the byte across runs and platforms.  Inside it the
 rows are primitive arbitrary-precision int rows, reduced by
 cross-multiplication; ``Fraction``s are built only for the entries of the
-result.
+result.  It reads a matrix by its ``nonzero_rows``: a dense ``Mat`` finds
+them in its entries, and a ``SparseMat``, the form the constraint and
+coboundary rows are written in, holds nothing else.
 """
 
 from __future__ import annotations
@@ -30,9 +32,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction: an int, a Fraction or a str; any other number may be rounded."""
+    if isinstance(x, (int, Fraction, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact scalar (int, Fraction or str): {x!r}")
+
+
 def vec(values: Iterable) -> Vec:
     """Coerce an iterable of ints/strings/Fractions into a Vec."""
-    return tuple(Fraction(v) for v in values)
+    return tuple(_exact(v) for v in values)
 
 
 @functools.lru_cache(maxsize=128)
@@ -87,20 +96,16 @@ class Mat:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        flat = tuple(Fraction(x) for r in rows for x in r)
+        flat = tuple(_exact(x) for r in rows for x in r)
         return cls(len(rows), ncols, flat)
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence], rows: int | None = None) -> "Mat":
+    def from_cols(cls, cols: Sequence[Sequence], rows: int) -> "Mat":
         cols = [list(c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise ValueError("from_cols with no columns needs explicit row count")
-            rows = len(cols[0])
         for c in cols:
             if len(c) != rows:
                 raise ValueError("ragged columns")
-        flat = tuple(Fraction(cols[j][i]) for i in range(rows) for j in range(len(cols)))
+        flat = tuple(_exact(cols[j][i]) for i in range(rows) for j in range(len(cols)))
         return cls(rows, len(cols), flat)
 
     @classmethod
@@ -119,6 +124,12 @@ class Mat:
 
     def row(self, i: int) -> Vec:
         return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    @property
+    def nonzero_rows(self) -> tuple:
+        """The nonzeros by row: [r] = ((col, entry), ...), col ascending."""
+        return tuple(tuple((k, x) for k, x in enumerate(self.row(r)) if x)
+                     for r in range(self.rows))
 
     def col(self, j: int) -> Vec:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
@@ -144,7 +155,7 @@ class Mat:
         return Mat(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def __rmul__(self, s) -> "Mat":
-        s = Fraction(s)
+        s = _exact(s)
         return Mat(self.rows, self.cols, tuple(s * a for a in self.entries))
 
     def __matmul__(self, other: "Mat") -> "Mat":
@@ -179,15 +190,38 @@ class Mat:
                     out[i] += e * x
         return tuple(out)
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols) for i in range(self.rows)
-        ))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
+
+
+@dataclass(frozen=True)
+class SparseMat:
+    """Immutable sparse matrix of Fractions, held as its ``nonzero_rows`` (as
+    ``Mat.nonzero_rows`` reads them), every col below ``cols``."""
+
+    cols: int
+    nonzero_rows: tuple
+
+    @property
+    def rows(self) -> int:
+        return len(self.nonzero_rows)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The dense row-major entries, as ``Mat.entries``."""
+        out = [_ZERO] * (self.rows * self.cols)
+        for r, row in enumerate(self.nonzero_rows):
+            for k, x in row:
+                out[r * self.cols + k] = x
+        return tuple(out)
+
+    def transpose(self) -> "SparseMat":
+        cols = [[] for _ in range(self.cols)]
+        for r, row in enumerate(self.nonzero_rows):
+            for k, x in row:
+                cols[k].append((r, x))
+        return SparseMat(self.rows, tuple(map(tuple, cols)))
 
 
 def matrix_of(fn, dim: int, rows: int) -> Mat:
@@ -223,18 +257,15 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _sparse_rows(m: Mat) -> list[dict[int, Fraction]]:
-    return [{j: x for j, x in enumerate(m.row(i)) if x} for i in range(m.rows)]
-
-
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """row divided by the gcd of its entries; an empty row stays empty."""
     g = math.gcd(*row.values())
     return row if g <= 1 else {k: x // g for k, x in row.items()}
 
 
-def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
-    """The primitive int row proportional to a rational row."""
+def _integer_row(row) -> dict[int, int]:
+    """The primitive int row proportional to a rational row ({col: entry} or its pairs)."""
+    row = dict(row)
     d = math.lcm(*(x.denominator for x in row.values()))
     return _primitive({k: x.numerator * (d // x.denominator) for k, x in row.items()})
 
@@ -258,8 +289,8 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], k: int) -> dict[int, i
     return _primitive(row)
 
 
-def _echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Canonical RREF of sparse rows ``{col: entry}`` as ``{pivot col: row}``.
+def _echelon(rows) -> dict[int, dict[int, Fraction]]:
+    """Canonical RREF of sparse rows (``{col: entry}`` or its pairs) as ``{pivot col: row}``.
 
     Fraction-free (Bareiss 1968): each row becomes a primitive int row (its
     denominators cleared, then divided by the gcd of its numerators).
@@ -289,10 +320,10 @@ def _echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
             for pc, row in echelon.items()}
 
 
-def rref(m: Mat) -> RrefResult:
+def rref(m: Mat | SparseMat) -> RrefResult:
     """Canonical reduced row-echelon form of ``m``: pivot entries 1, zeros
     above and below each pivot, zero rows last."""
-    echelon = _echelon(_sparse_rows(m))
+    echelon = _echelon(m.nonzero_rows)
     pivots = tuple(sorted(echelon))
     entries = [_ZERO] * (m.rows * m.cols)
     for r, pc in enumerate(pivots):
@@ -301,14 +332,14 @@ def rref(m: Mat) -> RrefResult:
     return RrefResult(Mat(m.rows, m.cols, tuple(entries)), pivots)
 
 
-def image_rank(m: Mat) -> int:
+def image_rank(m: Mat | SparseMat) -> int:
     return rref(m).rank
 
 
-def kernel_basis(m: Mat) -> list[Vec]:
+def kernel_basis(m: Mat | SparseMat) -> list[Vec]:
     """Basis of the null space {v : m v = 0}, one vector per free column fc
     in order: 1 at fc, minus column fc of the canonical RREF at the pivots."""
-    echelon = _echelon(_sparse_rows(m))
+    echelon = _echelon(m.nonzero_rows)
     basis = []
     for fc in (j for j in range(m.cols) if j not in echelon):
         v = [_ZERO] * m.cols
@@ -319,13 +350,13 @@ def kernel_basis(m: Mat) -> list[Vec]:
     return basis
 
 
-def solve(m: Mat, b: Vec) -> Vec | None:
+def solve(m: Mat | SparseMat, b: Vec) -> Vec | None:
     """One exact solution of m x = b (free variables set to 0), or None.
 
     None exactly when the system is inconsistent; b is column m.cols."""
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != row count {m.rows}")
-    echelon = _echelon([row | {m.cols: x} if x else row for row, x in zip(_sparse_rows(m), b)])
+    echelon = _echelon([row + ((m.cols, x),) if x else row for row, x in zip(m.nonzero_rows, b)])
     if m.cols in echelon:
         return None
     x = [_ZERO] * m.cols
@@ -334,13 +365,13 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def inverse(m: Mat) -> Mat:
+def inverse(m: Mat | SparseMat) -> Mat:
     """Exact inverse of a square matrix (the identity is columns n..2n-1);
     raises ValueError if singular."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    echelon = _echelon([row | {n + i: _ONE} for i, row in enumerate(_sparse_rows(m))])
+    echelon = _echelon([row + ((n + i, _ONE),) for i, row in enumerate(m.nonzero_rows)])
     if any(i not in echelon for i in range(n)):
         raise ValueError("matrix is singular")
     return Mat(n, n, tuple(echelon[i].get(n + j, _ZERO) for i in range(n) for j in range(n)))

@@ -60,7 +60,7 @@ from .algebra import (
     zeros,
 )
 from .linalg import (
-    Mat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec,
+    Mat, SparseMat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec,
 )
 
 _THIRD = Fraction(1, 3)
@@ -121,16 +121,11 @@ def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
     return acc
 
 
-def _rows(mat: Mat) -> tuple:
-    """The nonzeros of a matrix by row: [r] = ((col, value), ...)."""
-    return tuple(_nonzeros(mat.row(r)) for r in range(mat.rows))
-
-
 @_once_per_object
 def _map_rows(R: Representation) -> tuple:
-    """The kept sparse form (rho, D, theta) of R, each matrix as its _rows."""
-    grid = lambda g: tuple(tuple(_rows(mat) for mat in row) for row in g)
-    return tuple(_rows(mat) for mat in R.rho), grid(R.D), grid(R.theta)
+    """The kept sparse form (rho, D, theta) of R, each matrix as its nonzero_rows."""
+    grid = lambda g: tuple(tuple(mat.nonzero_rows for mat in row) for row in g)
+    return tuple(mat.nonzero_rows for mat in R.rho), grid(R.D), grid(R.theta)
 
 
 @_once_per_object
@@ -182,7 +177,7 @@ def _sparse_row(*parts) -> tuple:
 
 @_once_per_object
 def _delta_rows(R: Representation) -> tuple:
-    """The kept sparse form of Delta: [i][j] = _rows(Delta(e_i, e_j)), row r
+    """The kept sparse form of Delta: [i][j] = Delta(e_i, e_j).nonzero_rows, row r
     of D(e_i, e_j) - sum_k c_ij^k rho(e_k) read off the kept sparse forms."""
     P = _product_terms(R.base)
     rho, D, _ = _map_rows(R)
@@ -550,22 +545,11 @@ def _coboundary_rows(R: Representation) -> tuple:
     return tuple(kept)
 
 
-def _dense(rows, cols: int) -> Mat:
-    """The Mat of sparse rows ((column, value), ...) with ``cols`` columns."""
-    entries = [_ZERO] * (len(rows) * cols)
-    for r, row in enumerate(rows):
-        for k, x in row:
-            entries[r * cols + k] = x
-    return Mat(len(rows), cols, tuple(entries))
-
-
-@_once_per_object
-def coboundary_matrix(R: Representation) -> Mat:
+def coboundary_matrix(R: Representation) -> SparseMat:
     """Matrix of (f, chi) -> (nu, omega) in cochain coordinates, one column
-    per parameter: the dense form of _coboundary_rows, so a coboundary that
-    is not antisymmetric (R unverified) raises ValueError.  Kept on R for
-    pseudoderivations, coboundary solves and cohomology()."""
-    return _dense(_coboundary_rows(R), pseudoderivation_params(R.base.n, R.m))
+    per parameter: the kept _coboundary_rows, so a coboundary that is not
+    antisymmetric (R unverified) raises ValueError."""
+    return SparseMat(pseudoderivation_params(R.base.n, R.m), _coboundary_rows(R))
 
 
 def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:

@@ -121,6 +121,11 @@ def coboundary_row_builds(monkeypatch):
     return builds
 
 
+def dense(matrix) -> Mat:
+    """The dense Mat of a SparseMat, read through its row-major entries."""
+    return Mat(matrix.rows, matrix.cols, matrix.entries)
+
+
 # ---------------------------------------------------------------------------
 # random corpus helpers
 

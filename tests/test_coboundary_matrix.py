@@ -1,8 +1,9 @@
 """The one (f, chi) coboundary matrix against independent reference systems.
 
-``representation.coboundary_matrix`` is the dense form of the sparse rows
+``representation.coboundary_matrix`` is the ``SparseMat`` of the sparse rows
 ``_coboundary_rows`` writes from the kept sparse forms of B and R, read in
-cochain coordinates (i<j entries only).  The references below are the
+cochain coordinates (i<j entries only); the references compare its dense
+entries.  The references below are the
 constructions it replaced: the unit-parameter probe (``matrix_of`` over
 ``coboundary_tensors`` and ``entry_coords``), with its errors on an
 unverified R; the pseudoderivation kernel probed over the full n x n and
@@ -34,7 +35,6 @@ from bolalg.representation import (
     Representation,
     _antisymmetry_failure,
     _delta_rows,
-    _rows,
     adjoint_representation,
     coboundary_matrix,
     coboundary_tensors,
@@ -44,6 +44,7 @@ from bolalg.representation import (
 )
 
 from .conftest import (
+    dense,
     make_b2,
     make_ex28_representation,
     make_so3,
@@ -78,7 +79,7 @@ def _full_tensor_kernel(R):
 def _identity_row_solve(R, c):
     """The zero-companion solve with rows [0 | I] appended to force chi = 0."""
     n, m = R.base.n, R.m
-    M = coboundary_matrix(R)
+    M = dense(coboundary_matrix(R))
     rows = [list(M.row(i)) for i in range(M.rows)]
     rows += [[F(0)] * (n * m) + list(Mat.identity(m).row(i)) for i in range(m)]
     sol = solve(Mat.from_rows(rows), c.coords() + (F(0),) * m)
@@ -114,7 +115,7 @@ def test_zero_companion_solve_matches_the_identity_row_system(index):
 def test_matrix_rows_are_the_cochain_coordinates():
     R = make_ex28_representation()
     n, m = R.base.n, R.m
-    matrix = coboundary_matrix(R)
+    matrix = dense(coboundary_matrix(R))
     rng = random.Random(5)
     for _ in range(5):
         p = _random_pseudo(rng, n, m)
@@ -148,7 +149,7 @@ def _probe_modules():
 def test_matrix_equals_the_probe(index):
     R = _probe_modules()[index]
     matrix = coboundary_matrix(R)
-    assert matrix == _probe_matrix(R)
+    assert dense(matrix) == _probe_matrix(R)
     assert all(type(x) is F for x in matrix.entries)  # exact, never int or float
 
 
@@ -236,5 +237,5 @@ def test_the_delta_rows_are_the_rows_of_the_dense_delta(index):
     R = (_probe_modules() + [_r1_violation(), _symmetric_d(), _symmetric_product()])[index]
     rng = range(R.base.n)
     rows = _delta_rows(R)
-    assert rows == tuple(tuple(_rows(R.delta(i, j)) for j in rng) for i in rng)
+    assert rows == tuple(tuple(R.delta(i, j).nonzero_rows for j in rng) for i in rng)
     assert all(type(x) is F for grid in rows for delta in grid for row in delta for _, x in row)

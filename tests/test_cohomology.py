@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, bilinear_eval, trilinear_eval
+from bolalg.algebra import BolAlgebra, bilinear_eval, maltsev_to_bol, trilinear_eval
 from bolalg.cohomology import (
     CochainPair,
     cochain_dim,
@@ -25,7 +25,7 @@ from bolalg.representation import (
     pseudoderivation_space,
 )
 
-from .conftest import make_b2, random_representation_corpus
+from .conftest import dense, make_b2, make_solvable, random_representation_corpus
 from .test_constraint_rows import _modules
 from .test_linalg import _fraction_echelon
 
@@ -198,8 +198,8 @@ class TestCohomology:
         # here with the Fraction elimination, on the matrix and its transpose
         R = _modules()[index]
         matrix = coboundary_matrix(R)
-        rank = len(_fraction_echelon(_sparse_rows(matrix)))
-        assert len(_fraction_echelon(_sparse_rows(matrix.transpose()))) == rank
+        rank = len(_fraction_echelon(_sparse_rows(dense(matrix))))
+        assert len(_fraction_echelon(_sparse_rows(dense(matrix.transpose())))) == rank
         assert cohomology(R).dim_B == rank
         assert len(pseudoderivation_space(R)) == pseudoderivation_params(R.base.n, R.m) - rank
 
@@ -267,3 +267,22 @@ class TestCohomology:
         R = random_representation_corpus(count=5)[4]  # zero rep, m small
         rep = cohomology(R)
         assert rep.dim_H == rep.dim_Z - rep.dim_B
+
+
+def test_cohomology_builds_no_dense_grid(monkeypatch):
+    """The constraint rows (490 distinct for the solvable n=5 adjoint module)
+    reach the elimination as sparse rows: no Mat built inside cohomology()
+    has more rows than there are cochain coordinates."""
+    R = adjoint_representation(maltsev_to_bol(make_solvable(5)))
+    shapes = []
+    check = Mat.__post_init__
+
+    def recording(self):
+        shapes.append(self.shape)
+        check(self)
+
+    monkeypatch.setattr(Mat, "__post_init__", recording)
+    report = cohomology(R)
+    monkeypatch.undo()
+    assert (report.dim_C, report.dim_Z, report.dim_B, report.dim_H) == (300, 48, 17, 31)
+    assert shapes and max(rows for rows, _ in shapes) <= report.dim_C

@@ -53,7 +53,7 @@ from bolalg.representation import (
     verify_representation,
 )
 
-from .conftest import conjugate_representation, make_b2, make_so3, make_solvable
+from .conftest import conjugate_representation, dense, make_b2, make_so3, make_solvable
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
 from .test_sparse_scans import PRIME_BASE, _moved_maltsev
 
@@ -186,7 +186,8 @@ def test_cohomology_refuses_a_product_the_coboundary_map_cannot_see():
     # on the zero module V = 0 the coboundary map has no rows to check, so only
     # the check of _constraint_rows sees that e0*e0 = e1
     R = Representation.zero(_symmetric_product().base, 0)
-    assert coboundary_matrix(R).shape == (0, 0)
+    matrix = coboundary_matrix(R)
+    assert (matrix.rows, matrix.cols) == (0, 0)
     with pytest.raises(ValueError) as info:
         cohomology(R)
     assert str(info.value) == "binary is not antisymmetric in its first two slots at args (0,0)"
@@ -236,7 +237,7 @@ def test_cohomology_eliminates_the_distinct_probe_rows(index, monkeypatch):
     monkeypatch.setattr(COHOMOLOGY, "kernel_basis", capture)
     report = cohomology(R)
     distinct = list(dict.fromkeys(_probe_rows(R)))  # first of each repeat kept
-    matrix = seen[0]
+    matrix = dense(seen[0])
     assert matrix.rows == len(distinct)
     for r, row in enumerate(distinct):
         assert matrix.row(r) == tuple(dict(row).get(k, F(0)) for k in range(matrix.cols))

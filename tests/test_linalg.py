@@ -14,6 +14,8 @@ so it finds the same pivots in the same order.
 import copy
 import importlib
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +24,7 @@ from bolalg.algebra import maltsev_to_bol
 from bolalg.cohomology import cohomology
 from bolalg.linalg import (
     Mat,
+    SparseMat,
     _echelon,
     _eliminate,
     _integer_row,
@@ -37,7 +40,7 @@ from bolalg.linalg import (
 )
 from bolalg.representation import adjoint_representation
 
-from .conftest import make_so3, make_solvable
+from .conftest import dense, make_so3, make_solvable
 from .test_acceptance import _closure_corpus
 from .test_basis_change import dense_basis, transport
 
@@ -185,6 +188,23 @@ def test_matrix_of_a_linear_map():
         matrix_of(lambda v: v[:1] if v[0] else v, 2, 2)  # ragged columns
 
 
+@pytest.mark.parametrize("build", [vec, lambda v: Mat.from_rows([v]),
+                                   lambda v: Mat.from_cols([v], rows=len(v))],
+                         ids=["vec", "from_rows", "from_cols"])
+def test_only_exact_scalars_are_coerced(build):
+    got = build([3, F(1, 2), "-2/7"])
+    assert tuple(getattr(got, "entries", got)) == (F(3), F(1, 2), F(-2, 7))
+    for inexact in (0.1, 1.0, Decimal("0.5"), 1j, None):
+        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+            build([1, inexact])
+
+
+def test_a_matrix_is_scaled_by_exact_scalars_only():
+    assert F(1, 2) * Mat.identity(1) == Mat(1, 1, (F(1, 2),))
+    with pytest.raises(TypeError, match="0.5"):
+        0.5 * Mat.identity(1)
+
+
 # ---------------------------------------------------------------------------
 # the dense reference
 
@@ -257,9 +277,16 @@ def _permuted(m, order):
     return Mat(m.rows, m.cols, tuple(x for i in order for x in m.row(i)))
 
 
+def _transposed(m):
+    """The transpose of a Mat: column i is row i of m."""
+    return Mat.from_cols([m.row(i) for i in range(m.rows)], rows=m.cols)
+
+
 def _assert_matches_reference(m, rng):
     """rref, kernel_basis, solve and inverse equal the dense reference, on m
-    and on a shuffled and a reversed copy of its rows."""
+    and on a shuffled and a reversed copy of its rows, each given both as a
+    Mat and as the SparseMat of its nonzero rows; the SparseMat has the same
+    entries and transpose."""
     reduced, pivots = _dense_rref(m)
     kernel = _dense_kernel(m)
     x = tuple(F(rng.randint(-3, 3)) for _ in range(m.cols))
@@ -271,24 +298,28 @@ def _assert_matches_reference(m, rng):
     rng.shuffle(shuffled)
     for order in (range(m.rows), shuffled, range(m.rows - 1, -1, -1)):
         pm = _permuted(m, order)
-        res, basis = rref(pm), kernel_basis(pm)
-        _assert_exact(res.reduced.entries, *basis)
-        assert (res.reduced, res.pivots) == (reduced, pivots)
-        assert image_rank(pm) == len(pivots)
-        assert basis == kernel
-        for b, sol in zip(rhs, solutions):
-            got = solve(pm, tuple(b[i] for i in order))
-            assert got == sol
-            _assert_exact(got or ())
-        if m.rows == m.cols:
-            perm = _permuted(Mat.identity(m.rows), order)  # pm == perm @ m
-            if inv is None:
-                with pytest.raises(ValueError):
-                    inverse(pm)
-            else:
-                got = inverse(pm)
-                assert got == inv @ perm.transpose()
-                _assert_exact(got.entries)
+        sparse = SparseMat(pm.cols, pm.nonzero_rows)
+        assert (sparse.rows, sparse.cols) == pm.shape and sparse.entries == pm.entries
+        assert dense(sparse.transpose()) == _transposed(pm)
+        for form in (pm, sparse):
+            res, basis = rref(form), kernel_basis(form)
+            _assert_exact(res.reduced.entries, *basis)
+            assert (res.reduced, res.pivots) == (reduced, pivots)
+            assert image_rank(form) == len(pivots)
+            assert basis == kernel
+            for b, sol in zip(rhs, solutions):
+                got = solve(form, tuple(b[i] for i in order))
+                assert got == sol
+                _assert_exact(got or ())
+            if m.rows == m.cols:
+                perm = _permuted(Mat.identity(m.rows), order)  # pm == perm @ m
+                if inv is None:
+                    with pytest.raises(ValueError):
+                        inverse(form)
+                else:
+                    got = inverse(form)
+                    assert got == inv @ _transposed(perm)
+                    _assert_exact(got.entries)
 
 
 def _random_sparse(rng, rows, cols, density):
@@ -345,7 +376,7 @@ def test_matches_the_dense_reference_on_constraint_matrices(index, monkeypatch):
     monkeypatch.setattr(COHOMOLOGY, "kernel_basis",
                         lambda matrix: seen.append(matrix) or original(matrix))
     cohomology(_constraint_modules()[index])
-    m = seen[0]
+    m = dense(seen[0])
     assert m.rows and m.cols
     _assert_matches_reference(m, random.Random(707 + index))
 
@@ -411,7 +442,7 @@ def _assert_echelon_matches(rows):
     """The same dict as the Fraction loop, pivots inserted in the same order,
     exact entries, and the input rows left as they were."""
     given = copy.deepcopy(rows)
-    expected = _fraction_echelon(copy.deepcopy(rows))
+    expected = _fraction_echelon([dict(row) for row in rows])
     got = _echelon(rows)
     assert got == expected
     assert list(got) == list(expected)
@@ -510,5 +541,5 @@ def test_dense_basis_constraint_rows_match_the_fraction_loop(make, dim_z, checke
     report = cohomology(adjoint_representation(moved))
     rows = max(checked_echelon, key=len)  # the distinct constraint rows
     assert len(rows) > 36 and sum(map(len, rows)) > 6 * len(rows)
-    assert any(x.denominator > 1 for row in rows for x in row.values())
+    assert any(x.denominator > 1 for row in rows for x in dict(row).values())
     assert report.dim_Z == dim_z

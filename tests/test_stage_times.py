@@ -1,0 +1,27 @@
+"""tools/stage_times.py runs cohomology() with the stages it names rebound
+in ``bolalg.cohomology``; every name must still be bound there."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+
+
+def _stage_times():
+    spec = importlib.util.spec_from_file_location("stage_times", ROOT / "tools" / "stage_times.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_times_on_so3(capsys):
+    tool = _stage_times()
+    before = {name: getattr(COHOMOLOGY, name) for name in tool.STAGES}
+    assert tool.main([str(ROOT / "data" / "so3.alg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "dims C/Z/B/H: 36/6/6/0"
+    timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
+    assert all(timed[name] >= 1 for name in tool.STAGES)
+    assert all(getattr(COHOMOLOGY, name) is fn for name, fn in before.items())

@@ -11,18 +11,17 @@ kept from an earlier run, builds the adjoint representation, and calls
 cohomology() with the functions it calls rebound, in the
 ``bolalg.cohomology`` module only, to timing wrappers:
 
-    coboundary_matrix   the (f, chi) coboundary map (its sparse rows and dense Mat)
+    coboundary_matrix   the (f, chi) coboundary map, as its sparse rows
     _constraint_rows    the CC1-CC3 rows, consumed inside the wrapper
-    _dense              the dense constraint Mat of the distinct rows
-    kernel_basis        the cocycle space Z
+    kernel_basis        the cocycle space Z, from the distinct constraint rows
     rref                the B basis, then the pivots of [B | Z]
     coords_to_cochain   the Z, B and H cochains
 
-"other" is the rest of cohomology(), the deduplication of the rows among
-it.  Prints, per stage, its calls in one run and the median seconds over
-the runs, then the dimensions.  Wall clock, so a busy machine reads slower;
-use several runs.  Stdlib only; the library is read from src/ of this
-checkout.
+"other" is the rest of cohomology(): the deduplication of the rows and
+the sparse transposes handed to rref among it.  Prints, per stage, its
+calls in one run and the median seconds over the runs, then the
+dimensions.  Wall clock, so a busy machine reads slower; use several runs.
+Stdlib only; the library is read from src/ of this checkout.
 """
 
 import argparse
@@ -39,8 +38,7 @@ from bolalg.formats import parse_algebra  # noqa: E402
 from bolalg.representation import adjoint_representation  # noqa: E402
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")  # the module, not the function
-STAGES = ("coboundary_matrix", "_constraint_rows", "_dense", "kernel_basis", "rref",
-          "coords_to_cochain")
+STAGES = ("coboundary_matrix", "_constraint_rows", "kernel_basis", "rref", "coords_to_cochain")
 
 
 def _timed(totals: dict, name: str, fn, consume: bool):
