@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, is_zero_vec, vec_add, zero_vec
+from .linalg import Vec, _exact, is_zero_vec, vec_add, zero_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -233,7 +233,7 @@ def _checked_entries(
         for v, val in coeffs.items():
             if not 0 <= v < value_dim:
                 raise ValueError(f"{what} entry {_shown(args)}: index {v} out of range")
-            yield args, v, Fraction(val)
+            yield args, v, _exact(val)
 
 
 def _shown(args: tuple[int, ...]) -> str:

@@ -53,9 +53,9 @@ constraint matrix; the failing tuples are closed under the swaps, so the
 first failing representative is is_cocycle's lexicographically first
 failing tuple.  Whether c, t and D are antisymmetric is checked once per
 R on the kept sparse forms (``representation._antisymmetry_failure``):
-_constraint_rows refuses an R where they are not, and is_cocycle then
-scans every tuple.  cohomology() builds the coboundary map first, which
-on a nonzero module is antisymmetric only if c, t and D are.
+_constraint_rows refuses an R where they are not, and so does the
+coboundary map on a nonzero module, where it is antisymmetric exactly when
+c, t and D are; is_cocycle then scans every tuple.
 
 Coordinates on the cochain space are fixed once and for all: all
 nu[a][i][j] with i<j in lexicographic (i,j) order, module coordinate a
@@ -87,7 +87,7 @@ from .algebra import (
     tensor_from_entries,
 )
 from .linalg import (
-    SparseMat, Vec, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
+    SparseMat, Vec, _exact, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,
@@ -198,7 +198,7 @@ class CochainPair:
         return coords_to_cochain(self.base, self.m, vec_sub(self.coords(), other.coords()))
 
     def __rmul__(self, s) -> "CochainPair":
-        return coords_to_cochain(self.base, self.m, vec_scale(Fraction(s), self.coords()))
+        return coords_to_cochain(self.base, self.m, vec_scale(_exact(s), self.coords()))
 
     def is_zero(self) -> bool:
         return not any(self.coords())
@@ -226,7 +226,7 @@ def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:
     if len(coords) != cochain_dim(base.n, m):
         raise ValueError("coordinate vector has wrong length")
     if not all(type(x) is Fraction for x in coords):
-        coords = map(Fraction, coords)
+        coords = map(_exact, coords)
     return CochainPair._of_coords(base, m, tuple(coords))
 
 
@@ -431,8 +431,8 @@ def cohomology(R: Representation) -> CohomologyReport:
     n, m = B.n, R.m
     dim_c = cochain_dim(n, m)
 
-    # The coboundary map first: an unverified R fails here as in
-    # pseudoderivation_space and solve_coboundary.
+    # The coboundary map first: on a nonzero module, c, t or D that is not
+    # antisymmetric fails here with the message of _constraint_rows.
     bmat = coboundary_matrix(R)
 
     # Constraint matrix, one column per cochain coordinate.  Dropping

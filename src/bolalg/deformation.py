@@ -62,7 +62,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, vec_add, vec_scale, vec_sub
+from .linalg import Mat, Vec, _exact, vec_add, vec_scale, vec_sub
 from .representation import PseudoderivationData, adjoint_representation
 
 _SAMPLE_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
@@ -141,7 +141,7 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     """The algebra B_t with operations *_t and [ , , ]_t at a sample t."""
     base, pair = d.base, d.pair
     n = base.n
-    t = Fraction(t)
+    t = _exact(t)
 
     def deformed(tensor, first_order, arity):
         return tabulate(n, n, arity, lambda *args: vec_add(

@@ -54,9 +54,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import (
-    Mat, Vec, hstack, image_rank, inverse, matrix_of, vec_add, vec_scale, vec_sub, zero_vec,
-)
+from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, vec_scale, vec_sub, zero_vec
 from .representation import Representation, verify_representation
 
 
@@ -204,21 +202,29 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
                 return fiber(R.theta[y][z].col(x - n))
         return zero_vec(N)
 
+    def block(rows, cols, shift):
+        """rows x cols block of the N x N identity: 1 where row = col + shift."""
+        return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
+                                     for r in range(rows) for c in range(cols)))
+
     hat = BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
-    return AbelianExtension(B, m, hat, matrix_of(fiber, m, N),
-                            matrix_of(lambda v: v[:n], N, n),
-                            matrix_of(lambda v: v + zero_vec(m), n, N))
+    return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
+
+
+def _frame(E: AbelianExtension) -> Mat:
+    """[sigma | i]: column x < n is sigma(e_x), column n + a is i(e_a)."""
+    return Mat(E.hat.n, E.hat.n,
+               tuple(x for r in range(E.hat.n) for x in E.sigma.row(r) + E.i.row(r)))
 
 
 @_once_per_object
 def _splitting(E: AbelianExtension) -> Mat:
-    """Inverse of [sigma | i]: rows give (base, fiber) coordinates in hat(B).
+    """Inverse of the frame [sigma | i]: rows give (base, fiber) coordinates in hat(B).
 
-    Kept on E, so each bundle is inverted once; a singular [sigma | i]
-    raises on every call."""
-    T = hstack(E.sigma, E.i)
+    Kept on E, so each bundle is inverted once; a singular frame raises on
+    every call."""
     try:
-        return inverse(T)
+        return inverse(_frame(E))
     except ValueError as exc:
         raise InvalidExtensionError("section and injection do not split hat(B)") from exc
 
@@ -238,11 +244,12 @@ def induced_representation(E: AbelianExtension) -> Representation:
     n = base.n
     Tinv = _splitting(E)
     s_cols = [E.sigma.col(x) for x in range(n)]
+    i_cols = [E.i.col(a) for a in range(m)]
 
     def fiber_map(what, image):
-        """Matrix of u -> image(i(u)) read in fiber coordinates."""
-        return matrix_of(lambda u: _fiber_coords(Tinv, image(E.i.apply(u)), n, m, what),
-                         m, m)
+        """Matrix of u -> image(i(u)) read in fiber coordinates, column by column."""
+        cols = [_fiber_coords(Tinv, image(w), n, m, what) for w in i_cols]
+        return Mat(m, m, tuple(x for row in zip(*cols) for x in row))
 
     rho = tuple(fiber_map("rho image", lambda w: hat.product(s_cols[x], w))
                 for x in range(n))
@@ -350,10 +357,9 @@ def extensions_equivalent(E1: AbelianExtension, E2: AbelianExtension
     if zero_wit is None:
         return ExtensionEquivalence("cohomologous-uncertified", True, None)
 
-    n, f = E1.base.n, zero_wit.f
-    # x + u -> x + f(x) + u in section coordinates
-    phi_tw = matrix_of(lambda v: v[:n] + vec_add(f.apply(v[:n]), v[n:]), n + E1.m, n + E1.m)
-    phi = hstack(E2.sigma, E2.i) @ phi_tw @ _splitting(E1)
+    # x + u -> x + f(x) + u in section coordinates: the frame of E2 with
+    # section sigma2 + i2 f, after the splitting of E1
+    phi = _frame(perturb_section(E2, zero_wit.f)) @ _splitting(E1)
     _check_phi(E1, E2, phi)
     return ExtensionEquivalence("equivalent", True, phi)
 

@@ -50,10 +50,6 @@ def zero_vec(n: int) -> Vec:
     return (_ZERO,) * n
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(_ONE if j == i else _ZERO for j in range(n))
-
-
 def vec_add(u: Vec, *vs: Vec) -> Vec:
     # pairwise, not sum(): sum() starts from int 0, one more Fraction addition per entry
     for v in vs:
@@ -224,27 +220,8 @@ class SparseMat:
         return SparseMat(self.rows, tuple(map(tuple, cols)))
 
 
-def matrix_of(fn, dim: int, rows: int) -> Mat:
-    """The rows x dim matrix of a linear map: column i is fn(e_i).
-
-    The map is probed on the unit vectors in order; the columns must
-    already hold Fractions, so no entry is converted again.
-    """
-    cols = [fn(unit_vec(dim, i)) for i in range(dim)]
-    if any(len(col) != rows for col in cols):
-        raise ValueError(f"matrix_of: a column is not of length {rows}")
-    return Mat(rows, dim, tuple(x for row in zip(*cols) for x in row))
-
-
 def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
-
-
-def hstack(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows:
-        raise ValueError("hstack: row count mismatch")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    return Mat.from_rows(rows) if rows else Mat.zeros(0, a.cols + b.cols)
 
 
 @dataclass(frozen=True)

@@ -496,19 +496,17 @@ def _coboundary_rows(R: Representation) -> tuple:
     coordinate a of nu(args) or omega(args), parameter ascending, written
     from the formulas of coboundary_tensors and the kept sparse forms of B
     and R: parameter j*m + b is entry b of f(e_j), and n*m + b is entry b of
-    chi.  The map is antisymmetric when row(args) + row(args with the first
-    two swapped) vanishes at every tuple, diagonal ones included; otherwise
-    ValueError names the failure the coboundary of the first failing unit
-    parameter has: nu before omega, its lexicographically first tuple and
-    first module coordinate.  The rows kept are those of the i<j tuples, in
-    the canonical cochain order.
-
-    When c, t and D are antisymmetric (``_antisymmetry_failure``), so is
-    Delta = D - rho(x*y), and with them the map; only the i<j rows are
-    built.  Otherwise every tuple with i<=j is checked against its swap.
+    chi.  The rows are those of the i<j tuples, in the canonical cochain
+    order.  On a nonzero module the map is antisymmetric exactly when c, t
+    and D are (then so is Delta = D - rho(x*y)); otherwise ValueError gives
+    the first failure of ``_antisymmetry_failure``, as _constraint_rows
+    does.  The zero module has no rows to check.
     """
     B = R.base
     n, m = B.n, R.m
+    failure = _antisymmetry_failure(R)
+    if failure and m:
+        raise ValueError(failure)
     P, T = _product_terms(B), _triple_terms(B)
     rho, D, theta = _map_rows(R)
     delta = _delta_rows(R)
@@ -523,32 +521,14 @@ def _coboundary_rows(R: Representation) -> tuple:
         return _sparse_row((1, x1 * m, 1, theta[x2][x3][a]), (-1, x2 * m, 1, theta[x1][x3][a]),
                            (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
 
-    if _antisymmetry_failure(R) is None:
-        return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
-                     for args in entry_args(n, arity) for a in range(m))
-    kept, failures = [], []  # failure: (first parameter, nu/omega, args, a)
-    for which, (arity, fn) in enumerate(((2, nu), (3, omega))):
-        for i, j, *rest in itertools.product(range(n), repeat=arity):
-            if i > j:
-                continue
-            for a in range(m):
-                r = fn(i, j, *rest, a)
-                residual = r if i == j else _sparse_row((1, 0, 1, r),
-                                                        (1, 0, 1, fn(j, i, *rest, a)))
-                if residual:
-                    failures.append((residual[0][0], which, (i, j, *rest), a))
-                if i < j:
-                    kept.append(r)
-    if failures:
-        _, which, args, a = min(failures)
-        raise ValueError(_antisymmetry_error(("nu", "omega")[which], args, a))
-    return tuple(kept)
+    return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
+                 for args in entry_args(n, arity) for a in range(m))
 
 
 def coboundary_matrix(R: Representation) -> SparseMat:
     """Matrix of (f, chi) -> (nu, omega) in cochain coordinates, one column
-    per parameter: the kept _coboundary_rows, so a coboundary that is not
-    antisymmetric (R unverified) raises ValueError."""
+    per parameter: the kept _coboundary_rows, so a nonzero module whose c,
+    t or D is not antisymmetric raises ValueError."""
     return SparseMat(pseudoderivation_params(R.base.n, R.m), _coboundary_rows(R))
 
 

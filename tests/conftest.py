@@ -127,6 +127,29 @@ def dense(matrix) -> Mat:
 
 
 # ---------------------------------------------------------------------------
+# slow references: a linear map probed on the unit vectors, and [a | b]
+
+
+def unit_vec(n: int, i: int) -> tuple:
+    return tuple(F(int(j == i)) for j in range(n))
+
+
+def matrix_of(fn, dim: int, rows: int) -> Mat:
+    """The rows x dim matrix of a linear map: column i is fn(e_i), probed in order."""
+    cols = [fn(unit_vec(dim, i)) for i in range(dim)]
+    if any(len(col) != rows for col in cols):
+        raise ValueError(f"matrix_of: a column is not of length {rows}")
+    return Mat(rows, dim, tuple(x for row in zip(*cols) for x in row))
+
+
+def hstack(a: Mat, b: Mat) -> Mat:
+    if a.rows != b.rows:
+        raise ValueError("hstack: row count mismatch")
+    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    return Mat.from_rows(rows) if rows else Mat.zeros(0, a.cols + b.cols)
+
+
+# ---------------------------------------------------------------------------
 # random corpus helpers
 
 

@@ -14,9 +14,9 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
-from bolalg.linalg import is_zero_vec, unit_vec, vec_sub
+from bolalg.linalg import is_zero_vec, vec_sub
 
-from .conftest import make_b2, make_m0, make_maltsev_dim4, make_so3
+from .conftest import make_b2, make_m0, make_maltsev_dim4, make_so3, unit_vec
 
 
 class TestEvaluation:

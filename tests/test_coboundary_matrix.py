@@ -5,16 +5,14 @@
 cochain coordinates (i<j entries only); the references compare its dense
 entries.  The references below are the
 constructions it replaced: the unit-parameter probe (``matrix_of`` over
-``coboundary_tensors`` and ``entry_coords``), with its errors on an
-unverified R; the pseudoderivation kernel probed over the full n x n and
-n x n x n tensors; and the zero-companion solve that appends rows forcing
-chi = 0.  The rows built from the i<j tuples alone equal those of the
-scan that checks every tuple against its swap, and the kept sparse Delta
-rows equal the rows of the dense ``R.delta`` matrices.
+``coboundary_tensors`` and ``entry_coords``), which fails on the same
+unverified R as the antisymmetry gate; the pseudoderivation kernel probed
+over the full n x n and n x n x n tensors; and the zero-companion solve
+that appends rows forcing chi = 0.  The kept sparse Delta rows equal the
+rows of the dense ``R.delta`` matrices.
 """
 
 import functools
-import importlib
 import random
 from fractions import Fraction as F
 
@@ -29,11 +27,10 @@ from bolalg.cohomology import (
     coords_to_cochain,
     solve_coboundary,
 )
-from bolalg.linalg import Mat, kernel_basis, matrix_of, solve, unit_vec
+from bolalg.linalg import Mat, kernel_basis, solve
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
-    _antisymmetry_failure,
     _delta_rows,
     adjoint_representation,
     coboundary_matrix,
@@ -48,11 +45,11 @@ from .conftest import (
     make_b2,
     make_ex28_representation,
     make_so3,
+    matrix_of,
     random_representation_corpus,
+    unit_vec,
 )
 from .test_acceptance import _closure_corpus
-
-REPRESENTATION = importlib.import_module("bolalg.representation")
 
 
 @functools.cache
@@ -181,19 +178,25 @@ def _symmetric_product():
     return Representation.zero(BolAlgebra(2, freeze(c), BolAlgebra.zero(2).t), 1)
 
 
-@pytest.mark.parametrize("make,message", [
+@pytest.mark.parametrize("make,probe_message,message", [
     # the first column, f(e_0), meets D(e_0, e_1) f(e_0) in omega(e_0, e_1, e_0)
-    (_r1_violation, "omega is not antisymmetric in its first two slots at a=0, args (0,1,0)"),
+    (_r1_violation, "omega is not antisymmetric in its first two slots at a=0, args (0,1,0)",
+     "D is not antisymmetric in its first two slots at args (0,1)"),
     # omega holds; Delta(e_0, e_0) = I meets the first chi column in nu(e_0, e_0)
-    (_symmetric_d, "nu is not antisymmetric in its first two slots at a=0, args (0,0)"),
+    (_symmetric_d, "nu is not antisymmetric in its first two slots at a=0, args (0,0)",
+     "ternary is not antisymmetric in its first two slots at args (0,0,0)"),
     # f(e_1) meets e0*e0 = e1 in nu(e_0, e_0)
-    (_symmetric_product, "nu is not antisymmetric in its first two slots at a=0, args (0,0)"),
+    (_symmetric_product, "nu is not antisymmetric in its first two slots at a=0, args (0,0)",
+     "binary is not antisymmetric in its first two slots at args (0,0)"),
 ])
-def test_non_antisymmetric_coboundary_raises_the_probe_error_everywhere(make, message):
+def test_non_antisymmetric_coboundary_raises_the_antisymmetry_gate_everywhere(
+        make, probe_message, message):
+    # the probe fails on the same modules as the gate (c, t or D not
+    # antisymmetric on a nonzero module), with its own message
     R = make()
     with pytest.raises(ValueError) as info:
         _probe_matrix(R)
-    assert str(info.value) == message
+    assert str(info.value) == probe_message
     for call in (pseudoderivation_space, cohomology,
                  lambda R: solve_coboundary(R, CochainPair.zero(R.base, R.m))):
         with pytest.raises(ValueError) as info:
@@ -218,18 +221,6 @@ def test_pseudoderivations_then_cohomology_build_the_rows_once(coboundary_row_bu
     basis = pseudoderivation_space(R)
     assert cohomology(R).dim_B + len(basis) == 2 * 2 + 2
     assert coboundary_row_builds == [R]
-
-
-@pytest.mark.parametrize("index", range(12))
-def test_the_rows_are_the_same_without_the_swapped_scan(index, monkeypatch):
-    # with c, t and D antisymmetric only the i<j rows are built; forcing the
-    # swapped-tuple scan must give the same rows
-    R = _probe_modules()[index]
-    assert _antisymmetry_failure(R) is None
-    build = REPRESENTATION._coboundary_rows.__wrapped__
-    rows = build(R)
-    monkeypatch.setattr(REPRESENTATION, "_antisymmetry_failure", lambda R: "scan every tuple")
-    assert build(R) == rows
 
 
 @pytest.mark.parametrize("index", range(15))

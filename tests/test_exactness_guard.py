@@ -2,18 +2,21 @@
 and at run time.
 
 Every module under ``src/bolalg`` is parsed and walked: no float or
-complex literal, no use of the name ``float``, and no import from outside
-the standard library and ``bolalg`` itself.  The source walk cannot see a
-true division of two ints, which makes a float at run time, nor an int
-zero an accumulator starts from; so every residual entry of every failing
-verifier report is also checked to be a ``Fraction``, and so is every
-entry of the B2, B3 and Sagle residuals, which add up integer numerators,
-on zero and on failing tuples.
+complex literal, no use of the name ``float``, no import from outside
+the standard library and ``bolalg`` itself, and no imported name that the
+module never uses and does not list in ``__all__``.  The source walk cannot
+see a true division of two ints, which makes a float at run time, nor an
+int zero an accumulator starts from; so every residual entry of every
+failing verifier report is also checked to be a ``Fraction``, and so is
+every entry of the B2, B3 and Sagle residuals, which add up integer
+numerators, on zero and on failing tuples.  Every public entry point that
+takes scalars refuses a float.
 """
 
 import ast
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,11 +36,13 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
-from bolalg.cohomology import coords_to_cochain, is_cocycle
+from bolalg.algebra import tensor_from_entries
+from bolalg.cohomology import CochainPair, coords_to_cochain, is_cocycle
 from bolalg.deformation import (
     DeformationDatum,
     DeformationTypeCandidate,
     check_first_order_formal,
+    deformed_algebra,
     generates_infinitesimal_deformation,
     is_deformation_type,
 )
@@ -81,6 +86,22 @@ def _allowed(module: str) -> bool:
     return top == "bolalg" or top in sys.stdlib_module_names
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Each name an import binds that is never read and not in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(*(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)))
+    return [f"line {line}: {name} is imported and never used"
+            for name, line in imported.items() if name not in used]
+
+
 def test_the_guard_sees_every_module():
     assert {p.name for p in SOURCES} >= {"algebra.py", "cli.py", "linalg.py"}
 
@@ -94,6 +115,25 @@ def test_module_is_exact_and_stdlib_only(source):
                                   "from sympy import Rational", "import numpy.linalg"])
 def test_the_guard_catches(code):
     assert len(_violations(ast.parse(code))) == 1
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_what_it_uses(source):
+    assert _unused_imports(ast.parse(source.read_text(), str(source))) == []
+
+
+@pytest.mark.parametrize("code, unused", [
+    ("import math", ["math"]),
+    ("import os.path", ["os"]),
+    ("import os.path\nos.sep", []),
+    ("from .linalg import vec_add, vec_sub\nvec_sub(a, b)", ["vec_add"]),
+    ("from .linalg import Mat as M\nx: M", []),
+    ("from .linalg import Mat\n__all__ = ['Mat']", []),
+    ("from __future__ import annotations", []),
+])
+def test_the_unused_import_guard_catches(code, unused):
+    assert _unused_imports(ast.parse(code)) == [
+        f"line 1: {name} is imported and never used" for name in unused]
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +243,29 @@ def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
     R = Representation(make_b2(1), 1, (zero, zero), D, ((zero, zero), (zero, zero)))
     assert verify_representation(R)["R1"].witness == (0, 1)
     assert verify_representation(R)["R1"].residual == (Fraction(1),)
+
+
+# ---------------------------------------------------------------------------
+# run time: the public entry points that take scalars
+
+
+_ENTRY_POINTS = {
+    "BolAlgebra.from_entries": lambda x: BolAlgebra.from_entries(2, [((0, 1), {1: x})], []),
+    "tensor_from_entries": lambda x: tensor_from_entries(2, 2, 2, [((0, 1), {0: x})], "binary"),
+    "CochainPair.from_entries": lambda x: CochainPair.from_entries(
+        make_b2(1), 1, [((0, 1), {0: x})], []),
+    "coords_to_cochain": lambda x: coords_to_cochain(make_b2(1), 1, (x, 0, 0)),
+    "CochainPair.__rmul__": lambda x: x * CochainPair.from_entries(
+        make_b2(1), 1, [((0, 1), {0: 1})], []),
+    "deformed_algebra": lambda x: deformed_algebra(
+        DeformationDatum(make_b2(1), CochainPair.zero(make_b2(1), 2)), x),
+}
+
+
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_an_entry_point_takes_exact_scalars_and_refuses_a_float(name):
+    build = _ENTRY_POINTS[name]
+    assert build(Fraction(1, 10)) == build("1/10")
+    for inexact in (0.1, 1.0):
+        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+            build(inexact)

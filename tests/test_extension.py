@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bolalg.algebra import BolAlgebra, VerificationError, tabulate, verify_bol
-from bolalg.cohomology import CochainPair, coboundary_of, cohomology
+from bolalg.cohomology import CochainPair, coboundary_of, cohomology, solve_coboundary
 from bolalg.extension import (
     AbelianExtension,
     InvalidExtensionError,
@@ -18,7 +18,7 @@ from bolalg.extension import (
     twisted_product,
     validate_extension,
 )
-from bolalg.linalg import Mat, vec_sub
+from bolalg.linalg import Mat, inverse, vec_add, vec_sub, zero_vec
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -26,7 +26,7 @@ from bolalg.representation import (
     verify_representation,
 )
 
-from .conftest import make_b2
+from .conftest import hstack, make_b2, matrix_of
 
 EXTENSION = importlib.import_module("bolalg.extension")
 
@@ -342,3 +342,31 @@ def test_an_inconsistent_bundle_leaves_the_fiber_as_before(adj_1, monkeypatch, b
             build(E)
         errors.append(str(info.value))
     assert errors == 2 * [f"{message} does not land in the fiber; extension data is inconsistent"]
+
+
+def _reference_phi(E1, E2):
+    """The former phi: [sigma2 | i2] phi_tw [sigma1 | i1]^-1, with phi_tw the
+    map x + u -> x + f(x) + u probed on the unit vectors."""
+    n, N = E1.base.n, E1.hat.n
+    diff = induced_cocycle(E1) - induced_cocycle(E2)
+    f = solve_coboundary(induced_representation(E1), diff, companion="none").f
+    phi_tw = matrix_of(lambda v: v[:n] + vec_add(f.apply(v[:n]), v[n:]), N, N)
+    return hstack(E2.sigma, E2.i) @ phi_tw @ inverse(hstack(E1.sigma, E1.i))
+
+
+def test_phi_equals_the_former_probed_product(adj_1, adj_m1, ex28_rep):
+    rng = random.Random(14)
+    for R in (adj_1, adj_m1, ex28_rep):
+        n, m = R.base.n, R.m
+        for z in (CochainPair.zero(R.base, m),) + cohomology(R).z_basis[:2]:
+            E = twisted_product(R, z)
+            # the canonical maps, as the former probes built them
+            assert E.i == matrix_of(lambda u: zero_vec(n) + u, m, n + m)
+            assert E.p == matrix_of(lambda v: v[:n], n + m, n)
+            assert E.sigma == matrix_of(lambda v: v + zero_vec(m), n, n + m)
+            shift = coboundary_of(R, PseudoderivationData(random_g(rng, m, n), zero_vec(m)))
+            for E1, E2 in ((E, perturb_section(E, random_g(rng, m, n))),
+                           (perturb_section(E, random_g(rng, m, n)),
+                            twisted_product(R, z + shift))):
+                res = extensions_equivalent(E1, E2)
+                assert res.equivalent and res.phi == _reference_phi(E1, E2)

@@ -28,19 +28,16 @@ from bolalg.linalg import (
     _echelon,
     _eliminate,
     _integer_row,
-    hstack,
     image_rank,
     inverse,
     kernel_basis,
-    matrix_of,
     rref,
     solve,
-    unit_vec,
     vec,
 )
 from bolalg.representation import adjoint_representation
 
-from .conftest import dense, make_so3, make_solvable
+from .conftest import dense, hstack, make_so3, make_solvable, matrix_of, unit_vec
 from .test_acceptance import _closure_corpus
 from .test_basis_change import dense_basis, transport
 

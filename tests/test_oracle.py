@@ -14,10 +14,10 @@ import pytest
 from bolalg.algebra import BolAlgebra, _integer_terms, maltsev_to_bol, tabulate, verify_bol
 from bolalg.cohomology import cohomology
 from bolalg.formats import parse_algebra, render_algebra
-from bolalg.linalg import unit_vec, vec_sub, zero_vec
+from bolalg.linalg import vec_sub, zero_vec
 from bolalg.representation import adjoint_representation
 
-from .conftest import make_so3, make_solvable
+from .conftest import make_so3, make_solvable, unit_vec
 from .test_basis_change import dense_basis, transport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +85,15 @@ def _sphere(n):
                       tabulate(n, n, 3, lambda i, j, k: vec_sub(
                           unit_vec(n, i) if j == k else zero,
                           unit_vec(n, j) if i == k else zero)))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_sphere_system_closed_form(n):
+    # dim C = n(C(n,2) + n C(n,2)), dim Z = dim B = n(n+3)/2 and H = 0
+    pairs = n * (n - 1) // 2
+    rep = cohomology(adjoint_representation(_sphere(n)))
+    assert (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H) == (
+        n * (pairs + n * pairs), n * (n + 3) // 2, n * (n + 3) // 2, 0)
 
 
 def test_sphere_system_at_n3(oracle, tmp_path):

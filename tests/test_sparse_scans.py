@@ -66,7 +66,7 @@ from bolalg.deformation import (
 )
 from bolalg.extension import semidirect_product, twisted_product, validate_extension
 from bolalg.formats import parse_algebra
-from bolalg.linalg import Mat, commutator, inverse, unit_vec, vec_add, vec_scale, vec_sub
+from bolalg.linalg import Mat, commutator, inverse, vec_add, vec_scale, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -85,6 +85,7 @@ from .conftest import (
     make_solvable,
     random_fraction,
     random_representation_corpus,
+    unit_vec,
 )
 from .test_basis_change import _unitriangular, dense_basis, transport
 from .test_acceptance import _closure_corpus
