@@ -118,16 +118,21 @@ def _require_passed(report: CheckReport, message: str) -> None:
         raise VerificationError(message, report)
 
 
-def zeros(*shape) -> list:
-    """Nested lists of zeros with the given shape, to be filled and frozen."""
-    if len(shape) == 1:
-        return [_ZERO] * shape[0]
-    return [zeros(*shape[1:]) for _ in range(shape[0])]
+def _fill(value_dim: int, n: int, arity: int, rows_at) -> tuple:
+    """The nested tuples t whose innermost rows t[v][a1]...[a(k-1)] are rows_at(prefix)[v].
 
-
-def freeze(x):
-    """Nested lists to nested tuples (the stored form of every tensor)."""
-    return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+    rows_at is called once per prefix over range(n), in lexicographic order,
+    and returns value_dim tuples of n entries; the levels above are grouped
+    in runs of n, innermost first, so nothing is done once per entry.
+    """
+    rows = [rows_at(prefix) for prefix in itertools.product(range(n), repeat=arity - 1)]
+    planes = []
+    for v in range(value_dim):
+        level = [r[v] for r in rows]
+        for _ in range(arity - 2):
+            level = zip(*[iter(level)] * n)  # consecutive runs of n
+        planes.append(tuple(level))
+    return tuple(planes)
 
 
 def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
@@ -137,13 +142,8 @@ def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
     return value_dim coordinates.
     """
     rng = range(n)
-    values = {args: fn(*args) for args in itertools.product(rng, repeat=arity)}
-
-    def plane(v, prefix):
-        if len(prefix) == arity:
-            return values[prefix][v]
-        return tuple(plane(v, prefix + (a,)) for a in rng)
-    return tuple(plane(v, ()) for v in range(value_dim))
+    return _fill(value_dim, n, arity,
+                 lambda prefix: tuple(zip(*[fn(*prefix, a) for a in rng])))
 
 
 def slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
@@ -208,11 +208,16 @@ def tensor_from_entries(
     Out-of-range, diagonal, unordered and duplicate argument tuples are
     rejected, naming the entry as ``what`` (e.g. "binary", "omega").
     """
-    t = zeros(value_dim, *([n] * arity))
+    rows = {}  # prefix -> value_dim lists of n entries, for the prefixes entries reach
     for args, v, val in _checked_entries(n, value_dim, arity, entries, what):
-        _put(t[v], args, val)
-        _put(t[v], (args[1], args[0]) + args[2:], -val)
-    return freeze(t)
+        for at, x in ((args, val), ((args[1], args[0]) + args[2:], -val)):
+            prefix = at[:-1]
+            if prefix not in rows:
+                rows[prefix] = [[_ZERO] * n for _ in range(value_dim)]
+            rows[prefix][v][at[-1]] = x
+    zero = (zero_vec(n),) * value_dim
+    return _fill(value_dim, n, arity,
+                 lambda prefix: tuple(map(tuple, rows[prefix])) if prefix in rows else zero)
 
 
 def _checked_entries(
@@ -257,12 +262,6 @@ def _entry_error(what: str, args: tuple[int, ...], arity: int, n: int) -> str:
     if args[0] > args[1]:
         return f"{what} entry args {shown} must satisfy i<j"
     return f"duplicate {what} entry {shown}"
-
-
-def _put(t: list, args: tuple[int, ...], val) -> None:
-    for a in args[:-1]:
-        t = t[a]
-    t[args[-1]] = val
 
 
 def _coeffs(x, n: int):
@@ -361,7 +360,7 @@ class BolAlgebra(_BinaryProduct):
 
     @classmethod
     def zero(cls, n: int) -> "BolAlgebra":
-        return cls(n, freeze(zeros(n, n, n)), freeze(zeros(n, n, n, n)))
+        return cls.from_entries(n, (), ())
 
     def triple(self, x, y, z) -> Vec:
         return trilinear_eval(self.t, x, y, z, self.n)

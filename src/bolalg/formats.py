@@ -27,7 +27,7 @@ from .linalg import Mat
 from .representation import Representation
 
 # ASCII decimals only: str.isdigit and int() also take other Unicode digits.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integer
 # Python's default int() limit on decimal digits; checked first, so a longer
 # numerator or denominator is rejected with its path, not by int().
@@ -56,12 +56,17 @@ def parse_scalar(text, path: str = "value") -> Fraction:
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
-    if max(len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS:
+    if (len(text) > _MAX_DIGITS
+            and max(len(part.lstrip("-")) for part in text.split("/")) > _MAX_DIGITS):
         raise ParseError(path, f"rational has a numerator or denominator longer than "
                                f"{_MAX_DIGITS} digits")
-    if match.group(1) and int(match.group(1)[1:]) == 0:
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
         raise ParseError(path, f"zero denominator in {text!r}")
-    return Fraction(text)
+    return Fraction(int(num), den)
 
 
 def render_scalar(x: Fraction) -> str:
@@ -106,6 +111,9 @@ def _loads(text: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ParseError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                              f"{exc.msg}") from None
+    except ValueError:  # int() refuses an integer literal over its digit limit
+        raise ParseError("", f"invalid JSON: an integer literal is longer than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(obj, dict):
         raise ParseError("", "top-level value must be an object")
     return obj

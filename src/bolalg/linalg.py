@@ -34,6 +34,8 @@ _ONE = Fraction(1)
 
 def _exact(x) -> Fraction:
     """x as a Fraction: an int, a Fraction or a str; any other number may be rounded."""
+    if type(x) is Fraction:  # already exact and reduced: kept, not rebuilt
+        return x
     if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     raise TypeError(f"not an exact scalar (int, Fraction or str): {x!r}")

@@ -52,12 +52,11 @@ from .algebra import (
     _triple_terms,
     _vec_of,
     entry_args,
-    freeze,
     maltsev_to_bol,
     slot_tuples,
     tabulate,
+    tensor_from_entries,
     verify_bol,
-    zeros,
 )
 from .linalg import (
     Mat, SparseMat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec,
@@ -467,7 +466,8 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
 def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:
     """True iff every entry of the full coboundary tensors of (f, chi) vanishes."""
     n, m = R.base.n, R.m
-    return coboundary_tensors(R, p) == (freeze(zeros(m, n, n)), freeze(zeros(m, n, n, n)))
+    return coboundary_tensors(R, p) == (tensor_from_entries(n, m, 2, (), "nu"),
+                                        tensor_from_entries(n, m, 3, (), "omega"))
 
 
 def pseudoderivation_params(n: int, m: int) -> int:

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -121,6 +122,13 @@ def coboundary_row_builds(monkeypatch):
     return builds
 
 
+def leaves(x) -> list:
+    """Every scalar of nested tuples of scalars and matrices."""
+    if isinstance(x, Mat):
+        return list(x.entries)
+    return [y for part in x for y in leaves(part)] if isinstance(x, tuple) else [x]
+
+
 def dense(matrix) -> Mat:
     """The dense Mat of a SparseMat, read through its row-major entries."""
     return Mat(matrix.rows, matrix.cols, matrix.entries)
@@ -147,6 +155,49 @@ def hstack(a: Mat, b: Mat) -> Mat:
         raise ValueError("hstack: row count mismatch")
     rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
     return Mat.from_rows(rows) if rows else Mat.zeros(0, a.cols + b.cols)
+
+
+# ---------------------------------------------------------------------------
+# slow references: nested tensors frozen one leaf at a time, and the dense
+# fill through a dict of every argument tuple
+
+
+def zeros(*shape) -> list:
+    """Nested lists of zeros with the given shape, to be filled and frozen."""
+    if len(shape) == 1:
+        return [F(0)] * shape[0]
+    return [zeros(*shape[1:]) for _ in range(shape[0])]
+
+
+def freeze(x):
+    """Nested lists to nested tuples, one call per leaf."""
+    return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+
+
+def tabulate_by_dict(value_dim: int, n: int, arity: int, fn) -> tuple:
+    """t[v][a1]...[ak] = fn(a1, ..., ak)[v], every value held in a dict first."""
+    rng = range(n)
+    values = {args: fn(*args) for args in itertools.product(rng, repeat=arity)}
+
+    def plane(v, prefix):
+        if len(prefix) == arity:
+            return values[prefix][v]
+        return tuple(plane(v, prefix + (a,)) for a in rng)
+    return tuple(plane(v, ()) for v in range(value_dim))
+
+
+def tensor_by_leaves(n: int, value_dim: int, arity: int, entries) -> tuple:
+    """The tensor of sparse i<j entries {args: {v: coeff}}: zeros, each entry
+    and its swapped twin written leaf by leaf, then frozen per leaf."""
+    t = zeros(value_dim, *([n] * arity))
+    for args, coeffs in entries:
+        for v, val in coeffs.items():
+            for at, x in ((args, F(val)), ((args[1], args[0]) + args[2:], -F(val))):
+                row = t[v]
+                for a in at[:-1]:
+                    row = row[a]
+                row[at[-1]] = x
+    return freeze(t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,27 @@ from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
     VerificationError,
+    entry_args,
     maltsev_to_bol,
     tabulate,
+    tensor_from_entries,
     verify_bol,
     verify_maltsev,
 )
 from bolalg.linalg import is_zero_vec, vec_sub
 
-from .conftest import make_b2, make_m0, make_maltsev_dim4, make_so3, unit_vec
+from .conftest import (
+    freeze,
+    leaves,
+    make_b2,
+    make_m0,
+    make_maltsev_dim4,
+    make_so3,
+    tabulate_by_dict,
+    tensor_by_leaves,
+    unit_vec,
+    zeros,
+)
 
 
 class TestEvaluation:
@@ -261,3 +274,54 @@ class TestTabulate:
 
     def test_empty_slots(self):
         assert tabulate(2, 0, 3, lambda *args: 1 / 0) == ((), ())
+        assert tabulate_by_dict(2, 0, 3, lambda *args: 1 / 0) == ((), ())
+
+
+def _fill_cases():
+    """(n, value_dim, arity) for every n 0-4, value_dim 0-3 and arity 2, 3."""
+    return [(n, d, arity) for arity in (2, 3) for n in range(5) for d in range(4)]
+
+
+class TestLevelWiseFill:
+    """tabulate and tensor_from_entries against the dict fill and the per-leaf freeze."""
+
+    @pytest.mark.parametrize("n,value_dim,arity", _fill_cases())
+    def test_tabulate_equals_the_dict_fill(self, n, value_dim, arity):
+        rng = random.Random(100 * n + 10 * value_dim + arity)
+        values = {args: tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(value_dim))
+                  for args in itertools.product(range(n), repeat=arity)}
+        calls, reference_calls = [], []
+        got = tabulate(value_dim, n, arity, lambda *args: calls.append(args) or values[args])
+        want = tabulate_by_dict(value_dim, n, arity,
+                                lambda *args: reference_calls.append(args) or values[args])
+        assert got == want
+        assert calls == reference_calls == list(values)
+
+    @pytest.mark.parametrize("n,value_dim,arity", _fill_cases())
+    def test_sparse_entries_equal_the_per_leaf_build(self, n, value_dim, arity):
+        rng = random.Random(1000 + 100 * n + 10 * value_dim + arity)
+        entries = []
+        for args in entry_args(n, arity):
+            if rng.random() < 0.5:  # about half the entries are absent
+                picked = [v for v in range(value_dim) if rng.random() < 0.5]
+                entries.append((args, {v: rng.choice([0, 2, F(-1, 3), "5/7"]) for v in picked}))
+        got = tensor_from_entries(n, value_dim, arity, entries, "t")
+        assert got == tensor_by_leaves(n, value_dim, arity, entries)
+        assert all(type(x) is F for x in leaves(got))
+
+    def test_no_entries_is_the_zero_tensor(self):
+        for n, value_dim, arity in _fill_cases():
+            assert (tensor_from_entries(n, value_dim, arity, [], "t")
+                    == freeze(zeros(value_dim, *[n] * arity)))
+        assert BolAlgebra.zero(3).c == freeze(zeros(3, 3, 3))
+        assert BolAlgebra.zero(3).t == freeze(zeros(3, 3, 3, 3))
+
+    def test_the_stored_tensors_equal_the_per_leaf_build(self):
+        B = make_b2(F(2, 3))
+        A = maltsev_to_bol(make_maltsev_dim4())
+        for alg in (B, A):
+            n = alg.n
+            c = [(args, dict(enumerate(alg.basis_product(*args)))) for args in entry_args(n, 2)]
+            t = [(args, dict(enumerate(alg.basis_triple(*args)))) for args in entry_args(n, 3)]
+            assert alg.c == tensor_by_leaves(n, n, 2, c)
+            assert alg.t == tensor_by_leaves(n, n, 3, t)

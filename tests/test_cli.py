@@ -93,6 +93,17 @@ class TestVerify:
         code, obj, _ = run("verify", str(bad), "--json")
         assert code == 2 and obj["status"] == "error"
 
+    def test_integer_literal_over_the_digit_limit_is_input_error(self, run, tmp_path):
+        bad = tmp_path / "huge-int.alg"
+        bad.write_text('{"kind": "bol", "dimension": 1' + "0" * 5000 + ', "binary": [], '
+                       '"ternary": []}')
+        code, _, err = run("verify", str(bad))
+        assert code == 2
+        assert err == "error: invalid JSON: an integer literal is longer than 4300 digits\n"
+        code, obj, _ = run("verify", str(bad), "--json")
+        assert code == 2 and obj["status"] == "error"
+        assert obj["message"] == "invalid JSON: an integer literal is longer than 4300 digits"
+
     def test_repeated_key_is_input_error(self, run, tmp_path):
         bad = tmp_path / "twice.alg"
         bad.write_text('{"kind": "maltsev", "dimension": 2, "dimension": 3, '

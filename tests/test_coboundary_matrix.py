@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, entry_coords, freeze, maltsev_to_bol
+from bolalg.algebra import BolAlgebra, entry_coords, maltsev_to_bol
 from bolalg.cohomology import (
     CochainPair,
     cochain_dim,
@@ -42,6 +42,7 @@ from bolalg.representation import (
 
 from .conftest import (
     dense,
+    freeze,
     make_b2,
     make_ex28_representation,
     make_so3,

@@ -23,11 +23,9 @@ from bolalg.algebra import (
     entry_args,
     entry_coords,
     entry_values,
-    freeze,
     maltsev_to_bol,
     tabulate,
     tensor_from_entries,
-    zeros,
 )
 from bolalg.cli import _cochain_lines, _vec_text
 from bolalg.cohomology import (
@@ -41,7 +39,7 @@ from bolalg.formats import cochain_to_obj, render_scalar
 from bolalg.linalg import zero_vec
 from bolalg.representation import adjoint_representation
 
-from .conftest import make_b2, make_so3, make_solvable, random_fraction
+from .conftest import freeze, make_b2, make_so3, make_solvable, random_fraction, zeros
 from .test_acceptance import _closure_corpus
 from .test_basis_change import dense_basis, transport
 from .test_constraint_rows import _prime_module

@@ -29,7 +29,6 @@ from bolalg.algebra import (
     _integer_terms,
     _scan,
     bilinear_eval,
-    freeze,
     maltsev_to_bol,
     trilinear_eval,
 )
@@ -54,7 +53,7 @@ from bolalg.representation import (
 )
 
 from .conftest import (
-    conjugate_representation, dense, make_b2, make_so3, make_solvable, matrix_of,
+    conjugate_representation, dense, freeze, make_b2, make_so3, make_solvable, matrix_of,
 )
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
 from .test_sparse_scans import PRIME_BASE, _moved_maltsev

@@ -24,7 +24,7 @@ from bolalg.formats import (
 )
 from bolalg.representation import adjoint_representation
 
-from .conftest import DATA, make_b2
+from .conftest import DATA, leaves, make_b2
 
 
 class TestScalars:
@@ -39,14 +39,30 @@ class TestScalars:
         assert parse_scalar(text) == value
 
     @pytest.mark.parametrize("bad", ["", "1.5", "+1", " 1", "1/ 2", "a",
-                                     "1/-2", "--1", "1e2"])
+                                     "1/-2", "--1", "1e2", "00x"])
     def test_malformed(self, bad):
-        with pytest.raises(ParseError, match="malformed rational"):
+        with pytest.raises(ParseError) as info:
             parse_scalar(bad)
+        assert str(info.value) == f"value: malformed rational {bad!r}"
 
     def test_zero_denominator(self):
-        with pytest.raises(ParseError, match="zero denominator"):
-            parse_scalar("1/0")
+        for text in ("1/0", "-0/0", "7/000"):
+            with pytest.raises(ParseError) as info:
+                parse_scalar(text, "file.value")
+            assert str(info.value) == f"file.value: zero denominator in {text!r}"
+
+    def test_parse_is_the_fraction_of_the_text(self):
+        import random
+
+        rng = random.Random(17)
+        corpus = ["0", "-0", "-0/5", "4/6", "007", "-007/014", "12/1", "1/12", "0/3",
+                  "9" * 4300, "-" + "9" * 4300, "1/" + "3" * 4300,
+                  "-" + "9" * 4300 + "/" + "1" * 4300]
+        corpus += [f"{rng.randint(-10 ** 6, 10 ** 6)}/{rng.randint(1, 10 ** 6)}"
+                   for _ in range(200)]
+        for text in corpus:
+            got = parse_scalar(text)
+            assert type(got) is F and got == F(text), text
 
     def test_numbers_are_rejected(self):
         with pytest.raises(ParseError, match="string"):
@@ -159,6 +175,17 @@ class TestAlgebraFiles:
         with pytest.raises(ParseError, match="unknown kind"):
             parse_algebra(json.dumps({"kind": "lie", "dimension": 1,
                                       "binary": []}))
+
+    def test_integer_literal_over_the_digit_limit_is_a_parse_error(self):
+        text = ('{"kind": "bol", "dimension": 2, "binary": [{"args": [0, 1' + "0" * 4301
+                + '], "value": {}}], "ternary": []}')
+        with pytest.raises(ParseError) as info:
+            parse_algebra(text)
+        assert info.value.path == ""
+        assert str(info.value) == "invalid JSON: an integer literal is longer than 4300 digits"
+        # at the limit the literal is read, and its field says what is wrong
+        with pytest.raises(ParseError, match=r"binary\[0\]\.args: index 1"):
+            parse_algebra(text.replace("0" * 4301, "0" * 4299))
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -390,6 +417,23 @@ class TestExtensionFiles:
                        "binary": obj["base"]["binary"]}
         with pytest.raises(ParseError, match="must be a bol algebra"):
             parse_extension(json.dumps(obj))
+
+
+def test_every_parsed_entry_is_a_plain_fraction(adj_1):
+    """Each parser stores exactly a Fraction in every slot, whatever the spelling."""
+    B = parse_algebra(json.dumps({
+        "kind": "bol", "dimension": 2,
+        "binary": [{"args": [0, 1], "value": {"0": "4/6", "1": "-0"}}],
+        "ternary": [{"args": [0, 1, 0], "value": {"0": "007", "1": "-0/5"}}]}))
+    M = parse_algebra((DATA / "maltsev_dim4.alg").read_text())
+    R = parse_representation(render_representation(adj_1), adj_1.base)
+    c = parse_cochain((DATA / "scale_b2.cochain").read_text(), make_b2(1))
+    E = parse_extension(render_extension(twisted_product(adj_1, cohomology(adj_1).z_basis[0])))
+    parsed = (B.c, B.t, M.c, R.rho, R.D, R.theta, c.coords(), c.nu, c.omega,
+              E.base.c, E.base.t, E.hat.c, E.hat.t, E.i, E.p, E.sigma)
+    scalars = leaves(parsed)
+    assert len(scalars) > 500 and all(type(x) is F for x in scalars)
+    assert B.c[0][0][1] == F(2, 3) and B.c[0][1][0] == F(-2, 3) and B.t[0][0][1][0] == 7
 
 
 def test_every_checked_in_data_file_round_trips():

@@ -26,6 +26,7 @@ from bolalg.linalg import (
     Mat,
     SparseMat,
     _echelon,
+    _exact,
     _eliminate,
     _integer_row,
     image_rank,
@@ -194,6 +195,21 @@ def test_only_exact_scalars_are_coerced(build):
     for inexact in (0.1, 1.0, Decimal("0.5"), 1j, None):
         with pytest.raises(TypeError, match=re.escape(repr(inexact))):
             build([1, inexact])
+
+
+class _Half(F):
+    """A Fraction subclass: exact, but not the plain type every entry has."""
+
+
+def test_an_exact_fraction_is_kept_and_everything_else_converted():
+    q = F(-4, 6)
+    assert _exact(q) is q
+    for given, want in ((_Half(1, 2), F(1, 2)), (3, F(3)), (True, F(1)), ("-4/6", q)):
+        got = _exact(given)
+        assert type(got) is F and got == want
+    for inexact in (0.5, Decimal("0.5"), 1j):
+        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+            _exact(inexact)
 
 
 def test_a_matrix_is_scaled_by_exact_scalars_only():

@@ -41,13 +41,11 @@ from bolalg.algebra import (
     _cyclic,
     _integer_terms,
     _scan,
-    freeze,
     maltsev_to_bol,
     slot_tuples,
     tabulate,
     verify_bol,
     verify_maltsev,
-    zeros,
 )
 from bolalg.cohomology import (
     CochainPair,
@@ -78,6 +76,7 @@ from bolalg.representation import (
 
 from .conftest import (
     DATA,
+    freeze,
     make_b2,
     make_m0,
     make_maltsev_dim4,
@@ -86,6 +85,7 @@ from .conftest import (
     random_fraction,
     random_representation_corpus,
     unit_vec,
+    zeros,
 )
 from .test_basis_change import _unitriangular, dense_basis, transport
 from .test_acceptance import _closure_corpus

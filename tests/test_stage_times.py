@@ -1,5 +1,6 @@
-"""tools/stage_times.py runs cohomology() with the stages it names rebound
-in ``bolalg.cohomology``; every name must still be bound there."""
+"""tools/stage_times.py times the parse of the file and runs cohomology()
+with the stages it names rebound in ``bolalg.cohomology``; every name must
+still be bound there."""
 
 import importlib
 import importlib.util
@@ -24,4 +25,6 @@ def test_stage_times_on_so3(capsys):
     assert lines[-1] == "dims C/Z/B/H: 36/6/6/0"
     timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
     assert all(timed[name] >= 1 for name in tool.STAGES)
+    assert list(timed)[-3:] == ["other", "cohomology", "parse"]
+    assert timed["parse"] == 1
     assert all(getattr(COHOMOLOGY, name) is fn for name, fn in before.items())

@@ -18,9 +18,10 @@ cohomology() with the functions it calls rebound, in the
     coords_to_cochain   the Z, B and H cochains
 
 "other" is the rest of cohomology(): the deduplication of the rows and
-the sparse transposes handed to rref among it.  Prints, per stage, its
-calls in one run and the median seconds over the runs, then the
-dimensions.  Wall clock, so a busy machine reads slower; use several runs.
+the sparse transposes handed to rref among it.  "parse" is the
+parse_algebra call on the file's text, outside cohomology().  Prints, per
+stage, its calls in one run and the median seconds over the runs, then
+the dimensions.  Wall clock, so a busy machine reads slower; use several runs.
 Stdlib only; the library is read from src/ of this checkout.
 """
 
@@ -54,8 +55,10 @@ def _timed(totals: dict, name: str, fn, consume: bool):
 
 
 def run_once(text: str) -> tuple[dict, tuple]:
-    """{stage: [seconds, calls]} of one cohomology() call, and its dims C/Z/B/H."""
+    """{stage: [seconds, calls]} of one parse and cohomology() call, and its dims C/Z/B/H."""
+    start = time.perf_counter()
     A = parse_algebra(text)
+    parse = time.perf_counter() - start
     R = adjoint_representation(maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A)
     totals = {name: [0.0, 0] for name in STAGES}
     saved = {name: getattr(COHOMOLOGY, name) for name in STAGES}
@@ -70,6 +73,7 @@ def run_once(text: str) -> tuple[dict, tuple]:
             setattr(COHOMOLOGY, name, fn)
     totals["other"] = [total - sum(s for s, _ in totals.values()), 1]
     totals["cohomology"] = [total, 1]
+    totals["parse"] = [parse, 1]
     return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
 
 
