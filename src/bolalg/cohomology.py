@@ -34,9 +34,9 @@ CC1 has no such factor (denominator 1); CC2 has degree 2 in D_A (the
 nu(y1*y2, x1*x2) term) and 1 in D_R (denominator D_A**2 * D_R); CC3 has
 degree 1 in each (denominator D_A * D_R).  is_cocycle also scales the
 cochain by D_C, the lcm of the denominators of its coordinates, adds up
-ints and divides once per residual; a constraint row is divided by its
-leading entry, where the common factor cancels.  The arithmetic is exact,
-and residuals and rows equal those of the Fraction statement.
+ints and divides once per residual; a constraint row is divided by the
+gcd of its ints, where the common factor cancels.  The arithmetic is exact,
+and residuals and rows equal those of the Fraction statement up to scale.
 
 The constraint rows and is_cocycle visit one tuple per orbit of the
 antisymmetries (``algebra.slot_tuples``): x1<x2<x3 for CC1, x1<x2 and
@@ -46,9 +46,9 @@ y2 are swapped, provided the product c, the ternary product t (in its
 first two slots) and D are antisymmetric.  A tuple with x1 = x2 or
 y1 = y2 (for CC1, any repeated index) then has a zero row and residual,
 and any other tuple has, up to sign, the row and residual of the smallest
-tuple of its orbit, which is the representative.  A row scaled to a
-leading 1 forgets its sign, so the representatives give the distinct rows
-of every tuple, in the same order of first occurrence, and the same
+tuple of its orbit, which is the representative.  A primitive row with a
+positive lead forgets its sign, so the representatives give the distinct
+rows of every tuple, in the same order of first occurrence, and the same
 constraint matrix; the failing tuples are closed under the swaps, so the
 first failing representative is is_cocycle's lexicographically first
 failing tuple.  Whether c, t and D are antisymmetric is checked once per
@@ -87,7 +87,8 @@ from .algebra import (
     tensor_from_entries,
 )
 from .linalg import (
-    SparseMat, Vec, _exact, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub, zero_vec,
+    SparseMat, Vec, _exact, _primitive, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub,
+    zero_vec,
 )
 from .representation import (
     PseudoderivationData,
@@ -287,10 +288,10 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
 def _constraint_rows(R: Representation):
     """Each nonzero CC1-CC3 row at the orbit representatives, in (condition,
     tuple, module coordinate) order, as its sorted (cochain coordinate,
-    coefficient) pairs scaled to a leading 1.  Their distinct rows, in order
-    of first occurrence, are those of every tuple (module docstring), so c,
-    t and D are checked antisymmetric first.  The rows add up ints; the
-    condition's denominator cancels in the scaling."""
+    coefficient) pairs, a primitive int row with a positive lead (one to one
+    with the row scaled to a leading 1).  Their distinct rows, in order of
+    first occurrence, are those of every tuple (module docstring), so c, t
+    and D are checked antisymmetric first.  The rows add up ints."""
     failure = _antisymmetry_failure(R)
     if failure:
         raise ValueError(failure)
@@ -306,10 +307,9 @@ def _constraint_rows(R: Representation):
                         for a, x in col:
                             rows[a][k] = rows[a].get(k, 0) + s * x
             for row in rows:
-                row = sorted((k, x) for k, x in row.items() if x)
+                row = sorted((k, x) for k, x in _primitive(row).items() if x)
                 if row:
-                    lead = row[0][1]
-                    yield tuple((k, Fraction(x, lead)) for k, x in row)
+                    yield tuple(row) if row[0][1] > 0 else tuple((k, -x) for k, x in row)
 
 
 def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .algebra import BolAlgebra, MaltsevAlgebra, entry_args, entry_values
 from .cohomology import CochainPair
 from .extension import AbelianExtension
-from .linalg import Mat
+from .linalg import _ZERO, Mat
 from .representation import Representation
 
 # ASCII decimals only: str.isdigit and int() also take other Unicode digits.
@@ -53,6 +53,8 @@ class ParseError(ValueError):
 def parse_scalar(text, path: str = "value") -> Fraction:
     if not isinstance(text, str):
         raise ParseError(path, f"rational must be a string, got {type(text).__name__}")
+    if text == "0":  # most scalars of a dense file: the one shared zero
+        return _ZERO
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")

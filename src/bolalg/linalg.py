@@ -9,12 +9,12 @@ All elimination goes through one sparse routine, ``_echelon``, which
 returns the canonical reduced row-echelon form.  That form is unique, so
 reduced forms, kernel bases, particular solutions and inverses are fixed
 by the matrix alone -- not by row order or pivot choice -- and are
-reproducible down to the byte across runs and platforms.  Inside it the
-rows are primitive arbitrary-precision int rows, reduced by
-cross-multiplication; ``Fraction``s are built only for the entries of the
-result.  It reads a matrix by its ``nonzero_rows``: a dense ``Mat`` finds
-them in its entries, and a ``SparseMat``, the form the constraint and
-coboundary rows are written in, holds nothing else.
+reproducible down to the byte across runs and platforms.  Each row is made
+a primitive int row once, on entry (``_integer_row``, which refuses an
+inexact entry), reduced by cross-multiplication and returned as ints.  The
+callers read a matrix by its ``nonzero_rows`` (a ``SparseMat``, the form of
+the constraint and coboundary rows, holds nothing else) and build a
+``Fraction`` only for an entry they return.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INEXACT = "not an exact scalar (int, Fraction or str): {!r}"
 
 
 def _exact(x) -> Fraction:
@@ -38,7 +39,7 @@ def _exact(x) -> Fraction:
         return x
     if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
-    raise TypeError(f"not an exact scalar (int, Fraction or str): {x!r}")
+    raise TypeError(_INEXACT.format(x))
 
 
 def vec(values: Iterable) -> Vec:
@@ -195,8 +196,8 @@ class Mat:
 
 @dataclass(frozen=True)
 class SparseMat:
-    """Immutable sparse matrix of Fractions, held as its ``nonzero_rows`` (as
-    ``Mat.nonzero_rows`` reads them), every col below ``cols``."""
+    """Immutable sparse matrix of Fractions or ints (the CC1-CC3 rows), held as
+    its ``nonzero_rows`` (as ``Mat.nonzero_rows`` reads them), every col below ``cols``."""
 
     cols: int
     nonzero_rows: tuple
@@ -243,9 +244,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(row) -> dict[int, int]:
-    """The primitive int row proportional to a rational row ({col: entry} or its pairs)."""
+    """The primitive int row proportional to a row ({col: int or Fraction} or its pairs)."""
     row = dict(row)
-    d = math.lcm(*(x.denominator for x in row.values()))
+    try:
+        d = math.lcm(*[x.denominator for x in row.values()])
+    except AttributeError:  # a float, Decimal, complex, ...: refused as _exact refuses it
+        bad = next(x for x in row.values() if not hasattr(x, "denominator"))
+        raise TypeError(_INEXACT.format(bad)) from None
     return _primitive({k: x.numerator * (d // x.denominator) for k, x in row.items()})
 
 
@@ -268,18 +273,17 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], k: int) -> dict[int, i
     return _primitive(row)
 
 
-def _echelon(rows) -> dict[int, dict[int, Fraction]]:
-    """Canonical RREF of sparse rows (``{col: entry}`` or its pairs) as ``{pivot col: row}``.
+def _echelon(rows) -> dict[int, dict[int, int]]:
+    """Canonical RREF of sparse rows ({col: entry} or its pairs) as {pivot col:
+    primitive int row}; entry k of the canonical row is row[k] / row[pc].
 
-    Fraction-free (Bareiss 1968): each row becomes a primitive int row (its
-    denominators cleared, then divided by the gcd of its numerators).
-    Sparsest first, each row is reduced by the pivots found so far until its
-    leading column is new, and kept.  Last, each pivot row is cleared by the
-    pivots to its right, last pivot first.  Every row is a nonzero multiple
-    of the one that dividing by each lead in ``Fraction``s would give at the
-    same step, so leads and pivots come out the same; each kept entry is
-    divided by its row's lead once, at the end.  Row order changes the work,
-    never the result."""
+    Fraction-free (Bareiss 1968).  Sparsest first, each row is made a
+    primitive int row when it is reached (``_integer_row``) and reduced by
+    the pivots found so far until its leading column is new, and kept.
+    Last, each pivot row is cleared by the pivots to its right, last pivot
+    first.  Every row is a nonzero multiple of the one that dividing by each
+    lead in ``Fraction``s gives at the same step, so leads and pivots come
+    out the same.  Row order changes the work, never the result."""
     echelon: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
         row = _integer_row(row)
@@ -295,20 +299,18 @@ def _echelon(rows) -> dict[int, dict[int, Fraction]]:
         for k in [k for k in row if k > pc and k in echelon]:
             row = _eliminate(row, echelon[k], k)
         echelon[pc] = row
-    return {pc: {k: Fraction(x, row[pc]) for k, x in row.items()}
-            for pc, row in echelon.items()}
+    return echelon
 
 
 def rref(m: Mat | SparseMat) -> RrefResult:
     """Canonical reduced row-echelon form of ``m``: pivot entries 1, zeros
     above and below each pivot, zero rows last."""
     echelon = _echelon(m.nonzero_rows)
-    pivots = tuple(sorted(echelon))
     entries = [_ZERO] * (m.rows * m.cols)
-    for r, pc in enumerate(pivots):
-        for k, x in echelon[pc].items():
-            entries[r * m.cols + k] = x
-    return RrefResult(Mat(m.rows, m.cols, tuple(entries)), pivots)
+    for r, (pc, row) in enumerate(sorted(echelon.items())):
+        for k, x in row.items():
+            entries[r * m.cols + k] = Fraction(x, row[pc])
+    return RrefResult(Mat(m.rows, m.cols, tuple(entries)), tuple(sorted(echelon)))
 
 
 def image_rank(m: Mat | SparseMat) -> int:
@@ -316,17 +318,15 @@ def image_rank(m: Mat | SparseMat) -> int:
 
 
 def kernel_basis(m: Mat | SparseMat) -> list[Vec]:
-    """Basis of the null space {v : m v = 0}, one vector per free column fc
-    in order: 1 at fc, minus column fc of the canonical RREF at the pivots."""
+    """Basis of the null space {v : m v = 0}, one vector per free column fc in
+    order: 1 at fc, minus column fc of the canonical RREF at the pivots (one pass)."""
     echelon = _echelon(m.nonzero_rows)
-    basis = []
-    for fc in (j for j in range(m.cols) if j not in echelon):
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
-        for pc, row in echelon.items():
-            v[pc] = -row.get(fc, _ZERO)
-        basis.append(tuple(v))
-    return basis
+    basis = {fc: [_ZERO] * fc + [_ONE] + [_ZERO] * (m.cols - fc - 1)
+             for fc in range(m.cols) if fc not in echelon}
+    for pc, row in echelon.items():
+        for k in row.keys() - {pc}:  # free columns: the pivots to the right are cleared
+            basis[k][pc] = Fraction(-row[k], row[pc])
+    return list(map(tuple, basis.values()))
 
 
 def solve(m: Mat | SparseMat, b: Vec) -> Vec | None:
@@ -340,7 +340,7 @@ def solve(m: Mat | SparseMat, b: Vec) -> Vec | None:
         return None
     x = [_ZERO] * m.cols
     for pc, row in echelon.items():
-        x[pc] = row.get(m.cols, _ZERO)
+        x[pc] = Fraction(row.get(m.cols, 0), row[pc])
     return tuple(x)
 
 
@@ -350,7 +350,8 @@ def inverse(m: Mat | SparseMat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    echelon = _echelon([row + ((n + i, _ONE),) for i, row in enumerate(m.nonzero_rows)])
+    echelon = _echelon([row + ((n + i, 1),) for i, row in enumerate(m.nonzero_rows)])
     if any(i not in echelon for i in range(n)):
         raise ValueError("matrix is singular")
-    return Mat(n, n, tuple(echelon[i].get(n + j, _ZERO) for i in range(n) for j in range(n)))
+    return Mat(n, n, tuple(Fraction(echelon[i].get(n + j, 0), echelon[i][i])
+                           for i in range(n) for j in range(n)))

@@ -43,6 +43,7 @@ from .algebra import (
     _ZERO,
     _antisymmetry_error,
     _common_denominator,
+    _integer_terms,
     _nonzeros,
     _once_per_object,
     _product_terms,
@@ -162,28 +163,39 @@ def _integer_maps(R: Representation) -> tuple:
     return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
 
 
-def _sparse_row(*parts) -> tuple:
-    """The nonzero (key, value) pairs of a sum, key ascending; a part (s,
-    start, step, terms) adds s * x at key start + step * k for each (k, x)
-    in terms."""
+@_once_per_object
+def _integer_rows(R: Representation) -> tuple:
+    """The kept integer rows (D_R, rho, D, theta) of R: _map_rows times D_R, as ints."""
+    rho, D, theta = _map_rows(R)
+    mats = rho + tuple(mat for grid in (D, theta) for row in grid for mat in row)
+    DR = _common_denominator(x for mat in mats for row in mat for _, x in row)
+    rows = lambda mat: tuple(_scaled(row, DR) for row in mat)
+    grid = lambda g: tuple(tuple(map(rows, row)) for row in g)
+    return DR, tuple(map(rows, rho)), grid(D), grid(theta)
+
+
+def _sparse_row(denominator: int, *parts) -> tuple:
+    """The nonzero (key, value) pairs of an int sum over ``denominator``, key
+    ascending, one Fraction per value; a part (s, start, step, terms) adds
+    s * x at key start + step * k for each (k, x) in terms (all ints)."""
     acc = {}
     for s, start, step, terms in parts:
         for k, x in terms:
             key = start + step * k
-            acc[key] = acc.get(key, _ZERO) + s * x
-    return tuple(sorted((k, x) for k, x in acc.items() if x))
+            acc[key] = acc.get(key, 0) + s * x
+    return tuple((k, Fraction(x, denominator)) for k, x in sorted(acc.items()) if x)
 
 
 @_once_per_object
 def _delta_rows(R: Representation) -> tuple:
     """The kept sparse form of Delta: [i][j] = Delta(e_i, e_j).nonzero_rows, row r
-    of D(e_i, e_j) - sum_k c_ij^k rho(e_k) read off the kept sparse forms."""
-    P = _product_terms(R.base)
-    rho, D, _ = _map_rows(R)
+    of D(e_i, e_j) - sum_k c_ij^k rho(e_k), added up in ints over D_A * D_R."""
+    DA, P, _ = _integer_terms(R.base)
+    DR, rho, D, _ = _integer_rows(R)
     rng = range(R.base.n)
 
     def delta(i, j):
-        return tuple(_sparse_row((1, 0, 1, D[i][j][r]),
+        return tuple(_sparse_row(DA * DR, (DA, 0, 1, D[i][j][r]),
                                  *((-c, 0, 1, rho[k][r]) for k, c in P[i][j]))
                      for r in range(R.m))
     return tuple(tuple(delta(i, j) for j in rng) for i in rng)
@@ -493,33 +505,33 @@ def _coboundary_rows(R: Representation) -> tuple:
     """The kept sparse rows of (f, chi) -> (nu, omega), one per cochain coordinate.
 
     A row holds the nonzero (parameter, coefficient) pairs of one module
-    coordinate a of nu(args) or omega(args), parameter ascending, written
-    from the formulas of coboundary_tensors and the kept sparse forms of B
-    and R: parameter j*m + b is entry b of f(e_j), and n*m + b is entry b of
-    chi.  The rows are those of the i<j tuples, in the canonical cochain
-    order.  On a nonzero module the map is antisymmetric exactly when c, t
-    and D are (then so is Delta = D - rho(x*y)); otherwise ValueError gives
-    the first failure of ``_antisymmetry_failure``, as _constraint_rows
-    does.  The zero module has no rows to check.
+    coordinate a of nu(args) or omega(args), parameter ascending, added up in
+    ints over D_A * D_R from the formulas of coboundary_tensors: parameter j*m
+    + b is entry b of f(e_j), and n*m + b is entry b of chi.  The rows are
+    those of the i<j tuples, in the canonical cochain order.  On a nonzero
+    module the map is antisymmetric exactly when c, t and D are (then so is
+    Delta = D - rho(x*y)); otherwise ValueError gives the first failure of
+    ``_antisymmetry_failure``, as _constraint_rows does.  The zero module has
+    no rows to check.
     """
     B = R.base
     n, m = B.n, R.m
     failure = _antisymmetry_failure(R)
     if failure and m:
         raise ValueError(failure)
-    P, T = _product_terms(B), _triple_terms(B)
-    rho, D, theta = _map_rows(R)
-    delta = _delta_rows(R)
+    DA, P, T = _integer_terms(B)
+    DR, rho, D, theta = _integer_rows(R)
 
     def nu(x1, x2, a):
-        # rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi) - f(x1*x2)
-        return _sparse_row((1, x2 * m, 1, rho[x1][a]), (-1, x1 * m, 1, rho[x2][a]),
-                           (1, n * m, 1, delta[x1][x2][a]), (-1, a, m, P[x1][x2]))
+        # rho(x1) f(x2) - rho(x2) f(x1) + (D(x1,x2) - rho(x1*x2))(chi) - f(x1*x2)
+        return _sparse_row(DA * DR, (DA, x2 * m, 1, rho[x1][a]), (-DA, x1 * m, 1, rho[x2][a]),
+                           (DA, n * m, 1, D[x1][x2][a]), (-DR, a, m, P[x1][x2]),
+                           *((-c, n * m, 1, rho[k][a]) for k, c in P[x1][x2]))
 
     def omega(x1, x2, x3, a):
         # theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3) - f([x1,x2,x3])
-        return _sparse_row((1, x1 * m, 1, theta[x2][x3][a]), (-1, x2 * m, 1, theta[x1][x3][a]),
-                           (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
+        return _sparse_row(DA * DR, (DA, x1 * m, 1, theta[x2][x3][a]), (-DR, a, m, T[x1][x2][x3]),
+                           (-DA, x2 * m, 1, theta[x1][x3][a]), (DA, x3 * m, 1, D[x1][x2][a]))
 
     return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
                  for args in entry_args(n, arity) for a in range(m))

@@ -3,16 +3,21 @@
 import functools
 import importlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, MaltsevAlgebra, _once_per_object
-from bolalg.linalg import Mat, inverse
+from bolalg.algebra import (
+    BolAlgebra, MaltsevAlgebra, _once_per_object, _product_terms, _triple_terms, entry_args,
+)
+from bolalg.linalg import Mat, _echelon, inverse
 from bolalg.representation import (
     Representation,
+    _antisymmetry_failure,
+    _map_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -155,6 +160,107 @@ def hstack(a: Mat, b: Mat) -> Mat:
         raise ValueError("hstack: row count mismatch")
     rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
     return Mat.from_rows(rows) if rows else Mat.zeros(0, a.cols + b.cols)
+
+
+# ---------------------------------------------------------------------------
+# slow references: the Fraction rows of both cohomology maps, and the kernel
+# read pair by pair
+
+
+def fraction_constraint_rows(R: Representation):
+    """The former cohomology._constraint_rows: each row's int sums divided
+    into Fractions by its leading entry, so every row leads with 1."""
+    COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+    failure = _antisymmetry_failure(R)
+    if failure:
+        raise ValueError(failure)
+    m, index = R.m, COHOMOLOGY._coordinate_index(R.base.n, R.m)
+    for _, _, tuples, reads in COHOMOLOGY._cocycle_conditions(R, representatives=True):
+        for idx in tuples:
+            rows = [{} for _ in range(m)]
+            for coeff, cols, args in reads(*idx):
+                start, sign = index.get(args, (0, 0))
+                if sign:
+                    s = sign * coeff
+                    for k, col in enumerate(cols, start):
+                        for a, x in col:
+                            rows[a][k] = rows[a].get(k, 0) + s * x
+            for row in rows:
+                row = sorted((k, x) for k, x in row.items() if x)
+                if row:
+                    lead = row[0][1]
+                    yield tuple((k, F(x, lead)) for k, x in row)
+
+
+def pairwise_kernel_basis(m) -> list:
+    """The former kernel_basis: the canonical RREF rows in Fractions, then
+    minus row.get(fc) at every pivot, for every free column fc."""
+    echelon = {pc: {k: F(x, row[pc]) for k, x in row.items()}
+               for pc, row in _echelon(m.nonzero_rows).items()}
+    basis = []
+    for fc in (j for j in range(m.cols) if j not in echelon):
+        v = [F(0)] * m.cols
+        v[fc] = F(1)
+        for pc, row in echelon.items():
+            v[pc] = -row.get(fc, F(0))
+        basis.append(tuple(v))
+    return basis
+
+
+def leading_one(row):
+    """The row divided by its leading entry, in Fractions."""
+    lead = row[0][1]
+    return tuple((k, F(x, lead)) for k, x in row)
+
+
+def assert_primitive(row):
+    """row is (col, int) pairs, col ascending, with a positive lead and gcd 1."""
+    assert all(type(x) is int for _, x in row)  # exact, never a Fraction or a float
+    assert row[0][1] > 0 and math.gcd(*(x for _, x in row)) == 1
+    assert [k for k, _ in row] == sorted({k for k, _ in row})
+
+
+def fraction_sparse_row(*parts) -> tuple:
+    """The former representation._sparse_row: a part (s, start, step, terms)
+    adds s * x at key start + step * k for each (k, x) in terms, one
+    Fraction operation per term."""
+    acc = {}
+    for s, start, step, terms in parts:
+        for k, x in terms:
+            key = start + step * k
+            acc[key] = acc.get(key, F(0)) + s * x
+    return tuple(sorted((k, x) for k, x in acc.items() if x))
+
+
+def fraction_delta_rows(R: Representation) -> tuple:
+    """The former _delta_rows: D(e_i, e_j) - sum_k c_ij^k rho(e_k) by rows, in Fractions."""
+    P = _product_terms(R.base)
+    rho, D, _ = _map_rows(R)
+    rng = range(R.base.n)
+    return tuple(tuple(tuple(fraction_sparse_row((1, 0, 1, D[i][j][r]),
+                                                 *((-c, 0, 1, rho[k][r]) for k, c in P[i][j]))
+                             for r in range(R.m)) for j in rng) for i in rng)
+
+
+def fraction_coboundary_rows(R: Representation) -> tuple:
+    """The former _coboundary_rows (after its antisymmetry gate), in Fractions."""
+    B = R.base
+    n, m = B.n, R.m
+    P, T = _product_terms(B), _triple_terms(B)
+    rho, D, theta = _map_rows(R)
+    delta = fraction_delta_rows(R)
+
+    def nu(x1, x2, a):
+        return fraction_sparse_row((1, x2 * m, 1, rho[x1][a]), (-1, x1 * m, 1, rho[x2][a]),
+                                   (1, n * m, 1, delta[x1][x2][a]), (-1, a, m, P[x1][x2]))
+
+    def omega(x1, x2, x3, a):
+        return fraction_sparse_row((1, x1 * m, 1, theta[x2][x3][a]),
+                                   (-1, x2 * m, 1, theta[x1][x3][a]),
+                                   (1, x3 * m, 1, D[x1][x2][a]), (-1, a, m, T[x1][x2][x3]))
+
+    return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
+                 for args in entry_args(n, arity) for a in range(m))
 
 
 # ---------------------------------------------------------------------------

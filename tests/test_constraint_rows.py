@@ -8,7 +8,9 @@ construction: a tensor evaluator of CC1-CC3 in Fractions (one residual
 function per condition), run on every unit cochain through
 ``conftest.matrix_of`` for the rows, and scanned for the first failing tuple
 for ``is_cocycle``.  The elimination reads the distinct rows in order of
-first occurrence, so that is what the rows are compared on.  Besides the corpus, a module and cochains with
+first occurrence, so that is what the rows are compared on: each row is a
+primitive int row with a positive lead, and scaled to a leading 1 it is
+the probe's row.  Besides the corpus, a module and cochains with
 distinct-prime denominators put each common denominator of the integer
 statement over 60 bits, with defects planted in the last cochain
 coordinates.
@@ -53,7 +55,8 @@ from bolalg.representation import (
 )
 
 from .conftest import (
-    conjugate_representation, dense, freeze, make_b2, make_so3, make_solvable, matrix_of,
+    assert_primitive, conjugate_representation, dense, freeze, leading_one, make_b2, make_so3,
+    make_solvable, matrix_of,
 )
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
 from .test_sparse_scans import PRIME_BASE, _moved_maltsev
@@ -146,12 +149,18 @@ def _distinct(rows):
     return list(dict.fromkeys(rows))
 
 
+def _scaled_distinct(rows):
+    """Every row checked primitive with a positive lead; the distinct rows, in
+    order of first occurrence, each scaled to a leading 1."""
+    for row in rows:
+        assert_primitive(row)
+    return [leading_one(row) for row in _distinct(rows)]
+
+
 @pytest.mark.parametrize("index", range(11))
 def test_rows_equal_the_probe_rows(index):
     R = _modules()[index]
-    rows = list(_constraint_rows(R))
-    assert _distinct(rows) == _distinct(_probe_rows(R))
-    assert all(type(x) is F for row in rows for _, x in row)  # exact, never int or float
+    assert _scaled_distinct(list(_constraint_rows(R))) == _distinct(_probe_rows(R))
 
 
 @pytest.mark.parametrize("index", range(11))
@@ -237,10 +246,13 @@ def test_cohomology_eliminates_the_distinct_probe_rows(index, monkeypatch):
     monkeypatch.setattr(COHOMOLOGY, "kernel_basis", capture)
     report = cohomology(R)
     distinct = list(dict.fromkeys(_probe_rows(R)))  # first of each repeat kept
+    assert _scaled_distinct(seen[0].nonzero_rows) == distinct
     matrix = dense(seen[0])
     assert matrix.rows == len(distinct)
     for r, row in enumerate(distinct):
-        assert matrix.row(r) == tuple(dict(row).get(k, F(0)) for k in range(matrix.cols))
+        lead = seen[0].nonzero_rows[r][0][1]
+        assert tuple(F(x, lead) for x in matrix.row(r)) == tuple(
+            dict(row).get(k, F(0)) for k in range(matrix.cols))
     assert report.dim_Z == len(original(matrix))
 
 
@@ -347,9 +359,7 @@ def test_the_prime_module_rows_equal_the_probe_rows():
     R = _prime_module()
     assert _integer_terms(R.base)[0].bit_length() > 60
     assert _integer_maps(R)[0].bit_length() > 60
-    rows = list(_constraint_rows(R))
-    assert _distinct(rows) == _distinct(_probe_rows(R))
-    assert all(type(x) is F for row in rows for _, x in row)
+    assert _scaled_distinct(list(_constraint_rows(R))) == _distinct(_probe_rows(R))
 
 
 def test_is_cocycle_on_the_prime_module_equals_the_reference_scan():

@@ -64,6 +64,16 @@ class TestScalars:
             got = parse_scalar(text)
             assert type(got) is F and got == F(text), text
 
+    def test_the_text_zero_is_one_shared_fraction(self):
+        # "0" is most scalars of a dense file; other spellings of zero still parse
+        zero = parse_scalar("0")
+        assert type(zero) is F and zero == 0 and parse_scalar("0", "file.value") is zero
+        for text in ("-0", "0/5", "00", "-0/3"):
+            got = parse_scalar(text)
+            assert type(got) is F and got == F(text) == 0, text
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_scalar("0/0")
+
     def test_numbers_are_rejected(self):
         with pytest.raises(ParseError, match="string"):
             parse_scalar(1)

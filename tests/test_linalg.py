@@ -7,12 +7,14 @@ rows scanned in order) with the former augmented-matrix ``kernel_basis``,
 ``solve`` and ``inverse`` on top of it.  All of them compute the canonical
 RREF, so they agree exactly, whatever the row order.  The second is the
 former ``Fraction`` loop of ``_echelon`` itself, which divides by each lead
-as it goes: the int rows are nonzero multiples of its rows, step by step,
-so it finds the same pivots in the same order.
+as it goes: ``_echelon`` works on and returns primitive int rows, which are
+nonzero multiples of its rows, step by step, so it finds the same pivots in
+the same order, and each returned row divided by its lead is its row.
 """
 
 import copy
 import importlib
+import math
 import random
 import re
 from decimal import Decimal
@@ -216,6 +218,50 @@ def test_a_matrix_is_scaled_by_exact_scalars_only():
     assert F(1, 2) * Mat.identity(1) == Mat(1, 1, (F(1, 2),))
     with pytest.raises(TypeError, match="0.5"):
         0.5 * Mat.identity(1)
+
+
+INEXACT = (1.5, Decimal("0.5"), 2j)
+
+
+def _assert_refused(call, x):
+    """call() raises the TypeError _exact raises for the inexact entry x."""
+    with pytest.raises(TypeError) as want:
+        _exact(x)
+    with pytest.raises(TypeError) as got:
+        call()
+    assert str(got.value) == str(want.value)
+
+
+def _inexact_matrices(x):
+    """A 2 x 2 SparseMat and a direct Mat holding x; both are regular with
+    x read as a number."""
+    return (SparseMat(2, (((0, F(1)), (1, x)), ((1, F(2)),))), Mat(2, 2, (F(1), x, F(0), F(2))))
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
+def test_rref_refuses_an_inexact_entry(x):
+    for m in _inexact_matrices(x):
+        _assert_refused(lambda: rref(m), x)
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
+def test_kernel_basis_refuses_an_inexact_entry(x):
+    for m in _inexact_matrices(x):
+        _assert_refused(lambda: kernel_basis(m), x)
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
+def test_solve_refuses_an_inexact_entry_or_right_hand_side(x):
+    for m in _inexact_matrices(x):
+        _assert_refused(lambda: solve(m, (F(1), F(1))), x)
+    _assert_refused(lambda: solve(Mat.identity(2), (F(1), x)), x)
+    _assert_refused(lambda: solve(SparseMat(1, (((0, F(1)),), ())), (F(0), x)), x)
+
+
+@pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
+def test_inverse_refuses_an_inexact_entry(x):
+    for m in _inexact_matrices(x):
+        _assert_refused(lambda: inverse(m), x)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +498,16 @@ def _fraction_echelon(rows):
 
 
 def _assert_echelon_matches(rows):
-    """The same dict as the Fraction loop, pivots inserted in the same order,
-    exact entries, and the input rows left as they were."""
+    """The Fraction loop's dict once each returned row is divided by its lead,
+    pivots inserted in the same order; the returned rows are primitive ints,
+    and the input rows are left as they were."""
     given = copy.deepcopy(rows)
-    expected = _fraction_echelon([dict(row) for row in rows])
+    expected = _fraction_echelon([{k: F(x) for k, x in dict(row).items()} for row in rows])
     got = _echelon(rows)
-    assert got == expected
+    assert {pc: {k: F(x, row[pc]) for k, x in row.items()} for pc, row in got.items()} == expected
     assert list(got) == list(expected)
-    assert all(type(x) is F for row in got.values() for x in row.values())
+    for row in got.values():
+        assert all(type(x) is int for x in row.values()) and math.gcd(*row.values()) == 1
     assert rows == given
     return got
 
@@ -552,7 +600,8 @@ def test_dense_basis_constraint_rows_match_the_fraction_loop(make, dim_z, checke
     moved = transport(maltsev_to_bol(make()), dense_basis(random.Random(11), 3))
     checked_echelon.clear()  # transport's own inverse
     report = cohomology(adjoint_representation(moved))
-    rows = max(checked_echelon, key=len)  # the distinct constraint rows
+    rows = max(checked_echelon, key=len)  # the distinct constraint rows, primitive ints
     assert len(rows) > 36 and sum(map(len, rows)) > 6 * len(rows)
-    assert any(x.denominator > 1 for row in rows for x in dict(row).values())
+    # rational rows: some row scaled to a leading 1 has an entry that is not an int
+    assert any(F(x, row[0][1]).denominator > 1 for row in rows for _, x in row)
     assert report.dim_Z == dim_z

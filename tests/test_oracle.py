@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, _integer_terms, maltsev_to_bol, tabulate, verify_bol
+from bolalg.algebra import (
+    BolAlgebra, _integer_terms, _triple_terms, maltsev_to_bol, tabulate, verify_bol,
+)
 from bolalg.cohomology import cohomology
 from bolalg.formats import parse_algebra, render_algebra
 from bolalg.linalg import vec_sub, zero_vec
 from bolalg.representation import adjoint_representation
 
-from .conftest import make_so3, make_solvable, unit_vec
+from .conftest import DATA, make_so3, make_solvable, unit_vec
 from .test_basis_change import dense_basis, transport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,6 +96,13 @@ def test_sphere_system_closed_form(n):
     rep = cohomology(adjoint_representation(_sphere(n)))
     assert (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H) == (
         n * (pairs + n * pairs), n * (n + 3) // 2, n * (n + 3) // 2, 0)
+
+
+def test_the_committed_sphere_file_is_the_sphere_system_at_n10():
+    # data/sphere10.alg lists the 90 i<j entries [e_i,e_j,e_j] = e_i, [e_i,e_j,e_i] = -e_j
+    B = parse_algebra((DATA / "sphere10.alg").read_text())
+    assert B == _sphere(10)
+    assert sum(1 for plane in _triple_terms(B) for row in plane for terms in row if terms) == 180
 
 
 def test_sphere_system_at_n3(oracle, tmp_path):

@@ -17,8 +17,9 @@ cohomology() with the functions it calls rebound, in the
     rref                the B basis, then the pivots of [B | Z]
     coords_to_cochain   the Z, B and H cochains
 
-"other" is the rest of cohomology(): the deduplication of the rows and
-the sparse transposes handed to rref among it.  "parse" is the
+"other" is the rest of cohomology(): the deduplication of the rows (int
+tuples, each a primitive row with a positive lead) and the sparse
+transposes handed to rref among it.  "parse" is the
 parse_algebra call on the file's text, outside cohomology().  Prints, per
 stage, its calls in one run and the median seconds over the runs, then
 the dimensions.  Wall clock, so a busy machine reads slower; use several runs.
