@@ -25,8 +25,10 @@ times D, the lcm of every denominator of c (and of t for a Bol algebra).  A prod
 coefficients is D**k times the true one, so these residuals add up plain
 ints, each term scaled to one common degree, and divide by D**k only when
 the dense vector is built (``_over``): the arithmetic is still exact and
-the residuals equal the Fraction ones.  The representation verifiers keep
-the Fraction forms and their {coordinate: Fraction} dicts (``_vec_of``).
+the residuals equal the Fraction ones.  The other modules' scans do the
+same, on matrices by their integer columns (``_integer_cols``) and with
+products of integer vectors (``_add_form``); no scan calls the public
+Fraction evaluators ``bilinear_eval`` and ``trilinear_eval``.
 An all-zero residual is the one shared zero Vec of its size
 (``linalg.zero_vec``), which ``_scan`` recognises without reading its
 entries.
@@ -419,6 +421,16 @@ def _scaled(terms, D: int) -> tuple:
     return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
 
 
+def _integer_forms(products: tuple, triples: tuple) -> tuple:
+    """(D, *products, *triples): sparse forms [i][j] and [i][j][k], as _product_terms and
+    _triple_terms give them, with every coefficient times D, their lcm denominator, as ints."""
+    scale = lambda P: tuple(tuple(_scaled(terms, D) for terms in row) for row in P)
+    planes = [P for T in triples for P in T]
+    D = _common_denominator(c for P in products + tuple(planes) for row in P
+                            for terms in row for _, c in terms)
+    return (D, *map(scale, products), *(tuple(map(scale, T)) for T in triples))
+
+
 @_once_per_object
 def _integer_terms(A) -> tuple:
     """The kept integer form (D, P, T) of the sparse forms, for the axiom scans.
@@ -427,20 +439,36 @@ def _integer_terms(A) -> tuple:
     P[i][j] and T[i][j][k] are _product_terms and _triple_terms with every
     coefficient times D, as ints (T is () for a Maltsev algebra).
     """
-    P = _product_terms(A)
-    T = _triple_terms(A) if isinstance(A, BolAlgebra) else ()
-    p_terms = [terms for row in P for terms in row]
-    t_terms = [terms for plane in T for row in plane for terms in row]
-    D = _common_denominator(c for terms in p_terms + t_terms for _, c in terms)
-    return (D, tuple(tuple(_scaled(terms, D) for terms in row) for row in P),
-            tuple(tuple(tuple(_scaled(terms, D) for terms in row) for row in plane)
-                  for plane in T))
+    return _integer_forms((_product_terms(A),),
+                          (_triple_terms(A) if isinstance(A, BolAlgebra) else (),))
+
+
+@_once_per_object
+def _integer_cols(mat) -> tuple:
+    """The kept integer form (D, cols) of a Mat: D the lcm of its denominators,
+    cols[b] = ((a, entry (a, b) times D as an int), ...) over column b's nonzeros."""
+    D = _common_denominator(mat.entries)
+    return D, tuple(_scaled(_nonzeros(mat.col(b)), D) for b in range(mat.cols))
 
 
 def _add_terms(acc: list, s: int, terms) -> None:
     """acc += s * v for v given by its integer nonzeros ``terms``; acc is a list of ints."""
     for k, c in terms:
         acc[k] += s * c
+
+
+def _add_form(acc: list, s: int, form, u, v, w=None) -> list:
+    """acc += s * form(u, v), or s * form(u, v, w), for an integer product or triple
+    form (as in _integer_terms) and vectors given by their integer nonzeros ((k, x),
+    ...); returns acc."""
+    for i, a in u:
+        for j, b in v:
+            if w is None:
+                _add_terms(acc, s * a * b, form[i][j])
+            else:
+                for k, c in w:
+                    _add_terms(acc, s * a * b * c, form[i][j][k])
+    return acc
 
 
 def _integer_sum(D: int, size: int, *vectors) -> Vec:
@@ -456,17 +484,6 @@ def _over(acc: list, denominator: int) -> Vec:
     if not any(acc):
         return zero_vec(len(acc))
     return tuple(Fraction(a, denominator) for a in acc)
-
-
-def _vec_of(acc: dict, size: int) -> Vec:
-    """The dense Vec of a {coordinate: value} accumulator; missing coordinates are zero.
-
-    Every entry is a Fraction, also where a value is still an int.  Test
-    the values, not the keys: coordinate 0 is a falsy key.
-    """
-    if not any(acc.values()):
-        return zero_vec(size)
-    return _over([acc.get(k, 0) for k in range(size)], 1)
 
 
 def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
@@ -495,23 +512,23 @@ def _cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:
                                          entry_values(t, (k, i, j))))
 
 
-def _b2_residual(B: BolAlgebra, x, y, u, v) -> Vec:
-    # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y)
-    # in the integer form: the four terms of degree 2 times D, plus the one of degree 3
-    D, P, T = _integer_terms(B)
-    Txy, Tuv, uv, xy = T[x][y], T[u][v], P[u][v], P[x][y]
-    acc = [0] * B.n
-    for k, c in uv:
+def _b2_residual(forms: tuple, x, y, u, v, cubic: tuple | None = None) -> Vec:
+    # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y) for the integer
+    # forms (D, P, T): the four terms of degree 2 times D, plus the one of degree 3,
+    # or in its place form(a, b) for each (form, a, b) in cubic
+    D, P, T = forms
+    Txy, Tuv = T[x][y], T[u][v]
+    acc = [0] * len(P)
+    for k, c in P[u][v]:
         _add_terms(acc, D * c, Txy[k])
     for k, c in Txy[u]:
         _add_terms(acc, -D * c, P[k][v])
     for k, c in Txy[v]:
         _add_terms(acc, -D * c, P[u][k])
-    for k, c in xy:
+    for k, c in P[x][y]:
         _add_terms(acc, -D * c, Tuv[k])
-    for a, c in uv:
-        for b, d in xy:
-            _add_terms(acc, c * d, P[a][b])
+    for form, a, b in cubic or ((P, P[u][v], P[x][y]),):
+        _add_form(acc, 1, form, a, b)
     return _over(acc, D ** 3)
 
 
@@ -541,8 +558,8 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     tuple and the exact residual.  The report is kept on B, so each algebra
     is scanned once.
     """
-    n = B.n
-    D, P, T = _integer_terms(B)
+    n, forms = B.n, _integer_terms(B)
+    D, P, T = forms
     b01 = _scan("B01", slot_tuples(n, (1, 1)),
                 lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
     b02 = _scan("B02", slot_tuples(n, (1, 1, 1)),
@@ -555,7 +572,7 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
         _scan("B1", slot_tuples(n, (3,), b02.passed),
               lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
         _scan("B2", slot_tuples(n, (2, 2), b01.passed and b02.passed),
-              lambda x, y, u, v: _b2_residual(B, x, y, u, v)),
+              lambda x, y, u, v: _b2_residual(forms, x, y, u, v)),
         _scan("B3", slot_tuples(n, (2, 2, 1), b02.passed),
               lambda x, y, u, v, w: _b3_residual(B, x, y, u, v, w)),
     ]
@@ -564,11 +581,7 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
 
 def _times(P: tuple, u, v) -> tuple:
     """The nonzeros of u*v for u, v given by their integer nonzeros; P as in _integer_terms."""
-    acc = [0] * len(P)
-    for i, a in u:
-        for j, b in v:
-            _add_terms(acc, a * b, P[i][j])
-    return tuple((k, c) for k, c in enumerate(acc) if c)
+    return tuple((k, c) for k, c in enumerate(_add_form([0] * len(P), 1, P, u, v)) if c)
 
 
 def _maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> Vec:
@@ -619,15 +632,19 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     """
     _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
     D, P, _ = _integer_terms(M)
-
     # each term has degree 2 in the integer form, so the sum is 3 D**2 times the bracket
-    def bracket(i, j, k):
-        acc = [0] * M.n
-        for a, c in P[j][k]:
-            _add_terms(acc, c, P[i][a])
-        for a, c in P[i][k]:
-            _add_terms(acc, -c, P[j][a])
-        for a, c in P[i][j]:
-            _add_terms(acc, 2 * c, P[a][k])
-        return _over(acc, 3 * D * D)
-    return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, bracket), M.basis_names)
+    return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, lambda i, j, k: _over(
+        _bracket(P, i, j, k, 2), 3 * D * D)), M.basis_names)
+
+
+def _bracket(P: tuple, i: int, j: int, k: int, w: int) -> list:
+    """e_i*(e_j*e_k) - e_j*(e_i*e_k) + w (e_i*e_j)*e_k in the integer form P (as
+    in _integer_terms), as the list of its ints: D**2 times the true vector."""
+    acc = [0] * len(P)
+    for a, c in P[j][k]:
+        _add_terms(acc, c, P[i][a])
+    for a, c in P[i][k]:
+        _add_terms(acc, -c, P[j][a])
+    for a, c in P[i][j]:
+        _add_terms(acc, w * c, P[a][k])
+    return acc

@@ -38,6 +38,10 @@ Two first-order data are equivalent when a linear map phi: B -> B solves
 i.e. exactly when their difference is an adjoint coboundary with zero
 companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
+
+The (B2') and o3 scans add up ints, as the axiom scans of ``algebra`` do:
+(B2') reads mu, nu and omega times D, one lcm of all their denominators,
+and divides by D**3; o3 reads nu alone, over its own lcm.
 """
 
 from __future__ import annotations
@@ -49,11 +53,19 @@ from .algebra import (
     AxiomReport,
     BolAlgebra,
     CheckReport,
+    MaltsevAlgebra,
+    _add_form,
     _antisymmetry,
+    _b2_residual,
     _b3_residual,
     _cyclic,
+    _integer_forms,
+    _integer_terms,
+    _over,
+    _product_terms,
     _require_passed,
     _scan,
+    _triple_terms,
     bilinear_eval,
     entry_values,
     slot_tuples,
@@ -62,8 +74,15 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, _exact, vec_add, vec_scale, vec_sub
+from .linalg import Mat, Vec, _exact, vec_add, vec_scale
 from .representation import PseudoderivationData, adjoint_representation
+
+# bilinear_eval and trilinear_eval (nu and omega on Vec slots) are re-exported: no
+# scan calls them, and the benchmark's tracer (perfbench/spans.py) rebinds them here.
+__all__ = ["DeformationTypeCandidate", "DeformationDatum", "is_deformation_type",
+           "deformed_algebra", "InfinitesimalDeformationReport", "FirstOrderEquivalence",
+           "generates_infinitesimal_deformation", "check_first_order_formal",
+           "first_order_equivalent", "bilinear_eval", "trilinear_eval"]
 
 _SAMPLE_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
 
@@ -92,21 +111,13 @@ class DeformationDatum:
             raise ValueError("deformation coefficients must be adjoint (V = B)")
 
 
-def _b2p_residual(d: DeformationTypeCandidate, x1, x2, y1, y2) -> Vec:
-    n = d.n
-    mu = lambda a, b: bilinear_eval(d.mu, a, b, n)
-    nu = lambda a, b: bilinear_eval(d.nu, a, b, n)
-    om = lambda a, b, c: trilinear_eval(d.omega, a, b, c, n)
-    nu_y = nu(y1, y2)
-    nu_x = nu(x1, x2)
-    r = om(x1, x2, nu_y)
-    r = vec_sub(r, nu(om(x1, x2, y1), y2))
-    r = vec_sub(r, nu(y1, om(x1, x2, y2)))
-    r = vec_sub(r, om(y1, y2, nu_x))
-    r = vec_add(r, nu(nu_y, mu(x1, x2)))
-    r = vec_add(r, nu(mu(y1, y2), nu_x))
-    r = vec_add(r, mu(nu_y, nu_x))
-    return r
+def _b2p_residual(forms: tuple, x1, x2, y1, y2) -> Vec:
+    # the B2 residual of (nu, omega) with its term nu(nu(y1,y2), nu(x1,x2)) of degree 3
+    # replaced by nu(nu_y, mu(x1,x2)) + nu(mu(y1,y2), nu_x) + mu(nu_y, nu_x)
+    D, MU, NU, OM = forms
+    nu_x, nu_y = NU[x1][x2], NU[y1][y2]
+    return _b2_residual((D, NU, OM), x1, x2, y1, y2,
+                        ((NU, nu_y, MU[x1][x2]), (NU, MU[y1][y2], nu_x), (MU, nu_y, nu_x)))
 
 
 def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
@@ -116,8 +127,10 @@ def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
     slots) they visit the orbit representatives only: (B2') changes sign
     when x1, x2 or y1, y2 are swapped, (B3') as B3 does."""
     pair = BolAlgebra(d.n, d.nu, d.omega)
+    forms = _integer_forms((_product_terms(MaltsevAlgebra(d.n, d.mu)), _product_terms(pair)),
+                           (_triple_terms(pair),))  # (D, mu, nu, omega)
     return (_scan("B2'", slot_tuples(d.n, (2, 2), grouped),
-                  lambda a, b, c, e: _b2p_residual(d, a, b, c, e)),
+                  lambda a, b, c, e: _b2p_residual(forms, a, b, c, e)),
             _scan("B3'", slot_tuples(d.n, (2, 2, 1), grouped),
                   lambda a, b, c, e, f: _b3_residual(pair, a, b, c, e, f)))
 
@@ -189,10 +202,10 @@ def generates_infinitesimal_deformation(d: DeformationDatum
     return InfinitesimalDeformationReport(type_report, cocycle_report, sampling)
 
 
-def _o3_residual(d: DeformationDatum, x1, x2, y1, y2) -> Vec:
-    n = d.base.n
-    nu = lambda a, b: bilinear_eval(d.pair.nu, a, b, n)
-    return nu(nu(y1, y2), nu(x1, x2))
+def _o3_residual(nu: MaltsevAlgebra, x1, x2, y1, y2) -> Vec:
+    # nu(nu(y1,y2), nu(x1,x2)), of degree 3 in the integer form of nu alone
+    D, NU, _ = _integer_terms(nu)
+    return _over(_add_form([0] * nu.n, 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)
 
 
 def check_first_order_formal(d: DeformationDatum) -> CheckReport:
@@ -210,9 +223,10 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     # The verified base makes mu = * antisymmetric and a CochainPair is
     # antisymmetric by construction, so (B2'), (B3') and o3 change sign when
     # x1, x2 or y1, y2 are swapped: the representatives find the first failure.
+    nu = MaltsevAlgebra(base.n, pair.nu)
     return CheckReport(cocycle_report.checks + _closure_checks(candidate, True) + (
         _scan("o3", slot_tuples(base.n, (2, 2)),
-              lambda a, b, c, e: _o3_residual(d, a, b, c, e)),))
+              lambda a, b, c, e: _o3_residual(nu, a, b, c, e)),))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,10 @@ product.  Conversely every extension induces, through its section,
 The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
+Every scan and read here adds up ints: the integer forms of hat(B) and B
+on the integer columns of i, p, sigma, the splitting and phi, over one
+common denominator per residual or value (``algebra._over``).
+
 Two extensions over identical induced representations are equivalent --
 there is a homomorphism phi with phi o i1 = i2 and p2 o phi = p1 -- iff
 the difference of their induced cocycles admits a coboundary witness with
@@ -44,7 +48,12 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     ConditionCheck,
+    _add_form,
+    _add_terms,
+    _integer_cols,
+    _integer_terms,
     _once_per_object,
+    _over,
     _require_passed,
     _scan,
     entry_args,
@@ -54,7 +63,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, vec_scale, vec_sub, zero_vec
+from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, vec_scale, zero_vec
 from .representation import Representation, verify_representation
 
 
@@ -113,16 +122,20 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
     # when its first two arguments are swapped, so the representatives find
     # the first failure.
     grouped = checks[0].passed and checks[1].passed
+    hat_form, base_form, p_form = _integer_terms(hat), _integer_terms(base), _integer_cols(E.p)
+    (Dh, Ph, Th), (Di, i_cols) = hat_form, _integer_cols(E.i)
+
+    def image(form, slots, degree):  # form(slots) in hat(B), of degree ``degree`` in i
+        return _over(_add_form([0] * N, 1, form, *slots), Dh * Di ** degree)
+
     # i is a homomorphism from V with trivial operations: all products of
     # i-images must vanish in hat(B).
-    i_cols = [E.i.col(a) for a in range(m)]
     checks.append(_scan("i-homomorphism", _binary_then_ternary(m, grouped),
-                        lambda kind, *args: _operate(hat, [i_cols[a] for a in args])))
-    p_cols = [E.p.col(x) for x in range(N)]
+                        lambda kind, *args: image(Ph if kind == "binary" else Th,
+                                                  [i_cols[a] for a in args], len(args))))
     checks.append(_scan("p-homomorphism", _binary_then_ternary(N, grouped),
-                        lambda kind, *args: vec_sub(
-                            E.p.apply(_operate(hat, args)),
-                            _operate(base, [p_cols[x] for x in args]))))
+                        lambda kind, *args: _over(*_morphism_defect(
+                            hat_form, base_form, p_form, args))))
 
     # abelian ideal: ternary products with two i-arguments vanish for any
     # third hat argument (the pure binary case sits in i-homomorphism).
@@ -133,7 +146,7 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
         "abelian-ideal",
         ((name, a, b, w) for a, b in itertools.product(range(m), repeat=2)
          for w in range(N) for name in placements),
-        lambda name, a, b, w: hat.triple(*placements[name](i_cols[a], i_cols[b], w))))
+        lambda name, a, b, w: image(Th, placements[name](i_cols[a], i_cols[b], ((w, 1),)), 2)))
 
     return CheckReport(tuple(checks))
 
@@ -146,8 +159,18 @@ def _binary_then_ternary(dim: int, grouped: bool):
         (("ternary",) + xyz for xyz in slot_tuples(dim, (2, 1), grouped)))
 
 
-def _operate(A: BolAlgebra, args) -> Vec:
-    return A.product(*args) if len(args) == 2 else A.triple(*args)
+def _morphism_defect(source: tuple, target: tuple, f: tuple, args: tuple) -> tuple:
+    """(acc, denominator), acc a list of ints, with acc / denominator = f(op(e_args))
+    - op(f e_args): op the product (two args) or triple (three) of the algebras
+    given by their _integer_terms, f by its _integer_cols."""
+    (DA, PA, TA), (DB, PB, TB), (Df, cols) = source, target, f
+    k = len(args)
+    image = PA[args[0]][args[1]] if k == 2 else TA[args[0]][args[1]][args[2]]
+    acc = [0] * len(PB)
+    for a, c in image:
+        _add_terms(acc, DB * Df ** (k - 1) * c, cols[a])
+    _add_form(acc, -DA, PB if k == 2 else TB, *(cols[x] for x in args))
+    return acc, DA * DB * Df ** k
 
 
 @_once_per_object
@@ -229,36 +252,40 @@ def _splitting(E: AbelianExtension) -> Mat:
         raise InvalidExtensionError("section and injection do not split hat(B)") from exc
 
 
-def _fiber_coords(Tinv: Mat, w: Vec, n: int, m: int, what: str) -> Vec:
-    coords = Tinv.apply(w)
-    if any(coords[:n]):
+def _fiber_coords(E: AbelianExtension, acc: list, denominator: int, what: str) -> Vec:
+    """The fiber coordinates of the hat vector acc / denominator (acc a list of
+    ints), read through the splitting; raises naming ``what`` off the fiber."""
+    Dt, cols = _integer_cols(_splitting(E))
+    coords = [0] * E.hat.n
+    for k, x in enumerate(acc):
+        if x:
+            _add_terms(coords, x, cols[k])
+    if any(coords[:E.base.n]):
         raise InvalidExtensionError(
             f"{what} does not land in the fiber; extension data is inconsistent")
-    return coords[n:]
+    return _over(coords[E.base.n:], denominator * Dt)
 
 
 def induced_representation(E: AbelianExtension) -> Representation:
     """(rho, D, theta) read off hat(B) through the section."""
     _require_valid(E)
-    base, hat, m = E.base, E.hat, E.m
-    n = base.n
-    Tinv = _splitting(E)
-    s_cols = [E.sigma.col(x) for x in range(n)]
-    i_cols = [E.i.col(a) for a in range(m)]
+    n, m, N = E.base.n, E.m, E.hat.n
+    (Dh, P, T), (Ds, s), (Di, i_cols) = (_integer_terms(E.hat), _integer_cols(E.sigma),
+                                         _integer_cols(E.i))
 
-    def fiber_map(what, image):
-        """Matrix of u -> image(i(u)) read in fiber coordinates, column by column."""
-        cols = [_fiber_coords(Tinv, image(w), n, m, what) for w in i_cols]
+    def fiber_map(what, form, slots, degree):
+        """Matrix of u -> form(slots(i(u))) in fiber coordinates; degree is sigma's."""
+        denominator = Dh * Ds ** degree * Di
+        cols = [_fiber_coords(E, _add_form([0] * N, 1, form, *slots(u)), denominator, what)
+                for u in i_cols]
         return Mat(m, m, tuple(x for row in zip(*cols) for x in row))
 
-    rho = tuple(fiber_map("rho image", lambda w: hat.product(s_cols[x], w))
-                for x in range(n))
-    D = tuple(tuple(fiber_map("D image", lambda w: hat.triple(s_cols[x], s_cols[y], w))
+    rho = tuple(fiber_map("rho image", P, lambda u: (s[x], u), 1) for x in range(n))
+    D = tuple(tuple(fiber_map("D image", T, lambda u: (s[x], s[y], u), 2)
                     for y in range(n)) for x in range(n))
-    theta = tuple(tuple(fiber_map("theta image",
-                                  lambda w: hat.triple(w, s_cols[x], s_cols[y]))
+    theta = tuple(tuple(fiber_map("theta image", T, lambda u: (u, s[x], s[y]), 2)
                         for y in range(n)) for x in range(n))
-    return Representation(base, m, rho, D, theta)
+    return Representation(E.base, m, rho, D, theta)
 
 
 def induced_cocycle(E: AbelianExtension) -> CochainPair:
@@ -268,23 +295,16 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
     swapped and vanishes at x = y: the first value that leaves the fiber
     in lexicographic order has x < y, and nu is read before omega."""
     _require_valid(E)
-    base, hat, m = E.base, E.hat, E.m
-    n = base.n
-    Tinv = _splitting(E)
-    s_cols = [E.sigma.col(x) for x in range(n)]
+    base = E.base
+    forms = _integer_terms(base), _integer_terms(E.hat), _integer_cols(E.sigma)
 
-    def nu(x, y):
-        w = vec_sub(hat.product(s_cols[x], s_cols[y]),
-                    E.sigma.apply(base.basis_product(x, y)))
-        return _fiber_coords(Tinv, w, n, m, "nu value")
-
-    def omega(x, y, z):
-        w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
-                    E.sigma.apply(base.basis_triple(x, y, z)))
-        return _fiber_coords(Tinv, w, n, m, "omega value")
-    nu_entries = [(args, dict(enumerate(nu(*args)))) for args in entry_args(n, 2)]
-    omega_entries = [(args, dict(enumerate(omega(*args)))) for args in entry_args(n, 3)]
-    return CochainPair.from_entries(base, m, nu_entries, omega_entries)
+    # sigma(e_x) * sigma(e_y) - sigma(e_x * e_y), and the same for the triple
+    def value(what, *args):
+        acc, denominator = _morphism_defect(*forms, args)
+        return dict(enumerate(_fiber_coords(E, [-x for x in acc], denominator, what)))
+    return CochainPair.from_entries(
+        base, E.m, [(args, value("nu value", *args)) for args in entry_args(base.n, 2)],
+        [(args, value("omega value", *args)) for args in entry_args(base.n, 3)])
 
 
 @dataclass(frozen=True)
@@ -312,10 +332,10 @@ class ExtensionEquivalence:
 
 def _check_phi(E1: AbelianExtension, E2: AbelianExtension, phi: Mat) -> None:
     """phi must be a hat homomorphism commuting with both short sequences."""
-    cols = [phi.col(x) for x in range(E1.hat.n)]
+    forms = _integer_terms(E1.hat), _integer_terms(E2.hat), _integer_cols(phi)
     # both hats are verified, so each law changes sign when x, y are swapped
     for kind, *args in _binary_then_ternary(E1.hat.n, True):
-        if phi.apply(_operate(E1.hat, args)) != _operate(E2.hat, [cols[x] for x in args]):
+        if any(_morphism_defect(*forms, args)[0]):
             raise AssertionError(f"constructed phi fails the {kind} homomorphism law")
     if phi @ E1.i != E2.i:
         raise AssertionError("constructed phi does not commute with the injections")

@@ -16,10 +16,11 @@ maps D, theta: B x B -> End(V) satisfying six conditions:
                                 + D(y1,y2) theta(x1,y3)
 
 All conditions are multilinear, so they are decided on basis tuples.  The
-scans read sparse forms kept once per object: the nonzeros of each
-product and bracket of B (``algebra._product_terms``/``_triple_terms``)
-and of each rho, D, theta and Delta matrix by row (``_map_rows``,
-``_delta_rows``); each residual adds up only nonzero terms.  The
+scans read integer forms kept once per object: the nonzeros of each
+product and bracket of B times D_A (``algebra._integer_terms``), and of
+each rho, D, theta and Delta matrix by row times D_R (``_integer_rows``,
+``_delta_rows``); each residual adds up the nonzero terms as ints over one
+common denominator.  The
 operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator identity
 checked by check_delta_identity, and drives the companion term of
 pseudoderivations: a linear map f: B -> V with companion chi in V is a
@@ -39,19 +40,18 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _ONE,
-    _ZERO,
     _antisymmetry_error,
     _common_denominator,
+    _bracket,
+    _integer_cols,
+    _integer_sum,
     _integer_terms,
-    _nonzeros,
     _once_per_object,
-    _product_terms,
+    _over,
     _require_passed,
     _scaled,
     _scan,
-    _triple_terms,
-    _vec_of,
+    _times,
     entry_args,
     maltsev_to_bol,
     slot_tuples,
@@ -59,9 +59,7 @@ from .algebra import (
     tensor_from_entries,
     verify_bol,
 )
-from .linalg import (
-    Mat, SparseMat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec,
-)
+from .linalg import Mat, SparseMat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec
 
 _THIRD = Fraction(1, 3)
 
@@ -122,21 +120,14 @@ def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
 
 
 @_once_per_object
-def _map_rows(R: Representation) -> tuple:
-    """The kept sparse form (rho, D, theta) of R, each matrix as its nonzero_rows."""
-    grid = lambda g: tuple(tuple(mat.nonzero_rows for mat in row) for row in g)
-    return tuple(mat.nonzero_rows for mat in R.rho), grid(R.D), grid(R.theta)
-
-
-@_once_per_object
 def _antisymmetry_failure(R: Representation) -> str | None:
     """None when the product of B, its ternary product and D are antisymmetric
     in their first two slots, else the error message of the first failing
-    tuple (i<=j, lexicographic), checked in that order on the kept sparse
+    tuple (i<=j, lexicographic), checked in that order on the kept integer
     forms.  Kept on R; the R, Delta-identity and cocycle scans and the
     constraint rows visit orbit representatives only when it is None."""
     B = R.base
-    P, T, D = _product_terms(B), _triple_terms(B), _map_rows(R)[1]
+    (_, P, T), D = _integer_terms(B), _integer_rows(R)[2]
     negated = lambda terms: tuple((k, -x) for k, x in terms)
     forms = (("binary", 2, lambda i, j: (P[i][j],)),
              ("ternary", 3, lambda i, j, k: (T[i][j][k],)),
@@ -158,20 +149,21 @@ def _integer_maps(R: Representation) -> tuple:
     """
     mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
     DR = _common_denominator(x for mat in mats for x in mat.entries)
-    cols = lambda mat: tuple(_scaled(_nonzeros(mat.col(b)), DR) for b in range(R.m))
+    cols = lambda mat: tuple(_scaled(col, DR // _integer_cols(mat)[0])
+                             for col in _integer_cols(mat)[1])
     grid = lambda g: tuple(tuple(cols(mat) for mat in row) for row in g)
     return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
 
 
 @_once_per_object
 def _integer_rows(R: Representation) -> tuple:
-    """The kept integer rows (D_R, rho, D, theta) of R: _map_rows times D_R, as ints."""
-    rho, D, theta = _map_rows(R)
-    mats = rho + tuple(mat for grid in (D, theta) for row in grid for mat in row)
-    DR = _common_denominator(x for mat in mats for row in mat for _, x in row)
-    rows = lambda mat: tuple(_scaled(row, DR) for row in mat)
+    """The kept integer rows (D_R, rho, D, theta) of R: each matrix by its
+    nonzero_rows, every entry times D_R (as in _integer_maps), as ints."""
+    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
+    DR = _common_denominator(x for mat in mats for x in mat.entries)
+    rows = lambda mat: tuple(_scaled(row, DR) for row in mat.nonzero_rows)
     grid = lambda g: tuple(tuple(map(rows, row)) for row in g)
-    return DR, tuple(map(rows, rho)), grid(D), grid(theta)
+    return DR, tuple(map(rows, R.rho)), grid(R.D), grid(R.theta)
 
 
 def _sparse_row(denominator: int, *parts) -> tuple:
@@ -201,30 +193,21 @@ def _delta_rows(R: Representation) -> tuple:
     return tuple(tuple(delta(i, j) for j in rng) for i in rng)
 
 
-def _add_mat(acc: dict, s, a: tuple, m: int) -> None:
-    """acc += s * A for A in _rows form; acc is {row * m + col: Fraction}."""
-    for r, row in enumerate(a):
-        base = r * m
-        for c, x in row:
-            k = base + c
-            acc[k] = acc.get(k, _ZERO) + s * x
-
-
-def _add_matmul(acc: dict, s, a: tuple, b: tuple, m: int) -> None:
-    """acc += s * A @ B for A, B in _rows form."""
-    for r, row in enumerate(a):
-        base = r * m
-        for l, x in row:
-            sx = s * x
-            for c, y in b[l]:
-                k = base + c
-                acc[k] = acc.get(k, _ZERO) + sx * y
-
-
-def _add_commutator(acc: dict, a: tuple, b: tuple, m: int) -> None:
-    """acc += A @ B - B @ A."""
-    _add_matmul(acc, _ONE, a, b, m)
-    _add_matmul(acc, -_ONE, b, a, m)
+def _matrix_sum(m: int, denominator: int, terms) -> Vec:
+    """The row-major entries of the sum of s * A or s * A @ B over the terms (s, A) and
+    (s, A, B), over the denominator; A and B are m x m by their rows of integer nonzeros."""
+    acc = [0] * (m * m)
+    for s, a, *b in terms:
+        for r, row in enumerate(a):
+            base = r * m
+            for l, x in row:
+                if b:
+                    sx = s * x
+                    for c, y in b[0][l]:
+                        acc[base + c] += sx * y
+                else:
+                    acc[base + l] += s * x
+    return _over(acc, denominator)
 
 
 @_once_per_object
@@ -234,76 +217,62 @@ def verify_representation(R: Representation) -> CheckReport:
     The tuples are the orbit representatives of the antisymmetries when c,
     t and D are antisymmetric, and every tuple otherwise.
 
-    Each residual adds up only the nonzero terms of the kept sparse forms
+    Each residual adds up only the nonzero terms of the kept integer forms
     of B and R; it is returned as the row-major entries of LHS - RHS.
     """
     B = R.base
     n, m = B.n, R.m
-    P, T = _product_terms(B), _triple_terms(B)
-    rho, D, theta = _map_rows(R)
+    DA, P, T = _integer_terms(B)
+    DR, rho, D, theta = _integer_rows(R)
+    # each residual lists its terms for _matrix_sum: one of degree a in D_A and
+    # r in D_R is scaled by D_A**(1-a) * D_R**(2-r), over D_A * D_R**2
+
+    def commutator_terms(a, b):  # [A, B], of degree 2 in D_R
+        return (DA, a, b), (-DA, b, a)
 
     def r1(i, j):
-        acc = {}
-        _add_mat(acc, _ONE, D[i][j], m)
-        _add_mat(acc, _ONE, theta[i][j], m)
-        _add_mat(acc, -_ONE, theta[j][i], m)
-        return _vec_of(acc, m * m)
+        return (DA * DR, D[i][j]), (DA * DR, theta[i][j]), (-DA * DR, theta[j][i])
 
     def r21(x1, x2, y1):
         # [D(x1,x2), rho(y1)] - rho([x1,x2,y1]) + theta(y1, x1*x2) - rho(x1*x2) rho(y1)
-        acc = {}
-        _add_commutator(acc, D[x1][x2], rho[y1], m)
-        for k, c in T[x1][x2][y1]:
-            _add_mat(acc, -c, rho[k], m)
-        for k, c in P[x1][x2]:
-            _add_mat(acc, c, theta[y1][k], m)
-            _add_matmul(acc, -c, rho[k], rho[y1], m)
-        return _vec_of(acc, m * m)
+        return (*commutator_terms(D[x1][x2], rho[y1]),
+                *((-DR * c, rho[k]) for k, c in T[x1][x2][y1]),
+                *((DR * c, theta[y1][k]) for k, c in P[x1][x2]),
+                *((-c, rho[k], rho[y1]) for k, c in P[x1][x2]))
 
     def r22(x1, y1, y2):
         # theta(x1, y1*y2) - rho(y1) theta(x1,y2) + rho(y2) theta(x1,y1)
         #   + (D(y1,y2) - rho(y1*y2)) rho(x1)
-        acc = {}
-        for k, c in P[y1][y2]:
-            _add_mat(acc, c, theta[x1][k], m)
-            _add_matmul(acc, -c, rho[k], rho[x1], m)
-        _add_matmul(acc, -_ONE, rho[y1], theta[x1][y2], m)
-        _add_matmul(acc, _ONE, rho[y2], theta[x1][y1], m)
-        _add_matmul(acc, _ONE, D[y1][y2], rho[x1], m)
-        return _vec_of(acc, m * m)
+        return (*((DR * c, theta[x1][k]) for k, c in P[y1][y2]),
+                *((-c, rho[k], rho[x1]) for k, c in P[y1][y2]),
+                (-DA, rho[y1], theta[x1][y2]), (DA, rho[y2], theta[x1][y1]),
+                (DA, D[y1][y2], rho[x1]))
 
     def derivation(grid):
         # [D(x1,x2), grid(y1,y2)] - grid([x1,x2,y1], y2) - grid(y1, [x1,x2,y2])
-        def residual(x1, x2, y1, y2):
-            acc = {}
-            _add_commutator(acc, D[x1][x2], grid[y1][y2], m)
-            for k, c in T[x1][x2][y1]:
-                _add_mat(acc, -c, grid[k][y2], m)
-            for k, c in T[x1][x2][y2]:
-                _add_mat(acc, -c, grid[y1][k], m)
-            return _vec_of(acc, m * m)
-        return residual
+        return lambda x1, x2, y1, y2: (
+            *commutator_terms(D[x1][x2], grid[y1][y2]),
+            *((-DR * c, grid[k][y2]) for k, c in T[x1][x2][y1]),
+            *((-DR * c, grid[y1][k]) for k, c in T[x1][x2][y2]))
 
     def r33(x1, y1, y2, y3):
         # theta(x1, [y1,y2,y3]) - theta(y2,y3) theta(x1,y1)
         #   + theta(y1,y3) theta(x1,y2) - D(y1,y2) theta(x1,y3)
-        acc = {}
-        for k, c in T[y1][y2][y3]:
-            _add_mat(acc, c, theta[x1][k], m)
-        _add_matmul(acc, -_ONE, theta[y2][y3], theta[x1][y1], m)
-        _add_matmul(acc, _ONE, theta[y1][y3], theta[x1][y2], m)
-        _add_matmul(acc, -_ONE, D[y1][y2], theta[x1][y3], m)
-        return _vec_of(acc, m * m)
+        return (*((DR * c, theta[x1][k]) for k, c in T[y1][y2][y3]),
+                (-DA, theta[y2][y3], theta[x1][y1]), (DA, theta[y1][y3], theta[x1][y2]),
+                (-DA, D[y1][y2], theta[x1][y3]))
 
     # With c, t and D antisymmetric, a residual changes sign when a grouped
     # pair is swapped: x1, x2 in R1, R21, R31 and R32, y1, y2 in R22, R31 and
     # R33.  theta has no symmetry, so R32 keeps y1, y2 free.
     grouped = _antisymmetry_failure(R) is None
-    checks = tuple(_scan(name, slot_tuples(n, sizes, grouped), fn) for name, sizes, fn in (
-        ("R1", (2,), r1), ("R21", (2, 1), r21), ("R22", (1, 2), r22),
-        ("R31", (2, 2), derivation(D)), ("R32", (2, 1, 1), derivation(theta)),
-        ("R33", (1, 2, 1), r33)))
-    return CheckReport(checks)
+    return CheckReport(tuple(
+        _scan(name, slot_tuples(n, sizes, grouped),
+              lambda *idx, terms=terms: _matrix_sum(m, DA * DR * DR, terms(*idx)))
+        for name, sizes, terms in (
+            ("R1", (2,), r1), ("R21", (2, 1), r21), ("R22", (1, 2), r22),
+            ("R31", (2, 2), derivation(D)), ("R32", (2, 1, 1), derivation(theta)),
+            ("R33", (1, 2, 1), r33))))
 
 
 def adjoint_representation(B: BolAlgebra) -> Representation:
@@ -327,12 +296,11 @@ def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckRepor
     """
     n = M.n
     m = rho[0].rows if rho else 0
+    D, P, _ = _integer_terms(M)
 
     def residual(x, y, z):
         d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
-        bracket1 = vec_add(vec_sub(M.product(x, M.basis_product(y, z)),
-                                   M.product(y, M.basis_product(x, z))),
-                           M.product(M.basis_product(x, y), z))
+        bracket1 = _over(_bracket(P, x, y, z, 1), D * D)
         return (commutator(d1, rho[z]) - _lincomb(rho, bracket1, m)).entries
 
     check = _scan("maltsev-representation",
@@ -354,8 +322,10 @@ def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Che
     def jordan(a: Mat, b: Mat) -> Mat:
         return a @ b + b @ a
 
+    D, P, _ = _integer_terms(M)
+
     def residual(x, y, z):
-        res = _lincomb(rho, M.product(x, M.basis_product(y, z)), m)
+        res = _lincomb(rho, _integer_sum(D * D, n, _times(P, ((x, 1),), P[y][z])), m)
         res = res - rho[z] @ jordan(rho[x], rho[y])
         res = res + rho[y] @ jordan(rho[x], rho[z])
         res = res - jordan(rho[x], _lincomb(rho, M.basis_product(y, z), m))
@@ -411,19 +381,17 @@ def check_delta_identity(R: Representation) -> CheckReport:
     """
     B = R.base
     m = R.m
-    P, T, delta = _product_terms(B), _triple_terms(B), _delta_rows(R)
+    DA, P, T = _integer_terms(B)
+    DD = DA * _integer_rows(R)[0]  # every denominator of Delta divides it
+    delta = [[tuple(_scaled(row, DD) for row in d) for d in grid] for grid in _delta_rows(R)]
 
+    # a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
     def residual(x1, x2, y1, y2):
-        acc = {}
-        _add_commutator(acc, delta[x1][x2], delta[y1][y2], m)
-        for k, c in T[x1][x2][y1]:
-            _add_mat(acc, -c, delta[k][y2], m)
-        for k, c in T[x1][x2][y2]:
-            _add_mat(acc, -c, delta[y1][k], m)
-        for a, c in P[y1][y2]:
-            for b, d in P[x1][x2]:
-                _add_mat(acc, c * d, delta[a][b], m)
-        return _vec_of(acc, m * m)
+        return _matrix_sum(m, (DA * DD) ** 2, (
+            (DA * DA, delta[x1][x2], delta[y1][y2]), (-DA * DA, delta[y1][y2], delta[x1][x2]),
+            *((-DA * DD * c, delta[k][y2]) for k, c in T[x1][x2][y1]),
+            *((-DA * DD * c, delta[y1][k]) for k, c in T[x1][x2][y2]),
+            *((DD * c * d, delta[a][b]) for a, c in P[y1][y2] for b, d in P[x1][x2])))
 
     # With c, t and D antisymmetric so is Delta, and the residual changes sign
     # when x1, x2 or y1, y2 are swapped.

@@ -11,13 +11,26 @@ from pathlib import Path
 import pytest
 
 from bolalg.algebra import (
-    BolAlgebra, MaltsevAlgebra, _once_per_object, _product_terms, _triple_terms, entry_args,
+    BolAlgebra,
+    CheckReport,
+    ConditionCheck,
+    MaltsevAlgebra,
+    _once_per_object,
+    _product_terms,
+    _scan,
+    _triple_terms,
+    bilinear_eval,
+    entry_args,
+    slot_tuples,
+    trilinear_eval,
+    verify_bol,
 )
-from bolalg.linalg import Mat, _echelon, inverse
+from bolalg.cohomology import CochainPair
+from bolalg.linalg import Mat, _echelon, image_rank, inverse, vec_add, vec_sub, zero_vec
 from bolalg.representation import (
     Representation,
     _antisymmetry_failure,
-    _map_rows,
+    _delta_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -125,6 +138,12 @@ def coboundary_row_builds(monkeypatch):
 
     monkeypatch.setattr(module, "_coboundary_rows", _once_per_object(counting))
     return builds
+
+
+def _map_rows(R: Representation) -> tuple:
+    """(rho, D, theta) of R, each matrix as its nonzero_rows of Fractions."""
+    grid = lambda g: tuple(tuple(mat.nonzero_rows for mat in row) for row in g)
+    return tuple(mat.nonzero_rows for mat in R.rho), grid(R.D), grid(R.theta)
 
 
 def leaves(x) -> list:
@@ -261,6 +280,255 @@ def fraction_coboundary_rows(R: Representation) -> tuple:
 
     return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
                  for args in entry_args(n, arity) for a in range(m))
+
+
+# ---------------------------------------------------------------------------
+# slow references: the Fraction scans and reads of the representation,
+# deformation and extension layers, as they were before their integer forms:
+# {coordinate: Fraction} dicts over the sparse Fraction forms, and the dense
+# bilinear_eval/trilinear_eval of the structure tensors on Vec slots
+
+
+def _add_mat(acc: dict, s, a: tuple, m: int) -> None:
+    """acc += s * A for A by its nonzero rows; acc is {row * m + col: Fraction}."""
+    for r, row in enumerate(a):
+        for c, x in row:
+            acc[r * m + c] = acc.get(r * m + c, F(0)) + s * x
+
+
+def _add_matmul(acc: dict, s, a: tuple, b: tuple, m: int) -> None:
+    """acc += s * A @ B for A, B by their nonzero rows."""
+    for r, row in enumerate(a):
+        for l, x in row:
+            for c, y in b[l]:
+                acc[r * m + c] = acc.get(r * m + c, F(0)) + s * x * y
+
+
+def _add_commutator(acc: dict, a: tuple, b: tuple, m: int) -> None:
+    _add_matmul(acc, F(1), a, b, m)
+    _add_matmul(acc, F(-1), b, a, m)
+
+
+def _vec_of(acc: dict, size: int) -> tuple:
+    """The dense Vec of a {coordinate: Fraction} accumulator, every entry a Fraction."""
+    if not any(acc.values()):
+        return zero_vec(size)
+    return tuple(F(acc.get(k, 0)) for k in range(size))
+
+
+def fraction_verify_representation(R: Representation) -> CheckReport:
+    """The former verify_representation: R1-R33 added up in Fraction dicts."""
+    B = R.base
+    n, m = B.n, R.m
+    P, T = _product_terms(B), _triple_terms(B)
+    rho, D, theta = _map_rows(R)
+
+    def r1(i, j):
+        acc = {}
+        _add_mat(acc, F(1), D[i][j], m)
+        _add_mat(acc, F(1), theta[i][j], m)
+        _add_mat(acc, F(-1), theta[j][i], m)
+        return _vec_of(acc, m * m)
+
+    def r21(x1, x2, y1):
+        acc = {}
+        _add_commutator(acc, D[x1][x2], rho[y1], m)
+        for k, c in T[x1][x2][y1]:
+            _add_mat(acc, -c, rho[k], m)
+        for k, c in P[x1][x2]:
+            _add_mat(acc, c, theta[y1][k], m)
+            _add_matmul(acc, -c, rho[k], rho[y1], m)
+        return _vec_of(acc, m * m)
+
+    def r22(x1, y1, y2):
+        acc = {}
+        for k, c in P[y1][y2]:
+            _add_mat(acc, c, theta[x1][k], m)
+            _add_matmul(acc, -c, rho[k], rho[x1], m)
+        _add_matmul(acc, F(-1), rho[y1], theta[x1][y2], m)
+        _add_matmul(acc, F(1), rho[y2], theta[x1][y1], m)
+        _add_matmul(acc, F(1), D[y1][y2], rho[x1], m)
+        return _vec_of(acc, m * m)
+
+    def derivation(grid):
+        def residual(x1, x2, y1, y2):
+            acc = {}
+            _add_commutator(acc, D[x1][x2], grid[y1][y2], m)
+            for k, c in T[x1][x2][y1]:
+                _add_mat(acc, -c, grid[k][y2], m)
+            for k, c in T[x1][x2][y2]:
+                _add_mat(acc, -c, grid[y1][k], m)
+            return _vec_of(acc, m * m)
+        return residual
+
+    def r33(x1, y1, y2, y3):
+        acc = {}
+        for k, c in T[y1][y2][y3]:
+            _add_mat(acc, c, theta[x1][k], m)
+        _add_matmul(acc, F(-1), theta[y2][y3], theta[x1][y1], m)
+        _add_matmul(acc, F(1), theta[y1][y3], theta[x1][y2], m)
+        _add_matmul(acc, F(-1), D[y1][y2], theta[x1][y3], m)
+        return _vec_of(acc, m * m)
+
+    grouped = _antisymmetry_failure(R) is None
+    return CheckReport(tuple(
+        _scan(name, slot_tuples(n, sizes, grouped), fn) for name, sizes, fn in (
+            ("R1", (2,), r1), ("R21", (2, 1), r21), ("R22", (1, 2), r22),
+            ("R31", (2, 2), derivation(D)), ("R32", (2, 1, 1), derivation(theta)),
+            ("R33", (1, 2, 1), r33))))
+
+
+def fraction_check_delta_identity(R: Representation) -> CheckReport:
+    """The former check_delta_identity: the Delta rows added up in a Fraction dict."""
+    B, m = R.base, R.m
+    P, T, delta = _product_terms(B), _triple_terms(B), _delta_rows(R)
+
+    def residual(x1, x2, y1, y2):
+        acc = {}
+        _add_commutator(acc, delta[x1][x2], delta[y1][y2], m)
+        for k, c in T[x1][x2][y1]:
+            _add_mat(acc, -c, delta[k][y2], m)
+        for k, c in T[x1][x2][y2]:
+            _add_mat(acc, -c, delta[y1][k], m)
+        for a, c in P[y1][y2]:
+            for b, d in P[x1][x2]:
+                _add_mat(acc, c * d, delta[a][b], m)
+        return _vec_of(acc, m * m)
+    return CheckReport((_scan("delta-identity",
+                              slot_tuples(B.n, (2, 2), _antisymmetry_failure(R) is None),
+                              residual),))
+
+
+def dense_b2p_residual(d, x1, x2, y1, y2) -> tuple:
+    """The former (B2') residual of a DeformationTypeCandidate, on Vec slots."""
+    n = d.n
+    mu = lambda a, b: bilinear_eval(d.mu, a, b, n)
+    nu = lambda a, b: bilinear_eval(d.nu, a, b, n)
+    om = lambda a, b, c: trilinear_eval(d.omega, a, b, c, n)
+    nu_y, nu_x = nu(y1, y2), nu(x1, x2)
+    r = om(x1, x2, nu_y)
+    r = vec_sub(r, nu(om(x1, x2, y1), y2))
+    r = vec_sub(r, nu(y1, om(x1, x2, y2)))
+    r = vec_sub(r, om(y1, y2, nu_x))
+    r = vec_add(r, nu(nu_y, mu(x1, x2)))
+    r = vec_add(r, nu(mu(y1, y2), nu_x))
+    return vec_add(r, mu(nu_y, nu_x))
+
+
+def dense_o3_residual(datum, x1, x2, y1, y2) -> tuple:
+    """The former o3 residual nu(nu(y1,y2), nu(x1,x2)) of a DeformationDatum."""
+    nu = lambda a, b: bilinear_eval(datum.pair.nu, a, b, datum.base.n)
+    return nu(nu(y1, y2), nu(x1, x2))
+
+
+def _operate(A: BolAlgebra, args) -> tuple:
+    return A.product(*args) if len(args) == 2 else A.triple(*args)
+
+
+def _binary_then_ternary(dim: int, grouped: bool):
+    return itertools.chain(
+        (("binary",) + xy for xy in slot_tuples(dim, (2,), grouped)),
+        (("ternary",) + xyz for xyz in slot_tuples(dim, (2, 1), grouped)))
+
+
+def dense_validate_extension(E) -> CheckReport:
+    """The former validate_extension: the homomorphism and ideal scans on Vec slots."""
+    base, hat, m = E.base, E.hat, E.m
+    n, N = base.n, hat.n
+    checks = []
+    for name, A in (("base-axioms", base), ("hat-axioms", hat)):
+        f = verify_bol(A).first_failure()
+        checks.append(ConditionCheck(name, f is None,
+                                     None if f is None else (f.name,) + f.witness,
+                                     None if f is None else f.residual))
+    pi = E.p @ E.i
+    exact = pi.is_zero() and image_rank(E.i) == m and image_rank(E.p) == n
+    checks.append(ConditionCheck("exactness", exact, None, None if exact else pi.entries))
+    section_res = E.p @ E.sigma - Mat.identity(n)
+    checks.append(ConditionCheck("section", section_res.is_zero(), None,
+                                 None if section_res.is_zero() else section_res.entries))
+    grouped = checks[0].passed and checks[1].passed
+    i_cols = [E.i.col(a) for a in range(m)]
+    checks.append(_scan("i-homomorphism", _binary_then_ternary(m, grouped),
+                        lambda kind, *args: _operate(hat, [i_cols[a] for a in args])))
+    p_cols = [E.p.col(x) for x in range(N)]
+    checks.append(_scan("p-homomorphism", _binary_then_ternary(N, grouped),
+                        lambda kind, *args: vec_sub(
+                            E.p.apply(_operate(hat, args)),
+                            _operate(base, [p_cols[x] for x in args]))))
+    placements = {"[i,i,.]": lambda u, v, w: (u, v, w),
+                  "[i,.,i]": lambda u, v, w: (u, w, v),
+                  "[.,i,i]": lambda u, v, w: (w, u, v)}
+    checks.append(_scan(
+        "abelian-ideal",
+        ((name, a, b, w) for a, b in itertools.product(range(m), repeat=2)
+         for w in range(N) for name in placements),
+        lambda name, a, b, w: hat.triple(*placements[name](i_cols[a], i_cols[b], w))))
+    return CheckReport(tuple(checks))
+
+
+def dense_fiber_coords(Tinv: Mat, w: tuple, n: int, what: str) -> tuple:
+    coords = Tinv.apply(w)
+    if any(coords[:n]):
+        raise importlib.import_module("bolalg.extension").InvalidExtensionError(
+            f"{what} does not land in the fiber; extension data is inconsistent")
+    return coords[n:]
+
+
+def dense_induced_representation(E) -> Representation:
+    """The former induced_representation: each fiber map read off dense products."""
+    EXTENSION = importlib.import_module("bolalg.extension")
+    EXTENSION._require_valid(E)
+    base, hat, m = E.base, E.hat, E.m
+    n = base.n
+    Tinv = EXTENSION._splitting(E)
+    s_cols = [E.sigma.col(x) for x in range(n)]
+    i_cols = [E.i.col(a) for a in range(m)]
+
+    def fiber_map(what, image):
+        cols = [dense_fiber_coords(Tinv, image(w), n, what) for w in i_cols]
+        return Mat(m, m, tuple(x for row in zip(*cols) for x in row))
+
+    rho = tuple(fiber_map("rho image", lambda w: hat.product(s_cols[x], w)) for x in range(n))
+    D = tuple(tuple(fiber_map("D image", lambda w: hat.triple(s_cols[x], s_cols[y], w))
+                    for y in range(n)) for x in range(n))
+    theta = tuple(tuple(fiber_map("theta image", lambda w: hat.triple(w, s_cols[x], s_cols[y]))
+                        for y in range(n)) for x in range(n))
+    return Representation(base, m, rho, D, theta)
+
+
+def dense_induced_cocycle(E) -> CochainPair:
+    """The former induced_cocycle: every nu and omega value off dense products."""
+    EXTENSION = importlib.import_module("bolalg.extension")
+    EXTENSION._require_valid(E)
+    base, hat, m = E.base, E.hat, E.m
+    n = base.n
+    Tinv = EXTENSION._splitting(E)
+    s_cols = [E.sigma.col(x) for x in range(n)]
+
+    def nu(x, y):
+        w = vec_sub(hat.product(s_cols[x], s_cols[y]), E.sigma.apply(base.basis_product(x, y)))
+        return dense_fiber_coords(Tinv, w, n, "nu value")
+
+    def omega(x, y, z):
+        w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
+                    E.sigma.apply(base.basis_triple(x, y, z)))
+        return dense_fiber_coords(Tinv, w, n, "omega value")
+    return CochainPair.from_entries(
+        base, m, [(args, dict(enumerate(nu(*args)))) for args in entry_args(n, 2)],
+        [(args, dict(enumerate(omega(*args)))) for args in entry_args(n, 3)])
+
+
+def dense_check_phi(E1, E2, phi: Mat) -> None:
+    """The former _check_phi: both homomorphism laws on Vec slots."""
+    cols = [phi.col(x) for x in range(E1.hat.n)]
+    for kind, *args in _binary_then_ternary(E1.hat.n, True):
+        if phi.apply(_operate(E1.hat, args)) != _operate(E2.hat, [cols[x] for x in args]):
+            raise AssertionError(f"constructed phi fails the {kind} homomorphism law")
+    if phi @ E1.i != E2.i:
+        raise AssertionError("constructed phi does not commute with the injections")
+    if E2.p @ phi != E1.p:
+        raise AssertionError("constructed phi does not commute with the projections")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ and at run time.
 Every module under ``src/bolalg`` is parsed and walked: no float or
 complex literal, no use of the name ``float``, no import from outside
 the standard library and ``bolalg`` itself, and no imported name that the
-module never uses and does not list in ``__all__``.  The source walk cannot
+module never uses and does not list in ``__all__``.  No module but
+``algebra`` calls the Fraction evaluators ``bilinear_eval`` and
+``trilinear_eval`` or an algebra's ``product`` and ``triple`` methods: every
+scan reads integer forms.  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
-every entry of the B2, B3 and Sagle residuals, which add up integer
+every entry of the B2, B3 and Sagle residuals and of the extension,
+R1-R33, Delta-identity, (B2') and o3 residuals, which add up integer
 numerators, on zero and on failing tuples.  Every public entry point that
 takes scalars refuses a float.
 """
@@ -18,20 +22,23 @@ import itertools
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bolalg import deformation, extension, representation
 from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
     _add_terms,
     _b2_residual,
     _b3_residual,
+    _integer_terms,
     _maltsev_residual,
     _over,
-    _vec_of,
+    _scan,
     maltsev_to_bol,
     verify_bol,
     verify_maltsev,
@@ -51,7 +58,6 @@ from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat
 from bolalg.representation import (
     Representation,
-    _add_mat,
     adjoint_representation,
     check_delta_identity,
     cochain_dim,
@@ -136,6 +142,44 @@ def test_the_unused_import_guard_catches(code, unused):
         f"line 1: {name} is imported and never used" for name in unused]
 
 
+_EVALUATORS = {"bilinear_eval", "trilinear_eval"}
+
+
+def _evaluator_calls(tree: ast.AST) -> list[str]:
+    """Each call of bilinear_eval, trilinear_eval or a .product/.triple method
+    (itertools.product is no algebra's)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            method = (isinstance(f, ast.Attribute) and name in ("product", "triple")
+                      and not (isinstance(f.value, ast.Name) and f.value.id == "itertools"))
+            if name in _EVALUATORS or method:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("source", [p for p in SOURCES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_no_scan_outside_algebra_calls_the_fraction_evaluators(source):
+    assert _evaluator_calls(ast.parse(source.read_text(), str(source))) == []
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("hat.product(s_cols[x], w)", ["product"]),
+    ("_operate = lambda A, args: A.triple(*args)", ["triple"]),
+    ("nu = lambda a, b: bilinear_eval(d.nu, a, b, n)", ["bilinear_eval"]),
+    ("algebra.trilinear_eval(t, x, y, z, n)", ["trilinear_eval"]),
+    ("itertools.product(range(3), repeat=2)", []),
+    ("from itertools import product\nproduct(a, b)", []),
+    ("M.basis_product(x, y)", []),
+])
+def test_the_evaluator_guard_catches(code, calls):
+    assert _evaluator_calls(ast.parse(code)) == [
+        f"line {code.count(chr(10)) + 1}: {name}" for name in calls]
+
+
 # ---------------------------------------------------------------------------
 # run time: the residuals of failing reports
 
@@ -200,7 +244,7 @@ def _integer_residuals():
                                          ((1, 2, 0), {2: 5})])
     for B in (maltsev_to_bol(make_so3()), candidate):
         for args in itertools.product(range(3), repeat=4):
-            yield _b2_residual(B, *args)
+            yield _b2_residual(_integer_terms(B), *args)
         for args in itertools.product(range(3), repeat=5):
             yield _b3_residual(B, *args)
     non_maltsev = MaltsevAlgebra.from_entries(3, [((0, 1), {1: 1}), ((0, 2), {0: 2}),
@@ -218,6 +262,41 @@ def test_integer_scans_give_fraction_residuals_on_zero_and_failing_tuples():
         assert len(r) == 3 and all(type(x) is Fraction for x in r), r
 
 
+def test_the_extension_representation_and_deformation_residuals_are_fractions(monkeypatch):
+    # every tuple of every scan in those modules, passing and failing inputs alike
+    seen = {}
+
+    def scan_every_tuple(name, tuples, residual_fn):
+        tuples = list(tuples)
+        seen.setdefault(name, []).extend(residual_fn(*idx) for idx in tuples)
+        return _scan(name, tuples, residual_fn)
+    for module in (representation, extension, deformation):
+        monkeypatch.setattr(module, "_scan", scan_every_tuple)
+    rng = random.Random(11)
+    b2, so3 = make_b2(1), adjoint_representation(maltsev_to_bol(make_so3()))
+    grid = lambda: tuple(tuple(_random_mat(rng, 2) for _ in range(2)) for _ in range(2))
+    for R in (so3, Representation(b2, 2, (_random_mat(rng, 2), _random_mat(rng, 2)), grid(),
+                                  grid())):
+        verify_representation(R)
+        check_delta_identity(R)
+    E = semidirect_product(adjoint_representation(b2))
+    validate_extension(E)
+    validate_extension(replace(E, i=Mat.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])))
+    validate_extension(replace(E, p=Mat.from_rows([[1, 0, 1, 1], [0, Fraction(1, 3), 0, 0]])))
+    for coords in ((0,) * cochain_dim(3, 3), tuple(random_fraction(rng)
+                                                    for _ in range(cochain_dim(3, 3)))):
+        datum = DeformationDatum(so3.base, coords_to_cochain(so3.base, 3, coords))
+        check_first_order_formal(datum)
+        is_deformation_type(DeformationTypeCandidate(3, so3.base.c, datum.pair.nu,
+                                                     datum.pair.omega))
+    assert set(seen) >= {"R1", "R21", "R22", "R31", "R32", "R33", "delta-identity",
+                         "i-homomorphism", "p-homomorphism", "abelian-ideal", "B2'", "o3"}
+    for name, residuals in seen.items():
+        assert any(any(r) for r in residuals) and not all(any(r) for r in residuals), name
+        for r in residuals:
+            assert all(type(x) is Fraction for x in r), (name, r)
+
+
 def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
     # an integer accumulator is divided out into Fractions, zero or not
     acc = [0, 0, 0]
@@ -225,18 +304,6 @@ def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
     assert _over(acc, 4) == (Fraction(3, 2), Fraction(0), Fraction(-1, 2))
     assert [type(x) for x in _over(acc, 4)] == [Fraction] * 3
     assert [type(x) for x in _over([0, 0], 7)] == [Fraction, Fraction]
-    # a {coordinate: value} accumulator that starts from int 0, as the
-    # representation verifiers' would with acc.get(k, 0), still gives Fractions
-    acc = {0: 0}
-    _add_mat(acc, Fraction(1), ((), ((1, Fraction(2)),)), 2)
-    assert [type(x) for x in _vec_of(acc, 4)] == [Fraction] * 4
-    assert _vec_of(acc, 4) == (0, 0, 0, 2)
-    assert [type(x) for x in _vec_of({0: 0, 1: 5}, 2)] == [Fraction, Fraction]
-    assert [type(x) for x in _vec_of({}, 2)] == [Fraction, Fraction]
-    assert [type(x) for x in _vec_of({1: Fraction(3)}, 3)] == [Fraction] * 3
-    # any(acc) tests the keys, and key 0 is falsy: use any(acc.values())
-    assert _vec_of({0: Fraction(-1)}, 2) == (Fraction(-1), Fraction(0))
-    assert _vec_of({1: Fraction(0)}, 2) == (Fraction(0), Fraction(0))
     # a one-dimensional module has one residual coordinate, key 0
     zero = Mat.zeros(1, 1)
     D = ((zero, Mat.identity(1)), (zero, zero))

@@ -26,7 +26,7 @@ from bolalg.representation import (
     verify_representation,
 )
 
-from .conftest import hstack, make_b2, matrix_of
+from .conftest import dense_fiber_coords, hstack, make_b2, matrix_of
 
 EXTENSION = importlib.import_module("bolalg.extension")
 
@@ -308,12 +308,12 @@ def _reference_induced_cocycle(E):
     def nu(x, y):
         w = vec_sub(hat.product(s_cols[x], s_cols[y]),
                     E.sigma.apply(base.basis_product(x, y)))
-        return EXTENSION._fiber_coords(Tinv, w, n, m, "nu value")
+        return dense_fiber_coords(Tinv, w, n, "nu value")
 
     def omega(x, y, z):
         w = vec_sub(hat.triple(s_cols[x], s_cols[y], s_cols[z]),
                     E.sigma.apply(base.basis_triple(x, y, z)))
-        return EXTENSION._fiber_coords(Tinv, w, n, m, "omega value")
+        return dense_fiber_coords(Tinv, w, n, "omega value")
     return CochainPair(base, m, tabulate(m, n, 2, nu), tabulate(m, n, 3, omega))
 
 

@@ -57,8 +57,6 @@ from bolalg.cohomology import (
 from bolalg.deformation import (
     DeformationDatum,
     DeformationTypeCandidate,
-    _b2p_residual,
-    _o3_residual,
     check_first_order_formal,
     is_deformation_type,
 )
@@ -76,6 +74,8 @@ from bolalg.representation import (
 
 from .conftest import (
     DATA,
+    dense_b2p_residual,
+    dense_o3_residual,
     freeze,
     make_b2,
     make_m0,
@@ -762,7 +762,7 @@ def _reference_deformation_type(d):
         _antisymmetry("B02'", d.mu, n, 2),
         _antisymmetry("B03'", d.omega, n, 3),
         _cyclic("B1'", d.omega, n),
-        _scan("B2'", itertools.product(rng, repeat=4), lambda *a: _b2p_residual(d, *a)),
+        _scan("B2'", itertools.product(rng, repeat=4), lambda *a: dense_b2p_residual(d, *a)),
         _scan("B3'", itertools.product(rng, repeat=5), lambda *a: _b3(pair, *a)),
     ))
 
@@ -772,7 +772,7 @@ def _reference_first_order_formal(datum):
     closure = _reference_deformation_type(
         DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)).checks[4:]
     o3 = _scan("o3", itertools.product(range(base.n), repeat=4),
-               lambda *a: _o3_residual(datum, *a))
+               lambda *a: dense_o3_residual(datum, *a))
     return CheckReport(_reference_cocycle(adjoint_representation(base), pair).checks
                        + closure + (o3,))
 
