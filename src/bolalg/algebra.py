@@ -17,9 +17,11 @@ Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
 The scans read a sparse form kept once per algebra, the nonzeros of each
-e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``), so a
-residual adds up only nonzero terms.  Every axiom scan of verify_bol and
-verify_maltsev, and the ternary product of maltsev_to_bol, read the
+e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``, each row
+read off the planes of c or t by transposition), so a residual adds up only
+nonzero terms.  Sagle's identity is scanned one x at a time: x*e_k, e_k*x
+and (e_k*x)*x are made once for every (y, z).  Every axiom scan of
+verify_bol and verify_maltsev, and the ternary product of maltsev_to_bol, read the
 integer form kept next to it (``_integer_terms``): the same nonzeros
 times D, the lcm of every denominator of c (and of t for a Bol algebra).  A product of k such
 coefficients is D**k times the true one, so these residuals add up plain
@@ -397,16 +399,17 @@ def _nonzeros(v: Vec) -> tuple:
 
 @_once_per_object
 def _product_terms(A) -> tuple:
-    """The kept sparse form of the binary product: [i][j] = nonzeros of e_i*e_j."""
-    rng = range(A.n)
-    return tuple(tuple(_nonzeros(A.basis_product(i, j)) for j in rng) for i in rng)
+    """The kept sparse form of the binary product: [i][j] = nonzeros of e_i*e_j,
+    row i read off the planes c[k][i] by transposition."""
+    return tuple(tuple(map(_nonzeros, zip(*[plane[i] for plane in A.c]))) for i in range(A.n))
 
 
 @_once_per_object
 def _triple_terms(B: BolAlgebra) -> tuple:
-    """The kept sparse form of the ternary product: [i][j][k] = nonzeros of [e_i,e_j,e_k]."""
+    """The kept sparse form of the ternary product: [i][j][k] = nonzeros of [e_i,e_j,e_k],
+    row (i, j) read off the planes t[l][i][j] by transposition."""
     rng = range(B.n)
-    return tuple(tuple(tuple(_nonzeros(B.basis_triple(i, j, k)) for k in rng)
+    return tuple(tuple(tuple(map(_nonzeros, zip(*[plane[i][j] for plane in B.t])))
                        for j in rng) for i in rng)
 
 
@@ -502,16 +505,6 @@ def _antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
                                        entry_values(t, (args[1], args[0]) + args[2:])))
 
 
-def _cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:
-    """Scan the cyclic sum t(i,j,k) + t(j,k,i) + t(k,i,j) over all triples,
-    or with ``grouped`` over i<j<k only (valid when t is antisymmetric in
-    its first two slots: the sum then changes sign under any swap)."""
-    return _scan(name, slot_tuples(n, (3,), grouped),
-                 lambda i, j, k: vec_add(entry_values(t, (i, j, k)),
-                                         entry_values(t, (j, k, i)),
-                                         entry_values(t, (k, i, j))))
-
-
 def _b2_residual(forms: tuple, x, y, u, v, cubic: tuple | None = None) -> Vec:
     # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y) for the integer
     # forms (D, P, T): the four terms of degree 2 times D, plus the one of degree 3,
@@ -584,20 +577,30 @@ def _times(P: tuple, u, v) -> tuple:
     return tuple((k, c) for k, c in enumerate(_add_form([0] * len(P), 1, P, u, v)) if c)
 
 
-def _maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> Vec:
-    # Sagle's identity: (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y
-    # x is given by its nonzeros (coefficients 1), y and z are basis indices;
-    # every term has degree 3 in the integer form
+def _sagle_failure(M: MaltsevAlgebra, x: tuple) -> ConditionCheck | None:
+    """The failing maltsev-identity check at the first (x, y, z), y and z over the
+    basis in lexicographic order, for x = the sum of e_i over i in x; None if none.
+
+    Sagle's identity (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y is
+    read through x*e_k, e_k*x and (e_k*x)*x, made once per x; every term has
+    degree 3 in the integer form."""
     D, P, _ = _integer_terms(M)
-    ey, ez = ((y, 1),), ((z, 1),)
-    xy = _times(P, x, ey)
-    acc = [0] * M.n
-    _add_terms(acc, 1, _times(P, xy, _times(P, x, ez)))
-    for rhs in (_times(P, _times(P, xy, ez), x),
-                _times(P, _times(P, P[y][z], x), x),
-                _times(P, _times(P, _times(P, ez, x), x), ey)):
-        _add_terms(acc, -1, rhs)
-    return _over(acc, D ** 3)
+    rng, u = range(M.n), tuple((i, 1) for i in x)
+    X = [_times(P, u, ((k, 1),)) for k in rng]  # x*e_k
+    Z = [_times(P, ((k, 1),), u) for k in rng]  # e_k*x
+    W = [_times(P, Z[k], u) for k in rng]       # (e_k*x)*x
+    for y, z in itertools.product(rng, repeat=2):
+        acc = _add_form([0] * M.n, 1, P, X[y], X[z])
+        for k, c in X[y]:  # ((x*y)*z)*x, (x*y)*z read through Z
+            for a, b in P[k][z]:
+                _add_terms(acc, -c * b, Z[a])
+        for k, c in P[y][z]:
+            _add_terms(acc, -c, W[k])
+        for k, c in W[z]:
+            _add_terms(acc, -c, P[k][y])
+        if any(acc):
+            return ConditionCheck("maltsev-identity", False, (x, y, z), _over(acc, D ** 3))
+    return None
 
 
 @_once_per_object
@@ -615,11 +618,9 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     D, P, _ = _integer_terms(M)
     anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
                  lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
-    xs = {(i,): ((i, 1),) for i in rng}
-    xs.update({(i, j): ((i, 1), (j, 1)) for i in rng for j in range(i + 1, n)})
-    identity = _scan("maltsev-identity",
-                     ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
-                     lambda x, y, z: _maltsev_residual(M, xs[x], y, z))
+    xs = [(i,) for i in rng] + list(itertools.combinations(rng, 2))
+    identity = next(filter(None, (_sagle_failure(M, x) for x in xs)),
+                    ConditionCheck("maltsev-identity", True))
     return AxiomReport((anti, identity))
 
 

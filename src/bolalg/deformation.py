@@ -39,9 +39,10 @@ i.e. exactly when their difference is an adjoint coboundary with zero
 companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
 
-The (B2') and o3 scans add up ints, as the axiom scans of ``algebra`` do:
-(B2') reads mu, nu and omega times D, one lcm of all their denominators,
-and divides by D**3; o3 reads nu alone, over its own lcm.
+The scans add up ints, as the axiom scans of ``algebra`` do: (B01')-(B03'),
+(B1') and (B2') read mu, nu and omega times D, one lcm of all their
+denominators (kept on the candidate), and (B2') divides by D**3; o3 reads
+nu alone, over its own lcm.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ from .algebra import (
     CheckReport,
     MaltsevAlgebra,
     _add_form,
-    _antisymmetry,
     _b2_residual,
     _b3_residual,
-    _cyclic,
     _integer_forms,
+    _integer_sum,
     _integer_terms,
+    _once_per_object,
     _over,
     _product_terms,
     _require_passed,
@@ -120,15 +121,21 @@ def _b2p_residual(forms: tuple, x1, x2, y1, y2) -> Vec:
                         ((NU, nu_y, MU[x1][x2]), (NU, MU[y1][y2], nu_x), (MU, nu_y, nu_x)))
 
 
+@_once_per_object
+def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
+    """The kept integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
+    pair = BolAlgebra(d.n, d.nu, d.omega)
+    return _integer_forms((_product_terms(MaltsevAlgebra(d.n, d.mu)), _product_terms(pair)),
+                          (_triple_terms(pair),))
+
+
 def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
     """The (B2') and (B3') scans; (B3') is the B3 axiom of (nu, omega).
 
     With ``grouped`` (mu, nu and omega antisymmetric in their first two
     slots) they visit the orbit representatives only: (B2') changes sign
     when x1, x2 or y1, y2 are swapped, (B3') as B3 does."""
-    pair = BolAlgebra(d.n, d.nu, d.omega)
-    forms = _integer_forms((_product_terms(MaltsevAlgebra(d.n, d.mu)), _product_terms(pair)),
-                           (_triple_terms(pair),))  # (D, mu, nu, omega)
+    pair, forms = BolAlgebra(d.n, d.nu, d.omega), _candidate_forms(d)
     return (_scan("B2'", slot_tuples(d.n, (2, 2), grouped),
                   lambda a, b, c, e: _b2p_residual(forms, a, b, c, e)),
             _scan("B3'", slot_tuples(d.n, (2, 2, 1), grouped),
@@ -136,18 +143,22 @@ def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
 
 
 def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
-    """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
-    n = d.n
+    """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples,
+    the first four on the integer forms as verify_bol's B01, B02 and B1."""
+    n, (D, MU, NU, OM) = d.n, _candidate_forms(d)
     antisymmetry = (
-        _antisymmetry("B01'", d.nu, n, 2),
-        _antisymmetry("B02'", d.mu, n, 2),
-        _antisymmetry("B03'", d.omega, n, 3),
+        _scan("B01'", slot_tuples(n, (1, 1)), lambda i, j: _integer_sum(D, n, NU[i][j], NU[j][i])),
+        _scan("B02'", slot_tuples(n, (1, 1)), lambda i, j: _integer_sum(D, n, MU[i][j], MU[j][i])),
+        _scan("B03'", slot_tuples(n, (1, 1, 1)),
+              lambda i, j, k: _integer_sum(D, n, OM[i][j][k], OM[j][i][k])),
     )
     # Once nu, mu and omega are antisymmetric, (B1') changes sign under any
     # swap and (B2'), (B3') when x1, x2 or y1, y2 are swapped.
     grouped = all(check.passed for check in antisymmetry)
-    return CheckReport(antisymmetry + (_cyclic("B1'", d.omega, n, grouped),)
-                       + _closure_checks(d, grouped))
+    return CheckReport(antisymmetry + (
+        _scan("B1'", slot_tuples(n, (3,), grouped),
+              lambda i, j, k: _integer_sum(D, n, OM[i][j][k], OM[j][k][i], OM[k][i][j])),)
+        + _closure_checks(d, grouped))
 
 
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:

@@ -149,8 +149,10 @@ def _integer_maps(R: Representation) -> tuple:
     """
     mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
     DR = _common_denominator(x for mat in mats for x in mat.entries)
-    cols = lambda mat: tuple(_scaled(col, DR // _integer_cols(mat)[0])
-                             for col in _integer_cols(mat)[1])
+
+    def cols(mat):  # the kept columns themselves where rescaling to D_R changes nothing
+        D, kept = _integer_cols(mat)
+        return kept if D == DR or not any(kept) else tuple(_scaled(c, DR // D) for c in kept)
     grid = lambda g: tuple(tuple(cols(mat) for mat in row) for row in g)
     return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
 

@@ -15,12 +15,18 @@ from bolalg.algebra import (
     CheckReport,
     ConditionCheck,
     MaltsevAlgebra,
+    _add_terms,
+    _integer_terms,
+    _nonzeros,
     _once_per_object,
+    _over,
     _product_terms,
     _scan,
+    _times,
     _triple_terms,
     bilinear_eval,
     entry_args,
+    entry_values,
     slot_tuples,
     trilinear_eval,
     verify_bol,
@@ -529,6 +535,64 @@ def dense_check_phi(E1, E2, phi: Mat) -> None:
         raise AssertionError("constructed phi does not commute with the injections")
     if E2.p @ phi != E1.p:
         raise AssertionError("constructed phi does not commute with the projections")
+
+
+# ---------------------------------------------------------------------------
+# slow references: Sagle's identity one (x, y, z) at a time, the sparse forms
+# read one coordinate at a time, and the Fraction cyclic sum
+
+
+def maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> tuple:
+    """The former algebra._maltsev_residual: Sagle's identity
+    (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y at one tuple, seven
+    products of the integer form; x is given by its nonzeros (coefficients 1),
+    y and z are basis indices, and every term has degree 3."""
+    D, P, _ = _integer_terms(M)
+    ey, ez = ((y, 1),), ((z, 1),)
+    xy = _times(P, x, ey)
+    acc = [0] * M.n
+    _add_terms(acc, 1, _times(P, xy, _times(P, x, ez)))
+    for rhs in (_times(P, _times(P, xy, ez), x),
+                _times(P, _times(P, P[y][z], x), x),
+                _times(P, _times(P, _times(P, ez, x), x), ey)):
+        _add_terms(acc, -1, rhs)
+    return _over(acc, D ** 3)
+
+
+def tuplewise_verify_maltsev(M: MaltsevAlgebra) -> CheckReport:
+    """The former verify_maltsev: maltsev_residual scanned over every (x, y, z),
+    x over {e_i} and then {e_i + e_j : i < j}."""
+    n, rng = M.n, range(M.n)
+    anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
+                 lambda i, j: vec_add(M.basis_product(i, j), M.basis_product(j, i)))
+    xs = {(i,): ((i, 1),) for i in rng}
+    xs.update({(i, j): ((i, 1), (j, 1)) for i, j in itertools.combinations(rng, 2)})
+    identity = _scan("maltsev-identity",
+                     ((x, y, z) for x in xs for y, z in itertools.product(rng, repeat=2)),
+                     lambda x, y, z: maltsev_residual(M, xs[x], y, z))
+    return CheckReport((anti, identity))
+
+
+def coordinate_product_terms(A) -> tuple:
+    """The former algebra._product_terms: [i][j] = nonzeros of basis_product(i, j)."""
+    rng = range(A.n)
+    return tuple(tuple(_nonzeros(A.basis_product(i, j)) for j in rng) for i in rng)
+
+
+def coordinate_triple_terms(B: BolAlgebra) -> tuple:
+    """The former algebra._triple_terms: [i][j][k] = nonzeros of basis_triple(i, j, k)."""
+    rng = range(B.n)
+    return tuple(tuple(tuple(_nonzeros(B.basis_triple(i, j, k)) for k in rng)
+                       for j in rng) for i in rng)
+
+
+def fraction_cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:
+    """The former algebra._cyclic: the cyclic sum t(i,j,k) + t(j,k,i) + t(k,i,j)
+    added up in Fractions over all triples, or with ``grouped`` over i<j<k."""
+    return _scan(name, slot_tuples(n, (3,), grouped),
+                 lambda i, j, k: vec_add(entry_values(t, (i, j, k)),
+                                         entry_values(t, (j, k, i)),
+                                         entry_values(t, (k, i, j))))
 
 
 # ---------------------------------------------------------------------------

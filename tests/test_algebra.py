@@ -215,19 +215,21 @@ class TestMaltsevToBol:
 
     def test_verify_then_convert_scans_the_identity_once(self, monkeypatch):
         calls = []
-        original = algebra._maltsev_residual
+        original = algebra._sagle_failure
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(algebra, "_maltsev_residual", counting)
+        monkeypatch.setattr(algebra, "_sagle_failure", counting)
         M = make_maltsev_dim4()
         n = M.n
         assert verify_maltsev(M).passed
         maltsev_to_bol(M)
-        # x over the n basis vectors and the n(n-1)/2 sums e_i + e_j; y, z over the basis
-        assert len(calls) == (n + n * (n - 1) // 2) * n * n
+        # one block per x, over the n basis vectors and then the n(n-1)/2 sums
+        # e_i + e_j; each block scans y, z over the basis
+        assert [x for _, x in calls] == [(i,) for i in range(n)] + list(
+            itertools.combinations(range(n), 2))
 
 
 class TestConstructors:

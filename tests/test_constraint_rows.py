@@ -28,6 +28,7 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     _common_denominator,
+    _integer_cols,
     _integer_terms,
     _scan,
     bilinear_eval,
@@ -59,7 +60,7 @@ from .conftest import (
     make_solvable, matrix_of,
 )
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
-from .test_sparse_scans import PRIME_BASE, _moved_maltsev
+from .test_sparse_scans import PRIME_BASE, _moved_maltsev, _perturbed, _sol3_so3
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
@@ -360,6 +361,26 @@ def test_the_prime_module_rows_equal_the_probe_rows():
     assert _integer_terms(R.base)[0].bit_length() > 60
     assert _integer_maps(R)[0].bit_length() > 60
     assert _scaled_distinct(list(_constraint_rows(R))) == _distinct(_probe_rows(R))
+
+
+@pytest.mark.parametrize("module", ("so3", "prime", "planted"))
+def test_integer_maps_keep_no_copy_of_columns_already_over_d_r(module):
+    # the adjoint module of sol3 (+) so3 has many zero maps; one theta entry
+    # moved by 1/7 puts every other nonzero map off D_R
+    adjoint = adjoint_representation(maltsev_to_bol(_sol3_so3()))
+    R = {"so3": adjoint_representation(maltsev_to_bol(make_so3())), "prime": _prime_module(),
+         "planted": _perturbed(adjoint, "theta", 4, 5, 3, 3, F(1, 7))}[module]
+    DR, rho, D, theta = _integer_maps(R)
+    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
+    kept = rho + tuple(cols for grid in (D, theta) for row in grid for cols in row)
+    reused = 0
+    for mat, cols in zip(mats, kept, strict=True):
+        own, own_cols = _integer_cols(mat)
+        assert cols == tuple(tuple((a, x * (DR // own)) for a, x in col) for col in own_cols)
+        if own == DR or mat.is_zero():
+            assert cols is own_cols
+            reused += 1
+    assert reused >= 1
 
 
 def test_is_cocycle_on_the_prime_module_equals_the_reference_scan():

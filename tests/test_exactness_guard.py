@@ -11,10 +11,10 @@ scan reads integer forms.  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
-every entry of the B2, B3 and Sagle residuals and of the extension,
-R1-R33, Delta-identity, (B2') and o3 residuals, which add up integer
-numerators, on zero and on failing tuples.  Every public entry point that
-takes scalars refuses a float.
+every entry of the B2, B3, extension, R1-R33, Delta-identity, (B2') and
+o3 residuals, which add up integer numerators, on zero and on failing
+tuples, and of the residual each failing x block of Sagle's identity
+returns.  Every public entry point that takes scalars refuses a float.
 """
 
 import ast
@@ -36,8 +36,8 @@ from bolalg.algebra import (
     _b2_residual,
     _b3_residual,
     _integer_terms,
-    _maltsev_residual,
     _over,
+    _sagle_failure,
     _scan,
     maltsev_to_bol,
     verify_bol,
@@ -188,6 +188,13 @@ def _random_mat(rng, m):
     return Mat.from_rows([[random_fraction(rng) for _ in range(m)] for _ in range(m)])
 
 
+def _moved_entry(t, at: tuple, by=1):
+    """The nested tensor t with its entry at the index path ``at`` moved by ``by``."""
+    if not at:
+        return t + by
+    return tuple(_moved_entry(x, at[1:], by) if a == at[0] else x for a, x in enumerate(t))
+
+
 def _failing_reports():
     rng = random.Random(7)
     b2 = make_b2(1)
@@ -238,7 +245,8 @@ def test_every_residual_entry_of_a_failing_report_is_a_fraction():
 
 
 def _integer_residuals():
-    """Every B2, B3 and Sagle residual of a passing and a failing algebra (n = 3)."""
+    """Every B2 and B3 residual, and every failing Sagle block's, of a passing and
+    a failing algebra (n = 3)."""
     candidate = BolAlgebra.from_entries(3, [((0, 1), {2: Fraction(1, 2)}), ((1, 2), {0: 3})],
                                         [((0, 1, 2), {1: Fraction(-2, 3)}), ((0, 2, 2), {0: 1}),
                                          ((1, 2, 0), {2: 5})])
@@ -249,10 +257,11 @@ def _integer_residuals():
             yield _b3_residual(B, *args)
     non_maltsev = MaltsevAlgebra.from_entries(3, [((0, 1), {1: 1}), ((0, 2), {0: 2}),
                                                   ((1, 2), {2: Fraction(1, 3)})])
-    xs = [((0, 1),), ((1, 1),), ((2, 1),), ((0, 1), (2, 1))]
     for M in (make_so3(), non_maltsev):
-        for x, y, z in itertools.product(xs, range(3), range(3)):
-            yield _maltsev_residual(M, x, y, z)
+        for x in ((0,), (1,), (2,), (0, 2)):
+            failure = _sagle_failure(M, x)
+            if failure is not None:
+                yield failure.residual
 
 
 def test_integer_scans_give_fraction_residuals_on_zero_and_failing_tuples():
@@ -289,8 +298,13 @@ def test_the_extension_representation_and_deformation_residuals_are_fractions(mo
         check_first_order_formal(datum)
         is_deformation_type(DeformationTypeCandidate(3, so3.base.c, datum.pair.nu,
                                                      datum.pair.omega))
+        # one entry of each of mu, nu and omega moved off antisymmetry: B01'-B1' fail
+        is_deformation_type(DeformationTypeCandidate(
+            3, _moved_entry(so3.base.c, (0, 1, 2)), _moved_entry(datum.pair.nu, (1, 0, 0)),
+            _moved_entry(datum.pair.omega, (2, 1, 0, 2), Fraction(1, 3))))
     assert set(seen) >= {"R1", "R21", "R22", "R31", "R32", "R33", "delta-identity",
-                         "i-homomorphism", "p-homomorphism", "abelian-ideal", "B2'", "o3"}
+                         "i-homomorphism", "p-homomorphism", "abelian-ideal",
+                         "B01'", "B02'", "B03'", "B1'", "B2'", "o3"}
     for name, residuals in seen.items():
         assert any(any(r) for r in residuals) and not all(any(r) for r in residuals), name
         for r in residuals:

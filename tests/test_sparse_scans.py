@@ -38,7 +38,6 @@ from bolalg.algebra import (
     MaltsevAlgebra,
     _antisymmetry,
     _coeffs,
-    _cyclic,
     _integer_terms,
     _scan,
     maltsev_to_bol,
@@ -76,6 +75,7 @@ from .conftest import (
     DATA,
     dense_b2p_residual,
     dense_o3_residual,
+    fraction_cyclic,
     freeze,
     make_b2,
     make_m0,
@@ -118,7 +118,7 @@ def _reference_bol(B):
     return CheckReport((
         _antisymmetry("B01", B.c, n, 2),
         _antisymmetry("B02", B.t, n, 3),
-        _cyclic("B1", B.t, n),
+        fraction_cyclic("B1", B.t, n),
         _scan("B2", itertools.product(rng, repeat=4), lambda *a: _b2(B, *a)),
         _scan("B3", itertools.product(rng, repeat=5), lambda *a: _b3(B, *a)),
     ))
@@ -761,7 +761,7 @@ def _reference_deformation_type(d):
         _antisymmetry("B01'", d.nu, n, 2),
         _antisymmetry("B02'", d.mu, n, 2),
         _antisymmetry("B03'", d.omega, n, 3),
-        _cyclic("B1'", d.omega, n),
+        fraction_cyclic("B1'", d.omega, n),
         _scan("B2'", itertools.product(rng, repeat=4), lambda *a: dense_b2p_residual(d, *a)),
         _scan("B3'", itertools.product(rng, repeat=5), lambda *a: _b3(pair, *a)),
     ))

@@ -1,10 +1,12 @@
-"""tools/stage_times.py times the parse of the file and runs cohomology()
-with the stages it names rebound in ``bolalg.cohomology``; every name must
-still be bound there."""
+"""tools/stage_times.py times the parse of the file and its axiom scan and
+runs cohomology() with the stages it names rebound in ``bolalg.cohomology``;
+every name must still be bound there."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from bolalg.algebra import MaltsevAlgebra, verify_maltsev
 
 ROOT = Path(__file__).resolve().parent.parent
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
@@ -25,6 +27,16 @@ def test_stage_times_on_so3(capsys):
     assert lines[-1] == "dims C/Z/B/H: 36/6/6/0"
     timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
     assert all(timed[name] >= 1 for name in tool.STAGES)
-    assert list(timed)[-3:] == ["other", "cohomology", "parse"]
-    assert timed["parse"] == 1
+    assert list(timed)[-4:] == ["other", "cohomology", "parse", "verify"]
+    assert timed["parse"] == timed["verify"] == 1
     assert all(getattr(COHOMOLOGY, name) is fn for name, fn in before.items())
+
+
+def test_stage_times_times_the_identity_scan_of_a_maltsev_file(capsys, monkeypatch):
+    tool = _stage_times()
+    scanned = []
+    monkeypatch.setattr(tool, "verify_maltsev", lambda M: scanned.append(M) or verify_maltsev(M))
+    assert tool.main([str(ROOT / "data" / "maltsev_dim4.alg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[-3:-1]] == [["parse", "1"], ["verify", "1"]]
+    assert len(scanned) == 1 and isinstance(scanned[0], MaltsevAlgebra)

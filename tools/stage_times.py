@@ -20,7 +20,11 @@ cohomology() with the functions it calls rebound, in the
 "other" is the rest of cohomology(): the deduplication of the rows (int
 tuples, each a primitive row with a positive lead) and the sparse
 transposes handed to rref among it.  "parse" is the
-parse_algebra call on the file's text, outside cohomology().  Prints, per
+parse_algebra call on the file's text, and "verify" the axiom scan of what
+it parsed (verify_maltsev of a Maltsev algebra, verify_bol of a Bol
+algebra), both outside cohomology(); the report is kept on the algebra, so
+it is not scanned again (the Bol algebra of a Maltsev file still is, untimed,
+by adjoint_representation).  Prints, per
 stage, its calls in one run and the median seconds over the runs, then
 the dimensions.  Wall clock, so a busy machine reads slower; use several runs.
 Stdlib only; the library is read from src/ of this checkout.
@@ -35,7 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bolalg.algebra import MaltsevAlgebra, maltsev_to_bol  # noqa: E402
+from bolalg.algebra import MaltsevAlgebra, maltsev_to_bol, verify_bol, verify_maltsev  # noqa: E402
 from bolalg.formats import parse_algebra  # noqa: E402
 from bolalg.representation import adjoint_representation  # noqa: E402
 
@@ -56,11 +60,16 @@ def _timed(totals: dict, name: str, fn, consume: bool):
 
 
 def run_once(text: str) -> tuple[dict, tuple]:
-    """{stage: [seconds, calls]} of one parse and cohomology() call, and its dims C/Z/B/H."""
+    """{stage: [seconds, calls]} of one parse, axiom scan and cohomology() call, and
+    the dims C/Z/B/H."""
     start = time.perf_counter()
     A = parse_algebra(text)
     parse = time.perf_counter() - start
-    R = adjoint_representation(maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A)
+    maltsev = isinstance(A, MaltsevAlgebra)
+    start = time.perf_counter()
+    (verify_maltsev if maltsev else verify_bol)(A)
+    verify = time.perf_counter() - start
+    R = adjoint_representation(maltsev_to_bol(A) if maltsev else A)
     totals = {name: [0.0, 0] for name in STAGES}
     saved = {name: getattr(COHOMOLOGY, name) for name in STAGES}
     try:
@@ -75,6 +84,7 @@ def run_once(text: str) -> tuple[dict, tuple]:
     totals["other"] = [total - sum(s for s, _ in totals.values()), 1]
     totals["cohomology"] = [total, 1]
     totals["parse"] = [parse, 1]
+    totals["verify"] = [verify, 1]
     return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
 
 
