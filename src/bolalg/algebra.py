@@ -16,36 +16,32 @@ Everything is stored as structure tensors over Q:
 Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
-The scans read a sparse form kept once per algebra, the nonzeros of each
-e_i*e_j and [e_i,e_j,e_k] (``_product_terms``, ``_triple_terms``, each row
-read off the planes of c or t by transposition), so a residual adds up only
-nonzero terms.  Sagle's identity is scanned one x at a time: x*e_k, e_k*x
-and (e_k*x)*x are made once for every (y, z).  Every axiom scan of
-verify_bol and verify_maltsev, and the ternary product of maltsev_to_bol, read the
-integer form kept next to it (``_integer_terms``): the same nonzeros
-times D, the lcm of every denominator of c (and of t for a Bol algebra).  A product of k such
-coefficients is D**k times the true one, so these residuals add up plain
-ints, each term scaled to one common degree, and divide by D**k only when
-the dense vector is built (``_over``): the arithmetic is still exact and
-the residuals equal the Fraction ones.  The other modules' scans do the
-same, on matrices by their integer columns (``_integer_cols``) and with
-products of integer vectors (``_add_form``); no scan calls the public
-Fraction evaluators ``bilinear_eval`` and ``trilinear_eval``.
-An all-zero residual is the one shared zero Vec of its size
-(``linalg.zero_vec``), which ``_scan`` recognises without reading its
-entries.
+The scans read the integer form kept once per algebra (``_integer_terms``):
+the nonzeros of each e_i*e_j and [e_i,e_j,e_k], k ascending, times D, the
+lcm of every denominator of c (and t).  An algebra made from sparse entries
+(``from_entries``, ``maltsev_to_bol``, ``deformation.deformed_algebra``)
+builds it from them (``_integer_forms``); any other reads it off its
+tensors.  A product of k coefficients is D**k times the true one, so a
+residual adds up plain ints and is divided by D**k only when a Vec is built
+(``_over``): exact, and equal to the Fraction residual.  B01 and B02 compare
+each form with its swapped twin negated.  B2 and B3 run one (x, y) block at
+a time (``_b2_block``, ``_b3_block``): what [x,y,.] and x*y give is made
+once for every (u, v, w), and a block where they are zero is skipped;
+Sagle's identity runs one x at a time.  The other modules' scans add up
+ints too, on matrices by their integer columns (``_integer_cols``) and with
+products of integer vectors (``_add_form``); no scan calls the Fraction
+evaluators ``bilinear_eval`` and ``trilinear_eval``.  An all-zero residual
+is the one shared zero Vec of its size (``linalg.zero_vec``).
 
 Most scans, here and in the other modules, sit on antisymmetries: once
 the products or module maps they read are antisymmetric in their first
 two slots (B01, B02 and their kin), the residual changes sign when a pair
 of its slots is swapped, and so vanishes where the two are equal.  Its
 failing tuples are then closed under the swap, so the lexicographically
-first one has the pair increasing.  Such a scan visits only the orbit
-representatives (``slot_tuples``: i<j for a pair, i<j<k for a triple that
-changes sign under any swap), in lexicographic order and with the same
-residual function, and reports the same witness and residual as a scan of
-every tuple.  When the antisymmetry is not known to hold, the same helper
-gives every tuple.
+first one has the pair increasing, and a scan of the orbit representatives
+(``slot_tuples``: i<j for a pair, i<j<k for a triple that changes sign
+under any swap) finds the same witness and residual as a scan of every
+tuple.  When the antisymmetry is not known to hold, every tuple is scanned.
 """
 
 from __future__ import annotations
@@ -212,16 +208,27 @@ def tensor_from_entries(
     Out-of-range, diagonal, unordered and duplicate argument tuples are
     rejected, naming the entry as ``what`` (e.g. "binary", "omega").
     """
-    rows = {}  # prefix -> value_dim lists of n entries, for the prefixes entries reach
-    for args, v, val in _checked_entries(n, value_dim, arity, entries, what):
-        for at, x in ((args, val), ((args[1], args[0]) + args[2:], -val)):
-            prefix = at[:-1]
-            if prefix not in rows:
-                rows[prefix] = [[_ZERO] * n for _ in range(value_dim)]
-            rows[prefix][v][at[-1]] = x
+    coefficients = _checked_entries(n, value_dim, arity, entries, what)
+    return _dense(n, value_dim, arity, _swapped(coefficients))
+
+
+def _dense(n: int, value_dim: int, arity: int, coefficients) -> tuple:
+    """The tensor t[v][args] = x for each coefficient (args, v, x), zero elsewhere."""
+    rows = {}  # prefix -> value_dim lists of n entries, for the prefixes coefficients reach
+    for at, v, x in coefficients:
+        if at[:-1] not in rows:
+            rows[at[:-1]] = [[_ZERO] * n for _ in range(value_dim)]
+        rows[at[:-1]][v][at[-1]] = x
     zero = (zero_vec(n),) * value_dim
     return _fill(value_dim, n, arity,
                  lambda prefix: tuple(map(tuple, rows[prefix])) if prefix in rows else zero)
+
+
+def _swapped(coefficients):
+    """Each coefficient (args, v, x) at an i<j args, then ((j, i, ...), v, -x)."""
+    for args, v, x in coefficients:
+        yield args, v, x
+        yield (args[1], args[0]) + args[2:], v, -x
 
 
 def _checked_entries(
@@ -340,8 +347,8 @@ class MaltsevAlgebra(_BinaryProduct):
 
     @classmethod
     def from_entries(cls, n, binary, basis_names=None) -> "MaltsevAlgebra":
-        return cls(n, tensor_from_entries(n, n, 2, binary, "binary"),
-                   tuple(basis_names) if basis_names else None)
+        return _of_coefficients(cls, n, _swapped(_checked_entries(n, n, 2, binary, "binary")),
+                                None, basis_names)
 
 
 @dataclass(frozen=True)
@@ -355,12 +362,9 @@ class BolAlgebra(_BinaryProduct):
 
     @classmethod
     def from_entries(cls, n, binary, ternary, basis_names=None) -> "BolAlgebra":
-        return cls(
-            n,
-            tensor_from_entries(n, n, 2, binary, "binary"),
-            tensor_from_entries(n, n, 3, ternary, "ternary"),
-            tuple(basis_names) if basis_names else None,
-        )
+        return _of_coefficients(cls, n, _swapped(_checked_entries(n, n, 2, binary, "binary")),
+                                _swapped(_checked_entries(n, n, 3, ternary, "ternary")),
+                                basis_names)
 
     @classmethod
     def zero(cls, n: int) -> "BolAlgebra":
@@ -389,28 +393,13 @@ def _once_per_object(fn):
         if key not in kept:
             kept[key] = fn(obj)
         return kept[key]
+    once.keep = lambda obj, value: obj.__dict__.__setitem__(key, value)  # a result made elsewhere
     return once
 
 
 def _nonzeros(v: Vec) -> tuple:
     """The nonzero coordinates ((k, v_k), ...) of v, k ascending."""
     return tuple((k, x) for k, x in enumerate(v) if x)
-
-
-@_once_per_object
-def _product_terms(A) -> tuple:
-    """The kept sparse form of the binary product: [i][j] = nonzeros of e_i*e_j,
-    row i read off the planes c[k][i] by transposition."""
-    return tuple(tuple(map(_nonzeros, zip(*[plane[i] for plane in A.c]))) for i in range(A.n))
-
-
-@_once_per_object
-def _triple_terms(B: BolAlgebra) -> tuple:
-    """The kept sparse form of the ternary product: [i][j][k] = nonzeros of [e_i,e_j,e_k],
-    row (i, j) read off the planes t[l][i][j] by transposition."""
-    rng = range(B.n)
-    return tuple(tuple(tuple(map(_nonzeros, zip(*[plane[i][j] for plane in B.t])))
-                       for j in rng) for i in rng)
 
 
 def _common_denominator(values) -> int:
@@ -424,26 +413,70 @@ def _scaled(terms, D: int) -> tuple:
     return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
 
 
-def _integer_forms(products: tuple, triples: tuple) -> tuple:
-    """(D, *products, *triples): sparse forms [i][j] and [i][j][k], as _product_terms and
-    _triple_terms give them, with every coefficient times D, their lcm denominator, as ints."""
-    scale = lambda P: tuple(tuple(_scaled(terms, D) for terms in row) for row in P)
-    planes = [P for T in triples for P in T]
-    D = _common_denominator(c for P in products + tuple(planes) for row in P
-                            for terms in row for _, c in terms)
-    return (D, *map(scale, products), *(tuple(map(scale, T)) for T in triples))
+def _integer_forms(n: int, parts) -> tuple:
+    """(D, *forms) of parts (arity, coefficients), D the lcm of every denominator.
+
+    A coefficient (args, k, x) is that of e_k at args, each at most once, over
+    every args (``_swapped`` gives both halves of i<j entries).  A form is nested
+    tuples form[a1]...[ak] of the nonzeros ((k, D x), ...) at args, k ascending,
+    as ints; a prefix no coefficient reaches is one shared empty row.
+    """
+    parts = [(arity, [(args, k, x) for args, k, x in coefficients if x])
+             for arity, coefficients in parts]
+    D = _common_denominator(x for _, coefficients in parts for _, _, x in coefficients)
+    forms, empty = [], ((),) * n
+    for arity, coefficients in parts:
+        rows = {}  # prefix -> n lists of (k, D x), one per last slot
+        for args, k, x in coefficients:
+            rows.setdefault(args[:-1], [[] for _ in range(n)])[args[-1]].append(
+                (k, x.numerator * (D // x.denominator)))
+        row = lambda p: tuple(tuple(sorted(t)) for t in rows[p]) if p in rows else empty
+        reached = {p[0] for p in rows}
+        forms.append(tuple(row((i,)) if arity == 2 else tuple(row((i, j)) for j in range(n))
+                           if i in reached else (empty,) * n for i in range(n)))
+    return (D, *forms)
+
+
+def _coefficients(t, n: int, arity: int):
+    """The coefficients (args, k, t[k][args]) at the nonzeros of a tensor, the
+    entries of one prefix read off the planes by transposition."""
+    for prefix in itertools.product(range(n), repeat=arity - 1):
+        rows = [functools.reduce(lambda row, a: row[a], prefix, plane) for plane in t]
+        for last, values in enumerate(zip(*rows)):
+            yield from ((prefix + (last,), k, x) for k, x in enumerate(values) if x)
+
+
+def _form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
+    """The coefficients (args, k, c / D) at the nonzeros of an integer form."""
+    for a, sub in enumerate(form):
+        if arity > 1:
+            yield from _form_coefficients(D, sub, arity - 1, prefix + (a,))
+        else:
+            yield from ((prefix + (a,), k, Fraction(c, D)) for k, c in sub)
 
 
 @_once_per_object
 def _integer_terms(A) -> tuple:
-    """The kept integer form (D, P, T) of the sparse forms, for the axiom scans.
+    """The kept integer form (D, P, T) of an algebra, for the axiom scans.
 
     D is the lcm of every denominator of c, and of t for a Bol algebra;
-    P[i][j] and T[i][j][k] are _product_terms and _triple_terms with every
-    coefficient times D, as ints (T is () for a Maltsev algebra).
+    P[i][j] and T[i][j][k] are the nonzeros of e_i*e_j and [e_i,e_j,e_k]
+    times D, as ints (T is all empty for a Maltsev algebra).  It is read
+    off c and t here, unless the algebra was made by _of_coefficients.
     """
-    return _integer_forms((_product_terms(A),),
-                          (_triple_terms(A) if isinstance(A, BolAlgebra) else (),))
+    t = _coefficients(A.t, A.n, 3) if isinstance(A, BolAlgebra) else ()
+    return _integer_forms(A.n, ((2, _coefficients(A.c, A.n, 2)), (3, t)))
+
+
+def _of_coefficients(cls, n: int, binary, ternary, basis_names):
+    """The algebra of class cls whose c (and t, unless ternary is None) have the
+    coefficients (args, k, x) given, as in _integer_forms; its integer form is kept."""
+    parts = [(2, list(binary)), (3, list(ternary or ()))]
+    tensors = [_dense(n, n, arity, coefficients) for arity, coefficients in parts
+               if arity == 2 or ternary is not None]
+    A = cls(n, *tensors, tuple(basis_names) if basis_names else None)
+    _integer_terms.keep(A, _integer_forms(n, parts))
+    return A
 
 
 @_once_per_object
@@ -505,40 +538,93 @@ def _antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
                                        entry_values(t, (args[1], args[0]) + args[2:])))
 
 
-def _b2_residual(forms: tuple, x, y, u, v, cubic: tuple | None = None) -> Vec:
-    # [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y) for the integer
-    # forms (D, P, T): the four terms of degree 2 times D, plus the one of degree 3,
-    # or in its place form(a, b) for each (form, a, b) in cubic
-    D, P, T = forms
-    Txy, Tuv = T[x][y], T[u][v]
-    acc = [0] * len(P)
-    for k, c in P[u][v]:
-        _add_terms(acc, D * c, Txy[k])
-    for k, c in Txy[u]:
-        _add_terms(acc, -D * c, P[k][v])
-    for k, c in Txy[v]:
-        _add_terms(acc, -D * c, P[u][k])
-    for k, c in P[x][y]:
-        _add_terms(acc, -D * c, Tuv[k])
-    for form, a, b in cubic or ((P, P[u][v], P[x][y]),):
-        _add_form(acc, 1, form, a, b)
-    return _over(acc, D ** 3)
+def _antisymmetry_scan(name: str, D: int, form: tuple, arity: int) -> ConditionCheck:
+    """The first failure of form(i,j,...) + form(j,i,...) = 0, args lexicographic, for
+    an integer product (arity 2) or triple (3) form.  Sorted and zero-free, the two
+    cancel exactly when one is the other negated: only a mismatch is added up."""
+    n = len(form)
+    for i, j in itertools.product(range(n), repeat=2):
+        ij, ji = form[i][j], form[j][i]
+        for rest, a, b in [((), ij, ji)] if arity == 2 else zip(((k,) for k in range(n)), ij, ji):
+            if (a or b) and a != tuple((k, -c) for k, c in b):
+                return ConditionCheck(name, False, (i, j) + rest, _integer_sum(D, n, a, b))
+    return ConditionCheck(name, True)
 
 
-def _b3_residual(B: BolAlgebra, x, y, u, v, w) -> Vec:
-    # [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]
-    D, _, T = _integer_terms(B)
-    Txy, Tuv = T[x][y], T[u][v]
-    acc = [0] * B.n
-    for k, c in Tuv[w]:
-        _add_terms(acc, c, Txy[k])
-    for k, c in Txy[u]:
-        _add_terms(acc, -c, T[k][v][w])
-    for k, c in Txy[v]:
-        _add_terms(acc, -c, T[u][k][w])
-    for k, c in Txy[w]:
-        _add_terms(acc, -c, Tuv[k])
-    return _over(acc, D ** 2)
+def _block_scan(name: str, pairs, nonzero, block) -> ConditionCheck:
+    """The first failure over the (x, y) blocks of ``pairs`` (slot_tuples' i<j pairs,
+    or every pair) in order: block(x, y, pairs) is a block's first (witness,
+    residual) or None; a block where nonzero(x, y) is false has no nonzero term."""
+    pairs = list(pairs)
+    for x, y in pairs:
+        failure = nonzero(x, y) and block(x, y, pairs)
+        if failure:
+            return ConditionCheck(name, False, *failure)
+    return ConditionCheck(name, True)
+
+
+def _b2_scan(name: str, D: int, P: tuple, T: tuple, pairs, cubic: tuple) -> ConditionCheck:
+    """B2 of the integer forms P, T, (u, v) over ``pairs`` in each (x, y) block:
+    [x,y,u*v] - [x,y,u]*v - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y), the last term,
+    of degree 3, given as the sum of F(Y[u][v], X[x][y]) over (Y, F, X) in cubic,
+    whose X include P: a block where [x,y,.] and every X[x][y] are zero is skipped."""
+    return _block_scan(name, pairs, lambda x, y: any(T[x][y]) or any(X[x][y] for _, _, X in cubic),
+                       lambda x, y, pairs: _b2_block(D, P, T, cubic, x, y, pairs))
+
+
+def _b2_block(D: int, P: tuple, T: tuple, cubic: tuple, x: int, y: int, pairs: list):
+    """The first (witness, residual) of the B2 block (x, y), or None; each F(e_i, X[x][y])
+    is made once.  The terms of degree 2 are multiplied by D before the cubic ones."""
+    n, Txy = len(P), T[x][y]
+    right = [(Y, [_times(F, ((i, 1),), X[x][y]) for i in range(n)]) for Y, F, X in cubic]
+    for u, v in pairs:
+        acc = [0] * n
+        for k, c in P[u][v]:  # [x,y,u*v]
+            _add_terms(acc, c, Txy[k])
+        for k, c in Txy[u]:  # [x,y,u]*v
+            _add_terms(acc, -c, P[k][v])
+        for k, c in Txy[v]:  # u*[x,y,v]
+            _add_terms(acc, -c, P[u][k])
+        for k, c in P[x][y]:  # [u,v,x*y]
+            _add_terms(acc, -c, T[u][v][k])
+        acc = [D * a for a in acc]
+        for Y, Q in right:
+            for i, a in Y[u][v]:
+                _add_terms(acc, a, Q[i])
+        if any(acc):
+            return (x, y, u, v), _over(acc, D ** 3)
+    return None
+
+
+def _b3_scan(name: str, D: int, T: tuple, pairs) -> ConditionCheck:
+    """B3 of the integer form T, (u, v) over ``pairs`` and w over the basis in each (x, y)
+    block: [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]], of degree 2."""
+    return _block_scan(name, pairs, lambda x, y: any(T[x][y]),
+                       lambda x, y, pairs: _b3_block(D, T, x, y, pairs))
+
+
+def _b3_block(D: int, T: tuple, x: int, y: int, pairs: list):
+    """The first (witness, residual) of the B3 block (x, y), or None."""
+    n, Txy = len(T), T[x][y]
+    for u, v in pairs:
+        Tu, Tuv = T[u], T[u][v]
+        for w in range(n):
+            acc = [0] * n  # the sums written out, as _add_terms would add them
+            for k, c in Tuv[w]:
+                for l, e in Txy[k]:
+                    acc[l] += c * e
+            for k, c in Txy[u]:
+                for l, e in T[k][v][w]:
+                    acc[l] -= c * e
+            for k, c in Txy[v]:
+                for l, e in Tu[k][w]:
+                    acc[l] -= c * e
+            for k, c in Txy[w]:
+                for l, e in Tuv[k]:
+                    acc[l] -= c * e
+            if any(acc):
+                return (x, y, u, v, w), _over(acc, D ** 2)
+    return None
 
 
 @_once_per_object
@@ -551,25 +637,18 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     tuple and the exact residual.  The report is kept on B, so each algebra
     is scanned once.
     """
-    n, forms = B.n, _integer_terms(B)
-    D, P, T = forms
-    b01 = _scan("B01", slot_tuples(n, (1, 1)),
-                lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
-    b02 = _scan("B02", slot_tuples(n, (1, 1, 1)),
-                lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][i][k]))
+    n, (D, P, T) = B.n, _integer_terms(B)
+    b01, b02 = _antisymmetry_scan("B01", D, P, 2), _antisymmetry_scan("B02", D, T, 3)
     # With t antisymmetric in x, y (B02), the B1 cyclic sum changes sign under
     # any swap, and B3 when x, y or u, v are swapped; B2 needs c antisymmetric
     # (B01) as well.  So the orbit representatives find the first failure.
-    checks = [
+    return AxiomReport((
         b01, b02,
         _scan("B1", slot_tuples(n, (3,), b02.passed),
               lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
-        _scan("B2", slot_tuples(n, (2, 2), b01.passed and b02.passed),
-              lambda x, y, u, v: _b2_residual(forms, x, y, u, v)),
-        _scan("B3", slot_tuples(n, (2, 2, 1), b02.passed),
-              lambda x, y, u, v, w: _b3_residual(B, x, y, u, v, w)),
-    ]
-    return AxiomReport(tuple(checks))
+        _b2_scan("B2", D, P, T, slot_tuples(n, (2,), b01.passed and b02.passed), ((P, P, P),)),
+        _b3_scan("B3", D, T, slot_tuples(n, (2,), b02.passed)),
+    ))
 
 
 def _times(P: tuple, u, v) -> tuple:
@@ -613,11 +692,9 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     The report is kept on M, so maltsev_to_bol after verify_maltsev does
     not scan again.
     """
-    n = M.n
-    rng = range(n)
+    rng = range(M.n)
     D, P, _ = _integer_terms(M)
-    anti = _scan("anticommutativity", itertools.product(rng, repeat=2),
-                 lambda i, j: _integer_sum(D, n, P[i][j], P[j][i]))
+    anti = _antisymmetry_scan("anticommutativity", D, P, 2)
     xs = [(i,) for i in rng] + list(itertools.combinations(rng, 2))
     identity = next(filter(None, (_sagle_failure(M, x) for x in xs)),
                     ConditionCheck("maltsev-identity", True))
@@ -633,9 +710,13 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     """
     _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
     D, P, _ = _integer_terms(M)
-    # each term has degree 2 in the integer form, so the sum is 3 D**2 times the bracket
-    return BolAlgebra(M.n, M.c, tabulate(M.n, M.n, 3, lambda i, j, k: _over(
-        _bracket(P, i, j, k, 2), 3 * D * D)), M.basis_names)
+    # each term has degree 2 in the integer form, so the sum is 3 D**2 times the
+    # bracket; with the product anticommutative it changes sign with (i, j), so
+    # the i<j entries give it
+    ternary = ((args, l, Fraction(a, 3 * D * D)) for args in entry_args(M.n, 3)
+               for l, a in enumerate(_bracket(P, *args, 2)) if a)
+    return _of_coefficients(BolAlgebra, M.n, _form_coefficients(D, P, 2), _swapped(ternary),
+                            M.basis_names)
 
 
 def _bracket(P: tuple, i: int, j: int, k: int, w: int) -> list:

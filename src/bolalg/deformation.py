@@ -39,10 +39,12 @@ i.e. exactly when their difference is an adjoint coboundary with zero
 companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
 
-The scans add up ints, as the axiom scans of ``algebra`` do: (B01')-(B03'),
-(B1') and (B2') read mu, nu and omega times D, one lcm of all their
-denominators (kept on the candidate), and (B2') divides by D**3; o3 reads
-nu alone, over its own lcm.
+The scans add up ints through ``algebra``'s: mu, nu and omega are read
+times D, one lcm of all their denominators (kept on the candidate);
+(B01')-(B03') compare sorted forms, and (B2'), (B3') are the B2 and B3
+block scans of (nu, omega), mu entering B2's cubic term.  o3 reads nu
+alone, over its own lcm.  B_t is built from the nonzeros of the base's
+form and the pair's entries, so its four scans read no dense tensor.
 """
 
 from __future__ import annotations
@@ -54,28 +56,28 @@ from .algebra import (
     AxiomReport,
     BolAlgebra,
     CheckReport,
-    MaltsevAlgebra,
     _add_form,
-    _b2_residual,
-    _b3_residual,
+    _antisymmetry_scan,
+    _b2_scan,
+    _b3_scan,
+    _coefficients,
+    _form_coefficients,
     _integer_forms,
     _integer_sum,
     _integer_terms,
+    _of_coefficients,
     _once_per_object,
     _over,
-    _product_terms,
     _require_passed,
     _scan,
-    _triple_terms,
+    _swapped,
     bilinear_eval,
-    entry_values,
     slot_tuples,
-    tabulate,
     trilinear_eval,
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, _exact, vec_add, vec_scale
+from .linalg import Mat, Vec, _exact
 from .representation import PseudoderivationData, adjoint_representation
 
 # bilinear_eval and trilinear_eval (nu and omega on Vec slots) are re-exported: no
@@ -112,46 +114,42 @@ class DeformationDatum:
             raise ValueError("deformation coefficients must be adjoint (V = B)")
 
 
-def _b2p_residual(forms: tuple, x1, x2, y1, y2) -> Vec:
-    # the B2 residual of (nu, omega) with its term nu(nu(y1,y2), nu(x1,x2)) of degree 3
-    # replaced by nu(nu_y, mu(x1,x2)) + nu(mu(y1,y2), nu_x) + mu(nu_y, nu_x)
-    D, MU, NU, OM = forms
-    nu_x, nu_y = NU[x1][x2], NU[y1][y2]
-    return _b2_residual((D, NU, OM), x1, x2, y1, y2,
-                        ((NU, nu_y, MU[x1][x2]), (NU, MU[y1][y2], nu_x), (MU, nu_y, nu_x)))
-
-
 @_once_per_object
 def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
     """The kept integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
-    pair = BolAlgebra(d.n, d.nu, d.omega)
-    return _integer_forms((_product_terms(MaltsevAlgebra(d.n, d.mu)), _product_terms(pair)),
-                          (_triple_terms(pair),))
+    n = d.n
+    return _integer_forms(n, ((2, _coefficients(d.mu, n, 2)), (2, _coefficients(d.nu, n, 2)),
+                              (3, _coefficients(d.omega, n, 3))))
+
+
+def _pair_coefficients(pair: CochainPair, arity: int):
+    """The coefficients (args, a, x) of the pair's nu (arity 2) or omega (3), both halves,
+    read off its i<j entries."""
+    return _swapped((args, a, x) for args, values in pair.entries(arity)
+                    for a, x in enumerate(values) if x)
 
 
 def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
-    """The (B2') and (B3') scans; (B3') is the B3 axiom of (nu, omega).
+    """The (B2') and (B3') scans, through verify_bol's block scans.
 
-    With ``grouped`` (mu, nu and omega antisymmetric in their first two
-    slots) they visit the orbit representatives only: (B2') changes sign
-    when x1, x2 or y1, y2 are swapped, (B3') as B3 does."""
-    pair, forms = BolAlgebra(d.n, d.nu, d.omega), _candidate_forms(d)
-    return (_scan("B2'", slot_tuples(d.n, (2, 2), grouped),
-                  lambda a, b, c, e: _b2p_residual(forms, a, b, c, e)),
-            _scan("B3'", slot_tuples(d.n, (2, 2, 1), grouped),
-                  lambda a, b, c, e, f: _b3_residual(pair, a, b, c, e, f)))
+    (B3') is the B3 axiom of (nu, omega); (B2') is its B2 axiom with the
+    term nu(nu(y1,y2), nu(x1,x2)) replaced by nu(nu_y, mu(x1,x2)) +
+    nu(mu(y1,y2), nu_x) + mu(nu_y, nu_x).  With ``grouped`` (mu, nu and
+    omega antisymmetric in their first two slots) they visit the orbit
+    representatives only: (B2') changes sign when x1, x2 or y1, y2 are
+    swapped, (B3') as B3 does."""
+    D, MU, NU, OM = _candidate_forms(d)
+    pairs = list(slot_tuples(d.n, (2,), grouped))
+    return (_b2_scan("B2'", D, NU, OM, pairs, ((NU, NU, MU), (MU, NU, NU), (NU, MU, NU))),
+            _b3_scan("B3'", D, OM, pairs))
 
 
 def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples,
     the first four on the integer forms as verify_bol's B01, B02 and B1."""
     n, (D, MU, NU, OM) = d.n, _candidate_forms(d)
-    antisymmetry = (
-        _scan("B01'", slot_tuples(n, (1, 1)), lambda i, j: _integer_sum(D, n, NU[i][j], NU[j][i])),
-        _scan("B02'", slot_tuples(n, (1, 1)), lambda i, j: _integer_sum(D, n, MU[i][j], MU[j][i])),
-        _scan("B03'", slot_tuples(n, (1, 1, 1)),
-              lambda i, j, k: _integer_sum(D, n, OM[i][j][k], OM[j][i][k])),
-    )
+    antisymmetry = (_antisymmetry_scan("B01'", D, NU, 2), _antisymmetry_scan("B02'", D, MU, 2),
+                    _antisymmetry_scan("B03'", D, OM, 3))
     # Once nu, mu and omega are antisymmetric, (B1') changes sign under any
     # swap and (B2'), (B3') when x1, x2 or y1, y2 are swapped.
     grouped = all(check.passed for check in antisymmetry)
@@ -162,16 +160,20 @@ def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
 
 
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
-    """The algebra B_t with operations *_t and [ , , ]_t at a sample t."""
-    base, pair = d.base, d.pair
-    n = base.n
-    t = _exact(t)
+    """The algebra B_t with operations *_t and [ , , ]_t at a sample t.
 
-    def deformed(tensor, first_order, arity):
-        return tabulate(n, n, arity, lambda *args: vec_add(
-            entry_values(tensor, args), vec_scale(t, entry_values(first_order, args))))
-    return BolAlgebra(n, deformed(base.c, pair.nu, 2), deformed(base.t, pair.omega, 3),
-                      base.basis_names)
+    Its c, t and kept integer form are made from the nonzeros of the base's
+    integer form and of the pair's entries, summed; no dense tensor is read."""
+    base, pair = d.base, d.pair
+    t = _exact(t)
+    D, P, T = _integer_terms(base)
+    parts = []
+    for arity, form in ((2, P), (3, T)):
+        sums = {(args, k): x for args, k, x in _form_coefficients(D, form, arity)}
+        for args, k, x in _pair_coefficients(pair, arity):
+            sums[args, k] = sums.get((args, k), 0) + t * x
+        parts.append([(args, k, x) for (args, k), x in sums.items()])
+    return _of_coefficients(BolAlgebra, base.n, *parts, base.basis_names)
 
 
 @dataclass(frozen=True)
@@ -213,10 +215,10 @@ def generates_infinitesimal_deformation(d: DeformationDatum
     return InfinitesimalDeformationReport(type_report, cocycle_report, sampling)
 
 
-def _o3_residual(nu: MaltsevAlgebra, x1, x2, y1, y2) -> Vec:
-    # nu(nu(y1,y2), nu(x1,x2)), of degree 3 in the integer form of nu alone
-    D, NU, _ = _integer_terms(nu)
-    return _over(_add_form([0] * nu.n, 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)
+def _o3_residual(forms: tuple, x1, x2, y1, y2) -> Vec:
+    # nu(nu(y1,y2), nu(x1,x2)), of degree 3 in the integer form (D, NU) of nu alone
+    D, NU = forms
+    return _over(_add_form([0] * len(NU), 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)
 
 
 def check_first_order_formal(d: DeformationDatum) -> CheckReport:
@@ -234,7 +236,7 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     # The verified base makes mu = * antisymmetric and a CochainPair is
     # antisymmetric by construction, so (B2'), (B3') and o3 change sign when
     # x1, x2 or y1, y2 are swapped: the representatives find the first failure.
-    nu = MaltsevAlgebra(base.n, pair.nu)
+    nu = _integer_forms(base.n, ((2, _pair_coefficients(pair, 2)),))
     return CheckReport(cocycle_report.checks + _closure_checks(candidate, True) + (
         _scan("o3", slot_tuples(base.n, (2, 2)),
               lambda a, b, c, e: _o3_residual(nu, a, b, c, e)),))

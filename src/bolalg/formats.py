@@ -32,6 +32,9 @@ _INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integ
 # Python's default int() limit on decimal digits; checked first, so a longer
 # numerator or denominator is rejected with its path, not by int().
 _MAX_DIGITS = 4300
+# The largest dimension a file may declare, checked before any tensor is built:
+# the dense tensors and matrix grids grow as its fourth power.
+MAX_DIMENSION = 64
 
 
 class RenderOverflowError(OverflowError):
@@ -147,9 +150,12 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _int_field(obj: dict, key: str, path: str) -> int:
+    """A dimension field: an integer from 0 to MAX_DIMENSION."""
     val = _require(obj, key, path)
     if not isinstance(val, int) or isinstance(val, bool) or val < 0:
         raise ParseError(f"{path}.{key}", "must be an integer >= 0")
+    if val > MAX_DIMENSION:
+        raise ParseError(f"{path}.{key}", f"must be at most {MAX_DIMENSION}")
     return val
 
 

@@ -15,24 +15,29 @@ from bolalg.algebra import (
     CheckReport,
     ConditionCheck,
     MaltsevAlgebra,
+    _add_form,
     _add_terms,
+    _common_denominator,
+    _integer_sum,
     _integer_terms,
     _nonzeros,
     _once_per_object,
     _over,
-    _product_terms,
+    _scaled,
     _scan,
     _times,
-    _triple_terms,
     bilinear_eval,
     entry_args,
     entry_values,
     slot_tuples,
+    tabulate,
     trilinear_eval,
     verify_bol,
 )
 from bolalg.cohomology import CochainPair
-from bolalg.linalg import Mat, _echelon, image_rank, inverse, vec_add, vec_sub, zero_vec
+from bolalg.linalg import (
+    Mat, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
+)
 from bolalg.representation import (
     Representation,
     _antisymmetry_failure,
@@ -259,7 +264,7 @@ def fraction_sparse_row(*parts) -> tuple:
 
 def fraction_delta_rows(R: Representation) -> tuple:
     """The former _delta_rows: D(e_i, e_j) - sum_k c_ij^k rho(e_k) by rows, in Fractions."""
-    P = _product_terms(R.base)
+    P = coordinate_product_terms(R.base)
     rho, D, _ = _map_rows(R)
     rng = range(R.base.n)
     return tuple(tuple(tuple(fraction_sparse_row((1, 0, 1, D[i][j][r]),
@@ -271,7 +276,7 @@ def fraction_coboundary_rows(R: Representation) -> tuple:
     """The former _coboundary_rows (after its antisymmetry gate), in Fractions."""
     B = R.base
     n, m = B.n, R.m
-    P, T = _product_terms(B), _triple_terms(B)
+    P, T = coordinate_product_terms(B), coordinate_triple_terms(B)
     rho, D, theta = _map_rows(R)
     delta = fraction_delta_rows(R)
 
@@ -326,7 +331,7 @@ def fraction_verify_representation(R: Representation) -> CheckReport:
     """The former verify_representation: R1-R33 added up in Fraction dicts."""
     B = R.base
     n, m = B.n, R.m
-    P, T = _product_terms(B), _triple_terms(B)
+    P, T = coordinate_product_terms(B), coordinate_triple_terms(B)
     rho, D, theta = _map_rows(R)
 
     def r1(i, j):
@@ -387,7 +392,7 @@ def fraction_verify_representation(R: Representation) -> CheckReport:
 def fraction_check_delta_identity(R: Representation) -> CheckReport:
     """The former check_delta_identity: the Delta rows added up in a Fraction dict."""
     B, m = R.base, R.m
-    P, T, delta = _product_terms(B), _triple_terms(B), _delta_rows(R)
+    P, T, delta = coordinate_product_terms(B), coordinate_triple_terms(B), _delta_rows(R)
 
     def residual(x1, x2, y1, y2):
         acc = {}
@@ -573,6 +578,75 @@ def tuplewise_verify_maltsev(M: MaltsevAlgebra) -> CheckReport:
     return CheckReport((anti, identity))
 
 
+def b2_residual(forms: tuple, x, y, u, v, cubic: tuple | None = None) -> tuple:
+    """The former algebra._b2_residual, B2 at one tuple: [x,y,u*v] - [x,y,u]*v
+    - u*[x,y,v] - [u,v,x*y] + (u*v)*(x*y) for the integer forms (D, P, T), the
+    four terms of degree 2 times D, plus the one of degree 3, or in its place
+    form(a, b) for each (form, a, b) in cubic."""
+    D, P, T = forms
+    Txy, Tuv = T[x][y], T[u][v]
+    acc = [0] * len(P)
+    for k, c in P[u][v]:
+        _add_terms(acc, D * c, Txy[k])
+    for k, c in Txy[u]:
+        _add_terms(acc, -D * c, P[k][v])
+    for k, c in Txy[v]:
+        _add_terms(acc, -D * c, P[u][k])
+    for k, c in P[x][y]:
+        _add_terms(acc, -D * c, Tuv[k])
+    for form, a, b in cubic or ((P, P[u][v], P[x][y]),):
+        _add_form(acc, 1, form, a, b)
+    return _over(acc, D ** 3)
+
+
+def b3_residual(B: BolAlgebra, x, y, u, v, w) -> tuple:
+    """The former algebra._b3_residual, B3 at one tuple:
+    [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]."""
+    D, _, T = _integer_terms(B)
+    Txy, Tuv = T[x][y], T[u][v]
+    acc = [0] * B.n
+    for k, c in Tuv[w]:
+        _add_terms(acc, c, Txy[k])
+    for k, c in Txy[u]:
+        _add_terms(acc, -c, T[k][v][w])
+    for k, c in Txy[v]:
+        _add_terms(acc, -c, T[u][k][w])
+    for k, c in Txy[w]:
+        _add_terms(acc, -c, Tuv[k])
+    return _over(acc, D ** 2)
+
+
+def tuplewise_verify_bol(B: BolAlgebra) -> CheckReport:
+    """The former verify_bol: B01 and B02 added up at every tuple, B2 and B3 one
+    tuple at a time through b2_residual and b3_residual."""
+    n, forms = B.n, _integer_terms(B)
+    D, P, T = forms
+    total = lambda *terms: _integer_sum(D, n, *terms)
+    b01 = _scan("B01", slot_tuples(n, (1, 1)), lambda i, j: total(P[i][j], P[j][i]))
+    b02 = _scan("B02", slot_tuples(n, (1, 1, 1)),
+                lambda i, j, k: total(T[i][j][k], T[j][i][k]))
+    return CheckReport((
+        b01, b02,
+        _scan("B1", slot_tuples(n, (3,), b02.passed),
+              lambda i, j, k: total(T[i][j][k], T[j][k][i], T[k][i][j])),
+        _scan("B2", slot_tuples(n, (2, 2), b01.passed and b02.passed),
+              lambda *args: b2_residual(forms, *args)),
+        _scan("B3", slot_tuples(n, (2, 2, 1), b02.passed), lambda *args: b3_residual(B, *args)),
+    ))
+
+
+def tabulated_deformed_algebra(d, t) -> BolAlgebra:
+    """The former deformation.deformed_algebra: every entry of c + t nu and
+    t + t omega tabulated from the dense tensors."""
+    base, pair, n = d.base, d.pair, d.base.n
+
+    def deformed(tensor, first_order, arity):
+        return tabulate(n, n, arity, lambda *args: vec_add(
+            entry_values(tensor, args), vec_scale(F(t), entry_values(first_order, args))))
+    return BolAlgebra(n, deformed(base.c, pair.nu, 2), deformed(base.t, pair.omega, 3),
+                      base.basis_names)
+
+
 def coordinate_product_terms(A) -> tuple:
     """The former algebra._product_terms: [i][j] = nonzeros of basis_product(i, j)."""
     rng = range(A.n)
@@ -584,6 +658,16 @@ def coordinate_triple_terms(B: BolAlgebra) -> tuple:
     rng = range(B.n)
     return tuple(tuple(tuple(_nonzeros(B.basis_triple(i, j, k)) for k in rng)
                        for j in rng) for i in rng)
+
+
+def scaled_forms(products: tuple, triples: tuple) -> tuple:
+    """The former algebra._integer_forms: (D, *products, *triples) for sparse Fraction
+    forms [i][j] and [i][j][k], every coefficient times D, their lcm denominator, as ints."""
+    scale = lambda P: tuple(tuple(_scaled(terms, D) for terms in row) for row in P)
+    planes = [P for T in triples for P in T]
+    D = _common_denominator(c for P in products + tuple(planes) for row in P
+                            for terms in row for _, c in terms)
+    return (D, *map(scale, products), *(tuple(map(scale, T)) for T in triples))
 
 
 def fraction_cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:

@@ -322,15 +322,15 @@ class TestExtensionCommands:
 class TestEachVerificationRunsOnce:
     def test_adjoint_command_scans_the_algebra_once(self, run, monkeypatch):
         calls = []
-        original = algebra._b3_residual
+        original = algebra._b3_scan
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(algebra, "_b3_residual", counting)
+        monkeypatch.setattr(algebra, "_b3_scan", counting)
         assert run("delta-check", ALG1, "--adjoint")[0] == 0
-        assert len(calls) == 2  # one B3 scan: C(2,2)^2 * 2 orbit representatives
+        assert len(calls) == 1  # one B3 scan
 
     def test_extend_build_verifies_the_representation_once(self, run, monkeypatch,
                                                            tmp_path):

@@ -1,4 +1,7 @@
 import json
+import resource
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from bolalg.algebra import BolAlgebra, MaltsevAlgebra, bilinear_eval, trilinear_
 from bolalg.cohomology import CochainPair, cohomology
 from bolalg.extension import semidirect_product, twisted_product
 from bolalg.formats import (
+    MAX_DIMENSION,
     ParseError,
     RenderOverflowError,
     parse_algebra,
@@ -461,3 +465,47 @@ def test_every_checked_in_data_file_round_trips():
             assert render_action(m, rho) == text
         else:
             raise AssertionError(f"unknown data file type: {path.name}")
+
+
+class TestDimensionLimit:
+    """A declared dimension over MAX_DIMENSION is refused before any tensor is built."""
+
+    @staticmethod
+    def _algebra(kind: str, n: int) -> str:
+        obj = {"kind": kind, "dimension": n, "binary": []}
+        return json.dumps(dict(obj, ternary=[]) if kind == "bol" else obj)
+
+    @pytest.mark.parametrize("kind", ["bol", "maltsev"])
+    def test_the_largest_dimension_parses_and_the_next_is_refused(self, kind):
+        assert MAX_DIMENSION == 64
+        assert parse_algebra(self._algebra(kind, 64)).n == 64
+        with pytest.raises(ParseError, match=r"^file\.dimension: must be at most 64$"):
+            parse_algebra(self._algebra(kind, 65))
+
+    def test_module_dimensions_are_limited_alike(self):
+        base = BolAlgebra.zero(1)
+        zeros = lambda m: [["0"] * m for _ in range(m)]
+        rep = lambda m: json.dumps({"module_dimension": m, "rho": [zeros(m)],
+                                    "D": [[zeros(m)]], "theta": [[zeros(m)]]})
+        cochain = lambda m: json.dumps({"module_dimension": m, "nu": [], "omega": []})
+        action = lambda m: json.dumps({"module_dimension": m, "rho": [zeros(m)]})
+        assert parse_representation(rep(64), base).m == 64
+        assert parse_cochain(cochain(64), make_b2(1)).m == 64
+        assert parse_action(action(64), 1)[0] == 64
+        for parse, text, over in ((parse_representation, rep(65), base),
+                                  (parse_cochain, cochain(400), make_b2(1)),
+                                  (parse_action, action(65), 1)):
+            with pytest.raises(ParseError, match=r"^file\.module_dimension: must be at most 64$"):
+                parse(text, over)
+
+    def test_a_huge_dimension_is_an_input_error_under_a_memory_limit(self, tmp_path):
+        # 400 MB of address space: building the declared tensors would run out of memory
+        path = tmp_path / "big.alg"
+        path.write_text(self._algebra("bol", 400))
+        limit = 400 * 2 ** 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "bolalg.cli", "verify", str(path)], capture_output=True,
+            text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2
+        assert "dimension: must be at most 64" in proc.stderr

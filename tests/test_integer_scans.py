@@ -30,7 +30,6 @@ from bolalg import extension as EXTENSION
 from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
-    _b3_residual,
     _integer_terms,
     _scan,
     maltsev_to_bol,
@@ -61,6 +60,7 @@ from bolalg.representation import (
 )
 
 from .conftest import (
+    b3_residual,
     dense_b2p_residual,
     dense_check_phi,
     dense_induced_cocycle,
@@ -273,7 +273,7 @@ def _fraction_closure(d, grouped):
     return (_scan("B2'", slot_tuples(d.n, (2, 2), grouped),
                   lambda *a: dense_b2p_residual(d, *a)),
             _scan("B3'", slot_tuples(d.n, (2, 2, 1), grouped),
-                  lambda *a: _b3_residual(pair, *a)))
+                  lambda *a: b3_residual(pair, *a)))
 
 
 def _data():

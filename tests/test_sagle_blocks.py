@@ -10,10 +10,11 @@ algebras, anticommutative and not, for n = 0..5, on Maltsev algebras in
 moved bases, with defects planted in them, and on one pinned algebra whose
 first failure has x = e_i + e_j while every single e_i passes.
 
-``_product_terms`` and ``_triple_terms`` read each row off the planes of c
-and t by transposition; they must equal the nonzeros of ``basis_product``
-and ``basis_triple`` read one coordinate at a time, for Bol and Maltsev
-algebras and for the (nu, omega) pair the deformation closure scans read.
+The integer form of an algebra made from tensors reads each row off the
+planes of c and t by transposition; it must equal the nonzeros of
+``basis_product`` and ``basis_triple`` read one coordinate at a time and
+scaled by their lcm denominator, for Bol and Maltsev algebras and for the
+(mu, nu, omega) forms the deformation scans read.
 The deformation-type antisymmetry and cyclic scans (B01'-B03', B1') add up
 the integer forms of (mu, nu, omega); they must equal the former Fraction
 scans, ``_antisymmetry`` and the cyclic sum, also where those fail.
@@ -31,9 +32,7 @@ from bolalg.algebra import (
     CheckReport,
     MaltsevAlgebra,
     _antisymmetry,
-    _integer_forms,
-    _product_terms,
-    _triple_terms,
+    _integer_terms,
     maltsev_to_bol,
     verify_maltsev,
 )
@@ -50,6 +49,7 @@ from .conftest import (
     make_so3,
     make_solvable,
     random_fraction,
+    scaled_forms,
     tuplewise_verify_maltsev,
 )
 from .test_sparse_scans import _assert_same, _dense_maltsev, _planted_maltsev, _sol3_so3
@@ -140,10 +140,12 @@ def _forms_inputs():
 
 @pytest.mark.parametrize("B", _forms_inputs(), ids=lambda B: f"n{B.n}")
 def test_the_transposed_forms_equal_the_coordinate_reads(B):
-    assert _product_terms(B) == coordinate_product_terms(B)
-    assert _triple_terms(B) == coordinate_triple_terms(B)
+    assert _integer_terms(B) == scaled_forms((coordinate_product_terms(B),),
+                                             (coordinate_triple_terms(B),))
     M = MaltsevAlgebra(B.n, B.c)
-    assert _product_terms(M) == coordinate_product_terms(M)
+    D, P, T = _integer_terms(M)
+    assert (D, P) == scaled_forms((coordinate_product_terms(M),), ())
+    assert not any(terms for plane in T for row in plane for terms in row)
 
 
 def _candidates():
@@ -169,9 +171,7 @@ CANDIDATES = _candidates()
 def test_the_deformation_pair_forms_equal_the_coordinate_reads(index):
     d = CANDIDATES[index]
     pair, mu = BolAlgebra(d.n, d.nu, d.omega), MaltsevAlgebra(d.n, d.mu)
-    assert _product_terms(pair) == coordinate_product_terms(pair)
-    assert _triple_terms(pair) == coordinate_triple_terms(pair)
-    assert DEFORMATION._candidate_forms(d) == _integer_forms(
+    assert DEFORMATION._candidate_forms(d) == scaled_forms(
         (coordinate_product_terms(mu), coordinate_product_terms(pair)),
         (coordinate_triple_terms(pair),))
 

@@ -1,6 +1,7 @@
 """tools/stage_times.py times the parse of the file and its axiom scan and
 runs cohomology() with the stages it names rebound in ``bolalg.cohomology``;
-every name must still be bound there."""
+for a Bol file it splits the axiom check with functions of ``bolalg.algebra``
+rebound.  Every name must still be bound there, and is restored after."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ from bolalg.algebra import MaltsevAlgebra, verify_maltsev
 
 ROOT = Path(__file__).resolve().parent.parent
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
+ALGEBRA = importlib.import_module("bolalg.algebra")
 
 
 def _stage_times():
@@ -40,3 +42,15 @@ def test_stage_times_times_the_identity_scan_of_a_maltsev_file(capsys, monkeypat
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines[-3:-1]] == [["parse", "1"], ["verify", "1"]]
     assert len(scanned) == 1 and isinstance(scanned[0], MaltsevAlgebra)
+
+
+def test_stage_times_splits_the_axiom_check_of_a_bol_file(capsys):
+    tool = _stage_times()
+    before = {name: getattr(ALGEBRA, name) for name in tool.AXIOM_STAGES}
+    assert tool.main([str(ROOT / "data" / "b2_lambda1.alg")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
+    assert list(timed)[-6:] == ["parse", "verify", "forms", "B01/B02/B1", "B2", "B3"]
+    # the form is built once, from the parsed entries; B01, B02, B1 and one block scan each
+    assert (timed["forms"], timed["B01/B02/B1"], timed["B2"], timed["B3"]) == (1, 3, 1, 1)
+    assert all(getattr(ALGEBRA, name) is fn for name, fn in before.items())

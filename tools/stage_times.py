@@ -24,10 +24,18 @@ parse_algebra call on the file's text, and "verify" the axiom scan of what
 it parsed (verify_maltsev of a Maltsev algebra, verify_bol of a Bol
 algebra), both outside cohomology(); the report is kept on the algebra, so
 it is not scanned again (the Bol algebra of a Maltsev file still is, untimed,
-by adjoint_representation).  Prints, per
-stage, its calls in one run and the median seconds over the runs, then
-the dimensions.  Wall clock, so a busy machine reads slower; use several runs.
-Stdlib only; the library is read from src/ of this checkout.
+by adjoint_representation).  For a Bol file four more lines split the
+axiom check, with these ``bolalg.algebra`` functions rebound:
+
+    forms        _integer_forms, the integer form built from the parsed
+                 entries (inside "parse": the scans read it)
+    B01/B02/B1   _antisymmetry_scan and _scan, inside "verify"
+    B2, B3       _b2_scan and _b3_scan, the (x, y) block scans
+
+Prints, per stage, its calls in one run and the median seconds over the
+runs, then the dimensions.  Wall clock, so a busy machine reads slower;
+use several runs.  Stdlib only; the library is read from src/ of this
+checkout.
 """
 
 import argparse
@@ -43,8 +51,12 @@ from bolalg.algebra import MaltsevAlgebra, maltsev_to_bol, verify_bol, verify_ma
 from bolalg.formats import parse_algebra  # noqa: E402
 from bolalg.representation import adjoint_representation  # noqa: E402
 
+ALGEBRA = importlib.import_module("bolalg.algebra")
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")  # the module, not the function
 STAGES = ("coboundary_matrix", "_constraint_rows", "kernel_basis", "rref", "coords_to_cochain")
+# the stage of each rebound bolalg.algebra function, for a Bol file
+AXIOM_STAGES = {"_integer_forms": "forms", "_antisymmetry_scan": "B01/B02/B1",
+                "_scan": "B01/B02/B1", "_b2_scan": "B2", "_b3_scan": "B3"}
 
 
 def _timed(totals: dict, name: str, fn, consume: bool):
@@ -59,32 +71,45 @@ def _timed(totals: dict, name: str, fn, consume: bool):
     return wrapper
 
 
+def _call_timed(module, stages: dict, totals: dict, fn, *args):
+    """fn(*args) with each function ``name`` of ``stages`` rebound in ``module`` to a
+    timer adding to totals[stages[name]]; every name is restored after."""
+    saved = {name: getattr(module, name) for name in stages}
+    try:
+        for name, original in saved.items():
+            setattr(module, name, _timed(totals, stages[name], original,
+                                         name == "_constraint_rows"))
+        return fn(*args)
+    finally:
+        for name, original in saved.items():
+            setattr(module, name, original)
+
+
 def run_once(text: str) -> tuple[dict, tuple]:
     """{stage: [seconds, calls]} of one parse, axiom scan and cohomology() call, and
     the dims C/Z/B/H."""
+    split = {name: [0.0, 0] for name in dict.fromkeys(AXIOM_STAGES.values())}
     start = time.perf_counter()
-    A = parse_algebra(text)
+    A = _call_timed(ALGEBRA, AXIOM_STAGES, split, parse_algebra, text)
     parse = time.perf_counter() - start
     maltsev = isinstance(A, MaltsevAlgebra)
     start = time.perf_counter()
-    (verify_maltsev if maltsev else verify_bol)(A)
+    if maltsev:
+        verify_maltsev(A)
+    else:
+        _call_timed(ALGEBRA, AXIOM_STAGES, split, verify_bol, A)
     verify = time.perf_counter() - start
     R = adjoint_representation(maltsev_to_bol(A) if maltsev else A)
     totals = {name: [0.0, 0] for name in STAGES}
-    saved = {name: getattr(COHOMOLOGY, name) for name in STAGES}
-    try:
-        for name, fn in saved.items():
-            setattr(COHOMOLOGY, name, _timed(totals, name, fn, name == "_constraint_rows"))
-        start = time.perf_counter()
-        rep = COHOMOLOGY.cohomology(R)
-        total = time.perf_counter() - start
-    finally:
-        for name, fn in saved.items():
-            setattr(COHOMOLOGY, name, fn)
+    start = time.perf_counter()
+    rep = _call_timed(COHOMOLOGY, dict(zip(STAGES, STAGES)), totals, COHOMOLOGY.cohomology, R)
+    total = time.perf_counter() - start
     totals["other"] = [total - sum(s for s, _ in totals.values()), 1]
     totals["cohomology"] = [total, 1]
     totals["parse"] = [parse, 1]
     totals["verify"] = [verify, 1]
+    if not maltsev:
+        totals.update(split)
     return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
 
 
