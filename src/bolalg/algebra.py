@@ -18,17 +18,17 @@ so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
 The scans read the integer form kept once per algebra (``_integer_terms``):
 the nonzeros of each e_i*e_j and [e_i,e_j,e_k], k ascending, times D, the
-lcm of every denominator of c (and t).  An algebra made from sparse entries
-(``from_entries``, ``maltsev_to_bol``, ``deformation.deformed_algebra``)
-builds it from them (``_integer_forms``); any other reads it off its
-tensors.  A product of k coefficients is D**k times the true one, so a
-residual adds up plain ints and is divided by D**k only when a Vec is built
-(``_over``): exact, and equal to the Fraction residual.  B01 and B02 compare
-each form with its swapped twin negated.  B2 and B3 run one (x, y) block at
-a time (``_b2_block``, ``_b3_block``): what [x,y,.] and x*y give is made
-once for every (u, v, w), and a block where they are zero is skipped;
-Sagle's identity runs one x at a time.  The other modules' scans add up
-ints too, on matrices by their integer columns (``_integer_cols``) and with
+lcm of every denominator of c (and t).  Every algebra the library builds is
+made from its coefficients by one builder, ``_of_coefficients``, and keeps
+the form built from them; only an algebra a caller builds from tensors has
+it read off them.  A product of k coefficients is D**k times the true one,
+so a residual adds up plain ints and is divided by D**k only when a Vec is
+built (``_over``): exact, and equal to the Fraction residual.  B01 and B02
+compare each form with its swapped twin negated.  B2 and B3 run one (x, y)
+block at a time (``_b2_block``, ``_b3_block``): what [x,y,.] and x*y give
+is made once for every (u, v, w), and a block where they are zero is
+skipped; Sagle's identity runs one x at a time.  The other modules' scans
+add up ints too, on matrices by their integer rows or columns and with
 products of integer vectors (``_add_form``); no scan calls the Fraction
 evaluators ``bilinear_eval`` and ``trilinear_eval``.  An all-zero residual
 is the one shared zero Vec of its size (``linalg.zero_vec``).
@@ -462,7 +462,7 @@ def _integer_terms(A) -> tuple:
     D is the lcm of every denominator of c, and of t for a Bol algebra;
     P[i][j] and T[i][j][k] are the nonzeros of e_i*e_j and [e_i,e_j,e_k]
     times D, as ints (T is all empty for a Maltsev algebra).  It is read
-    off c and t here, unless the algebra was made by _of_coefficients.
+    off c and t here only for an algebra not made by _of_coefficients.
     """
     t = _coefficients(A.t, A.n, 3) if isinstance(A, BolAlgebra) else ()
     return _integer_forms(A.n, ((2, _coefficients(A.c, A.n, 2)), (3, t)))

@@ -26,16 +26,17 @@ CC1-CC3 are stated once, in integers (``_cocycle_conditions``), and read
 by both ``is_cocycle`` and the constraint rows of ``cohomology``.  The
 statement reads the nonzero structure constants times D_A, the lcm of
 every denominator of B (``algebra._integer_terms``), and the module maps
-times D_R, the lcm of every denominator of rho, D and theta
-(``representation._integer_maps``).  A term with a factors from B and r
-from the module maps is then D_A**a * D_R**r times its true value, so each
-condition scales its terms to one degree and carries that denominator:
-CC1 has no such factor (denominator 1); CC2 has degree 2 in D_A (the
+by their nonzero rows times D_R, the lcm of every denominator of rho, D
+and theta (``representation._integer_rows``, the one integer form every
+scan of a representation reads).  A term with a factors from B and r from
+the module maps is then D_A**a * D_R**r times its true value, so each
+condition scales its terms to one degree and carries that denominator: CC1
+has no such factor (denominator 1); CC2 has degree 2 in D_A (the
 nu(y1*y2, x1*x2) term) and 1 in D_R (denominator D_A**2 * D_R); CC3 has
 degree 1 in each (denominator D_A * D_R).  is_cocycle also scales the
 cochain by D_C, the lcm of the denominators of its coordinates, adds up
-ints and divides once per residual; a constraint row is divided by the
-gcd of its ints, where the common factor cancels.  The arithmetic is exact,
+ints and divides once per residual; a constraint row is divided by the gcd
+of its ints, where the common factor cancels.  The arithmetic is exact,
 and residuals and rows equal those of the Fraction statement up to scale.
 
 The constraint rows and is_cocycle visit one tuple per orbit of the
@@ -76,15 +77,16 @@ from .algebra import (
     CheckReport,
     _checked_entries,
     _common_denominator,
+    _dense,
     _integer_terms,
     _nonzeros,
     _over,
     _scaled,
     _scan,
+    _swapped,
     entry_args,
     entry_coords,
     slot_tuples,
-    tensor_from_entries,
 )
 from .linalg import (
     SparseMat, Vec, _exact, _primitive, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub,
@@ -95,7 +97,7 @@ from .representation import (
     Representation,
     _antisymmetry_failure,
     _delta_rows,
-    _integer_maps,
+    _integer_rows,
     cochain_dim,
     coboundary_matrix,
     coboundary_tensors,
@@ -113,8 +115,8 @@ class CochainPair:
     or at the first tuple where they are not antisymmetric.  The other
     constructors (``zero``, ``from_entries``, ``coords_to_cochain``) write
     the coordinates directly; the tensors are then built on first access
-    and kept on the pair.  Two pairs are equal when their base, m and
-    coordinates are.
+    and kept on the pair (the library reads ``entries`` and ``coefficients``
+    instead).  Two pairs are equal when their base, m and coordinates are.
     """
 
     base: BolAlgebra
@@ -173,19 +175,21 @@ class CochainPair:
         return [(args, self._coords[p * m:p * m + m]) for p, args in
                 enumerate(entry_args(self.n, 2) + entry_args(self.n, 3)) if len(args) == arity]
 
+    def coefficients(self, arity: int, offset: int = 0):
+        """The coefficients (args, offset + a, x) at the nonzeros of nu (arity 2) or omega
+        (3), both halves, as ``algebra._integer_forms`` reads them, off the i<j entries."""
+        return _swapped((args, offset + a, x) for args, values in self.entries(arity)
+                        for a, x in enumerate(values) if x)
+
     @cached_property
     def nu(self) -> tuple:
-        """The tensor nu[a][i][j], built from the coordinates once."""
-        return self._tensor("nu", 2)
+        """The tensor nu[a][i][j], built from the coefficients once."""
+        return _dense(self.n, self.m, 2, self.coefficients(2))
 
     @cached_property
     def omega(self) -> tuple:
-        """The tensor omega[a][i][j][k], built from the coordinates once."""
-        return self._tensor("omega", 3)
-
-    def _tensor(self, name: str, arity: int) -> tuple:
-        return tensor_from_entries(self.n, self.m, arity, (
-            (args, dict(enumerate(values))) for args, values in self.entries(arity)), name)
+        """The tensor omega[a][i][j][k], built from the coefficients once."""
+        return _dense(self.n, self.m, 3, self.coefficients(3))
 
     # Arithmetic goes through the coordinates, which determine an
     # antisymmetric pair.
@@ -242,13 +246,13 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
     representatives of the module docstring (valid when c, t and D are
     antisymmetric).  reads(*idx) lists the terms of LHS - RHS at one tuple
     in integer form, expanded to the cochain entries they read: (int
-    coefficient, integer column form of a module map, the args of one nu
+    coefficient, integer row form of a module map, the args of one nu
     (two) or omega (three) entry).  LHS - RHS is the sum of coefficient *
     map(entry) over the reads, divided by the denominator."""
     B = R.base
     DA, P, T = _integer_terms(B)
-    DR, rho, D, theta = _integer_maps(R)
-    I = tuple(((b, 1),) for b in range(R.m))  # no module map
+    DR, rho, D, theta = _integer_rows(R)
+    I = tuple(((a, 1),) for a in range(R.m))  # no module map
     tuples = tuple(slot_tuples(B.n, sizes, representatives)
                    for sizes in ((3,), (2, 2), (2, 2, 1)))
 
@@ -299,13 +303,13 @@ def _constraint_rows(R: Representation):
     for _, _, tuples, reads in _cocycle_conditions(R, representatives=True):
         for idx in tuples:
             rows = [{} for _ in range(m)]
-            for coeff, cols, args in reads(*idx):
+            for coeff, map_rows, args in reads(*idx):
                 start, sign = index.get(args, (0, 0))
                 if sign:
                     s = sign * coeff
-                    for k, col in enumerate(cols, start):
-                        for a, x in col:
-                            rows[a][k] = rows[a].get(k, 0) + s * x
+                    for row, map_row in zip(rows, map_rows):
+                        for b, x in map_row:
+                            row[start + b] = row.get(start + b, 0) + s * x
             for row in rows:
                 row = sorted((k, x) for k, x in _primitive(row).items() if x)
                 if row:
@@ -319,27 +323,28 @@ def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
     t and D are antisymmetric, and every tuple otherwise.  The residual at a
     tuple adds up, over its reads, coefficient * map(entry) for the nonzero
     entries of c times D_C, the lcm of the denominators of c.coords(), as
-    ints; entries that are zero in c are not in the lookup and cost no
-    arithmetic."""
+    ints, each entry held as {b: x}; entries that are zero in c are not in
+    the lookup and cost no arithmetic."""
     if c.base != R.base or c.m != R.m:
         raise ValueError("cochain does not match the representation's data")
     m, coords = R.m, c.coords()
     DC = _common_denominator(coords)
     entries = {}
     for args, (start, sign) in _coordinate_index(R.base.n, m).items():
-        v = _scaled(_nonzeros(coords[start:start + m]), sign * DC)
+        v = dict(_scaled(_nonzeros(coords[start:start + m]), sign * DC))
         if v:
             entries[args] = v
 
     def residual(denominator, reads, *idx):
         acc = [0] * m
-        for coeff, cols, args in reads(*idx):
+        for coeff, map_rows, args in reads(*idx):
             v = entries.get(args)
             if v:
-                for b, x in v:
-                    s = coeff * x
-                    for a, y in cols[b]:
-                        acc[a] += s * y
+                for a, map_row in enumerate(map_rows):
+                    for b, y in map_row:
+                        x = v.get(b)
+                        if x:
+                            acc[a] += coeff * x * y
         return _over(acc, denominator * DC)
     # c is antisymmetric by construction; with c, t and D antisymmetric too,
     # CC1 changes sign under any swap and CC2, CC3 when x1, x2 or y1, y2 are

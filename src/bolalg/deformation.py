@@ -39,12 +39,13 @@ i.e. exactly when their difference is an adjoint coboundary with zero
 companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
 
-The scans add up ints through ``algebra``'s: mu, nu and omega are read
-times D, one lcm of all their denominators (kept on the candidate);
-(B01')-(B03') compare sorted forms, and (B2'), (B3') are the B2 and B3
-block scans of (nu, omega), mu entering B2's cubic term.  o3 reads nu
-alone, over its own lcm.  B_t is built from the nonzeros of the base's
-form and the pair's entries, so its four scans read no dense tensor.
+The scans add up ints through ``algebra``'s, on one integer form of (mu,
+nu, omega) over one lcm D, kept per object: a datum's is built from the
+base's kept form and the pair's coefficients (``_datum_forms``), only a
+raw candidate's is read off its tensors.  (B01')-(B03') compare sorted
+forms, (B2') and (B3') are the B2 and B3 block scans of (nu, omega), mu
+entering B2's cubic term, and o3 reads nu from the datum's form.  B_t is
+built from the same coefficients, so a datum's checks build no tensor.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ from .algebra import (
     _over,
     _require_passed,
     _scan,
-    _swapped,
     bilinear_eval,
     slot_tuples,
     trilinear_eval,
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, Vec, _exact
+from .linalg import Mat, _exact
 from .representation import PseudoderivationData, adjoint_representation
 
 # bilinear_eval and trilinear_eval (nu and omega on Vec slots) are re-exported: no
@@ -122,15 +122,17 @@ def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
                               (3, _coefficients(d.omega, n, 3))))
 
 
-def _pair_coefficients(pair: CochainPair, arity: int):
-    """The coefficients (args, a, x) of the pair's nu (arity 2) or omega (3), both halves,
-    read off its i<j entries."""
-    return _swapped((args, a, x) for args, values in pair.entries(arity)
-                    for a, x in enumerate(values) if x)
+@_once_per_object
+def _datum_forms(d: DeformationDatum) -> tuple:
+    """The kept integer form (D, mu, nu, omega) of (*, nu, omega), as _candidate_forms
+    of the tensors, built from the base's kept form and the pair's coefficients."""
+    D, P, _ = _integer_terms(d.base)
+    return _integer_forms(d.base.n, ((2, _form_coefficients(D, P, 2)),
+                                     (2, d.pair.coefficients(2)), (3, d.pair.coefficients(3))))
 
 
-def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
-    """The (B2') and (B3') scans, through verify_bol's block scans.
+def _closure_checks(forms: tuple, grouped: bool) -> tuple:
+    """(B2') and (B3') of an integer form (D, mu, nu, omega), by verify_bol's block scans.
 
     (B3') is the B3 axiom of (nu, omega); (B2') is its B2 axiom with the
     term nu(nu(y1,y2), nu(x1,x2)) replaced by nu(nu_y, mu(x1,x2)) +
@@ -138,16 +140,16 @@ def _closure_checks(d: DeformationTypeCandidate, grouped: bool) -> tuple:
     omega antisymmetric in their first two slots) they visit the orbit
     representatives only: (B2') changes sign when x1, x2 or y1, y2 are
     swapped, (B3') as B3 does."""
-    D, MU, NU, OM = _candidate_forms(d)
-    pairs = list(slot_tuples(d.n, (2,), grouped))
+    D, MU, NU, OM = forms
+    pairs = list(slot_tuples(len(MU), (2,), grouped))
     return (_b2_scan("B2'", D, NU, OM, pairs, ((NU, NU, MU), (MU, NU, NU), (NU, MU, NU))),
             _b3_scan("B3'", D, OM, pairs))
 
 
-def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
-    """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples,
-    the first four on the integer forms as verify_bol's B01, B02 and B1."""
-    n, (D, MU, NU, OM) = d.n, _candidate_forms(d)
+def _deformation_type(forms: tuple) -> CheckReport:
+    """(B01')-(B03') and (B1')-(B3') of an integer form (D, mu, nu, omega)."""
+    D, MU, NU, OM = forms
+    n = len(MU)
     antisymmetry = (_antisymmetry_scan("B01'", D, NU, 2), _antisymmetry_scan("B02'", D, MU, 2),
                     _antisymmetry_scan("B03'", D, OM, 3))
     # Once nu, mu and omega are antisymmetric, (B1') changes sign under any
@@ -156,7 +158,12 @@ def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     return CheckReport(antisymmetry + (
         _scan("B1'", slot_tuples(n, (3,), grouped),
               lambda i, j, k: _integer_sum(D, n, OM[i][j][k], OM[j][k][i], OM[k][i][j])),)
-        + _closure_checks(d, grouped))
+        + _closure_checks(forms, grouped))
+
+
+def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
+    """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
+    return _deformation_type(_candidate_forms(d))
 
 
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
@@ -170,7 +177,7 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     parts = []
     for arity, form in ((2, P), (3, T)):
         sums = {(args, k): x for args, k, x in _form_coefficients(D, form, arity)}
-        for args, k, x in _pair_coefficients(pair, arity):
+        for args, k, x in pair.coefficients(arity):
             sums[args, k] = sums.get((args, k), 0) + t * x
         parts.append([(args, k, x) for (args, k), x in sums.items()])
     return _of_coefficients(BolAlgebra, base.n, *parts, base.basis_names)
@@ -208,17 +215,10 @@ def generates_infinitesimal_deformation(d: DeformationDatum
     """
     base, pair = d.base, d.pair
     _require_passed(verify_bol(base), "deformation base must be a Bol algebra")
-    candidate = DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)
-    type_report = is_deformation_type(candidate)
+    type_report = _deformation_type(_datum_forms(d))
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
     sampling = tuple((t, verify_bol(deformed_algebra(d, t))) for t in _SAMPLE_VALUES)
     return InfinitesimalDeformationReport(type_report, cocycle_report, sampling)
-
-
-def _o3_residual(forms: tuple, x1, x2, y1, y2) -> Vec:
-    # nu(nu(y1,y2), nu(x1,x2)), of degree 3 in the integer form (D, NU) of nu alone
-    D, NU = forms
-    return _over(_add_form([0] * len(NU), 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)
 
 
 def check_first_order_formal(d: DeformationDatum) -> CheckReport:
@@ -229,17 +229,17 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     o3 = F1(F1(y1,y2), F1(x1,x2)).  Passing everything here implies
     generates_infinitesimal_deformation; the converse can fail.
     """
-    base, pair = d.base, d.pair
+    base = d.base
     _require_passed(verify_bol(base), "deformation base must be a Bol algebra")
-    cocycle_report = is_cocycle(adjoint_representation(base), pair)
-    candidate = DeformationTypeCandidate(base.n, base.c, pair.nu, pair.omega)
+    cocycle_report = is_cocycle(adjoint_representation(base), d.pair)
+    D, _, NU, _ = forms = _datum_forms(d)
     # The verified base makes mu = * antisymmetric and a CochainPair is
     # antisymmetric by construction, so (B2'), (B3') and o3 change sign when
     # x1, x2 or y1, y2 are swapped: the representatives find the first failure.
-    nu = _integer_forms(base.n, ((2, _pair_coefficients(pair, 2)),))
-    return CheckReport(cocycle_report.checks + _closure_checks(candidate, True) + (
-        _scan("o3", slot_tuples(base.n, (2, 2)),
-              lambda a, b, c, e: _o3_residual(nu, a, b, c, e)),))
+    # o3 has degree 3 in the integer form.
+    return CheckReport(cocycle_report.checks + _closure_checks(forms, True) + (
+        _scan("o3", slot_tuples(base.n, (2, 2)), lambda x1, x2, y1, y2: _over(
+            _add_form([0] * base.n, 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)),))
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ product.  Conversely every extension induces, through its section,
 The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
-Every scan and read here adds up ints: the integer forms of hat(B) and B
-on the integer columns of i, p, sigma, the splitting and phi, over one
-common denominator per residual or value (``algebra._over``).
+hat(B) is built from the coefficients of B, the cocycle and the module
+maps, placed by the formulas above.  Every scan and read here adds up ints:
+the integer forms of hat(B) and B on the integer columns of i, p, sigma,
+the splitting and phi, over one common denominator per residual or value
+(``algebra._over``).
 
 Two extensions over identical induced representations are equivalent --
 there is a homomorphism phi with phi o i1 = i2 and p2 o phi = p1 -- iff
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .algebra import (
     BolAlgebra,
@@ -50,21 +53,21 @@ from .algebra import (
     ConditionCheck,
     _add_form,
     _add_terms,
+    _form_coefficients,
     _integer_cols,
     _integer_terms,
+    _of_coefficients,
     _once_per_object,
     _over,
     _require_passed,
     _scan,
     entry_args,
-    entry_values,
     slot_tuples,
-    tabulate,
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, vec_scale, zero_vec
-from .representation import Representation, verify_representation
+from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse
+from .representation import Representation, _integer_rows, verify_representation
 
 
 class InvalidExtensionError(ValueError):
@@ -197,40 +200,31 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     B = R.base
     n, m = B.n, R.m
     N = n + m
+    D, P, T = _integer_terms(B)
+    DR, rho, DV, theta = _integer_rows(R)
+    binary = [*_form_coefficients(D, P, 2), *c.coefficients(2, n)]
+    ternary = [*_form_coefficients(D, T, 3), *c.coefficients(3, n)]
 
-    def fiber(u: Vec) -> Vec:
-        return zero_vec(n) + u
+    def fiber(rows):  # (n + a, n + b, entry (a, b)) over the nonzeros of a module map
+        return [(n + a, n + b, Fraction(v, DR)) for a, row in enumerate(rows) for b, v in row]
 
-    # Basis products of hat(B): an index x < n is e_x in B, any other is
-    # e_(x-n) in V; each case is one term of the module docstring's formulas.
-    def binary(x, y):
-        match x < n, y < n:
-            case True, True:
-                return B.basis_product(x, y) + entry_values(c.nu, (x, y))
-            case True, False:
-                return fiber(R.rho[x].col(y - n))
-            case False, True:
-                return fiber(vec_scale(-1, R.rho[y].col(x - n)))
-        return zero_vec(N)
-
-    def ternary(x, y, z):
-        match x < n, y < n, z < n:
-            case True, True, True:
-                return B.basis_triple(x, y, z) + entry_values(c.omega, (x, y, z))
-            case True, True, False:
-                return fiber(R.D[x][y].col(z - n))
-            case True, False, True:
-                return fiber(vec_scale(-1, R.theta[x][z].col(y - n)))
-            case False, True, True:
-                return fiber(R.theta[y][z].col(x - n))
-        return zero_vec(N)
+    # An index x < n is e_x in B, any other e_(x-n) in V.  B's products land at k < n
+    # and the cocycle's and module maps' at k >= n: no two share an (args, k).
+    for x, y in itertools.product(range(n), repeat=2):
+        for a, b, v in fiber(DV[x][y]):  # D(x1,x2)u3
+            ternary.append(((x, y, b), a, v))
+        for a, b, v in fiber(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
+            ternary += ((x, b, y), a, -v), ((b, x, y), a, v)
+    for x in range(n):
+        for a, b, v in fiber(rho[x]):  # rho(x1)u2 - rho(x2)u1
+            binary += ((x, b), a, v), ((b, x), a, -v)
 
     def block(rows, cols, shift):
         """rows x cols block of the N x N identity: 1 where row = col + shift."""
         return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
                                      for r in range(rows) for c in range(cols)))
 
-    hat = BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
+    hat = _of_coefficients(BolAlgebra, N, binary, ternary, None)
     return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 

@@ -43,7 +43,6 @@ from .algebra import (
     _antisymmetry_error,
     _common_denominator,
     _bracket,
-    _integer_cols,
     _integer_sum,
     _integer_terms,
     _once_per_object,
@@ -140,27 +139,9 @@ def _antisymmetry_failure(R: Representation) -> str | None:
 
 
 @_once_per_object
-def _integer_maps(R: Representation) -> tuple:
-    """The kept integer form (D_R, rho, D, theta) of R, for the cocycle conditions.
-
-    D_R is the lcm of every denominator of rho, D and theta; each matrix is
-    kept by column, [b] = ((a, entry (a, b) times D_R as an int), ...) over
-    its nonzeros.
-    """
-    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
-    DR = _common_denominator(x for mat in mats for x in mat.entries)
-
-    def cols(mat):  # the kept columns themselves where rescaling to D_R changes nothing
-        D, kept = _integer_cols(mat)
-        return kept if D == DR or not any(kept) else tuple(_scaled(c, DR // D) for c in kept)
-    grid = lambda g: tuple(tuple(cols(mat) for mat in row) for row in g)
-    return DR, tuple(cols(mat) for mat in R.rho), grid(R.D), grid(R.theta)
-
-
-@_once_per_object
 def _integer_rows(R: Representation) -> tuple:
-    """The kept integer rows (D_R, rho, D, theta) of R: each matrix by its
-    nonzero_rows, every entry times D_R (as in _integer_maps), as ints."""
+    """The one kept integer form (D_R, rho, D, theta) of R: each matrix by its nonzero_rows,
+    every entry times D_R, the lcm of every denominator of rho, D and theta, as ints."""
     mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
     DR = _common_denominator(x for mat in mats for x in mat.entries)
     rows = lambda mat: tuple(_scaled(row, DR) for row in mat.nonzero_rows)

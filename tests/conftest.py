@@ -34,7 +34,7 @@ from bolalg.algebra import (
     trilinear_eval,
     verify_bol,
 )
-from bolalg.cohomology import CochainPair
+from bolalg.cohomology import CochainPair, is_cocycle
 from bolalg.linalg import (
     Mat, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
 )
@@ -208,13 +208,13 @@ def fraction_constraint_rows(R: Representation):
     for _, _, tuples, reads in COHOMOLOGY._cocycle_conditions(R, representatives=True):
         for idx in tuples:
             rows = [{} for _ in range(m)]
-            for coeff, cols, args in reads(*idx):
+            for coeff, map_rows, args in reads(*idx):
                 start, sign = index.get(args, (0, 0))
                 if sign:
                     s = sign * coeff
-                    for k, col in enumerate(cols, start):
-                        for a, x in col:
-                            rows[a][k] = rows[a].get(k, 0) + s * x
+                    for a, map_row in enumerate(map_rows):
+                        for b, x in map_row:
+                            rows[a][start + b] = rows[a].get(start + b, 0) + s * x
             for row in rows:
                 row = sorted((k, x) for k, x in row.items() if x)
                 if row:
@@ -645,6 +645,49 @@ def tabulated_deformed_algebra(d, t) -> BolAlgebra:
             entry_values(tensor, args), vec_scale(F(t), entry_values(first_order, args))))
     return BolAlgebra(n, deformed(base.c, pair.nu, 2), deformed(base.t, pair.omega, 3),
                       base.basis_names)
+
+
+def tabulated_twisted_product(R: Representation, c: CochainPair):
+    """The former extension.twisted_product: every basis product of hat(B)
+    tabulated from the dense base, cocycle and module-map entries, one case of
+    the extension module docstring's formulas per argument pattern."""
+    assert verify_representation(R).passed and is_cocycle(R, c).passed
+    B = R.base
+    n, m = B.n, R.m
+    N = n + m
+
+    def fiber(u: tuple) -> tuple:
+        return zero_vec(n) + u
+
+    def binary(x, y):
+        match x < n, y < n:
+            case True, True:
+                return B.basis_product(x, y) + entry_values(c.nu, (x, y))
+            case True, False:
+                return fiber(R.rho[x].col(y - n))
+            case False, True:
+                return fiber(vec_scale(-1, R.rho[y].col(x - n)))
+        return zero_vec(N)
+
+    def ternary(x, y, z):
+        match x < n, y < n, z < n:
+            case True, True, True:
+                return B.basis_triple(x, y, z) + entry_values(c.omega, (x, y, z))
+            case True, True, False:
+                return fiber(R.D[x][y].col(z - n))
+            case True, False, True:
+                return fiber(vec_scale(-1, R.theta[x][z].col(y - n)))
+            case False, True, True:
+                return fiber(R.theta[y][z].col(x - n))
+        return zero_vec(N)
+
+    def block(rows, cols, shift):
+        return Mat(rows, cols, tuple(F(1) if r == col + shift else F(0)
+                                     for r in range(rows) for col in range(cols)))
+
+    hat = BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
+    return importlib.import_module("bolalg.extension").AbelianExtension(
+        B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 
 def coordinate_product_terms(A) -> tuple:

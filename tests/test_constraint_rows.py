@@ -28,7 +28,6 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     _common_denominator,
-    _integer_cols,
     _integer_terms,
     _scan,
     bilinear_eval,
@@ -48,7 +47,7 @@ from bolalg.linalg import Mat, vec_add, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
-    _integer_maps,
+    _integer_rows,
     adjoint_representation,
     coboundary_matrix,
     induce_from_maltsev,
@@ -60,7 +59,7 @@ from .conftest import (
     make_solvable, matrix_of,
 )
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
-from .test_sparse_scans import PRIME_BASE, _moved_maltsev, _perturbed, _sol3_so3
+from .test_sparse_scans import PRIME_BASE, _moved_maltsev
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
@@ -359,28 +358,8 @@ def _prime_cochains():
 def test_the_prime_module_rows_equal_the_probe_rows():
     R = _prime_module()
     assert _integer_terms(R.base)[0].bit_length() > 60
-    assert _integer_maps(R)[0].bit_length() > 60
+    assert _integer_rows(R)[0].bit_length() > 60
     assert _scaled_distinct(list(_constraint_rows(R))) == _distinct(_probe_rows(R))
-
-
-@pytest.mark.parametrize("module", ("so3", "prime", "planted"))
-def test_integer_maps_keep_no_copy_of_columns_already_over_d_r(module):
-    # the adjoint module of sol3 (+) so3 has many zero maps; one theta entry
-    # moved by 1/7 puts every other nonzero map off D_R
-    adjoint = adjoint_representation(maltsev_to_bol(_sol3_so3()))
-    R = {"so3": adjoint_representation(maltsev_to_bol(make_so3())), "prime": _prime_module(),
-         "planted": _perturbed(adjoint, "theta", 4, 5, 3, 3, F(1, 7))}[module]
-    DR, rho, D, theta = _integer_maps(R)
-    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
-    kept = rho + tuple(cols for grid in (D, theta) for row in grid for cols in row)
-    reused = 0
-    for mat, cols in zip(mats, kept, strict=True):
-        own, own_cols = _integer_cols(mat)
-        assert cols == tuple(tuple((a, x * (DR // own)) for a, x in col) for col in own_cols)
-        if own == DR or mat.is_zero():
-            assert cols is own_cols
-            reused += 1
-    assert reused >= 1
 
 
 def test_is_cocycle_on_the_prime_module_equals_the_reference_scan():
@@ -411,7 +390,7 @@ def test_a_late_defect_behind_prime_denominators_is_found_as_by_the_reference_sc
     coords = list(coboundary_of(R, PseudoderivationData(f, (F(0),) * m)).coords())
     coords[_coordinate_index(n, m)[(4, 5, 5)][0] + m - 1] += F(1, next(primes))
     c = coords_to_cochain(B, m, tuple(coords))
-    assert min(_integer_terms(B)[0], _integer_maps(R)[0],
+    assert min(_integer_terms(B)[0], _integer_rows(R)[0],
                _common_denominator(c.coords())).bit_length() > 60
     got = is_cocycle(R, c)
     assert got == _reference_scan(R, c)

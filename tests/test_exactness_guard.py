@@ -7,7 +7,10 @@ the standard library and ``bolalg`` itself, and no imported name that the
 module never uses and does not list in ``__all__``.  No module but
 ``algebra`` calls the Fraction evaluators ``bilinear_eval`` and
 ``trilinear_eval`` or an algebra's ``product`` and ``triple`` methods: every
-scan reads integer forms.  The source walk cannot
+scan reads integer forms.  No module calls ``tabulate`` or the
+``BolAlgebra`` and ``MaltsevAlgebra`` constructors: every algebra is built
+from coefficients by ``algebra._of_coefficients``, and only the reference
+``representation.coboundary_tensors`` tabulates.  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
@@ -179,6 +182,49 @@ def test_no_scan_outside_algebra_calls_the_fraction_evaluators(source):
 def test_the_evaluator_guard_catches(code, calls):
     assert _evaluator_calls(ast.parse(code)) == [
         f"line {code.count(chr(10)) + 1}: {name}" for name in calls]
+
+
+_CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
+
+# The one coefficient builder, which instantiates through ``cls``, and the
+# reference coboundary tensors, which tabulate every entry.
+_BUILDERS = {"algebra.py": ["_of_coefficients: cls"],
+             "representation.py": ["coboundary_tensors: tabulate"] * 2}
+
+
+def _construction_calls(tree: ast.Module) -> list[str]:
+    """Each call of tabulate or of the BolAlgebra or MaltsevAlgebra constructor,
+    and each call of ``cls`` in a module-level function, as "<top-level
+    definition>: <name>" (a classmethod's ``cls(...)`` builds its own class)."""
+    found = []
+    for top in tree.body:
+        names = _CONSTRUCTORS | ({"cls"} if isinstance(top, ast.FunctionDef) else set())
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in names:
+                    found.append(f"{getattr(top, 'name', '<module>')}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_algebra_is_built_from_coefficients(source):
+    assert _construction_calls(ast.parse(source.read_text(), str(source))) == _BUILDERS.get(
+        source.name, [])
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def f(n, g):\n    return tabulate(n, n, 2, g)", ["f: tabulate"]),
+    ("hat = BolAlgebra(N, c, t)", ["<module>: BolAlgebra"]),
+    ("def f(M):\n    return algebra.MaltsevAlgebra(M.n, M.c)", ["f: MaltsevAlgebra"]),
+    ("def build(cls, n, c):\n    return cls(n, c)", ["build: cls"]),
+    ("class A:\n    @classmethod\n    def zero(cls):\n        return cls(0)", []),
+    ("def f(n):\n    return BolAlgebra.from_entries(n, (), ())", []),
+    ("def f(A):\n    return isinstance(A, BolAlgebra)", []),
+])
+def test_the_construction_guard_catches(code, calls):
+    assert _construction_calls(ast.parse(code)) == calls
 
 
 # ---------------------------------------------------------------------------
