@@ -135,17 +135,6 @@ def _fill(value_dim: int, n: int, arity: int, rows_at) -> tuple:
     return tuple(planes)
 
 
-def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
-    """The frozen tensor t[v][a1]...[ak] = fn(a1, ..., ak)[v], slots over range(n).
-
-    fn is called once per argument tuple, in lexicographic order, and must
-    return value_dim coordinates.
-    """
-    rng = range(n)
-    return _fill(value_dim, n, arity,
-                 lambda prefix: tuple(zip(*[fn(*prefix, a) for a in rng])))
-
-
 def slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
     """Index tuples over range(n) in lexicographic order, built from groups of slots.
 

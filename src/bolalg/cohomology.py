@@ -16,11 +16,12 @@ slots.  The pair is a cocycle when
            + omega(y1,y2,[x1,x2,y3]) + D(y1,y2) omega(x1,x2,y3)
            + theta(y2,y3) omega(x1,x2,y1) - theta(y1,y3) omega(x1,x2,y2)
 
-and a coboundary when it arises from a pair (f, chi) via the equations of
-``representation.coboundary_tensors``.  CC2 couples nu and omega, so the
-cocycle space Z and the coboundary space B live inside the single coupled
-coefficient space C^2 (+) C^3; dimensions and bases below always refer to
-that coupled space, with the nu/omega split kept only for display.
+and a coboundary when it is the image of a pair (f, chi) under the one
+coboundary map, the kept rows ``representation._coboundary_rows``.  CC2
+couples nu and omega, so the cocycle space Z and the coboundary space B
+live inside the single coupled coefficient space C^2 (+) C^3; dimensions
+and bases below always refer to that coupled space, with the nu/omega
+split kept only for display.
 
 CC1-CC3 are stated once, in integers (``_cocycle_conditions``), and read
 by both ``is_cocycle`` and the constraint rows of ``cohomology``.  The
@@ -96,11 +97,11 @@ from .representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
+    _coboundary_coords,
     _delta_rows,
     _integer_rows,
     cochain_dim,
     coboundary_matrix,
-    coboundary_tensors,
     pseudoderivation_params,
     unpack_params,
 )
@@ -112,11 +113,12 @@ class CochainPair:
 
     ``CochainPair(base, m, nu, omega)`` takes the coefficient tensors
     nu[a][i][j] and omega[a][i][j][k] and raises ValueError on a bad shape
-    or at the first tuple where they are not antisymmetric.  The other
-    constructors (``zero``, ``from_entries``, ``coords_to_cochain``) write
-    the coordinates directly; the tensors are then built on first access
-    and kept on the pair (the library reads ``entries`` and ``coefficients``
-    instead).  Two pairs are equal when their base, m and coordinates are.
+    or at the first tuple where they are not antisymmetric, and TypeError
+    on an inexact entry.  The other constructors (``zero``, ``from_entries``,
+    ``coords_to_cochain``) write the coordinates directly.  The tensors are
+    built from the coordinates on first access and kept on the pair (the
+    library reads ``entries`` and ``coefficients`` instead).  Two pairs are
+    equal when their base, m and coordinates are.
     """
 
     base: BolAlgebra
@@ -136,9 +138,9 @@ class CochainPair:
                 for plane in cube
             ):
                 raise ValueError("omega tensor must be m x n x n x n")
-        # raises on the first antisymmetry failure
-        coords = entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
-        self.__dict__.update(base=base, m=m, _coords=coords, nu=nu, omega=omega)
+        # raises on the first antisymmetry failure, then on an inexact entry
+        coords = tuple(map(_exact, entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))))
+        self.__dict__.update(base=base, m=m, _coords=coords)
 
     @classmethod
     def _of_coords(cls, base: BolAlgebra, m: int, coords: Vec) -> "CochainPair":
@@ -359,9 +361,9 @@ def is_cocycle(R: Representation, c: CochainPair) -> CheckReport:
 
 
 def coboundary_of(R: Representation, p: PseudoderivationData) -> CochainPair:
-    """Coboundary generated by (f, chi); chi enters only through Delta."""
-    nu, omega = coboundary_tensors(R, p)
-    return CochainPair(R.base, R.m, nu, omega)
+    """Coboundary generated by (f, chi), chi entering only through Delta; it
+    raises as ``representation._coboundary_coords`` does."""
+    return coords_to_cochain(R.base, R.m, _coboundary_coords(R, p))
 
 
 def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"

@@ -19,8 +19,8 @@ All conditions are multilinear, so they are decided on basis tuples.  The
 scans read integer forms kept once per object: the nonzeros of each
 product and bracket of B times D_A (``algebra._integer_terms``), and of
 each rho, D, theta and Delta matrix by row times D_R (``_integer_rows``,
-``_delta_rows``); each residual adds up the nonzero terms as ints over one
-common denominator.  The
+``_delta_rows``, which ``Representation.delta`` reads too); each residual
+adds up the nonzero terms as ints over one common denominator.  The
 operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator identity
 checked by check_delta_identity, and drives the companion term of
 pseudoderivations: a linear map f: B -> V with companion chi in V is a
@@ -28,6 +28,8 @@ pseudoderivation when
 
   f(x1*x2)      = rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi)
   f([x1,x2,x3]) = theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3).
+
+The coboundary (f, chi) -> (nu, omega) is stated once, as the kept ``_coboundary_rows``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .algebra import (
     _antisymmetry_error,
     _common_denominator,
     _bracket,
+    _dense,
     _integer_sum,
     _integer_terms,
     _once_per_object,
@@ -50,15 +53,14 @@ from .algebra import (
     _require_passed,
     _scaled,
     _scan,
+    _swapped,
     _times,
     entry_args,
     maltsev_to_bol,
     slot_tuples,
-    tabulate,
-    tensor_from_entries,
     verify_bol,
 )
-from .linalg import Mat, SparseMat, Vec, commutator, kernel_basis, vec_add, vec_sub, zero_vec
+from .linalg import Mat, SparseMat, Vec, _exact, commutator, kernel_basis, zero_vec
 
 _THIRD = Fraction(1, 3)
 
@@ -88,14 +90,9 @@ class Representation:
                     if mat.shape != (m, m):
                         raise ValueError(f"grid matrix shape {mat.shape} != ({m},{m})")
 
-    # -- linear/bilinear extensions; slots take a basis index or a Vec ----
-
-    def rho_of(self, x) -> Mat:
-        return _lincomb(self.rho, x, self.m)
-
     def delta(self, x: int, y: int) -> Mat:
-        """Delta(e_x, e_y) = D(e_x, e_y) - rho(e_x * e_y)."""
-        return self.D[x][y] - self.rho_of(self.base.basis_product(x, y))
+        """Delta(e_x, e_y) = D(e_x, e_y) - rho(e_x * e_y), read off the kept _delta_rows."""
+        return Mat(self.m, self.m, SparseMat(self.m, _delta_rows(self)[x][y]).entries)
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "Representation":
@@ -395,6 +392,19 @@ class PseudoderivationData:
         return cls(Mat.zeros(m, n), zero_vec(m))
 
 
+def _coboundary_coords(R: Representation, p: PseudoderivationData) -> Vec:
+    """The coboundary of (f, chi) in cochain coordinates: the kept _coboundary_rows applied
+    to f's columns, then chi.  A float in f or chi raises TypeError; a nonzero module whose
+    c, t or D is not antisymmetric raises the ValueError of _coboundary_rows."""
+    n, m = R.base.n, R.m
+    if p.f.shape != (m, n):
+        raise ValueError(f"pseudoderivation map must be {m}x{n}, got {p.f.shape}")
+    if len(p.chi) != m:
+        raise ValueError(f"companion must live in the {m}-dim module")
+    params = [_exact(x) for j in range(n) for x in p.f.col(j)] + [_exact(x) for x in p.chi]
+    return tuple(sum((x * params[k] for k, x in row), Fraction(0)) for row in _coboundary_rows(R))
+
+
 def coboundary_tensors(R: Representation, p: PseudoderivationData):
     """Raw (nu, omega) tensors of the coboundary generated by (f, chi):
 
@@ -403,34 +413,18 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
     omega(x1,x2,x3) = theta(x2,x3) f(x1) - theta(x1,x3) f(x2)
                       + D(x1,x2) f(x3) - f([x1,x2,x3])
 
-    Returned as nu[a][i][j] and omega[a][i][j][k] nested tuples.
+    Returned as nu[a][i][j] and omega[a][i][j][k] nested tuples; raises as _coboundary_coords.
     """
-    B = R.base
-    n, m = B.n, R.m
-    f, chi = p.f, p.chi
-    if f.shape != (m, n):
-        raise ValueError(f"pseudoderivation map must be {m}x{n}, got {f.shape}")
-    if len(chi) != m:
-        raise ValueError(f"companion must live in the {m}-dim module")
-    fcols = [f.col(j) for j in range(n)]
-
-    def nu(i, j):
-        val = vec_sub(R.rho[i].apply(fcols[j]), R.rho[j].apply(fcols[i]))
-        val = vec_add(val, R.delta(i, j).apply(chi))
-        return vec_sub(val, f.apply(B.basis_product(i, j)))
-
-    def omega(i, j, k):
-        val = vec_sub(R.theta[j][k].apply(fcols[i]), R.theta[i][k].apply(fcols[j]))
-        val = vec_add(val, R.D[i][j].apply(fcols[k]))
-        return vec_sub(val, f.apply(B.basis_triple(i, j, k)))
-    return tabulate(m, n, 2, nu), tabulate(m, n, 3, omega)
+    n, m = R.base.n, R.m
+    args = entry_args(n, 2) + entry_args(n, 3)  # coordinate k is entry k % m of args[k // m]
+    coefficients = [(args[k // m], k % m, x) for k, x in enumerate(_coboundary_coords(R, p)) if x]
+    return tuple(_dense(n, m, arity, _swapped(c for c in coefficients if len(c[0]) == arity))
+                 for arity in (2, 3))
 
 
 def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:
-    """True iff every entry of the full coboundary tensors of (f, chi) vanishes."""
-    n, m = R.base.n, R.m
-    return coboundary_tensors(R, p) == (tensor_from_entries(n, m, 2, (), "nu"),
-                                        tensor_from_entries(n, m, 3, (), "omega"))
+    """True iff the coboundary of (f, chi) is zero; raises as _coboundary_coords does."""
+    return not any(_coboundary_coords(R, p))
 
 
 def pseudoderivation_params(n: int, m: int) -> int:

@@ -18,6 +18,7 @@ from bolalg.algebra import (
     _add_form,
     _add_terms,
     _common_denominator,
+    _fill,
     _integer_sum,
     _integer_terms,
     _nonzeros,
@@ -30,7 +31,6 @@ from bolalg.algebra import (
     entry_args,
     entry_values,
     slot_tuples,
-    tabulate,
     trilinear_eval,
     verify_bol,
 )
@@ -39,9 +39,11 @@ from bolalg.linalg import (
     Mat, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from bolalg.representation import (
+    PseudoderivationData,
     Representation,
     _antisymmetry_failure,
     _delta_rows,
+    _lincomb,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -291,6 +293,45 @@ def fraction_coboundary_rows(R: Representation) -> tuple:
 
     return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))
                  for args in entry_args(n, arity) for a in range(m))
+
+
+# ---------------------------------------------------------------------------
+# slow references: the dense Fraction coboundary, every tensor entry evaluated
+# with Mat.apply, and Delta from the dense matrices
+
+
+def rho_of(R: Representation, x) -> Mat:
+    """The former Representation.rho_of: rho(x) for a basis index or a Vec x."""
+    return _lincomb(R.rho, x, R.m)
+
+
+def dense_delta(R: Representation, x: int, y: int) -> Mat:
+    """The former Representation.delta: D(e_x, e_y) - rho(e_x * e_y), dense."""
+    return R.D[x][y] - rho_of(R, R.base.basis_product(x, y))
+
+
+def dense_coboundary_tensors(R: Representation, p: PseudoderivationData):
+    """The former representation.coboundary_tensors: every entry of nu and
+    omega evaluated from the formulas there, then tabulated."""
+    B = R.base
+    n, m = B.n, R.m
+    f, chi = p.f, p.chi
+    if f.shape != (m, n):
+        raise ValueError(f"pseudoderivation map must be {m}x{n}, got {f.shape}")
+    if len(chi) != m:
+        raise ValueError(f"companion must live in the {m}-dim module")
+    fcols = [f.col(j) for j in range(n)]
+
+    def nu(i, j):
+        val = vec_sub(R.rho[i].apply(fcols[j]), R.rho[j].apply(fcols[i]))
+        val = vec_add(val, dense_delta(R, i, j).apply(chi))
+        return vec_sub(val, f.apply(B.basis_product(i, j)))
+
+    def omega(i, j, k):
+        val = vec_sub(R.theta[j][k].apply(fcols[i]), R.theta[i][k].apply(fcols[j]))
+        val = vec_add(val, R.D[i][j].apply(fcols[k]))
+        return vec_sub(val, f.apply(B.basis_triple(i, j, k)))
+    return tabulate(m, n, 2, nu), tabulate(m, n, 3, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +778,14 @@ def zeros(*shape) -> list:
 def freeze(x):
     """Nested lists to nested tuples, one call per leaf."""
     return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+
+
+def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
+    """The former algebra.tabulate: t[v][a1]...[ak] = fn(a1, ..., ak)[v], fn
+    called once per argument tuple in lexicographic order, through ``_fill``."""
+    rng = range(n)
+    return _fill(value_dim, n, arity,
+                 lambda prefix: tuple(zip(*[fn(*prefix, a) for a in rng])))
 
 
 def tabulate_by_dict(value_dim: int, n: int, arity: int, fn) -> tuple:

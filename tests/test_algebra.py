@@ -11,7 +11,6 @@ from bolalg.algebra import (
     VerificationError,
     entry_args,
     maltsev_to_bol,
-    tabulate,
     tensor_from_entries,
     verify_bol,
     verify_maltsev,
@@ -25,6 +24,7 @@ from .conftest import (
     make_m0,
     make_maltsev_dim4,
     make_so3,
+    tabulate,
     tabulate_by_dict,
     tensor_by_leaves,
     unit_vec,
@@ -257,6 +257,8 @@ class TestConstructors:
 
 
 class TestTabulate:
+    """The slow reference ``conftest.tabulate``: fn once per tuple, filled by ``algebra._fill``."""
+
     def test_value_index_is_outermost(self):
         t = tabulate(2, 3, 2, lambda i, j: (F(i), F(10 * j)))
         assert all(t[0][i][j] == i and t[1][i][j] == 10 * j

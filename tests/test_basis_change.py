@@ -24,7 +24,6 @@ from bolalg.algebra import (
     BolAlgebra,
     bilinear_eval,
     maltsev_to_bol,
-    tabulate,
     trilinear_eval,
     verify_bol,
 )
@@ -46,7 +45,7 @@ from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat, inverse
 from bolalg.representation import PseudoderivationData, Representation, adjoint_representation
 
-from .conftest import DATA, make_b2, make_so3, make_solvable
+from .conftest import DATA, make_b2, make_so3, make_solvable, tabulate
 
 CASES = {
     "so3": (lambda: maltsev_to_bol(make_so3()), (36, 6, 6, 0)),

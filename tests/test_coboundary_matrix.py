@@ -1,15 +1,18 @@
-"""The one (f, chi) coboundary matrix against independent reference systems.
+"""The one (f, chi) coboundary map against independent reference systems.
 
 ``representation.coboundary_matrix`` is the ``SparseMat`` of the sparse rows
 ``_coboundary_rows`` writes from the kept sparse forms of B and R, read in
-cochain coordinates (i<j entries only); the references compare its dense
-entries.  The references below are the
-constructions it replaced: the unit-parameter probe (``matrix_of`` over
-``coboundary_tensors`` and ``entry_coords``), which fails on the same
-unverified R as the antisymmetry gate; the pseudoderivation kernel probed
-over the full n x n and n x n x n tensors; and the zero-companion solve
-that appends rows forcing chi = 0.  The kept sparse Delta rows equal the
-rows of the dense ``R.delta`` matrices.
+cochain coordinates (i<j entries only); ``coboundary_of``,
+``is_pseudoderivation`` and ``coboundary_tensors`` apply the same rows to
+(f, chi).  The references below are the constructions they replaced: the
+dense Fraction coboundary (``conftest.dense_coboundary_tensors``, every
+tensor entry evaluated with ``Mat.apply``), read directly and through the
+unit-parameter probe (``matrix_of`` over it and ``entry_coords``), which
+fails on the same unverified R as the antisymmetry gate; the
+pseudoderivation kernel probed over the full n x n and n x n x n tensors;
+and the zero-companion solve that appends rows forcing chi = 0.  The kept
+sparse Delta rows, and ``R.delta`` read off them, equal the dense Delta
+matrices (``conftest.dense_delta``).
 """
 
 import functools
@@ -35,6 +38,7 @@ from bolalg.representation import (
     adjoint_representation,
     coboundary_matrix,
     coboundary_tensors,
+    is_pseudoderivation,
     pseudoderivation_params,
     pseudoderivation_space,
     unpack_params,
@@ -42,6 +46,8 @@ from bolalg.representation import (
 
 from .conftest import (
     dense,
+    dense_coboundary_tensors,
+    dense_delta,
     freeze,
     make_b2,
     make_ex28_representation,
@@ -67,7 +73,7 @@ def _full_tensor_kernel(R):
     n, m = R.base.n, R.m
 
     def flat(params):
-        nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
+        nu, omega = dense_coboundary_tensors(R, unpack_params(n, m, params))
         return (tuple(x for plane in nu for row in plane for x in row)
                 + tuple(x for cube in omega for plane in cube for row in plane for x in row))
     matrix = matrix_of(flat, pseudoderivation_params(n, m), m * n * n + m * n ** 3)
@@ -124,7 +130,7 @@ def test_matrix_rows_are_the_cochain_coordinates():
 def _probe_coords(R, params):
     """The cochain coordinates of the coboundary of one parameter vector."""
     n, m = R.base.n, R.m
-    nu, omega = coboundary_tensors(R, unpack_params(n, m, params))
+    nu, omega = dense_coboundary_tensors(R, unpack_params(n, m, params))
     return entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
 
 
@@ -198,8 +204,11 @@ def test_non_antisymmetric_coboundary_raises_the_antisymmetry_gate_everywhere(
     with pytest.raises(ValueError) as info:
         _probe_matrix(R)
     assert str(info.value) == probe_message
+    zero = lambda R: PseudoderivationData.zero(R.base.n, R.m)
     for call in (pseudoderivation_space, cohomology,
-                 lambda R: solve_coboundary(R, CochainPair.zero(R.base, R.m))):
+                 lambda R: solve_coboundary(R, CochainPair.zero(R.base, R.m)),
+                 lambda R: coboundary_of(R, zero(R)), lambda R: is_pseudoderivation(R, zero(R)),
+                 lambda R: coboundary_tensors(R, zero(R))):
         with pytest.raises(ValueError) as info:
             call(make())  # a new R: nothing kept from the calls before
         assert str(info.value) == message
@@ -229,5 +238,24 @@ def test_the_delta_rows_are_the_rows_of_the_dense_delta(index):
     R = (_probe_modules() + [_r1_violation(), _symmetric_d(), _symmetric_product()])[index]
     rng = range(R.base.n)
     rows = _delta_rows(R)
-    assert rows == tuple(tuple(R.delta(i, j).nonzero_rows for j in rng) for i in rng)
+    assert rows == tuple(tuple(dense_delta(R, i, j).nonzero_rows for j in rng) for i in rng)
+    assert all(R.delta(i, j) == dense_delta(R, i, j) for i in rng for j in rng)
     assert all(type(x) is F for grid in rows for delta in grid for row in delta for _, x in row)
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_the_coboundary_equals_the_dense_reference(index):
+    # four random (f, chi) per module, each with a nonzero companion
+    R = _probe_modules()[index]
+    n, m = R.base.n, R.m
+    rng = random.Random(300 + index)
+    for _ in range(4):
+        p = _random_pseudo(rng, n, m)
+        if m:
+            p = PseudoderivationData(p.f, (F(rng.choice((-2, -1, 1, 2))),) + p.chi[1:])
+        nu, omega = dense_coboundary_tensors(R, p)
+        c = coboundary_of(R, p)
+        assert c.coords() == entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))
+        assert all(type(x) is F for x in c.coords())
+        assert coboundary_tensors(R, p) == (nu, omega) == (c.nu, c.omega)
+        assert is_pseudoderivation(R, p) == (not any(c.coords()))

@@ -56,7 +56,7 @@ from bolalg.representation import (
 
 from .conftest import (
     assert_primitive, conjugate_representation, dense, freeze, leading_one, make_b2, make_so3,
-    make_solvable, matrix_of,
+    make_solvable, matrix_of, rho_of,
 )
 from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
 from .test_sparse_scans import PRIME_BASE, _moved_maltsev
@@ -88,8 +88,8 @@ def _cc2_residual(R, c, x1, x2, y1, y2):
     r = vec_sub(r, _nu(c, y1, B.basis_triple(x1, x2, y2)))
     r = vec_sub(r, R.rho[y1].apply(_omega(c, x1, x2, y2)))
     r = vec_add(r, R.rho[y2].apply(_omega(c, x1, x2, y1)))
-    r = vec_sub(r, R.rho_of(xx).apply(_nu(c, y1, y2)))
-    r = vec_add(r, R.rho_of(yy).apply(_nu(c, x1, x2)))
+    r = vec_sub(r, rho_of(R, xx).apply(_nu(c, y1, y2)))
+    r = vec_add(r, rho_of(R, yy).apply(_nu(c, x1, x2)))
     r = vec_add(r, _nu(c, yy, xx))
     return r
 

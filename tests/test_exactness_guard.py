@@ -7,10 +7,10 @@ the standard library and ``bolalg`` itself, and no imported name that the
 module never uses and does not list in ``__all__``.  No module but
 ``algebra`` calls the Fraction evaluators ``bilinear_eval`` and
 ``trilinear_eval`` or an algebra's ``product`` and ``triple`` methods: every
-scan reads integer forms.  No module calls ``tabulate`` or the
-``BolAlgebra`` and ``MaltsevAlgebra`` constructors: every algebra is built
-from coefficients by ``algebra._of_coefficients``, and only the reference
-``representation.coboundary_tensors`` tabulates.  The source walk cannot
+scan reads integer forms.  No module calls ``tabulate`` (a slow reference
+in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
+constructors: every algebra is built from coefficients by
+``algebra._of_coefficients``.  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
@@ -20,7 +20,8 @@ of the B2 and B3 residuals of the integer forms (through the per-tuple
 references in ``conftest``: the antisymmetry and block scans of B01-B3 and
 B01'-B3' build a residual only at a failure, which the failing reports
 cover), and of the residual each failing x block of Sagle's identity
-returns.  Every public entry point that takes scalars refuses a float.
+returns.  Every public entry point that takes scalars refuses a float, and
+so does the tensor constructor ``CochainPair(base, m, nu, omega)``.
 """
 
 import ast
@@ -48,7 +49,7 @@ from bolalg.algebra import (
     verify_maltsev,
 )
 from bolalg.algebra import tensor_from_entries
-from bolalg.cohomology import CochainPair, coords_to_cochain, is_cocycle
+from bolalg.cohomology import CochainPair, coboundary_of, coords_to_cochain, is_cocycle
 from bolalg.deformation import (
     DeformationDatum,
     DeformationTypeCandidate,
@@ -61,10 +62,12 @@ from bolalg.extension import AbelianExtension, semidirect_product, validate_exte
 from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat
 from bolalg.representation import (
+    PseudoderivationData,
     Representation,
     adjoint_representation,
     check_delta_identity,
     cochain_dim,
+    is_pseudoderivation,
     maltsev_action_jordan_report,
     maltsev_action_report,
     verify_representation,
@@ -186,10 +189,8 @@ def test_the_evaluator_guard_catches(code, calls):
 
 _CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
 
-# The one coefficient builder, which instantiates through ``cls``, and the
-# reference coboundary tensors, which tabulate every entry.
-_BUILDERS = {"algebra.py": ["_of_coefficients: cls"],
-             "representation.py": ["coboundary_tensors: tabulate"] * 2}
+# The one coefficient builder, which instantiates through ``cls``.
+_BUILDERS = {"algebra.py": ["_of_coefficients: cls"]}
 
 
 def _construction_calls(tree: ast.Module) -> list[str]:
@@ -392,6 +393,13 @@ _ENTRY_POINTS = {
         make_b2(1), 1, [((0, 1), {0: 1})], []),
     "deformed_algebra": lambda x: deformed_algebra(
         DeformationDatum(make_b2(1), CochainPair.zero(make_b2(1), 2)), x),
+    "coboundary_of": lambda x: coboundary_of(adjoint_representation(make_b2(1)),
+                                             PseudoderivationData(Mat.zeros(2, 2), (x, 0))),
+    "coboundary_of (f)": lambda x: coboundary_of(
+        adjoint_representation(make_b2(1)), PseudoderivationData(Mat(2, 2, (0, x, 0, 0)),
+                                                                 (0, 0))),
+    "is_pseudoderivation": lambda x: is_pseudoderivation(
+        adjoint_representation(make_b2(1)), PseudoderivationData(Mat.zeros(2, 2), (x, 0))),
 }
 
 
@@ -402,3 +410,19 @@ def test_an_entry_point_takes_exact_scalars_and_refuses_a_float(name):
     for inexact in (0.1, 1.0):
         with pytest.raises(TypeError, match=re.escape(repr(inexact))):
             build(inexact)
+
+
+def _tensor_pair(x):
+    """CochainPair(b2, 1, nu, omega) with nu(e_0, e_1) = x = -nu(e_1, e_0), omega zero."""
+    nu = (((0, x), (-x, 0)),)
+    return CochainPair(make_b2(1), 1, nu, ((((0, 0),) * 2,) * 2,))
+
+
+def test_the_tensor_constructor_refuses_a_float_and_makes_ints_fractions():
+    with pytest.raises(TypeError, match=re.escape(repr(0.5))):
+        _tensor_pair(0.5)  # antisymmetric, so only the exactness check sees it
+    pair = _tensor_pair(3)
+    assert pair == _tensor_pair(Fraction(3)) and pair.coords() == (3, 0, 0)
+    assert all(type(x) is Fraction for x in pair.coords())
+    assert pair.nu == (((0, 3), (-3, 0)),)
+    assert all(type(x) is Fraction for plane in pair.nu for row in plane for x in row)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, VerificationError, tabulate, verify_bol
+from bolalg.algebra import BolAlgebra, VerificationError, verify_bol
 from bolalg.cohomology import CochainPair, coboundary_of, cohomology, solve_coboundary
 from bolalg.extension import (
     AbelianExtension,
@@ -26,7 +26,7 @@ from bolalg.representation import (
     verify_representation,
 )
 
-from .conftest import dense_fiber_coords, hstack, make_b2, matrix_of
+from .conftest import dense_fiber_coords, hstack, make_b2, matrix_of, tabulate
 
 EXTENSION = importlib.import_module("bolalg.extension")
 

@@ -12,14 +12,14 @@ from pathlib import Path
 import pytest
 
 from bolalg.algebra import (
-    BolAlgebra, _integer_terms, maltsev_to_bol, tabulate, verify_bol,
+    BolAlgebra, _integer_terms, maltsev_to_bol, verify_bol,
 )
 from bolalg.cohomology import cohomology
 from bolalg.formats import parse_algebra, render_algebra
 from bolalg.linalg import vec_sub, zero_vec
 from bolalg.representation import adjoint_representation
 
-from .conftest import DATA, make_so3, make_solvable, unit_vec
+from .conftest import DATA, make_so3, make_solvable, tabulate, unit_vec
 from .test_basis_change import dense_basis, transport
 
 ROOT = Path(__file__).resolve().parent.parent

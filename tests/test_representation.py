@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from bolalg.algebra import BolAlgebra, VerificationError, verify_bol
-from bolalg.linalg import Mat
+from bolalg.linalg import Mat, rref
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -189,6 +189,35 @@ class TestPseudoderivations:
         for R in (adj_1, ex28_rep):
             for p in pseudoderivation_space(R):
                 assert is_pseudoderivation(R, p)
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_the_predicate_is_membership_in_the_space(self, index, adj_1, adj_m1, ex28_rep):
+        # random (f, chi), random members of the space and members moved off it:
+        # True exactly when the packed parameters lie in the span of the basis
+        R = ([adj_1, adj_m1, ex28_rep] + random_representation_corpus())[index]
+        n, m = R.base.n, R.m
+        pack = lambda p: tuple(x for j in range(n) for x in p.f.col(j)) + p.chi
+        basis = [pack(p) for p in pseudoderivation_space(R)]
+        rng = random.Random(index)
+        coeff = lambda: F(rng.randint(-3, 3), rng.randint(1, 3))
+
+        def member():
+            cs = [coeff() for _ in basis]
+            return tuple(sum((c * v[k] for c, v in zip(cs, basis)), F(0))
+                         for k in range(n * m + m))
+        samples = [tuple(coeff() for _ in range(n * m + m)) for _ in range(3)]
+        samples += [member() for _ in range(3)]
+        samples += [tuple(x + (k == rng.randrange(n * m + m)) for k, x in enumerate(member()))
+                    for _ in range(3)]
+        seen = set()
+        for params in samples:
+            p = PseudoderivationData(Mat.from_cols([params[j * m:j * m + m] for j in range(n)],
+                                                   rows=m), params[n * m:])
+            inside = rref(Mat.from_rows(basis + [params])).rank == len(basis)
+            assert is_pseudoderivation(R, p) is inside
+            seen.add(inside)
+        # a module where every (f, chi) is a pseudoderivation has no False branch
+        assert seen == {True, len(basis) == n * m + m}
 
     def test_realizable_companions_at_lambda_one(self, adj_1):
         # chi-components of the kernel span only the second coordinate

@@ -42,7 +42,6 @@ from bolalg.algebra import (
     _scan,
     maltsev_to_bol,
     slot_tuples,
-    tabulate,
     verify_bol,
     verify_maltsev,
 )
@@ -84,6 +83,8 @@ from .conftest import (
     make_solvable,
     random_fraction,
     random_representation_corpus,
+    rho_of,
+    tabulate,
     unit_vec,
     zeros,
 )
@@ -172,9 +173,9 @@ def _reference_representation(R):
     def r21(x1, x2, y1):
         xx = B.basis_product(x1, x2)
         res = commutator(R.D[x1][x2], R.rho[y1])
-        res = res - R.rho_of(B.basis_triple(x1, x2, y1))
+        res = res - rho_of(R, B.basis_triple(x1, x2, y1))
         res = res + theta_of(y1, xx)
-        res = res - R.rho_of(xx) @ R.rho[y1]
+        res = res - rho_of(R, xx) @ R.rho[y1]
         return res.entries
 
     def r22(x1, y1, y2):
@@ -182,7 +183,7 @@ def _reference_representation(R):
         res = theta_of(x1, yy)
         res = res - R.rho[y1] @ R.theta[x1][y2]
         res = res + R.rho[y2] @ R.theta[x1][y1]
-        res = res + (R.D[y1][y2] - R.rho_of(yy)) @ R.rho[x1]
+        res = res + (R.D[y1][y2] - rho_of(R, yy)) @ R.rho[x1]
         return res.entries
 
     def r31(x1, x2, y1, y2):
@@ -219,7 +220,7 @@ def _reference_delta(R):
             prod = B.basis_product(x, y)
         else:
             prod = B.product(x, y)
-        return _grid_of(R, R.D, x, y) - R.rho_of(prod)
+        return _grid_of(R, R.D, x, y) - rho_of(R, prod)
 
     def residual(x1, x2, y1, y2):
         res = commutator(delta(x1, x2), delta(y1, y2))
