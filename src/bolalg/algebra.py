@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, _exact, is_zero_vec, vec_add, zero_vec
+from .linalg import Vec, _common_denominator, _exact, is_zero_vec, vec_add, zero_vec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -389,11 +388,6 @@ def _once_per_object(fn):
 def _nonzeros(v: Vec) -> tuple:
     """The nonzero coordinates ((k, v_k), ...) of v, k ascending."""
     return tuple((k, x) for k, x in enumerate(v) if x)
-
-
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of rational ``values`` (1 for none)."""
-    return math.lcm(*{x.denominator for x in values})
 
 
 def _scaled(terms, D: int) -> tuple:

@@ -77,7 +77,6 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     _checked_entries,
-    _common_denominator,
     _dense,
     _integer_terms,
     _nonzeros,
@@ -90,8 +89,8 @@ from .algebra import (
     slot_tuples,
 )
 from .linalg import (
-    SparseMat, Vec, _exact, _primitive, kernel_basis, rref, solve, vec_add, vec_scale, vec_sub,
-    zero_vec,
+    SparseMat, Vec, _common_denominator, _exact, _primitive, kernel_basis, rref, solve, vec_add,
+    vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,

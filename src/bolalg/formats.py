@@ -233,13 +233,12 @@ def _tensor_entries(tensor, arity: int, n: int):
 def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(path, f"matrix must have {rows} rows")
-    grid = []
+    flat = []
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{path}[{r}]", f"row must have {cols} entries")
-        grid.append([parse_scalar(x, f"{path}[{r}][{c}]")
-                     for c, x in enumerate(row)])
-    return Mat.from_rows(grid) if rows else Mat.zeros(0, cols)
+        flat += (parse_scalar(x, f"{path}[{r}][{c}]") for c, x in enumerate(row))
+    return Mat(rows, cols, tuple(flat))
 
 
 def _render_matrix(m: Mat) -> list:

@@ -223,10 +223,6 @@ class SparseMat:
         return SparseMat(self.rows, tuple(map(tuple, cols)))
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True)
 class RrefResult:
     reduced: Mat
@@ -243,14 +239,21 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g <= 1 else {k: x // g for k, x in row.items()}
 
 
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of ints and Fractions (1 for none); any other value
+    (a float, Decimal, complex, ...) raises TypeError naming it, as _exact refuses it."""
+    try:
+        return math.lcm(*{x.denominator for x in values})
+    except AttributeError as error:
+        if error.name != "denominator":
+            raise
+        raise TypeError(_INEXACT.format(error.obj)) from None
+
+
 def _integer_row(row) -> dict[int, int]:
     """The primitive int row proportional to a row ({col: int or Fraction} or its pairs)."""
     row = dict(row)
-    try:
-        d = math.lcm(*[x.denominator for x in row.values()])
-    except AttributeError:  # a float, Decimal, complex, ...: refused as _exact refuses it
-        bad = next(x for x in row.values() if not hasattr(x, "denominator"))
-        raise TypeError(_INEXACT.format(bad)) from None
+    d = _common_denominator(row.values())
     return _primitive({k: x.numerator * (d // x.denominator) for k, x in row.items()})
 
 

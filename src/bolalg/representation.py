@@ -19,12 +19,15 @@ All conditions are multilinear, so they are decided on basis tuples.  The
 scans read integer forms kept once per object: the nonzeros of each
 product and bracket of B times D_A (``algebra._integer_terms``), and of
 each rho, D, theta and Delta matrix by row times D_R (``_integer_rows``,
-``_delta_rows``, which ``Representation.delta`` reads too); each residual
-adds up the nonzero terms as ints over one common denominator.  The
-operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator identity
-checked by check_delta_identity, and drives the companion term of
-pseudoderivations: a linear map f: B -> V with companion chi in V is a
-pseudoderivation when
+``_delta_rows``, which ``Representation.delta`` reads too), and of a Maltsev
+action read the same way (``_integer_mats``).  Every matrix identity (R1-R33,
+the Delta identity, both Maltsev-action conditions) and every map that
+induce_from_maltsev builds adds up its nonzero terms as ints in one helper,
+``_matrix_sum``, over one common denominator; a product that feeds another
+is read back as integer rows.  The operator Delta(u,v) = D(u,v) - rho(u*v)
+satisfies the commutator identity checked by check_delta_identity, and
+drives the companion term of pseudoderivations: a linear map f: B -> V with
+companion chi in V is a pseudoderivation when
 
   f(x1*x2)      = rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi)
   f([x1,x2,x3]) = theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3).
@@ -43,11 +46,10 @@ from .algebra import (
     CheckReport,
     MaltsevAlgebra,
     _antisymmetry_error,
-    _common_denominator,
     _bracket,
     _dense,
-    _integer_sum,
     _integer_terms,
+    _nonzeros,
     _once_per_object,
     _over,
     _require_passed,
@@ -60,9 +62,7 @@ from .algebra import (
     slot_tuples,
     verify_bol,
 )
-from .linalg import Mat, SparseMat, Vec, _exact, commutator, kernel_basis, zero_vec
-
-_THIRD = Fraction(1, 3)
+from .linalg import Mat, SparseMat, Vec, _common_denominator, _exact, kernel_basis, zero_vec
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,6 @@ class Representation:
                    tuple(tuple(z for _ in range(n)) for _ in range(n)))
 
 
-def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
-    """sum_i x_i mats[i] for a Vec x; a basis index x picks mats[x]."""
-    if isinstance(x, int):
-        return mats[x]
-    acc = Mat.zeros(m, m)
-    for i, s in enumerate(x):
-        if s:
-            acc = acc + s * mats[i]
-    return acc
-
-
 @_once_per_object
 def _antisymmetry_failure(R: Representation) -> str | None:
     """None when the product of B, its ternary product and D are antisymmetric
@@ -135,15 +124,21 @@ def _antisymmetry_failure(R: Representation) -> str | None:
     return None
 
 
+def _integer_mats(mats: tuple[Mat, ...]) -> tuple:
+    """(D, rows): D the lcm of every denominator of the matrices and rows[i] matrix i by
+    its nonzero_rows, every entry times D, as ints; a float raises TypeError."""
+    D = _common_denominator(x for mat in mats for x in mat.entries)
+    return D, tuple(tuple(_scaled(row, D) for row in mat.nonzero_rows) for mat in mats)
+
+
 @_once_per_object
 def _integer_rows(R: Representation) -> tuple:
-    """The one kept integer form (D_R, rho, D, theta) of R: each matrix by its nonzero_rows,
-    every entry times D_R, the lcm of every denominator of rho, D and theta, as ints."""
-    mats = R.rho + tuple(mat for grid in (R.D, R.theta) for row in grid for mat in row)
-    DR = _common_denominator(x for mat in mats for x in mat.entries)
-    rows = lambda mat: tuple(_scaled(row, DR) for row in mat.nonzero_rows)
-    grid = lambda g: tuple(tuple(map(rows, row)) for row in g)
-    return DR, tuple(map(rows, R.rho)), grid(R.D), grid(R.theta)
+    """The one kept integer form (D_R, rho, D, theta) of R: rho, D and theta read
+    together by _integer_mats, D_R the lcm of all their denominators."""
+    n = R.base.n
+    DR, rows = _integer_mats((*R.rho, *itertools.chain(*R.D, *R.theta)))
+    grid = lambda start: tuple(rows[start + i * n:start + i * n + n] for i in range(n))
+    return DR, rows[:n], grid(n), grid(n + n * n)
 
 
 def _sparse_row(denominator: int, *parts) -> tuple:
@@ -173,9 +168,9 @@ def _delta_rows(R: Representation) -> tuple:
     return tuple(tuple(delta(i, j) for j in rng) for i in rng)
 
 
-def _matrix_sum(m: int, denominator: int, terms) -> Vec:
-    """The row-major entries of the sum of s * A or s * A @ B over the terms (s, A) and
-    (s, A, B), over the denominator; A and B are m x m by their rows of integer nonzeros."""
+def _matrix_sum(m: int, terms) -> list:
+    """The row-major ints of the sum of s * A or s * A @ B over the terms (s, A) and
+    (s, A, B); A and B are m x m by their rows of integer nonzeros, s an int."""
     acc = [0] * (m * m)
     for s, a, *b in terms:
         for r, row in enumerate(a):
@@ -187,7 +182,12 @@ def _matrix_sum(m: int, denominator: int, terms) -> Vec:
                         acc[base + c] += sx * y
                 else:
                     acc[base + l] += s * x
-    return _over(acc, denominator)
+    return acc
+
+
+def _matrix_rows(m: int, acc: list) -> tuple:
+    """The m x m matrix of the row-major ints acc by its rows of integer nonzeros."""
+    return tuple(_nonzeros(acc[r * m:(r + 1) * m]) for r in range(m))
 
 
 @_once_per_object
@@ -248,7 +248,7 @@ def verify_representation(R: Representation) -> CheckReport:
     grouped = _antisymmetry_failure(R) is None
     return CheckReport(tuple(
         _scan(name, slot_tuples(n, sizes, grouped),
-              lambda *idx, terms=terms: _matrix_sum(m, DA * DR * DR, terms(*idx)))
+              lambda *idx, terms=terms: _over(_matrix_sum(m, terms(*idx)), DA * DR * DR))
         for name, sizes, terms in (
             ("R1", (2,), r1), ("R21", (2, 1), r21), ("R22", (1, 2), r22),
             ("R31", (2, 2), derivation(D)), ("R32", (2, 1, 1), derivation(theta)),
@@ -268,24 +268,40 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
     return Representation(B, B.n, rho, D, theta)
 
 
+def _action_rows(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> tuple:
+    """(m, D_A, P, D_R, R) of a Maltsev action: (D_A, P, _) the kept form of M and
+    R[i] = rho(e_i), one m x m matrix per basis element, as _integer_mats reads it."""
+    if len(rho) != M.n:
+        raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
+    m = rho[0].rows if rho else 0
+    if any(mat.shape != (m, m) for mat in rho):
+        raise ValueError("action matrices must share one square shape")
+    return (m, *_integer_terms(M)[:2], *_integer_mats(rho))
+
+
+def _pair_sum(action: tuple, i: int, j: int, a: int, b: int, c: int) -> list:
+    """a rho(e_i) rho(e_j) + b rho(e_j) rho(e_i) + c rho(e_i * e_j) times D_A * D_R**2, as
+    the ints of _matrix_sum, for an action read by _action_rows."""
+    m, DA, P, DR, R = action
+    return _matrix_sum(m, ((a * DA, R[i], R[j]), (b * DA, R[j], R[i]),
+                           *((c * DR * x, R[k]) for k, x in P[i][j])))
+
+
 def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
     """Check the Maltsev-representation condition [D1(x,y), rho(z)] = rho([x,y,z]_1).
 
     Here D1(x,y) = [rho(x), rho(y)] + rho(x*y) and
     [x,y,z]_1 = x*(y*z) - y*(x*z) + (x*y)*z.
     """
-    n = M.n
-    m = rho[0].rows if rho else 0
-    D, P, _ = _integer_terms(M)
+    action = m, DA, P, DR, R = _action_rows(M, rho)
 
-    def residual(x, y, z):
-        d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
-        bracket1 = _over(_bracket(P, x, y, z, 1), D * D)
-        return (commutator(d1, rho[z]) - _lincomb(rho, bracket1, m)).entries
-
-    check = _scan("maltsev-representation",
-                  itertools.product(range(n), repeat=3), residual)
-    return CheckReport((check,))
+    def residual(x, y, z):  # over D_A**2 * D_R**3, D1 read back as integer rows
+        d1 = _matrix_rows(m, _pair_sum(action, x, y, 1, -1, 1))
+        return _over(_matrix_sum(m, ((DA, d1, R[z]), (-DA, R[z], d1), *(
+            (-DR * DR * c, R[k]) for k, c in _nonzeros(_bracket(P, x, y, z, 1))))),
+            DA * DA * DR ** 3)
+    return CheckReport((_scan("maltsev-representation",
+                              itertools.product(range(M.n), repeat=3), residual),))
 
 
 def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
@@ -296,26 +312,20 @@ def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Che
 
     with {a,b} = ab + ba.  Provided as a cross-check of maltsev_action_report.
     """
-    n = M.n
-    m = rho[0].rows if rho else 0
+    action = m, DA, P, DR, R = _action_rows(M, rho)
+    jordan = lambda x, y: _matrix_rows(m, _pair_sum(action, x, y, 1, 1, 0))
 
-    def jordan(a: Mat, b: Mat) -> Mat:
-        return a @ b + b @ a
-
-    D, P, _ = _integer_terms(M)
-
+    # over D_A**2 * D_R**3: degree a in D_A and r in D_R is scaled by D_A**(2-a) D_R**(3-r)
     def residual(x, y, z):
-        res = _lincomb(rho, _integer_sum(D * D, n, _times(P, ((x, 1),), P[y][z])), m)
-        res = res - rho[z] @ jordan(rho[x], rho[y])
-        res = res + rho[y] @ jordan(rho[x], rho[z])
-        res = res - jordan(rho[x], _lincomb(rho, M.basis_product(y, z), m))
-        res = res + rho[z] @ _lincomb(rho, M.basis_product(x, y), m)
-        res = res - rho[y] @ _lincomb(rho, M.basis_product(x, z), m)
-        return res.entries
-
-    check = _scan("maltsev-representation-jordan",
-                  itertools.product(range(n), repeat=3), residual)
-    return CheckReport((check,))
+        return _over(_matrix_sum(m, (
+            *((DR * DR * c, R[k]) for k, c in _times(P, ((x, 1),), P[y][z])),
+            (-DA, R[z], jordan(x, y)), (DA, R[y], jordan(x, z)),
+            *((-DA * DR * c, R[x], R[k]) for k, c in P[y][z]),
+            *((-DA * DR * c, R[k], R[x]) for k, c in P[y][z]),
+            *((DA * DR * c, R[z], R[k]) for k, c in P[x][y]),
+            *((-DA * DR * c, R[y], R[k]) for k, c in P[x][z]))), DA * DA * DR ** 3)
+    return CheckReport((_scan("maltsev-representation-jordan",
+                              itertools.product(range(M.n), repeat=3), residual),))
 
 
 def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:
@@ -330,25 +340,15 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representati
     condition is checked as well, so the two forms cross-check each other.
     """
     rho = tuple(rho)
-    n = M.n
-    if len(rho) != n:
-        raise ValueError(f"expected {n} action matrices, got {len(rho)}")
-    m = rho[0].rows if rho else 0
-    for mat in rho:
-        if mat.shape != (m, m):
-            raise ValueError("action matrices must share one square shape")
-
+    action = m, DA, _, DR, _ = _action_rows(M, rho)
     _require_passed(maltsev_action_report(M, rho),
                     "action does not satisfy the Maltsev representation condition")
     _require_passed(maltsev_action_jordan_report(M, rho),
                     "Maltsev representation cross-check disagrees")
-
-    def grid(fn):  # fn(rho(e_i), rho(e_j), rho(e_i * e_j))
-        return tuple(tuple(_THIRD * fn(rho[i], rho[j], _lincomb(rho, M.basis_product(i, j), m))
-                           for j in range(n)) for i in range(n))
-    D = grid(lambda ri, rj, rp: commutator(ri, rj) + Fraction(2) * rp)
-    theta = grid(lambda ri, rj, rp: ri @ rj + Fraction(2) * (rj @ ri) - rp)
-    return Representation(maltsev_to_bol(M), m, rho, D, theta)
+    grid = lambda a, b, c: tuple(tuple(  # 1/3 of the _pair_sum with coefficients a, b, c
+        Mat(m, m, _over(_pair_sum(action, i, j, a, b, c), 3 * DA * DR * DR))
+        for j in range(M.n)) for i in range(M.n))
+    return Representation(maltsev_to_bol(M), m, rho, grid(1, -1, 2), grid(1, 2, -1))
 
 
 def check_delta_identity(R: Representation) -> CheckReport:
@@ -367,11 +367,12 @@ def check_delta_identity(R: Representation) -> CheckReport:
 
     # a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
     def residual(x1, x2, y1, y2):
-        return _matrix_sum(m, (DA * DD) ** 2, (
+        return _over(_matrix_sum(m, (
             (DA * DA, delta[x1][x2], delta[y1][y2]), (-DA * DA, delta[y1][y2], delta[x1][x2]),
             *((-DA * DD * c, delta[k][y2]) for k, c in T[x1][x2][y1]),
             *((-DA * DD * c, delta[y1][k]) for k, c in T[x1][x2][y2]),
-            *((DD * c * d, delta[a][b]) for a, c in P[y1][y2] for b, d in P[x1][x2])))
+            *((DD * c * d, delta[a][b]) for a, c in P[y1][y2] for b, d in P[x1][x2]))),
+            (DA * DD) ** 2)
 
     # With c, t and D antisymmetric so is Delta, and the residual changes sign
     # when x1, x2 or y1, y2 are swapped.

@@ -17,33 +17,34 @@ from bolalg.algebra import (
     MaltsevAlgebra,
     _add_form,
     _add_terms,
-    _common_denominator,
+    _bracket,
     _fill,
     _integer_sum,
     _integer_terms,
     _nonzeros,
     _once_per_object,
     _over,
+    _require_passed,
     _scaled,
     _scan,
     _times,
     bilinear_eval,
     entry_args,
     entry_values,
+    maltsev_to_bol,
     slot_tuples,
     trilinear_eval,
     verify_bol,
 )
 from bolalg.cohomology import CochainPair, is_cocycle
 from bolalg.linalg import (
-    Mat, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
+    Mat, _common_denominator, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
 )
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
     _delta_rows,
-    _lincomb,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -300,6 +301,23 @@ def fraction_coboundary_rows(R: Representation) -> tuple:
 # with Mat.apply, and Delta from the dense matrices
 
 
+def _lincomb(mats: tuple[Mat, ...], x, m: int) -> Mat:
+    """The former representation._lincomb: sum_i x_i mats[i] for a Vec x; a basis
+    index x picks mats[x]."""
+    if isinstance(x, int):
+        return mats[x]
+    acc = Mat.zeros(m, m)
+    for i, s in enumerate(x):
+        if s:
+            acc = acc + s * mats[i]
+    return acc
+
+
+def commutator(a: Mat, b: Mat) -> Mat:
+    """The former linalg.commutator: [A, B] = AB - BA, dense."""
+    return a @ b - b @ a
+
+
 def rho_of(R: Representation, x) -> Mat:
     """The former Representation.rho_of: rho(x) for a basis index or a Vec x."""
     return _lincomb(R.rho, x, R.m)
@@ -308,6 +326,76 @@ def rho_of(R: Representation, x) -> Mat:
 def dense_delta(R: Representation, x: int, y: int) -> Mat:
     """The former Representation.delta: D(e_x, e_y) - rho(e_x * e_y), dense."""
     return R.D[x][y] - rho_of(R, R.base.basis_product(x, y))
+
+
+# ---------------------------------------------------------------------------
+# slow references: the Maltsev-action checks and the induced maps in dense
+# Fraction matrix arithmetic
+
+
+def fraction_maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
+    """The former representation.maltsev_action_report."""
+    n = M.n
+    m = rho[0].rows if rho else 0
+    D, P, _ = _integer_terms(M)
+
+    def residual(x, y, z):
+        d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
+        bracket1 = _over(_bracket(P, x, y, z, 1), D * D)
+        return (commutator(d1, rho[z]) - _lincomb(rho, bracket1, m)).entries
+
+    check = _scan("maltsev-representation",
+                  itertools.product(range(n), repeat=3), residual)
+    return CheckReport((check,))
+
+
+def fraction_maltsev_action_jordan_report(M: MaltsevAlgebra,
+                                          rho: tuple[Mat, ...]) -> CheckReport:
+    """The former representation.maltsev_action_jordan_report."""
+    n = M.n
+    m = rho[0].rows if rho else 0
+
+    def jordan(a: Mat, b: Mat) -> Mat:
+        return a @ b + b @ a
+
+    D, P, _ = _integer_terms(M)
+
+    def residual(x, y, z):
+        res = _lincomb(rho, _integer_sum(D * D, n, _times(P, ((x, 1),), P[y][z])), m)
+        res = res - rho[z] @ jordan(rho[x], rho[y])
+        res = res + rho[y] @ jordan(rho[x], rho[z])
+        res = res - jordan(rho[x], _lincomb(rho, M.basis_product(y, z), m))
+        res = res + rho[z] @ _lincomb(rho, M.basis_product(x, y), m)
+        res = res - rho[y] @ _lincomb(rho, M.basis_product(x, z), m)
+        return res.entries
+
+    check = _scan("maltsev-representation-jordan",
+                  itertools.product(range(n), repeat=3), residual)
+    return CheckReport((check,))
+
+
+def fraction_induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:
+    """The former representation.induce_from_maltsev, on the two reports above."""
+    rho = tuple(rho)
+    n = M.n
+    if len(rho) != n:
+        raise ValueError(f"expected {n} action matrices, got {len(rho)}")
+    m = rho[0].rows if rho else 0
+    for mat in rho:
+        if mat.shape != (m, m):
+            raise ValueError("action matrices must share one square shape")
+
+    _require_passed(fraction_maltsev_action_report(M, rho),
+                    "action does not satisfy the Maltsev representation condition")
+    _require_passed(fraction_maltsev_action_jordan_report(M, rho),
+                    "Maltsev representation cross-check disagrees")
+
+    def grid(fn):  # fn(rho(e_i), rho(e_j), rho(e_i * e_j))
+        return tuple(tuple(F(1, 3) * fn(rho[i], rho[j], _lincomb(rho, M.basis_product(i, j), m))
+                           for j in range(n)) for i in range(n))
+    D = grid(lambda ri, rj, rp: commutator(ri, rj) + F(2) * rp)
+    theta = grid(lambda ri, rj, rp: ri @ rj + F(2) * (rj @ ri) - rp)
+    return Representation(maltsev_to_bol(M), m, rho, D, theta)
 
 
 def dense_coboundary_tensors(R: Representation, p: PseudoderivationData):

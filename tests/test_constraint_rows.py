@@ -27,7 +27,6 @@ import pytest
 from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
-    _common_denominator,
     _integer_terms,
     _scan,
     bilinear_eval,
@@ -43,7 +42,7 @@ from bolalg.cohomology import (
     coords_to_cochain,
     is_cocycle,
 )
-from bolalg.linalg import Mat, vec_add, vec_sub
+from bolalg.linalg import Mat, _common_denominator, vec_add, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,

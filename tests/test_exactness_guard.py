@@ -10,7 +10,10 @@ module never uses and does not list in ``__all__``.  No module but
 scan reads integer forms.  No module calls ``tabulate`` (a slow reference
 in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
 constructors: every algebra is built from coefficients by
-``algebra._of_coefficients``.  The source walk cannot
+``algebra._of_coefficients``.  No scan module (``algebra``,
+``representation``, ``cohomology``, ``deformation``) multiplies matrices
+with ``@`` or calls a ``commutator``: matrix identities add up integer rows
+(``representation._matrix_sum``).  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
@@ -21,7 +24,10 @@ references in ``conftest``: the antisymmetry and block scans of B01-B3 and
 B01'-B3' build a residual only at a failure, which the failing reports
 cover), and of the residual each failing x block of Sagle's identity
 returns.  Every public entry point that takes scalars refuses a float, and
-so does the tensor constructor ``CochainPair(base, m, nu, omega)``.
+so does the tensor constructor ``CochainPair(base, m, nu, omega)``; an
+algebra, module or action built from tensors or a direct ``Mat`` holding a
+float is refused with the same ``TypeError`` by the first scan that reads
+its integer form (``linalg._common_denominator``).
 """
 
 import ast
@@ -67,13 +73,16 @@ from bolalg.representation import (
     adjoint_representation,
     check_delta_identity,
     cochain_dim,
+    induce_from_maltsev,
     is_pseudoderivation,
     maltsev_action_jordan_report,
     maltsev_action_report,
     verify_representation,
 )
 
-from .conftest import DATA, b2_residual, b3_residual, make_b2, make_m0, make_so3, random_fraction
+from .conftest import (
+    DATA, b2_residual, b3_residual, m0_action, make_b2, make_m0, make_so3, random_fraction,
+)
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bolalg").glob("*.py"))
 
@@ -226,6 +235,40 @@ def test_every_algebra_is_built_from_coefficients(source):
 ])
 def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
+
+
+_MATRIX_SCANS = ("algebra.py", "representation.py", "cohomology.py", "deformation.py")
+
+
+def _matrix_products(tree: ast.AST) -> list[str]:
+    """Each ``@`` and each call of a commutator."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "commutator":
+                found.append(f"line {node.lineno}: commutator")
+    return found
+
+
+@pytest.mark.parametrize("source", [SOURCES[0].parent / name for name in _MATRIX_SCANS],
+                         ids=lambda p: p.name)
+def test_no_scan_module_multiplies_fraction_matrices(source):
+    assert _matrix_products(ast.parse(source.read_text(), str(source))) == []
+
+
+@pytest.mark.parametrize("code, found", [
+    ("res = rho[z] @ jordan(a, b)", ["@"]),
+    ("acc @= b", ["@"]),
+    ("d1 = commutator(rho[x], rho[y])", ["commutator"]),
+    ("linalg.commutator(a, b)", ["commutator"]),
+    ("commutator_terms(a, b)", []),
+    ("x = a * b + c", []),
+])
+def test_the_matrix_product_guard_catches(code, found):
+    assert _matrix_products(ast.parse(code)) == [f"line 1: {name}" for name in found]
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +469,39 @@ def test_the_tensor_constructor_refuses_a_float_and_makes_ints_fractions():
     assert all(type(x) is Fraction for x in pair.coords())
     assert pair.nu == (((0, 3), (-3, 0)),)
     assert all(type(x) is Fraction for plane in pair.nu for row in plane for x in row)
+
+
+def _float_mat(x):
+    """A direct 2 x 2 Mat whose entry (0, 0) is x, unchecked by the constructor."""
+    return Mat(2, 2, (x, 0, 0, 1))
+
+
+def _module_with(x):
+    zero = Mat.zeros(2, 2)
+    return Representation(make_b2(1), 2, (_float_mat(x), zero), ((zero, zero),) * 2,
+                          ((zero, zero),) * 2)
+
+
+_FORM_READERS = {
+    "maltsev_action_report": lambda x: maltsev_action_report(
+        make_m0(), (_float_mat(x), m0_action()[1])),
+    "maltsev_action_jordan_report": lambda x: maltsev_action_jordan_report(
+        make_m0(), (_float_mat(x), m0_action()[1])),
+    "induce_from_maltsev": lambda x: induce_from_maltsev(
+        make_m0(), (_float_mat(x), m0_action()[1])),
+    "verify_representation": lambda x: verify_representation(_module_with(x)),
+    "check_delta_identity": lambda x: check_delta_identity(_module_with(x)),
+    "verify_bol (tensors)": lambda x: verify_bol(BolAlgebra(
+        2, make_b2(1).c[:1] + (((0, x), (-x, 0)),), make_b2(1).t)),
+    "is_deformation_type": lambda x: is_deformation_type(DeformationTypeCandidate(
+        2, make_b2(1).c, (((0, x), (-x, 0)),) * 2, make_b2(1).t)),
+}
+
+
+@pytest.mark.parametrize("name", _FORM_READERS)
+def test_an_integer_form_refuses_a_float_in_a_direct_matrix_or_tensor(name):
+    read = _FORM_READERS[name]
+    read(Fraction(-1))  # exact: a report or a Representation, no error
+    for inexact in (-1.0, 0.5):
+        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+            read(inexact)

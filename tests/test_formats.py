@@ -1,4 +1,5 @@
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from bolalg.formats import (
     render_representation,
     render_scalar,
 )
+from bolalg.linalg import Mat
 from bolalg.representation import adjoint_representation
 
 from .conftest import DATA, leaves, make_b2
@@ -381,6 +383,23 @@ class TestRepresentationFiles:
         m, rho = parse_action((DATA / "action_m0.rep").read_text(), M0.n)
         assert m == 2 and len(rho) == 2
         assert rho[0].row(0) == (F(-1), F(0))
+        assert all(type(x) is F for mat in rho for x in mat.entries)
+
+    @pytest.mark.parametrize("rows, path", [
+        ([["1", "x"], ["0"]], "rho[0][0][1]: malformed rational"),   # row 0's scalars first
+        ([["1"], ["0", "x"]], "rho[0][0]: row must have 2 entries"),  # then row 1
+        ([["1", "0"], ["0"]], "rho[0][1]: row must have 2 entries"),
+        ([["1", "0"], ["0", 1]], "rho[0][1][1]: rational must be a string"),
+        ([["1", "0"]], "rho[0]: matrix must have 2 rows"),
+    ])
+    def test_a_matrix_is_read_row_by_row(self, rows, path):
+        text = json.dumps({"module_dimension": 2, "rho": [rows]})
+        with pytest.raises(ParseError, match=re.escape(path)):
+            parse_action(text, 1)
+
+    def test_a_zero_dimensional_module_has_empty_matrices(self):
+        assert parse_action(json.dumps({"module_dimension": 0, "rho": [[], []]}), 2) == (
+            0, (Mat.zeros(0, 0), Mat.zeros(0, 0)))
 
     def test_shape_mismatch(self, b2_1):
         obj = {"module_dimension": 2,

@@ -60,7 +60,7 @@ from bolalg.deformation import (
 )
 from bolalg.extension import semidirect_product, twisted_product, validate_extension
 from bolalg.formats import parse_algebra
-from bolalg.linalg import Mat, commutator, inverse, vec_add, vec_scale, vec_sub
+from bolalg.linalg import Mat, inverse, vec_add, vec_scale, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -72,6 +72,7 @@ from bolalg.representation import (
 
 from .conftest import (
     DATA,
+    commutator,
     dense_b2p_residual,
     dense_o3_residual,
     fraction_cyclic,
