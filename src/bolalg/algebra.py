@@ -23,11 +23,16 @@ made from its coefficients by one builder, ``_of_coefficients``, and keeps
 the form built from them; only an algebra a caller builds from tensors has
 it read off them.  A product of k coefficients is D**k times the true one,
 so a residual adds up plain ints and is divided by D**k only when a Vec is
-built (``_over``): exact, and equal to the Fraction residual.  B01 and B02
-compare each form with its swapped twin negated.  B2 and B3 run one (x, y)
-block at a time (``_b2_block``, ``_b3_block``): what [x,y,.] and x*y give
-is made once for every (u, v, w), and a block where they are zero is
-skipped; Sagle's identity runs one x at a time.  The other modules' scans
+built (``_over``): exact, and equal to the Fraction residual.  One
+assembly, ``_bol_scans``, runs the Bol axioms of a product form and a
+triple form: the antisymmetry scans it is given, which compare each form
+with its swapped twin negated, then the B1 cyclic sum, B2 and B3.
+``verify_bol`` runs it on (c, t) with B01 and B02, the deformation
+module's (B01')-(B3') on (nu, mu, omega), B2's term of degree 3 being a
+parameter.  B2 and B3 run one (x, y) block at a time (``_b2_block``,
+``_b3_block``): what [x,y,.] and x*y give is made once for every
+(u, v, w), and a block where they are zero is skipped; Sagle's identity
+runs one x at a time.  The other modules' scans
 add up ints too, on matrices by their integer rows or columns and with
 products of integer vectors (``_add_form``); no scan calls the Fraction
 evaluators ``bilinear_eval`` and ``trilinear_eval``.  An all-zero residual
@@ -185,21 +190,6 @@ def entry_coords(n: int, *tensors) -> Vec:
     return tuple(out)
 
 
-def tensor_from_entries(
-    n: int, value_dim: int, arity: int,
-    entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
-) -> tuple:
-    """Build t[v][i][j](...) from sparse entries {(i,j,...) with i<j: {v: coeff}}.
-
-    The value index v is outermost.  Only i<j argument tuples may be
-    given; the (j,i,...) half is filled by antisymmetry in slots 1 and 2.
-    Out-of-range, diagonal, unordered and duplicate argument tuples are
-    rejected, naming the entry as ``what`` (e.g. "binary", "omega").
-    """
-    coefficients = _checked_entries(n, value_dim, arity, entries, what)
-    return _dense(n, value_dim, arity, _swapped(coefficients))
-
-
 def _dense(n: int, value_dim: int, arity: int, coefficients) -> tuple:
     """The tensor t[v][args] = x for each coefficient (args, v, x), zero elsewhere."""
     rows = {}  # prefix -> value_dim lists of n entries, for the prefixes coefficients reach
@@ -223,9 +213,12 @@ def _checked_entries(
     n: int, value_dim: int, arity: int,
     entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
 ):
-    """(args, v, Fraction coefficient) for each coefficient of sparse i<j entries.
+    """(args, v, Fraction coefficient) for each coefficient of sparse entries
+    {(i,j,...) with i<j: {v: coeff}}, v the value index.
 
-    Raises the ValueError of tensor_from_entries on the first bad entry.
+    Out-of-range, diagonal, unordered and duplicate argument tuples and
+    out-of-range value indices raise ValueError, naming the entry as ``what``
+    (e.g. "binary", "omega").
     """
     seen = set()
     for args, coeffs in entries:
@@ -610,6 +603,27 @@ def _b3_block(D: int, T: tuple, x: int, y: int, pairs: list):
     return None
 
 
+def _bol_scans(names: tuple, D: int, antisymmetric: tuple, P: tuple, T: tuple,
+               cubic: tuple) -> tuple:
+    """The antisymmetry scans ``antisymmetric`` ((name, form, arity), ...), then the
+    axioms named ``names`` (B1, B2, B3) of the integer product form P and triple
+    form T over D: the cyclic sum of T, _b2_scan with the degree-3 term ``cubic``
+    and _b3_scan.  Once every given antisymmetry passes, the B1 cyclic sum changes
+    sign under any swap and B2, B3 when x, y or u, v are swapped, so B1-B3 visit the
+    orbit representatives: they find the first failure."""
+    n = len(P)
+    checks = tuple(_antisymmetry_scan(name, D, form, arity)
+                   for name, form, arity in antisymmetric)
+    grouped = all(check.passed for check in checks)
+    pairs = list(slot_tuples(n, (2,), grouped))
+    b1, b2, b3 = names
+    return checks + (
+        _scan(b1, slot_tuples(n, (3,), grouped),
+              lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
+        _b2_scan(b2, D, P, T, pairs, cubic),
+        _b3_scan(b3, D, T, pairs))
+
+
 @_once_per_object
 def verify_bol(B: BolAlgebra) -> AxiomReport:
     """Check B01, B02 tensor-wise and B1/B2/B3 on basis tuples.
@@ -620,18 +634,9 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     tuple and the exact residual.  The report is kept on B, so each algebra
     is scanned once.
     """
-    n, (D, P, T) = B.n, _integer_terms(B)
-    b01, b02 = _antisymmetry_scan("B01", D, P, 2), _antisymmetry_scan("B02", D, T, 3)
-    # With t antisymmetric in x, y (B02), the B1 cyclic sum changes sign under
-    # any swap, and B3 when x, y or u, v are swapped; B2 needs c antisymmetric
-    # (B01) as well.  So the orbit representatives find the first failure.
-    return AxiomReport((
-        b01, b02,
-        _scan("B1", slot_tuples(n, (3,), b02.passed),
-              lambda i, j, k: _integer_sum(D, n, T[i][j][k], T[j][k][i], T[k][i][j])),
-        _b2_scan("B2", D, P, T, slot_tuples(n, (2,), b01.passed and b02.passed), ((P, P, P),)),
-        _b3_scan("B3", D, T, slot_tuples(n, (2,), b02.passed)),
-    ))
+    D, P, T = _integer_terms(B)
+    return AxiomReport(_bol_scans(("B1", "B2", "B3"), D, (("B01", P, 2), ("B02", T, 3)),
+                                  P, T, ((P, P, P),)))
 
 
 def _times(P: tuple, u, v) -> tuple:

@@ -42,10 +42,14 @@ the joint kernel of Delta) is computed alongside and must agree.
 The scans add up ints through ``algebra``'s, on one integer form of (mu,
 nu, omega) over one lcm D, kept per object: a datum's is built from the
 base's kept form and the pair's coefficients (``_datum_forms``), only a
-raw candidate's is read off its tensors.  (B01')-(B03') compare sorted
-forms, (B2') and (B3') are the B2 and B3 block scans of (nu, omega), mu
-entering B2's cubic term, and o3 reads nu from the datum's form.  B_t is
-built from the same coefficients, so a datum's checks build no tensor.
+raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
+B01-B3 of (nu, omega), with mu's antisymmetry besides and mu entering B2's
+cubic term, and come from the one assembly behind verify_bol,
+``algebra._bol_scans`` (``_primed_axioms``);
+check_first_order_formal takes (B2') and (B3') from it without the
+antisymmetry scans, which its datum passes by construction.  o3 reads nu
+from the datum's form.  B_t is built from the same coefficients, so a
+datum's checks build no tensor.
 """
 
 from __future__ import annotations
@@ -58,13 +62,10 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     _add_form,
-    _antisymmetry_scan,
-    _b2_scan,
-    _b3_scan,
+    _bol_scans,
     _coefficients,
     _form_coefficients,
     _integer_forms,
-    _integer_sum,
     _integer_terms,
     _of_coefficients,
     _once_per_object,
@@ -131,39 +132,21 @@ def _datum_forms(d: DeformationDatum) -> tuple:
                                      (2, d.pair.coefficients(2)), (3, d.pair.coefficients(3))))
 
 
-def _closure_checks(forms: tuple, grouped: bool) -> tuple:
-    """(B2') and (B3') of an integer form (D, mu, nu, omega), by verify_bol's block scans.
-
-    (B3') is the B3 axiom of (nu, omega); (B2') is its B2 axiom with the
-    term nu(nu(y1,y2), nu(x1,x2)) replaced by nu(nu_y, mu(x1,x2)) +
-    nu(mu(y1,y2), nu_x) + mu(nu_y, nu_x).  With ``grouped`` (mu, nu and
-    omega antisymmetric in their first two slots) they visit the orbit
-    representatives only: (B2') changes sign when x1, x2 or y1, y2 are
-    swapped, (B3') as B3 does."""
+def _primed_axioms(forms: tuple, antisymmetry: bool) -> tuple:
+    """(B01')-(B03') if ``antisymmetry``, then (B1')-(B3'), of an integer form (D, mu,
+    nu, omega): the Bol-axiom scans of (nu, omega), B2's term of degree 3,
+    nu(nu(y1,y2), nu(x1,x2)), replaced by nu(nu_y, mu(x1,x2)) + nu(mu(y1,y2), nu_x)
+    + mu(nu_y, nu_x).  Without the antisymmetry scans the forms must be antisymmetric:
+    (B1')-(B3') visit the orbit representatives."""
     D, MU, NU, OM = forms
-    pairs = list(slot_tuples(len(MU), (2,), grouped))
-    return (_b2_scan("B2'", D, NU, OM, pairs, ((NU, NU, MU), (MU, NU, NU), (NU, MU, NU))),
-            _b3_scan("B3'", D, OM, pairs))
-
-
-def _deformation_type(forms: tuple) -> CheckReport:
-    """(B01')-(B03') and (B1')-(B3') of an integer form (D, mu, nu, omega)."""
-    D, MU, NU, OM = forms
-    n = len(MU)
-    antisymmetry = (_antisymmetry_scan("B01'", D, NU, 2), _antisymmetry_scan("B02'", D, MU, 2),
-                    _antisymmetry_scan("B03'", D, OM, 3))
-    # Once nu, mu and omega are antisymmetric, (B1') changes sign under any
-    # swap and (B2'), (B3') when x1, x2 or y1, y2 are swapped.
-    grouped = all(check.passed for check in antisymmetry)
-    return CheckReport(antisymmetry + (
-        _scan("B1'", slot_tuples(n, (3,), grouped),
-              lambda i, j, k: _integer_sum(D, n, OM[i][j][k], OM[j][k][i], OM[k][i][j])),)
-        + _closure_checks(forms, grouped))
+    antisymmetric = (("B01'", NU, 2), ("B02'", MU, 2), ("B03'", OM, 3)) if antisymmetry else ()
+    return _bol_scans(("B1'", "B2'", "B3'"), D, antisymmetric, NU, OM,
+                      ((NU, NU, MU), (MU, NU, NU), (NU, MU, NU)))
 
 
 def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
     """Check (B01')-(B03') tensor-wise and (B1'), (B2'), (B3') on basis tuples."""
-    return _deformation_type(_candidate_forms(d))
+    return CheckReport(_primed_axioms(_candidate_forms(d), True))
 
 
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
@@ -215,7 +198,7 @@ def generates_infinitesimal_deformation(d: DeformationDatum
     """
     base, pair = d.base, d.pair
     _require_passed(verify_bol(base), "deformation base must be a Bol algebra")
-    type_report = _deformation_type(_datum_forms(d))
+    type_report = CheckReport(_primed_axioms(_datum_forms(d), True))
     cocycle_report = is_cocycle(adjoint_representation(base), pair)
     sampling = tuple((t, verify_bol(deformed_algebra(d, t))) for t in _SAMPLE_VALUES)
     return InfinitesimalDeformationReport(type_report, cocycle_report, sampling)
@@ -236,8 +219,9 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
     # The verified base makes mu = * antisymmetric and a CochainPair is
     # antisymmetric by construction, so (B2'), (B3') and o3 change sign when
     # x1, x2 or y1, y2 are swapped: the representatives find the first failure.
-    # o3 has degree 3 in the integer form.
-    return CheckReport(cocycle_report.checks + _closure_checks(forms, True) + (
+    # (B1'), which the assembly runs first, is no closure equation and is left
+    # out.  o3 has degree 3 in the integer form.
+    return CheckReport(cocycle_report.checks + _primed_axioms(forms, False)[1:] + (
         _scan("o3", slot_tuples(base.n, (2, 2)), lambda x1, x2, y1, y2: _over(
             _add_form([0] * base.n, 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)),))
 

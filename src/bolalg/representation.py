@@ -305,12 +305,13 @@ def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckRepor
 
 
 def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
-    """Equivalent Maltsev-representation condition in Jordan-product form:
+    """The Maltsev-representation condition in Jordan-product form:
 
     rho(x*(y*z)) - rho(z){rho(x),rho(y)} + rho(y){rho(x),rho(z)}
       = {rho(x), rho(y*z)} - rho(z) rho(x*y) + rho(y) rho(x*z),
 
-    with {a,b} = ab + ba.  Provided as a cross-check of maltsev_action_report.
+    with {a,b} = ab + ba.  induce_from_maltsev requires it besides the form of
+    maltsev_action_report.
     """
     action = m, DA, P, DR, R = _action_rows(M, rho)
     jordan = lambda x, y: _matrix_rows(m, _pair_sum(action, x, y, 1, 1, 0))
@@ -335,16 +336,17 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representati
     D_2(x,y) = [rho(x), rho(y)] + 2 rho(x*y), the induced maps are
     theta = (1/3) theta_2 and D = (1/3) D_2 over maltsev_to_bol(M).
 
-    The action must satisfy the Maltsev-representation condition; it is
-    rejected with the witness triple otherwise, and the Jordan-form
-    condition is checked as well, so the two forms cross-check each other.
+    The action must satisfy the Maltsev-representation condition in both
+    forms, maltsev_action_report's and then maltsev_action_jordan_report's; it
+    is rejected otherwise with the first failing form named and its witness
+    triple.
     """
     rho = tuple(rho)
     action = m, DA, _, DR, _ = _action_rows(M, rho)
     _require_passed(maltsev_action_report(M, rho),
                     "action does not satisfy the Maltsev representation condition")
-    _require_passed(maltsev_action_jordan_report(M, rho),
-                    "Maltsev representation cross-check disagrees")
+    _require_passed(maltsev_action_jordan_report(M, rho), "action does not satisfy the Jordan "
+                    "form of the Maltsev representation condition")
     grid = lambda a, b, c: tuple(tuple(  # 1/3 of the _pair_sum with coefficients a, b, c
         Mat(m, m, _over(_pair_sum(action, i, j, a, b, c), 3 * DA * DR * DR))
         for j in range(M.n)) for i in range(M.n))

@@ -18,6 +18,8 @@ from bolalg.algebra import (
     _add_form,
     _add_terms,
     _bracket,
+    _checked_entries,
+    _dense,
     _fill,
     _integer_sum,
     _integer_terms,
@@ -27,6 +29,7 @@ from bolalg.algebra import (
     _require_passed,
     _scaled,
     _scan,
+    _swapped,
     _times,
     bilinear_eval,
     entry_args,
@@ -387,8 +390,8 @@ def fraction_induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Rep
 
     _require_passed(fraction_maltsev_action_report(M, rho),
                     "action does not satisfy the Maltsev representation condition")
-    _require_passed(fraction_maltsev_action_jordan_report(M, rho),
-                    "Maltsev representation cross-check disagrees")
+    _require_passed(fraction_maltsev_action_jordan_report(M, rho), "action does not satisfy the "
+                    "Jordan form of the Maltsev representation condition")
 
     def grid(fn):  # fn(rho(e_i), rho(e_j), rho(e_i * e_j))
         return tuple(tuple(F(1, 3) * fn(rho[i], rho[j], _lincomb(rho, M.basis_product(i, j), m))
@@ -874,6 +877,14 @@ def tabulate(value_dim: int, n: int, arity: int, fn) -> tuple:
     rng = range(n)
     return _fill(value_dim, n, arity,
                  lambda prefix: tuple(zip(*[fn(*prefix, a) for a in rng])))
+
+
+def tensor_from_entries(n: int, value_dim: int, arity: int, entries, what: str) -> tuple:
+    """The former algebra.tensor_from_entries: t[v][i][j](...) of sparse i<j entries
+    {args: {v: coeff}}, the (j,i,...) half filled by antisymmetry, a bad entry
+    refused with the ValueError of ``_checked_entries`` naming it ``what``."""
+    return _dense(n, value_dim, arity,
+                  _swapped(_checked_entries(n, value_dim, arity, entries, what)))
 
 
 def tabulate_by_dict(value_dim: int, n: int, arity: int, fn) -> tuple:

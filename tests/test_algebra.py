@@ -11,7 +11,6 @@ from bolalg.algebra import (
     VerificationError,
     entry_args,
     maltsev_to_bol,
-    tensor_from_entries,
     verify_bol,
     verify_maltsev,
 )
@@ -27,6 +26,7 @@ from .conftest import (
     tabulate,
     tabulate_by_dict,
     tensor_by_leaves,
+    tensor_from_entries,
     unit_vec,
     zeros,
 )

@@ -3,12 +3,15 @@ from entries, against the per-tuple scans and the tensor reads they replaced.
 
 ``verify_bol`` decides B01 and B02 by comparing sorted integer forms and
 scans B2 and B3 in (x, y) blocks; ``is_deformation_type`` and
-``check_first_order_formal`` run (B2') and (B3') through the same block
-scans.  The references in ``conftest`` add up every tuple on its own
+``check_first_order_formal`` run (B2') and (B3') through the same
+assembly.  The references in ``conftest`` add up every tuple on its own
 (``b2_residual``, ``b3_residual``).  Both must agree, witness and residual,
 on every algebra the benchmark generator builds and on seeded single-entry
 perturbations of its c and t, some keeping the antisymmetry (the grouped
-paths) and some breaking it (the ungrouped ones).
+paths) and some breaking it (the ungrouped ones).  B1-B3 are grouped once
+B01 and B02 both pass; the reference groups B1 and B3 on B02 alone, as the
+former verify_bol did, and the algebras whose c alone is off antisymmetry
+show that the witnesses are the same either way.
 
 An algebra made by ``from_entries``, ``maltsev_to_bol`` or
 ``deformed_algebra`` keeps an integer form built from its entries; it must
@@ -90,10 +93,10 @@ def _moved(t, at: tuple, by):
     return tuple(_moved(x, at[1:], by) if a == at[0] else x for a, x in enumerate(t))
 
 
-def _perturbed(B: BolAlgebra, rng: random.Random, anti: bool) -> BolAlgebra:
-    """B with one entry of c or of t moved; with ``anti`` its (j, i, ...) twin moves
-    the other way, so the antisymmetry holds."""
-    n, which = B.n, rng.choice(("c", "t"))
+def _perturbed(B: BolAlgebra, rng: random.Random, anti: bool, which=None) -> BolAlgebra:
+    """B with one entry of c or of t (``which``, else a random one) moved; with
+    ``anti`` its (j, i, ...) twin moves the other way, so the antisymmetry holds."""
+    n, which = B.n, which or rng.choice(("c", "t"))
     arity = 2 if which == "c" else 3
     at = (rng.randrange(n),) + tuple(rng.sample(range(n), 2)) + tuple(
         rng.randrange(n) for _ in range(arity - 2))
@@ -132,6 +135,31 @@ def test_the_corpus_passes_and_fails_every_axiom_on_both_paths():
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_verify_bol_equals_the_tuplewise_scans(index):
     B = CORPUS[index]
+    _assert_same(verify_bol(B), tuplewise_verify_bol(B))
+
+
+def _off_antisymmetry():
+    """The generated algebras with one entry of t moved with its twin, then one
+    entry of c moved alone: B02 passes and B01 fails."""
+    rng = random.Random(45)
+    return [_perturbed(_perturbed(B, rng, True, "t"), rng, False, "c")
+            for B in GENERATED for _ in range(3 if B.n <= 5 else 1)]
+
+
+OFF_ANTISYMMETRY = _off_antisymmetry()
+
+
+def test_c_alone_off_antisymmetry_fails_b1_and_b3():
+    failed = {(c.name, verify_bol(B)["B01"].passed, verify_bol(B)["B02"].passed)
+              for B in OFF_ANTISYMMETRY for c in verify_bol(B).failures()}
+    assert failed >= {("B01", False, True), ("B1", False, True), ("B3", False, True)}
+
+
+@pytest.mark.parametrize("index", range(len(OFF_ANTISYMMETRY)))
+def test_b1_and_b3_waiting_for_b01_keep_their_witnesses(index):
+    # the reference groups B1 and B3 on B02 alone, verify_bol on B01 and B02:
+    # the failing tuples are closed under the swaps, so the first is the same
+    B = OFF_ANTISYMMETRY[index]
     _assert_same(verify_bol(B), tuplewise_verify_bol(B))
 
 

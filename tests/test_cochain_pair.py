@@ -24,7 +24,6 @@ from bolalg.algebra import (
     entry_coords,
     entry_values,
     maltsev_to_bol,
-    tensor_from_entries,
 )
 from bolalg.cli import _cochain_lines, _vec_text
 from bolalg.cohomology import (
@@ -39,7 +38,8 @@ from bolalg.linalg import zero_vec
 from bolalg.representation import adjoint_representation
 
 from .conftest import (
-    freeze, make_b2, make_so3, make_solvable, random_fraction, tabulate, zeros,
+    freeze, make_b2, make_so3, make_solvable, random_fraction, tabulate, tensor_from_entries,
+    zeros,
 )
 from .test_acceptance import _closure_corpus
 from .test_basis_change import dense_basis, transport

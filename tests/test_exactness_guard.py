@@ -10,10 +10,12 @@ module never uses and does not list in ``__all__``.  No module but
 scan reads integer forms.  No module calls ``tabulate`` (a slow reference
 in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
 constructors: every algebra is built from coefficients by
-``algebra._of_coefficients``.  No scan module (``algebra``,
-``representation``, ``cohomology``, ``deformation``) multiplies matrices
-with ``@`` or calls a ``commutator``: matrix identities add up integer rows
-(``representation._matrix_sum``).  The source walk cannot
+``algebra._of_coefficients``.  Only ``algebra._bol_scans``, the one
+assembly of the Bol axioms, calls the B2 and B3 block scans.  No scan
+module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
+multiplies matrices with ``@`` or calls a ``commutator``: matrix
+identities add up integer rows (``representation._matrix_sum``).  The
+source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
@@ -41,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from bolalg import deformation, extension, representation
+from bolalg import algebra, deformation, extension, representation
 from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
@@ -54,7 +56,6 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
-from bolalg.algebra import tensor_from_entries
 from bolalg.cohomology import CochainPair, coboundary_of, coords_to_cochain, is_cocycle
 from bolalg.deformation import (
     DeformationDatum,
@@ -202,13 +203,12 @@ _CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
 _BUILDERS = {"algebra.py": ["_of_coefficients: cls"]}
 
 
-def _construction_calls(tree: ast.Module) -> list[str]:
-    """Each call of tabulate or of the BolAlgebra or MaltsevAlgebra constructor,
-    and each call of ``cls`` in a module-level function, as "<top-level
-    definition>: <name>" (a classmethod's ``cls(...)`` builds its own class)."""
+def _calls_by_definition(tree: ast.Module, names_in) -> list[str]:
+    """Each call of a name in names_in(top) inside each top-level statement top,
+    as "<top-level definition>: <name>"."""
     found = []
     for top in tree.body:
-        names = _CONSTRUCTORS | ({"cls"} if isinstance(top, ast.FunctionDef) else set())
+        names = names_in(top)
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -216,6 +216,14 @@ def _construction_calls(tree: ast.Module) -> list[str]:
                 if name in names:
                     found.append(f"{getattr(top, 'name', '<module>')}: {name}")
     return found
+
+
+def _construction_calls(tree: ast.Module) -> list[str]:
+    """Each call of tabulate or of the BolAlgebra or MaltsevAlgebra constructor,
+    and each call of ``cls`` in a module-level function (a classmethod's
+    ``cls(...)`` builds its own class)."""
+    return _calls_by_definition(tree, lambda top: _CONSTRUCTORS | (
+        {"cls"} if isinstance(top, ast.FunctionDef) else set()))
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
@@ -235,6 +243,36 @@ def test_every_algebra_is_built_from_coefficients(source):
 ])
 def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
+
+
+_BLOCK_SCANS = {"_b2_scan", "_b3_scan"}
+
+# The one Bol-axiom assembly, behind verify_bol and the deformation-type checks.
+_ASSEMBLY = {"algebra.py": ["_bol_scans: _b2_scan", "_bol_scans: _b3_scan"]}
+
+
+def _block_scan_calls(tree: ast.Module) -> list[str]:
+    """Each call of the B2 and B3 block scans, by top-level definition."""
+    return _calls_by_definition(tree, lambda top: _BLOCK_SCANS)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_the_bol_axioms_are_assembled_once(source):
+    assert _block_scan_calls(ast.parse(source.read_text(), str(source))) == _ASSEMBLY.get(
+        source.name, [])
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def _closure_checks(forms):\n    return _b3_scan(\"B3'\", D, OM, pairs)",
+     ["_closure_checks: _b3_scan"]),
+    ("check = algebra._b2_scan(\"B2\", D, P, T, pairs, cubic)", ["<module>: _b2_scan"]),
+    ("def _bol_scans(D, P, T):\n    return _b2_scan(*a), _b3_scan(*b)",
+     ["_bol_scans: _b2_scan", "_bol_scans: _b3_scan"]),
+    ("def verify(D, T):\n    return _b3_block(D, T, 0, 1, [])", []),
+    ("def verify(B):\n    return _bol_scans(names, D, (), P, T, cubic)", []),
+])
+def test_the_assembly_guard_catches(code, calls):
+    assert _block_scan_calls(ast.parse(code)) == calls
 
 
 _MATRIX_SCANS = ("algebra.py", "representation.py", "cohomology.py", "deformation.py")
@@ -376,6 +414,10 @@ def test_the_extension_representation_and_deformation_residuals_are_fractions(mo
         return _scan(name, tuples, residual_fn)
     for module in (representation, extension, deformation):
         monkeypatch.setattr(module, "_scan", scan_every_tuple)
+    # (B1') runs in algebra's Bol-axiom scans, beside verify_bol's B1 (zero on
+    # every Bol base here): of algebra's scans only the primed ones are recorded
+    monkeypatch.setattr(algebra, "_scan", lambda name, tuples, residual_fn: (
+        scan_every_tuple if name.endswith("'") else _scan)(name, tuples, residual_fn))
     rng = random.Random(11)
     b2, so3 = make_b2(1), adjoint_representation(maltsev_to_bol(make_so3()))
     grid = lambda: tuple(tuple(_random_mat(rng, 2) for _ in range(2)) for _ in range(2))
@@ -428,7 +470,6 @@ def test_an_accumulator_gives_fraction_zeros_and_sees_coordinate_0():
 
 _ENTRY_POINTS = {
     "BolAlgebra.from_entries": lambda x: BolAlgebra.from_entries(2, [((0, 1), {1: x})], []),
-    "tensor_from_entries": lambda x: tensor_from_entries(2, 2, 2, [((0, 1), {0: x})], "binary"),
     "CochainPair.from_entries": lambda x: CochainPair.from_entries(
         make_b2(1), 1, [((0, 1), {0: x})], []),
     "coords_to_cochain": lambda x: coords_to_cochain(make_b2(1), 1, (x, 0, 0)),

@@ -22,6 +22,8 @@ from fractions import Fraction as F
 import pytest
 
 from bolalg.algebra import MaltsevAlgebra, VerificationError
+from bolalg.cli import main
+from bolalg.formats import render_action, render_algebra
 from bolalg.linalg import Mat, inverse
 from bolalg.representation import (
     induce_from_maltsev,
@@ -124,7 +126,25 @@ def test_the_corpus_passes_and_fails_each_condition():
     messages = {outcome[1] for outcome in (_outcome(induce_from_maltsev, M, rho)
                                            for M, rho in CORPUS) if type(outcome) is tuple}
     assert messages == {"action does not satisfy the Maltsev representation condition",
-                        "Maltsev representation cross-check disagrees"}
+                        "action does not satisfy the Jordan form of the Maltsev "
+                        "representation condition"}
+
+
+def test_an_action_failing_the_jordan_form_alone_is_refused_naming_it(tmp_path, capsys):
+    # e0*e1 = e1 with rho(e0) = diag(0, -2), rho(e1) = [[0, 0], [-1, 0]]
+    M = make_solvable(2)
+    rho = (Mat.from_rows([[0, 0], [0, -2]]), Mat.from_rows([[0, 0], [-1, 0]]))
+    assert maltsev_action_report(M, rho).passed
+    jordan = maltsev_action_jordan_report(M, rho).checks[0]
+    assert not jordan.passed and jordan.witness == (0, 0, 1)
+    message = "action does not satisfy the Jordan form of the Maltsev representation condition"
+    with pytest.raises(VerificationError, match=message):
+        induce_from_maltsev(M, rho)
+    algebra, action = tmp_path / "solvable2.alg", tmp_path / "action.rep"
+    algebra.write_text(render_algebra(M))
+    action.write_text(render_action(2, rho))
+    assert main(["induce-rep", str(algebra), str(action)]) == 1
+    assert f"FAIL: {message}" in capsys.readouterr().out
 
 
 def test_the_induced_maps_of_a_rational_action_are_fractions():
