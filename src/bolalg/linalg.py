@@ -15,12 +15,26 @@ inexact entry), reduced by cross-multiplication and returned as ints.  The
 callers read a matrix by its ``nonzero_rows`` (a ``SparseMat``, the form of
 the constraint and coboundary rows, holds nothing else) and build a
 ``Fraction`` only for an entry they return.
+
+``kernel_basis`` takes one of two routes to that RREF, by the mean nonzeros
+per row: below ``_DENSE_ROW`` (sparse rows, which mostly stay independent)
+it eliminates every row; from it (the rows of a dense basis, most of which
+reduce to zero at a cost that grows with the entries) it eliminates only the
+rows independent mod a prime of ``_PRIMES``, sparsest first, and certifies
+in ints that every row lies in their row space (``_certified_echelon``),
+trying the next prime when the certificate fails and eliminating every row
+after the last.  The kernel of the selected rows contains the kernel of all
+rows, and the certificate gives the reverse inclusion, so both routes give
+the same row space and the same canonical RREF: the prime only chooses
+which rows to eliminate, and no result rests on probability.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -31,6 +45,12 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INEXACT = "not an exact scalar (int, Fraction or str): {!r}"
+# kernel_basis's mod-p route: the primes tried in turn, each below 2**15, and the mean
+# nonzeros per row from which it is taken.  Sparse rows (the CC1-CC3 rows of a sparse
+# basis hold 2.1-3.8 on average) reduce cheaply and mostly stay independent; in a
+# dense basis (6.7-26) most reduce to zero, at a cost that grows with the entries.
+_PRIMES = (32749, 32719, 32717)
+_DENSE_ROW = 6
 
 
 def _exact(x) -> Fraction:
@@ -320,10 +340,132 @@ def image_rank(m: Mat | SparseMat) -> int:
     return rref(m).rank
 
 
+def _pack(slots: list) -> int:
+    """The int holding each value of slots (each below 2**64) in its own 64-bit slot."""
+    return int.from_bytes(struct.pack(f"<{len(slots)}Q", *slots), "little")
+
+
+def _unpack(packed: int, cols: int) -> memoryview:
+    """The cols 64-bit slots of a packed int, lowest first (read in the machine's
+    byte order, in which the highest slot comes first on a big-endian machine)."""
+    slots = memoryview(packed.to_bytes(8 * cols, sys.byteorder)).cast("Q")
+    return slots if sys.byteorder == "little" else slots[::-1]
+
+
+def _independent_mod(rows, cols: int, p: int) -> list:
+    """The int rows ({col: int}), in order, that are independent mod p of the rows
+    kept before them.
+
+    The kept rows are held in RREF mod p, each packed into one int with a 64-bit
+    slot per column.  A row reduces to row - sum of row[c] * (pivot row of c)
+    over the pivot columns c in its support: one multiply-add for each of
+    those, one shift-add for each other nonzero, which leaves -row[c] in slot c
+    where the reduced row has 0.  The row is kept when a slot of a free column
+    is not 0 mod p.  A new pivot row has its slots below p and clears its
+    column from the others with one multiply-add each, which adds under p**2 to
+    their slots; every ``every`` new pivots each slot is reduced mod p again.
+    So with r = min(rows, cols), a slot of a pivot row stays below
+    p + (every - 1) * p**2 and one of a reduced row below
+    p + r * p**2 * (1 + (every - 1) * p) <= p + r * every * p**3, which
+    ``every`` keeps within p + 2**63 whenever r * p**2 < 2**63 (for a prime of
+    _PRIMES, whenever r < 2**33)."""
+    every = max(1, 2**63 // (min(len(rows), cols) * p**3 or 1))
+    pivots: dict[int, int] = {}
+    free = list(range(cols))
+    kept = []
+    for row in rows:
+        packed = 0
+        for k, x in row.items():
+            prow = pivots.get(k)
+            if prow is None:
+                packed += x % p << (64 * k)
+            elif x % p:
+                packed += (p - x % p) * prow
+        reduced = _unpack(packed, cols)
+        if not any(reduced[k] % p for k in free):
+            continue
+        kept.append(row)
+        residues = [x % p for x in reduced]
+        for pc in pivots:
+            residues[pc] = 0
+        first = next(filter(None, residues))
+        lead, inverse = residues.index(first), pow(first, -1, p)
+        new = _pack([x * inverse % p for x in residues])
+        for pc, prow in pivots.items():  # clear the new pivot column
+            f = (prow >> (64 * lead) & 0xFFFFFFFFFFFFFFFF) % p
+            if f:
+                pivots[pc] = prow + (p - f) * new
+        pivots[lead] = new
+        free.remove(lead)
+        if len(pivots) % every == 0:
+            for pc, prow in pivots.items():
+                pivots[pc] = _pack([x % p for x in _unpack(prow, cols)])
+    return kept
+
+
+def _spans(echelon: dict[int, dict[int, int]], rows, cols: int) -> bool:
+    """Whether every int row ({col: int}) lies in the row space of echelon (a
+    canonical RREF as _echelon returns it), decided in ints.
+
+    With L the lcm of the leads, a row r lies in it exactly when, at every free
+    column f, L * r[f] is the sum of r[pc] * Q[pc][f] over its pivot columns pc,
+    Q[pc] being pivot row pc scaled to lead L.  Each Q[pc] is packed over the free
+    columns into one int, in signed slots of w bits where 2**w exceeds every
+    slot's bound |r| * (L + rank * |Q|).  The packed residual of a row, one
+    multiply-add per nonzero, is then 0 exactly when every slot is 0: in a zero
+    sum the lowest nonzero slot would be a multiple of 2**w."""
+    free = {k: i for i, k in enumerate(k for k in range(cols) if k not in echelon)}
+    lead = math.lcm(*(row[pc] for pc, row in echelon.items()))
+    scaled = {pc: {k: lead // row[pc] * x for k, x in row.items() if k != pc}
+              for pc, row in echelon.items()}
+    bound = max((max(map(abs, row.values())) for row in rows if row), default=0) * (
+        lead + len(echelon) * max((abs(x) for q in scaled.values() for x in q.values()),
+                                  default=0))
+    w = bound.bit_length()
+    packed = {pc: sum(x << (w * free[k]) for k, x in q.items()) for pc, q in scaled.items()}
+    for row in rows:
+        residual = 0
+        for k, x in row.items():
+            q = packed.get(k)
+            if q is None:
+                residual += lead * x << (w * free[k])
+            else:
+                residual -= x * q
+        if residual:
+            return False
+    return True
+
+
+def _certified_echelon(rows, cols: int) -> dict[int, dict[int, int]]:
+    """_echelon(rows), eliminating only the rows independent mod a prime.
+
+    The primitive int rows (``_integer_row``), sparsest first as ``_echelon``
+    visits them (the kept rows are then the sparsest ones, with the cheapest
+    exact elimination), are selected mod each prime of _PRIMES in turn
+    (``_independent_mod``) and the selected ones are eliminated exactly; the
+    first echelon whose row space holds every row (``_spans``) is returned.  The kernel of the selected rows holds the kernel
+    of all rows and the certificate gives the reverse inclusion, so the row
+    spaces, and the canonical RREF, are those of all rows: the prime only
+    chooses rows, no result rests on chance.  If every prime fails, all rows
+    are eliminated."""
+    rows = sorted(map(_integer_row, rows), key=len)
+    for p in _PRIMES:
+        echelon = _echelon(_independent_mod(rows, cols, p))
+        if _spans(echelon, rows, cols):
+            return echelon
+    return _echelon(rows)
+
+
 def kernel_basis(m: Mat | SparseMat) -> list[Vec]:
     """Basis of the null space {v : m v = 0}, one vector per free column fc in
-    order: 1 at fc, minus column fc of the canonical RREF at the pivots (one pass)."""
-    echelon = _echelon(m.nonzero_rows)
+    order: 1 at fc, minus column fc of the canonical RREF at the pivots (one pass).
+
+    Rows holding _DENSE_ROW nonzeros or more on average are eliminated through
+    ``_certified_echelon``, the others through ``_echelon``: both give the
+    canonical RREF."""
+    rows = m.nonzero_rows
+    dense = sum(map(len, rows)) >= _DENSE_ROW * len(rows)
+    echelon = _certified_echelon(rows, m.cols) if dense else _echelon(rows)
     basis = {fc: [_ZERO] * fc + [_ONE] + [_ZERO] * (m.cols - fc - 1)
              for fc in range(m.cols) if fc not in echelon}
     for pc, row in echelon.items():

@@ -23,10 +23,11 @@ from fractions import Fraction as F
 import pytest
 
 from bolalg.algebra import maltsev_to_bol
-from bolalg.cohomology import cohomology
+from bolalg.cohomology import cohomology, coords_to_cochain
 from bolalg.linalg import (
     Mat,
     SparseMat,
+    _certified_echelon,
     _echelon,
     _exact,
     _eliminate,
@@ -245,9 +246,15 @@ def test_rref_refuses_an_inexact_entry(x):
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
-def test_kernel_basis_refuses_an_inexact_entry(x):
+def test_kernel_basis_refuses_an_inexact_entry(x, monkeypatch):
     for m in _inexact_matrices(x):
         _assert_refused(lambda: kernel_basis(m), x)
+    routed = _calls(monkeypatch, "_certified_echelon")
+    w = LINALG._DENSE_ROW
+    dense_row = tuple((k, F(k + 1)) for k in range(w))
+    _assert_refused(lambda: kernel_basis(SparseMat(w, (dense_row, dense_row[:-1] + ((w - 1, x),)))),
+                    x)
+    assert len(routed) == 1
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
@@ -336,16 +343,55 @@ def _permuted(m, order):
     return Mat(m.rows, m.cols, tuple(x for i in order for x in m.row(i)))
 
 
+def _calls(monkeypatch, name):
+    """The argument tuples of every call of linalg's function ``name`` from now on;
+    each call still runs it."""
+    calls = []
+    original = getattr(LINALG, name)
+    monkeypatch.setattr(LINALG, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def _transposed(m):
     """The transpose of a Mat: column i is row i of m."""
     return Mat.from_cols([m.row(i) for i in range(m.rows)], rows=m.cols)
+
+
+def _canonical(echelon):
+    """An echelon of primitive int rows as {pivot col: {col: Fraction}}, each row
+    divided by its lead."""
+    return {pc: {k: F(x, row[pc]) for k, x in row.items()} for pc, row in echelon.items()}
+
+
+def _kernel_of(canonical, cols):
+    """The kernel basis read off a canonical RREF: 1 at each free column fc, minus
+    column fc of the RREF at the pivots."""
+    basis = []
+    for fc in (j for j in range(cols) if j not in canonical):
+        v = [F(0)] * cols
+        v[fc] = F(1)
+        for pc, row in canonical.items():
+            v[pc] = -row.get(fc, F(0))
+        basis.append(tuple(v))
+    return basis
+
+
+def _assert_routes_agree(m, reduced, pivots, kernel):
+    """Both routes of kernel_basis, called directly on the rows of m, give the
+    dense reference's RREF (reduced, pivots) and kernel."""
+    want = {pc: {k: x for k, x in enumerate(reduced.row(r)) if x} for r, pc in enumerate(pivots)}
+    for echelon in (_echelon(m.nonzero_rows), _certified_echelon(m.nonzero_rows, m.cols)):
+        got = _canonical(echelon)
+        assert got == want
+        assert _kernel_of(got, m.cols) == kernel
 
 
 def _assert_matches_reference(m, rng):
     """rref, kernel_basis, solve and inverse equal the dense reference, on m
     and on a shuffled and a reversed copy of its rows, each given both as a
     Mat and as the SparseMat of its nonzero rows; the SparseMat has the same
-    entries and transpose."""
+    entries and transpose.  Both routes of kernel_basis give the reference's
+    RREF on each copy."""
     reduced, pivots = _dense_rref(m)
     kernel = _dense_kernel(m)
     x = tuple(F(rng.randint(-3, 3)) for _ in range(m.cols))
@@ -357,6 +403,7 @@ def _assert_matches_reference(m, rng):
     rng.shuffle(shuffled)
     for order in (range(m.rows), shuffled, range(m.rows - 1, -1, -1)):
         pm = _permuted(m, order)
+        _assert_routes_agree(pm, reduced, pivots, kernel)
         sparse = SparseMat(pm.cols, pm.nonzero_rows)
         assert (sparse.rows, sparse.cols) == pm.shape and sparse.entries == pm.entries
         assert dense(sparse.transpose()) == _transposed(pm)
@@ -402,6 +449,10 @@ def test_matches_the_dense_reference_on_random_matrices():
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         _assert_matches_reference(_random_sparse(rng, rows, cols, rng.random()), rng)
         _assert_matches_reference(_deficient(rng, rows, cols), rng)
+    for _ in range(20):  # dense, more rows than columns: the mod-p route drops rows
+        rows, cols = rng.randint(6, 14), rng.randint(2, 6)
+        _assert_matches_reference(_random_sparse(rng, rows, cols, 0.9), rng)
+        _assert_matches_reference(_deficient(rng, rows, cols), rng)
     for _ in range(20):  # square, mostly invertible
         n = rng.randint(1, 6)
         _assert_matches_reference(_random_sparse(rng, n, n, 0.8), rng)
@@ -427,15 +478,20 @@ def _constraint_modules():
             + [R for _, R in _closure_corpus()])
 
 
-@pytest.mark.parametrize("index", range(5))
-def test_matches_the_dense_reference_on_constraint_matrices(index, monkeypatch):
-    """The deduplicated constraint matrix cohomology() hands to kernel_basis."""
+def _constraint_matrix(R, monkeypatch):
+    """The deduplicated constraint matrix cohomology(R) hands to kernel_basis, and
+    the report."""
     seen = []
     original = COHOMOLOGY.kernel_basis
     monkeypatch.setattr(COHOMOLOGY, "kernel_basis",
                         lambda matrix: seen.append(matrix) or original(matrix))
-    cohomology(_constraint_modules()[index])
-    m = dense(seen[0])
+    report = cohomology(R)
+    return seen[0], report
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_matches_the_dense_reference_on_constraint_matrices(index, monkeypatch):
+    m = dense(_constraint_matrix(_constraint_modules()[index], monkeypatch)[0])
     assert m.rows and m.cols
     _assert_matches_reference(m, random.Random(707 + index))
 
@@ -595,13 +651,101 @@ def test_solve_and_inverse_rows_match_the_fraction_loop(checked_echelon):
 
 @pytest.mark.parametrize("make, dim_z", [(make_so3, 6), (lambda: make_solvable(3), 13)],
                          ids=["so3", "sol3"])
-def test_dense_basis_constraint_rows_match_the_fraction_loop(make, dim_z, checked_echelon):
-    """Every elimination of a cohomology() run in a seeded dense rational basis."""
+def test_dense_basis_constraint_rows_match_the_fraction_loop(make, dim_z, checked_echelon,
+                                                             monkeypatch):
+    """Every elimination of a cohomology() run in a seeded dense rational basis (on
+    the mod-p route, of the rows it selects), and the elimination of all the
+    distinct constraint rows."""
     moved = transport(maltsev_to_bol(make()), dense_basis(random.Random(11), 3))
     checked_echelon.clear()  # transport's own inverse
-    report = cohomology(adjoint_representation(moved))
-    rows = max(checked_echelon, key=len)  # the distinct constraint rows, primitive ints
+    matrix, report = _constraint_matrix(adjoint_representation(moved), monkeypatch)
+    rows = matrix.nonzero_rows  # the distinct constraint rows, primitive ints
     assert len(rows) > 36 and sum(map(len, rows)) > 6 * len(rows)
+    _assert_echelon_matches(rows)
     # rational rows: some row scaled to a leading 1 has an entry that is not an int
     assert any(F(x, row[0][1]).denominator > 1 for row in rows for _, x in row)
     assert report.dim_Z == dim_z
+
+
+# ---------------------------------------------------------------------------
+# the mod-p route of kernel_basis
+
+
+@pytest.mark.parametrize("q, primes, eliminated", [
+    (LINALG._PRIMES[0], LINALG._PRIMES[:2], [1, 2]),
+    (math.prod(LINALG._PRIMES), LINALG._PRIMES, [1, 1, 1, 2]),
+], ids=["retry", "fallback"])
+def test_a_rank_lost_mod_a_prime_is_caught_by_the_certificate(q, primes, eliminated,
+                                                              monkeypatch):
+    """Rows (1, 1, ...) and (1, 1 + q, ...) are independent, their leading 2 x 2
+    minor being q, but lose rank mod every prime dividing q: the certificate
+    refuses the one row selected, and the next prime (retry) or, past the last
+    prime, the elimination of every row (fallback) gives the exact kernel."""
+    selected = _calls(monkeypatch, "_independent_mod")
+    sizes = _calls(monkeypatch, "_echelon")
+    tail = list(range(1, LINALG._DENSE_ROW - 1))  # the mod-p route's nonzeros a row
+    m = Mat.from_rows([[1, 1] + tail, [1, 1 + q] + tail])
+    kernel = kernel_basis(m)
+    assert kernel == _dense_kernel(m)
+    assert kernel[0] == (F(-1), F(0), F(1)) + (F(0),) * (len(tail) - 1)
+    assert [p for _, _, p in selected] == list(primes)
+    assert [len(rows) for rows, in sizes] == eliminated
+
+
+def _independent_mod_reference(rows, cols, p):
+    """The rows, in order, that raise the rank mod p: dense elimination mod p, each
+    row reduced by the kept rows in the order of their leads."""
+    echelon, kept = {}, []
+    for row in rows:
+        v = [0] * cols
+        for k, x in row.items():
+            v[k] = x % p
+        for lead in sorted(echelon):
+            v = [(a - v[lead] * b) % p for a, b in zip(v, echelon[lead])]
+        if any(v):
+            lead = next(k for k, a in enumerate(v) if a)
+            inverse = pow(v[lead], -1, p)
+            echelon[lead] = [a * inverse % p for a in v]
+            kept.append(row)
+    return kept
+
+
+@pytest.mark.parametrize("p", [2, 3, 32749, 2**19 - 1, 2**25 - 39])
+def test_the_selection_keeps_the_rows_that_raise_the_rank_mod_p(p):
+    """At these sizes (at most 12 columns) the slots of the pivot rows are
+    reduced mod p again every few new pivots at p = 2**19 - 1 (5 at 12 rows and
+    columns) and after each one at p = 2**25 - 39, so that every slot stays
+    within its 64 bits; at the primes of kernel_basis, and below, never."""
+    rng = random.Random(1212)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 12)
+        m = _random_sparse(rng, rows, cols, rng.random()) if rng.random() < 0.5 else _deficient(
+            rng, rows, cols)
+        int_rows = [_integer_row(row) for row in m.nonzero_rows]
+        for row in int_rows:  # multiples of p: the rank mod p drops
+            if row and rng.random() < 0.2:
+                row[min(row)] *= p
+        assert LINALG._independent_mod(int_rows, cols, p) == _independent_mod_reference(
+            int_rows, cols, p)
+
+
+@pytest.mark.parametrize("j", [1, 5, 64, 200])
+def test_the_certificate_slots_do_not_carry_into_each_other(j):
+    """Against the pivot row e0, the row -2**j e1 + e2 leaves slots -2**j and 1 at
+    the free columns 1 and 2: packed in slots of j bits they would sum to 0."""
+    assert not LINALG._spans({0: {0: 1}}, [{1: -2**j, 2: 1}], 3)
+    assert LINALG._spans({0: {0: 1, 1: -2**j}}, [{0: 3, 1: -3 * 2**j}, {}], 3)
+
+
+def test_solvable_n4_in_a_dense_basis(monkeypatch):
+    """The adjoint cohomology of e0*ek = k ek, n = 4, in a seeded dense basis: its
+    dims do not depend on the basis, and the mod-p route gives the Z basis of
+    the elimination of every row."""
+    R = adjoint_representation(transport(maltsev_to_bol(make_solvable(4)),
+                                         dense_basis(random.Random(4), 4)))
+    routed = _calls(monkeypatch, "_certified_echelon")
+    matrix, report = _constraint_matrix(R, monkeypatch)
+    assert (report.dim_C, report.dim_Z, report.dim_B, report.dim_H) == (120, 28, 10, 18)
+    assert len(routed) == 1 and len(routed[0][0]) == matrix.rows > 700
+    exact = _kernel_of(_canonical(_echelon(matrix.nonzero_rows)), matrix.cols)
+    assert report.z_basis == tuple(coords_to_cochain(R.base, R.m, v) for v in exact)

@@ -1,17 +1,25 @@
 """tools/stage_times.py times the parse of the file and its axiom scan and
 runs cohomology() with the stages it names rebound in ``bolalg.cohomology``;
 for a Bol file it splits the axiom check with functions of ``bolalg.algebra``
-rebound.  Every name must still be bound there, and is restored after."""
+rebound, and on kernel_basis's mod-p route it splits that with functions of
+``bolalg.linalg`` rebound.  Every name must still be bound there, and is
+restored after."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
-from bolalg.algebra import MaltsevAlgebra, verify_maltsev
+from bolalg.algebra import MaltsevAlgebra, maltsev_to_bol, verify_maltsev
+from bolalg.formats import render_algebra
+
+from .conftest import make_solvable
+from .test_basis_change import dense_basis, transport
 
 ROOT = Path(__file__).resolve().parent.parent
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 ALGEBRA = importlib.import_module("bolalg.algebra")
+LINALG = importlib.import_module("bolalg.linalg")
 
 
 def _stage_times():
@@ -21,13 +29,18 @@ def _stage_times():
     return module
 
 
+def _timed(lines):
+    """{stage: calls} of the stage lines, between the header and the route line."""
+    return {line.split()[0]: int(line.split()[1]) for line in lines[1:-2]}
+
+
 def test_stage_times_on_so3(capsys):
     tool = _stage_times()
     before = {name: getattr(COHOMOLOGY, name) for name in tool.STAGES}
     assert tool.main([str(ROOT / "data" / "so3.alg")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "dims C/Z/B/H: 36/6/6/0"
-    timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
+    assert lines[-2:] == ["kernel_basis route: exact", "dims C/Z/B/H: 36/6/6/0"]
+    timed = _timed(lines)
     assert all(timed[name] >= 1 for name in tool.STAGES)
     assert list(timed)[-4:] == ["other", "cohomology", "parse", "verify"]
     assert timed["parse"] == timed["verify"] == 1
@@ -40,7 +53,7 @@ def test_stage_times_times_the_identity_scan_of_a_maltsev_file(capsys, monkeypat
     monkeypatch.setattr(tool, "verify_maltsev", lambda M: scanned.append(M) or verify_maltsev(M))
     assert tool.main([str(ROOT / "data" / "maltsev_dim4.alg")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines[-3:-1]] == [["parse", "1"], ["verify", "1"]]
+    assert [line.split()[:2] for line in lines[-4:-2]] == [["parse", "1"], ["verify", "1"]]
     assert len(scanned) == 1 and isinstance(scanned[0], MaltsevAlgebra)
 
 
@@ -48,9 +61,26 @@ def test_stage_times_splits_the_axiom_check_of_a_bol_file(capsys):
     tool = _stage_times()
     before = {name: getattr(ALGEBRA, name) for name in tool.AXIOM_STAGES}
     assert tool.main([str(ROOT / "data" / "b2_lambda1.alg")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    timed = {line.split()[0]: int(line.split()[1]) for line in lines[1:-1]}
+    timed = _timed(capsys.readouterr().out.splitlines())
     assert list(timed)[-6:] == ["parse", "verify", "forms", "B01/B02/B1", "B2", "B3"]
     # the form is built once, from the parsed entries; B01, B02, B1 and one block scan each
     assert (timed["forms"], timed["B01/B02/B1"], timed["B2"], timed["B3"]) == (1, 3, 1, 1)
     assert all(getattr(ALGEBRA, name) is fn for name, fn in before.items())
+
+
+def test_stage_times_splits_the_mod_p_route_of_kernel_basis(capsys, tmp_path):
+    """Solvable n=3 in a dense basis: 111 distinct constraint rows of rank 23."""
+    tool = _stage_times()
+    before = {name: getattr(LINALG, name) for name in tool.KERNEL_STAGES}
+    moved = transport(maltsev_to_bol(make_solvable(3)), dense_basis(random.Random(11), 3))
+    path = tmp_path / "sol3_dense.alg"
+    path.write_text(render_algebra(moved))
+    assert tool.main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["kernel_basis route: mod-p, 23 of 111 rows kept, 1 prime(s)",
+                          "dims C/Z/B/H: 36/13/5/8"]
+    timed = _timed(lines)
+    assert list(timed)[-3:] == ["selection", "elimination", "certificate"]
+    assert (timed["selection"], timed["elimination"], timed["certificate"]) == (1, 1, 1)
+    assert all(getattr(LINALG, name) is fn for name, fn in before.items())
+    assert COHOMOLOGY.kernel_basis is LINALG.kernel_basis

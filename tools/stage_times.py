@@ -32,10 +32,23 @@ axiom check, with these ``bolalg.algebra`` functions rebound:
     B01/B02/B1   _antisymmetry_scan and _scan, inside "verify"
     B2, B3       _b2_scan and _b3_scan, the (x, y) block scans
 
+kernel_basis eliminates its rows by one of two routes (see ``bolalg.linalg``),
+and the last line but one names the route it took.  On the mod-p route three
+more lines split its time, with these ``bolalg.linalg`` functions rebound
+while kernel_basis runs:
+
+    selection    _independent_mod, the rows independent mod a prime
+    elimination  _echelon, the exact elimination of the selected rows (of
+                 every row, if no prime's selection is certified)
+    certificate  _spans, the check that every row lies in their row space
+
+and the route line gives the rows kept by the last selection, out of the
+rows it was handed, and the primes tried.
+
 Prints, per stage, its calls in one run and the median seconds over the
-runs, then the dimensions.  Wall clock, so a busy machine reads slower;
-use several runs.  Stdlib only; the library is read from src/ of this
-checkout.
+runs, then the route and the dimensions.  Wall clock, so a busy machine
+reads slower; use several runs.  Stdlib only; the library is read from src/
+of this checkout.
 """
 
 import argparse
@@ -53,10 +66,14 @@ from bolalg.representation import adjoint_representation  # noqa: E402
 
 ALGEBRA = importlib.import_module("bolalg.algebra")
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")  # the module, not the function
+LINALG = importlib.import_module("bolalg.linalg")
 STAGES = ("coboundary_matrix", "_constraint_rows", "kernel_basis", "rref", "coords_to_cochain")
 # the stage of each rebound bolalg.algebra function, for a Bol file
 AXIOM_STAGES = {"_integer_forms": "forms", "_antisymmetry_scan": "B01/B02/B1",
                 "_scan": "B01/B02/B1", "_b2_scan": "B2", "_b3_scan": "B3"}
+# the stage of each bolalg.linalg function rebound while kernel_basis runs
+KERNEL_STAGES = {"_independent_mod": "selection", "_echelon": "elimination",
+                 "_spans": "certificate"}
 
 
 def _timed(totals: dict, name: str, fn, consume: bool):
@@ -85,9 +102,29 @@ def _call_timed(module, stages: dict, totals: dict, fn, *args):
             setattr(module, name, original)
 
 
-def run_once(text: str) -> tuple[dict, tuple]:
-    """{stage: [seconds, calls]} of one parse, axiom scan and cohomology() call, and
-    the dims C/Z/B/H."""
+def _kernel_split(split: dict, route: dict):
+    """bolalg.linalg's kernel_basis, run with the functions of KERNEL_STAGES rebound
+    there to timers adding to split; route gets the rows handed to and kept by the
+    last selection, and the primes tried."""
+    select = LINALG._independent_mod
+
+    def recorded(rows, cols, p):
+        kept = select(rows, cols, p)
+        route.update(rows=len(rows), kept=len(kept), primes=route.get("primes", 0) + 1)
+        return kept
+
+    def kernel_basis(m):
+        LINALG._independent_mod = recorded
+        try:
+            return _call_timed(LINALG, KERNEL_STAGES, split, LINALG.kernel_basis, m)
+        finally:
+            LINALG._independent_mod = select
+    return kernel_basis
+
+
+def run_once(text: str) -> tuple[dict, tuple, dict]:
+    """{stage: [seconds, calls]} of one parse, axiom scan and cohomology() call, the
+    dims C/Z/B/H, and kernel_basis's selection ({} on the exact route)."""
     split = {name: [0.0, 0] for name in dict.fromkeys(AXIOM_STAGES.values())}
     start = time.perf_counter()
     A = _call_timed(ALGEBRA, AXIOM_STAGES, split, parse_algebra, text)
@@ -101,8 +138,15 @@ def run_once(text: str) -> tuple[dict, tuple]:
     verify = time.perf_counter() - start
     R = adjoint_representation(maltsev_to_bol(A) if maltsev else A)
     totals = {name: [0.0, 0] for name in STAGES}
+    kernel = {name: [0.0, 0] for name in KERNEL_STAGES.values()}
+    route = {}
+    saved = COHOMOLOGY.kernel_basis
     start = time.perf_counter()
-    rep = _call_timed(COHOMOLOGY, dict(zip(STAGES, STAGES)), totals, COHOMOLOGY.cohomology, R)
+    try:
+        COHOMOLOGY.kernel_basis = _kernel_split(kernel, route)
+        rep = _call_timed(COHOMOLOGY, dict(zip(STAGES, STAGES)), totals, COHOMOLOGY.cohomology, R)
+    finally:
+        COHOMOLOGY.kernel_basis = saved
     total = time.perf_counter() - start
     totals["other"] = [total - sum(s for s, _ in totals.values()), 1]
     totals["cohomology"] = [total, 1]
@@ -110,7 +154,9 @@ def run_once(text: str) -> tuple[dict, tuple]:
     totals["verify"] = [verify, 1]
     if not maltsev:
         totals.update(split)
-    return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
+    if route:
+        totals.update(kernel)
+    return totals, (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H), route
 
 
 def main(argv=None) -> int:
@@ -124,8 +170,11 @@ def main(argv=None) -> int:
     runs = [run_once(text) for _ in range(args.runs)]
     print(f"{'stage':<20} {'calls':>6} {'median s':>10}")
     for name in runs[0][0]:
-        seconds = statistics.median(totals[name][0] for totals, _ in runs)
+        seconds = statistics.median(totals[name][0] for totals, _, _ in runs)
         print(f"{name:<20} {runs[0][0][name][1]:>6} {seconds:>10.4f}")
+    route = runs[0][2]
+    print(f"kernel_basis route: mod-p, {route['kept']} of {route['rows']} rows kept, "
+          f"{route['primes']} prime(s)" if route else "kernel_basis route: exact")
     print("dims C/Z/B/H: " + "/".join(map(str, runs[0][1])))
     return 0
 
