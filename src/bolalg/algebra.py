@@ -8,21 +8,22 @@ algebra induces a Bol algebra through
 
     [x, y, z] = (1/3) (x*(y*z) - y*(x*z) + 2 (x*y)*z).
 
-Everything is stored as structure tensors over Q:
+An algebra stores its integer form (``_integer_terms``): D, the lcm of
+every denominator of its structure constants, and the nonzeros of each
+e_i*e_j and [e_i,e_j,e_k], k ascending, times D, as ints.  It is
+canonical, so equality and hashing read it.  The structure tensors
 
     c[k][i][j]    = coefficient of e_k in e_i * e_j
     t[l][i][j][k] = coefficient of e_l in [e_i, e_j, e_k]
 
+are built from it on first access; no scan reads them.  The library makes
+every algebra from its coefficients by one builder, ``_of_coefficients``;
+``BolAlgebra(n, c, t)`` and ``MaltsevAlgebra(n, c)`` read the tensors once.
 Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
-The scans read the integer form kept once per algebra (``_integer_terms``):
-the nonzeros of each e_i*e_j and [e_i,e_j,e_k], k ascending, times D, the
-lcm of every denominator of c (and t).  Every algebra the library builds is
-made from its coefficients by one builder, ``_of_coefficients``, and keeps
-the form built from them; only an algebra a caller builds from tensors has
-it read off them.  A product of k coefficients is D**k times the true one,
-so a residual adds up plain ints and is divided by D**k only when a Vec is
+A product of k coefficients in the form is D**k times the true one, so a
+residual adds up plain ints and is divided by D**k only when a Vec is
 built (``_over``): exact, and equal to the Fraction residual.  One
 assembly, ``_bol_scans``, runs the Bol axioms of a product form and a
 triple form: the antisymmetry scans it is given, which compare each form
@@ -32,10 +33,10 @@ module's (B01')-(B3') on (nu, mu, omega), B2's term of degree 3 being a
 parameter.  B2 and B3 run one (x, y) block at a time (``_b2_block``,
 ``_b3_block``): what [x,y,.] and x*y give is made once for every
 (u, v, w), and a block where they are zero is skipped; Sagle's identity
-runs one x at a time.  The other modules' scans
-add up ints too, on matrices by their integer rows or columns and with
-products of integer vectors (``_add_form``); no scan calls the Fraction
-evaluators ``bilinear_eval`` and ``trilinear_eval``.  An all-zero residual
+runs one x at a time.  The other modules' scans add up ints too, on
+matrices by their integer rows or columns and with products of integer
+vectors (``_add_form``); no scan calls the Fraction evaluators
+``bilinear_eval`` and ``trilinear_eval``.  An all-zero residual
 is the one shared zero Vec of its size (``linalg.zero_vec``).
 
 Most scans, here and in the other modules, sit on antisymmetries: once
@@ -58,10 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .linalg import Vec, _common_denominator, _exact, is_zero_vec, vec_add, zero_vec
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import _ONE, _ZERO, Vec, _common_denominator, _exact, is_zero_vec, zero_vec
 
 
 @dataclass(frozen=True)
@@ -160,34 +158,6 @@ def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
     first two arguments: the sparse file entries and cochain coordinates.
     """
     return list(slot_tuples(n, (2,) + (1,) * (arity - 2)))
-
-
-def entry_values(t, args: tuple[int, ...]) -> Vec:
-    """Coordinates t[v][args...] over the value index v (outermost)."""
-    out = []
-    for plane in t:
-        for a in args:
-            plane = plane[a]
-        out.append(plane)
-    return tuple(out)
-
-
-def entry_coords(n: int, *tensors) -> Vec:
-    """Coordinates of tensors antisymmetric in their first two slots.
-
-    ``tensors`` are (name, t, arity) triples; each contributes t[v][args]
-    over entry_args(n, arity), value index v innermost.  The first failing
-    antisymmetry tuple raises ValueError naming the tensor.
-    """
-    out = []
-    for name, t, arity in tensors:
-        check = _antisymmetry(name, t, n, arity)
-        if not check.passed:
-            v = next(v for v, x in enumerate(check.residual) if x)
-            raise ValueError(_antisymmetry_error(name, check.witness, v))
-        for args in entry_args(n, arity):
-            out.extend(entry_values(t, args))
-    return tuple(out)
 
 
 def _dense(n: int, value_dim: int, arity: int, coefficients) -> tuple:
@@ -302,29 +272,52 @@ def trilinear_eval(t, x, y, z, n: int) -> Vec:
     return tuple(out)
 
 
+def _over_terms(D: int, terms, size: int) -> Vec:
+    """The Vec of size entries c / D at the nonzeros (k, c) of terms, the shared zero elsewhere."""
+    out = [_ZERO] * size
+    for k, c in terms:
+        out[k] = Fraction(c, D)
+    return tuple(out)
+
+
+def _stored(A, n: int, binary, ternary, basis_names):
+    """A with its state written: n, the integer form of the coefficients of c and t
+    (as _integer_forms reads them) and basis_names."""
+    form = _integer_forms(n, ((2, binary), (3, ternary)))
+    A.__dict__.update(n=n, form=form, basis_names=tuple(basis_names) if basis_names else None)
+    return A
+
+
 class _BinaryProduct:
-    """The binary product of a structure tensor ``c[k][i][j]`` on ``n`` slots."""
+    """An algebra held as its integer form; the tensors are built from it on first access."""
+
+    _tensors = ("c",)
+
+    @cached_property
+    def c(self) -> tuple:  # c[k][i][j]
+        return _dense(self.n, self.n, 2, _form_coefficients(self.form[0], self.form[1], 2))
+
+    def __repr__(self) -> str:
+        tensors = "".join(f"{name}={getattr(self, name)!r}, " for name in self._tensors)
+        return f"{type(self).__name__}(n={self.n!r}, {tensors}basis_names={self.basis_names!r})"
 
     def product(self, x, y) -> Vec:
         return bilinear_eval(self.c, x, y, self.n)
 
-    @cached_property
-    def _pair(self) -> tuple:
-        # _pair[i][j] = coordinates of e_i * e_j
-        n = self.n
-        return tuple(tuple(entry_values(self.c, (i, j)) for j in range(n)) for i in range(n))
-
     def basis_product(self, i: int, j: int) -> Vec:
-        return self._pair[i][j]
+        return _over_terms(self.form[0], self.form[1][i][j], self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class MaltsevAlgebra(_BinaryProduct):
     """Anticommutative algebra candidate; verify_maltsev decides the identity."""
 
     n: int
-    c: tuple  # c[k][i][j]
+    form: tuple  # (D, P, T) as in _integer_terms, T all empty
     basis_names: tuple[str, ...] | None = None
+
+    def __init__(self, n: int, c: tuple, basis_names=None):
+        _stored(self, n, _coefficients("c", c, n, n, 2), (), basis_names)
 
     @classmethod
     def from_entries(cls, n, binary, basis_names=None) -> "MaltsevAlgebra":
@@ -332,14 +325,23 @@ class MaltsevAlgebra(_BinaryProduct):
                                 None, basis_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BolAlgebra(_BinaryProduct):
     """Binary + ternary structure constants; verify_bol decides the axioms."""
 
     n: int
-    c: tuple  # c[k][i][j]
-    t: tuple  # t[l][i][j][k]
+    form: tuple  # (D, P, T) as in _integer_terms
     basis_names: tuple[str, ...] | None = None
+
+    _tensors = ("c", "t")
+
+    def __init__(self, n: int, c: tuple, t: tuple, basis_names=None):
+        _stored(self, n, _coefficients("c", c, n, n, 2), _coefficients("t", t, n, n, 3),
+                basis_names)
+
+    @cached_property
+    def t(self) -> tuple:  # t[l][i][j][k]
+        return _dense(self.n, self.n, 3, _form_coefficients(self.form[0], self.form[2], 3))
 
     @classmethod
     def from_entries(cls, n, binary, ternary, basis_names=None) -> "BolAlgebra":
@@ -355,14 +357,14 @@ class BolAlgebra(_BinaryProduct):
         return trilinear_eval(self.t, x, y, z, self.n)
 
     def basis_triple(self, i: int, j: int, k: int) -> Vec:
-        return tuple(self.t[l][i][j][k] for l in range(self.n))
+        return _over_terms(self.form[0], self.form[2][i][j][k], self.n)
 
 
 def _once_per_object(fn):
     """Run ``fn(obj)`` once per immutable ``obj`` and keep the result on it.
 
     The result sits in the object's ``__dict__``, as ``cached_property``
-    keeps ``_BinaryProduct._pair``: it lives and dies with the object, and
+    keeps an algebra's tensors: it lives and dies with the object, and
     dataclass equality and hashing ignore it.  Two threads racing on a new
     object can at worst both compute it.
     """
@@ -374,7 +376,6 @@ def _once_per_object(fn):
         if key not in kept:
             kept[key] = fn(obj)
         return kept[key]
-    once.keep = lambda obj, value: obj.__dict__.__setitem__(key, value)  # a result made elsewhere
     return once
 
 
@@ -413,9 +414,16 @@ def _integer_forms(n: int, parts) -> tuple:
     return (D, *forms)
 
 
-def _coefficients(t, n: int, arity: int):
-    """The coefficients (args, k, t[k][args]) at the nonzeros of a tensor, the
-    entries of one prefix read off the planes by transposition."""
+def _coefficients(name: str, t, m: int, n: int, arity: int):
+    """The coefficients (args, k, t[k][args]) at the nonzeros of the tensor t, m planes
+    of n**arity entries (nested tuples or lists; else ValueError names it), the entries
+    of one prefix read off the planes by transposition."""
+    level = (t,)
+    for depth, size in enumerate((m,) + (n,) * arity):
+        if depth:
+            level = [x for row in level for x in row]
+        if not all(isinstance(row, (tuple, list)) and len(row) == size for row in level):
+            raise ValueError(f"{name} tensor must be {m} x {' x '.join([str(n)] * arity)}")
     for prefix in itertools.product(range(n), repeat=arity - 1):
         rows = [functools.reduce(lambda row, a: row[a], prefix, plane) for plane in t]
         for last, values in enumerate(zip(*rows)):
@@ -431,28 +439,16 @@ def _form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
             yield from ((prefix + (a,), k, Fraction(c, D)) for k, c in sub)
 
 
-@_once_per_object
 def _integer_terms(A) -> tuple:
-    """The kept integer form (D, P, T) of an algebra, for the axiom scans.
-
-    D is the lcm of every denominator of c, and of t for a Bol algebra;
-    P[i][j] and T[i][j][k] are the nonzeros of e_i*e_j and [e_i,e_j,e_k]
-    times D, as ints (T is all empty for a Maltsev algebra).  It is read
-    off c and t here only for an algebra not made by _of_coefficients.
-    """
-    t = _coefficients(A.t, A.n, 3) if isinstance(A, BolAlgebra) else ()
-    return _integer_forms(A.n, ((2, _coefficients(A.c, A.n, 2)), (3, t)))
+    """The stored integer form (D, P, T) of an algebra: P[i][j] and T[i][j][k] the
+    nonzeros of e_i*e_j and [e_i,e_j,e_k] times D (T all empty for a Maltsev algebra)."""
+    return A.form
 
 
 def _of_coefficients(cls, n: int, binary, ternary, basis_names):
     """The algebra of class cls whose c (and t, unless ternary is None) have the
-    coefficients (args, k, x) given, as in _integer_forms; its integer form is kept."""
-    parts = [(2, list(binary)), (3, list(ternary or ()))]
-    tensors = [_dense(n, n, arity, coefficients) for arity, coefficients in parts
-               if arity == 2 or ternary is not None]
-    A = cls(n, *tensors, tuple(basis_names) if basis_names else None)
-    _integer_terms.keep(A, _integer_forms(n, parts))
-    return A
+    coefficients (args, k, x) given, as in _integer_forms; no tensor is built."""
+    return _stored(object.__new__(cls), n, binary, ternary or (), basis_names)
 
 
 @_once_per_object
@@ -507,23 +503,18 @@ def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     return ConditionCheck(name, True)
 
 
-def _antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
-    """Scan t(i,j,...) + t(j,i,...) over all argument tuples."""
-    return _scan(name, itertools.product(range(n), repeat=arity),
-                 lambda *args: vec_add(entry_values(t, args),
-                                       entry_values(t, (args[1], args[0]) + args[2:])))
-
-
-def _antisymmetry_scan(name: str, D: int, form: tuple, arity: int) -> ConditionCheck:
+def _antisymmetry_scan(name: str, D: int, form: tuple, arity: int,
+                       m: int | None = None) -> ConditionCheck:
     """The first failure of form(i,j,...) + form(j,i,...) = 0, args lexicographic, for
-    an integer product (arity 2) or triple (3) form.  Sorted and zero-free, the two
-    cancel exactly when one is the other negated: only a mismatch is added up."""
+    an integer product (arity 2) or triple (3) form with m value coordinates (n by
+    default).  Sorted and zero-free, the two cancel exactly when one is the other
+    negated: only a mismatch is added up."""
     n = len(form)
     for i, j in itertools.product(range(n), repeat=2):
         ij, ji = form[i][j], form[j][i]
         for rest, a, b in [((), ij, ji)] if arity == 2 else zip(((k,) for k in range(n)), ij, ji):
             if (a or b) and a != tuple((k, -c) for k, c in b):
-                return ConditionCheck(name, False, (i, j) + rest, _integer_sum(D, n, a, b))
+                return ConditionCheck(name, False, (i, j) + rest, _integer_sum(D, m or n, a, b))
     return ConditionCheck(name, True)
 
 

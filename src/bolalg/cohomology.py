@@ -69,23 +69,28 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from .algebra import (
     BolAlgebra,
     CheckReport,
+    _antisymmetry_error,
+    _antisymmetry_scan,
     _checked_entries,
+    _coefficients,
     _dense,
+    _integer_forms,
     _integer_terms,
     _nonzeros,
     _over,
+    _over_terms,
     _scaled,
     _scan,
     _swapped,
     entry_args,
-    entry_coords,
     slot_tuples,
 )
 from .linalg import (
@@ -110,14 +115,15 @@ from .representation import (
 class CochainPair:
     """A (2,3)-cochain, held as its canonical coordinate vector.
 
-    ``CochainPair(base, m, nu, omega)`` takes the coefficient tensors
-    nu[a][i][j] and omega[a][i][j][k] and raises ValueError on a bad shape
-    or at the first tuple where they are not antisymmetric, and TypeError
-    on an inexact entry.  The other constructors (``zero``, ``from_entries``,
-    ``coords_to_cochain``) write the coordinates directly.  The tensors are
-    built from the coordinates on first access and kept on the pair (the
-    library reads ``entries`` and ``coefficients`` instead).  Two pairs are
-    equal when their base, m and coordinates are.
+    ``CochainPair(base, m, nu, omega)`` reads the tensors nu[a][i][j] and
+    omega[a][i][j][k] into their integer form, as an algebra's are read,
+    and raises ValueError on a bad shape, then TypeError on an inexact
+    entry, then ValueError at the first tuple where they are not
+    antisymmetric.  ``zero``, ``from_entries`` and ``coords_to_cochain``
+    write the coordinates directly.  The tensors are built from the coordinates on
+    first access and kept on the pair (the library reads ``entries`` and
+    ``coefficients`` instead).  Two pairs are equal when their base, m and
+    coordinates are.
     """
 
     base: BolAlgebra
@@ -126,19 +132,16 @@ class CochainPair:
 
     def __init__(self, base: BolAlgebra, m: int, nu: tuple, omega: tuple):
         n = base.n
-        if len(nu) != m or len(omega) != m:
-            raise ValueError("cochain tensors must have one plane per module coordinate")
-        for plane in nu:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("nu tensor must be m x n x n")
-        for cube in omega:
-            if len(cube) != n or any(
-                len(plane) != n or any(len(row) != n for row in plane)
-                for plane in cube
-            ):
-                raise ValueError("omega tensor must be m x n x n x n")
-        # raises on the first antisymmetry failure, then on an inexact entry
-        coords = tuple(map(_exact, entry_coords(n, ("nu", nu, 2), ("omega", omega, 3))))
+        D, *forms = _integer_forms(n, ((2, _coefficients("nu", nu, m, n, 2)),
+                                       (3, _coefficients("omega", omega, m, n, 3))))
+        for name, form, arity in zip(("nu", "omega"), forms, (2, 3)):
+            check = _antisymmetry_scan(name, D, form, arity, m)
+            if not check.passed:
+                v = next(v for v, x in enumerate(check.residual) if x)
+                raise ValueError(_antisymmetry_error(name, check.witness, v))
+        at = lambda args: reduce(operator.getitem, args, forms[len(args) - 2])  # the nonzeros
+        coords = tuple(x for args in entry_args(n, 2) + entry_args(n, 3)
+                       for x in _over_terms(D, at(args), m))
         self.__dict__.update(base=base, m=m, _coords=coords)
 
     @classmethod

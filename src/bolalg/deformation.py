@@ -41,7 +41,7 @@ the joint kernel of Delta) is computed alongside and must agree.
 
 The scans add up ints through ``algebra``'s, on one integer form of (mu,
 nu, omega) over one lcm D, kept per object: a datum's is built from the
-base's kept form and the pair's coefficients (``_datum_forms``), only a
+base's stored form and the pair's coefficients (``_datum_forms``), only a
 raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
 B01-B3 of (nu, omega), with mu's antisymmetry besides and mu entering B2's
 cubic term, and come from the one assembly behind verify_bol,
@@ -119,14 +119,15 @@ class DeformationDatum:
 def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
     """The kept integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
     n = d.n
-    return _integer_forms(n, ((2, _coefficients(d.mu, n, 2)), (2, _coefficients(d.nu, n, 2)),
-                              (3, _coefficients(d.omega, n, 3))))
+    return _integer_forms(n, ((2, _coefficients("mu", d.mu, n, n, 2)),
+                              (2, _coefficients("nu", d.nu, n, n, 2)),
+                              (3, _coefficients("omega", d.omega, n, n, 3))))
 
 
 @_once_per_object
 def _datum_forms(d: DeformationDatum) -> tuple:
     """The kept integer form (D, mu, nu, omega) of (*, nu, omega), as _candidate_forms
-    of the tensors, built from the base's kept form and the pair's coefficients."""
+    of the tensors, built from the base's stored form and the pair's coefficients."""
     D, P, _ = _integer_terms(d.base)
     return _integer_forms(d.base.n, ((2, _form_coefficients(D, P, 2)),
                                      (2, d.pair.coefficients(2)), (3, d.pair.coefficients(3))))
@@ -152,8 +153,8 @@ def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     """The algebra B_t with operations *_t and [ , , ]_t at a sample t.
 
-    Its c, t and kept integer form are made from the nonzeros of the base's
-    integer form and of the pair's entries, summed; no dense tensor is read."""
+    Its integer form is made from the nonzeros of the base's integer form and of
+    the pair's entries, summed; no dense tensor is read or built."""
     base, pair = d.base, d.pair
     t = _exact(t)
     D, P, T = _integer_terms(base)

@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra, entry_args, entry_values
+from .algebra import BolAlgebra, MaltsevAlgebra, entry_args
 from .cohomology import CochainPair
 from .extension import AbelianExtension
 from .linalg import _ZERO, Mat
@@ -32,8 +32,8 @@ _INDEX_KEY = re.compile(r"0|-?[1-9][0-9]*")  # canonical: one spelling per integ
 # Python's default int() limit on decimal digits; checked first, so a longer
 # numerator or denominator is rejected with its path, not by int().
 _MAX_DIGITS = 4300
-# The largest dimension a file may declare, checked before any tensor is built:
-# the dense tensors and matrix grids grow as its fourth power.
+# The largest dimension a file may declare, checked before anything is built: the
+# adjoint module's matrix grids and the cochain space grow as its fourth power.
 MAX_DIMENSION = 64
 
 
@@ -225,11 +225,6 @@ def _render_entries(entries) -> list:
     return out
 
 
-def _tensor_entries(tensor, arity: int, n: int):
-    """(args, values) of an antisymmetric tensor at each i<j argument tuple."""
-    return ((args, entry_values(tensor, args)) for args in entry_args(n, arity))
-
-
 def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(path, f"matrix must have {rows} rows")
@@ -260,9 +255,9 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
     }
     if A.basis_names:
         obj["basis_names"] = list(A.basis_names)
-    obj["binary"] = _render_entries(_tensor_entries(A.c, 2, A.n))
+    obj["binary"] = _render_entries((a, A.basis_product(*a)) for a in entry_args(A.n, 2))
     if isinstance(A, BolAlgebra):
-        obj["ternary"] = _render_entries(_tensor_entries(A.t, 3, A.n))
+        obj["ternary"] = _render_entries((a, A.basis_triple(*a)) for a in entry_args(A.n, 3))
     return obj
 
 

@@ -16,18 +16,19 @@ maps D, theta: B x B -> End(V) satisfying six conditions:
                                 + D(y1,y2) theta(x1,y3)
 
 All conditions are multilinear, so they are decided on basis tuples.  The
-scans read integer forms kept once per object: the nonzeros of each
-product and bracket of B times D_A (``algebra._integer_terms``), and of
-each rho, D, theta and Delta matrix by row times D_R (``_integer_rows``,
-``_delta_rows``, which ``Representation.delta`` reads too), and of a Maltsev
-action read the same way (``_integer_mats``).  Every matrix identity (R1-R33,
-the Delta identity, both Maltsev-action conditions) and every map that
-induce_from_maltsev builds adds up its nonzero terms as ints in one helper,
-``_matrix_sum``, over one common denominator; a product that feeds another
-is read back as integer rows.  The operator Delta(u,v) = D(u,v) - rho(u*v)
-satisfies the commutator identity checked by check_delta_identity, and
-drives the companion term of pseudoderivations: a linear map f: B -> V with
-companion chi in V is a pseudoderivation when
+scans read integer forms: the nonzeros of each product and bracket of B
+times D_A, stored on B (``algebra._integer_terms``), and, kept once per
+object, of each rho, D, theta and Delta matrix by row times D_R
+(``_integer_rows``, ``_delta_rows``, which ``Representation.delta`` reads
+too), and of a Maltsev action read the same way (``_integer_mats``).
+Every matrix identity (R1-R33, the Delta identity, both Maltsev-action
+conditions) and every map that induce_from_maltsev builds adds up its
+nonzero terms as ints in one helper, ``_matrix_sum``, over one common
+denominator; a product that feeds another is read back as integer rows.
+The operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator
+identity checked by check_delta_identity, and drives the companion term
+of pseudoderivations: a linear map f: B -> V with companion chi in V is
+a pseudoderivation when
 
   f(x1*x2)      = rho(x1) f(x2) - rho(x2) f(x1) + Delta(x1,x2)(chi)
   f([x1,x2,x3]) = theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3).
@@ -269,7 +270,7 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
 
 
 def _action_rows(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> tuple:
-    """(m, D_A, P, D_R, R) of a Maltsev action: (D_A, P, _) the kept form of M and
+    """(m, D_A, P, D_R, R) of a Maltsev action: (D_A, P, _) the stored form of M and
     R[i] = rho(e_i), one m x m matrix per basis element, as _integer_mats reads it."""
     if len(rho) != M.n:
         raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")

@@ -17,6 +17,7 @@ from bolalg.algebra import (
     MaltsevAlgebra,
     _add_form,
     _add_terms,
+    _antisymmetry_error,
     _bracket,
     _checked_entries,
     _dense,
@@ -33,7 +34,6 @@ from bolalg.algebra import (
     _times,
     bilinear_eval,
     entry_args,
-    entry_values,
     maltsev_to_bol,
     slot_tuples,
     trilinear_eval,
@@ -843,6 +843,39 @@ def scaled_forms(products: tuple, triples: tuple) -> tuple:
     D = _common_denominator(c for P in products + tuple(planes) for row in P
                             for terms in row for _, c in terms)
     return (D, *map(scale, products), *(tuple(map(scale, T)) for T in triples))
+
+
+def entry_values(t, args: tuple[int, ...]) -> tuple:
+    """The former algebra.entry_values: t[v][args...] over the value index v (outermost)."""
+    out = []
+    for plane in t:
+        for a in args:
+            plane = plane[a]
+        out.append(plane)
+    return tuple(out)
+
+
+def fraction_antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
+    """The former algebra._antisymmetry: t(i,j,...) + t(j,i,...) added up in
+    Fractions over all argument tuples."""
+    return _scan(name, itertools.product(range(n), repeat=arity),
+                 lambda *args: vec_add(entry_values(t, args),
+                                       entry_values(t, (args[1], args[0]) + args[2:])))
+
+
+def entry_coords(n: int, *tensors) -> tuple:
+    """The former algebra.entry_coords: the coordinates t[v][args] over
+    entry_args(n, arity), v innermost, of tensors (name, t, arity) antisymmetric in
+    their first two slots; the first failing tuple raises ValueError naming it."""
+    out = []
+    for name, t, arity in tensors:
+        check = fraction_antisymmetry(name, t, n, arity)
+        if not check.passed:
+            v = next(v for v, x in enumerate(check.residual) if x)
+            raise ValueError(_antisymmetry_error(name, check.witness, v))
+        for args in entry_args(n, arity):
+            out.extend(entry_values(t, args))
+    return tuple(out)
 
 
 def fraction_cyclic(name: str, t, n: int, grouped: bool = False) -> ConditionCheck:

@@ -14,6 +14,7 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
+from bolalg.deformation import DeformationTypeCandidate, is_deformation_type
 from bolalg.linalg import is_zero_vec, vec_sub
 
 from .conftest import (
@@ -329,3 +330,106 @@ class TestLevelWiseFill:
             t = [(args, dict(enumerate(alg.basis_triple(*args)))) for args in entry_args(n, 3)]
             assert alg.c == tensor_by_leaves(n, n, 2, c)
             assert alg.t == tensor_by_leaves(n, n, 3, t)
+
+
+def _random_tensor(rng: random.Random, n: int, arity: int, antisymmetric: bool, kind) -> tuple:
+    """n planes of n**arity random entries, about half of them zero, ints or Fractions;
+    antisymmetric in the first two slots (zero where they are equal) or not."""
+    values = {}
+    for args in itertools.product(range(n), repeat=arity):
+        swapped = (args[1], args[0]) + args[2:]
+        if antisymmetric and args[0] >= args[1]:
+            values[args] = (tuple(-x for x in values[swapped]) if args[0] > args[1]
+                            else (kind(0),) * n)
+        else:
+            values[args] = tuple(kind(rng.choice((0, 0, 1, -2, 3))) / kind(rng.choice((1, 3)))
+                                 if kind is F else rng.choice((0, 0, 1, -2, 3)) for _ in range(n))
+    return tabulate(n, n, arity, lambda *args: values[args])
+
+
+class TestStoredForm:
+    """An algebra stores its integer form; c and t are built from it on first access."""
+
+    @pytest.mark.parametrize("antisymmetric", [True, False], ids=["antisymmetric", "any"])
+    @pytest.mark.parametrize("kind", [int, F], ids=["int", "Fraction"])
+    def test_the_tensors_round_trip(self, antisymmetric, kind):
+        rng = random.Random(7 + antisymmetric + 2 * (kind is F))
+        for n in range(5):
+            c = _random_tensor(rng, n, 2, antisymmetric, kind)
+            t = _random_tensor(rng, n, 3, antisymmetric, kind)
+            B, M = BolAlgebra(n, c, t), MaltsevAlgebra(n, c)
+            assert not {"c", "t"} & (set(B.__dict__) | set(M.__dict__))
+            assert B.c == c and B.t == t and M.c == c
+            assert all(type(x) is F for x in leaves((B.c, B.t, M.c)))
+            assert B.c is B.c  # kept after the first access
+            assert all(B.basis_product(i, j) == tuple(plane[i][j] for plane in c)
+                       for i in range(n) for j in range(n))
+
+    def test_an_entries_built_algebra_equals_its_tensor_built_twin(self):
+        for A in (make_b2(F(5, 3)), maltsev_to_bol(make_so3()),
+                  maltsev_to_bol(make_maltsev_dim4()), BolAlgebra.zero(3)):
+            twin = BolAlgebra(A.n, A.c, A.t, A.basis_names)
+            assert twin == A and hash(twin) == hash(A) and twin.form == A.form
+        for M in (make_m0(), make_maltsev_dim4(), make_so3()):
+            twin = MaltsevAlgebra(M.n, M.c, M.basis_names)
+            assert twin == M and hash(twin) == hash(M)
+        B = make_b2(1)
+        named = BolAlgebra(2, B.c, B.t, ("x", "y"))
+        assert named != B and named != BolAlgebra(2, B.c, B.t, ["x", "z"])
+        assert named == BolAlgebra(2, B.c, B.t, ["x", "y"])  # names are kept as a tuple
+        assert make_b2(1) != make_b2(2) and MaltsevAlgebra(2, B.c) != B
+
+    def test_repr_text_is_unchanged(self):
+        assert repr(make_m0()) == (
+            "MaltsevAlgebra(n=2, c=(((Fraction(0, 1), Fraction(0, 1)), (Fraction(0, 1), "
+            "Fraction(0, 1))), ((Fraction(0, 1), Fraction(-1, 1)), (Fraction(1, 1), "
+            "Fraction(0, 1)))), basis_names=None)")
+        B = maltsev_to_bol(make_maltsev_dim4())
+        c = tensor_from_entries(4, 4, 2, [(a, dict(enumerate(B.basis_product(*a))))
+                                          for a in entry_args(4, 2)], "binary")
+        t = tensor_from_entries(4, 4, 3, [(a, dict(enumerate(B.basis_triple(*a))))
+                                          for a in entry_args(4, 3)], "ternary")
+        named = BolAlgebra(4, c, t, ("a", "b", "c", "d"))
+        assert repr(named) == (
+            f"BolAlgebra(n=4, c={c!r}, t={t!r}, basis_names=('a', 'b', 'c', 'd'))")
+
+
+class TestShapeCheck:
+    """A malformed tensor is refused by the constructor, naming it and its shape."""
+
+    def _cases(self):
+        B = make_b2(1)
+        c, t = B.c, B.t
+        short_rows = tuple(tuple(row[:1] for row in plane) for plane in c)
+        short_t = (t[0], (t[1][0], (t[1][1][0], t[1][1][1][:1])))
+        zero_plane = ((F(0),) * 2,) * 2
+        return [
+            (lambda: BolAlgebra(2, c + (zero_plane,), t), "c tensor must be 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, c + (((0, 1), (-1, 0)),), t), "c tensor must be 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, short_rows, t), "c tensor must be 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, c[:1], t), "c tensor must be 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, 0, t), "c tensor must be 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, c, t + (t[0],)), "t tensor must be 2 x 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, c, short_t), "t tensor must be 2 x 2 x 2 x 2"),
+            (lambda: BolAlgebra(2, c, c), "t tensor must be 2 x 2 x 2 x 2"),
+            (lambda: MaltsevAlgebra(2, c + (zero_plane,)), "c tensor must be 2 x 2 x 2"),
+            (lambda: MaltsevAlgebra(2, short_rows), "c tensor must be 2 x 2 x 2"),
+            (lambda: MaltsevAlgebra(3, c), "c tensor must be 3 x 3 x 3"),
+            # a deformation candidate's tensors go through the same reader
+            (lambda: is_deformation_type(DeformationTypeCandidate(2, c + (zero_plane,), c, t)),
+             "mu tensor must be 2 x 2 x 2"),
+            (lambda: is_deformation_type(DeformationTypeCandidate(2, c, c, t[:1])),
+             "omega tensor must be 2 x 2 x 2 x 2"),
+        ]
+
+    def test_a_malformed_tensor_is_refused_at_construction(self):
+        for build, message in self._cases():
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_well_formed_lists_are_read(self):
+        B = make_b2(1)
+        lists = lambda x: [lists(y) for y in x] if isinstance(x, tuple) else x
+        assert BolAlgebra(2, lists(B.c), lists(B.t)) == BolAlgebra(2, B.c, B.t)
+        assert BolAlgebra(0, (), ()) == BolAlgebra.zero(0)

@@ -21,7 +21,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, entry_coords, maltsev_to_bol
+from bolalg.algebra import BolAlgebra, maltsev_to_bol
 from bolalg.cohomology import (
     CochainPair,
     cochain_dim,
@@ -48,6 +48,7 @@ from .conftest import (
     dense,
     dense_coboundary_tensors,
     dense_delta,
+    entry_coords,
     freeze,
     make_b2,
     make_ex28_representation,

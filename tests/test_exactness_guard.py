@@ -10,7 +10,8 @@ module never uses and does not list in ``__all__``.  No module but
 scan reads integer forms.  No module calls ``tabulate`` (a slow reference
 in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
 constructors: every algebra is built from coefficients by
-``algebra._of_coefficients``.  Only ``algebra._bol_scans``, the one
+``algebra._of_coefficients``, which writes its integer form on a new
+object, and no command builds an algebra's tensors c and t.  Only ``algebra._bol_scans``, the one
 assembly of the Bol axioms, calls the B2 and B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
 multiplies matrices with ``@`` or calls a ``commutator``: matrix
@@ -28,8 +29,9 @@ cover), and of the residual each failing x block of Sagle's identity
 returns.  Every public entry point that takes scalars refuses a float, and
 so does the tensor constructor ``CochainPair(base, m, nu, omega)``; an
 algebra, module or action built from tensors or a direct ``Mat`` holding a
-float is refused with the same ``TypeError`` by the first scan that reads
-its integer form (``linalg._common_denominator``).
+float is refused with the same ``TypeError`` (``linalg._common_denominator``):
+an algebra at construction, which reads its tensors into the integer form,
+a module or action by the first scan that reads its integer form.
 """
 
 import ast
@@ -44,6 +46,7 @@ from pathlib import Path
 import pytest
 
 from bolalg import algebra, deformation, extension, representation
+from bolalg import cli as CLI
 from bolalg.algebra import (
     BolAlgebra,
     MaltsevAlgebra,
@@ -56,7 +59,9 @@ from bolalg.algebra import (
     verify_bol,
     verify_maltsev,
 )
-from bolalg.cohomology import CochainPair, coboundary_of, coords_to_cochain, is_cocycle
+from bolalg.cohomology import (
+    CochainPair, coboundary_of, cohomology, coords_to_cochain, is_cocycle,
+)
 from bolalg.deformation import (
     DeformationDatum,
     DeformationTypeCandidate,
@@ -65,8 +70,10 @@ from bolalg.deformation import (
     generates_infinitesimal_deformation,
     is_deformation_type,
 )
-from bolalg.extension import AbelianExtension, semidirect_product, validate_extension
-from bolalg.formats import parse_algebra
+from bolalg.extension import (
+    AbelianExtension, semidirect_product, twisted_product, validate_extension,
+)
+from bolalg.formats import parse_algebra, render_algebra, render_extension
 from bolalg.linalg import Mat
 from bolalg.representation import (
     PseudoderivationData,
@@ -199,8 +206,8 @@ def test_the_evaluator_guard_catches(code, calls):
 
 _CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
 
-# The one coefficient builder, which instantiates through ``cls``.
-_BUILDERS = {"algebra.py": ["_of_coefficients: cls"]}
+# The one coefficient builder, which makes a new object of class ``cls``.
+_BUILDERS = {"algebra.py": ["_of_coefficients: __new__"]}
 
 
 def _calls_by_definition(tree: ast.Module, names_in) -> list[str]:
@@ -220,10 +227,10 @@ def _calls_by_definition(tree: ast.Module, names_in) -> list[str]:
 
 def _construction_calls(tree: ast.Module) -> list[str]:
     """Each call of tabulate or of the BolAlgebra or MaltsevAlgebra constructor,
-    and each call of ``cls`` in a module-level function (a classmethod's
-    ``cls(...)`` builds its own class)."""
+    and each call of ``cls`` or of a ``__new__`` in a module-level function (a
+    classmethod's ``cls(...)`` builds its own class)."""
     return _calls_by_definition(tree, lambda top: _CONSTRUCTORS | (
-        {"cls"} if isinstance(top, ast.FunctionDef) else set()))
+        {"cls", "__new__"} if isinstance(top, ast.FunctionDef) else set()))
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
@@ -237,12 +244,58 @@ def test_every_algebra_is_built_from_coefficients(source):
     ("hat = BolAlgebra(N, c, t)", ["<module>: BolAlgebra"]),
     ("def f(M):\n    return algebra.MaltsevAlgebra(M.n, M.c)", ["f: MaltsevAlgebra"]),
     ("def build(cls, n, c):\n    return cls(n, c)", ["build: cls"]),
+    ("def build(cls, n):\n    return object.__new__(cls)", ["build: __new__"]),
+    ("def f(n):\n    return BolAlgebra.__new__(BolAlgebra)", ["f: __new__"]),
+    ("class P:\n    @classmethod\n    def of(cls):\n        return object.__new__(cls)", []),
     ("class A:\n    @classmethod\n    def zero(cls):\n        return cls(0)", []),
     ("def f(n):\n    return BolAlgebra.from_entries(n, (), ())", []),
     ("def f(A):\n    return isinstance(A, BolAlgebra)", []),
 ])
 def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
+
+
+def _recorded_algebras(monkeypatch) -> list:
+    """Every algebra built from here on, recorded where its state is written."""
+    built, stored = [], algebra._stored
+    monkeypatch.setattr(algebra, "_stored", lambda A, *state: built.append(A) or stored(A, *state))
+    return built
+
+
+def _with_tensors(built: list) -> list:
+    return [A for A in built if {"c", "t"} & set(A.__dict__)]
+
+
+@pytest.mark.parametrize("name", ["b2_lambda1.alg", "b2_lambda_5_3.alg", "so3.alg",
+                                  "maltsev_dim4.alg"])
+def test_the_library_pipeline_builds_no_tensor_of_an_algebra(monkeypatch, name):
+    # parse, verify, adjoint cohomology, a twisted product per cocycle, render
+    built = _recorded_algebras(monkeypatch)
+    A = parse_algebra((DATA / name).read_text())
+    B = maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A
+    assert verify_bol(B).passed
+    R = adjoint_representation(B)
+    extensions = [twisted_product(R, z) for z in cohomology(R).z_basis]
+    assert extensions
+    for text in (render_algebra(A), render_algebra(B), *map(render_extension, extensions)):
+        assert text
+    assert len(built) >= 1 + len(extensions) and _with_tensors(built) == []
+    assert (B.c, B.t) and _with_tensors(built) == [B]  # built on first access only
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "b2_lambda1.alg"], ["verify", "so3.alg"], ["maltsev-to-bol", "so3.alg"],
+    ["cohomology", "b2_lambda1.alg", "--adjoint"], ["verify", "sphere10.alg"],
+    ["is-cocycle", "b2_lambda1.alg", "scale_b2.cochain", "--adjoint"],
+    ["extend-build", "b2_lambda1.alg", "scale_b2.cochain", "--adjoint"],
+    ["deform-check", "b2_lambda1.alg", "scale_b2.cochain"],
+], ids=" ".join)
+def test_the_commands_build_no_tensor_of_an_algebra(monkeypatch, capsys, argv):
+    built = _recorded_algebras(monkeypatch)
+    files = [str(DATA / a) if "." in a else a for a in argv]
+    assert CLI.main(files + ["--json"]) == 0
+    assert capsys.readouterr().out
+    assert built and _with_tensors(built) == []
 
 
 _BLOCK_SCANS = {"_b2_scan", "_b3_scan"}
@@ -510,6 +563,28 @@ def test_the_tensor_constructor_refuses_a_float_and_makes_ints_fractions():
     assert all(type(x) is Fraction for x in pair.coords())
     assert pair.nu == (((0, 3), (-3, 0)),)
     assert all(type(x) is Fraction for plane in pair.nu for row in plane for x in row)
+
+
+def test_the_tensor_constructor_refuses_a_float_before_an_antisymmetry_failure():
+    # nu is read into its integer form first: an inexact entry raises TypeError
+    # even where nu is also not antisymmetric
+    nu = (((0, 0.5), (0.5, 0)),)
+    with pytest.raises(TypeError, match=re.escape(repr(0.5))):
+        CochainPair(make_b2(1), 1, nu, ((((0, 0),) * 2,) * 2,))
+    with pytest.raises(ValueError, match="nu is not antisymmetric"):
+        CochainPair(make_b2(1), 1, (((0, 1), (1, 0)),), ((((0, 0),) * 2,) * 2,))
+
+
+@pytest.mark.parametrize("inexact", [0.5, -1.0])
+def test_an_algebra_refuses_a_float_at_construction(inexact):
+    # the tensors are read into the integer form before any scan reads the algebra
+    B = make_b2(1)
+    c = B.c[:1] + (((0, inexact), (-inexact, 0)),)
+    t = B.t[:1] + ((((0, 0), (inexact, 0)), ((-inexact, 0), (0, 0))),)
+    for build in (lambda: BolAlgebra(2, c, B.t), lambda: BolAlgebra(2, B.c, t),
+                  lambda: MaltsevAlgebra(2, c)):
+        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+            build()
 
 
 def _float_mat(x):

@@ -2,19 +2,19 @@
 constructions they replaced.
 
 ``twisted_product`` builds hat(B) with the one coefficient builder
-(``algebra._of_coefficients``) from the base's kept integer form, the
-cocycle's entries and the nonzero rows of rho, D and theta, and keeps the
+(``algebra._of_coefficients``) from the base's stored integer form, the
+cocycle's entries and the nonzero rows of rho, D and theta, and stores the
 integer form built from them.  The reference in ``conftest`` is the former
 construction, every basis product tabulated from the dense tensors.  The
 bundles must be equal (hat c and t, i, p and sigma), every entry a
-``Fraction``, and the kept form must be the one read off the hat's tensors.
+``Fraction``, and the stored form must be the one read off the hat's tensors.
 The inputs are semidirect products, nonzero cocycles over the adjoint modules
 of b2, so3 and the solvable algebras of dimension 3 and 4 in their canonical
 and a dense rational basis, cocycles of the Example 2.8 module, a module with
 m = 0 and the octonions' adjoint module (N = 14).
 
 The deformation checks read one integer form per datum (``_datum_forms``),
-made from the base's kept form and the pair's coefficients; it must equal
+made from the base's stored form and the pair's coefficients; it must equal
 the form of the dense (mu, nu, omega) candidate, and the checks must build
 no nu or omega tensor on the pair.
 """
@@ -85,7 +85,8 @@ def _assert_same_hat(R: Representation, c: CochainPair):
     assert all(type(x) is F for x in leaves((E.hat.c, E.hat.t)))
     N = E.hat.n
     assert _integer_terms(E.hat) == _integer_forms(
-        N, ((2, _coefficients(E.hat.c, N, 2)), (3, _coefficients(E.hat.t, N, 3))))
+        N, ((2, _coefficients("c", E.hat.c, N, N, 2)),
+            (3, _coefficients("t", E.hat.t, N, N, 3))))
     assert validate_extension(E).passed
     return E
 

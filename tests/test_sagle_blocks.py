@@ -17,7 +17,7 @@ scaled by their lcm denominator, for Bol and Maltsev algebras and for the
 (mu, nu, omega) forms the deformation scans read.
 The deformation-type antisymmetry and cyclic scans (B01'-B03', B1') add up
 the integer forms of (mu, nu, omega); they must equal the former Fraction
-scans, ``_antisymmetry`` and the cyclic sum, also where those fail.
+scans, ``fraction_antisymmetry`` and the cyclic sum, also where those fail.
 """
 
 import itertools
@@ -31,7 +31,6 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _antisymmetry,
     _integer_terms,
     maltsev_to_bol,
     verify_maltsev,
@@ -43,6 +42,7 @@ from bolalg.representation import cochain_dim
 from .conftest import (
     coordinate_product_terms,
     coordinate_triple_terms,
+    fraction_antisymmetry,
     fraction_cyclic,
     make_m0,
     make_maltsev_dim4,
@@ -179,8 +179,9 @@ def test_the_deformation_pair_forms_equal_the_coordinate_reads(index):
 @pytest.mark.parametrize("index", range(len(CANDIDATES)))
 def test_the_deformation_type_scans_equal_the_fraction_scans(index):
     d = CANDIDATES[index]
-    antisymmetry = (_antisymmetry("B01'", d.nu, d.n, 2), _antisymmetry("B02'", d.mu, d.n, 2),
-                    _antisymmetry("B03'", d.omega, d.n, 3))
+    antisymmetry = (fraction_antisymmetry("B01'", d.nu, d.n, 2),
+                    fraction_antisymmetry("B02'", d.mu, d.n, 2),
+                    fraction_antisymmetry("B03'", d.omega, d.n, 3))
     grouped = all(check.passed for check in antisymmetry)
     reference = antisymmetry + (fraction_cyclic("B1'", d.omega, d.n, grouped),)
     _assert_same(CheckReport(is_deformation_type(d).checks[:4]), CheckReport(reference))

@@ -36,7 +36,6 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _antisymmetry,
     _coeffs,
     _integer_terms,
     _scan,
@@ -75,6 +74,7 @@ from .conftest import (
     commutator,
     dense_b2p_residual,
     dense_o3_residual,
+    fraction_antisymmetry,
     fraction_cyclic,
     freeze,
     make_b2,
@@ -118,8 +118,8 @@ def _b3(B, x, y, u, v, w):
 def _reference_bol(B):
     n, rng = B.n, range(B.n)
     return CheckReport((
-        _antisymmetry("B01", B.c, n, 2),
-        _antisymmetry("B02", B.t, n, 3),
+        fraction_antisymmetry("B01", B.c, n, 2),
+        fraction_antisymmetry("B02", B.t, n, 3),
         fraction_cyclic("B1", B.t, n),
         _scan("B2", itertools.product(rng, repeat=4), lambda *a: _b2(B, *a)),
         _scan("B3", itertools.product(rng, repeat=5), lambda *a: _b3(B, *a)),
@@ -760,9 +760,9 @@ def _reference_deformation_type(d):
     n, rng = d.n, range(d.n)
     pair = BolAlgebra(n, d.nu, d.omega)
     return CheckReport((
-        _antisymmetry("B01'", d.nu, n, 2),
-        _antisymmetry("B02'", d.mu, n, 2),
-        _antisymmetry("B03'", d.omega, n, 3),
+        fraction_antisymmetry("B01'", d.nu, n, 2),
+        fraction_antisymmetry("B02'", d.mu, n, 2),
+        fraction_antisymmetry("B03'", d.omega, n, 3),
         fraction_cyclic("B1'", d.omega, n),
         _scan("B2'", itertools.product(rng, repeat=4), lambda *a: dense_b2p_residual(d, *a)),
         _scan("B3'", itertools.product(rng, repeat=5), lambda *a: _b3(pair, *a)),
