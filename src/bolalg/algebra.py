@@ -8,10 +8,11 @@ algebra induces a Bol algebra through
 
     [x, y, z] = (1/3) (x*(y*z) - y*(x*z) + 2 (x*y)*z).
 
-An algebra stores its integer form (``_integer_terms``): D, the lcm of
-every denominator of its structure constants, and the nonzeros of each
-e_i*e_j and [e_i,e_j,e_k], k ascending, times D, as ints.  It is
-canonical, so equality and hashing read it.  The structure tensors
+An algebra stores its integer form ``form`` = (D, P, T): D, the lcm of
+every denominator of its structure constants, and P[i][j] and T[i][j][k]
+the nonzeros of e_i*e_j and [e_i,e_j,e_k], k ascending, times D, as ints
+(T all empty for a Maltsev algebra).  It is canonical, so equality and
+hashing read it.  The structure tensors
 
     c[k][i][j]    = coefficient of e_k in e_i * e_j
     t[l][i][j][k] = coefficient of e_l in [e_i, e_j, e_k]
@@ -313,7 +314,7 @@ class MaltsevAlgebra(_BinaryProduct):
     """Anticommutative algebra candidate; verify_maltsev decides the identity."""
 
     n: int
-    form: tuple  # (D, P, T) as in _integer_terms, T all empty
+    form: tuple  # (D, P, T), T all empty
     basis_names: tuple[str, ...] | None = None
 
     def __init__(self, n: int, c: tuple, basis_names=None):
@@ -330,7 +331,7 @@ class BolAlgebra(_BinaryProduct):
     """Binary + ternary structure constants; verify_bol decides the axioms."""
 
     n: int
-    form: tuple  # (D, P, T) as in _integer_terms
+    form: tuple  # (D, P, T)
     basis_names: tuple[str, ...] | None = None
 
     _tensors = ("c", "t")
@@ -439,12 +440,6 @@ def _form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
             yield from ((prefix + (a,), k, Fraction(c, D)) for k, c in sub)
 
 
-def _integer_terms(A) -> tuple:
-    """The stored integer form (D, P, T) of an algebra: P[i][j] and T[i][j][k] the
-    nonzeros of e_i*e_j and [e_i,e_j,e_k] times D (T all empty for a Maltsev algebra)."""
-    return A.form
-
-
 def _of_coefficients(cls, n: int, binary, ternary, basis_names):
     """The algebra of class cls whose c (and t, unless ternary is None) have the
     coefficients (args, k, x) given, as in _integer_forms; no tensor is built."""
@@ -467,7 +462,7 @@ def _add_terms(acc: list, s: int, terms) -> None:
 
 def _add_form(acc: list, s: int, form, u, v, w=None) -> list:
     """acc += s * form(u, v), or s * form(u, v, w), for an integer product or triple
-    form (as in _integer_terms) and vectors given by their integer nonzeros ((k, x),
+    form (as in A.form) and vectors given by their integer nonzeros ((k, x),
     ...); returns acc."""
     for i, a in u:
         for j, b in v:
@@ -507,12 +502,14 @@ def _antisymmetry_scan(name: str, D: int, form: tuple, arity: int,
                        m: int | None = None) -> ConditionCheck:
     """The first failure of form(i,j,...) + form(j,i,...) = 0, args lexicographic, for
     an integer product (arity 2) or triple (3) form with m value coordinates (n by
-    default).  Sorted and zero-free, the two cancel exactly when one is the other
-    negated: only a mismatch is added up."""
+    default); a triple's last slot runs over the rows form[i][j] holds, so a module
+    map held by its m rows is read whole.  Sorted and zero-free, the two cancel
+    exactly when one is the other negated: only a mismatch is added up."""
     n = len(form)
     for i, j in itertools.product(range(n), repeat=2):
         ij, ji = form[i][j], form[j][i]
-        for rest, a, b in [((), ij, ji)] if arity == 2 else zip(((k,) for k in range(n)), ij, ji):
+        rows = [((), ij, ji)] if arity == 2 else zip(((k,) for k in range(len(ij))), ij, ji)
+        for rest, a, b in rows:
             if (a or b) and a != tuple((k, -c) for k, c in b):
                 return ConditionCheck(name, False, (i, j) + rest, _integer_sum(D, m or n, a, b))
     return ConditionCheck(name, True)
@@ -625,13 +622,13 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     tuple and the exact residual.  The report is kept on B, so each algebra
     is scanned once.
     """
-    D, P, T = _integer_terms(B)
+    D, P, T = B.form
     return AxiomReport(_bol_scans(("B1", "B2", "B3"), D, (("B01", P, 2), ("B02", T, 3)),
                                   P, T, ((P, P, P),)))
 
 
 def _times(P: tuple, u, v) -> tuple:
-    """The nonzeros of u*v for u, v given by their integer nonzeros; P as in _integer_terms."""
+    """The nonzeros of u*v for u, v given by their integer nonzeros; P as in A.form."""
     return tuple((k, c) for k, c in enumerate(_add_form([0] * len(P), 1, P, u, v)) if c)
 
 
@@ -641,21 +638,31 @@ def _sagle_failure(M: MaltsevAlgebra, x: tuple) -> ConditionCheck | None:
 
     Sagle's identity (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y is
     read through x*e_k, e_k*x and (e_k*x)*x, made once per x; every term has
-    degree 3 in the integer form."""
-    D, P, _ = _integer_terms(M)
+    degree 3 in the integer form, and all are zero where x*y, y*z and (z*x)*x are."""
+    D, P, _ = M.form
     rng, u = range(M.n), tuple((i, 1) for i in x)
     X = [_times(P, u, ((k, 1),)) for k in rng]  # x*e_k
     Z = [_times(P, ((k, 1),), u) for k in rng]  # e_k*x
     W = [_times(P, Z[k], u) for k in rng]       # (e_k*x)*x
     for y, z in itertools.product(rng, repeat=2):
-        acc = _add_form([0] * M.n, 1, P, X[y], X[z])
-        for k, c in X[y]:  # ((x*y)*z)*x, (x*y)*z read through Z
-            for a, b in P[k][z]:
-                _add_terms(acc, -c * b, Z[a])
-        for k, c in P[y][z]:
-            _add_terms(acc, -c, W[k])
-        for k, c in W[z]:
-            _add_terms(acc, -c, P[k][y])
+        Xz, Wz, Pyz = X[z], W[z], P[y][z]
+        if not (X[y] or Wz or Pyz):  # every term is zero
+            continue
+        acc = [0] * M.n  # the sums written out, as _add_terms would add them
+        for k, c in X[y]:
+            Pk = P[k]
+            for a, b in Xz:  # (x*y)*(x*z)
+                for l, e in Pk[a]:
+                    acc[l] += c * b * e
+            for a, b in Pk[z]:  # ((x*y)*z)*x, (x*y)*z read through Z
+                for l, e in Z[a]:
+                    acc[l] -= c * b * e
+        for k, c in Pyz:
+            for l, e in W[k]:
+                acc[l] -= c * e
+        for k, c in Wz:
+            for l, e in P[k][y]:
+                acc[l] -= c * e
         if any(acc):
             return ConditionCheck("maltsev-identity", False, (x, y, z), _over(acc, D ** 3))
     return None
@@ -672,7 +679,7 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     not scan again.
     """
     rng = range(M.n)
-    D, P, _ = _integer_terms(M)
+    D, P, _ = M.form
     anti = _antisymmetry_scan("anticommutativity", D, P, 2)
     xs = [(i,) for i in rng] + list(itertools.combinations(rng, 2))
     identity = next(filter(None, (_sagle_failure(M, x) for x in xs)),
@@ -688,7 +695,7 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     offending axiom report is raised.
     """
     _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
-    D, P, _ = _integer_terms(M)
+    D, P, _ = M.form
     # each term has degree 2 in the integer form, so the sum is 3 D**2 times the
     # bracket; with the product anticommutative it changes sign with (i, j), so
     # the i<j entries give it
@@ -700,7 +707,7 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
 
 def _bracket(P: tuple, i: int, j: int, k: int, w: int) -> list:
     """e_i*(e_j*e_k) - e_j*(e_i*e_k) + w (e_i*e_j)*e_k in the integer form P (as
-    in _integer_terms), as the list of its ints: D**2 times the true vector."""
+    in A.form), as the list of its ints: D**2 times the true vector."""
     acc = [0] * len(P)
     for a, c in P[j][k]:
         _add_terms(acc, c, P[i][a])

@@ -261,7 +261,8 @@ def _cmd_adjoint(args):
 def _cmd_induce_rep(args):
     M = _load_algebra(args.algebra, "maltsev")
     m, rho = parse_action(_read(args.action), M.n)
-    R = induce_from_maltsev(M, rho)
+    # no matrix of an action of the zero algebra carries m
+    R = induce_from_maltsev(M, rho) if M.n else Representation.zero(maltsev_to_bol(M), m)
     fields = {"dimension": M.n, "module_dimension": m,
               "representation": representation_to_obj(R)}
     lines = [

@@ -26,7 +26,7 @@ split kept only for display.
 CC1-CC3 are stated once, in integers (``_cocycle_conditions``), and read
 by both ``is_cocycle`` and the constraint rows of ``cohomology``.  The
 statement reads the nonzero structure constants times D_A, the lcm of
-every denominator of B (``algebra._integer_terms``), and the module maps
+every denominator of B (its stored ``form``), and the module maps
 by their nonzero rows times D_R, the lcm of every denominator of rho, D
 and theta (``representation._integer_rows``, the one integer form every
 scan of a representation reads).  A term with a factors from B and r from
@@ -83,7 +83,6 @@ from .algebra import (
     _coefficients,
     _dense,
     _integer_forms,
-    _integer_terms,
     _nonzeros,
     _over,
     _over_terms,
@@ -254,7 +253,7 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
     (two) or omega (three) entry).  LHS - RHS is the sum of coefficient *
     map(entry) over the reads, divided by the denominator."""
     B = R.base
-    DA, P, T = _integer_terms(B)
+    DA, P, T = B.form
     DR, rho, D, theta = _integer_rows(R)
     I = tuple(((a, 1),) for a in range(R.m))  # no module map
     tuples = tuple(slot_tuples(B.n, sizes, representatives)

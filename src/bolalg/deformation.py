@@ -66,7 +66,6 @@ from .algebra import (
     _coefficients,
     _form_coefficients,
     _integer_forms,
-    _integer_terms,
     _of_coefficients,
     _once_per_object,
     _over,
@@ -128,7 +127,7 @@ def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
 def _datum_forms(d: DeformationDatum) -> tuple:
     """The kept integer form (D, mu, nu, omega) of (*, nu, omega), as _candidate_forms
     of the tensors, built from the base's stored form and the pair's coefficients."""
-    D, P, _ = _integer_terms(d.base)
+    D, P, _ = d.base.form
     return _integer_forms(d.base.n, ((2, _form_coefficients(D, P, 2)),
                                      (2, d.pair.coefficients(2)), (3, d.pair.coefficients(3))))
 
@@ -157,7 +156,7 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     the pair's entries, summed; no dense tensor is read or built."""
     base, pair = d.base, d.pair
     t = _exact(t)
-    D, P, T = _integer_terms(base)
+    D, P, T = base.form
     parts = []
     for arity, form in ((2, P), (3, T)):
         sums = {(args, k): x for args, k, x in _form_coefficients(D, form, arity)}

@@ -55,7 +55,6 @@ from .algebra import (
     _add_terms,
     _form_coefficients,
     _integer_cols,
-    _integer_terms,
     _of_coefficients,
     _once_per_object,
     _over,
@@ -125,7 +124,7 @@ def validate_extension(E: AbelianExtension) -> CheckReport:
     # when its first two arguments are swapped, so the representatives find
     # the first failure.
     grouped = checks[0].passed and checks[1].passed
-    hat_form, base_form, p_form = _integer_terms(hat), _integer_terms(base), _integer_cols(E.p)
+    hat_form, base_form, p_form = hat.form, base.form, _integer_cols(E.p)
     (Dh, Ph, Th), (Di, i_cols) = hat_form, _integer_cols(E.i)
 
     def image(form, slots, degree):  # form(slots) in hat(B), of degree ``degree`` in i
@@ -165,7 +164,7 @@ def _binary_then_ternary(dim: int, grouped: bool):
 def _morphism_defect(source: tuple, target: tuple, f: tuple, args: tuple) -> tuple:
     """(acc, denominator), acc a list of ints, with acc / denominator = f(op(e_args))
     - op(f e_args): op the product (two args) or triple (three) of the algebras
-    given by their _integer_terms, f by its _integer_cols."""
+    given by their stored forms, f by its _integer_cols."""
     (DA, PA, TA), (DB, PB, TB), (Df, cols) = source, target, f
     k = len(args)
     image = PA[args[0]][args[1]] if k == 2 else TA[args[0]][args[1]][args[2]]
@@ -200,7 +199,7 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     B = R.base
     n, m = B.n, R.m
     N = n + m
-    D, P, T = _integer_terms(B)
+    D, P, T = B.form
     DR, rho, DV, theta = _integer_rows(R)
     binary = [*_form_coefficients(D, P, 2), *c.coefficients(2, n)]
     ternary = [*_form_coefficients(D, T, 3), *c.coefficients(3, n)]
@@ -264,7 +263,7 @@ def induced_representation(E: AbelianExtension) -> Representation:
     """(rho, D, theta) read off hat(B) through the section."""
     _require_valid(E)
     n, m, N = E.base.n, E.m, E.hat.n
-    (Dh, P, T), (Ds, s), (Di, i_cols) = (_integer_terms(E.hat), _integer_cols(E.sigma),
+    (Dh, P, T), (Ds, s), (Di, i_cols) = (E.hat.form, _integer_cols(E.sigma),
                                          _integer_cols(E.i))
 
     def fiber_map(what, form, slots, degree):
@@ -290,7 +289,7 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
     in lexicographic order has x < y, and nu is read before omega."""
     _require_valid(E)
     base = E.base
-    forms = _integer_terms(base), _integer_terms(E.hat), _integer_cols(E.sigma)
+    forms = base.form, E.hat.form, _integer_cols(E.sigma)
 
     # sigma(e_x) * sigma(e_y) - sigma(e_x * e_y), and the same for the triple
     def value(what, *args):
@@ -326,7 +325,7 @@ class ExtensionEquivalence:
 
 def _check_phi(E1: AbelianExtension, E2: AbelianExtension, phi: Mat) -> None:
     """phi must be a hat homomorphism commuting with both short sequences."""
-    forms = _integer_terms(E1.hat), _integer_terms(E2.hat), _integer_cols(phi)
+    forms = E1.hat.form, E2.hat.form, _integer_cols(phi)
     # both hats are verified, so each law changes sign when x, y are swapped
     for kind, *args in _binary_then_ternary(E1.hat.n, True):
         if any(_morphism_defect(*forms, args)[0]):

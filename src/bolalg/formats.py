@@ -15,12 +15,13 @@ the file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra, entry_args
+from .algebra import BolAlgebra, MaltsevAlgebra
 from .cohomology import CochainPair
 from .extension import AbelianExtension
 from .linalg import _ZERO, Mat
@@ -215,11 +216,12 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
 
 
 def _render_entries(entries) -> list:
-    """Sparse entries from (args, values) pairs in canonical (i<j) order;
-    zero coefficients and all-zero entries are omitted."""
+    """Sparse entries from (args, terms) pairs in canonical (i<j) order, terms the
+    (value index, coefficient) pairs, index ascending; zero coefficients and
+    all-zero entries are omitted."""
     out = []
-    for args, values in entries:
-        value = {str(a): render_scalar(coeff) for a, coeff in enumerate(values) if coeff}
+    for args, terms in entries:
+        value = {str(a): render_scalar(coeff) for a, coeff in terms if coeff}
         if value:
             out.append({"args": list(args), "value": value})
     return out
@@ -255,10 +257,22 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
     }
     if A.basis_names:
         obj["basis_names"] = list(A.basis_names)
-    obj["binary"] = _render_entries((a, A.basis_product(*a)) for a in entry_args(A.n, 2))
+    D, P, T = A.form
+    obj["binary"] = _render_entries(_form_entries(D, P, 2))
     if isinstance(A, BolAlgebra):
-        obj["ternary"] = _render_entries((a, A.basis_triple(*a)) for a in entry_args(A.n, 3))
+        obj["ternary"] = _render_entries(_form_entries(D, T, 3))
     return obj
+
+
+def _form_entries(D: int, form: tuple, arity: int):
+    """(args, ((k, c / D), ...)) at each i<j tuple, in the order of entry_args, where
+    the stored integer form of a product (arity 2) or triple (3) is nonzero."""
+    for i, j in itertools.combinations(range(len(form)), 2):
+        at = [((i, j), form[i][j])] if arity == 2 else (
+            ((i, j, k), terms) for k, terms in enumerate(form[i][j]))
+        for args, terms in at:
+            if terms:
+                yield args, tuple((k, Fraction(c, D)) for k, c in terms)
 
 
 def obj_to_algebra(obj: dict, path: str = "") -> BolAlgebra | MaltsevAlgebra:
@@ -368,8 +382,8 @@ def render_representation(R: Representation) -> str:
 def cochain_to_obj(c: CochainPair) -> dict:
     return {
         "module_dimension": c.m,
-        "nu": _render_entries(c.entries(2)),
-        "omega": _render_entries(c.entries(3)),
+        "nu": _render_entries((args, enumerate(values)) for args, values in c.entries(2)),
+        "omega": _render_entries((args, enumerate(values)) for args, values in c.entries(3)),
     }
 
 

@@ -17,14 +17,21 @@ maps D, theta: B x B -> End(V) satisfying six conditions:
 
 All conditions are multilinear, so they are decided on basis tuples.  The
 scans read integer forms: the nonzeros of each product and bracket of B
-times D_A, stored on B (``algebra._integer_terms``), and, kept once per
-object, of each rho, D, theta and Delta matrix by row times D_R
-(``_integer_rows``, ``_delta_rows``, which ``Representation.delta`` reads
-too), and of a Maltsev action read the same way (``_integer_mats``).
-Every matrix identity (R1-R33, the Delta identity, both Maltsev-action
-conditions) and every map that induce_from_maltsev builds adds up its
-nonzero terms as ints in one helper, ``_matrix_sum``, over one common
-denominator; a product that feeds another is read back as integer rows.
+times D_A, stored on B (``form``), and, kept once per object, of each rho,
+D, theta and Delta matrix by row times D_R (``_integer_rows``,
+``_delta_rows``, which ``Representation.delta`` reads too).  Every matrix
+identity (R1-R33, the Delta identity) adds up its nonzero terms as ints in
+one helper, ``_matrix_sum``, over one common denominator.
+
+An action rho of a Maltsev algebra M on V is a Maltsev representation when
+the split null extension M (+) V, with the product
+
+  (a+u)(b+v) = ab + rho(a)v - rho(b)u,
+
+is a Maltsev algebra (Eilenberg's definition of a module over a variety;
+Carlsson for Maltsev algebras).  induce_from_maltsev decides it by
+verify_maltsev on that one algebra, whose basis vectors e_k with k >= n are
+the module vectors u_(k-n): a witness index >= n names one.
 The operator Delta(u,v) = D(u,v) - rho(u*v) satisfies the commutator
 identity checked by check_delta_identity, and drives the companion term
 of pseudoderivations: a linear map f: B -> V with companion chi in V is
@@ -47,21 +54,21 @@ from .algebra import (
     CheckReport,
     MaltsevAlgebra,
     _antisymmetry_error,
-    _bracket,
+    _antisymmetry_scan,
     _dense,
-    _integer_terms,
-    _nonzeros,
+    _form_coefficients,
+    _of_coefficients,
     _once_per_object,
     _over,
     _require_passed,
     _scaled,
     _scan,
     _swapped,
-    _times,
     entry_args,
     maltsev_to_bol,
     slot_tuples,
     verify_bol,
+    verify_maltsev,
 )
 from .linalg import Mat, SparseMat, Vec, _common_denominator, _exact, kernel_basis, zero_vec
 
@@ -109,19 +116,16 @@ class Representation:
 def _antisymmetry_failure(R: Representation) -> str | None:
     """None when the product of B, its ternary product and D are antisymmetric
     in their first two slots, else the error message of the first failing
-    tuple (i<=j, lexicographic), checked in that order on the kept integer
-    forms.  Kept on R; the R, Delta-identity and cocycle scans and the
-    constraint rows visit orbit representatives only when it is None."""
-    B = R.base
-    (_, P, T), D = _integer_terms(B), _integer_rows(R)[2]
-    negated = lambda terms: tuple((k, -x) for k, x in terms)
-    forms = (("binary", 2, lambda i, j: (P[i][j],)),
-             ("ternary", 3, lambda i, j, k: (T[i][j][k],)),
-             ("D", 2, lambda i, j: D[i][j]))  # D by rows
-    for name, arity, terms in forms:
-        for i, j, *rest in itertools.product(range(B.n), repeat=arity):
-            if i <= j and terms(i, j, *rest) != tuple(map(negated, terms(j, i, *rest))):
-                return _antisymmetry_error(name, (i, j, *rest))
+    tuple (_antisymmetry_scan's, D's named by its (i, j)), checked in that order
+    on the kept integer forms.  Kept on R; the R, Delta-identity and cocycle
+    scans and the constraint rows visit orbit representatives only when it is None."""
+    (DA, P, T), (DR, _, D, _) = R.base.form, _integer_rows(R)
+    n, m = R.base.n, R.m
+    for name, denominator, form, arity, size in (
+            ("binary", DA, P, 2, n), ("ternary", DA, T, 3, n), ("D", DR, D, 3, m)):  # D by rows
+        check = _antisymmetry_scan(name, denominator, form, arity, size)
+        if not check.passed:
+            return _antisymmetry_error(name, check.witness[:2] if name == "D" else check.witness)
     return None
 
 
@@ -158,7 +162,7 @@ def _sparse_row(denominator: int, *parts) -> tuple:
 def _delta_rows(R: Representation) -> tuple:
     """The kept sparse form of Delta: [i][j] = Delta(e_i, e_j).nonzero_rows, row r
     of D(e_i, e_j) - sum_k c_ij^k rho(e_k), added up in ints over D_A * D_R."""
-    DA, P, _ = _integer_terms(R.base)
+    DA, P, _ = R.base.form
     DR, rho, D, _ = _integer_rows(R)
     rng = range(R.base.n)
 
@@ -186,11 +190,6 @@ def _matrix_sum(m: int, terms) -> list:
     return acc
 
 
-def _matrix_rows(m: int, acc: list) -> tuple:
-    """The m x m matrix of the row-major ints acc by its rows of integer nonzeros."""
-    return tuple(_nonzeros(acc[r * m:(r + 1) * m]) for r in range(m))
-
-
 @_once_per_object
 def verify_representation(R: Representation) -> CheckReport:
     """Check (R1)-(R33) as exact matrix identities on basis tuples (once per R).
@@ -203,7 +202,7 @@ def verify_representation(R: Representation) -> CheckReport:
     """
     B = R.base
     n, m = B.n, R.m
-    DA, P, T = _integer_terms(B)
+    DA, P, T = B.form
     DR, rho, D, theta = _integer_rows(R)
     # each residual lists its terms for _matrix_sum: one of degree a in D_A and
     # r in D_R is scaled by D_A**(1-a) * D_R**(2-r), over D_A * D_R**2
@@ -269,89 +268,49 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
     return Representation(B, B.n, rho, D, theta)
 
 
-def _action_rows(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> tuple:
-    """(m, D_A, P, D_R, R) of a Maltsev action: (D_A, P, _) the stored form of M and
-    R[i] = rho(e_i), one m x m matrix per basis element, as _integer_mats reads it."""
+def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
+    """The split null extension M (+) V of an action rho, one m x m matrix per basis
+    element: e_i for i < n, the module vector u_a as e_(n+a), with the product
+    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read by _integer_mats, so a
+    float raises TypeError."""
     if len(rho) != M.n:
         raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
-    m = rho[0].rows if rho else 0
+    n, m = M.n, rho[0].rows if rho else 0
     if any(mat.shape != (m, m) for mat in rho):
         raise ValueError("action matrices must share one square shape")
-    return (m, *_integer_terms(M)[:2], *_integer_mats(rho))
-
-
-def _pair_sum(action: tuple, i: int, j: int, a: int, b: int, c: int) -> list:
-    """a rho(e_i) rho(e_j) + b rho(e_j) rho(e_i) + c rho(e_i * e_j) times D_A * D_R**2, as
-    the ints of _matrix_sum, for an action read by _action_rows."""
-    m, DA, P, DR, R = action
-    return _matrix_sum(m, ((a * DA, R[i], R[j]), (b * DA, R[j], R[i]),
-                           *((c * DR * x, R[k]) for k, x in P[i][j])))
-
-
-def maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
-    """Check the Maltsev-representation condition [D1(x,y), rho(z)] = rho([x,y,z]_1).
-
-    Here D1(x,y) = [rho(x), rho(y)] + rho(x*y) and
-    [x,y,z]_1 = x*(y*z) - y*(x*z) + (x*y)*z.
-    """
-    action = m, DA, P, DR, R = _action_rows(M, rho)
-
-    def residual(x, y, z):  # over D_A**2 * D_R**3, D1 read back as integer rows
-        d1 = _matrix_rows(m, _pair_sum(action, x, y, 1, -1, 1))
-        return _over(_matrix_sum(m, ((DA, d1, R[z]), (-DA, R[z], d1), *(
-            (-DR * DR * c, R[k]) for k, c in _nonzeros(_bracket(P, x, y, z, 1))))),
-            DA * DA * DR ** 3)
-    return CheckReport((_scan("maltsev-representation",
-                              itertools.product(range(M.n), repeat=3), residual),))
-
-
-def maltsev_action_jordan_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> CheckReport:
-    """The Maltsev-representation condition in Jordan-product form:
-
-    rho(x*(y*z)) - rho(z){rho(x),rho(y)} + rho(y){rho(x),rho(z)}
-      = {rho(x), rho(y*z)} - rho(z) rho(x*y) + rho(y) rho(x*z),
-
-    with {a,b} = ab + ba.  induce_from_maltsev requires it besides the form of
-    maltsev_action_report.
-    """
-    action = m, DA, P, DR, R = _action_rows(M, rho)
-    jordan = lambda x, y: _matrix_rows(m, _pair_sum(action, x, y, 1, 1, 0))
-
-    # over D_A**2 * D_R**3: degree a in D_A and r in D_R is scaled by D_A**(2-a) D_R**(3-r)
-    def residual(x, y, z):
-        return _over(_matrix_sum(m, (
-            *((DR * DR * c, R[k]) for k, c in _times(P, ((x, 1),), P[y][z])),
-            (-DA, R[z], jordan(x, y)), (DA, R[y], jordan(x, z)),
-            *((-DA * DR * c, R[x], R[k]) for k, c in P[y][z]),
-            *((-DA * DR * c, R[k], R[x]) for k, c in P[y][z]),
-            *((DA * DR * c, R[z], R[k]) for k, c in P[x][y]),
-            *((-DA * DR * c, R[y], R[k]) for k, c in P[x][z]))), DA * DA * DR ** 3)
-    return CheckReport((_scan("maltsev-representation-jordan",
-                              itertools.product(range(M.n), repeat=3), residual),))
+    DR, R = _integer_mats(rho)
+    action = (((i, n + b), n + a, Fraction(x, DR))  # rho(e_i) u_b
+              for i in range(n) for a, row in enumerate(R[i]) for b, x in row)
+    return _of_coefficients(MaltsevAlgebra, n + m, itertools.chain(
+        _form_coefficients(*M.form[:2], 2), _swapped(action)), None, None)
 
 
 def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:
     """Representation of the associated Bol algebra induced by a Maltsev action.
 
-    With theta_2(x,y) = rho(x)rho(y) + 2 rho(y)rho(x) - rho(x*y) and
-    D_2(x,y) = [rho(x), rho(y)] + 2 rho(x*y), the induced maps are
-    theta = (1/3) theta_2 and D = (1/3) D_2 over maltsev_to_bol(M).
-
-    The action must satisfy the Maltsev-representation condition in both
-    forms, maltsev_action_report's and then maltsev_action_jordan_report's; it
-    is rejected otherwise with the first failing form named and its witness
-    triple.
+    M must be a Maltsev algebra and rho a Maltsev representation: its split
+    null extension N (``_null_extension``) must pass verify_maltsev, else that
+    report is raised.  D(x,y)u and theta(x,y)u are the fiber parts of the
+    brackets [x,y,u] and [u,x,y] of maltsev_to_bol(N): D = (1/3)([rho(x), rho(y)]
+    + 2 rho(x*y)) and theta = (1/3)(rho(x)rho(y) + 2 rho(y)rho(x) - rho(x*y)).
     """
     rho = tuple(rho)
-    action = m, DA, _, DR, _ = _action_rows(M, rho)
-    _require_passed(maltsev_action_report(M, rho),
+    N = _null_extension(M, rho)
+    B = maltsev_to_bol(M)
+    _require_passed(verify_maltsev(N),
                     "action does not satisfy the Maltsev representation condition")
-    _require_passed(maltsev_action_jordan_report(M, rho), "action does not satisfy the Jordan "
-                    "form of the Maltsev representation condition")
-    grid = lambda a, b, c: tuple(tuple(  # 1/3 of the _pair_sum with coefficients a, b, c
-        Mat(m, m, _over(_pair_sum(action, i, j, a, b, c), 3 * DA * DR * DR))
-        for j in range(M.n)) for i in range(M.n))
-    return Representation(maltsev_to_bol(M), m, rho, grid(1, -1, 2), grid(1, 2, -1))
+    n, m = M.n, N.n - M.n
+    DN, _, T = maltsev_to_bol(N).form
+
+    def fiber(bracket):  # the matrix whose column b is the fiber part of bracket(n + b)
+        acc = [0] * (m * m)
+        for b in range(m):
+            for k, c in bracket(n + b):
+                acc[(k - n) * m + b] = c
+        return Mat(m, m, _over(acc, DN))
+    D = tuple(tuple(fiber(lambda u: T[x][y][u]) for y in range(n)) for x in range(n))
+    theta = tuple(tuple(fiber(lambda u: T[u][x][y]) for y in range(n)) for x in range(n))
+    return Representation(B, m, rho, D, theta)
 
 
 def check_delta_identity(R: Representation) -> CheckReport:
@@ -364,7 +323,7 @@ def check_delta_identity(R: Representation) -> CheckReport:
     """
     B = R.base
     m = R.m
-    DA, P, T = _integer_terms(B)
+    DA, P, T = B.form
     DD = DA * _integer_rows(R)[0]  # every denominator of Delta divides it
     delta = [[tuple(_scaled(row, DD) for row in d) for d in grid] for grid in _delta_rows(R)]
 
@@ -468,7 +427,7 @@ def _coboundary_rows(R: Representation) -> tuple:
     failure = _antisymmetry_failure(R)
     if failure and m:
         raise ValueError(failure)
-    DA, P, T = _integer_terms(B)
+    DA, P, T = B.form
     DR, rho, D, theta = _integer_rows(R)
 
     def nu(x1, x2, a):

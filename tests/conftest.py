@@ -23,7 +23,6 @@ from bolalg.algebra import (
     _dense,
     _fill,
     _integer_sum,
-    _integer_terms,
     _nonzeros,
     _once_per_object,
     _over,
@@ -48,6 +47,7 @@ from bolalg.representation import (
     Representation,
     _antisymmetry_failure,
     _delta_rows,
+    _integer_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -340,7 +340,7 @@ def fraction_maltsev_action_report(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> C
     """The former representation.maltsev_action_report."""
     n = M.n
     m = rho[0].rows if rho else 0
-    D, P, _ = _integer_terms(M)
+    D, P, _ = M.form
 
     def residual(x, y, z):
         d1 = commutator(rho[x], rho[y]) + _lincomb(rho, M.basis_product(x, y), m)
@@ -361,7 +361,7 @@ def fraction_maltsev_action_jordan_report(M: MaltsevAlgebra,
     def jordan(a: Mat, b: Mat) -> Mat:
         return a @ b + b @ a
 
-    D, P, _ = _integer_terms(M)
+    D, P, _ = M.form
 
     def residual(x, y, z):
         res = _lincomb(rho, _integer_sum(D * D, n, _times(P, ((x, 1),), P[y][z])), m)
@@ -399,6 +399,41 @@ def fraction_induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Rep
     D = grid(lambda ri, rj, rp: commutator(ri, rj) + F(2) * rp)
     theta = grid(lambda ri, rj, rp: ri @ rj + F(2) * (rj @ ri) - rp)
     return Representation(maltsev_to_bol(M), m, rho, D, theta)
+
+
+def fraction_null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
+    """The split null extension M (+) V of an action, every product tabulated
+    in Fractions: (a+u)(b+v) = ab + rho(a)v - rho(b)u, e_(n+a) the module
+    vector u_a, built by the tensor constructor."""
+    n, m = M.n, rho[0].rows if rho else 0
+
+    def product(x, y):
+        match x < n, y < n:
+            case True, True:
+                return M.basis_product(x, y) + zero_vec(m)
+            case True, False:
+                return zero_vec(n) + rho[x].col(y - n)
+            case False, True:
+                return zero_vec(n) + vec_scale(-1, rho[y].col(x - n))
+        return zero_vec(n + m)
+    return MaltsevAlgebra(n + m, tabulate(n + m, n + m, 2, product))
+
+
+def tuplewise_antisymmetry_failure(R: Representation) -> str | None:
+    """The former representation._antisymmetry_failure: the product, the ternary
+    product and D (by rows, named by (i, j)) compared with their swapped twins
+    negated, tuple by tuple with i<=j, on the kept integer forms."""
+    B = R.base
+    (_, P, T), D = B.form, _integer_rows(R)[2]
+    negated = lambda terms: tuple((k, -x) for k, x in terms)
+    forms = (("binary", 2, lambda i, j: (P[i][j],)),
+             ("ternary", 3, lambda i, j, k: (T[i][j][k],)),
+             ("D", 2, lambda i, j: D[i][j]))
+    for name, arity, terms in forms:
+        for i, j, *rest in itertools.product(range(B.n), repeat=arity):
+            if i <= j and terms(i, j, *rest) != tuple(map(negated, terms(j, i, *rest))):
+                return _antisymmetry_error(name, (i, j, *rest))
+    return None
 
 
 def dense_coboundary_tensors(R: Representation, p: PseudoderivationData):
@@ -684,7 +719,7 @@ def maltsev_residual(M: MaltsevAlgebra, x, y: int, z: int) -> tuple:
     (x*y)*(x*z) = ((x*y)*z)*x + ((y*z)*x)*x + ((z*x)*x)*y at one tuple, seven
     products of the integer form; x is given by its nonzeros (coefficients 1),
     y and z are basis indices, and every term has degree 3."""
-    D, P, _ = _integer_terms(M)
+    D, P, _ = M.form
     ey, ez = ((y, 1),), ((z, 1),)
     xy = _times(P, x, ey)
     acc = [0] * M.n
@@ -734,7 +769,7 @@ def b2_residual(forms: tuple, x, y, u, v, cubic: tuple | None = None) -> tuple:
 def b3_residual(B: BolAlgebra, x, y, u, v, w) -> tuple:
     """The former algebra._b3_residual, B3 at one tuple:
     [x,y,[u,v,w]] - [[x,y,u],v,w] - [u,[x,y,v],w] - [u,v,[x,y,w]]."""
-    D, _, T = _integer_terms(B)
+    D, _, T = B.form
     Txy, Tuv = T[x][y], T[u][v]
     acc = [0] * B.n
     for k, c in Tuv[w]:
@@ -751,7 +786,7 @@ def b3_residual(B: BolAlgebra, x, y, u, v, w) -> tuple:
 def tuplewise_verify_bol(B: BolAlgebra) -> CheckReport:
     """The former verify_bol: B01 and B02 added up at every tuple, B2 and B3 one
     tuple at a time through b2_residual and b3_residual."""
-    n, forms = B.n, _integer_terms(B)
+    n, forms = B.n, B.form
     D, P, T = forms
     total = lambda *terms: _integer_sum(D, n, *terms)
     b01 = _scan("B01", slot_tuples(n, (1, 1)), lambda i, j: total(P[i][j], P[j][i]))
@@ -779,14 +814,15 @@ def tabulated_deformed_algebra(d, t) -> BolAlgebra:
                       base.basis_names)
 
 
-def tabulated_twisted_product(R: Representation, c: CochainPair):
-    """The former extension.twisted_product: every basis product of hat(B)
-    tabulated from the dense base, cocycle and module-map entries, one case of
-    the extension module docstring's formulas per argument pattern."""
-    assert verify_representation(R).passed and is_cocycle(R, c).passed
+def tabulated_hat(R: Representation, c: CochainPair | None = None) -> BolAlgebra:
+    """hat(B) = B (+) V by the extension module docstring's formulas, every basis
+    product tabulated from the dense base, cocycle and module-map entries, one
+    case per argument pattern, and built by the tensor constructor: no check
+    of R or c.  Without c the cocycle is zero, which gives the semidirect product."""
     B = R.base
     n, m = B.n, R.m
     N = n + m
+    c = CochainPair.zero(B, m) if c is None else c
 
     def fiber(u: tuple) -> tuple:
         return zero_vec(n) + u
@@ -813,13 +849,22 @@ def tabulated_twisted_product(R: Representation, c: CochainPair):
                 return fiber(R.theta[y][z].col(x - n))
         return zero_vec(N)
 
+    return BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
+
+
+def tabulated_twisted_product(R: Representation, c: CochainPair):
+    """The former extension.twisted_product: the gates, then tabulated_hat with its
+    canonical maps."""
+    assert verify_representation(R).passed and is_cocycle(R, c).passed
+    n, m = R.base.n, R.m
+    N = n + m
+
     def block(rows, cols, shift):
         return Mat(rows, cols, tuple(F(1) if r == col + shift else F(0)
                                      for r in range(rows) for col in range(cols)))
 
-    hat = BolAlgebra(N, tabulate(N, N, 2, binary), tabulate(N, N, 3, ternary))
     return importlib.import_module("bolalg.extension").AbelianExtension(
-        B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
+        R.base, m, tabulated_hat(R, c), block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 
 def coordinate_product_terms(A) -> tuple:

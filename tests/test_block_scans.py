@@ -32,7 +32,6 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _integer_terms,
     _scan,
     maltsev_to_bol,
     slot_tuples,
@@ -276,8 +275,8 @@ def test_the_zero_algebra_verifies_without_a_block(monkeypatch):
 def _read_off_tensors(A):
     """The integer form of a copy of A made from its tensors, read off them."""
     if isinstance(A, BolAlgebra):
-        return _integer_terms(BolAlgebra(A.n, A.c, A.t, A.basis_names))
-    return _integer_terms(MaltsevAlgebra(A.n, A.c, A.basis_names))
+        return BolAlgebra(A.n, A.c, A.t, A.basis_names).form
+    return MaltsevAlgebra(A.n, A.c, A.basis_names).form
 
 
 ENTRY_ALGEBRAS = [
@@ -298,7 +297,7 @@ ENTRY_ALGEBRAS = [
 @pytest.mark.parametrize("index", range(len(ENTRY_ALGEBRAS)))
 def test_the_entries_built_form_equals_the_tensor_read(index):
     A = ENTRY_ALGEBRAS[index]
-    kept = _integer_terms(A)
+    kept = A.form
     assert kept == _read_off_tensors(A)
     D, P, T = kept
     leaves = [terms for row in P for terms in row]
@@ -309,7 +308,7 @@ def test_the_entries_built_form_equals_the_tensor_read(index):
 
 
 def test_the_entries_built_form_drops_zeros_and_keeps_the_lcm():
-    D, P, T = _integer_terms(ENTRY_ALGEBRAS[3])
+    D, P, T = ENTRY_ALGEBRAS[3].form
     assert D == 12
     assert P[0][1] == ((1, -36), (2, 6)) and P[1][0] == ((1, 36), (2, -6))
     assert T[0][2][2] == () and T[0][1][2] == ((1, 60), (2, -8))
@@ -340,7 +339,7 @@ def test_deformed_algebra_equals_the_tabulated_sum(index):
         want = tabulated_deformed_algebra(datum, t)
         assert got == want
         assert all(type(x) is F for plane in got.t for row in plane for r in row for x in r)
-        assert _integer_terms(got) == _read_off_tensors(got)
+        assert got.form == _read_off_tensors(got)
         assert verify_bol(got) == verify_bol(want)
 
 

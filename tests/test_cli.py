@@ -170,6 +170,17 @@ class TestConstructions:
         assert obj["representation"]["rho"][0] == [["-1", "0"], ["0", "1"]]
         assert run("verify-rep", str(bol), str(rep))[0] == 0
 
+    def test_induce_rep_keeps_the_module_dimension_of_the_zero_algebra(self, run, tmp_path):
+        # no action matrix carries m when the algebra has dimension 0
+        zero, action = tmp_path / "zero.alg", tmp_path / "zero.rep"
+        zero.write_text('{"kind": "maltsev", "dimension": 0, "binary": []}\n')
+        action.write_text('{"module_dimension": 2, "rho": []}\n')
+        rep = tmp_path / "out.rep"
+        code, obj, _ = run("induce-rep", str(zero), str(action), "-o", str(rep), "--json")
+        assert code == 0
+        assert obj["module_dimension"] == obj["representation"]["module_dimension"] == 2
+        assert json.loads(rep.read_text())["module_dimension"] == 2
+
     def test_verify_rep_fails_on_mismatched_representation(self, run, tmp_path):
         rep = tmp_path / "adj.rep"
         assert run("adjoint", ALG1, "-o", str(rep))[0] == 0

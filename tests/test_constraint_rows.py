@@ -27,7 +27,6 @@ import pytest
 from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
-    _integer_terms,
     _scan,
     bilinear_eval,
     maltsev_to_bol,
@@ -46,6 +45,7 @@ from bolalg.linalg import Mat, _common_denominator, vec_add, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
+    _antisymmetry_failure,
     _integer_rows,
     adjoint_representation,
     coboundary_matrix,
@@ -55,10 +55,10 @@ from bolalg.representation import (
 
 from .conftest import (
     assert_primitive, conjugate_representation, dense, freeze, leading_one, make_b2, make_so3,
-    make_solvable, matrix_of, rho_of,
+    make_solvable, matrix_of, rho_of, tuplewise_antisymmetry_failure,
 )
-from .test_coboundary_matrix import _corpus, _random_pseudo, _symmetric_product
-from .test_sparse_scans import PRIME_BASE, _moved_maltsev
+from .test_coboundary_matrix import _corpus, _r1_violation, _random_pseudo, _symmetric_product
+from .test_sparse_scans import MODULE_DEFECTS, PRIME_BASE, _moved_maltsev, _perturbed
 
 COHOMOLOGY = importlib.import_module("bolalg.cohomology")
 
@@ -232,6 +232,21 @@ def test_the_coboundary_check_refuses_every_symmetric_part(which):
                 cohomology(_with_symmetric_part(R, which, rng))
 
 
+def test_the_antisymmetry_gate_equals_the_tuplewise_reference():
+    # the gate's corpora: every module with a symmetric part added, the modules it
+    # refuses by name, the module defects, and D failing only in a row past n
+    rng = random.Random(7)
+    past_n = _perturbed(Representation.zero(BolAlgebra.zero(1), 3), "D", 0, 0, 2, 0)
+    modules = [_with_symmetric_part(R, which, rng) for which in ("c", "t", "D")
+               for R in _modules() if R.m and R.base.n]
+    modules += [*_modules(), _symmetric_d(), _symmetric_product(), _r1_violation(),
+                *MODULE_DEFECTS, past_n]
+    messages = [_antisymmetry_failure(R) for R in modules]
+    assert messages == [tuplewise_antisymmetry_failure(R) for R in modules]
+    assert any(messages) and not all(messages)
+    assert messages[-1] == "D is not antisymmetric in its first two slots at args (0,0)"
+
+
 @pytest.mark.parametrize("index", [0, 2, 7, 10])
 def test_cohomology_eliminates_the_distinct_probe_rows(index, monkeypatch):
     R = _modules()[index]
@@ -356,7 +371,7 @@ def _prime_cochains():
 
 def test_the_prime_module_rows_equal_the_probe_rows():
     R = _prime_module()
-    assert _integer_terms(R.base)[0].bit_length() > 60
+    assert R.base.form[0].bit_length() > 60
     assert _integer_rows(R)[0].bit_length() > 60
     assert _scaled_distinct(list(_constraint_rows(R))) == _distinct(_probe_rows(R))
 
@@ -389,7 +404,7 @@ def test_a_late_defect_behind_prime_denominators_is_found_as_by_the_reference_sc
     coords = list(coboundary_of(R, PseudoderivationData(f, (F(0),) * m)).coords())
     coords[_coordinate_index(n, m)[(4, 5, 5)][0] + m - 1] += F(1, next(primes))
     c = coords_to_cochain(B, m, tuple(coords))
-    assert min(_integer_terms(B)[0], _integer_rows(R)[0],
+    assert min(B.form[0], _integer_rows(R)[0],
                _common_denominator(c.coords())).bit_length() > 60
     got = is_cocycle(R, c)
     assert got == _reference_scan(R, c)

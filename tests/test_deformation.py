@@ -215,7 +215,7 @@ class TestEachComputationRunsOnce:
         original = algebra._b3_scan
 
         def counting(name, D, T, pairs):
-            if T is algebra._integer_terms(B)[2]:
+            if T is B.form[2]:
                 calls.append(name)
             return original(name, D, T, pairs)
 

@@ -28,7 +28,7 @@ import pytest
 from bolalg import algebra as ALGEBRA
 from bolalg import cli as CLI
 from bolalg import deformation as DEFORMATION
-from bolalg.algebra import _coefficients, _integer_forms, _integer_terms, maltsev_to_bol
+from bolalg.algebra import _coefficients, _integer_forms, maltsev_to_bol
 from bolalg.cohomology import CochainPair, cochain_dim, cohomology, coords_to_cochain
 from bolalg.deformation import (
     DeformationDatum,
@@ -84,7 +84,7 @@ def _assert_same_hat(R: Representation, c: CochainPair):
     assert E == ref
     assert all(type(x) is F for x in leaves((E.hat.c, E.hat.t)))
     N = E.hat.n
-    assert _integer_terms(E.hat) == _integer_forms(
+    assert E.hat.form == _integer_forms(
         N, ((2, _coefficients("c", E.hat.c, N, N, 2)),
             (3, _coefficients("t", E.hat.t, N, N, 3))))
     assert validate_extension(E).passed

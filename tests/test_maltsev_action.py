@@ -1,19 +1,24 @@
-"""The Maltsev-action checks and the induced maps in integers, against the
-Fraction matrix arithmetic they replaced.
+"""induce_from_maltsev decides a Maltsev action by its split null extension,
+against the Fraction matrix arithmetic of the two hand-derived conditions.
 
-``maltsev_action_report``, ``maltsev_action_jordan_report`` and
-``induce_from_maltsev`` read the action once as integer rows over D_R and the
-algebra through its kept integer form, and add up ints with
-``_matrix_sum``.  The references in ``conftest`` are the former bodies:
-commutators, ``@`` and linear combinations of ``Fraction`` matrices.  Each
-report must equal its reference (check, witness and residual), and
-``induce_from_maltsev`` must give the same ``Representation`` or raise the
-same error with the same report.
+An action rho of M on V is a Maltsev representation when the null extension
+M (+) V, with (a+u)(b+v) = ab + rho(a)v - rho(b)u, is a Maltsev algebra.
+``induce_from_maltsev`` builds that algebra once (``_null_extension``),
+refuses the action unless verify_maltsev passes on it, and reads D and theta
+off the brackets of its Bol algebra.  The references in ``conftest`` are the
+tabulated null extension (``fraction_null_extension``), the condition in its
+two hand-derived forms, [D1(x,y), rho(z)] = rho([x,y,z]_1) and the Jordan
+form (``fraction_maltsev_action_report`` and ``_jordan_report``), and the
+induced maps of ``fraction_induce_from_maltsev``, which requires both forms:
+commutators, ``@`` and linear combinations of ``Fraction`` matrices.  The
+library must accept exactly the actions the references accept, with the same
+``Representation``.
 
 The actions are the adjoint actions of m0, so3, the solvable algebras n = 2-4
 and the octonions, those conjugated by a rational matrix and on a rational
 basis of so3, with two matrices swapped, one matrix halved or one entry moved,
-and random rational actions.
+and random rational actions; then 1,016 seeded ones of the same kinds, with
+direct sums and small integer actions.
 """
 
 import random
@@ -21,25 +26,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import MaltsevAlgebra, VerificationError
+from bolalg.algebra import MaltsevAlgebra, VerificationError, verify_maltsev
 from bolalg.cli import main
 from bolalg.formats import render_action, render_algebra
 from bolalg.linalg import Mat, inverse
-from bolalg.representation import (
-    induce_from_maltsev,
-    maltsev_action_jordan_report,
-    maltsev_action_report,
-)
+from bolalg.representation import _null_extension, induce_from_maltsev
 
 from .conftest import (
     fraction_induce_from_maltsev,
     fraction_maltsev_action_jordan_report,
     fraction_maltsev_action_report,
+    fraction_null_extension,
     m0_action,
     make_m0,
     make_so3,
     make_solvable,
     random_fraction,
+    random_invertible,
 )
 from .test_sparse_scans import _octonions
 
@@ -98,6 +101,59 @@ def _corpus():
 CORPUS = _corpus()
 
 
+def _block(a: Mat, b: Mat) -> Mat:
+    return Mat.from_rows([list(a.row(r)) + [0] * b.rows for r in range(a.rows)]
+                         + [[0] * a.rows + list(b.row(r)) for r in range(b.rows)])
+
+
+_KINDS = ("conjugate", "sum", "moved", "moved", "swapped", "scaled", "random", "random")
+
+
+def _random_actions(rng: random.Random, M: MaltsevAlgebra, known: list, count: int,
+                    kinds: tuple = _KINDS) -> list:
+    """count actions of M, the kinds in turn, each made from a known Maltsev
+    representation (or the zero action on one dimension): conjugated by a random
+    rational matrix, summed with a small known one, one entry moved, two matrices
+    swapped, one matrix scaled, or a random action with entries in {-1, 0, 1}."""
+    n, known = M.n, known + [(Mat.zeros(1, 1),) * M.n]
+    out = []
+    for c in range(count):
+        kind, rho = kinds[c % len(kinds)], rng.choice(known)
+        m = rho[0].rows
+        if kind == "conjugate":
+            rho = _conjugated(rho, random_invertible(rng, m))
+        elif kind == "sum":
+            other = rng.choice([k for k in known if k[0].rows <= 2])
+            rho = tuple(map(_block, rho, other))
+        elif kind == "moved":
+            i, k = rng.randrange(n), rng.randrange(m * m)
+            rho = rho[:i] + (_moved(rho[i], k, random_fraction(rng) or 1),) + rho[i + 1:]
+        elif kind == "swapped":
+            i, j = sorted(rng.sample(range(n), 2))
+            rho = rho[:i] + (rho[j],) + rho[i + 1:j] + (rho[i],) + rho[j + 1:]
+        elif kind == "scaled":
+            i = rng.randrange(n)
+            rho = rho[:i] + (random_fraction(rng) * rho[i],) + rho[i + 1:]
+        else:
+            m = rng.randint(1, 2)
+            rho = tuple(Mat.from_rows([[rng.choice((-1, 0, 0, 1)) for _ in range(m)]
+                                       for _ in range(m)]) for _ in range(n))
+        out.append((M, rho))
+    return out
+
+
+# (name, algebra, its known Maltsev representations, count, kinds); the octonions'
+# references take about a second on a passing action, so they get few and no conjugate
+_PLAN = {
+    "m0": lambda: (make_m0(), [m0_action()], 260, _KINDS),
+    "so3": lambda: (make_so3(), [], 200, _KINDS),
+    "solvable2": lambda: (make_solvable(2), [], 260, _KINDS),
+    "solvable3": lambda: (make_solvable(3), [], 160, _KINDS),
+    "solvable4": lambda: (make_solvable(4), [], 120, _KINDS),
+    "octonions": lambda: (_octonions(), [], 16, _KINDS[1:] + _KINDS[2:3]),
+}
+
+
 def _outcome(fn, M, rho):
     try:
         return fn(M, rho)
@@ -105,46 +161,86 @@ def _outcome(fn, M, rho):
         return type(error), str(error), error.report
 
 
+def _assert_agrees(M, rho) -> bool:
+    """induce_from_maltsev against fraction_induce_from_maltsev (both forms of the
+    condition, then the Fraction maps); True when the action is accepted."""
+    got = _outcome(induce_from_maltsev, M, rho)
+    expected = _outcome(fraction_induce_from_maltsev, M, rho)
+    if type(expected) is tuple:  # refused by a reference form: refused by the null extension
+        assert got == (VerificationError, _REFUSAL, verify_maltsev(fraction_null_extension(M, rho)))
+        assert not got[2].passed
+        return False
+    assert got == expected
+    return True
+
+
+_REFUSAL = "action does not satisfy the Maltsev representation condition"
+
+
 @pytest.mark.parametrize("M, rho", CORPUS)
-def test_the_maltsev_checks_equal_the_fraction_references(M, rho):
-    assert maltsev_action_report(M, rho) == fraction_maltsev_action_report(M, rho)
-    assert (maltsev_action_jordan_report(M, rho)
-            == fraction_maltsev_action_jordan_report(M, rho))
-    assert _outcome(induce_from_maltsev, M, rho) == _outcome(fraction_induce_from_maltsev, M, rho)
+def test_the_null_extension_equals_the_tabulated_reference(M, rho):
+    N = _null_extension(M, rho)
+    assert N == fraction_null_extension(M, rho) and N.n == M.n + rho[0].rows
 
 
-def test_the_corpus_passes_and_fails_each_condition():
-    reports = [(maltsev_action_report(M, rho), maltsev_action_jordan_report(M, rho))
-               for M, rho in CORPUS]
-    for k, name in enumerate(("maltsev-representation", "maltsev-representation-jordan")):
-        failed = [r[k].checks[0] for r in reports if not r[k].passed]
-        assert failed and len(failed) < len(reports)
-        assert all(c.name == name and len(c.witness) == 3 for c in failed)
-        assert all(type(x) is F for c in failed for x in c.residual)
-    # induce_from_maltsev refuses with each message: the first form fails, or it
-    # passes and the Jordan form does not (the solvable n=2 action with one entry moved)
-    messages = {outcome[1] for outcome in (_outcome(induce_from_maltsev, M, rho)
-                                           for M, rho in CORPUS) if type(outcome) is tuple}
-    assert messages == {"action does not satisfy the Maltsev representation condition",
-                        "action does not satisfy the Jordan form of the Maltsev "
-                        "representation condition"}
+@pytest.mark.parametrize("M, rho", CORPUS)
+def test_an_action_is_accepted_as_by_both_reference_forms(M, rho):
+    _assert_agrees(M, rho)
 
 
-def test_an_action_failing_the_jordan_form_alone_is_refused_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("name", _PLAN)
+def test_random_and_perturbed_actions_are_accepted_as_by_both_reference_forms(name):
+    M, known, count, kinds = _PLAN[name]()
+    rng = random.Random(f"maltsev-action-{name}")
+    actions = _random_actions(rng, M, [_adjoint_action(M), *known], count, kinds)
+    accepted = [_assert_agrees(M, rho) for M, rho in actions]
+    assert any(accepted) and not all(accepted)
+
+
+def test_the_corpus_passes_and_fails_each_reference_form():
+    reports = [(fraction_maltsev_action_report(M, rho),
+                fraction_maltsev_action_jordan_report(M, rho)) for M, rho in CORPUS]
+    for k in range(2):
+        assert 0 < sum(r[k].passed for r in reports) < len(reports)
+    accepted = [_assert_agrees(M, rho) for M, rho in CORPUS]
+    assert sum(accepted) == 14
+    assert accepted == [all(r.passed for r in pair) for pair in reports]
+
+
+def test_an_action_failing_the_jordan_form_alone_is_refused_with_the_one_message(
+        tmp_path, capsys):
     # e0*e1 = e1 with rho(e0) = diag(0, -2), rho(e1) = [[0, 0], [-1, 0]]
     M = make_solvable(2)
     rho = (Mat.from_rows([[0, 0], [0, -2]]), Mat.from_rows([[0, 0], [-1, 0]]))
-    assert maltsev_action_report(M, rho).passed
-    jordan = maltsev_action_jordan_report(M, rho).checks[0]
-    assert not jordan.passed and jordan.witness == (0, 0, 1)
-    message = "action does not satisfy the Jordan form of the Maltsev representation condition"
-    with pytest.raises(VerificationError, match=message):
+    assert fraction_maltsev_action_report(M, rho).passed
+    assert not fraction_maltsev_action_jordan_report(M, rho).passed
+    with pytest.raises(VerificationError, match=_REFUSAL) as info:
         induce_from_maltsev(M, rho)
+    assert info.value.report == verify_maltsev(fraction_null_extension(M, rho))
     algebra, action = tmp_path / "solvable2.alg", tmp_path / "action.rep"
     algebra.write_text(render_algebra(M))
     action.write_text(render_action(2, rho))
     assert main(["induce-rep", str(algebra), str(action)]) == 1
-    assert f"FAIL: {message}" in capsys.readouterr().out
+    assert f"FAIL: {_REFUSAL}" in capsys.readouterr().out
+
+
+def test_a_witness_index_past_n_is_a_module_vector():
+    # m0 (e0*e1 = -e1) with rho(e0) = E_00, rho(e1) = E_01: the identity fails at
+    # x = e0, y = e1 and z = e3, the module vector u_1
+    rho = (Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(VerificationError) as info:
+        induce_from_maltsev(make_m0(), rho)
+    report = info.value.report
+    assert report["anticommutativity"].passed
+    assert report["maltsev-identity"].witness == ((0,), 1, 3)
+    assert report["maltsev-identity"].residual == (0, 0, -2, 0)
+
+
+def test_the_algebra_is_checked_before_the_action():
+    # not anticommutative: refused as an algebra whatever the action
+    M = MaltsevAlgebra(2, (((0, 1), (0, 0)), ((0, 0), (1, 0))))
+    with pytest.raises(VerificationError, match="input is not a Maltsev algebra"):
+        induce_from_maltsev(M, (Mat.identity(1), Mat.identity(1)))
 
 
 def test_the_induced_maps_of_a_rational_action_are_fractions():
@@ -160,7 +256,7 @@ def test_the_induced_maps_of_a_rational_action_are_fractions():
     ((Mat.zeros(2, 2), Mat.zeros(3, 3)), "action matrices must share one square shape"),
     ((Mat.zeros(2, 3), Mat.zeros(2, 3)), "action matrices must share one square shape"),
 ])
-def test_a_malformed_action_is_refused_by_every_entry_point(rho, message):
-    for fn in (maltsev_action_report, maltsev_action_jordan_report, induce_from_maltsev):
+def test_a_malformed_action_is_refused(rho, message):
+    for fn in (_null_extension, induce_from_maltsev, fraction_induce_from_maltsev):
         with pytest.raises(ValueError, match=message):
             fn(make_m0(), rho)

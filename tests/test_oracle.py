@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bolalg.algebra import (
-    BolAlgebra, _integer_terms, maltsev_to_bol, verify_bol,
+    BolAlgebra, maltsev_to_bol, verify_bol,
 )
 from bolalg.cohomology import cohomology
 from bolalg.formats import parse_algebra, render_algebra
@@ -58,7 +58,7 @@ def test_b2_lambda_5_3_dimensions(oracle):
     # the ternary constant 5/3 makes the integer statement's D_A = 3
     path = ROOT / "data" / "b2_lambda_5_3.alg"
     B = parse_algebra(path.read_text())
-    assert _integer_terms(B)[0] == 3
+    assert B.form[0] == 3
     rep = cohomology(adjoint_representation(B))
     dims = (rep.dim_C, rep.dim_Z, rep.dim_B, rep.dim_H)
     assert oracle.algebra_dims(*oracle.read_algebra(path)) == dims == (6, 5, 3, 2)
@@ -102,7 +102,7 @@ def test_the_committed_sphere_file_is_the_sphere_system_at_n10():
     # data/sphere10.alg lists the 90 i<j entries [e_i,e_j,e_j] = e_i, [e_i,e_j,e_i] = -e_j
     B = parse_algebra((DATA / "sphere10.alg").read_text())
     assert B == _sphere(10)
-    T = _integer_terms(B)[2]
+    T = B.form[2]
     assert sum(1 for plane in T for row in plane for terms in row if terms) == 180
 
 

@@ -31,7 +31,6 @@ from bolalg.algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
-    _integer_terms,
     maltsev_to_bol,
     verify_maltsev,
 )
@@ -140,10 +139,10 @@ def _forms_inputs():
 
 @pytest.mark.parametrize("B", _forms_inputs(), ids=lambda B: f"n{B.n}")
 def test_the_transposed_forms_equal_the_coordinate_reads(B):
-    assert _integer_terms(B) == scaled_forms((coordinate_product_terms(B),),
+    assert B.form == scaled_forms((coordinate_product_terms(B),),
                                              (coordinate_triple_terms(B),))
     M = MaltsevAlgebra(B.n, B.c)
-    D, P, T = _integer_terms(M)
+    D, P, T = M.form
     assert (D, P) == scaled_forms((coordinate_product_terms(M),), ())
     assert not any(terms for plane in T for row in plane for terms in row)
 
