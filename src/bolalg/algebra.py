@@ -55,15 +55,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
-from .linalg import _ONE, _ZERO, Vec, _common_denominator, _exact, is_zero_vec, zero_vec
+from .linalg import _ONE, _ZERO, Vec, _common_denominator, _exact, is_zero_vec, record, zero_vec
 
 
-@dataclass(frozen=True)
+@record
 class ConditionCheck:
     """Outcome of one identity check: pass, or first failure with evidence.
 
@@ -79,7 +78,7 @@ class ConditionCheck:
     residual: Vec | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     checks: tuple[ConditionCheck, ...]
 
@@ -309,7 +308,7 @@ class _BinaryProduct:
         return _over_terms(self.form[0], self.form[1][i][j], self.n)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@record
 class MaltsevAlgebra(_BinaryProduct):
     """Anticommutative algebra candidate; verify_maltsev decides the identity."""
 
@@ -326,7 +325,7 @@ class MaltsevAlgebra(_BinaryProduct):
                                 None, basis_names)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@record
 class BolAlgebra(_BinaryProduct):
     """Binary + ternary structure constants; verify_bol decides the axioms."""
 
@@ -366,7 +365,7 @@ def _once_per_object(fn):
 
     The result sits in the object's ``__dict__``, as ``cached_property``
     keeps an algebra's tensors: it lives and dies with the object, and
-    dataclass equality and hashing ignore it.  Two threads racing on a new
+    record equality and hashing ignore it.  Two threads racing on a new
     object can at worst both compute it.
     """
     key = f"_{fn.__name__}"

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from .algebra import (
     BolAlgebra,
@@ -66,7 +66,7 @@ from .formats import (
     render_scalar,
     representation_to_obj,
 )
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, record
 from .representation import (
     Representation,
     adjoint_representation,
@@ -474,7 +474,8 @@ def _cmd_extend_equiv(args):
 # the subcommand table and the parser
 
 
-class _Command(NamedTuple):
+@record
+class _Command:
     handler: Callable
     help: str
     positionals: tuple       # argument names, or (name, help) pairs

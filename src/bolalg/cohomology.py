@@ -70,7 +70,6 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 
@@ -93,8 +92,8 @@ from .algebra import (
     slot_tuples,
 )
 from .linalg import (
-    SparseMat, Vec, _common_denominator, _exact, _primitive, kernel_basis, rref, solve, vec_add,
-    vec_scale, vec_sub, zero_vec,
+    SparseMat, Vec, _common_denominator, _exact, _primitive, kernel_basis, record, rref, solve,
+    vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
     PseudoderivationData,
@@ -110,7 +109,7 @@ from .representation import (
 )
 
 
-@dataclass(frozen=True, init=False)
+@record
 class CochainPair:
     """A (2,3)-cochain, held as its canonical coordinate vector.
 
@@ -412,7 +411,7 @@ def is_coboundary(R: Representation, c: CochainPair
 # cohomology
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyReport:
     """Dimensions and canonical bases of Z, B and H representatives."""
 

@@ -54,7 +54,6 @@ datum's checks build no tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -77,7 +76,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import Mat, _exact
+from .linalg import Mat, _exact, record
 from .representation import PseudoderivationData, adjoint_representation
 
 # bilinear_eval and trilinear_eval (nu and omega on Vec slots) are re-exported: no
@@ -90,7 +89,7 @@ __all__ = ["DeformationTypeCandidate", "DeformationDatum", "is_deformation_type"
 _SAMPLE_VALUES = (Fraction(1), Fraction(2), Fraction(3), Fraction(5))
 
 
-@dataclass(frozen=True)
+@record
 class DeformationTypeCandidate:
     """Raw (mu, nu, omega) tensors; is_deformation_type decides everything."""
 
@@ -100,7 +99,7 @@ class DeformationTypeCandidate:
     omega: tuple  # omega[l][i][j][k]
 
 
-@dataclass(frozen=True)
+@record
 class DeformationDatum:
     """First-order data (F1, G1): a cochain pair with adjoint coefficients."""
 
@@ -166,7 +165,7 @@ def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     return _of_coefficients(BolAlgebra, base.n, *parts, base.basis_names)
 
 
-@dataclass(frozen=True)
+@record
 class InfinitesimalDeformationReport:
     """Predicate route, t-sampling route, and their agreement."""
 
@@ -226,7 +225,7 @@ def check_first_order_formal(d: DeformationDatum) -> CheckReport:
             _add_form([0] * base.n, 1, NU, NU[y1][y2], NU[x1][x2]), D ** 3)),))
 
 
-@dataclass(frozen=True)
+@record
 class FirstOrderEquivalence:
     """Outcome of the first-order equivalence test with both routes."""
 

@@ -44,7 +44,6 @@ reported as cohomologous but without a certified equivalence map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -65,7 +64,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse
+from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, record, replace
 from .representation import Representation, _integer_rows, verify_representation
 
 
@@ -75,7 +74,7 @@ class InvalidExtensionError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@record
 class AbelianExtension:
     base: BolAlgebra
     m: int
@@ -300,7 +299,7 @@ def induced_cocycle(E: AbelianExtension) -> CochainPair:
         [(args, value("omega value", *args)) for args in entry_args(base.n, 3)])
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionEquivalence:
     """Result of the equivalence test.
 

@@ -27,17 +27,22 @@ after the last.  The kernel of the selected rows contains the kernel of all
 rows, and the certificate gives the reverse inclusion, so both routes give
 the same row space and the same canonical RREF: the prime only chooses
 which rows to eliminate, and no result rests on probability.
+
+The library's value classes (matrices, algebras, representations, cochains,
+reports) are frozen records made by ``record`` below, not dataclasses: importing
+``dataclasses`` (which loads ``inspect``, ``ast``, ``dis`` and ``tokenize``) and
+decorating with it took more time than a typical ``bolalg`` command computes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Scalar = Fraction
 Vec = tuple[Fraction, ...]
@@ -45,12 +50,79 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INEXACT = "not an exact scalar (int, Fraction or str): {!r}"
+_EXACT_TYPES = frozenset((int, Fraction))  # the entry types a Mat holds
 # kernel_basis's mod-p route: the primes tried in turn, each below 2**15, and the mean
 # nonzeros per row from which it is taken.  Sparse rows (the CC1-CC3 rows of a sparse
 # basis hold 2.1-3.8 on average) reduce cheaply and mostly stay independent; in a
 # dense basis (6.7-26) most reduce to zero, at a cost that grows with the entries.
 _PRIMES = (32749, 32719, 32717)
 _DENSE_ROW = 6
+
+
+_RECORD_INIT = """\
+def __init__(self, {params}):
+{stores}"""
+_POST_INIT = "    self.__post_init__()\n"
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """cls made a frozen record of the names annotated in its body, in order.
+
+    As ``dataclasses.dataclass(frozen=True)`` would: ``__init__`` takes the
+    fields by position or keyword, with the class-level defaults, writes them
+    and then calls ``self.__post_init__()`` if the class has one (looked up at
+    each call); ``__repr__`` is ``Name(field=value!r, ...)``; records are equal
+    when they are of one class and their field tuples are equal (else
+    NotImplemented), and hash as the field tuple; assigning or deleting an
+    attribute raises AttributeError.  ``__init__`` and ``__repr__`` are written
+    only where the class does not define them (itself or through a base).
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    get = operator.attrgetter(*fields)
+    values = get if len(fields) > 1 else lambda obj: (get(obj),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    cls._fields = fields
+    cls.__eq__ = __eq__
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    if cls.__repr__ is object.__repr__:
+        cls.__repr__ = __repr__
+    if cls.__init__ is object.__init__:
+        # one __init__ per class, faster than a generic *args one; it sets each
+        # field through object.__setattr__, bound once: writing self.__dict__
+        # instead would make a dict per object and slow every later attribute read
+        source = _RECORD_INIT.format(params=", ".join(fields),
+                                     stores="".join(f"    _set(self, {f!r}, {f})\n" for f in fields))
+        namespace = {"_set": object.__setattr__}
+        exec(source + (_POST_INIT if hasattr(cls, "__post_init__") else ""), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with some fields changed, built by its ``__init__``,
+    so that its validation runs again (as ``dataclasses.replace``)."""
+    return type(obj)(**{f: changes.pop(f, getattr(obj, f)) for f in obj._fields}, **changes)
 
 
 def _exact(x) -> Fraction:
@@ -92,21 +164,24 @@ def is_zero_vec(v: Vec) -> bool:
     return not any(v)
 
 
-@dataclass(frozen=True)
+@record
 class Mat:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix of Fractions (or ints), row-major; any other entry
+    type raises TypeError at construction."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        rows, cols, entries = self.rows, self.cols, self.entries
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+        if not _EXACT_TYPES.issuperset(map(type, entries)):  # one C-level pass
+            raise TypeError(_INEXACT.format(
+                next(x for x in entries if type(x) not in _EXACT_TYPES)))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -214,7 +289,7 @@ class Mat:
         return (self.rows, self.cols)
 
 
-@dataclass(frozen=True)
+@record
 class SparseMat:
     """Immutable sparse matrix of Fractions or ints (the CC1-CC3 rows), held as
     its ``nonzero_rows`` (as ``Mat.nonzero_rows`` reads them), every col below ``cols``."""
@@ -243,7 +318,7 @@ class SparseMat:
         return SparseMat(self.rows, tuple(map(tuple, cols)))
 
 
-@dataclass(frozen=True)
+@record
 class RrefResult:
     reduced: Mat
     pivots: tuple[int, ...]

@@ -46,7 +46,6 @@ The coboundary (f, chi) -> (nu, omega) is stated once, as the kept ``_coboundary
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -70,10 +69,12 @@ from .algebra import (
     verify_bol,
     verify_maltsev,
 )
-from .linalg import Mat, SparseMat, Vec, _common_denominator, _exact, kernel_basis, zero_vec
+from .linalg import (
+    Mat, SparseMat, Vec, _common_denominator, _exact, kernel_basis, record, zero_vec,
+)
 
 
-@dataclass(frozen=True)
+@record
 class Representation:
     """Matrices of (rho, D, theta) with respect to fixed bases of B and V."""
 
@@ -343,7 +344,7 @@ def check_delta_identity(R: Representation) -> CheckReport:
     return CheckReport((check,))
 
 
-@dataclass(frozen=True)
+@record
 class PseudoderivationData:
     """A linear map f: B -> V (m x n matrix) with companion chi in V."""
 

@@ -28,18 +28,23 @@ B01'-B3' build a residual only at a failure, which the failing reports
 cover), and of the residual each failing x block of Sagle's identity
 returns.  Every public entry point that takes scalars refuses a float, and
 so does the tensor constructor ``CochainPair(base, m, nu, omega)``; an
-algebra, module or action built from tensors or a direct ``Mat`` holding a
-float is refused with the same ``TypeError`` (``linalg._common_denominator``):
-an algebra at construction, which reads its tensors into the integer form,
-a module or action by the first scan that reads its integer form.
+algebra built from tensors holding a float is refused with the same
+``TypeError`` (``linalg._common_denominator``) at construction, which reads
+its tensors into the integer form, and a direct ``Mat`` holding anything but
+ints and Fractions by its own constructor, with the same message.
+
+A fresh ``python -I -S`` that imports ``bolalg.cli`` and builds its parser
+loads none of ``dataclasses``, ``inspect``, ``ast``, ``dis``, ``tokenize``,
+``typing`` and ``traceback``: each would add to the start of every command,
+which already takes longer than most commands compute.
 """
 
 import ast
 import itertools
 import random
 import re
+import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,7 +79,7 @@ from bolalg.extension import (
     AbelianExtension, semidirect_product, twisted_product, validate_extension,
 )
 from bolalg.formats import parse_algebra, render_algebra, render_extension
-from bolalg.linalg import Mat
+from bolalg.linalg import Mat, replace
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -162,6 +167,20 @@ def test_module_imports_only_what_it_uses(source):
 def test_the_unused_import_guard_catches(code, unused):
     assert _unused_imports(ast.parse(code)) == [
         f"line 1: {name} is imported and never used" for name in unused]
+
+
+# modules whose import would add to the start of every command
+_START_UP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "traceback")
+
+
+def test_the_command_line_starts_without_the_heavy_modules():
+    # -I -S: no site, no user paths and no environment, so nothing else loads them
+    code = (f"import sys; sys.path.insert(0, {str(SOURCES[0].parents[1])!r}); "
+            "import bolalg.cli; bolalg.cli.build_parser(); "
+            f"print([m for m in {_START_UP_FREE!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 _EVALUATORS = {"bilinear_eval", "trilinear_eval"}
@@ -536,8 +555,8 @@ _ENTRY_POINTS = {
     "coboundary_of": lambda x: coboundary_of(adjoint_representation(make_b2(1)),
                                              PseudoderivationData(Mat.zeros(2, 2), (x, 0))),
     "coboundary_of (f)": lambda x: coboundary_of(
-        adjoint_representation(make_b2(1)), PseudoderivationData(Mat(2, 2, (0, x, 0, 0)),
-                                                                 (0, 0))),
+        adjoint_representation(make_b2(1)),
+        PseudoderivationData(Mat.from_rows([[0, x], [0, 0]]), (0, 0))),
     "is_pseudoderivation": lambda x: is_pseudoderivation(
         adjoint_representation(make_b2(1)), PseudoderivationData(Mat.zeros(2, 2), (x, 0))),
 }
@@ -591,7 +610,7 @@ def test_an_algebra_refuses_a_float_at_construction(inexact):
 
 
 def _float_mat(x):
-    """A direct 2 x 2 Mat whose entry (0, 0) is x, unchecked by the constructor."""
+    """A direct 2 x 2 Mat whose entry (0, 0) is x; the constructor refuses an inexact x."""
     return Mat(2, 2, (x, 0, 0, 1))
 
 

@@ -1,6 +1,5 @@
 import importlib
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +17,7 @@ from bolalg.extension import (
     twisted_product,
     validate_extension,
 )
-from bolalg.linalg import Mat, inverse, vec_add, vec_sub, zero_vec
+from bolalg.linalg import Mat, inverse, replace, vec_add, vec_sub, zero_vec
 from bolalg.representation import (
     PseudoderivationData,
     Representation,

@@ -21,7 +21,6 @@ are planted at every position of hat(B), i, p, sigma and phi.
 import functools
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -50,7 +49,7 @@ from bolalg.extension import (
     twisted_product,
     validate_extension,
 )
-from bolalg.linalg import Mat
+from bolalg.linalg import Mat, replace
 from bolalg.representation import (
     PseudoderivationData,
     adjoint_representation,

@@ -10,9 +10,13 @@ former ``Fraction`` loop of ``_echelon`` itself, which divides by each lead
 as it goes: ``_echelon`` works on and returns primitive int rows, which are
 nonzero multiples of its rows, step by step, so it finds the same pivots in
 the same order, and each returned row divided by its lead is its row.
+
+The library's frozen records (``linalg.record``) are checked against
+``dataclasses.dataclass(frozen=True)`` twins, which they replace.
 """
 
 import copy
+import dataclasses
 import importlib
 import math
 import random
@@ -22,8 +26,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import maltsev_to_bol
+from bolalg.algebra import CheckReport, ConditionCheck, maltsev_to_bol
 from bolalg.cohomology import cohomology, coords_to_cochain
+from bolalg.extension import (
+    ExtensionEquivalence,
+    InvalidExtensionError,
+    semidirect_product,
+)
 from bolalg.linalg import (
     Mat,
     SparseMat,
@@ -34,12 +43,15 @@ from bolalg.linalg import (
     _integer_row,
     image_rank,
     inverse,
+    RrefResult,
     kernel_basis,
+    record,
+    replace,
     rref,
     solve,
     vec,
 )
-from bolalg.representation import adjoint_representation
+from bolalg.representation import PseudoderivationData, adjoint_representation
 
 from .conftest import dense, hstack, make_so3, make_solvable, matrix_of, unit_vec
 from .test_acceptance import _closure_corpus
@@ -234,21 +246,22 @@ def _assert_refused(call, x):
 
 
 def _inexact_matrices(x):
-    """A 2 x 2 SparseMat and a direct Mat holding x; both are regular with
-    x read as a number."""
-    return (SparseMat(2, (((0, F(1)), (1, x)), ((1, F(2)),))), Mat(2, 2, (F(1), x, F(0), F(2))))
+    """Two makers, of a 2 x 2 SparseMat and of a direct Mat holding x; both are
+    regular with x read as a number.  The Mat refuses x at construction."""
+    return (lambda: SparseMat(2, (((0, F(1)), (1, x)), ((1, F(2)),))),
+            lambda: Mat(2, 2, (F(1), x, F(0), F(2))))
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
 def test_rref_refuses_an_inexact_entry(x):
     for m in _inexact_matrices(x):
-        _assert_refused(lambda: rref(m), x)
+        _assert_refused(lambda: rref(m()), x)
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
 def test_kernel_basis_refuses_an_inexact_entry(x, monkeypatch):
     for m in _inexact_matrices(x):
-        _assert_refused(lambda: kernel_basis(m), x)
+        _assert_refused(lambda: kernel_basis(m()), x)
     routed = _calls(monkeypatch, "_certified_echelon")
     w = LINALG._DENSE_ROW
     dense_row = tuple((k, F(k + 1)) for k in range(w))
@@ -260,7 +273,7 @@ def test_kernel_basis_refuses_an_inexact_entry(x, monkeypatch):
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
 def test_solve_refuses_an_inexact_entry_or_right_hand_side(x):
     for m in _inexact_matrices(x):
-        _assert_refused(lambda: solve(m, (F(1), F(1))), x)
+        _assert_refused(lambda: solve(m(), (F(1), F(1))), x)
     _assert_refused(lambda: solve(Mat.identity(2), (F(1), x)), x)
     _assert_refused(lambda: solve(SparseMat(1, (((0, F(1)),), ())), (F(0), x)), x)
 
@@ -268,7 +281,7 @@ def test_solve_refuses_an_inexact_entry_or_right_hand_side(x):
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
 def test_inverse_refuses_an_inexact_entry(x):
     for m in _inexact_matrices(x):
-        _assert_refused(lambda: inverse(m), x)
+        _assert_refused(lambda: inverse(m()), x)
 
 
 # ---------------------------------------------------------------------------
@@ -749,3 +762,116 @@ def test_solvable_n4_in_a_dense_basis(monkeypatch):
     assert len(routed) == 1 and len(routed[0][0]) == matrix.rows > 700
     exact = _kernel_of(_canonical(_echelon(matrix.nonzero_rows)), matrix.cols)
     assert report.z_basis == tuple(coords_to_cochain(R.base, R.m, v) for v in exact)
+
+
+# ---------------------------------------------------------------------------
+# frozen records against dataclasses
+
+
+@record
+class _Point:
+    x: int
+    y: object = None
+    z: tuple = ()
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataPoint:
+    x: int
+    y: object = None
+    z: tuple = ()
+
+
+_E = (F(1), F(0), F(-2, 3), F(5))
+_RECORDS = [  # (record class, field values)
+    (_Point, (1, "y", (2, 3))),
+    (Mat, (2, 2, _E)),
+    (SparseMat, (3, (((0, F(1)),), (), ((2, F(-1)),)))),
+    (RrefResult, (Mat.identity(2), (0, 1))),
+    (ConditionCheck, ("B1", False, (0, 1), (F(1), F(0)))),
+    (ConditionCheck, ("B1", True, None, None)),
+    (CheckReport, ((ConditionCheck("B1", True), ConditionCheck("B2", False, (1,), (F(2),))),)),
+    (PseudoderivationData, (Mat.zeros(1, 2), (F(1, 2),))),
+    (ExtensionEquivalence, ("equivalent", True, Mat.identity(1))),
+]
+
+
+def _twin(cls):
+    """A dataclass(frozen=True) with the fields of the record class cls, under its name."""
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+@pytest.mark.parametrize("cls, values", _RECORDS,
+                         ids=[f"{cls.__name__}-{i}" for i, (cls, _) in enumerate(_RECORDS)])
+def test_a_record_equals_hashes_and_shows_as_its_dataclass_twin(cls, values):
+    obj, twin = cls(*values), _twin(cls)(*values)
+    assert tuple(getattr(obj, f) for f in cls._fields) == values
+    assert hash(obj) == hash(twin) == hash(values)
+    assert repr(obj) == repr(twin)
+    assert obj == cls(*values) and not obj != cls(*values)
+    assert obj.__eq__(twin) is twin.__eq__(obj) is NotImplemented
+    assert obj != twin and obj != values
+
+
+def test_the_algebras_keep_their_init_and_repr_and_hash_as_their_fields():
+    A = maltsev_to_bol(make_so3())
+    assert hash(A) == hash((A.n, A.form, A.basis_names))
+    assert repr(A).startswith("BolAlgebra(n=3, c=(") and "t=(" in repr(A)
+    assert A == maltsev_to_bol(make_so3()) and A != make_so3()
+
+
+@pytest.mark.parametrize("obj", [_Point(1), _DataPoint(1), Mat.identity(1),
+                                 maltsev_to_bol(make_so3())], ids=lambda obj: type(obj).__name__)
+def test_a_record_cannot_be_changed(obj):
+    for name in ("x", "rows", "n", "new"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+@pytest.mark.parametrize("cls", [_Point, _DataPoint])
+def test_a_record_takes_keywords_and_defaults_as_a_dataclass(cls):
+    assert cls(1) == cls(x=1) == cls(1, None, ()) == cls(z=(), x=1)
+    assert cls(1) != cls(2) and cls(1) != cls(1, 0) and cls(1, z=(2,)) != cls(1)
+    assert cls(1, z=(4,)).z == (4,) and cls(1, z=(4,)).y is None
+    for args, kwargs in (((), {}), ((), {"y": 2}), ((1, 2, 3, 4), {}), ((1,), {"w": 2}),
+                         ((1,), {"x": 2})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_a_patched_post_init_is_called(monkeypatch):
+    seen = []
+    check = Mat.__post_init__
+    monkeypatch.setattr(Mat, "__post_init__", lambda self: seen.append(self.shape) or check(self))
+    Mat(1, 2, (F(1), F(2)))
+    assert seen == [(1, 2)]
+    monkeypatch.setattr(_Point, "__post_init__", lambda self: seen.append(self.x), raising=False)
+    _Point(3)
+    assert seen == [(1, 2)]  # _Point had no __post_init__ when it was made a record
+
+
+def test_replace_rebuilds_through_the_constructor():
+    m = Mat(2, 2, _E)
+    assert replace(m) == m and replace(m, entries=_E[::-1]) == Mat(2, 2, _E[::-1])
+    with pytest.raises(ValueError, match="entry count 4 != 3x2"):
+        replace(m, rows=3)
+    with pytest.raises(TypeError):
+        replace(m, depth=1)
+    with pytest.raises(TypeError, match=re.escape(repr(0.5))):
+        replace(m, entries=(0.5,) + _E[1:])
+    E = semidirect_product(adjoint_representation(maltsev_to_bol(make_so3())))
+    assert replace(E, sigma=E.sigma) == E
+    with pytest.raises(InvalidExtensionError, match="injection must be 6x3"):
+        replace(E, i=Mat.zeros(6, 2))
+    assert dataclasses.replace(_DataPoint(1), y=2) == _DataPoint(1, 2)  # the same call
+
+
+@pytest.mark.parametrize("x", [0.5, Decimal("0.5"), 1j, "1/2", None])
+def test_a_matrix_holds_only_ints_and_fractions(x):
+    assert Mat(1, 3, (1, F(1, 2), -4)).entries == (1, F(1, 2), -4)
+    with pytest.raises(TypeError, match=re.escape(repr(x))):
+        Mat(1, 3, (1, F(1, 2), x))
+    with pytest.raises(TypeError, match=re.escape(repr(x))):
+        Mat(1, 1, (x,))

@@ -26,7 +26,6 @@ fails, where every tuple is scanned and a witness may have x > y.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -58,7 +57,7 @@ from bolalg.deformation import (
 )
 from bolalg.extension import semidirect_product, twisted_product, validate_extension
 from bolalg.formats import parse_algebra
-from bolalg.linalg import Mat, inverse, vec_add, vec_scale, vec_sub
+from bolalg.linalg import Mat, inverse, replace, vec_add, vec_scale, vec_sub
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
