@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Callable
 
@@ -150,7 +149,7 @@ def _emit(obj: dict, lines: list[str], as_json: bool) -> None:
     """Print a report: the JSON object on stdout, or else its text lines,
     which go to stdout for a verdict and to stderr for an error."""
     if as_json:
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(_dumps(obj))
     else:
         print("\n".join(lines),
               file=sys.stdout if obj["status"] in ("pass", "fail") else sys.stderr)

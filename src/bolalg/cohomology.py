@@ -28,8 +28,8 @@ by both ``is_cocycle`` and the constraint rows of ``cohomology``.  The
 statement reads the nonzero structure constants times D_A, the lcm of
 every denominator of B (its stored ``form``), and the module maps
 by their nonzero rows times D_R, the lcm of every denominator of rho, D
-and theta (``representation._integer_rows``, the one integer form every
-scan of a representation reads).  A term with a factors from B and r from
+and theta (``Representation.form``, the one state of a representation,
+which every scan of it reads).  A term with a factors from B and r from
 the module maps is then D_A**a * D_R**r times its true value, so each
 condition scales its terms to one degree and carries that denominator: CC1
 has no such factor (denominator 1); CC2 has degree 2 in D_A (the
@@ -101,7 +101,6 @@ from .representation import (
     _antisymmetry_failure,
     _coboundary_coords,
     _delta_rows,
-    _integer_rows,
     cochain_dim,
     coboundary_matrix,
     pseudoderivation_params,
@@ -253,7 +252,7 @@ def _cocycle_conditions(R: Representation, representatives: bool = False):
     map(entry) over the reads, divided by the denominator."""
     B = R.base
     DA, P, T = B.form
-    DR, rho, D, theta = _integer_rows(R)
+    DR, rho, D, theta = R.form
     I = tuple(((a, 1),) for a in range(R.m))  # no module map
     tuples = tuple(slot_tuples(B.n, sizes, representatives)
                    for sizes in ((3,), (2, 2), (2, 2, 1)))

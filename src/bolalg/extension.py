@@ -65,7 +65,7 @@ from .algebra import (
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
 from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, record, replace
-from .representation import Representation, _integer_rows, verify_representation
+from .representation import Representation, verify_representation
 
 
 class InvalidExtensionError(ValueError):
@@ -199,7 +199,7 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     n, m = B.n, R.m
     N = n + m
     D, P, T = B.form
-    DR, rho, DV, theta = _integer_rows(R)
+    DR, rho, DV, theta = R.form
     binary = [*_form_coefficients(D, P, 2), *c.coefficients(2, n)]
     ternary = [*_form_coefficients(D, T, 3), *c.coefficients(3, n)]
 

@@ -51,6 +51,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _INEXACT = "not an exact scalar (int, Fraction or str): {!r}"
 _EXACT_TYPES = frozenset((int, Fraction))  # the entry types a Mat holds
+_NOT_HELD = "not an int or a Fraction: {!r}"  # what a Mat or an integer form refuses
 # kernel_basis's mod-p route: the primes tried in turn, each below 2**15, and the mean
 # nonzeros per row from which it is taken.  Sparse rows (the CC1-CC3 rows of a sparse
 # basis hold 2.1-3.8 on average) reduce cheaply and mostly stay independent; in a
@@ -180,7 +181,7 @@ class Mat:
         if len(entries) != rows * cols:
             raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
         if not _EXACT_TYPES.issuperset(map(type, entries)):  # one C-level pass
-            raise TypeError(_INEXACT.format(
+            raise TypeError(_NOT_HELD.format(
                 next(x for x in entries if type(x) not in _EXACT_TYPES)))
 
     @classmethod
@@ -336,13 +337,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _common_denominator(values) -> int:
     """The lcm of the denominators of ints and Fractions (1 for none); any other value
-    (a float, Decimal, complex, ...) raises TypeError naming it, as _exact refuses it."""
+    (a float, Decimal, complex, str, ...) raises TypeError naming it, as a Mat refuses it."""
     try:
         return math.lcm(*{x.denominator for x in values})
     except AttributeError as error:
         if error.name != "denominator":
             raise
-        raise TypeError(_INEXACT.format(error.obj)) from None
+        raise TypeError(_NOT_HELD.format(error.obj)) from None
 
 
 def _integer_row(row) -> dict[int, int]:
@@ -412,7 +413,7 @@ def rref(m: Mat | SparseMat) -> RrefResult:
 
 
 def image_rank(m: Mat | SparseMat) -> int:
-    return rref(m).rank
+    return len(_echelon(m.nonzero_rows))
 
 
 def _pack(slots: list) -> int:

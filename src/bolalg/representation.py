@@ -17,9 +17,9 @@ maps D, theta: B x B -> End(V) satisfying six conditions:
 
 All conditions are multilinear, so they are decided on basis tuples.  The
 scans read integer forms: the nonzeros of each product and bracket of B
-times D_A, stored on B (``form``), and, kept once per object, of each rho,
-D, theta and Delta matrix by row times D_R (``_integer_rows``,
-``_delta_rows``, which ``Representation.delta`` reads too).  Every matrix
+times D_A, stored on B (``form``), of each rho, D and theta matrix by row
+times D_R, the one state of a representation (``form``), and of each Delta
+matrix, kept once per object (``_delta_rows``).  Every matrix
 identity (R1-R33, the Delta identity) adds up its nonzero terms as ints in
 one helper, ``_matrix_sum``, over one common denominator.
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     BolAlgebra,
@@ -59,6 +60,7 @@ from .algebra import (
     _of_coefficients,
     _once_per_object,
     _over,
+    _over_terms,
     _require_passed,
     _scaled,
     _scan,
@@ -76,28 +78,53 @@ from .linalg import (
 
 @record
 class Representation:
-    """Matrices of (rho, D, theta) with respect to fixed bases of B and V."""
+    """(rho, D, theta) on fixed bases of B and V, held as its integer form: each matrix by
+    its nonzero rows times D_R, the lcm of every denominator, as ints.  Canonical, it is what
+    equality, hashing and every scan read; the matrices are built from it on first access."""
 
     base: BolAlgebra
     m: int
-    rho: tuple[Mat, ...]                 # rho[i] = matrix of rho(e_i)
-    D: tuple[tuple[Mat, ...], ...]       # D[i][j] = matrix of D(e_i, e_j)
-    theta: tuple[tuple[Mat, ...], ...]   # theta[i][j] = matrix of theta(e_i, e_j)
+    form: tuple  # (D_R, rho, D, theta): rho[i] of e_i, D[i][j] and theta[i][j] of e_i, e_j
 
-    def __post_init__(self):
-        n, m = self.base.n, self.m
-        if len(self.rho) != n or len(self.D) != n or len(self.theta) != n:
+    def __init__(self, base: BolAlgebra, m: int, rho, D, theta):
+        n = base.n
+        if len(rho) != n or len(D) != n or len(theta) != n:
             raise ValueError("representation grids must have one slot per basis element")
-        for mat in self.rho:
-            if mat.shape != (m, m):
-                raise ValueError(f"rho matrix shape {mat.shape} != ({m},{m})")
-        for grid in (self.D, self.theta):
-            for row in grid:
-                if len(row) != n:
-                    raise ValueError("D/theta grids must be n x n")
-                for mat in row:
-                    if mat.shape != (m, m):
-                        raise ValueError(f"grid matrix shape {mat.shape} != ({m},{m})")
+        for what, row in (("rho", rho), *(("grid", row) for row in (*D, *theta))):
+            if len(row) != n:
+                raise ValueError("D/theta grids must be n x n")
+            for mat in row:
+                if mat.shape != (m, m):
+                    raise ValueError(f"{what} matrix shape {mat.shape} != ({m},{m})")
+        DR, rows = _integer_mats((*rho, *itertools.chain(*D, *theta)))
+        grid = lambda start: tuple(rows[start + i * n:start + i * n + n] for i in range(n))
+        self.__dict__.update(base=base, m=m, form=(DR, rows[:n], grid(n), grid(n + n * n)))
+
+    @classmethod
+    def _of_form(cls, base: BolAlgebra, m: int, form: tuple) -> "Representation":
+        R = object.__new__(cls)
+        R.__dict__.update(base=base, m=m, form=form)
+        return R
+
+    def _mat(self, rows: tuple) -> Mat:  # one map of the form, by its integer rows
+        DR, m = self.form[0], self.m
+        return Mat(m, m, tuple(x for row in rows for x in _over_terms(DR, row, m)))
+
+    @cached_property
+    def rho(self) -> tuple[Mat, ...]:
+        return tuple(map(self._mat, self.form[1]))
+
+    @cached_property
+    def D(self) -> tuple[tuple[Mat, ...], ...]:
+        return tuple(tuple(map(self._mat, row)) for row in self.form[2])
+
+    @cached_property
+    def theta(self) -> tuple[tuple[Mat, ...], ...]:
+        return tuple(tuple(map(self._mat, row)) for row in self.form[3])
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(base={self.base!r}, m={self.m!r}, "
+                f"rho={self.rho!r}, D={self.D!r}, theta={self.theta!r})")
 
     def delta(self, x: int, y: int) -> Mat:
         """Delta(e_x, e_y) = D(e_x, e_y) - rho(e_x * e_y), read off the kept _delta_rows."""
@@ -105,12 +132,8 @@ class Representation:
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "Representation":
-        z = Mat.zeros(m, m)
-        n = base.n
-        return cls(base, m,
-                   tuple(z for _ in range(n)),
-                   tuple(tuple(z for _ in range(n)) for _ in range(n)),
-                   tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        maps = (((),) * m,) * base.n  # n maps of m empty rows
+        return cls._of_form(base, m, (1, maps, (maps,) * base.n, (maps,) * base.n))
 
 
 @_once_per_object
@@ -120,7 +143,7 @@ def _antisymmetry_failure(R: Representation) -> str | None:
     tuple (_antisymmetry_scan's, D's named by its (i, j)), checked in that order
     on the kept integer forms.  Kept on R; the R, Delta-identity and cocycle
     scans and the constraint rows visit orbit representatives only when it is None."""
-    (DA, P, T), (DR, _, D, _) = R.base.form, _integer_rows(R)
+    (DA, P, T), (DR, _, D, _) = R.base.form, R.form
     n, m = R.base.n, R.m
     for name, denominator, form, arity, size in (
             ("binary", DA, P, 2, n), ("ternary", DA, T, 3, n), ("D", DR, D, 3, m)):  # D by rows
@@ -135,16 +158,6 @@ def _integer_mats(mats: tuple[Mat, ...]) -> tuple:
     its nonzero_rows, every entry times D, as ints; a float raises TypeError."""
     D = _common_denominator(x for mat in mats for x in mat.entries)
     return D, tuple(tuple(_scaled(row, D) for row in mat.nonzero_rows) for mat in mats)
-
-
-@_once_per_object
-def _integer_rows(R: Representation) -> tuple:
-    """The one kept integer form (D_R, rho, D, theta) of R: rho, D and theta read
-    together by _integer_mats, D_R the lcm of all their denominators."""
-    n = R.base.n
-    DR, rows = _integer_mats((*R.rho, *itertools.chain(*R.D, *R.theta)))
-    grid = lambda start: tuple(rows[start + i * n:start + i * n + n] for i in range(n))
-    return DR, rows[:n], grid(n), grid(n + n * n)
 
 
 def _sparse_row(denominator: int, *parts) -> tuple:
@@ -164,7 +177,7 @@ def _delta_rows(R: Representation) -> tuple:
     """The kept sparse form of Delta: [i][j] = Delta(e_i, e_j).nonzero_rows, row r
     of D(e_i, e_j) - sum_k c_ij^k rho(e_k), added up in ints over D_A * D_R."""
     DA, P, _ = R.base.form
-    DR, rho, D, _ = _integer_rows(R)
+    DR, rho, D, _ = R.form
     rng = range(R.base.n)
 
     def delta(i, j):
@@ -204,7 +217,7 @@ def verify_representation(R: Representation) -> CheckReport:
     B = R.base
     n, m = B.n, R.m
     DA, P, T = B.form
-    DR, rho, D, theta = _integer_rows(R)
+    DR, rho, D, theta = R.form
     # each residual lists its terms for _matrix_sum: one of degree a in D_A and
     # r in D_R is scaled by D_A**(1-a) * D_R**(2-r), over D_A * D_R**2
 
@@ -257,16 +270,17 @@ def verify_representation(R: Representation) -> CheckReport:
 
 
 def adjoint_representation(B: BolAlgebra) -> Representation:
-    """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v]."""
+    """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v], its
+    form B's read by transposition (D_R = D_A: every coefficient of B is in some map)."""
     _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
-    rng = range(B.n)
+    (DA, P, T), rng = B.form, range(B.n)
 
-    def matrix(image):  # column w is the image of e_w
-        return Mat.from_cols([image(w) for w in rng], rows=B.n)
-    rho = tuple(matrix(lambda w: B.basis_product(u, w)) for u in rng)
-    D = tuple(tuple(matrix(lambda w: B.basis_triple(u, v, w)) for v in rng) for u in rng)
-    theta = tuple(tuple(matrix(lambda w: B.basis_triple(w, u, v)) for v in rng) for u in rng)
-    return Representation(B, B.n, rho, D, theta)
+    def rows(cols):  # the rows of the matrix whose column w holds the nonzeros cols[w]
+        return SparseMat(B.n, cols).transpose().nonzero_rows
+    rho = tuple(rows(P[u]) for u in rng)
+    D = tuple(tuple(rows(T[u][v]) for v in rng) for u in rng)
+    theta = tuple(tuple(rows(tuple(T[w][u][v] for w in rng)) for v in rng) for u in rng)
+    return Representation._of_form(B, B.n, (DA, rho, D, theta))
 
 
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
@@ -325,7 +339,7 @@ def check_delta_identity(R: Representation) -> CheckReport:
     B = R.base
     m = R.m
     DA, P, T = B.form
-    DD = DA * _integer_rows(R)[0]  # every denominator of Delta divides it
+    DD = DA * R.form[0]  # every denominator of Delta divides it
     delta = [[tuple(_scaled(row, DD) for row in d) for d in grid] for grid in _delta_rows(R)]
 
     # a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
@@ -429,7 +443,7 @@ def _coboundary_rows(R: Representation) -> tuple:
     if failure and m:
         raise ValueError(failure)
     DA, P, T = B.form
-    DR, rho, D, theta = _integer_rows(R)
+    DR, rho, D, theta = R.form
 
     def nu(x1, x2, a):
         # rho(x1) f(x2) - rho(x2) f(x1) + (D(x1,x2) - rho(x1*x2))(chi) - f(x1*x2)

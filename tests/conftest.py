@@ -47,7 +47,6 @@ from bolalg.representation import (
     Representation,
     _antisymmetry_failure,
     _delta_rows,
-    _integer_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -106,6 +105,20 @@ def m0_action() -> tuple[Mat, Mat]:
             cols.append([prod[2], prod[3]])
         mats.append(Mat.from_cols(cols, rows=2))
     return tuple(mats)
+
+
+def fraction_adjoint_representation(B: BolAlgebra) -> Representation:
+    """The former adjoint_representation: every matrix built column by column
+    from basis_product and basis_triple, then read by the public constructor."""
+    _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
+    rng = range(B.n)
+
+    def matrix(image):  # column w is the image of e_w
+        return Mat.from_cols([image(w) for w in rng], rows=B.n)
+    rho = tuple(matrix(lambda w: B.basis_product(u, w)) for u in rng)
+    D = tuple(tuple(matrix(lambda w: B.basis_triple(u, v, w)) for v in rng) for u in rng)
+    theta = tuple(tuple(matrix(lambda w: B.basis_triple(w, u, v)) for v in rng) for u in rng)
+    return Representation(B, B.n, rho, D, theta)
 
 
 def make_ex28_representation() -> Representation:
@@ -424,7 +437,7 @@ def tuplewise_antisymmetry_failure(R: Representation) -> str | None:
     product and D (by rows, named by (i, j)) compared with their swapped twins
     negated, tuple by tuple with i<=j, on the kept integer forms."""
     B = R.base
-    (_, P, T), D = B.form, _integer_rows(R)[2]
+    (_, P, T), D = B.form, R.form[2]
     negated = lambda terms: tuple((k, -x) for k, x in terms)
     forms = (("binary", 2, lambda i, j: (P[i][j],)),
              ("ternary", 3, lambda i, j, k: (T[i][j][k],)),

@@ -15,8 +15,11 @@ object, and no command builds an algebra's tensors c and t.  Only ``algebra._bol
 assembly of the Bol axioms, calls the B2 and B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
 multiplies matrices with ``@`` or calls a ``commutator``: matrix
-identities add up integer rows (``representation._matrix_sum``).  The
-source walk cannot
+identities add up integer rows (``representation._matrix_sum``).  No scan
+module (those and ``extension``) reads a representation's matrices
+``.rho``, ``.D`` or ``.theta`` outside the ``Representation`` class, which
+builds them from its integer form for the renderers: every scan reads the
+form.  The source walk cannot
 see a true division of two ints, which makes a float at run time, nor an
 int zero an accumulator starts from; so every residual entry of every
 failing verifier report is also checked to be a ``Fraction``, and so is
@@ -377,6 +380,36 @@ def test_no_scan_module_multiplies_fraction_matrices(source):
 ])
 def test_the_matrix_product_guard_catches(code, found):
     assert _matrix_products(ast.parse(code)) == [f"line 1: {name}" for name in found]
+
+
+_MAP_SCANS = _MATRIX_SCANS + ("extension.py",)
+_MAPS = {"rho", "D", "theta"}
+
+
+def _map_reads(tree: ast.Module) -> list[str]:
+    """Each read of an attribute .rho, .D or .theta outside a top-level class
+    named ``Representation``."""
+    return [f"line {node.lineno}: .{node.attr}" for top in tree.body
+            if not (isinstance(top, ast.ClassDef) and top.name == "Representation")
+            for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in _MAPS]
+
+
+@pytest.mark.parametrize("source", [SOURCES[0].parent / name for name in _MAP_SCANS],
+                         ids=lambda p: p.name)
+def test_no_scan_module_reads_the_matrices_of_a_representation(source):
+    assert _map_reads(ast.parse(source.read_text(), str(source))) == []
+
+
+@pytest.mark.parametrize("code, found", [
+    ("rho = R.rho[0]", ["line 1: .rho"]),
+    ("def f(R, i, j):\n    return R.D[i][j] - R.theta[j][i]", ["line 2: .D", "line 2: .theta"]),
+    ("class Other:\n    def f(self):\n        return self.theta", ["line 3: .theta"]),
+    ("class Representation:\n    def f(self):\n        return self.rho", []),
+    ("DR, rho, D, theta = R.form", []),
+    ("x = rho[k] + D[i][j]", []),
+])
+def test_the_matrix_read_guard_catches(code, found):
+    assert _map_reads(ast.parse(code)) == found
 
 
 # ---------------------------------------------------------------------------

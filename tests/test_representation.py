@@ -7,6 +7,8 @@ import pytest
 from bolalg.algebra import (
     BolAlgebra, MaltsevAlgebra, VerificationError, maltsev_to_bol, verify_bol, verify_maltsev,
 )
+from bolalg.cohomology import CochainPair, cohomology, is_cocycle
+from bolalg.extension import twisted_product
 from bolalg.formats import parse_algebra
 from bolalg.linalg import Mat, rref
 from bolalg.representation import (
@@ -23,6 +25,7 @@ from bolalg.representation import (
 
 from .conftest import (
     DATA,
+    fraction_adjoint_representation,
     fraction_maltsev_action_jordan_report,
     fraction_maltsev_action_report,
     make_b2,
@@ -34,6 +37,7 @@ from .conftest import (
     random_representation_corpus,
     tabulated_hat,
 )
+from .test_oracle import _sphere
 from .test_sparse_scans import _perturbed
 
 
@@ -277,3 +281,98 @@ def test_a_module_verifies_exactly_when_its_semidirect_product_is_bol():
     verified = [verify_representation(R).passed for R in modules]
     assert verified == [verify_bol(tabulated_hat(R)).passed for R in modules]
     assert 0 < sum(verified) < len(verified)
+
+
+# ---------------------------------------------------------------------------
+# a representation is its integer form
+
+
+def _adjoint_bases() -> list[BolAlgebra]:
+    """The Bol algebras of data/ (a Maltsev file through maltsev_to_bol; broken_b2
+    is not Bol), the sphere systems n = 3..6 and the bases of the random corpus."""
+    bases = []
+    for path in sorted(DATA.glob("*.alg")):
+        A = parse_algebra(path.read_text())
+        bases.append(maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A)
+    bases += [_sphere(n) for n in range(3, 7)]
+    bases += [R.base for R in random_representation_corpus()]
+    return [B for B in dict.fromkeys(bases) if verify_bol(B).passed]
+
+
+ADJOINT_BASES = _adjoint_bases()
+
+
+def test_the_adjoint_bases_span_the_corpora():
+    assert len(ADJOINT_BASES) >= 12 and max(B.n for B in ADJOINT_BASES) == 10
+    assert any(B.form[0] > 1 for B in ADJOINT_BASES)  # a denominator to carry
+
+
+@pytest.mark.parametrize("index", range(len(ADJOINT_BASES)))
+def test_the_adjoint_module_equals_the_one_built_from_fraction_matrices(index):
+    B = ADJOINT_BASES[index]
+    R, reference = adjoint_representation(B), fraction_adjoint_representation(B)
+    assert R.form[0] == B.form[0]  # D_R = D_A
+    assert R == reference and hash(R) == hash(reference) and R.form == reference.form
+    assert (R.rho, R.D, R.theta) == (reference.rho, reference.D, reference.theta)
+    assert repr(R) == repr(reference)
+
+
+def _as_ints(mat: Mat) -> Mat:
+    """The Mat with each integral entry an int, the others Fractions."""
+    return Mat(mat.rows, mat.cols, tuple(x.numerator if x.denominator == 1 else x
+                                         for x in mat.entries))
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_int_and_fraction_matrices_give_one_form(index):
+    R = (random_representation_corpus()[::2] + [adjoint_representation(make_b2(1))])[index]
+    grid = lambda g: tuple(tuple(map(_as_ints, row)) for row in g)
+    rho, D, theta = tuple(map(_as_ints, R.rho)), grid(R.D), grid(R.theta)
+    assert any(type(x) is int for mat in (*rho, *sum(D + theta, ())) for x in mat.entries)
+    ints = Representation(R.base, R.m, rho, D, theta)
+    assert ints == R and hash(ints) == hash(R) and ints.form == R.form
+    assert all(type(x) is int for rows in ints.form[1] for row in rows for _, x in row)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_the_zero_module_is_written_as_the_one_read_from_zero_matrices(m):
+    B, z = make_b2(F(5, 3)), Mat.zeros(m, m)
+    read = Representation(B, m, (z, z), ((z, z),) * 2, ((z, z),) * 2)
+    zero = Representation.zero(B, m)
+    assert zero == read and hash(zero) == hash(read) and zero.form == read.form
+    assert zero.rho == (z, z) and zero.theta == ((z, z),) * 2
+
+
+_Z, _BIG = Mat.zeros(2, 2), Mat.zeros(3, 3)
+_GRID = ((_Z, _Z),) * 2
+
+
+@pytest.mark.parametrize("rho, D, theta, message", [
+    ((_Z,), _GRID, _GRID, "representation grids must have one slot per basis element"),
+    ((_BIG, _BIG), _GRID, _GRID, r"rho matrix shape \(3, 3\) != \(2,2\)"),
+    ((_Z, _Z), ((_Z,),) * 2, _GRID, "D/theta grids must be n x n"),
+    ((_Z, _Z), _GRID, ((_BIG, _BIG),) * 2, r"grid matrix shape \(3, 3\) != \(2,2\)"),
+])
+def test_the_constructor_refuses_a_bad_grid(rho, D, theta, message):
+    with pytest.raises(ValueError, match=message):
+        Representation(make_b2(1), 2, rho, D, theta)
+
+
+def test_the_adjoint_module_builds_no_matrix(monkeypatch):
+    built, check = [], Mat.__post_init__
+    monkeypatch.setattr(Mat, "__post_init__", lambda self: built.append(self) or check(self))
+    R = adjoint_representation(maltsev_to_bol(make_so3()))
+    assert built == [] and not {"rho", "D", "theta"} & set(R.__dict__)
+
+
+@pytest.mark.parametrize("name", ["b2_lambda1.alg", "so3.alg", "maltsev_dim4.alg"])
+def test_the_library_reads_no_matrix_of_an_adjoint_module(name):
+    A = parse_algebra((DATA / name).read_text())
+    R = adjoint_representation(maltsev_to_bol(A) if isinstance(A, MaltsevAlgebra) else A)
+    report = cohomology(R)
+    pseudoderivation_space(R)
+    for c in (*report.z_basis, CochainPair.zero(R.base, R.m)):
+        assert is_cocycle(R, c).passed
+        twisted_product(R, c)
+    assert report.z_basis and not {"rho", "D", "theta"} & set(R.__dict__)
+    assert R.rho and {"rho"} <= set(R.__dict__)  # built on first access only
