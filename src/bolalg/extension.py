@@ -27,10 +27,11 @@ The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
 hat(B) is built from the coefficients of B, the cocycle and the module
-maps, placed by the formulas above.  Every scan and read here adds up ints:
-the integer forms of hat(B) and B on the integer columns of i, p, sigma,
-the splitting and phi, over one common denominator per residual or value
-(``algebra._over``).
+maps, placed by the formulas above, and both induced objects are read off its
+form in the frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
+ints: the integer forms of hat(B) and B on the integer columns of i, p, sigma,
+the frame, the splitting and phi, over one common denominator per residual or
+value (``algebra._over``).
 
 Two extensions over identical induced representations are equivalent --
 there is a homomorphism phi with phi o i1 = i2 and p2 o phi = p1 -- iff
@@ -64,8 +65,8 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
-from .linalg import _ONE, _ZERO, Mat, Vec, image_rank, inverse, record, replace
-from .representation import Representation, verify_representation
+from .linalg import _ONE, _ZERO, Mat, image_rank, inverse, record, replace
+from .representation import Representation, _module_of, verify_representation
 
 
 class InvalidExtensionError(ValueError):
@@ -226,8 +227,9 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 
+@_once_per_object
 def _frame(E: AbelianExtension) -> Mat:
-    """[sigma | i]: column x < n is sigma(e_x), column n + a is i(e_a)."""
+    """[sigma | i], kept on E: column x < n is sigma(e_x), column n + a is i(e_a)."""
     return Mat(E.hat.n, E.hat.n,
                tuple(x for r in range(E.hat.n) for x in E.sigma.row(r) + E.i.row(r)))
 
@@ -244,59 +246,66 @@ def _splitting(E: AbelianExtension) -> Mat:
         raise InvalidExtensionError("section and injection do not split hat(B)") from exc
 
 
-def _fiber_coords(E: AbelianExtension, acc: list, denominator: int, what: str) -> Vec:
-    """The fiber coordinates of the hat vector acc / denominator (acc a list of
-    ints), read through the splitting; raises naming ``what`` off the fiber."""
-    Dt, cols = _integer_cols(_splitting(E))
-    coords = [0] * E.hat.n
-    for k, x in enumerate(acc):
-        if x:
-            _add_terms(coords, x, cols[k])
-    if any(coords[:E.base.n]):
-        raise InvalidExtensionError(
-            f"{what} does not land in the fiber; extension data is inconsistent")
-    return _over(coords[E.base.n:], denominator * Dt)
+@_once_per_object
+def _in_frame(E: AbelianExtension) -> tuple:
+    """The kept integer form (D, P, T) of hat(B) in the basis [sigma | i] (``_frame``),
+    read through ``_splitting``: only the i<j entries with at most one fiber argument and
+    their swaps (hat(B) passes its axioms); the others vanish in a valid bundle."""
+    n, N = E.base.n, E.hat.n
+    (Dh, Ph, Th), (Df, f), (Ds, s) = (E.hat.form, _integer_cols(_frame(E)),
+                                      _integer_cols(_splitting(E)))
+    P, T = [[()] * N for _ in range(N)], [[[()] * N for _ in range(N)] for _ in range(N)]
+
+    def read(form, *args):  # the entry at args, times Dh Df**3 Ds, and the one at its swap
+        acc, out = _add_form([0] * N, Df ** (3 - len(args)), form, *(f[a] for a in args)), [0] * N
+        for k, x in enumerate(acc):
+            if x:
+                _add_terms(out, x, s[k])
+        return (tuple((k, x) for k, x in enumerate(out) if x),
+                tuple((k, -x) for k, x in enumerate(out) if x))
+    for x in range(n):  # x < y, so only y or z can be a fiber index
+        for y in range(x + 1, N):
+            P[x][y], P[y][x] = read(Ph, x, y)
+            for z in range(n if y >= n else N):
+                T[x][y][z], T[y][x][z] = read(Th, x, y, z)
+    return Dh * Df ** 3 * Ds, P, T
 
 
 def induced_representation(E: AbelianExtension) -> Representation:
-    """(rho, D, theta) read off hat(B) through the section."""
+    """(rho, D, theta) read off hat(B) through the section: the module at indices n.. of
+    ``_in_frame(E)``, whose every image must land in the fiber."""
     _require_valid(E)
-    n, m, N = E.base.n, E.m, E.hat.n
-    (Dh, P, T), (Ds, s), (Di, i_cols) = (E.hat.form, _integer_cols(E.sigma),
-                                         _integer_cols(E.i))
-
-    def fiber_map(what, form, slots, degree):
-        """Matrix of u -> form(slots(i(u))) in fiber coordinates; degree is sigma's."""
-        denominator = Dh * Ds ** degree * Di
-        cols = [_fiber_coords(E, _add_form([0] * N, 1, form, *slots(u)), denominator, what)
-                for u in i_cols]
-        return Mat(m, m, tuple(x for row in zip(*cols) for x in row))
-
-    rho = tuple(fiber_map("rho image", P, lambda u: (s[x], u), 1) for x in range(n))
-    D = tuple(tuple(fiber_map("D image", T, lambda u: (s[x], s[y], u), 2)
-                    for y in range(n)) for x in range(n))
-    theta = tuple(tuple(fiber_map("theta image", T, lambda u: (u, s[x], s[y]), 2)
-                        for y in range(n)) for x in range(n))
-    return Representation(E.base, m, rho, D, theta)
+    n, (_, P, T) = E.base.n, _in_frame(E)
+    fiber, pairs = range(n, E.hat.n), list(itertools.product(range(n), repeat=2))
+    for what, images in (("rho image", (P[x][u] for x in range(n) for u in fiber)),
+                         ("D image", (T[x][y][u] for x, y in pairs for u in fiber)),
+                         ("theta image", (T[u][x][y] for x, y in pairs for u in fiber))):
+        if any(image[:1] and image[0][0] < n for image in images):  # k ascending
+            raise InvalidExtensionError(
+                f"{what} does not land in the fiber; extension data is inconsistent")
+    return _module_of(E.base, E.m, _in_frame(E), n)
 
 
 def induced_cocycle(E: AbelianExtension) -> CochainPair:
-    """(nu, omega) read off hat(B) through the section, at the i<j tuples.
+    """(nu, omega) read off hat(B) through the section, at the i<j tuples: the fiber
+    parts of the entries of ``_in_frame(E)`` at base arguments.
 
     Both algebras are verified, so each value changes sign when x, y are
     swapped and vanishes at x = y: the first value that leaves the fiber
     in lexicographic order has x < y, and nu is read before omega."""
     _require_valid(E)
-    base = E.base
-    forms = base.form, E.hat.form, _integer_cols(E.sigma)
+    (D, P, T), (DB, PB, TB), n = _in_frame(E), E.base.form, E.base.n
 
-    # sigma(e_x) * sigma(e_y) - sigma(e_x * e_y), and the same for the triple
-    def value(what, *args):
-        acc, denominator = _morphism_defect(*forms, args)
-        return dict(enumerate(_fiber_coords(E, [-x for x in acc], denominator, what)))
+    def value(what, framed, own):  # the fiber part of framed, whose base part must be own
+        if tuple((k, x * DB) for k, x in framed if k < n) != tuple((k, c * D) for k, c in own):
+            raise InvalidExtensionError(
+                f"{what} does not land in the fiber; extension data is inconsistent")
+        return {k - n: Fraction(x, D) for k, x in framed if k >= n}
     return CochainPair.from_entries(
-        base, E.m, [(args, value("nu value", *args)) for args in entry_args(base.n, 2)],
-        [(args, value("omega value", *args)) for args in entry_args(base.n, 3)])
+        E.base, E.m, [((x, y), value("nu value", P[x][y], PB[x][y]))
+                      for x, y in entry_args(n, 2)],
+        [((x, y, z), value("omega value", T[x][y][z], TB[x][y][z]))
+         for x, y, z in entry_args(n, 3)])
 
 
 @record

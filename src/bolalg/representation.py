@@ -19,9 +19,11 @@ All conditions are multilinear, so they are decided on basis tuples.  The
 scans read integer forms: the nonzeros of each product and bracket of B
 times D_A, stored on B (``form``), of each rho, D and theta matrix by row
 times D_R, the one state of a representation (``form``), and of each Delta
-matrix, kept once per object (``_delta_rows``).  Every matrix
-identity (R1-R33, the Delta identity) adds up its nonzero terms as ints in
-one helper, ``_matrix_sum``, over one common denominator.
+matrix by row times D_A * D_R, kept once per object (``_delta_rows``).  Every
+matrix identity (R1-R33, the Delta identity) adds up its nonzero terms as ints
+in one helper, ``_matrix_sum``, over one common denominator.  Each module the
+library makes is the part V of a split algebra B (+) V, read off its form by one
+reader, ``_module_of``.
 
 An action rho of a Maltsev algebra M on V is a Maltsev representation when
 the split null extension M (+) V, with the product
@@ -46,8 +48,9 @@ The coboundary (f, chi) -> (nu, omega) is stated once, as the kept ``_coboundary
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .algebra import (
     BolAlgebra,
@@ -106,21 +109,21 @@ class Representation:
         R.__dict__.update(base=base, m=m, form=form)
         return R
 
-    def _mat(self, rows: tuple) -> Mat:  # one map of the form, by its integer rows
-        DR, m = self.form[0], self.m
-        return Mat(m, m, tuple(x for row in rows for x in _over_terms(DR, row, m)))
+    def _mat(self, rows: tuple, denominator: int) -> Mat:  # a map by its integer rows
+        m = self.m
+        return Mat(m, m, tuple(x for row in rows for x in _over_terms(denominator, row, m)))
 
     @cached_property
     def rho(self) -> tuple[Mat, ...]:
-        return tuple(map(self._mat, self.form[1]))
+        return tuple(self._mat(rows, self.form[0]) for rows in self.form[1])
 
     @cached_property
     def D(self) -> tuple[tuple[Mat, ...], ...]:
-        return tuple(tuple(map(self._mat, row)) for row in self.form[2])
+        return tuple(tuple(self._mat(rows, self.form[0]) for rows in row) for row in self.form[2])
 
     @cached_property
     def theta(self) -> tuple[tuple[Mat, ...], ...]:
-        return tuple(tuple(map(self._mat, row)) for row in self.form[3])
+        return tuple(tuple(self._mat(rows, self.form[0]) for rows in row) for row in self.form[3])
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(base={self.base!r}, m={self.m!r}, "
@@ -128,7 +131,7 @@ class Representation:
 
     def delta(self, x: int, y: int) -> Mat:
         """Delta(e_x, e_y) = D(e_x, e_y) - rho(e_x * e_y), read off the kept _delta_rows."""
-        return Mat(self.m, self.m, SparseMat(self.m, _delta_rows(self)[x][y]).entries)
+        return self._mat(_delta_rows(self)[x][y], self.base.form[0] * self.form[0])
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "Representation":
@@ -160,28 +163,28 @@ def _integer_mats(mats: tuple[Mat, ...]) -> tuple:
     return D, tuple(tuple(_scaled(row, D) for row in mat.nonzero_rows) for mat in mats)
 
 
-def _sparse_row(denominator: int, *parts) -> tuple:
-    """The nonzero (key, value) pairs of an int sum over ``denominator``, key
-    ascending, one Fraction per value; a part (s, start, step, terms) adds
-    s * x at key start + step * k for each (k, x) in terms (all ints)."""
+def _sparse_row(value, *parts) -> tuple:
+    """The pairs (key, value(x)) at the nonzeros x of an int sum, key ascending; a
+    part (s, start, step, terms) adds s * x at key start + step * k for each (k, x)
+    in terms (all ints)."""
     acc = {}
     for s, start, step, terms in parts:
         for k, x in terms:
             key = start + step * k
             acc[key] = acc.get(key, 0) + s * x
-    return tuple((k, Fraction(x, denominator)) for k, x in sorted(acc.items()) if x)
+    return tuple((k, value(x)) for k, x in sorted(acc.items()) if x)
 
 
 @_once_per_object
 def _delta_rows(R: Representation) -> tuple:
-    """The kept sparse form of Delta: [i][j] = Delta(e_i, e_j).nonzero_rows, row r
-    of D(e_i, e_j) - sum_k c_ij^k rho(e_k), added up in ints over D_A * D_R."""
+    """The kept integer form of Delta: [i][j] the rows of D(e_i, e_j) - sum_k c_ij^k
+    rho(e_k) by their nonzeros times D_A * D_R, added up as ints."""
     DA, P, _ = R.base.form
     DR, rho, D, _ = R.form
     rng = range(R.base.n)
 
     def delta(i, j):
-        return tuple(_sparse_row(DA * DR, (DA, 0, 1, D[i][j][r]),
+        return tuple(_sparse_row(int, (DA, 0, 1, D[i][j][r]),
                                  *((-c, 0, 1, rho[k][r]) for k, c in P[i][j]))
                      for r in range(R.m))
     return tuple(tuple(delta(i, j) for j in rng) for i in rng)
@@ -269,18 +272,36 @@ def verify_representation(R: Representation) -> CheckReport:
             ("R33", (1, 2, 1), r33))))
 
 
-def adjoint_representation(B: BolAlgebra) -> Representation:
-    """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v], its
-    form B's read by transposition (D_R = D_A: every coefficient of B is in some map)."""
-    _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
-    (DA, P, T), rng = B.form, range(B.n)
+def _module_of(base: BolAlgebra, m: int, form: tuple, at: int) -> Representation:
+    """The module V of a split algebra B (+) V, read off its integer form (D, P, T): B = base
+    at indices 0..n-1, u_b at at + b.  rho(x)u = x*u, D(x,y)u = [x,y,u] and theta(x,y)u =
+    [u,x,y], each map rows at..at+m-1 of its images transposed; D and every entry are divided
+    by their gcd, as _integer_mats would read the same matrices."""
+    D, P, T = form
+    rng, fiber = range(base.n), range(at, at + m)
 
-    def rows(cols):  # the rows of the matrix whose column w holds the nonzeros cols[w]
-        return SparseMat(B.n, cols).transpose().nonzero_rows
-    rho = tuple(rows(P[u]) for u in rng)
-    D = tuple(tuple(rows(T[u][v]) for v in rng) for u in rng)
-    theta = tuple(tuple(rows(tuple(T[w][u][v] for w in rng)) for v in rng) for u in rng)
-    return Representation._of_form(B, B.n, (DA, rho, D, theta))
+    def rows(images):  # rows at..at+m-1 of the matrix whose column b is images[b]
+        return SparseMat(len(P), images).transpose().nonzero_rows[at:at + m]
+    rho = tuple(rows(P[x][at:at + m]) for x in rng)
+    DV = tuple(tuple(rows(T[x][y][at:at + m]) for y in rng) for x in rng)
+    theta = tuple(tuple(rows([T[u][x][y] for u in fiber]) for y in rng) for x in rng)
+    g = D
+    for c in (c for mat in (*rho, *itertools.chain(*DV, *theta)) for row in mat for _, c in row):
+        if g == 1:  # soon for the adjoint module, whose D_A is already lowest
+            break
+        g = math.gcd(g, c)
+    if g > 1:
+        lowest = lambda mat: tuple(tuple((k, c // g) for k, c in row) for row in mat)
+        rho = tuple(map(lowest, rho))
+        DV, theta = (tuple(tuple(map(lowest, row)) for row in grid) for grid in (DV, theta))
+    return Representation._of_form(base, m, (D // g, rho, DV, theta))
+
+
+def adjoint_representation(B: BolAlgebra) -> Representation:
+    """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v], the
+    module of B's own form (D_R = D_A: every coefficient of B is in some map)."""
+    _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
+    return _module_of(B, B.n, B.form, 0)
 
 
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
@@ -305,27 +326,15 @@ def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representati
 
     M must be a Maltsev algebra and rho a Maltsev representation: its split
     null extension N (``_null_extension``) must pass verify_maltsev, else that
-    report is raised.  D(x,y)u and theta(x,y)u are the fiber parts of the
-    brackets [x,y,u] and [u,x,y] of maltsev_to_bol(N): D = (1/3)([rho(x), rho(y)]
-    + 2 rho(x*y)) and theta = (1/3)(rho(x)rho(y) + 2 rho(y)rho(x) - rho(x*y)).
+    report is raised.  The representation is the module of maltsev_to_bol(N), its
+    D = (1/3)([rho(x), rho(y)] + 2 rho(x*y)) and theta = (1/3)(rho(x)rho(y)
+    + 2 rho(y)rho(x) - rho(x*y)).
     """
-    rho = tuple(rho)
-    N = _null_extension(M, rho)
+    N = _null_extension(M, tuple(rho))
     B = maltsev_to_bol(M)
     _require_passed(verify_maltsev(N),
                     "action does not satisfy the Maltsev representation condition")
-    n, m = M.n, N.n - M.n
-    DN, _, T = maltsev_to_bol(N).form
-
-    def fiber(bracket):  # the matrix whose column b is the fiber part of bracket(n + b)
-        acc = [0] * (m * m)
-        for b in range(m):
-            for k, c in bracket(n + b):
-                acc[(k - n) * m + b] = c
-        return Mat(m, m, _over(acc, DN))
-    D = tuple(tuple(fiber(lambda u: T[x][y][u]) for y in range(n)) for x in range(n))
-    theta = tuple(tuple(fiber(lambda u: T[u][x][y]) for y in range(n)) for x in range(n))
-    return Representation(B, m, rho, D, theta)
+    return _module_of(B, N.n - M.n, maltsev_to_bol(N).form, M.n)
 
 
 def check_delta_identity(R: Representation) -> CheckReport:
@@ -339,8 +348,7 @@ def check_delta_identity(R: Representation) -> CheckReport:
     B = R.base
     m = R.m
     DA, P, T = B.form
-    DD = DA * R.form[0]  # every denominator of Delta divides it
-    delta = [[tuple(_scaled(row, DD) for row in d) for d in grid] for grid in _delta_rows(R)]
+    DD, delta = DA * R.form[0], _delta_rows(R)  # Delta times DD, as ints
 
     # a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
     def residual(x1, x2, y1, y2):
@@ -444,16 +452,17 @@ def _coboundary_rows(R: Representation) -> tuple:
         raise ValueError(failure)
     DA, P, T = B.form
     DR, rho, D, theta = R.form
+    over = partial(Fraction, denominator=DA * DR)
 
     def nu(x1, x2, a):
         # rho(x1) f(x2) - rho(x2) f(x1) + (D(x1,x2) - rho(x1*x2))(chi) - f(x1*x2)
-        return _sparse_row(DA * DR, (DA, x2 * m, 1, rho[x1][a]), (-DA, x1 * m, 1, rho[x2][a]),
+        return _sparse_row(over, (DA, x2 * m, 1, rho[x1][a]), (-DA, x1 * m, 1, rho[x2][a]),
                            (DA, n * m, 1, D[x1][x2][a]), (-DR, a, m, P[x1][x2]),
                            *((-c, n * m, 1, rho[k][a]) for k, c in P[x1][x2]))
 
     def omega(x1, x2, x3, a):
         # theta(x2,x3) f(x1) - theta(x1,x3) f(x2) + D(x1,x2) f(x3) - f([x1,x2,x3])
-        return _sparse_row(DA * DR, (DA, x1 * m, 1, theta[x2][x3][a]), (-DR, a, m, T[x1][x2][x3]),
+        return _sparse_row(over, (DA, x1 * m, 1, theta[x2][x3][a]), (-DR, a, m, T[x1][x2][x3]),
                            (-DA, x2 * m, 1, theta[x1][x3][a]), (DA, x3 * m, 1, D[x1][x2][a]))
 
     return tuple(fn(*args, a) for arity, fn in ((2, nu), (3, omega))

@@ -46,7 +46,6 @@ from bolalg.representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
-    _delta_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -105,6 +104,13 @@ def m0_action() -> tuple[Mat, Mat]:
             cols.append([prod[2], prod[3]])
         mats.append(Mat.from_cols(cols, rows=2))
     return tuple(mats)
+
+
+def assert_read_as_its_matrices(R: Representation) -> None:
+    """R's form is the one the public constructor reads from R's own matrices: D_R and
+    every entry in lowest terms, so a module reader that skips the gcd fails here."""
+    read = Representation(R.base, R.m, R.rho, R.D, R.theta)
+    assert read.form == R.form and read == R and hash(read) == hash(R)
 
 
 def fraction_adjoint_representation(B: BolAlgebra) -> Representation:
@@ -572,7 +578,7 @@ def fraction_verify_representation(R: Representation) -> CheckReport:
 def fraction_check_delta_identity(R: Representation) -> CheckReport:
     """The former check_delta_identity: the Delta rows added up in a Fraction dict."""
     B, m = R.base, R.m
-    P, T, delta = coordinate_product_terms(B), coordinate_triple_terms(B), _delta_rows(R)
+    P, T, delta = coordinate_product_terms(B), coordinate_triple_terms(B), fraction_delta_rows(R)
 
     def residual(x1, x2, y1, y2):
         acc = {}

@@ -238,10 +238,12 @@ def test_pseudoderivations_then_cohomology_build_the_rows_once(coboundary_row_bu
 def test_the_delta_rows_are_the_rows_of_the_dense_delta(index):
     R = (_probe_modules() + [_r1_violation(), _symmetric_d(), _symmetric_product()])[index]
     rng = range(R.base.n)
-    rows = _delta_rows(R)
-    assert rows == tuple(tuple(dense_delta(R, i, j).nonzero_rows for j in rng) for i in rng)
+    rows, DD = _delta_rows(R), R.base.form[0] * R.form[0]  # ints over D_A * D_R
+    assert rows == tuple(tuple(tuple(tuple((k, x * DD) for k, x in row)
+                                     for row in dense_delta(R, i, j).nonzero_rows)
+                               for j in rng) for i in rng)
     assert all(R.delta(i, j) == dense_delta(R, i, j) for i in rng for j in rng)
-    assert all(type(x) is F for grid in rows for delta in grid for row in delta for _, x in row)
+    assert all(type(x) is int for grid in rows for delta in grid for row in delta for _, x in row)
 
 
 @pytest.mark.parametrize("index", range(12))

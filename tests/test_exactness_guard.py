@@ -275,6 +275,39 @@ def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
 
 
+# The one caller of the public Representation constructor, which reads matrices; every
+# other producer writes a form (Representation._of_form, the adjoint, induced and
+# extension-induced modules through representation._module_of, Representation.zero).
+_MATRIX_READERS = {"formats.py": ["parse_representation: Representation"]}
+
+
+def _representation_calls(tree: ast.Module) -> list[str]:
+    """Each call of the name Representation, by top-level definition."""
+    return _calls_by_definition(tree, lambda top: {"Representation"})
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_only_the_parser_builds_a_representation_from_matrices(source):
+    assert _representation_calls(ast.parse(source.read_text(), str(source))) == (
+        _MATRIX_READERS.get(source.name, []))
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def f(B, m, rho, D, theta):\n    return Representation(B, m, rho, D, theta)",
+     ["f: Representation"]),
+    ("def f(R):\n    return representation.Representation(R.base, R.m, R.rho, R.D, R.theta)",
+     ["f: Representation"]),
+    ("ZERO = Representation(B, 0, (), (), ())", ["<module>: Representation"]),
+    ("class E:\n    def induced(self):\n        return Representation(*self.maps)",
+     ["E: Representation"]),
+    ("def f(B, m, form):\n    return Representation._of_form(B, m, form)", []),
+    ("def f(B, m):\n    return Representation.zero(B, m)", []),
+    ("def f(R):\n    return isinstance(R, Representation)", []),
+])
+def test_the_representation_guard_catches(code, calls):
+    assert _representation_calls(ast.parse(code)) == calls
+
+
 def _recorded_algebras(monkeypatch) -> list:
     """Every algebra built from here on, recorded where its state is written."""
     built, stored = [], algebra._stored

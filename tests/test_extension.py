@@ -25,7 +25,17 @@ from bolalg.representation import (
     verify_representation,
 )
 
-from .conftest import dense_fiber_coords, hstack, make_b2, matrix_of, tabulate
+from .conftest import (
+    assert_read_as_its_matrices,
+    dense_fiber_coords,
+    dense_induced_cocycle,
+    dense_induced_representation,
+    hstack,
+    make_b2,
+    matrix_of,
+    random_representation_corpus,
+    tabulate,
+)
 
 EXTENSION = importlib.import_module("bolalg.extension")
 
@@ -316,15 +326,38 @@ def _reference_induced_cocycle(E):
     return CochainPair(base, m, tabulate(m, n, 2, nu), tabulate(m, n, 3, omega))
 
 
+def _assert_read_as_before(E) -> None:
+    """Both readers of E's frame form against the former constructions."""
+    R, reference = induced_representation(E), dense_induced_representation(E)
+    assert R == reference and R.form == reference.form and hash(R) == hash(reference)
+    assert (R.rho, R.D, R.theta) == (reference.rho, reference.D, reference.theta)
+    assert_read_as_its_matrices(R)
+    c, ref = induced_cocycle(E), _reference_induced_cocycle(E)
+    assert c == ref and c.coords() == ref.coords() == dense_induced_cocycle(E).coords()
+    assert c.nu == ref.nu and c.omega == ref.omega
+
+
 def test_the_induced_cocycle_equals_the_former_tabulation(adj_1, adj_m1, ex28_rep):
     rng = random.Random(12)
     for R in (adj_1, adj_m1, ex28_rep):
         for z in (CochainPair.zero(R.base, R.m),) + cohomology(R).z_basis:
             E = twisted_product(R, z)
             for bundle in (E, perturb_section(E, random_g(rng, R.m, R.base.n))):
-                c, ref = induced_cocycle(bundle), _reference_induced_cocycle(bundle)
-                assert c == ref and c.coords() == ref.coords()
-                assert c.nu == ref.nu and c.omega == ref.omega
+                _assert_read_as_before(bundle)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_the_random_modules_read_back_as_before(index):
+    # the twisted products of the random corpus modules (rational entries, m = 1..4)
+    # along a coboundary, each through its own section and a perturbed one
+    R = random_representation_corpus()[index]
+    assert verify_representation(R).passed
+    rng = random.Random(40 + index)
+    f = random_g(rng, R.m, R.base.n)
+    E = twisted_product(R, coboundary_of(R, PseudoderivationData(f, (0,) * R.m)))
+    for bundle in (E, perturb_section(E, random_g(rng, R.m, R.base.n))):
+        _assert_read_as_before(bundle)
+        assert induced_representation(bundle) == R
 
 
 @pytest.mark.parametrize("base, message", [

@@ -1,9 +1,9 @@
 """Both cohomology maps as integer rows, against the Fraction rows they replaced.
 
 ``cohomology._constraint_rows`` yields each CC1-CC3 row as a primitive int
-row with a positive lead, ``representation._coboundary_rows`` and
-``_delta_rows`` add up ints over D_A * D_R and build one ``Fraction`` per
-nonzero, and ``linalg.kernel_basis`` fills its vectors in one pass over the
+row with a positive lead, ``representation._coboundary_rows`` adds up ints
+over D_A * D_R and builds one ``Fraction`` per nonzero, ``_delta_rows`` keeps
+those ints, and ``linalg.kernel_basis`` fills its vectors in one pass over the
 echelon rows.  The references in ``conftest`` are the former constructions:
 the constraint rows divided by their leads in ``Fraction``s, the rows
 summed in ``Fraction``s, and the kernel read pair by pair.  A row scaled to
@@ -81,6 +81,9 @@ def test_kernel_basis_equals_the_pairwise_fill(name):
 def test_coboundary_and_delta_rows_equal_the_fraction_sums(name):
     R = _module(name)
     assert _coboundary_rows(R) == fraction_coboundary_rows(R)
-    assert _delta_rows(R) == fraction_delta_rows(R)
-    for rows in (_coboundary_rows(R), *(delta for grid in _delta_rows(R) for delta in grid)):
-        assert all(type(x) is F for row in rows for _, x in row)
+    assert all(type(x) is F for row in _coboundary_rows(R) for _, x in row)
+    DD = R.base.form[0] * R.form[0]  # the Delta rows are ints over D_A * D_R
+    assert _delta_rows(R) == tuple(tuple(tuple(tuple((k, x * DD) for k, x in row) for row in delta)
+                                         for delta in grid) for grid in fraction_delta_rows(R))
+    assert all(type(x) is int for grid in _delta_rows(R) for delta in grid
+               for row in delta for _, x in row)

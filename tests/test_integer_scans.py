@@ -58,6 +58,7 @@ from bolalg.representation import (
 )
 
 from .conftest import (
+    assert_read_as_its_matrices,
     b3_residual,
     dense_b2p_residual,
     dense_check_phi,
@@ -139,6 +140,7 @@ def test_the_bundles_validate_and_read_as_before(name):
         _assert_same_validation(E)
         R, c = induced_representation(E), induced_cocycle(E)
         assert R == dense_induced_representation(E)
+        assert_read_as_its_matrices(R)
         assert c.coords() == dense_induced_cocycle(E).coords()
         assert all(type(x) is F for mat in R.rho for x in mat.entries)
         assert all(type(x) is F for x in c.coords())
@@ -215,6 +217,7 @@ def test_the_octonion_twisted_product_reads_as_before():
     for E in (E1, E2):
         _assert_same_validation(E)
         assert induced_representation(E) == dense_induced_representation(E)
+        assert_read_as_its_matrices(induced_representation(E))
         assert induced_cocycle(E).coords() == dense_induced_cocycle(E).coords()
     phi = extensions_equivalent(E1, E2).phi
     assert dense_check_phi(E1, E2, phi) is None

@@ -33,6 +33,7 @@ from bolalg.linalg import Mat, inverse
 from bolalg.representation import _null_extension, induce_from_maltsev
 
 from .conftest import (
+    assert_read_as_its_matrices,
     fraction_induce_from_maltsev,
     fraction_maltsev_action_jordan_report,
     fraction_maltsev_action_report,
@@ -171,6 +172,8 @@ def _assert_agrees(M, rho) -> bool:
         assert not got[2].passed
         return False
     assert got == expected
+    assert_read_as_its_matrices(got)
+    assert got.rho == tuple(rho)  # the action read back off the null extension
     return True
 
 

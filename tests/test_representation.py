@@ -4,13 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from bolalg import extension as EXTENSION
 from bolalg.algebra import (
     BolAlgebra, MaltsevAlgebra, VerificationError, maltsev_to_bol, verify_bol, verify_maltsev,
 )
 from bolalg.cohomology import CochainPair, cohomology, is_cocycle
-from bolalg.extension import twisted_product
+from bolalg.extension import (
+    induced_cocycle, induced_representation, twisted_product, validate_extension,
+)
 from bolalg.formats import parse_algebra
-from bolalg.linalg import Mat, rref
+from bolalg.linalg import Mat, replace, rref
 from bolalg.representation import (
     PseudoderivationData,
     Representation,
@@ -25,6 +28,8 @@ from bolalg.representation import (
 
 from .conftest import (
     DATA,
+    assert_read_as_its_matrices,
+    dense_induced_cocycle,
     fraction_adjoint_representation,
     fraction_maltsev_action_jordan_report,
     fraction_maltsev_action_report,
@@ -37,8 +42,10 @@ from .conftest import (
     random_representation_corpus,
     tabulated_hat,
 )
+from .test_integer_scans import _bundles
+from .test_maltsev_action import _adjoint_action, _halved_so3
 from .test_oracle import _sphere
-from .test_sparse_scans import _perturbed
+from .test_sparse_scans import _octonions, _perturbed
 
 
 def mat(rows):
@@ -313,6 +320,7 @@ def test_the_adjoint_module_equals_the_one_built_from_fraction_matrices(index):
     R, reference = adjoint_representation(B), fraction_adjoint_representation(B)
     assert R.form[0] == B.form[0]  # D_R = D_A
     assert R == reference and hash(R) == hash(reference) and R.form == reference.form
+    assert_read_as_its_matrices(R)
     assert (R.rho, R.D, R.theta) == (reference.rho, reference.D, reference.theta)
     assert repr(R) == repr(reference)
 
@@ -358,11 +366,36 @@ def test_the_constructor_refuses_a_bad_grid(rho, D, theta, message):
         Representation(make_b2(1), 2, rho, D, theta)
 
 
-def test_the_adjoint_module_builds_no_matrix(monkeypatch):
+def _built_matrices(monkeypatch) -> list:
+    """Every Mat built from here on."""
     built, check = [], Mat.__post_init__
     monkeypatch.setattr(Mat, "__post_init__", lambda self: built.append(self) or check(self))
+    return built
+
+
+def test_the_adjoint_module_builds_no_matrix(monkeypatch):
+    built = _built_matrices(monkeypatch)
     R = adjoint_representation(maltsev_to_bol(make_so3()))
     assert built == [] and not {"rho", "D", "theta"} & set(R.__dict__)
+
+
+@pytest.mark.parametrize("M, rho", [(make_m0(), m0_action()), _halved_so3(),
+                                    (_octonions(), _adjoint_action(_octonions()))])
+def test_the_maltsev_induced_module_builds_no_matrix(monkeypatch, M, rho):
+    built = _built_matrices(monkeypatch)
+    R = induce_from_maltsev(M, rho)
+    assert built == [] and not {"rho", "D", "theta"} & set(R.__dict__)
+
+
+@pytest.mark.parametrize("name", ["canonical", "dense", "prime"])
+def test_the_extension_induced_module_builds_only_the_frame_and_its_inverse(monkeypatch, name):
+    E = replace(_bundles(name)[1])  # the same bundle, with nothing kept on it
+    validate_extension(E)  # validation multiplies its maps
+    built = _built_matrices(monkeypatch)
+    R, c = induced_representation(E), induced_cocycle(E)  # one kept frame form for both
+    frame, splitting = built
+    assert frame is EXTENSION._frame(E) and splitting is EXTENSION._splitting(E)
+    assert not {"rho", "D", "theta"} & set(R.__dict__) and c == dense_induced_cocycle(E)
 
 
 @pytest.mark.parametrize("name", ["b2_lambda1.alg", "so3.alg", "maltsev_dim4.alg"])
