@@ -18,7 +18,8 @@ hashing read it.  The structure tensors
     t[l][i][j][k] = coefficient of e_l in [e_i, e_j, e_k]
 
 are built from it on first access; no scan reads them.  The library makes
-every algebra from its coefficients by one builder, ``_of_coefficients``;
+every algebra by one builder, ``_of_form``: from coefficients (``_integer_forms``)
+or from the i<j entries of ``from_entries`` and the parser (``_entry_forms``);
 ``BolAlgebra(n, c, t)`` and ``MaltsevAlgebra(n, c)`` read the tensors once.
 Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
@@ -55,6 +56,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
@@ -183,8 +186,8 @@ def _checked_entries(
     n: int, value_dim: int, arity: int,
     entries: Iterable[tuple[tuple[int, ...], Mapping[int, Fraction]]], what: str,
 ):
-    """(args, v, Fraction coefficient) for each coefficient of sparse entries
-    {(i,j,...) with i<j: {v: coeff}}, v the value index.
+    """The sparse entries {(i,j,...) with i<j: {v: coeff}}, v the value index, as
+    (args, terms): terms the nonzeros ((v, p, q), ...), v ascending, p/q read by _exact.
 
     Out-of-range, diagonal, unordered and duplicate argument tuples and
     out-of-range value indices raise ValueError, naming the entry as ``what``
@@ -197,10 +200,14 @@ def _checked_entries(
                 or args[0] >= args[1] or args in seen):
             raise ValueError(_entry_error(what, args, arity, n))
         seen.add(args)
+        terms = []
         for v, val in coeffs.items():
             if not 0 <= v < value_dim:
                 raise ValueError(f"{what} entry {_shown(args)}: index {v} out of range")
-            yield args, v, _exact(val)
+            x = _exact(val)
+            if x:
+                terms.append((v, x.numerator, x.denominator))
+        yield args, tuple(sorted(terms))
 
 
 def _shown(args: tuple[int, ...]) -> str:
@@ -280,10 +287,8 @@ def _over_terms(D: int, terms, size: int) -> Vec:
     return tuple(out)
 
 
-def _stored(A, n: int, binary, ternary, basis_names):
-    """A with its state written: n, the integer form of the coefficients of c and t
-    (as _integer_forms reads them) and basis_names."""
-    form = _integer_forms(n, ((2, binary), (3, ternary)))
+def _stored(A, n: int, form: tuple, basis_names):
+    """A with its state written: n, its integer form (D, P, T) and basis_names."""
     A.__dict__.update(n=n, form=form, basis_names=tuple(basis_names) if basis_names else None)
     return A
 
@@ -317,12 +322,13 @@ class MaltsevAlgebra(_BinaryProduct):
     basis_names: tuple[str, ...] | None = None
 
     def __init__(self, n: int, c: tuple, basis_names=None):
-        _stored(self, n, _coefficients("c", c, n, n, 2), (), basis_names)
+        _stored(self, n, _integer_forms(n, ((2, _coefficients("c", c, n, n, 2)), (3, ()))),
+                basis_names)
 
     @classmethod
     def from_entries(cls, n, binary, basis_names=None) -> "MaltsevAlgebra":
-        return _of_coefficients(cls, n, _swapped(_checked_entries(n, n, 2, binary, "binary")),
-                                None, basis_names)
+        return _of_entries(cls, n, _checked_entries(n, n, 2, binary, "binary"), (),
+                           basis_names)
 
 
 @record
@@ -336,8 +342,8 @@ class BolAlgebra(_BinaryProduct):
     _tensors = ("c", "t")
 
     def __init__(self, n: int, c: tuple, t: tuple, basis_names=None):
-        _stored(self, n, _coefficients("c", c, n, n, 2), _coefficients("t", t, n, n, 3),
-                basis_names)
+        _stored(self, n, _integer_forms(n, ((2, _coefficients("c", c, n, n, 2)),
+                                            (3, _coefficients("t", t, n, n, 3)))), basis_names)
 
     @cached_property
     def t(self) -> tuple:  # t[l][i][j][k]
@@ -345,9 +351,8 @@ class BolAlgebra(_BinaryProduct):
 
     @classmethod
     def from_entries(cls, n, binary, ternary, basis_names=None) -> "BolAlgebra":
-        return _of_coefficients(cls, n, _swapped(_checked_entries(n, n, 2, binary, "binary")),
-                                _swapped(_checked_entries(n, n, 3, ternary, "ternary")),
-                                basis_names)
+        return _of_entries(cls, n, _checked_entries(n, n, 2, binary, "binary"),
+                           _checked_entries(n, n, 3, ternary, "ternary"), basis_names)
 
     @classmethod
     def zero(cls, n: int) -> "BolAlgebra":
@@ -396,22 +401,57 @@ def _integer_forms(n: int, parts) -> tuple:
     A coefficient (args, k, x) is that of e_k at args, each at most once, over
     every args (``_swapped`` gives both halves of i<j entries).  A form is nested
     tuples form[a1]...[ak] of the nonzeros ((k, D x), ...) at args, k ascending,
-    as ints; a prefix no coefficient reaches is one shared empty row.
+    as ints (``_nested``).
     """
     parts = [(arity, [(args, k, x) for args, k, x in coefficients if x])
              for arity, coefficients in parts]
     D = _common_denominator(x for _, coefficients in parts for _, _, x in coefficients)
-    forms, empty = [], ((),) * n
+    forms = []
     for arity, coefficients in parts:
-        rows = {}  # prefix -> n lists of (k, D x), one per last slot
+        rows = defaultdict(lambda: [[] for _ in range(n)])  # prefix -> one list a last slot
         for args, k, x in coefficients:
-            rows.setdefault(args[:-1], [[] for _ in range(n)])[args[-1]].append(
-                (k, x.numerator * (D // x.denominator)))
-        row = lambda p: tuple(tuple(sorted(t)) for t in rows[p]) if p in rows else empty
-        reached = {p[0] for p in rows}
-        forms.append(tuple(row((i,)) if arity == 2 else tuple(row((i, j)) for j in range(n))
-                           if i in reached else (empty,) * n for i in range(n)))
+            rows[args[:-1]][args[-1]].append((k, x.numerator * (D // x.denominator)))
+        forms.append(_nested(n, arity, rows, lambda row: tuple(tuple(sorted(t)) for t in row)))
     return (D, *forms)
+
+
+def _entry_forms(n: int, parts) -> tuple:
+    """(D, *forms) of parts (arity, entries), the i<j entries (args, terms) of a product
+    (arity 2) or triple (3), terms as ``_integer_terms`` reads them, k ascending: each
+    entry's integer nonzeros written at args and negated at its (j, i, ...) twin."""
+    parts = [(arity, list(entries)) for arity, entries in parts]
+    D, rows = _integer_terms([terms for _, entries in parts for _, terms in entries])
+    rows, forms = iter(rows), []
+    for arity, entries in parts:
+        written = defaultdict(lambda: [()] * n)  # prefix -> the terms at each last slot
+        for (args, _), terms in zip(entries, rows):
+            twin = (args[1], args[0]) + args[2:]
+            written[args[:-1]][args[-1]] = terms
+            written[twin[:-1]][twin[-1]] = tuple((k, -c) for k, c in terms)
+        forms.append(_nested(n, arity, written))
+    return (D, *forms)
+
+
+def _nested(n: int, arity: int, rows: dict, read=tuple) -> tuple:
+    """The form of arity 2 or 3 whose terms at each prefix p of rows are read(rows[p]),
+    one per last slot; a prefix not in rows is one shared empty row."""
+    empty = ((),) * n
+    row = lambda p: read(rows[p]) if p in rows else empty
+    reached = {p[0] for p in rows}
+    return tuple(row((i,)) if arity == 2 else tuple(row((i, j)) for j in range(n))
+                 if i in reached else (empty,) * n for i in range(n))
+
+
+def _integer_terms(rows: list) -> tuple:
+    """(D, rows) for rows of nonzeros ((k, p, q), ...), each p/q with q > 0 in any terms:
+    D their least common denominator and each row ((k, D p / q), ...) as ints.  The lcm
+    L of the q is a multiple of D: L / D is the gcd of L and every L p / q."""
+    L = math.lcm(*{q for row in rows for _, _, q in row})
+    rows = [tuple((k, p * (L // q)) for k, p, q in row) if row else () for row in rows]
+    g = math.gcd(L, *(c for row in rows for _, c in row)) if L > 1 else 1
+    if g > 1:
+        rows = [tuple((k, c // g) for k, c in row) for row in rows]
+    return L // g, rows
 
 
 def _coefficients(name: str, t, m: int, n: int, arity: int):
@@ -439,10 +479,19 @@ def _form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
             yield from ((prefix + (a,), k, Fraction(c, D)) for k, c in sub)
 
 
+def _of_form(cls, n: int, form: tuple, basis_names):
+    """The algebra of class cls with the integer form given, on a new object (no tensor)."""
+    return _stored(object.__new__(cls), n, form, basis_names)
+
+
 def _of_coefficients(cls, n: int, binary, ternary, basis_names):
-    """The algebra of class cls whose c (and t, unless ternary is None) have the
-    coefficients (args, k, x) given, as in _integer_forms; no tensor is built."""
-    return _stored(object.__new__(cls), n, binary, ternary or (), basis_names)
+    """_of_form of the coefficients (args, k, x) of c and t (None for a MaltsevAlgebra)."""
+    return _of_form(cls, n, _integer_forms(n, ((2, binary), (3, ternary or ()))), basis_names)
+
+
+def _of_entries(cls, n: int, binary, ternary, basis_names):
+    """_of_form of the i<j entries of c and t (() for a MaltsevAlgebra), by _entry_forms."""
+    return _of_form(cls, n, _entry_forms(n, ((2, binary), (3, ternary))), basis_names)
 
 
 @_once_per_object

@@ -69,6 +69,7 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -161,11 +162,16 @@ class CochainPair:
                      ) -> "CochainPair":
         """Build from sparse i<j entries {(i,j): {a: coeff}} / {(i,j,k): {a: coeff}}."""
         n = base.n
-        coords = list(zero_vec(cochain_dim(n, m)))
-        index = _coordinate_index(n, m)
-        for name, arity, entries in (("nu", 2, nu_entries), ("omega", 3, omega_entries)):
-            for args, a, x in _checked_entries(n, m, arity, entries, name):
-                coords[index[args][0] + a] = x
+        return cls._of_entries(base, m, (_checked_entries(n, m, 2, nu_entries, "nu"),
+                                         _checked_entries(n, m, 3, omega_entries, "omega")))
+
+    @classmethod
+    def _of_entries(cls, base: BolAlgebra, m: int, parts) -> "CochainPair":
+        """The pair whose nu, then omega, have the i<j entries (args, ((a, p, q), ...))."""
+        coords, index = list(zero_vec(cochain_dim(base.n, m))), _coordinate_index(base.n, m)
+        for args, terms in itertools.chain(*parts):
+            for a, p, q in terms:
+                coords[index[args][0] + a] = Fraction(p, q)
         return cls._of_coords(base, m, tuple(coords))
 
     def entries(self, arity: int) -> list:

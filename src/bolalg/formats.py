@@ -10,7 +10,9 @@ the antisymmetry axioms unviolatable by well-formed files.
 Rendering is canonical: entries sorted by argument tuple, zero
 coefficients omitted, scalars in lowest terms.  parse(render(x)) == x for
 every in-memory object, and render(parse(text)) is the canonical form of
-the file.
+the file.  A parser reads each scalar as the two ints it spells
+(``_rational``) and checks each entry or matrix row once, as it reads it: an
+algebra or a representation gets its stored integer form, no Fraction built.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra
+from .algebra import BolAlgebra, MaltsevAlgebra, _of_entries
 from .cohomology import CochainPair
 from .extension import AbelianExtension
 from .linalg import _ZERO, Mat
-from .representation import Representation
+from .representation import Representation, _rows_form
 
 # ASCII decimals only: str.isdigit and int() also take other Unicode digits.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -36,6 +38,7 @@ _MAX_DIGITS = 4300
 # The largest dimension a file may declare, checked before anything is built: the
 # adjoint module's matrix grids and the cochain space grow as its fourth power.
 MAX_DIMENSION = 64
+_INDEXES = {str(i): i for i in range(MAX_DIMENSION)}  # the index keys a value may name
 
 
 class RenderOverflowError(OverflowError):
@@ -54,11 +57,11 @@ class ParseError(ValueError):
 # scalars
 
 
-def parse_scalar(text, path: str = "value") -> Fraction:
+def _rational(text, path: str) -> tuple[int, int]:
+    """(p, q) for the text "p/q" or "p" (q = 1), q > 0, the fraction in any terms; any
+    other value raises the ParseError at path."""
     if not isinstance(text, str):
         raise ParseError(path, f"rational must be a string, got {type(text).__name__}")
-    if text == "0":  # most scalars of a dense file: the one shared zero
-        return _ZERO
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(path, f"malformed rational {text!r}")
@@ -67,12 +70,15 @@ def parse_scalar(text, path: str = "value") -> Fraction:
         raise ParseError(path, f"rational has a numerator or denominator longer than "
                                f"{_MAX_DIGITS} digits")
     num, den = match.groups()
-    if den is None:
-        return Fraction(int(num))
-    den = int(den)
-    if den == 0:
+    if den is not None and not den.strip("0"):
         raise ParseError(path, f"zero denominator in {text!r}")
-    return Fraction(int(num), den)
+    return int(num), int(den or 1)
+
+
+def parse_scalar(text, path: str = "value") -> Fraction:
+    if text == "0":  # most scalars of a dense file: the one shared zero
+        return _ZERO
+    return Fraction(*_rational(text, path))
 
 
 def render_scalar(x: Fraction) -> str:
@@ -160,26 +166,28 @@ def _int_field(obj: dict, key: str, path: str) -> int:
     return val
 
 
-def _parse_value_map(obj, dim: int, path: str) -> dict[int, Fraction]:
+def _parse_terms(obj, dim: int, path: str) -> tuple:
+    """The nonzeros ((k, p, q), ...) of a value {index: rational}, k ascending (_rational)."""
     if not isinstance(obj, dict):
         raise ParseError(path, "value must be an object mapping index to rational")
     if isinstance(obj, _RepeatedKeys):
         raise ParseError(f"{path}.{obj.key}", "duplicate index")
-    out = {}
+    terms = []
     for key, raw in obj.items():
-        if not _INDEX_KEY.fullmatch(key):
-            raise ParseError(f"{path}.{key}",
-                             "index key must be a decimal string without leading zeros")
-        idx = int(key)
-        if not 0 <= idx < dim:
+        idx = _INDEXES.get(key)
+        if idx is None or idx >= dim:
+            if not _INDEX_KEY.fullmatch(key):
+                raise ParseError(f"{path}.{key}",
+                                 "index key must be a decimal string without leading zeros")
             raise ParseError(f"{path}.{key}", f"index out of range [0, {dim})")
-        out[idx] = parse_scalar(raw, f"{path}.{key}")
-    return out
+        if raw != "0" and (pq := _rational(raw, f"{path}.{key}"))[0]:
+            terms.append((idx, *pq))
+    return tuple(sorted(terms))
 
 
 def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
                    parent: str) -> list:
-    """The entries listed under ``key`` of the object at ``parent`` ("" for a file)."""
+    """The entries (args, terms) under ``key`` of the object at ``parent`` ("" for a file)."""
     raw = _require(obj, key, parent or "file")
     field = f"{parent}.{key}" if parent else key
     if not isinstance(raw, list):
@@ -204,9 +212,8 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
         if args[0] > args[1]:
             raise ParseError(f"{path}.args",
                              f"args {tuple(args)} must satisfy i<j in the first two slots")
-        value = _parse_value_map(_require(entry, "value", path), value_dim,
-                                 f"{path}.value")
-        entries.append((tuple(args), value))
+        terms = _parse_terms(_require(entry, "value", path), value_dim, f"{path}.value")
+        entries.append((tuple(args), terms))
     seen = set()
     for args, _ in entries:
         if args in seen:
@@ -227,15 +234,28 @@ def _render_entries(entries) -> list:
     return out
 
 
-def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
+def _matrix_rows(obj, rows: int, cols: int, path: str) -> list:
+    """The rows of a rows x cols matrix by their nonzeros ((k, p, q), ...), k ascending,
+    each scalar p/q as _rational reads it; read row by row, a row's shape first."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(path, f"matrix must have {rows} rows")
-    flat = []
+    out = []
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{path}[{r}]", f"row must have {cols} entries")
-        flat += (parse_scalar(x, f"{path}[{r}][{c}]") for c, x in enumerate(row))
-    return Mat(rows, cols, tuple(flat))
+        out.append(() if row.count("0") == cols else tuple(  # most rows of a module are 0
+            (c, *pq) for c, x in enumerate(row)
+            if x != "0" and (pq := _rational(x, f"{path}[{r}][{c}]"))[0]))
+    return out
+
+
+def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
+    """The Mat of _matrix_rows: one Fraction a nonzero, the shared zero elsewhere."""
+    entries = [_ZERO] * (rows * cols)
+    for r, row in enumerate(_matrix_rows(obj, rows, cols, path)):
+        for c, p, q in row:
+            entries[r * cols + c] = Fraction(p, q)
+    return Mat(rows, cols, tuple(entries))
 
 
 def _render_matrix(m: Mat) -> list:
@@ -293,9 +313,9 @@ def obj_to_algebra(obj: dict, path: str = "") -> BolAlgebra | MaltsevAlgebra:
         if "ternary" in obj:
             raise ParseError(f"{prefix}ternary",
                              "a maltsev file must not carry a ternary block")
-        return MaltsevAlgebra.from_entries(n, binary, names)
+        return _of_entries(MaltsevAlgebra, n, binary, (), names)
     ternary = _parse_entries(obj, "ternary", 3, n, n, path)
-    return BolAlgebra.from_entries(n, binary, ternary, names)
+    return _of_entries(BolAlgebra, n, binary, ternary, names)
 
 
 def parse_algebra(text: str) -> BolAlgebra | MaltsevAlgebra:
@@ -321,14 +341,16 @@ def representation_to_obj(R: Representation) -> dict:
     }
 
 
-def _parse_mat_list(obj: dict, key: str, n: int, m: int) -> tuple[Mat, ...]:
+def _parse_mat_list(obj: dict, key: str, n: int, m: int, read=_matrix_rows) -> list:
+    """The n m x m matrices listed under key, each read by read(obj, m, m, path)."""
     raw = _require(obj, key, "file")
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(key, f"must list one {m}x{m} matrix per basis element ({n})")
-    return tuple(_parse_matrix(raw[i], m, m, f"{key}[{i}]") for i in range(n))
+    return [read(raw[i], m, m, f"{key}[{i}]") for i in range(n)]
 
 
-def _parse_mat_grid(obj: dict, key: str, n: int, m: int) -> tuple:
+def _parse_mat_grid(obj: dict, key: str, n: int, m: int) -> list:
+    """The n x n m x m matrices of the grid under key, row by row, as _matrix_rows."""
     raw = _require(obj, key, "file")
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(key, f"must be an {n}x{n} grid of matrices")
@@ -336,9 +358,8 @@ def _parse_mat_grid(obj: dict, key: str, n: int, m: int) -> tuple:
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{key}[{i}]", f"must be a row of {n} matrices")
-        grid.append(tuple(_parse_matrix(row[j], m, m, f"{key}[{i}][{j}]")
-                          for j in range(n)))
-    return tuple(grid)
+        grid += (_matrix_rows(row[j], m, m, f"{key}[{i}][{j}]") for j in range(n))
+    return grid
 
 
 def parse_representation(text: str, base: BolAlgebra) -> Representation:
@@ -350,18 +371,17 @@ def parse_representation(text: str, base: BolAlgebra) -> Representation:
     """
     obj = _fields(_loads(text), "file", _REPRESENTATION_FIELDS)
     m = _int_field(obj, "module_dimension", "file")
-    rho = _parse_mat_list(obj, "rho", base.n, m)
-    D = _parse_mat_grid(obj, "D", base.n, m)
-    theta = _parse_mat_grid(obj, "theta", base.n, m)
-    return Representation(base, m, rho, D, theta)
+    n = base.n
+    maps = (*_parse_mat_list(obj, "rho", n, m), *_parse_mat_grid(obj, "D", n, m),
+            *_parse_mat_grid(obj, "theta", n, m))
+    return Representation._of_form(base, m, _rows_form(n, m, [row for mat in maps for row in mat]))
 
 
 def parse_action(text: str, n: int) -> tuple[int, tuple[Mat, ...]]:
     """Action file for induce-rep: module_dimension and rho only."""
     obj = _fields(_loads(text), "file", _ACTION_FIELDS)
     m = _int_field(obj, "module_dimension", "file")
-    rho = _parse_mat_list(obj, "rho", n, m)
-    return m, rho
+    return m, tuple(_parse_mat_list(obj, "rho", n, m, _parse_matrix))
 
 
 def render_action(m: int, rho: tuple[Mat, ...]) -> str:
@@ -391,7 +411,7 @@ def obj_to_cochain(obj: dict, base: BolAlgebra) -> CochainPair:
     m = _int_field(_fields(obj, "file", _COCHAIN_FIELDS), "module_dimension", "file")
     nu_entries = _parse_entries(obj, "nu", 2, base.n, m, "")
     omega_entries = _parse_entries(obj, "omega", 3, base.n, m, "")
-    return CochainPair.from_entries(base, m, nu_entries, omega_entries)
+    return CochainPair._of_entries(base, m, (nu_entries, omega_entries))
 
 
 def parse_cochain(text: str, base: BolAlgebra) -> CochainPair:

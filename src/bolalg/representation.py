@@ -48,7 +48,6 @@ The coboundary (f, chi) -> (nu, omega) is stated once, as the kept ``_coboundary
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -60,12 +59,12 @@ from .algebra import (
     _antisymmetry_scan,
     _dense,
     _form_coefficients,
+    _integer_terms,
     _of_coefficients,
     _once_per_object,
     _over,
     _over_terms,
     _require_passed,
-    _scaled,
     _scan,
     _swapped,
     entry_args,
@@ -75,7 +74,7 @@ from .algebra import (
     verify_maltsev,
 )
 from .linalg import (
-    Mat, SparseMat, Vec, _common_denominator, _exact, kernel_basis, record, zero_vec,
+    Mat, SparseMat, Vec, _exact, kernel_basis, record, zero_vec,
 )
 
 
@@ -99,9 +98,9 @@ class Representation:
             for mat in row:
                 if mat.shape != (m, m):
                     raise ValueError(f"{what} matrix shape {mat.shape} != ({m},{m})")
-        DR, rows = _integer_mats((*rho, *itertools.chain(*D, *theta)))
-        grid = lambda start: tuple(rows[start + i * n:start + i * n + n] for i in range(n))
-        self.__dict__.update(base=base, m=m, form=(DR, rows[:n], grid(n), grid(n + n * n)))
+        rows = [tuple((k, x.numerator, x.denominator) for k, x in row)
+                for mat in (*rho, *itertools.chain(*D, *theta)) for row in mat.nonzero_rows]
+        self.__dict__.update(base=base, m=m, form=_rows_form(n, m, rows))
 
     @classmethod
     def _of_form(cls, base: BolAlgebra, m: int, form: tuple) -> "Representation":
@@ -135,8 +134,7 @@ class Representation:
 
     @classmethod
     def zero(cls, base: BolAlgebra, m: int) -> "Representation":
-        maps = (((),) * m,) * base.n  # n maps of m empty rows
-        return cls._of_form(base, m, (1, maps, (maps,) * base.n, (maps,) * base.n))
+        return cls._of_form(base, m, _rows_form(base.n, m, [()] * m * (base.n + 2 * base.n ** 2)))
 
 
 @_once_per_object
@@ -156,11 +154,13 @@ def _antisymmetry_failure(R: Representation) -> str | None:
     return None
 
 
-def _integer_mats(mats: tuple[Mat, ...]) -> tuple:
-    """(D, rows): D the lcm of every denominator of the matrices and rows[i] matrix i by
-    its nonzero_rows, every entry times D, as ints; a float raises TypeError."""
-    D = _common_denominator(x for mat in mats for x in mat.entries)
-    return D, tuple(tuple(_scaled(row, D) for row in mat.nonzero_rows) for mat in mats)
+def _rows_form(n: int, m: int, rows: list) -> tuple:
+    """The form (D_R, rho, D, theta) of the maps with the rows of nonzeros ((k, p, q), ...)
+    given (_integer_terms), m a map: rho's n maps, then D's and theta's, row by row."""
+    D, rows = _integer_terms(rows)
+    maps = tuple(tuple(rows[k * m:k * m + m]) for k in range(n + 2 * n * n))
+    grid = lambda start: tuple(maps[start + i * n:start + i * n + n] for i in range(n))
+    return D, maps[:n], grid(n), grid(n + n * n)
 
 
 def _sparse_row(value, *parts) -> tuple:
@@ -275,26 +275,18 @@ def verify_representation(R: Representation) -> CheckReport:
 def _module_of(base: BolAlgebra, m: int, form: tuple, at: int) -> Representation:
     """The module V of a split algebra B (+) V, read off its integer form (D, P, T): B = base
     at indices 0..n-1, u_b at at + b.  rho(x)u = x*u, D(x,y)u = [x,y,u] and theta(x,y)u =
-    [u,x,y], each map rows at..at+m-1 of its images transposed; D and every entry are divided
-    by their gcd, as _integer_mats would read the same matrices."""
+    [u,x,y], each map rows at..at+m-1 of its images transposed, over the lowest denominator
+    (``_integer_terms``), as the constructor would read the same matrices."""
     D, P, T = form
     rng, fiber = range(base.n), range(at, at + m)
 
     def rows(images):  # rows at..at+m-1 of the matrix whose column b is images[b]
         return SparseMat(len(P), images).transpose().nonzero_rows[at:at + m]
-    rho = tuple(rows(P[x][at:at + m]) for x in rng)
-    DV = tuple(tuple(rows(T[x][y][at:at + m]) for y in rng) for x in rng)
-    theta = tuple(tuple(rows([T[u][x][y] for u in fiber]) for y in rng) for x in rng)
-    g = D
-    for c in (c for mat in (*rho, *itertools.chain(*DV, *theta)) for row in mat for _, c in row):
-        if g == 1:  # soon for the adjoint module, whose D_A is already lowest
-            break
-        g = math.gcd(g, c)
-    if g > 1:
-        lowest = lambda mat: tuple(tuple((k, c // g) for k, c in row) for row in mat)
-        rho = tuple(map(lowest, rho))
-        DV, theta = (tuple(tuple(map(lowest, row)) for row in grid) for grid in (DV, theta))
-    return Representation._of_form(base, m, (D // g, rho, DV, theta))
+    maps = [*(rows(P[x][at:at + m]) for x in rng),
+            *(rows(T[x][y][at:at + m]) for x in rng for y in rng),
+            *(rows([T[u][x][y] for u in fiber]) for x in rng for y in rng)]
+    flat = [tuple((k, c, D) for k, c in row) for mat in maps for row in mat]
+    return Representation._of_form(base, m, _rows_form(base.n, m, flat))
 
 
 def adjoint_representation(B: BolAlgebra) -> Representation:
@@ -307,16 +299,14 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
     """The split null extension M (+) V of an action rho, one m x m matrix per basis
     element: e_i for i < n, the module vector u_a as e_(n+a), with the product
-    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read by _integer_mats, so a
-    float raises TypeError."""
+    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read once, by its nonzero rows."""
     if len(rho) != M.n:
         raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
     n, m = M.n, rho[0].rows if rho else 0
     if any(mat.shape != (m, m) for mat in rho):
         raise ValueError("action matrices must share one square shape")
-    DR, R = _integer_mats(rho)
-    action = (((i, n + b), n + a, Fraction(x, DR))  # rho(e_i) u_b
-              for i in range(n) for a, row in enumerate(R[i]) for b, x in row)
+    action = (((i, n + b), n + a, x)  # rho(e_i) u_b
+              for i in range(n) for a, row in enumerate(rho[i].nonzero_rows) for b, x in row)
     return _of_coefficients(MaltsevAlgebra, n + m, itertools.chain(
         _form_coefficients(*M.form[:2], 2), _swapped(action)), None, None)
 

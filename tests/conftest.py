@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -980,8 +981,9 @@ def tensor_from_entries(n: int, value_dim: int, arity: int, entries, what: str) 
     """The former algebra.tensor_from_entries: t[v][i][j](...) of sparse i<j entries
     {args: {v: coeff}}, the (j,i,...) half filled by antisymmetry, a bad entry
     refused with the ValueError of ``_checked_entries`` naming it ``what``."""
-    return _dense(n, value_dim, arity,
-                  _swapped(_checked_entries(n, value_dim, arity, entries, what)))
+    checked = _checked_entries(n, value_dim, arity, entries, what)
+    return _dense(n, value_dim, arity, _swapped((args, v, F(p, q)) for args, terms in checked
+                                                for v, p, q in terms))
 
 
 def tabulate_by_dict(value_dim: int, n: int, arity: int, fn) -> tuple:
@@ -1008,6 +1010,43 @@ def tensor_by_leaves(n: int, value_dim: int, arity: int, entries) -> tuple:
                     row = row[a]
                 row[at[-1]] = x
     return freeze(t)
+
+
+# ---------------------------------------------------------------------------
+# slow references: the former parse route of a well-formed file, one Fraction per
+# scalar, fed to from_entries and to the public Representation constructor
+
+
+def fraction_entries(block: list) -> list:
+    """The entries of a file's block as from_entries takes them: (args, {k: Fraction})."""
+    return [(tuple(e["args"]), {int(k): F(x) for k, x in e["value"].items()}) for e in block]
+
+
+def fraction_parse_algebra(text: str) -> BolAlgebra | MaltsevAlgebra:
+    """The former formats.parse_algebra of a well-formed file."""
+    obj = json.loads(text)
+    n, names = obj["dimension"], obj.get("basis_names")
+    if obj["kind"] == "maltsev":
+        return MaltsevAlgebra.from_entries(n, fraction_entries(obj["binary"]), names)
+    return BolAlgebra.from_entries(n, fraction_entries(obj["binary"]),
+                                   fraction_entries(obj["ternary"]), names)
+
+
+def fraction_parse_representation(text: str, base: BolAlgebra) -> Representation:
+    """The former formats.parse_representation of a well-formed file: its Fraction Mats
+    read by the public constructor."""
+    obj = json.loads(text)
+    m = obj["module_dimension"]
+    mat = lambda rows: Mat(m, m, tuple(F(x) for row in rows for x in row))
+    grid = lambda key: tuple(tuple(map(mat, row)) for row in obj[key])
+    return Representation(base, m, tuple(map(mat, obj["rho"])), grid("D"), grid("theta"))
+
+
+def fraction_parse_cochain(text: str, base: BolAlgebra) -> CochainPair:
+    """The former formats.parse_cochain of a well-formed file."""
+    obj = json.loads(text)
+    return CochainPair.from_entries(base, obj["module_dimension"], fraction_entries(obj["nu"]),
+                                    fraction_entries(obj["omega"]))
 
 
 # ---------------------------------------------------------------------------

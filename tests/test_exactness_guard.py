@@ -9,9 +9,11 @@ module never uses and does not list in ``__all__``.  No module but
 ``trilinear_eval`` or an algebra's ``product`` and ``triple`` methods: every
 scan reads integer forms.  No module calls ``tabulate`` (a slow reference
 in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
-constructors: every algebra is built from coefficients by
-``algebra._of_coefficients``, which writes its integer form on a new
-object, and no command builds an algebra's tensors c and t.  Only ``algebra._bol_scans``, the one
+constructors: every algebra is built by ``algebra._of_form``, which writes
+its integer form on a new object (from coefficients or from sparse i<j
+entries), and no command builds an algebra's tensors c and t.  No module
+calls the public ``Representation`` constructor, which reads matrices: every
+representation is written as its integer form.  Only ``algebra._bol_scans``, the one
 assembly of the Bol axioms, calls the B2 and B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
 multiplies matrices with ``@`` or calls a ``commutator``: matrix
@@ -227,7 +229,7 @@ def test_the_evaluator_guard_catches(code, calls):
 _CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
 
 # The one coefficient builder, which makes a new object of class ``cls``.
-_BUILDERS = {"algebra.py": ["_of_coefficients: __new__"]}
+_BUILDERS = {"algebra.py": ["_of_form: __new__"]}
 
 
 def _calls_by_definition(tree: ast.Module, names_in) -> list[str]:
@@ -275,10 +277,10 @@ def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
 
 
-# The one caller of the public Representation constructor, which reads matrices; every
-# other producer writes a form (Representation._of_form, the adjoint, induced and
+# No caller of the public Representation constructor, which reads matrices: every
+# producer writes a form (Representation._of_form: the parser, the adjoint, induced and
 # extension-induced modules through representation._module_of, Representation.zero).
-_MATRIX_READERS = {"formats.py": ["parse_representation: Representation"]}
+_MATRIX_READERS = {}
 
 
 def _representation_calls(tree: ast.Module) -> list[str]:

@@ -63,7 +63,10 @@ def test_stage_times_splits_the_axiom_check_of_a_bol_file(capsys):
     assert tool.main([str(ROOT / "data" / "b2_lambda1.alg")]) == 0
     timed = _timed(capsys.readouterr().out.splitlines())
     assert list(timed)[-6:] == ["parse", "verify", "forms", "B01/B02/B1", "B2", "B3"]
-    # the form is built once, from the parsed entries; B01, B02, B1 and one block scan each
+    # the form is written once, from the parsed entries, by the writer the parser calls;
+    # B01, B02, B1 and one block scan each
+    assert [name for name, stage in tool.AXIOM_STAGES.items() if stage == "forms"] == [
+        "_entry_forms"]
     assert (timed["forms"], timed["B01/B02/B1"], timed["B2"], timed["B3"]) == (1, 3, 1, 1)
     assert all(getattr(ALGEBRA, name) is fn for name, fn in before.items())
 

@@ -27,8 +27,8 @@ it is not scanned again (the Bol algebra of a Maltsev file still is, untimed,
 by adjoint_representation).  For a Bol file four more lines split the
 axiom check, with these ``bolalg.algebra`` functions rebound:
 
-    forms        _integer_forms, the integer form built from the parsed
-                 entries (inside "parse": the scans read it)
+    forms        _entry_forms, the integer form written from the parsed
+                 i<j entries (inside "parse": the scans read it)
     B01/B02/B1   _antisymmetry_scan and _scan, inside "verify"
     B2, B3       _b2_scan and _b3_scan, the (x, y) block scans
 
@@ -69,7 +69,7 @@ COHOMOLOGY = importlib.import_module("bolalg.cohomology")  # the module, not the
 LINALG = importlib.import_module("bolalg.linalg")
 STAGES = ("coboundary_matrix", "_constraint_rows", "kernel_basis", "rref", "coords_to_cochain")
 # the stage of each rebound bolalg.algebra function, for a Bol file
-AXIOM_STAGES = {"_integer_forms": "forms", "_antisymmetry_scan": "B01/B02/B1",
+AXIOM_STAGES = {"_entry_forms": "forms", "_antisymmetry_scan": "B01/B02/B1",
                 "_scan": "B01/B02/B1", "_b2_scan": "B2", "_b3_scan": "B3"}
 # the stage of each bolalg.linalg function rebound while kernel_basis runs
 KERNEL_STAGES = {"_independent_mod": "selection", "_echelon": "elimination",
