@@ -18,9 +18,10 @@ hashing read it.  The structure tensors
     t[l][i][j][k] = coefficient of e_l in [e_i, e_j, e_k]
 
 are built from it on first access; no scan reads them.  The library makes
-every algebra by one builder, ``_of_form``: from coefficients (``_integer_forms``)
-or from the i<j entries of ``from_entries`` and the parser (``_entry_forms``);
-``BolAlgebra(n, c, t)`` and ``MaltsevAlgebra(n, c)`` read the tensors once.
+every algebra by one builder, ``_of_form``, and every form by one writer,
+``_entry_forms``, from integer entries (args, ((k, p, q), ...)): i<j ones with
+their twins, or every args of a tensor (``_coefficients``) or of a form that
+need not be antisymmetric; ``_form_entries`` reads a stored form's.
 Axioms are multilinear (and the Maltsev identity quadratic in one slot),
 so each verifier decides them by exhaustive evaluation on basis tuples,
 reporting the first failing tuple in lexicographic order as a witness.
@@ -62,7 +63,9 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import _ONE, _ZERO, Vec, _common_denominator, _exact, is_zero_vec, record, zero_vec
+from .linalg import (
+    _ONE, _ZERO, Vec, _common_denominator, _exact, _require_held, is_zero_vec, record, zero_vec,
+)
 
 
 @record
@@ -163,23 +166,24 @@ def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
     return list(slot_tuples(n, (2,) + (1,) * (arity - 2)))
 
 
-def _dense(n: int, value_dim: int, arity: int, coefficients) -> tuple:
-    """The tensor t[v][args] = x for each coefficient (args, v, x), zero elsewhere."""
-    rows = {}  # prefix -> value_dim lists of n entries, for the prefixes coefficients reach
-    for at, v, x in coefficients:
+def _dense(n: int, value_dim: int, arity: int, entries) -> tuple:
+    """The tensor t[v][args] = p / q at each term (v, p, q) of entries (args, terms), else 0."""
+    rows = {}  # prefix -> value_dim lists of n entries, for the prefixes entries reach
+    for at, terms in entries:
         if at[:-1] not in rows:
             rows[at[:-1]] = [[_ZERO] * n for _ in range(value_dim)]
-        rows[at[:-1]][v][at[-1]] = x
+        for v, p, q in terms:
+            rows[at[:-1]][v][at[-1]] = Fraction(p, q)
     zero = (zero_vec(n),) * value_dim
     return _fill(value_dim, n, arity,
                  lambda prefix: tuple(map(tuple, rows[prefix])) if prefix in rows else zero)
 
 
-def _swapped(coefficients):
-    """Each coefficient (args, v, x) at an i<j args, then ((j, i, ...), v, -x)."""
-    for args, v, x in coefficients:
-        yield args, v, x
-        yield (args[1], args[0]) + args[2:], v, -x
+def _twins(entries):
+    """Each entry (args, terms) at an i<j args, then its (j, i, ...) twin, each (k, x) negated."""
+    for args, terms in entries:
+        yield args, terms
+        yield (args[1], args[0]) + args[2:], tuple((k, -x) for k, x in terms)
 
 
 def _checked_entries(
@@ -300,7 +304,7 @@ class _BinaryProduct:
 
     @cached_property
     def c(self) -> tuple:  # c[k][i][j]
-        return _dense(self.n, self.n, 2, _form_coefficients(self.form[0], self.form[1], 2))
+        return _dense(self.n, self.n, 2, _form_entries(self.form[0], self.form[1], 2))
 
     def __repr__(self) -> str:
         tensors = "".join(f"{name}={getattr(self, name)!r}, " for name in self._tensors)
@@ -322,8 +326,8 @@ class MaltsevAlgebra(_BinaryProduct):
     basis_names: tuple[str, ...] | None = None
 
     def __init__(self, n: int, c: tuple, basis_names=None):
-        _stored(self, n, _integer_forms(n, ((2, _coefficients("c", c, n, n, 2)), (3, ()))),
-                basis_names)
+        _stored(self, n, _entry_forms(n, ((2, _coefficients("c", c, n, n, 2), False),
+                                          (3, (), False))), basis_names)
 
     @classmethod
     def from_entries(cls, n, binary, basis_names=None) -> "MaltsevAlgebra":
@@ -342,12 +346,12 @@ class BolAlgebra(_BinaryProduct):
     _tensors = ("c", "t")
 
     def __init__(self, n: int, c: tuple, t: tuple, basis_names=None):
-        _stored(self, n, _integer_forms(n, ((2, _coefficients("c", c, n, n, 2)),
-                                            (3, _coefficients("t", t, n, n, 3)))), basis_names)
+        _stored(self, n, _entry_forms(n, ((2, _coefficients("c", c, n, n, 2), False),
+                                          (3, _coefficients("t", t, n, n, 3), False))), basis_names)
 
     @cached_property
     def t(self) -> tuple:  # t[l][i][j][k]
-        return _dense(self.n, self.n, 3, _form_coefficients(self.form[0], self.form[2], 3))
+        return _dense(self.n, self.n, 3, _form_entries(self.form[0], self.form[2], 3))
 
     @classmethod
     def from_entries(cls, n, binary, ternary, basis_names=None) -> "BolAlgebra":
@@ -395,48 +399,28 @@ def _scaled(terms, D: int) -> tuple:
     return tuple((k, c.numerator * (D // c.denominator)) for k, c in terms)
 
 
-def _integer_forms(n: int, parts) -> tuple:
-    """(D, *forms) of parts (arity, coefficients), D the lcm of every denominator.
-
-    A coefficient (args, k, x) is that of e_k at args, each at most once, over
-    every args (``_swapped`` gives both halves of i<j entries).  A form is nested
-    tuples form[a1]...[ak] of the nonzeros ((k, D x), ...) at args, k ascending,
-    as ints (``_nested``).
-    """
-    parts = [(arity, [(args, k, x) for args, k, x in coefficients if x])
-             for arity, coefficients in parts]
-    D = _common_denominator(x for _, coefficients in parts for _, _, x in coefficients)
-    forms = []
-    for arity, coefficients in parts:
-        rows = defaultdict(lambda: [[] for _ in range(n)])  # prefix -> one list a last slot
-        for args, k, x in coefficients:
-            rows[args[:-1]][args[-1]].append((k, x.numerator * (D // x.denominator)))
-        forms.append(_nested(n, arity, rows, lambda row: tuple(tuple(sorted(t)) for t in row)))
-    return (D, *forms)
-
-
 def _entry_forms(n: int, parts) -> tuple:
-    """(D, *forms) of parts (arity, entries), the i<j entries (args, terms) of a product
-    (arity 2) or triple (3), terms as ``_integer_terms`` reads them, k ascending: each
-    entry's integer nonzeros written at args and negated at its (j, i, ...) twin."""
-    parts = [(arity, list(entries)) for arity, entries in parts]
-    D, rows = _integer_terms([terms for _, entries in parts for _, terms in entries])
+    """(D, *forms) of parts (arity, entries, twins): entries (args, terms) of a product
+    (arity 2) or triple (3), each args once, terms the nonzeros ((k, p, q), ...), k
+    ascending, as ``_integer_terms`` reads them, written at args as ints and, with twins
+    (i<j entries), negated at their twins (``_twins``)."""
+    parts = [(arity, list(entries), twins) for arity, entries, twins in parts]
+    D, rows = _integer_terms([terms for _, entries, _ in parts for _, terms in entries])
     rows, forms = iter(rows), []
-    for arity, entries in parts:
+    for arity, entries, twins in parts:
         written = defaultdict(lambda: [()] * n)  # prefix -> the terms at each last slot
-        for (args, _), terms in zip(entries, rows):
-            twin = (args[1], args[0]) + args[2:]
+        entries = [(args, next(rows)) for args, _ in entries]
+        for args, terms in _twins(entries) if twins else entries:
             written[args[:-1]][args[-1]] = terms
-            written[twin[:-1]][twin[-1]] = tuple((k, -c) for k, c in terms)
         forms.append(_nested(n, arity, written))
     return (D, *forms)
 
 
-def _nested(n: int, arity: int, rows: dict, read=tuple) -> tuple:
-    """The form of arity 2 or 3 whose terms at each prefix p of rows are read(rows[p]),
-    one per last slot; a prefix not in rows is one shared empty row."""
+def _nested(n: int, arity: int, rows: dict) -> tuple:
+    """The form of arity 2 or 3 whose terms at each prefix p of rows are rows[p], one
+    per last slot; a prefix not in rows is one shared empty row."""
     empty = ((),) * n
-    row = lambda p: read(rows[p]) if p in rows else empty
+    row = lambda p: tuple(rows[p]) if p in rows else empty
     reached = {p[0] for p in rows}
     return tuple(row((i,)) if arity == 2 else tuple(row((i, j)) for j in range(n))
                  if i in reached else (empty,) * n for i in range(n))
@@ -455,28 +439,38 @@ def _integer_terms(rows: list) -> tuple:
 
 
 def _coefficients(name: str, t, m: int, n: int, arity: int):
-    """The coefficients (args, k, t[k][args]) at the nonzeros of the tensor t, m planes
-    of n**arity entries (nested tuples or lists; else ValueError names it), the entries
-    of one prefix read off the planes by transposition."""
+    """The entries (args, ((k, p, q), ...)) at the nonzeros of the tensor t[k][args], m
+    planes of n**arity entries: nested tuples or lists, else ValueError names it at the
+    call.  The values at one prefix are read off the planes by transposition as they are
+    yielded, and one that a Mat refuses, zero or not, raises its TypeError."""
     level = (t,)
     for depth, size in enumerate((m,) + (n,) * arity):
         if depth:
             level = [x for row in level for x in row]
         if not all(isinstance(row, (tuple, list)) and len(row) == size for row in level):
             raise ValueError(f"{name} tensor must be {m} x {' x '.join([str(n)] * arity)}")
-    for prefix in itertools.product(range(n), repeat=arity - 1):
-        rows = [functools.reduce(lambda row, a: row[a], prefix, plane) for plane in t]
-        for last, values in enumerate(zip(*rows)):
-            yield from ((prefix + (last,), k, x) for k, x in enumerate(values) if x)
+
+    def entries():
+        for prefix in itertools.product(range(n), repeat=arity - 1):
+            rows = [functools.reduce(lambda row, a: row[a], prefix, plane) for plane in t]
+            for last, values in enumerate(zip(*rows)):
+                _require_held(values)
+                terms = tuple((k, x.numerator, x.denominator) for k, x in enumerate(values) if x)
+                if terms:
+                    yield prefix + (last,), terms
+    return entries()
 
 
-def _form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
-    """The coefficients (args, k, c / D) at the nonzeros of an integer form."""
-    for a, sub in enumerate(form):
-        if arity > 1:
-            yield from _form_coefficients(D, sub, arity - 1, prefix + (a,))
-        else:
-            yield from ((prefix + (a,), k, Fraction(c, D)) for k, c in sub)
+def _form_entries(D: int, form, arity: int, upper: bool = False):
+    """The entries (args, ((k, c, D), ...)) where an integer form over D is nonzero, args
+    lexicographic over every tuple, or with ``upper`` over the i<j ones (entry_args)."""
+    rng = range(len(form))
+    for i, j in itertools.combinations(rng, 2) if upper else itertools.product(rng, repeat=2):
+        at = [((i, j), form[i][j])] if arity == 2 else (
+            ((i, j, k), terms) for k, terms in enumerate(form[i][j]))
+        for args, terms in at:
+            if terms:
+                yield args, tuple((k, c, D) for k, c in terms)
 
 
 def _of_form(cls, n: int, form: tuple, basis_names):
@@ -484,14 +478,9 @@ def _of_form(cls, n: int, form: tuple, basis_names):
     return _stored(object.__new__(cls), n, form, basis_names)
 
 
-def _of_coefficients(cls, n: int, binary, ternary, basis_names):
-    """_of_form of the coefficients (args, k, x) of c and t (None for a MaltsevAlgebra)."""
-    return _of_form(cls, n, _integer_forms(n, ((2, binary), (3, ternary or ()))), basis_names)
-
-
 def _of_entries(cls, n: int, binary, ternary, basis_names):
     """_of_form of the i<j entries of c and t (() for a MaltsevAlgebra), by _entry_forms."""
-    return _of_form(cls, n, _entry_forms(n, ((2, binary), (3, ternary))), basis_names)
+    return _of_form(cls, n, _entry_forms(n, ((2, binary, True), (3, ternary, True))), basis_names)
 
 
 @_once_per_object
@@ -744,13 +733,12 @@ def maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
     """
     _require_passed(verify_maltsev(M), "input is not a Maltsev algebra")
     D, P, _ = M.form
-    # each term has degree 2 in the integer form, so the sum is 3 D**2 times the
-    # bracket; with the product anticommutative it changes sign with (i, j), so
-    # the i<j entries give it
-    ternary = ((args, l, Fraction(a, 3 * D * D)) for args in entry_args(M.n, 3)
-               for l, a in enumerate(_bracket(P, *args, 2)) if a)
-    return _of_coefficients(BolAlgebra, M.n, _form_coefficients(D, P, 2), _swapped(ternary),
-                            M.basis_names)
+    # each term has degree 2 in the integer form, so the sum is 3 D**2 times the bracket;
+    # with the product anticommutative both change sign with (i, j): i<j entries give them
+    q = 3 * D * D
+    ternary = [(args, terms) for args in entry_args(M.n, 3)
+               if (terms := tuple((l, a, q) for l, a in enumerate(_bracket(P, *args, 2)) if a))]
+    return _of_entries(BolAlgebra, M.n, _form_entries(D, P, 2, True), ternary, M.basis_names)
 
 
 def _bracket(P: tuple, i: int, j: int, k: int, w: int) -> list:

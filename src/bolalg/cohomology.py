@@ -70,9 +70,8 @@ coordinates through the canonical reduced-row-echelon parametrizations of
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from .algebra import (
     BolAlgebra,
@@ -82,13 +81,12 @@ from .algebra import (
     _checked_entries,
     _coefficients,
     _dense,
-    _integer_forms,
+    _entry_forms,
+    _form_entries,
     _nonzeros,
     _over,
-    _over_terms,
     _scaled,
     _scan,
-    _swapped,
     entry_args,
     slot_tuples,
 )
@@ -101,6 +99,7 @@ from .representation import (
     Representation,
     _antisymmetry_failure,
     _coboundary_coords,
+    _cochain_entries,
     _delta_rows,
     cochain_dim,
     coboundary_matrix,
@@ -115,13 +114,13 @@ class CochainPair:
 
     ``CochainPair(base, m, nu, omega)`` reads the tensors nu[a][i][j] and
     omega[a][i][j][k] into their integer form, as an algebra's are read,
-    and raises ValueError on a bad shape, then TypeError on an inexact
-    entry, then ValueError at the first tuple where they are not
-    antisymmetric.  ``zero``, ``from_entries`` and ``coords_to_cochain``
-    write the coordinates directly.  The tensors are built from the coordinates on
-    first access and kept on the pair (the library reads ``entries`` and
-    ``coefficients`` instead).  Two pairs are equal when their base, m and
-    coordinates are.
+    and raises ValueError on a bad shape, then TypeError on an entry that
+    is not an int or a Fraction, then ValueError at the first tuple where
+    they are not antisymmetric.  ``zero``, ``from_entries`` and
+    ``coords_to_cochain`` write the coordinates directly.  The tensors are
+    built from them on first access and kept on the pair (the library reads
+    ``entries`` and ``representation._cochain_entries`` instead).  Two pairs
+    are equal when their base, m and coordinates are.
     """
 
     base: BolAlgebra
@@ -130,17 +129,15 @@ class CochainPair:
 
     def __init__(self, base: BolAlgebra, m: int, nu: tuple, omega: tuple):
         n = base.n
-        D, *forms = _integer_forms(n, ((2, _coefficients("nu", nu, m, n, 2)),
-                                       (3, _coefficients("omega", omega, m, n, 3))))
+        D, *forms = _entry_forms(n, ((2, _coefficients("nu", nu, m, n, 2), False),
+                                     (3, _coefficients("omega", omega, m, n, 3), False)))
         for name, form, arity in zip(("nu", "omega"), forms, (2, 3)):
             check = _antisymmetry_scan(name, D, form, arity, m)
             if not check.passed:
                 v = next(v for v, x in enumerate(check.residual) if x)
                 raise ValueError(_antisymmetry_error(name, check.witness, v))
-        at = lambda args: reduce(operator.getitem, args, forms[len(args) - 2])  # the nonzeros
-        coords = tuple(x for args in entry_args(n, 2) + entry_args(n, 3)
-                       for x in _over_terms(D, at(args), m))
-        self.__dict__.update(base=base, m=m, _coords=coords)
+        self.__dict__.update(base=base, m=m, _coords=_entry_coords(n, m, [
+            _form_entries(D, form, arity, True) for form, arity in zip(forms, (2, 3))]))
 
     @classmethod
     def _of_coords(cls, base: BolAlgebra, m: int, coords: Vec) -> "CochainPair":
@@ -162,17 +159,9 @@ class CochainPair:
                      ) -> "CochainPair":
         """Build from sparse i<j entries {(i,j): {a: coeff}} / {(i,j,k): {a: coeff}}."""
         n = base.n
-        return cls._of_entries(base, m, (_checked_entries(n, m, 2, nu_entries, "nu"),
-                                         _checked_entries(n, m, 3, omega_entries, "omega")))
-
-    @classmethod
-    def _of_entries(cls, base: BolAlgebra, m: int, parts) -> "CochainPair":
-        """The pair whose nu, then omega, have the i<j entries (args, ((a, p, q), ...))."""
-        coords, index = list(zero_vec(cochain_dim(base.n, m))), _coordinate_index(base.n, m)
-        for args, terms in itertools.chain(*parts):
-            for a, p, q in terms:
-                coords[index[args][0] + a] = Fraction(p, q)
-        return cls._of_coords(base, m, tuple(coords))
+        return cls._of_coords(base, m, _entry_coords(n, m, (
+            _checked_entries(n, m, 2, nu_entries, "nu"),
+            _checked_entries(n, m, 3, omega_entries, "omega"))))
 
     def entries(self, arity: int) -> list:
         """[(args, values), ...] over entry_args(n, arity): the m module
@@ -182,21 +171,15 @@ class CochainPair:
         return [(args, self._coords[p * m:p * m + m]) for p, args in
                 enumerate(entry_args(self.n, 2) + entry_args(self.n, 3)) if len(args) == arity]
 
-    def coefficients(self, arity: int, offset: int = 0):
-        """The coefficients (args, offset + a, x) at the nonzeros of nu (arity 2) or omega
-        (3), both halves, as ``algebra._integer_forms`` reads them, off the i<j entries."""
-        return _swapped((args, offset + a, x) for args, values in self.entries(arity)
-                        for a, x in enumerate(values) if x)
-
     @cached_property
     def nu(self) -> tuple:
-        """The tensor nu[a][i][j], built from the coefficients once."""
-        return _dense(self.n, self.m, 2, self.coefficients(2))
+        """The tensor nu[a][i][j], built from the coordinates once."""
+        return _dense(self.n, self.m, 2, _cochain_entries(self.n, self.m, self._coords, 2))
 
     @cached_property
     def omega(self) -> tuple:
-        """The tensor omega[a][i][j][k], built from the coefficients once."""
-        return _dense(self.n, self.m, 3, self.coefficients(3))
+        """The tensor omega[a][i][j][k], built from the coordinates once."""
+        return _dense(self.n, self.m, 3, _cochain_entries(self.n, self.m, self._coords, 3))
 
     # Arithmetic goes through the coordinates, which determine an
     # antisymmetric pair.
@@ -232,6 +215,15 @@ def _coordinate_index(n: int, m: int) -> dict:
         index[args] = (pos * m, 1)
         index[(args[1], args[0]) + args[2:]] = (pos * m, -1)
     return index
+
+
+def _entry_coords(n: int, m: int, parts) -> Vec:
+    """The canonical coordinates of nu, then omega, of i<j entries (args, ((a, p, q), ...))."""
+    coords, index = list(zero_vec(cochain_dim(n, m))), _coordinate_index(n, m)
+    for args, terms in itertools.chain(*parts):
+        for a, p, q in terms:
+            coords[index[args][0] + a] = Fraction(p, q)
+    return tuple(coords)
 
 
 def coords_to_cochain(base: BolAlgebra, m: int, coords: Vec) -> CochainPair:

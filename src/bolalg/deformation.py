@@ -40,20 +40,21 @@ companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
 
 The scans add up ints through ``algebra``'s, on one integer form of (mu,
-nu, omega) over one lcm D, kept per object: a datum's is built from the
-base's stored form and the pair's coefficients (``_datum_forms``), only a
-raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
+nu, omega) over one lcm D, kept per object: a datum's is written from the
+integer entries of the base's stored form and of the pair (``_datum_forms``),
+only a raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
 B01-B3 of (nu, omega), with mu's antisymmetry besides and mu entering B2's
 cubic term, and come from the one assembly behind verify_bol,
 ``algebra._bol_scans`` (``_primed_axioms``);
 check_first_order_formal takes (B2') and (B3') from it without the
 antisymmetry scans, which its datum passes by construction.  o3 reads nu
-from the datum's form.  B_t is built from the same coefficients, so a
-datum's checks build no tensor.
+from the datum's form.  B_t is written from the base's form and the datum's,
+added up in ints, so a datum's checks build no tensor.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import (
@@ -63,9 +64,9 @@ from .algebra import (
     _add_form,
     _bol_scans,
     _coefficients,
-    _form_coefficients,
-    _integer_forms,
-    _of_coefficients,
+    _entry_forms,
+    _form_entries,
+    _of_form,
     _once_per_object,
     _over,
     _require_passed,
@@ -77,7 +78,7 @@ from .algebra import (
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
 from .linalg import Mat, _exact, record
-from .representation import PseudoderivationData, adjoint_representation
+from .representation import PseudoderivationData, _cochain_entries, adjoint_representation
 
 # bilinear_eval and trilinear_eval (nu and omega on Vec slots) are re-exported: no
 # scan calls them, and the benchmark's tracer (perfbench/spans.py) rebinds them here.
@@ -117,18 +118,19 @@ class DeformationDatum:
 def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
     """The kept integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
     n = d.n
-    return _integer_forms(n, ((2, _coefficients("mu", d.mu, n, n, 2)),
-                              (2, _coefficients("nu", d.nu, n, n, 2)),
-                              (3, _coefficients("omega", d.omega, n, n, 3))))
+    return _entry_forms(n, ((2, _coefficients("mu", d.mu, n, n, 2), False),
+                            (2, _coefficients("nu", d.nu, n, n, 2), False),
+                            (3, _coefficients("omega", d.omega, n, n, 3), False)))
 
 
 @_once_per_object
 def _datum_forms(d: DeformationDatum) -> tuple:
     """The kept integer form (D, mu, nu, omega) of (*, nu, omega), as _candidate_forms
-    of the tensors, built from the base's stored form and the pair's coefficients."""
-    D, P, _ = d.base.form
-    return _integer_forms(d.base.n, ((2, _form_coefficients(D, P, 2)),
-                                     (2, d.pair.coefficients(2)), (3, d.pair.coefficients(3))))
+    of the tensors, written from the entries of the base's stored form and of the pair,
+    each at every args."""
+    (D, P, _), n, coords = d.base.form, d.base.n, d.pair.coords()
+    return _entry_forms(n, ((2, _form_entries(D, P, 2), False), *(
+        (arity, _cochain_entries(n, n, coords, arity), False) for arity in (2, 3))))
 
 
 def _primed_axioms(forms: tuple, antisymmetry: bool) -> tuple:
@@ -151,18 +153,22 @@ def is_deformation_type(d: DeformationTypeCandidate) -> CheckReport:
 def deformed_algebra(d: DeformationDatum, t: Fraction) -> BolAlgebra:
     """The algebra B_t with operations *_t and [ , , ]_t at a sample t.
 
-    Its integer form is made from the nonzeros of the base's integer form and of
-    the pair's entries, summed; no dense tensor is read or built."""
-    base, pair = d.base, d.pair
-    t = _exact(t)
-    D, P, T = base.form
-    parts = []
-    for arity, form in ((2, P), (3, T)):
-        sums = {(args, k): x for args, k, x in _form_coefficients(D, form, arity)}
-        for args, k, x in pair.coefficients(arity):
-            sums[args, k] = sums.get((args, k), 0) + t * x
-        parts.append([(args, k, x) for (args, k), x in sums.items()])
-    return _of_coefficients(BolAlgebra, base.n, *parts, base.basis_names)
+    Its integer form is written from the nonzeros of the base's integer form and
+    of the datum's nu and omega (``_datum_forms``), added up in ints at every args,
+    since the base need not be antisymmetric; no dense tensor is read or built."""
+    t, (D, _, T), (E, MU, NU, OM) = _exact(t), d.base.form, _datum_forms(d)
+    a, b, e = t.numerator, t.denominator, E * t.denominator
+    parts = []  # *_t = (b mu + a nu) / e and [,,]_t = (e T + D a omega) / (D e)
+    for arity, q, *scaled in ((2, e, (b, MU), (a, NU)), (3, D * e, (e, T), (D * a, OM))):
+        sums = defaultdict(dict)  # args -> {k: numerator over q}
+        for s, form in scaled:
+            for args, terms in _form_entries(q, form, arity):
+                row = sums[args]
+                for k, c, _ in terms:
+                    row[k] = row.get(k, 0) + s * c
+        parts.append((arity, [(args, tuple((k, c, q) for k, c in sorted(row.items()) if c))
+                              for args, row in sums.items()], False))
+    return _of_form(BolAlgebra, d.base.n, _entry_forms(d.base.n, parts), d.base.basis_names)
 
 
 @record

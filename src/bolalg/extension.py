@@ -26,9 +26,10 @@ product.  Conversely every extension induces, through its section,
 The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
-hat(B) is built from the coefficients of B, the cocycle and the module
-maps, placed by the formulas above, and both induced objects are read off its
-form in the frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
+hat(B) is written from the integer entries of B's form at every args (B need
+not be antisymmetric), of the cocycle and of the module maps, placed by the
+formulas above (``algebra._entry_forms``), and both induced objects are read off its form in
+the frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
 ints: the integer forms of hat(B) and B on the integer columns of i, p, sigma,
 the frame, the splitting and phi, over one common denominator per residual or
 value (``algebra._over``).
@@ -45,6 +46,7 @@ reported as cohomologous but without a certified equivalence map.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from .algebra import (
@@ -53,9 +55,10 @@ from .algebra import (
     ConditionCheck,
     _add_form,
     _add_terms,
-    _form_coefficients,
+    _entry_forms,
+    _form_entries,
     _integer_cols,
-    _of_coefficients,
+    _of_form,
     _once_per_object,
     _over,
     _require_passed,
@@ -66,7 +69,7 @@ from .algebra import (
 )
 from .cohomology import CochainPair, is_cocycle, solve_coboundary
 from .linalg import _ONE, _ZERO, Mat, image_rank, inverse, record, replace
-from .representation import Representation, _module_of, verify_representation
+from .representation import Representation, _cochain_entries, _module_of, verify_representation
 
 
 class InvalidExtensionError(ValueError):
@@ -201,29 +204,35 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     N = n + m
     D, P, T = B.form
     DR, rho, DV, theta = R.form
-    binary = [*_form_coefficients(D, P, 2), *c.coefficients(2, n)]
-    ternary = [*_form_coefficients(D, T, 3), *c.coefficients(3, n)]
-
-    def fiber(rows):  # (n + a, n + b, entry (a, b)) over the nonzeros of a module map
-        return [(n + a, n + b, Fraction(v, DR)) for a, row in enumerate(rows) for b, v in row]
-
-    # An index x < n is e_x in B, any other e_(x-n) in V.  B's products land at k < n
-    # and the cocycle's and module maps' at k >= n: no two share an (args, k).
+    # hat(B)'s entries at every args: an index x < n is e_x in B, any other e_(x-n) in V.
+    # B's products land at k < n, the cocycle's and module maps' after them.
+    binary, ternary = defaultdict(list), defaultdict(list)
+    for part, arity, form in ((binary, 2, P), (ternary, 3, T)):
+        for args, terms in _form_entries(D, form, arity):
+            part[args] += terms
+        for args, terms in _cochain_entries(n, m, c.coords(), arity):
+            part[args] += ((n + a, p, q) for a, p, q in terms)
     for x, y in itertools.product(range(n), repeat=2):
-        for a, b, v in fiber(DV[x][y]):  # D(x1,x2)u3
-            ternary.append(((x, y, b), a, v))
-        for a, b, v in fiber(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
-            ternary += ((x, b, y), a, -v), ((b, x, y), a, v)
+        for a, row in enumerate(DV[x][y]):  # D(x1,x2)u3
+            for b, v in row:
+                ternary[x, y, n + b].append((n + a, v, DR))
+        for a, row in enumerate(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
+            for b, v in row:
+                ternary[x, n + b, y].append((n + a, -v, DR))
+                ternary[n + b, x, y].append((n + a, v, DR))
     for x in range(n):
-        for a, b, v in fiber(rho[x]):  # rho(x1)u2 - rho(x2)u1
-            binary += ((x, b), a, v), ((b, x), a, -v)
+        for a, row in enumerate(rho[x]):  # rho(x1)u2 - rho(x2)u1
+            for b, v in row:
+                binary[x, n + b].append((n + a, v, DR))
+                binary[n + b, x].append((n + a, -v, DR))
 
     def block(rows, cols, shift):
         """rows x cols block of the N x N identity: 1 where row = col + shift."""
         return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
                                      for r in range(rows) for c in range(cols)))
 
-    hat = _of_coefficients(BolAlgebra, N, binary, ternary, None)
+    hat = _of_form(BolAlgebra, N, _entry_forms(N, ((2, binary.items(), False),
+                                                  (3, ternary.items(), False))), None)
     return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 

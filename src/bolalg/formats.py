@@ -17,14 +17,13 @@ algebra or a representation gets its stored integer form, no Fraction built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra, _of_entries
-from .cohomology import CochainPair
+from .algebra import BolAlgebra, MaltsevAlgebra, _form_entries, _of_entries
+from .cohomology import CochainPair, _entry_coords
 from .extension import AbelianExtension
 from .linalg import _ZERO, Mat
 from .representation import Representation, _rows_form
@@ -224,14 +223,9 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
 
 def _render_entries(entries) -> list:
     """Sparse entries from (args, terms) pairs in canonical (i<j) order, terms the
-    (value index, coefficient) pairs, index ascending; zero coefficients and
-    all-zero entries are omitted."""
-    out = []
-    for args, terms in entries:
-        value = {str(a): render_scalar(coeff) for a, coeff in terms if coeff}
-        if value:
-            out.append({"args": list(args), "value": value})
-    return out
+    nonzeros (value index, c, D) of value c / D, ints with D > 0, index ascending."""
+    return [{"args": list(args), "value": {str(k): render_scalar(Fraction(c, D))
+                                           for k, c, D in terms}} for args, terms in entries]
 
 
 def _matrix_rows(obj, rows: int, cols: int, path: str) -> list:
@@ -278,21 +272,10 @@ def algebra_to_obj(A: BolAlgebra | MaltsevAlgebra) -> dict:
     if A.basis_names:
         obj["basis_names"] = list(A.basis_names)
     D, P, T = A.form
-    obj["binary"] = _render_entries(_form_entries(D, P, 2))
+    obj["binary"] = _render_entries(_form_entries(D, P, 2, True))
     if isinstance(A, BolAlgebra):
-        obj["ternary"] = _render_entries(_form_entries(D, T, 3))
+        obj["ternary"] = _render_entries(_form_entries(D, T, 3, True))
     return obj
-
-
-def _form_entries(D: int, form: tuple, arity: int):
-    """(args, ((k, c / D), ...)) at each i<j tuple, in the order of entry_args, where
-    the stored integer form of a product (arity 2) or triple (3) is nonzero."""
-    for i, j in itertools.combinations(range(len(form)), 2):
-        at = [((i, j), form[i][j])] if arity == 2 else (
-            ((i, j, k), terms) for k, terms in enumerate(form[i][j]))
-        for args, terms in at:
-            if terms:
-                yield args, tuple((k, Fraction(c, D)) for k, c in terms)
 
 
 def obj_to_algebra(obj: dict, path: str = "") -> BolAlgebra | MaltsevAlgebra:
@@ -400,18 +383,18 @@ def render_representation(R: Representation) -> str:
 
 
 def cochain_to_obj(c: CochainPair) -> dict:
-    return {
-        "module_dimension": c.m,
-        "nu": _render_entries((args, enumerate(values)) for args, values in c.entries(2)),
-        "omega": _render_entries((args, enumerate(values)) for args, values in c.entries(3)),
-    }
+    """The file object of c: its i<j entries, rendered from the stored Fractions."""
+    entries = lambda arity: [
+        {"args": list(args), "value": {str(a): render_scalar(x) for a, x in enumerate(values) if x}}
+        for args, values in c.entries(arity) if any(values)]
+    return {"module_dimension": c.m, "nu": entries(2), "omega": entries(3)}
 
 
 def obj_to_cochain(obj: dict, base: BolAlgebra) -> CochainPair:
     m = _int_field(_fields(obj, "file", _COCHAIN_FIELDS), "module_dimension", "file")
     nu_entries = _parse_entries(obj, "nu", 2, base.n, m, "")
     omega_entries = _parse_entries(obj, "omega", 3, base.n, m, "")
-    return CochainPair._of_entries(base, m, (nu_entries, omega_entries))
+    return CochainPair._of_coords(base, m, _entry_coords(base.n, m, (nu_entries, omega_entries)))
 
 
 def parse_cochain(text: str, base: BolAlgebra) -> CochainPair:

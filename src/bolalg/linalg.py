@@ -165,6 +165,12 @@ def is_zero_vec(v: Vec) -> bool:
     return not any(v)
 
 
+def _require_held(values: tuple) -> None:
+    """Raise TypeError naming the first value that is not an int or a Fraction."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):  # one C-level pass
+        raise TypeError(_NOT_HELD.format(next(x for x in values if type(x) not in _EXACT_TYPES)))
+
+
 @record
 class Mat:
     """Immutable dense matrix of Fractions (or ints), row-major; any other entry
@@ -180,9 +186,7 @@ class Mat:
             raise ValueError("negative matrix shape")
         if len(entries) != rows * cols:
             raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
-        if not _EXACT_TYPES.issuperset(map(type, entries)):  # one C-level pass
-            raise TypeError(_NOT_HELD.format(
-                next(x for x in entries if type(x) not in _EXACT_TYPES)))
+        _require_held(entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":

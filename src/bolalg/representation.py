@@ -48,6 +48,7 @@ The coboundary (f, chi) -> (nu, omega) is stated once, as the kept ``_coboundary
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -58,15 +59,15 @@ from .algebra import (
     _antisymmetry_error,
     _antisymmetry_scan,
     _dense,
-    _form_coefficients,
+    _entry_forms,
+    _form_entries,
     _integer_terms,
-    _of_coefficients,
+    _of_form,
     _once_per_object,
     _over,
     _over_terms,
     _require_passed,
     _scan,
-    _swapped,
     entry_args,
     maltsev_to_bol,
     slot_tuples,
@@ -299,16 +300,21 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
     """The split null extension M (+) V of an action rho, one m x m matrix per basis
     element: e_i for i < n, the module vector u_a as e_(n+a), with the product
-    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read once, by its nonzero rows."""
+    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read once, by its nonzero rows, and
+    M's product written at every args, as M is not yet verified."""
     if len(rho) != M.n:
         raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
     n, m = M.n, rho[0].rows if rho else 0
     if any(mat.shape != (m, m) for mat in rho):
         raise ValueError("action matrices must share one square shape")
-    action = (((i, n + b), n + a, x)  # rho(e_i) u_b
-              for i in range(n) for a, row in enumerate(rho[i].nonzero_rows) for b, x in row)
-    return _of_coefficients(MaltsevAlgebra, n + m, itertools.chain(
-        _form_coefficients(*M.form[:2], 2), _swapped(action)), None, None)
+    action = defaultdict(list)  # rho(e_i) u_b = e_i u_b = -u_b e_i
+    for i in range(n):
+        for a, row in enumerate(rho[i].nonzero_rows):
+            for b, x in row:
+                action[i, n + b].append((n + a, x.numerator, x.denominator))
+                action[n + b, i].append((n + a, -x.numerator, x.denominator))
+    return _of_form(MaltsevAlgebra, n + m, _entry_forms(n + m, (
+        (2, [*_form_entries(*M.form[:2], 2), *action.items()], False), (3, (), False))), None)
 
 
 def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:
@@ -391,11 +397,22 @@ def coboundary_tensors(R: Representation, p: PseudoderivationData):
 
     Returned as nu[a][i][j] and omega[a][i][j][k] nested tuples; raises as _coboundary_coords.
     """
-    n, m = R.base.n, R.m
-    args = entry_args(n, 2) + entry_args(n, 3)  # coordinate k is entry k % m of args[k // m]
-    coefficients = [(args[k // m], k % m, x) for k, x in enumerate(_coboundary_coords(R, p)) if x]
-    return tuple(_dense(n, m, arity, _swapped(c for c in coefficients if len(c[0]) == arity))
-                 for arity in (2, 3))
+    coords, n, m = _coboundary_coords(R, p), R.base.n, R.m
+    return tuple(_dense(n, m, arity, _cochain_entries(n, m, coords, arity)) for arity in (2, 3))
+
+
+def _cochain_entries(n: int, m: int, coords: Vec, arity: int) -> list:
+    """The entries (args, ((a, p, q), ...)) of nu (arity 2) or omega (3) at the nonzero
+    canonical cochain coordinates (Fractions; the m of args[k] start at k m): each i<j
+    one, then its (j, i, ...) twin, every p negated."""
+    out = []
+    for k, args in enumerate(entry_args(n, 2) + entry_args(n, 3)):
+        terms = tuple((a, x.numerator, x.denominator)
+                      for a, x in enumerate(coords[k * m:k * m + m]) if x)
+        if terms and len(args) == arity:
+            out += (args, terms), ((args[1], args[0]) + args[2:],
+                                   tuple((a, -p, q) for a, p, q in terms))
+    return out
 
 
 def is_pseudoderivation(R: Representation, p: PseudoderivationData) -> bool:

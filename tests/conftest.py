@@ -22,15 +22,17 @@ from bolalg.algebra import (
     _bracket,
     _checked_entries,
     _dense,
+    _entry_forms,
     _fill,
+    _form_entries,
     _integer_sum,
     _nonzeros,
+    _of_form,
     _once_per_object,
     _over,
     _require_passed,
     _scaled,
     _scan,
-    _swapped,
     _times,
     bilinear_eval,
     entry_args,
@@ -982,8 +984,8 @@ def tensor_from_entries(n: int, value_dim: int, arity: int, entries, what: str) 
     {args: {v: coeff}}, the (j,i,...) half filled by antisymmetry, a bad entry
     refused with the ValueError of ``_checked_entries`` naming it ``what``."""
     checked = _checked_entries(n, value_dim, arity, entries, what)
-    return _dense(n, value_dim, arity, _swapped((args, v, F(p, q)) for args, terms in checked
-                                                for v, p, q in terms))
+    D, form = _entry_forms(n, ((arity, checked, True),))
+    return _dense(n, value_dim, arity, _form_entries(D, form, arity))
 
 
 def tabulate_by_dict(value_dim: int, n: int, arity: int, fn) -> tuple:
@@ -1047,6 +1049,130 @@ def fraction_parse_cochain(text: str, base: BolAlgebra) -> CochainPair:
     obj = json.loads(text)
     return CochainPair.from_entries(base, obj["module_dimension"], fraction_entries(obj["nu"]),
                                     fraction_entries(obj["omega"]))
+
+
+# ---------------------------------------------------------------------------
+# slow references: the former coefficient route, every derived algebra and form
+# written from Fraction coefficients (args, k, x) over their lcm denominator
+
+
+def coefficient_forms(n: int, parts) -> tuple:
+    """The former algebra._integer_forms: (D, *forms) of parts (arity, coefficients), the
+    coefficients (args, k, x) at every args, D their lcm denominator."""
+    parts = [(arity, [(args, k, x) for args, k, x in coefficients if x])
+             for arity, coefficients in parts]
+    D = _common_denominator(x for _, coefficients in parts for _, _, x in coefficients)
+    forms = []
+    for arity, coefficients in parts:
+        rows = {}
+        for args, k, x in coefficients:
+            rows.setdefault(args, []).append((k, x.numerator * (D // x.denominator)))
+        at = lambda *args: tuple(sorted(rows.get(args, ())))
+        rng = range(n)
+        forms.append(tuple(tuple(at(i, j) if arity == 2 else tuple(at(i, j, k) for k in rng)
+                                 for j in rng) for i in rng))
+    return (D, *forms)
+
+
+def tensor_coefficients(t, n: int, arity: int):
+    """The former algebra._coefficients: (args, k, t[k][args]) at the nonzeros of t."""
+    for args in itertools.product(range(n), repeat=arity):
+        for k, plane in enumerate(t):
+            x = functools.reduce(lambda row, a: row[a], args, plane)
+            if x:
+                yield args, k, x
+
+
+def form_coefficients(D: int, form, arity: int, prefix: tuple = ()):
+    """The former algebra._form_coefficients: (args, k, c / D) at the nonzeros of a form."""
+    for a, sub in enumerate(form):
+        if arity > 1:
+            yield from form_coefficients(D, sub, arity - 1, prefix + (a,))
+        else:
+            yield from ((prefix + (a,), k, F(c, D)) for k, c in sub)
+
+
+def swapped(coefficients):
+    """The former algebra._swapped: each (args, k, x) at an i<j args, then its twin."""
+    for args, k, x in coefficients:
+        yield args, k, x
+        yield (args[1], args[0]) + args[2:], k, -x
+
+
+def pair_coefficients(c: CochainPair, arity: int, offset: int = 0):
+    """The former CochainPair.coefficients: nu's (2) or omega's (3), both halves."""
+    return swapped((args, offset + a, x) for args, values in c.entries(arity)
+                   for a, x in enumerate(values) if x)
+
+
+def coefficient_tensor_form(n: int, *tensors) -> tuple:
+    """The form the tensor constructors wrote: coefficient_forms of tensors (t, arity)."""
+    return coefficient_forms(n, [(arity, tensor_coefficients(t, n, arity))
+                                 for t, arity in tensors])
+
+
+def coefficient_maltsev_to_bol(M: MaltsevAlgebra) -> BolAlgebra:
+    """The former maltsev_to_bol of a Maltsev algebra, written from coefficients."""
+    D, P, _ = M.form
+    ternary = ((args, l, F(a, 3 * D * D)) for args in entry_args(M.n, 3)
+               for l, a in enumerate(_bracket(P, *args, 2)) if a)
+    return _of_form(BolAlgebra, M.n, coefficient_forms(M.n, (
+        (2, form_coefficients(D, P, 2)), (3, swapped(ternary)))), M.basis_names)
+
+
+def coefficient_null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
+    """The former representation._null_extension, written from coefficients."""
+    n, m = M.n, rho[0].rows if rho else 0
+    action = (((i, n + b), n + a, x)
+              for i in range(n) for a, row in enumerate(rho[i].nonzero_rows) for b, x in row)
+    return _of_form(MaltsevAlgebra, n + m, coefficient_forms(n + m, (
+        (2, itertools.chain(form_coefficients(*M.form[:2], 2), swapped(action))), (3, ()))),
+        None)
+
+
+def coefficient_hat(R: Representation, c: CochainPair) -> BolAlgebra:
+    """The hat(B) of the former twisted_product, written from coefficients."""
+    B = R.base
+    n, m = B.n, R.m
+    D, P, T = B.form
+    DR, rho, DV, theta = R.form
+    binary = [*form_coefficients(D, P, 2), *pair_coefficients(c, 2, n)]
+    ternary = [*form_coefficients(D, T, 3), *pair_coefficients(c, 3, n)]
+
+    def fiber(rows):
+        return [(n + a, n + b, F(v, DR)) for a, row in enumerate(rows) for b, v in row]
+
+    for x, y in itertools.product(range(n), repeat=2):
+        for a, b, v in fiber(DV[x][y]):
+            ternary.append(((x, y, b), a, v))
+        for a, b, v in fiber(theta[x][y]):
+            ternary += ((x, b, y), a, -v), ((b, x, y), a, v)
+    for x in range(n):
+        for a, b, v in fiber(rho[x]):
+            binary += ((x, b), a, v), ((b, x), a, -v)
+    return _of_form(BolAlgebra, n + m, coefficient_forms(n + m, ((2, binary), (3, ternary))),
+                    None)
+
+
+def coefficient_datum_forms(d) -> tuple:
+    """The former deformation._datum_forms, written from coefficients."""
+    D, P, _ = d.base.form
+    return coefficient_forms(d.base.n, ((2, form_coefficients(D, P, 2)),
+                                        (2, pair_coefficients(d.pair, 2)),
+                                        (3, pair_coefficients(d.pair, 3))))
+
+
+def coefficient_deformed_algebra(d, t) -> BolAlgebra:
+    """The former deformation.deformed_algebra, the sums built as Fractions."""
+    D, P, T = d.base.form
+    parts = []
+    for arity, form in ((2, P), (3, T)):
+        sums = {(args, k): x for args, k, x in form_coefficients(D, form, arity)}
+        for args, k, x in pair_coefficients(d.pair, arity):
+            sums[args, k] = sums.get((args, k), 0) + F(t) * x
+        parts.append((arity, [(args, k, x) for (args, k), x in sums.items()]))
+    return _of_form(BolAlgebra, d.base.n, coefficient_forms(d.base.n, parts),
+                    d.base.basis_names)
 
 
 # ---------------------------------------------------------------------------

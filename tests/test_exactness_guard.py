@@ -10,11 +10,14 @@ module never uses and does not list in ``__all__``.  No module but
 scan reads integer forms.  No module calls ``tabulate`` (a slow reference
 in ``conftest`` only) or the ``BolAlgebra`` and ``MaltsevAlgebra``
 constructors: every algebra is built by ``algebra._of_form``, which writes
-its integer form on a new object (from coefficients or from sparse i<j
-entries), and no command builds an algebra's tensors c and t.  No module
-calls the public ``Representation`` constructor, which reads matrices: every
-representation is written as its integer form.  Only ``algebra._bol_scans``, the one
-assembly of the Bol axioms, calls the B2 and B3 block scans.  No scan
+its integer form on a new object (from integer entries), and no command
+builds an algebra's tensors c and t.  No module calls the public
+``Representation`` constructor, which reads matrices: every representation
+is written as its integer form.  Only the two form writers,
+``algebra._entry_forms`` and ``representation._rows_form``, read a least
+common denominator off integer terms (``_integer_terms``).  Only
+``algebra._bol_scans``, the one assembly of the Bol axioms, calls the B2 and
+B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
 multiplies matrices with ``@`` or calls a ``commutator``: matrix
 identities add up integer rows (``representation._matrix_sum``).  No scan
@@ -33,10 +36,11 @@ B01'-B3' build a residual only at a failure, which the failing reports
 cover), and of the residual each failing x block of Sagle's identity
 returns.  Every public entry point that takes scalars refuses a float, and
 so does the tensor constructor ``CochainPair(base, m, nu, omega)``; an
-algebra built from tensors holding a float is refused with the same
-``TypeError`` (``linalg._common_denominator``) at construction, which reads
-its tensors into the integer form, and a direct ``Mat`` holding anything but
-ints and Fractions by its own constructor, with the same message.
+algebra or a pair built from tensors holding a float, zero or not, is refused
+at construction, which reads its tensors into the integer form, with the
+``TypeError`` a direct ``Mat`` holding anything but ints and Fractions gets
+from its own constructor (``linalg._require_held``), after every shape
+check.
 
 A fresh ``python -I -S`` that imports ``bolalg.cli`` and builds its parser
 loads none of ``dataclasses``, ``inspect``, ``ast``, ``dis``, ``tokenize``,
@@ -228,7 +232,7 @@ def test_the_evaluator_guard_catches(code, calls):
 
 _CONSTRUCTORS = {"tabulate", "BolAlgebra", "MaltsevAlgebra"}
 
-# The one coefficient builder, which makes a new object of class ``cls``.
+# The one builder, which makes a new object of class ``cls`` with the integer form given.
 _BUILDERS = {"algebra.py": ["_of_form: __new__"]}
 
 
@@ -275,6 +279,38 @@ def test_every_algebra_is_built_from_coefficients(source):
 ])
 def test_the_construction_guard_catches(code, calls):
     assert _construction_calls(ast.parse(code)) == calls
+
+
+# The two writers of an integer form from rows of (k, p, q) terms: algebra._entry_forms
+# (every algebra, cochain pair and deformation form) and representation._rows_form
+# (every representation).  No other code reads a least common denominator off terms.
+_DENOMINATOR_READERS = {"algebra.py": ["_entry_forms: _integer_terms"],
+                        "representation.py": ["_rows_form: _integer_terms"]}
+
+
+def _denominator_calls(tree: ast.Module) -> list[str]:
+    """Each call of _integer_terms, by top-level definition."""
+    return _calls_by_definition(tree, lambda top: {"_integer_terms"})
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_only_the_two_form_writers_read_integer_terms(source):
+    assert _denominator_calls(ast.parse(source.read_text(), str(source))) == (
+        _DENOMINATOR_READERS.get(source.name, []))
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def maltsev_to_bol(M):\n    return _integer_terms(rows)", ["maltsev_to_bol: _integer_terms"]),
+    ("D, rows = algebra._integer_terms([])", ["<module>: _integer_terms"]),
+    ("class C:\n    def form(self):\n        return _integer_terms(self.rows)",
+     ["C: _integer_terms"]),
+    ("def _entry_forms(n, parts):\n    return _integer_terms(rows)",
+     ["_entry_forms: _integer_terms"]),
+    ("def f(n, parts):\n    return _entry_forms(n, parts)", []),
+    ("def f(rows):\n    return integer_terms(rows)", []),
+])
+def test_the_denominator_guard_catches(code, calls):
+    assert _denominator_calls(ast.parse(code)) == calls
 
 
 # No caller of the public Representation constructor, which reads matrices: every
@@ -646,8 +682,9 @@ def _tensor_pair(x):
 
 
 def test_the_tensor_constructor_refuses_a_float_and_makes_ints_fractions():
-    with pytest.raises(TypeError, match=re.escape(repr(0.5))):
-        _tensor_pair(0.5)  # antisymmetric, so only the exactness check sees it
+    for inexact in (0.5, 0.0, -0.0):  # antisymmetric, so only the exactness check sees it
+        with pytest.raises(TypeError, match=re.escape(f"not an int or a Fraction: {inexact!r}")):
+            _tensor_pair(inexact)
     pair = _tensor_pair(3)
     assert pair == _tensor_pair(Fraction(3)) and pair.coords() == (3, 0, 0)
     assert all(type(x) is Fraction for x in pair.coords())
@@ -665,15 +702,27 @@ def test_the_tensor_constructor_refuses_a_float_before_an_antisymmetry_failure()
         CochainPair(make_b2(1), 1, (((0, 1), (1, 0)),), ((((0, 0),) * 2,) * 2,))
 
 
-@pytest.mark.parametrize("inexact", [0.5, -1.0])
+def test_the_tensor_readers_check_every_shape_before_any_entry():
+    # a float in the first tensor and a bad shape of the second: the shape comes first
+    with pytest.raises(ValueError, match="omega tensor must be 1 x 2 x 2 x 2"):
+        CochainPair(make_b2(1), 1, (((0, 0.5), (-0.5, 0)),), (((0, 0),) * 2,))
+    with pytest.raises(ValueError, match="t tensor must be 2 x 2 x 2 x 2"):
+        BolAlgebra(2, (((0.0, 0), (0, 0)),) * 2, ((0,),))
+    with pytest.raises(ValueError, match="omega tensor must be 2 x 2 x 2 x 2"):
+        is_deformation_type(DeformationTypeCandidate(2, make_b2(1).c, (((0, 0.5), (0, 0)),) * 2,
+                                                     ()))
+
+
+@pytest.mark.parametrize("inexact", [0.5, -1.0, 0.0, -0.0])
 def test_an_algebra_refuses_a_float_at_construction(inexact):
-    # the tensors are read into the integer form before any scan reads the algebra
+    # the tensors are read into the integer form before any scan reads the algebra; a
+    # float zero is refused as a Mat refuses it, not dropped as a zero
     B = make_b2(1)
     c = B.c[:1] + (((0, inexact), (-inexact, 0)),)
     t = B.t[:1] + ((((0, 0), (inexact, 0)), ((-inexact, 0), (0, 0))),)
     for build in (lambda: BolAlgebra(2, c, B.t), lambda: BolAlgebra(2, B.c, t),
                   lambda: MaltsevAlgebra(2, c)):
-        with pytest.raises(TypeError, match=re.escape(repr(inexact))):
+        with pytest.raises(TypeError, match=re.escape(f"not an int or a Fraction: {inexact!r}")):
             build()
 
 
@@ -704,6 +753,6 @@ _FORM_READERS = {
 def test_an_integer_form_refuses_a_float_in_a_direct_matrix_or_tensor(name):
     read = _FORM_READERS[name]
     read(Fraction(-1))  # exact: a report or a Representation, no error
-    for inexact in (-1.0, 0.5):
+    for inexact in (-1.0, 0.5, 0.0, -0.0):  # a Mat refuses a float zero too
         with pytest.raises(TypeError, match=re.escape(repr(inexact))):
             read(inexact)

@@ -1,20 +1,20 @@
 """hat(B) and the deformation forms built from coefficients, against the
 constructions they replaced.
 
-``twisted_product`` builds hat(B) with the one coefficient builder
-(``algebra._of_coefficients``) from the base's stored integer form, the
-cocycle's entries and the nonzero rows of rho, D and theta, and stores the
-integer form built from them.  The reference in ``conftest`` is the former
-construction, every basis product tabulated from the dense tensors.  The
-bundles must be equal (hat c and t, i, p and sigma), every entry a
-``Fraction``, and the stored form must be the one read off the hat's tensors.
+``twisted_product`` writes hat(B)'s integer form with the one entry writer
+(``algebra._entry_forms``) from the entries of the base's stored integer form
+at every args, of the cocycle and of the nonzero rows of rho, D and theta.
+The reference in ``conftest`` is the former construction, every basis
+product tabulated from the dense tensors.  The bundles must be equal (hat c
+and t, i, p and sigma), every entry a ``Fraction``, and the stored form must
+be the one read off the hat's tensors.
 The inputs are semidirect products, nonzero cocycles over the adjoint modules
 of b2, so3 and the solvable algebras of dimension 3 and 4 in their canonical
 and a dense rational basis, cocycles of the Example 2.8 module, a module with
 m = 0 and the octonions' adjoint module (N = 14).
 
 The deformation checks read one integer form per datum (``_datum_forms``),
-made from the base's stored form and the pair's coefficients; it must equal
+written from the base's stored form and the pair's entries; it must equal
 the form of the dense (mu, nu, omega) candidate, and the checks must build
 no nu or omega tensor on the pair.
 """
@@ -28,7 +28,7 @@ import pytest
 from bolalg import algebra as ALGEBRA
 from bolalg import cli as CLI
 from bolalg import deformation as DEFORMATION
-from bolalg.algebra import _coefficients, _integer_forms, maltsev_to_bol
+from bolalg.algebra import BolAlgebra, maltsev_to_bol
 from bolalg.cohomology import CochainPair, cochain_dim, cohomology, coords_to_cochain
 from bolalg.deformation import (
     DeformationDatum,
@@ -84,9 +84,7 @@ def _assert_same_hat(R: Representation, c: CochainPair):
     assert E == ref
     assert all(type(x) is F for x in leaves((E.hat.c, E.hat.t)))
     N = E.hat.n
-    assert E.hat.form == _integer_forms(
-        N, ((2, _coefficients("c", E.hat.c, N, N, 2)),
-            (3, _coefficients("t", E.hat.t, N, N, 3))))
+    assert E.hat.form == BolAlgebra(N, E.hat.c, E.hat.t).form
     assert validate_extension(E).passed
     return E
 

@@ -160,7 +160,6 @@ def test_the_parsers_build_no_fraction_and_write_the_form_once(monkeypatch):
     rep = render_representation(adjoint_representation(B))
     built, writes = [], []
     monkeypatch.setattr(F, "__new__", lambda *args, **kwargs: built.append(args))
-    monkeypatch.setattr(algebra, "_integer_forms", None)  # not the coefficient reader
     entry_forms = algebra._entry_forms
     monkeypatch.setattr(algebra, "_entry_forms",
                         lambda *args: writes.append(args) or entry_forms(*args))
