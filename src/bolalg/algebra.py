@@ -64,7 +64,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (
-    _ONE, _ZERO, Vec, _common_denominator, _exact, _require_held, is_zero_vec, record, zero_vec,
+    _ONE, _ZERO, Vec, _common_denominator, _exact, _require_held, _transposed_rows, is_zero_vec,
+    record, zero_vec,
 )
 
 
@@ -487,8 +488,9 @@ def _of_entries(cls, n: int, binary, ternary, basis_names):
 def _integer_cols(mat) -> tuple:
     """The kept integer form (D, cols) of a Mat: D the lcm of its denominators,
     cols[b] = ((a, entry (a, b) times D as an int), ...) over column b's nonzeros."""
-    D = _common_denominator(mat.entries)
-    return D, tuple(_scaled(_nonzeros(mat.col(b)), D) for b in range(mat.cols))
+    cols = _transposed_rows(mat.cols, mat.nonzero_rows)
+    D = _common_denominator(x for col in cols for _, x in col)
+    return D, tuple(_scaled(col, D) for col in cols)
 
 
 def _add_terms(acc: list, s: int, terms) -> None:

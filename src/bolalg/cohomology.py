@@ -91,7 +91,7 @@ from .algebra import (
     slot_tuples,
 )
 from .linalg import (
-    SparseMat, Vec, _common_denominator, _exact, _primitive, kernel_basis, record, rref, solve,
+    Mat, Vec, _common_denominator, _exact, _primitive, kernel_basis, record, rref, solve,
     vec_add, vec_scale, vec_sub, zero_vec,
 )
 from .representation import (
@@ -381,12 +381,12 @@ def solve_coboundary(R: Representation, c: CochainPair, companion: str = "free"
     if companion == "none":
         # Solve in f's columns alone and pad chi with zeros: rows forcing
         # chi = 0 would make every chi column a pivot, same RREF solution.
-        matrix = SparseMat(fdim, tuple(tuple((k, x) for k, x in row if k < fdim)
-                                       for row in matrix.nonzero_rows))
+        matrix = Mat._of_rows(fdim, tuple(tuple((k, x) for k, x in row if k < fdim)
+                                          for row in matrix.nonzero_rows))
     elif companion == "delta-kernel":
         delta_rows = tuple(tuple((fdim + k, x) for k, x in row)
                            for grid in _delta_rows(R) for delta in grid for row in delta)
-        matrix = SparseMat(matrix.cols, matrix.nonzero_rows + delta_rows)
+        matrix = Mat._of_rows(matrix.cols, matrix.nonzero_rows + delta_rows)
         target += zero_vec(n * n * m)
     elif companion != "free":
         raise ValueError(f"unknown companion mode {companion!r}")
@@ -441,7 +441,7 @@ def cohomology(R: Representation) -> CohomologyReport:
 
     # Constraint matrix, one column per cochain coordinate.  Dropping
     # repeated rows (the first of each kept) keeps the row space and kernel.
-    z_coords = kernel_basis(SparseMat(dim_c, tuple(dict.fromkeys(_constraint_rows(R)))))
+    z_coords = kernel_basis(Mat._of_rows(dim_c, tuple(dict.fromkeys(_constraint_rows(R)))))
     dim_z = len(z_coords)
 
     bres = rref(bmat.transpose())
@@ -451,7 +451,7 @@ def cohomology(R: Representation) -> CohomologyReport:
     # Extend B to a basis of Z in the canonical order: with the B basis
     # first, the pivot columns past dim_b are exactly the Z vectors that
     # are independent of B and of the Z vectors before them.
-    vectors = SparseMat(dim_c, tuple(map(_nonzeros, b_coords + z_coords)))
+    vectors = Mat._of_rows(dim_c, tuple(map(_nonzeros, b_coords + z_coords)))
     pivots = rref(vectors.transpose()).pivots
     reps = [z_coords[p - dim_b] for p in pivots if p >= dim_b]
     if len(reps) != dim_z - dim_b:

@@ -244,12 +244,9 @@ def _matrix_rows(obj, rows: int, cols: int, path: str) -> list:
 
 
 def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
-    """The Mat of _matrix_rows: one Fraction a nonzero, the shared zero elsewhere."""
-    entries = [_ZERO] * (rows * cols)
-    for r, row in enumerate(_matrix_rows(obj, rows, cols, path)):
-        for c, p, q in row:
-            entries[r * cols + c] = Fraction(p, q)
-    return Mat(rows, cols, tuple(entries))
+    """The Mat of _matrix_rows, one Fraction a nonzero."""
+    return Mat._of_rows(cols, tuple(tuple((c, Fraction(p, q)) for c, p, q in row)
+                                    for row in _matrix_rows(obj, rows, cols, path)))
 
 
 def _render_matrix(m: Mat) -> list:

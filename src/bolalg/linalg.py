@@ -12,9 +12,9 @@ by the matrix alone -- not by row order or pivot choice -- and are
 reproducible down to the byte across runs and platforms.  Each row is made
 a primitive int row once, on entry (``_integer_row``, which refuses an
 inexact entry), reduced by cross-multiplication and returned as ints.  The
-callers read a matrix by its ``nonzero_rows`` (a ``SparseMat``, the form of
-the constraint and coboundary rows, holds nothing else) and build a
-``Fraction`` only for an entry they return.
+callers read a matrix by its ``nonzero_rows``, build a ``Fraction`` only for
+an entry they return, and ``rref`` and ``inverse`` write their result by its
+nonzero rows (``Mat._of_rows``): no elimination fills or scans a dense grid.
 
 ``kernel_basis`` takes one of two routes to that RREF, by the mean nonzeros
 per row: below ``_DENSE_ROW`` (sparse rows, which mostly stay independent)
@@ -171,14 +171,38 @@ def _require_held(values: tuple) -> None:
         raise TypeError(_NOT_HELD.format(next(x for x in values if type(x) not in _EXACT_TYPES)))
 
 
+def _in_range(i: int, size: int) -> int:
+    """i, if it lies in range(size); else IndexError, for a negative i too."""
+    if not 0 <= i < size:
+        raise IndexError(f"index {i} not in range({size})")
+    return i
+
+
+def _transposed_rows(cols: int, nonzero_rows) -> tuple:
+    """The nonzero rows of the transpose of the matrix of nonzero_rows with cols columns."""
+    out = [[] for _ in range(cols)]
+    for r, row in enumerate(nonzero_rows):
+        for k, x in row:
+            out[k].append((r, x))
+    return tuple(map(tuple, out))
+
+
 @record
 class Mat:
-    """Immutable dense matrix of Fractions (or ints), row-major; any other entry
-    type raises TypeError at construction."""
+    """Immutable matrix of Fractions (or ints), read as its row-major ``entries`` or
+    its ``nonzero_rows`` (the form of the constraint and coboundary rows), each view
+    built from the other on first access.  ``Mat(rows, cols, entries)`` refuses a bad
+    shape or an entry that is not an int or a Fraction; ``Mat._of_rows`` writes rows
+    that code already holds, unchecked (an elimination refuses an inexact entry)."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
+
+    # written here: the __init__ of record would take the entries view for a default
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+        self.__post_init__()
 
     def __post_init__(self):
         rows, cols, entries = self.rows, self.cols, self.entries
@@ -187,6 +211,25 @@ class Mat:
         if len(entries) != rows * cols:
             raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
         _require_held(entries)
+
+    @classmethod
+    def _of_rows(cls, cols: int, nonzero_rows: tuple) -> "Mat":
+        """The Mat of nonzero_rows, as the view reads them, every col below cols."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=len(nonzero_rows), cols=cols, nonzero_rows=nonzero_rows)
+        return m
+
+    @functools.cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The row-major entries: the nonzeros, the shared zero elsewhere."""
+        return tuple(x for r in range(self.rows) for x in self.row(r))
+
+    @functools.cached_property
+    def nonzero_rows(self) -> tuple:
+        """The nonzeros by row: [r] = ((col, entry), ...), col ascending."""
+        entries, cols = self.entries, self.cols
+        return tuple(tuple((k, x) for k, x in enumerate(entries[r * cols:(r + 1) * cols]) if x)
+                     for r in range(self.rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Mat":
@@ -219,22 +262,23 @@ class Mat:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.entries[i * self.cols + j]
+        return self.row(i)[_in_range(j, self.cols)]
 
     def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    @property
-    def nonzero_rows(self) -> tuple:
-        """The nonzeros by row: [r] = ((col, entry), ...), col ascending."""
-        return tuple(tuple((k, x) for k, x in enumerate(self.row(r)) if x)
-                     for r in range(self.rows))
+        out = [_ZERO] * self.cols
+        for k, x in self.nonzero_rows[_in_range(i, self.rows)]:
+            out[k] = x
+        return tuple(out)
 
     def col(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        _in_range(j, self.cols)
+        return tuple(dict(row).get(j, _ZERO) for row in self.nonzero_rows)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nonzero_rows)
+
+    def transpose(self) -> "Mat":
+        return Mat._of_rows(self.rows, _transposed_rows(self.cols, self.nonzero_rows))
 
     def _check_shape(self, other: "Mat"):
         if self.shape != other.shape:
@@ -260,67 +304,23 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [_ZERO] * (n * m)
-        for i in range(n):
-            base = i * k
-            for l in range(k):
-                a = self.entries[base + l]
-                if not a:
-                    continue
-                obase = l * m
-                rbase = i * m
-                for j in range(m):
-                    b = other.entries[obase + j]
-                    if b:
-                        out[rbase + j] += a * b
-        return Mat(n, m, tuple(out))
+        right, out = other.nonzero_rows, []
+        for row in self.nonzero_rows:
+            acc = {}
+            for l, a in row:
+                for j, b in right[l]:
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            out.append(tuple((j, acc[j]) for j in sorted(acc) if acc[j]))
+        return Mat._of_rows(other.cols, tuple(out))
 
     def apply(self, v: Vec) -> Vec:
         if len(v) != self.cols:
             raise ValueError(f"cannot apply {self.shape} to vector of length {len(v)}")
-        out = [_ZERO] * self.rows
-        for j, x in enumerate(v):
-            if not x:
-                continue
-            for i in range(self.rows):
-                e = self.entries[i * self.cols + j]
-                if e:
-                    out[i] += e * x
-        return tuple(out)
+        return tuple(sum((e * v[k] for k, e in row if v[k]), _ZERO) for row in self.nonzero_rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-
-@record
-class SparseMat:
-    """Immutable sparse matrix of Fractions or ints (the CC1-CC3 rows), held as
-    its ``nonzero_rows`` (as ``Mat.nonzero_rows`` reads them), every col below ``cols``."""
-
-    cols: int
-    nonzero_rows: tuple
-
-    @property
-    def rows(self) -> int:
-        return len(self.nonzero_rows)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """The dense row-major entries, as ``Mat.entries``."""
-        out = [_ZERO] * (self.rows * self.cols)
-        for r, row in enumerate(self.nonzero_rows):
-            for k, x in row:
-                out[r * self.cols + k] = x
-        return tuple(out)
-
-    def transpose(self) -> "SparseMat":
-        cols = [[] for _ in range(self.cols)]
-        for r, row in enumerate(self.nonzero_rows):
-            for k, x in row:
-                cols[k].append((r, x))
-        return SparseMat(self.rows, tuple(map(tuple, cols)))
 
 
 @record
@@ -405,18 +405,17 @@ def _echelon(rows) -> dict[int, dict[int, int]]:
     return echelon
 
 
-def rref(m: Mat | SparseMat) -> RrefResult:
+def rref(m: Mat) -> RrefResult:
     """Canonical reduced row-echelon form of ``m``: pivot entries 1, zeros
     above and below each pivot, zero rows last."""
-    echelon = _echelon(m.nonzero_rows)
-    entries = [_ZERO] * (m.rows * m.cols)
-    for r, (pc, row) in enumerate(sorted(echelon.items())):
-        for k, x in row.items():
-            entries[r * m.cols + k] = Fraction(x, row[pc])
-    return RrefResult(Mat(m.rows, m.cols, tuple(entries)), tuple(sorted(echelon)))
+    echelon = sorted(_echelon(m.nonzero_rows).items())
+    reduced = tuple(tuple((k, Fraction(row[k], row[pc])) for k in sorted(row))
+                    for pc, row in echelon)
+    return RrefResult(Mat._of_rows(m.cols, reduced + ((),) * (m.rows - len(reduced))),
+                      tuple(pc for pc, _ in echelon))
 
 
-def image_rank(m: Mat | SparseMat) -> int:
+def image_rank(m: Mat) -> int:
     return len(_echelon(m.nonzero_rows))
 
 
@@ -536,7 +535,7 @@ def _certified_echelon(rows, cols: int) -> dict[int, dict[int, int]]:
     return _echelon(rows)
 
 
-def kernel_basis(m: Mat | SparseMat) -> list[Vec]:
+def kernel_basis(m: Mat) -> list[Vec]:
     """Basis of the null space {v : m v = 0}, one vector per free column fc in
     order: 1 at fc, minus column fc of the canonical RREF at the pivots (one pass).
 
@@ -554,7 +553,7 @@ def kernel_basis(m: Mat | SparseMat) -> list[Vec]:
     return list(map(tuple, basis.values()))
 
 
-def solve(m: Mat | SparseMat, b: Vec) -> Vec | None:
+def solve(m: Mat, b: Vec) -> Vec | None:
     """One exact solution of m x = b (free variables set to 0), or None.
 
     None exactly when the system is inconsistent; b is column m.cols."""
@@ -569,7 +568,7 @@ def solve(m: Mat | SparseMat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def inverse(m: Mat | SparseMat) -> Mat:
+def inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix (the identity is columns n..2n-1);
     raises ValueError if singular."""
     if m.rows != m.cols:
@@ -578,5 +577,6 @@ def inverse(m: Mat | SparseMat) -> Mat:
     echelon = _echelon([row + ((n + i, 1),) for i, row in enumerate(m.nonzero_rows)])
     if any(i not in echelon for i in range(n)):
         raise ValueError("matrix is singular")
-    return Mat(n, n, tuple(Fraction(echelon[i].get(n + j, 0), echelon[i][i])
-                           for i in range(n) for j in range(n)))
+    return Mat._of_rows(n, tuple(tuple((k - n, Fraction(x, echelon[i][i]))
+                                       for k, x in sorted(echelon[i].items()) if k >= n)
+                                 for i in range(n)))

@@ -65,7 +65,6 @@ from .algebra import (
     _of_form,
     _once_per_object,
     _over,
-    _over_terms,
     _require_passed,
     _scan,
     entry_args,
@@ -75,7 +74,7 @@ from .algebra import (
     verify_maltsev,
 )
 from .linalg import (
-    Mat, SparseMat, Vec, _exact, kernel_basis, record, zero_vec,
+    Mat, Vec, _exact, _transposed_rows, kernel_basis, record, zero_vec,
 )
 
 
@@ -110,8 +109,8 @@ class Representation:
         return R
 
     def _mat(self, rows: tuple, denominator: int) -> Mat:  # a map by its integer rows
-        m = self.m
-        return Mat(m, m, tuple(x for row in rows for x in _over_terms(denominator, row, m)))
+        return Mat._of_rows(self.m, tuple(tuple((k, Fraction(c, denominator)) for k, c in row)
+                                          for row in rows))
 
     @cached_property
     def rho(self) -> tuple[Mat, ...]:
@@ -282,7 +281,7 @@ def _module_of(base: BolAlgebra, m: int, form: tuple, at: int) -> Representation
     rng, fiber = range(base.n), range(at, at + m)
 
     def rows(images):  # rows at..at+m-1 of the matrix whose column b is images[b]
-        return SparseMat(len(P), images).transpose().nonzero_rows[at:at + m]
+        return _transposed_rows(len(P), images)[at:at + m]
     maps = [*(rows(P[x][at:at + m]) for x in rng),
             *(rows(T[x][y][at:at + m]) for x in rng for y in rng),
             *(rows([T[u][x][y] for u in fiber]) for x in rng for y in rng)]
@@ -476,11 +475,11 @@ def _coboundary_rows(R: Representation) -> tuple:
                  for args in entry_args(n, arity) for a in range(m))
 
 
-def coboundary_matrix(R: Representation) -> SparseMat:
+def coboundary_matrix(R: Representation) -> Mat:
     """Matrix of (f, chi) -> (nu, omega) in cochain coordinates, one column
     per parameter: the kept _coboundary_rows, so a nonzero module whose c,
     t or D is not antisymmetric raises ValueError."""
-    return SparseMat(pseudoderivation_params(R.base.n, R.m), _coboundary_rows(R))
+    return Mat._of_rows(pseudoderivation_params(R.base.n, R.m), _coboundary_rows(R))
 
 
 def pseudoderivation_space(R: Representation) -> list[PseudoderivationData]:

@@ -193,7 +193,8 @@ def leaves(x) -> list:
 
 
 def dense(matrix) -> Mat:
-    """The dense Mat of a SparseMat, read through its row-major entries."""
+    """matrix written again from its row-major entries view, through the constructor: the
+    same Mat, its entries checked exact and its nonzero_rows read back off them."""
     return Mat(matrix.rows, matrix.cols, matrix.entries)
 
 

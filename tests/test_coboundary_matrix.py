@@ -1,6 +1,6 @@
 """The one (f, chi) coboundary map against independent reference systems.
 
-``representation.coboundary_matrix`` is the ``SparseMat`` of the sparse rows
+``representation.coboundary_matrix`` is the ``Mat`` written from the sparse rows
 ``_coboundary_rows`` writes from the kept sparse forms of B and R, read in
 cochain coordinates (i<j entries only); ``coboundary_of``,
 ``is_pseudoderivation`` and ``coboundary_tensors`` apply the same rows to

@@ -19,7 +19,7 @@ import pytest
 
 from bolalg.algebra import maltsev_to_bol
 from bolalg.cohomology import _constraint_rows, cochain_dim
-from bolalg.linalg import SparseMat, kernel_basis
+from bolalg.linalg import Mat, kernel_basis
 from bolalg.representation import (
     _coboundary_rows,
     _delta_rows,
@@ -70,7 +70,8 @@ def test_constraint_rows_are_the_fraction_rows_made_primitive(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_kernel_basis_equals_the_pairwise_fill(name):
     R = _module(name)
-    constraints = SparseMat(cochain_dim(R.base.n, R.m), tuple(dict.fromkeys(_constraint_rows(R))))
+    constraints = Mat._of_rows(cochain_dim(R.base.n, R.m),
+                               tuple(dict.fromkeys(_constraint_rows(R))))
     for matrix in (constraints, coboundary_matrix(R)):
         got = kernel_basis(matrix)
         assert got == pairwise_kernel_basis(matrix)

@@ -35,7 +35,6 @@ from bolalg.extension import (
 )
 from bolalg.linalg import (
     Mat,
-    SparseMat,
     _certified_echelon,
     _echelon,
     _exact,
@@ -245,9 +244,10 @@ def _assert_refused(call, x):
 
 
 def _inexact_matrices(x):
-    """Two makers, of a 2 x 2 SparseMat and of a direct Mat holding x; both are
-    regular with x read as a number.  The Mat refuses x at construction."""
-    return (lambda: SparseMat(2, (((0, F(1)), (1, x)), ((1, F(2)),))),
+    """Two makers of a 2 x 2 Mat holding x, written from its nonzero rows and from its
+    entries; both are regular with x read as a number.  The constructor refuses x, and
+    the elimination refuses it in the rows."""
+    return (lambda: Mat._of_rows(2, (((0, F(1)), (1, x)), ((1, F(2)),))),
             lambda: Mat(2, 2, (F(1), x, F(0), F(2))))
 
 
@@ -264,8 +264,8 @@ def test_kernel_basis_refuses_an_inexact_entry(x, monkeypatch):
     routed = _calls(monkeypatch, "_certified_echelon")
     w = LINALG._DENSE_ROW
     dense_row = tuple((k, F(k + 1)) for k in range(w))
-    _assert_refused(lambda: kernel_basis(SparseMat(w, (dense_row, dense_row[:-1] + ((w - 1, x),)))),
-                    x)
+    rows = (dense_row, dense_row[:-1] + ((w - 1, x),))
+    _assert_refused(lambda: kernel_basis(Mat._of_rows(w, rows)), x)
     assert len(routed) == 1
 
 
@@ -274,7 +274,7 @@ def test_solve_refuses_an_inexact_entry_or_right_hand_side(x):
     for m in _inexact_matrices(x):
         _assert_refused(lambda: solve(m(), (F(1), F(1))), x)
     _assert_refused(lambda: solve(Mat.identity(2), (F(1), x)), x)
-    _assert_refused(lambda: solve(SparseMat(1, (((0, F(1)),), ())), (F(0), x)), x)
+    _assert_refused(lambda: solve(Mat._of_rows(1, (((0, F(1)),), ())), (F(0), x)), x)
 
 
 @pytest.mark.parametrize("x", INEXACT, ids=["float", "Decimal", "complex"])
@@ -399,11 +399,11 @@ def _assert_routes_agree(m, reduced, pivots, kernel):
 
 
 def _assert_matches_reference(m, rng):
-    """rref, kernel_basis, solve and inverse equal the dense reference, on m
-    and on a shuffled and a reversed copy of its rows, each given both as a
-    Mat and as the SparseMat of its nonzero rows; the SparseMat has the same
-    entries and transpose.  Both routes of kernel_basis give the reference's
-    RREF on each copy."""
+    """rref, image_rank, kernel_basis, solve and inverse equal the dense reference,
+    on m and on a shuffled and a reversed copy of its rows, each written both from
+    its entries and from its nonzero rows (``Mat._of_rows``); both are one Mat, with
+    one transpose.  Both routes of kernel_basis give the reference's RREF on each
+    copy."""
     reduced, pivots = _dense_rref(m)
     kernel = _dense_kernel(m)
     x = tuple(F(rng.randint(-3, 3)) for _ in range(m.cols))
@@ -416,8 +416,8 @@ def _assert_matches_reference(m, rng):
     for order in (range(m.rows), shuffled, range(m.rows - 1, -1, -1)):
         pm = _permuted(m, order)
         _assert_routes_agree(pm, reduced, pivots, kernel)
-        sparse = SparseMat(pm.cols, pm.nonzero_rows)
-        assert (sparse.rows, sparse.cols) == pm.shape and sparse.entries == pm.entries
+        sparse = Mat._of_rows(pm.cols, pm.nonzero_rows)
+        assert sparse == pm and sparse.entries == pm.entries
         assert dense(sparse.transpose()) == _transposed(pm)
         for form in (pm, sparse):
             res, basis = rref(form), kernel_basis(form)
@@ -785,7 +785,6 @@ _E = (F(1), F(0), F(-2, 3), F(5))
 _RECORDS = [  # (record class, field values)
     (_Point, (1, "y", (2, 3))),
     (Mat, (2, 2, _E)),
-    (SparseMat, (3, (((0, F(1)),), (), ((2, F(-1)),)))),
     (RrefResult, (Mat.identity(2), (0, 1))),
     (ConditionCheck, ("B1", False, (0, 1), (F(1), F(0)))),
     (ConditionCheck, ("B1", True, None, None)),
@@ -810,6 +809,33 @@ def test_a_record_equals_hashes_and_shows_as_its_dataclass_twin(cls, values):
     assert obj == cls(*values) and not obj != cls(*values)
     assert obj.__eq__(twin) is twin.__eq__(obj) is NotImplemented
     assert obj != twin and obj != values
+
+
+@pytest.mark.parametrize("M", [
+    Mat(2, 2, _E), Mat(3, 3, (F(1), F(0), F(0)) + (F(0),) * 3 + (F(0), F(0), F(-1))),
+    Mat.zeros(2, 3), Mat.zeros(0, 2), Mat.zeros(2, 0), Mat(1, 3, (F(0), F(7, 2), F(-1)))])
+def test_a_matrix_written_from_its_rows_is_the_matrix_written_from_its_entries(M):
+    rows = Mat._of_rows(M.cols, M.nonzero_rows)
+    assert rows == M and not rows != M and (rows.rows, rows.cols) == M.shape
+    assert hash(rows) == hash(M) and repr(rows) == repr(M) and rows.entries == M.entries
+    assert rows.transpose() == M.transpose() == _transposed(M)
+    assert rows.transpose().nonzero_rows == M.transpose().nonzero_rows
+
+
+@pytest.mark.parametrize("M", [Mat(2, 2, (1, 2, 3, 4)),
+                               Mat._of_rows(2, (((0, 1), (1, 2)), ((0, 3), (1, 4))))],
+                         ids=["entries", "rows"])
+def test_an_index_outside_the_shape_raises(M):
+    assert [M[i, j] for i in range(2) for j in range(2)] == [1, 2, 3, 4]
+    assert (M.row(0), M.row(1), M.col(0), M.col(1)) == ((1, 2), (3, 4), (1, 3), (2, 4))
+    for key in ((0, 2), (0, -1), (2, 0), (-1, 0), (-1, -1)):
+        with pytest.raises(IndexError):
+            M[key]
+    for i in (2, -1, -3):
+        with pytest.raises(IndexError):
+            M.row(i)
+        with pytest.raises(IndexError):
+            M.col(i)
 
 
 def test_the_algebras_keep_their_init_and_repr_and_hash_as_their_fields():

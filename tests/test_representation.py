@@ -367,9 +367,11 @@ def test_the_constructor_refuses_a_bad_grid(rho, D, theta, message):
 
 
 def _built_matrices(monkeypatch) -> list:
-    """Every Mat built from here on."""
-    built, check = [], Mat.__post_init__
+    """Every Mat built from here on, from its entries or from its nonzero rows."""
+    built, check, of_rows = [], Mat.__post_init__, Mat._of_rows
     monkeypatch.setattr(Mat, "__post_init__", lambda self: built.append(self) or check(self))
+    monkeypatch.setattr(Mat, "_of_rows", staticmethod(
+        lambda cols, rows: built.append(of_rows(cols, rows)) or built[-1]))
     return built
 
 
