@@ -20,10 +20,10 @@ scans read integer forms: the nonzeros of each product and bracket of B
 times D_A, stored on B (``form``), of each rho, D and theta matrix by row
 times D_R, the one state of a representation (``form``), and of each Delta
 matrix by row times D_A * D_R, kept once per object (``_delta_rows``).  Every
-matrix identity (R1-R33, the Delta identity) adds up its nonzero terms as ints
-in one helper, ``_matrix_sum``, over one common denominator.  Each module the
-library makes is the part V of a split algebra B (+) V, read off its form by one
-reader, ``_module_of``.
+matrix identity (R1-R33, the Delta identity) is one packed int of signed slots
+per tuple (``_packed_map``), tested against 0 and read as ints over one common
+denominator only at a failure.  Each module the library makes is the part V of
+a split algebra B (+) V, read off its form by one reader, ``_module_of``.
 
 An action rho of a Maltsev algebra M on V is a Maltsev representation when
 the split null extension M (+) V, with the product
@@ -190,21 +190,64 @@ def _delta_rows(R: Representation) -> tuple:
     return tuple(tuple(delta(i, j) for j in rng) for i in rng)
 
 
-def _matrix_sum(m: int, terms) -> list:
-    """The row-major ints of the sum of s * A or s * A @ B over the terms (s, A) and
-    (s, A, B); A and B are m x m by their rows of integer nonzeros, s an int."""
-    acc = [0] * (m * m)
-    for s, a, *b in terms:
-        for r, row in enumerate(a):
-            base = r * m
-            for l, x in row:
-                if b:
-                    sx = s * x
-                    for c, y in b[0][l]:
-                        acc[base + c] += sx * y
-                else:
-                    acc[base + l] += s * x
+def _largest(rows) -> int:
+    """The largest |x| over the pairs (k, x) of the term tuples in rows, 0 for none."""
+    return max((abs(x) for row in rows for terms in row for _, x in terms), default=0)
+
+
+def _slot_width(terms: int, scale: int, m: int, entry: int) -> int:
+    """The least w with 2**(w-1) above terms * scale * m * entry**2, which bounds every entry
+    of a sum of terms s * A or s * A @ B, |s| <= scale, of m x m matrices of ints <= entry."""
+    return (terms * scale * m * entry * entry).bit_length() + 1
+
+
+def _packed_map(rows: tuple, m: int, w: int) -> tuple:
+    """An m x m int matrix (rows of nonzeros (l, x)) in signed w-bit slots: (A, cols, rows), A
+    with (r, c) at slot r*m + c, cols its nonzero columns (l, column l at slots r*m), rows[l]
+    at slots c, so A @ B is the sum of column l of A times row l of B (``_product``)."""
+    A, cols, packed = 0, [0] * m, [0] * m
+    for r, row in enumerate(rows):
+        for l, x in row:
+            packed[r] += x << (w * l)
+            cols[l] += x << (w * m * r)
+        A += packed[r] << (w * m * r)
+    return A, tuple((l, col) for l, col in enumerate(cols) if col), tuple(packed)
+
+
+def _unpack_signed(packed: int, w: int, size: int) -> list:
+    """The size signed w-bit slots of packed, lowest first, if 2**(w-1) exceeds each |slot|."""
+    half = 1 << (w - 1)
+    packed += half * ((1 << (w * size)) - 1) // ((1 << w) - 1)  # slot + half: a w-bit digit
+    return [(packed >> (w * k) & ((1 << w) - 1)) - half for k in range(size)]
+
+
+def _product(a: tuple, b: tuple) -> int:
+    """The packed A @ B of packed maps: column l of A times row l of B, summed over l."""
+    rows, acc = b[2], 0
+    for l, col in a[1]:
+        acc += col * rows[l]
     return acc
+
+
+def _derivation(left, grid, T, s: int, t: int):
+    """The packed residual (x1, x2, y1, y2) -> s [left(x1,x2), grid(y1,y2)] - t (grid([x1,x2,y1],
+    y2) + grid(y1, [x1,x2,y2])) of two grids of packed maps, [.,.,.] read off the form T."""
+    def residual(x1, x2, y1, y2):
+        a, b = left[x1][x2], grid[y1][y2]
+        acc = s * (_product(a, b) - _product(b, a))
+        for k, c in T[x1][x2][y1]:
+            acc -= t * c * grid[k][y2][0]
+        for k, c in T[x1][x2][y2]:
+            acc -= t * c * grid[y1][k][0]
+        return acc
+    return residual
+
+
+def _packed_scan(name: str, tuples, residual, w: int, m: int, denominator: int):
+    """_scan of residual(*idx), an int of m * m signed w-bit slots that is 0 exactly when
+    every slot is, read at a failure as row-major ints over denominator."""
+    return _scan(name, tuples, lambda *idx, zero=zero_vec(m * m): _over(
+        _unpack_signed(acc, w, m * m), denominator) if (acc := residual(*idx)) else zero)
 
 
 @_once_per_object
@@ -214,62 +257,56 @@ def verify_representation(R: Representation) -> CheckReport:
     The tuples are the orbit representatives of the antisymmetries when c,
     t and D are antisymmetric, and every tuple otherwise.
 
-    Each residual adds up only the nonzero terms of the kept integer forms
-    of B and R; it is returned as the row-major entries of LHS - RHS.
+    Each residual, LHS - RHS times D_A * D_R**2, is one packed int: at most 3n + 3 terms
+    (R21's), each |s| <= D_R * max(D_A, |c|) over the c of P and T, of maps whose entries
+    are at most E, so every entry is at most (3n + 3) D_R max(D_A, |c|) m E**2 (``_slot_width``).
     """
-    B = R.base
-    n, m = B.n, R.m
-    DA, P, T = B.form
-    DR, rho, D, theta = R.form
-    # each residual lists its terms for _matrix_sum: one of degree a in D_A and
-    # r in D_R is scaled by D_A**(1-a) * D_R**(2-r), over D_A * D_R**2
-
-    def commutator_terms(a, b):  # [A, B], of degree 2 in D_R
-        return (DA, a, b), (-DA, b, a)
-
-    def r1(i, j):
-        return (DA * DR, D[i][j]), (DA * DR, theta[i][j]), (-DA * DR, theta[j][i])
+    (DA, P, T), (DR, rho, D, theta), n, m = R.base.form, R.form, R.base.n, R.m
+    w = _slot_width(3 * n + 3, DR * max(DA, _largest((*P, *itertools.chain(*T)))), m,
+                    _largest((*rho, *itertools.chain(*D, *theta))))
+    pack = lambda maps: tuple(_packed_map(rows, m, w) for rows in maps)
+    rho, D, theta = pack(rho), tuple(map(pack, D)), tuple(map(pack, theta))
 
     def r21(x1, x2, y1):
         # [D(x1,x2), rho(y1)] - rho([x1,x2,y1]) + theta(y1, x1*x2) - rho(x1*x2) rho(y1)
-        return (*commutator_terms(D[x1][x2], rho[y1]),
-                *((-DR * c, rho[k]) for k, c in T[x1][x2][y1]),
-                *((DR * c, theta[y1][k]) for k, c in P[x1][x2]),
-                *((-c, rho[k], rho[y1]) for k, c in P[x1][x2]))
+        a, b = D[x1][x2], rho[y1]
+        acc = DA * (_product(a, b) - _product(b, a))
+        for k, c in T[x1][x2][y1]:
+            acc -= DR * c * rho[k][0]
+        for k, c in P[x1][x2]:
+            acc += c * (DR * theta[y1][k][0] - _product(rho[k], b))
+        return acc
 
     def r22(x1, y1, y2):
         # theta(x1, y1*y2) - rho(y1) theta(x1,y2) + rho(y2) theta(x1,y1)
         #   + (D(y1,y2) - rho(y1*y2)) rho(x1)
-        return (*((DR * c, theta[x1][k]) for k, c in P[y1][y2]),
-                *((-c, rho[k], rho[x1]) for k, c in P[y1][y2]),
-                (-DA, rho[y1], theta[x1][y2]), (DA, rho[y2], theta[x1][y1]),
-                (DA, D[y1][y2], rho[x1]))
-
-    def derivation(grid):
-        # [D(x1,x2), grid(y1,y2)] - grid([x1,x2,y1], y2) - grid(y1, [x1,x2,y2])
-        return lambda x1, x2, y1, y2: (
-            *commutator_terms(D[x1][x2], grid[y1][y2]),
-            *((-DR * c, grid[k][y2]) for k, c in T[x1][x2][y1]),
-            *((-DR * c, grid[y1][k]) for k, c in T[x1][x2][y2]))
+        acc = DA * (_product(rho[y2], theta[x1][y1]) - _product(rho[y1], theta[x1][y2])
+                    + _product(D[y1][y2], rho[x1]))
+        for k, c in P[y1][y2]:
+            acc += c * (DR * theta[x1][k][0] - _product(rho[k], rho[x1]))
+        return acc
 
     def r33(x1, y1, y2, y3):
         # theta(x1, [y1,y2,y3]) - theta(y2,y3) theta(x1,y1)
         #   + theta(y1,y3) theta(x1,y2) - D(y1,y2) theta(x1,y3)
-        return (*((DR * c, theta[x1][k]) for k, c in T[y1][y2][y3]),
-                (-DA, theta[y2][y3], theta[x1][y1]), (DA, theta[y1][y3], theta[x1][y2]),
-                (-DA, D[y1][y2], theta[x1][y3]))
+        row = theta[x1]
+        acc = DA * (_product(theta[y1][y3], row[y2]) - _product(theta[y2][y3], row[y1])
+                    - _product(D[y1][y2], row[y3]))
+        for k, c in T[y1][y2][y3]:
+            acc += DR * c * row[k][0]
+        return acc
 
     # With c, t and D antisymmetric, a residual changes sign when a grouped
     # pair is swapped: x1, x2 in R1, R21, R31 and R32, y1, y2 in R22, R31 and
     # R33.  theta has no symmetry, so R32 keeps y1, y2 free.
     grouped = _antisymmetry_failure(R) is None
     return CheckReport(tuple(
-        _scan(name, slot_tuples(n, sizes, grouped),
-              lambda *idx, terms=terms: _over(_matrix_sum(m, terms(*idx)), DA * DR * DR))
-        for name, sizes, terms in (
-            ("R1", (2,), r1), ("R21", (2, 1), r21), ("R22", (1, 2), r22),
-            ("R31", (2, 2), derivation(D)), ("R32", (2, 1, 1), derivation(theta)),
-            ("R33", (1, 2, 1), r33))))
+        _packed_scan(name, slot_tuples(n, sizes, grouped), residual, w, m, DA * DR * DR)
+        for name, sizes, residual in (
+            ("R1", (2,), lambda i, j: DA * DR * (D[i][j][0] + theta[i][j][0] - theta[j][i][0])),
+            ("R21", (2, 1), r21), ("R22", (1, 2), r22),
+            ("R31", (2, 2), _derivation(D, D, T, DA, DR)),
+            ("R32", (2, 1, 1), _derivation(D, theta, T, DA, DR)), ("R33", (1, 2, 1), r33))))
 
 
 def _module_of(base: BolAlgebra, m: int, form: tuple, at: int) -> Representation:
@@ -340,25 +377,27 @@ def check_delta_identity(R: Representation) -> CheckReport:
                                    + Delta(y1, [x1,x2,y2])
                                    - Delta(y1*y2, x1*x2).
     """
-    B = R.base
-    m = R.m
-    DA, P, T = B.form
+    (DA, P, T), n, m = R.base.form, R.base.n, R.m
     DD, delta = DA * R.form[0], _delta_rows(R)  # Delta times DD, as ints
+    # times (D_A * DD)**2: 2 + 2n + n**2 terms, |s| <= D_A**2, D_A DD |c| or DD |c|**2,
+    # each at most max(D_A, DD |c|)**2 over the c of P and T
+    w = _slot_width(2 + 2 * n + n * n, max(DA, DD * _largest((*P, *itertools.chain(*T)))) ** 2,
+                    m, _largest(itertools.chain(*delta)))
+    delta = tuple(tuple(_packed_map(rows, m, w) for rows in row) for row in delta)
+    derivation = _derivation(delta, delta, T, DA * DA, DA * DD)
 
-    # a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
-    def residual(x1, x2, y1, y2):
-        return _over(_matrix_sum(m, (
-            (DA * DA, delta[x1][x2], delta[y1][y2]), (-DA * DA, delta[y1][y2], delta[x1][x2]),
-            *((-DA * DD * c, delta[k][y2]) for k, c in T[x1][x2][y1]),
-            *((-DA * DD * c, delta[y1][k]) for k, c in T[x1][x2][y2]),
-            *((DD * c * d, delta[a][b]) for a, c in P[y1][y2] for b, d in P[x1][x2]))),
-            (DA * DD) ** 2)
+    def residual(x1, x2, y1, y2):  # the derivation terms, then Delta(y1*y2, x1*x2)
+        acc = derivation(x1, x2, y1, y2)
+        for i, c in P[y1][y2]:
+            for j, d in P[x1][x2]:
+                acc += DD * c * d * delta[i][j][0]
+        return acc
 
     # With c, t and D antisymmetric so is Delta, and the residual changes sign
     # when x1, x2 or y1, y2 are swapped.
-    check = _scan("delta-identity", slot_tuples(B.n, (2, 2), _antisymmetry_failure(R) is None),
-                  residual)
-    return CheckReport((check,))
+    return CheckReport((_packed_scan(
+        "delta-identity", slot_tuples(n, (2, 2), _antisymmetry_failure(R) is None),
+        residual, w, m, (DA * DD) ** 2),))
 
 
 @record

@@ -49,6 +49,7 @@ from bolalg.representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
+    _delta_rows,
     adjoint_representation,
     induce_from_maltsev,
     verify_representation,
@@ -598,6 +599,79 @@ def fraction_check_delta_identity(R: Representation) -> CheckReport:
     return CheckReport((_scan("delta-identity",
                               slot_tuples(B.n, (2, 2), _antisymmetry_failure(R) is None),
                               residual),))
+
+
+def _matrix_sum(m: int, terms) -> list:
+    """The former representation._matrix_sum: the row-major ints of the sum of s * A or
+    s * A @ B over the terms (s, A) and (s, A, B); A and B are m x m by their rows of
+    integer nonzeros, s an int."""
+    acc = [0] * (m * m)
+    for s, a, *b in terms:
+        for r, row in enumerate(a):
+            base = r * m
+            for l, x in row:
+                if b:
+                    sx = s * x
+                    for c, y in b[0][l]:
+                        acc[base + c] += sx * y
+                else:
+                    acc[base + l] += s * x
+    return acc
+
+
+def matrix_sum_residuals(R: Representation) -> dict:
+    """The former term-list statements of R1-R33 and the Delta identity, by condition name:
+    (residual, denominator), residual(*idx) the row-major ints _matrix_sum adds up from
+    the kept integer forms, LHS - RHS times denominator."""
+    B = R.base
+    m = R.m
+    DA, P, T = B.form
+    DR, rho, D, theta = R.form
+    # a term of degree a in D_A and r in D_R is scaled by D_A**(1-a) * D_R**(2-r)
+
+    def commutator_terms(a, b):  # [A, B], of degree 2 in D_R
+        return (DA, a, b), (-DA, b, a)
+
+    def r1(i, j):
+        return (DA * DR, D[i][j]), (DA * DR, theta[i][j]), (-DA * DR, theta[j][i])
+
+    def r21(x1, x2, y1):
+        return (*commutator_terms(D[x1][x2], rho[y1]),
+                *((-DR * c, rho[k]) for k, c in T[x1][x2][y1]),
+                *((DR * c, theta[y1][k]) for k, c in P[x1][x2]),
+                *((-c, rho[k], rho[y1]) for k, c in P[x1][x2]))
+
+    def r22(x1, y1, y2):
+        return (*((DR * c, theta[x1][k]) for k, c in P[y1][y2]),
+                *((-c, rho[k], rho[x1]) for k, c in P[y1][y2]),
+                (-DA, rho[y1], theta[x1][y2]), (DA, rho[y2], theta[x1][y1]),
+                (DA, D[y1][y2], rho[x1]))
+
+    def derivation(grid):
+        return lambda x1, x2, y1, y2: (
+            *commutator_terms(D[x1][x2], grid[y1][y2]),
+            *((-DR * c, grid[k][y2]) for k, c in T[x1][x2][y1]),
+            *((-DR * c, grid[y1][k]) for k, c in T[x1][x2][y2]))
+
+    def r33(x1, y1, y2, y3):
+        return (*((DR * c, theta[x1][k]) for k, c in T[y1][y2][y3]),
+                (-DA, theta[y2][y3], theta[x1][y1]), (DA, theta[y1][y3], theta[x1][y2]),
+                (-DA, D[y1][y2], theta[x1][y3]))
+
+    # Delta times DD; a term of degree a in D_A and d in DD is scaled by D_A**(2-a) * DD**(2-d)
+    DD, delta = DA * DR, _delta_rows(R)
+
+    def delta_identity(x1, x2, y1, y2):
+        return ((DA * DA, delta[x1][x2], delta[y1][y2]), (-DA * DA, delta[y1][y2], delta[x1][x2]),
+                *((-DA * DD * c, delta[k][y2]) for k, c in T[x1][x2][y1]),
+                *((-DA * DD * c, delta[y1][k]) for k, c in T[x1][x2][y2]),
+                *((DD * c * d, delta[a][b]) for a, c in P[y1][y2] for b, d in P[x1][x2]))
+
+    summed = lambda terms: lambda *idx: _matrix_sum(m, terms(*idx))
+    return {name: (summed(terms), denominator) for name, terms, denominator in (
+        ("R1", r1, DA * DR * DR), ("R21", r21, DA * DR * DR), ("R22", r22, DA * DR * DR),
+        ("R31", derivation(D), DA * DR * DR), ("R32", derivation(theta), DA * DR * DR),
+        ("R33", r33, DA * DR * DR), ("delta-identity", delta_identity, (DA * DD) ** 2))}
 
 
 def dense_b2p_residual(d, x1, x2, y1, y2) -> tuple:

@@ -19,8 +19,10 @@ common denominator off integer terms (``_integer_terms``).  Only
 ``algebra._bol_scans``, the one assembly of the Bol axioms, calls the B2 and
 B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
-multiplies matrices with ``@`` or calls a ``commutator``: matrix
-identities add up integer rows (``representation._matrix_sum``).  No scan
+multiplies matrices with ``@`` or calls a ``commutator``: each matrix
+identity is one packed residual, an int of signed slots added up from the
+integer rows (``representation._packed_map``), read as ints only at a
+failure.  No scan
 module (those and ``extension``) reads a representation's matrices
 ``.rho``, ``.D`` or ``.theta`` outside the ``Representation`` class, which
 builds them from its integer form for the renderers: every scan reads the
