@@ -58,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -152,19 +153,23 @@ def slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
     concatenated.  With ``grouped`` false every group is split into free
     slots, which gives the full product range(n) ** sum(sizes).
     """
-    if not grouped:
-        sizes = (1,) * sum(sizes)
-    groups = (itertools.combinations(range(n), k) for k in sizes)
-    return (sum(tup, ()) for tup in itertools.product(*groups))
+    if not grouped or all(k == 1 for k in sizes):
+        return itertools.product(range(n), repeat=sum(sizes))
+    tuples, *rest = (itertools.combinations(range(n), k) for k in sizes)
+    for group in rest:  # joined pairwise at C speed: product() holds its inputs anyway
+        tuples = itertools.starmap(operator.add, itertools.product(tuples, group))
+    return tuples
 
 
-def entry_args(n: int, arity: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=128)
+def entry_args(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """Argument tuples with i<j in the first two slots, lexicographic order.
 
     These index the independent entries of a tensor antisymmetric in its
     first two arguments: the sparse file entries and cochain coordinates.
+    Kept per (n, arity) while cached; a tuple, so no caller can change it.
     """
-    return list(slot_tuples(n, (2,) + (1,) * (arity - 2)))
+    return tuple(slot_tuples(n, (2,) + (1,) * (arity - 2)))
 
 
 def _dense(n: int, value_dim: int, arity: int, entries) -> tuple:
@@ -530,10 +535,13 @@ def _over(acc: list, denominator: int) -> Vec:
 
 def _scan(name: str, tuples, residual_fn) -> ConditionCheck:
     """First-failure scan over index tuples in the given (lexicographic) order."""
+    zero = None  # the shared zero Vec of the last residual's length
     for idx in tuples:
         r = residual_fn(*idx)
-        if r is not zero_vec(len(r)) and not is_zero_vec(r):
-            return ConditionCheck(name, False, tuple(idx), r)
+        if r is not zero:
+            zero = zero_vec(len(r))
+            if r is not zero and not is_zero_vec(r):
+                return ConditionCheck(name, False, tuple(idx), r)
     return ConditionCheck(name, True)
 
 

@@ -9,8 +9,10 @@ exception, such as a failed bookkeeping check; the traceback goes to
 stderr).
 
 The subcommands are declared once, in ``_COMMANDS``.  Each handler returns
-``(status, fields, lines)``; ``main`` wraps the fields in the report
-envelope ``{"command", "status", ...}`` and ``_emit`` prints every report.
+``(status, fields, text)``, ``text`` a thunk that builds the report's text
+lines; ``main`` calls it only for a text report, wraps the fields in the
+report envelope ``{"command", "status", ...}`` and ``_emit`` prints every
+report.
 """
 
 from __future__ import annotations
@@ -199,35 +201,36 @@ def _load_deformation(args, B: BolAlgebra, attr: str = "cochain") -> Deformation
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (status, report fields, text lines)
+# subcommand handlers; each returns (status, report fields, text), text() the
+# report's text lines, built only when a text report is printed
 
 
-def _verdict(passed: bool, fields: dict, lines: list[str]):
-    """(status, fields, lines) of a command that decides a property; the
+def _verdict(passed: bool, fields: dict, text: Callable[[], list[str]]):
+    """(status, fields, text) of a command that decides a property; the
     last text line states the result."""
     status = "pass" if passed else "fail"
-    return status, fields, lines + [f"result: {status.upper()}"]
+    return status, fields, lambda: text() + [f"result: {status.upper()}"]
 
 
 def _check_result(report: CheckReport, fields: dict, header: list[str]):
     """The verdict of a command that reports one CheckReport: ``fields`` go
     before the checks, the ``header`` lines before the check lines."""
     return _verdict(report.passed, {**fields, "checks": _checks_json(report)},
-                    header + _check_lines(report))
+                    lambda: header + _check_lines(report))
 
 
-def _write_output(args, value: dict, fields: dict, lines: list[str]):
-    """The (status, fields, lines) of a construction that succeeded; with -o
+def _write_output(args, value: dict, fields: dict, text: Callable[[], list[str]]):
+    """The (status, fields, text) of a construction that succeeded; with -o
     it first writes ``value``, an object the report embeds, to the file."""
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(_dumps(value))
-        except OSError as exc:
-            raise ParseError(args.output, f"cannot write file: {exc.strerror}") from None
-        fields["output"] = args.output
-        lines.append(f"written: {args.output}")
-    return "pass", fields, lines
+    if not args.output:
+        return "pass", fields, text
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(_dumps(value))
+    except OSError as exc:
+        raise ParseError(args.output, f"cannot write file: {exc.strerror}") from None
+    fields["output"] = args.output
+    return "pass", fields, lambda: text() + [f"written: {args.output}"]
 
 
 def _cmd_verify(args):
@@ -242,9 +245,9 @@ def _cmd_maltsev_to_bol(args):
     M = _load_algebra(args.algebra, "maltsev")
     B = maltsev_to_bol(M)
     fields = {"dimension": B.n, "algebra": algebra_to_obj(B)}
-    lines = [f"maltsev algebra: {args.algebra} (dimension {M.n})",
-             "associated bol algebra constructed; axioms verified"]
-    return _write_output(args, fields["algebra"], fields, lines)
+    return _write_output(args, fields["algebra"], fields, lambda: [
+        f"maltsev algebra: {args.algebra} (dimension {M.n})",
+        "associated bol algebra constructed; axioms verified"])
 
 
 def _cmd_adjoint(args):
@@ -252,9 +255,9 @@ def _cmd_adjoint(args):
     R = adjoint_representation(B)
     fields = {"dimension": B.n, "module_dimension": R.m,
               "representation": representation_to_obj(R)}
-    lines = [f"algebra: {args.algebra} (bol, dimension {B.n})",
-             f"adjoint representation on module of dimension {R.m}"]
-    return _write_output(args, fields["representation"], fields, lines)
+    return _write_output(args, fields["representation"], fields, lambda: [
+        f"algebra: {args.algebra} (bol, dimension {B.n})",
+        f"adjoint representation on module of dimension {R.m}"])
 
 
 def _cmd_induce_rep(args):
@@ -264,12 +267,11 @@ def _cmd_induce_rep(args):
     R = induce_from_maltsev(M, rho) if M.n else Representation.zero(maltsev_to_bol(M), m)
     fields = {"dimension": M.n, "module_dimension": m,
               "representation": representation_to_obj(R)}
-    lines = [
+    return _write_output(args, fields["representation"], fields, lambda: [
         f"maltsev algebra: {args.algebra} (dimension {M.n})",
         f"action file: {args.action} (module dimension {m})",
         "induced representation of the associated bol algebra constructed",
-    ]
-    return _write_output(args, fields["representation"], fields, lines)
+    ])
 
 
 def _cmd_verify_rep(args):
@@ -300,11 +302,11 @@ def _cmd_pseudoderivations(args):
             {"f": _render_matrix(p.f), "chi": _vec_json(p.chi)} for p in basis
         ],
     }
-    lines = [f"algebra: {args.algebra} (bol, dimension {B.n})",
-             f"pseudoderivation space dimension: {len(basis)}"]
-    for idx, p in enumerate(basis):
-        lines.append(f"basis[{idx}]: f = {_mat_text(p.f)}, chi = {_vec_text(p.chi)}")
-    return "pass", fields, lines
+    return "pass", fields, lambda: [
+        f"algebra: {args.algebra} (bol, dimension {B.n})",
+        f"pseudoderivation space dimension: {len(basis)}",
+        *(f"basis[{idx}]: f = {_mat_text(p.f)}, chi = {_vec_text(p.chi)}"
+          for idx, p in enumerate(basis))]
 
 
 def _cmd_cohomology(args):
@@ -321,18 +323,21 @@ def _cmd_cohomology(args):
         "b_basis": [cochain_to_obj(c) for c in rep.b_basis],
         "h_representatives": [cochain_to_obj(c) for c in rep.h_representatives],
     }
-    lines = [
-        f"algebra: {args.algebra} (bol, dimension {B.n})",
-        f"module dimension: {rep.m}",
-        f"dim_C = {rep.dim_C}",
-        f"dim_Z = {rep.dim_Z}",
-        f"dim_B = {rep.dim_B}",
-        f"dim_H = {rep.dim_H}",
-    ]
-    for idx, c in enumerate(rep.h_representatives):
-        lines.append(f"h_representative[{idx}]:")
-        lines += _cochain_lines(c)
-    return "pass", fields, lines
+
+    def text():
+        lines = [
+            f"algebra: {args.algebra} (bol, dimension {B.n})",
+            f"module dimension: {rep.m}",
+            f"dim_C = {rep.dim_C}",
+            f"dim_Z = {rep.dim_Z}",
+            f"dim_B = {rep.dim_B}",
+            f"dim_H = {rep.dim_H}",
+        ]
+        for idx, c in enumerate(rep.h_representatives):
+            lines.append(f"h_representative[{idx}]:")
+            lines += _cochain_lines(c)
+        return lines
+    return "pass", fields, text
 
 
 def _cmd_is_cocycle(args):
@@ -354,14 +359,10 @@ def _cmd_is_coboundary(args):
         "witness": None if wit is None else
         {"f": _render_matrix(wit.f), "chi": _vec_json(wit.chi)},
     }
-    lines = [f"cochain: {args.cochain}"]
-    if found:
-        lines.append("coboundary: yes")
-        lines.append(f"witness f = {_mat_text(wit.f)}")
-        lines.append(f"witness chi = {_vec_text(wit.chi)}")
-    else:
-        lines.append("coboundary: no (system inconsistent)")
-    return _verdict(found, fields, lines)
+    return _verdict(found, fields, lambda: [f"cochain: {args.cochain}", *(
+        ["coboundary: yes", f"witness f = {_mat_text(wit.f)}",
+         f"witness chi = {_vec_text(wit.chi)}"] if found else
+        ["coboundary: no (system inconsistent)"])])
 
 
 def _cmd_deform_check(args):
@@ -377,15 +378,18 @@ def _cmd_deform_check(args):
         ],
         "routes_agree": rep.routes_agree,
     }
-    lines = [f"cochain: {args.cochain}", "deformation-type conditions:"]
-    lines += ["  " + s for s in _check_lines(rep.deformation_type)]
-    lines.append("cocycle conditions (adjoint coefficients):")
-    lines += ["  " + s for s in _check_lines(rep.cocycle)]
-    lines.append("t-sampling cross-check (t in {1, 2, 3, 5}):")
-    for t, r in rep.sampling:
-        lines.append(f"  t={render_scalar(t)}: {'pass' if r.passed else 'FAIL'}")
-    lines.append(f"routes agree: {'yes' if rep.routes_agree else 'NO'}")
-    return _verdict(rep.passed, fields, lines)
+
+    def text():
+        lines = [f"cochain: {args.cochain}", "deformation-type conditions:"]
+        lines += ["  " + s for s in _check_lines(rep.deformation_type)]
+        lines.append("cocycle conditions (adjoint coefficients):")
+        lines += ["  " + s for s in _check_lines(rep.cocycle)]
+        lines.append("t-sampling cross-check (t in {1, 2, 3, 5}):")
+        for t, r in rep.sampling:
+            lines.append(f"  t={render_scalar(t)}: {'pass' if r.passed else 'FAIL'}")
+        lines.append(f"routes agree: {'yes' if rep.routes_agree else 'NO'}")
+        return lines
+    return _verdict(rep.passed, fields, text)
 
 
 def _cmd_deform_formal(args):
@@ -406,14 +410,11 @@ def _cmd_deform_equiv(args):
         "phi": None if res.phi is None else _render_matrix(res.phi),
         "routes_agree": res.routes_agree,
     }
-    lines = [f"data: {args.cochain1} vs {args.cochain2}"]
-    if res.equivalent:
-        lines.append("equivalent at first order: yes")
-        lines.append(f"phi = {_mat_text(res.phi)}")
-    else:
-        lines.append("equivalent at first order: no (linear system inconsistent)")
-    lines.append(f"routes agree: {'yes' if res.routes_agree else 'NO'}")
-    return _verdict(res.equivalent, fields, lines)
+    return _verdict(res.equivalent, fields, lambda: [
+        f"data: {args.cochain1} vs {args.cochain2}",
+        *(["equivalent at first order: yes", f"phi = {_mat_text(res.phi)}"]
+          if res.equivalent else ["equivalent at first order: no (linear system inconsistent)"]),
+        f"routes agree: {'yes' if res.routes_agree else 'NO'}"])
 
 
 def _cmd_extend_build(args):
@@ -422,32 +423,33 @@ def _cmd_extend_build(args):
     E = twisted_product(R, c)
     fields = {"dimension": B.n, "module_dimension": R.m,
               "extension": extension_to_obj(E)}
-    lines = [
+    return _write_output(args, fields["extension"], fields, lambda: [
         f"algebra: {args.algebra} (bol, dimension {B.n})",
         f"cocycle: {args.cochain}",
         f"twisted product built: dimension {E.hat.n}, axioms verified",
-    ]
-    return _write_output(args, fields["extension"], fields, lines)
+    ])
 
 
 def _cmd_extend_analyze(args):
     E = parse_extension(_read(args.bundle))
-    status, fields, lines = _check_result(
+    status, fields, checked = _check_result(
         validate_extension(E), {"dimension": E.base.n, "module_dimension": E.m},
         [f"bundle: {args.bundle}"])
     if status == "fail":
-        return status, fields, lines
+        return status, fields, checked
     R = induced_representation(E)
     c = induced_cocycle(E)
     analysis = {"representation": representation_to_obj(R), "cochain": cochain_to_obj(c)}
     fields.update(analysis)
-    result = lines.pop()
-    lines.append("induced representation:")
-    lines += [f"  rho(e{i}) = {_mat_text(R.rho[i])}" for i in range(E.base.n)]
-    lines.append("induced cocycle:")
-    lines += _cochain_lines(c)
-    lines.append(result)
-    return _write_output(args, analysis, fields, lines)
+
+    def text():
+        *lines, result = checked()
+        lines.append("induced representation:")
+        lines += [f"  rho(e{i}) = {_mat_text(R.rho[i])}" for i in range(E.base.n)]
+        lines.append("induced cocycle:")
+        lines += _cochain_lines(c)
+        return lines + [result]
+    return _write_output(args, analysis, fields, text)
 
 
 def _cmd_extend_equiv(args):
@@ -461,12 +463,11 @@ def _cmd_extend_equiv(args):
         "cohomologous": res.cohomologous,
         "phi": None if res.phi is None else _render_matrix(res.phi),
     }
-    lines = [f"bundles: {args.bundle1} vs {args.bundle2}",
-             f"status: {res.status}",
-             f"cohomologous: {'yes' if res.cohomologous else 'no'}"]
-    if res.phi is not None:
-        lines.append(f"phi = {_mat_text(res.phi)}")
-    return _verdict(res.equivalent, fields, lines)
+    return _verdict(res.equivalent, fields, lambda: [
+        f"bundles: {args.bundle1} vs {args.bundle2}",
+        f"status: {res.status}",
+        f"cohomologous: {'yes' if res.cohomologous else 'no'}",
+        *([] if res.phi is None else [f"phi = {_mat_text(res.phi)}"])])
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status, fields, lines = _COMMANDS[args.command].handler(args)
+        status, fields, text = _COMMANDS[args.command].handler(args)
+        lines = [] if args.json else text()  # in the try: a text too long to print is exit 3
     except (VerificationError, InvalidExtensionError) as exc:
         status, fields, lines = "fail", {"message": str(exc)}, [f"FAIL: {exc}"]
         if exc.report is not None:
             fields["checks"] = _checks_json(exc.report)
-            lines += _check_lines(exc.report)
+            if not args.json:
+                lines += _check_lines(exc.report)
     except (ParseError, ValueError) as exc:
         status, fields, lines = "error", {"message": str(exc)}, [f"error: {exc}"]
     except Exception as exc:  # a library bug must not read as "property fails"

@@ -13,16 +13,25 @@ every in-memory object, and render(parse(text)) is the canonical form of
 the file.  A parser reads each scalar as the two ints it spells
 (``_rational``) and checks each entry or matrix row once, as it reads it: an
 algebra or a representation gets its stored integer form, no Fraction built.
+The algebra and representation renderers read it too: c / D reduced by one gcd
+(``_ratio_text``).
+
+Every file and report is written by one writer, ``_dumps``: its text is byte
+for byte that of ``json.dumps(obj, indent=2) + "\n"``, strings escaped by
+json's own encoder, for the str-keyed dicts, lists, strs, ints, bools and
+Nones a report holds; any other type raises TypeError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
-from .algebra import BolAlgebra, MaltsevAlgebra, _form_entries, _of_entries
+from .algebra import BolAlgebra, MaltsevAlgebra, _form_entries, _of_entries, entry_args
 from .cohomology import CochainPair, _entry_coords
 from .extension import AbelianExtension
 from .linalg import _ZERO, Mat
@@ -80,12 +89,23 @@ def parse_scalar(text, path: str = "value") -> Fraction:
     return Fraction(*_rational(text, path))
 
 
+def _overflow() -> RenderOverflowError:
+    """The error for a scalar str() refuses: over sys.get_int_max_str_digits() digits."""
+    return RenderOverflowError(f"the result has a numerator or denominator over "
+                               f"{sys.get_int_max_str_digits():,} digits")
+
+
 def render_scalar(x: Fraction) -> str:
     try:
         return str(x)
-    except ValueError:  # str() refuses integers over sys.get_int_max_str_digits()
-        raise RenderOverflowError(f"the result has a numerator or denominator over "
-                                  f"{sys.get_int_max_str_digits():,} digits") from None
+    except ValueError:
+        raise _overflow() from None
+
+
+def _ratio_text(c: int, D: int) -> str:
+    """The text render_scalar gives Fraction(c, D), D > 0, read off the two ints."""
+    g = math.gcd(c, D)
+    return str(c // g) if g == D else f"{c // g}/{D // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +244,12 @@ def _parse_entries(obj: dict, key: str, arity: int, dim: int, value_dim: int,
 def _render_entries(entries) -> list:
     """Sparse entries from (args, terms) pairs in canonical (i<j) order, terms the
     nonzeros (value index, c, D) of value c / D, ints with D > 0, index ascending."""
-    return [{"args": list(args), "value": {str(k): render_scalar(Fraction(c, D))
-                                           for k, c, D in terms}} for args, terms in entries]
+    try:
+        return [{"args": list(args), "value": {str(k): _ratio_text(c, D)
+                                               for k, c, D in terms}}
+                for args, terms in entries]
+    except ValueError:
+        raise _overflow() from None
 
 
 def _matrix_rows(obj, rows: int, cols: int, path: str) -> list:
@@ -249,12 +273,85 @@ def _parse_matrix(obj, rows: int, cols: int, path: str) -> Mat:
                                     for row in _matrix_rows(obj, rows, cols, path)))
 
 
+def _render_rows(cols: int, rows, text) -> list:
+    """The rows of a matrix as lists of cols scalar texts, "0" off the nonzeros
+    ((k, x), ...) of each row, text(x) at them."""
+    out = []
+    for row in rows:
+        line = ["0"] * cols
+        for k, x in row:
+            line[k] = text(x)
+        out.append(line)
+    return out
+
+
 def _render_matrix(m: Mat) -> list:
-    return [[render_scalar(x) for x in m.row(r)] for r in range(m.rows)]
+    return _render_rows(m.cols, m.nonzero_rows, render_scalar)
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+# ---------------------------------------------------------------------------
+# the report writer
+
+_escape = json.encoder.encode_basestring_ascii  # json's own string encoder (C)
+_SCALARS = {str: _escape, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _write(obj, newline: str, put) -> None:
+    """put() the pieces of the text json.dumps(obj, indent=2) gives obj at the indent
+    newline ends in.  Pieces are put one by one and joined once by _dumps: that
+    allocates less than building a text per container, as most are small."""
+    inner = newline + "  "
+    sep = "," + inner
+    if type(obj) is list:
+        if not obj:
+            put("[]")
+            return
+        put("[")
+        lead = inner
+        for v in obj:
+            put(lead)
+            lead = sep
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                put(scalar(v))
+            else:
+                _write(v, inner, put)
+        put(newline)
+        put("]")
+    elif type(obj) is dict:
+        if not obj:
+            put("{}")
+            return
+        put("{")
+        lead = inner
+        for k, v in obj.items():
+            put(lead)
+            lead = sep
+            put(_escape(k))  # refuses a key that is not a str with TypeError
+            put(": ")
+            scalar = _SCALARS.get(type(v))
+            if scalar:
+                put(scalar(v))
+            else:
+                _write(v, inner, put)
+        put(newline)
+        put("}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """The one report and file writer: exactly json.dumps(obj, indent=2) + "\n" for
+    the str-keyed dicts, lists, strs, ints, bools and Nones of a report; any other
+    type raises TypeError, and an int str() refuses its ValueError, as in json."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar:
+        return scalar(obj) + "\n"
+    pieces = []
+    _write(obj, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +408,18 @@ def render_algebra(A: BolAlgebra | MaltsevAlgebra) -> str:
 
 
 def representation_to_obj(R: Representation) -> dict:
-    n = R.base.n
-    return {
-        "module_dimension": R.m,
-        "rho": [_render_matrix(R.rho[i]) for i in range(n)],
-        "D": [[_render_matrix(R.D[i][j]) for j in range(n)] for i in range(n)],
-        "theta": [[_render_matrix(R.theta[i][j]) for j in range(n)]
-                  for i in range(n)],
-    }
+    """The file object of R, rendered from its integer form: each entry c / D_R."""
+    m, (DR, rho, D, theta) = R.m, R.form
+    text = lambda c: _ratio_text(c, DR)
+    try:
+        return {
+            "module_dimension": m,
+            "rho": [_render_rows(m, rows, text) for rows in rho],
+            "D": [[_render_rows(m, rows, text) for rows in row] for row in D],
+            "theta": [[_render_rows(m, rows, text) for rows in row] for row in theta],
+        }
+    except ValueError:
+        raise _overflow() from None
 
 
 def _parse_mat_list(obj: dict, key: str, n: int, m: int, read=_matrix_rows) -> list:
@@ -380,11 +481,23 @@ def render_representation(R: Representation) -> str:
 
 
 def cochain_to_obj(c: CochainPair) -> dict:
-    """The file object of c: its i<j entries, rendered from the stored Fractions."""
-    entries = lambda arity: [
-        {"args": list(args), "value": {str(a): render_scalar(x) for a, x in enumerate(values) if x}}
-        for args, values in c.entries(arity) if any(values)]
-    return {"module_dimension": c.m, "nu": entries(2), "omega": entries(3)}
+    """The file object of c: its i<j entries, rendered from the stored Fractions in
+    one walk over the nonzero coordinates (entry_args(n, 2) then (n, 3), m each)."""
+    m, coords = c.m, c.coords()
+    args_at = entry_args(c.n, 2) + entry_args(c.n, 3)
+    obj = {"module_dimension": m, "nu": [], "omega": []}
+    last = None
+    try:
+        for p in itertools.compress(range(len(coords)), coords):
+            k, a = divmod(p, m)
+            if k != last:
+                value, last = {}, k
+                obj["nu" if len(args_at[k]) == 2 else "omega"].append(
+                    {"args": list(args_at[k]), "value": value})
+            value[str(a)] = str(coords[p])
+    except ValueError:  # as render_scalar
+        raise _overflow() from None
+    return obj
 
 
 def obj_to_cochain(obj: dict, base: BolAlgebra) -> CochainPair:

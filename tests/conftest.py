@@ -1250,6 +1250,14 @@ def coefficient_deformed_algebra(d, t) -> BolAlgebra:
                     d.base.basis_names)
 
 
+def sum_slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
+    """The former algebra.slot_tuples: every tuple joined by sum() over its groups."""
+    if not grouped:
+        sizes = (1,) * sum(sizes)
+    groups = (itertools.combinations(range(n), k) for k in sizes)
+    return (sum(tup, ()) for tup in itertools.product(*groups))
+
+
 # ---------------------------------------------------------------------------
 # random corpus helpers
 

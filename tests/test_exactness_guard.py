@@ -44,6 +44,10 @@ at construction, which reads its tensors into the integer form, with the
 from its own constructor (``linalg._require_held``), after every shape
 check.
 
+No module calls ``json.dumps`` or ``json.dump``: every report and file is
+written by the one writer, ``formats._dumps``, whose text is that of
+``json.dumps(obj, indent=2)`` (``tests/test_report_writer.py``).
+
 A fresh ``python -I -S`` that imports ``bolalg.cli`` and builds its parser
 loads none of ``dataclasses``, ``inspect``, ``ast``, ``dis``, ``tokenize``,
 ``typing`` and ``traceback``: each would add to the start of every command,
@@ -192,6 +196,38 @@ def test_the_command_line_starts_without_the_heavy_modules():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _json_writers(tree: ast.AST) -> list[str]:
+    """Each use of json's own writers, json.dumps and json.dump, by attribute or import."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump")
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            found.append(f"line {node.lineno}: json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: from json import {a.name}" for a in node.names
+                      if a.name in ("dumps", "dump")]
+    return found
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_report_goes_through_the_one_writer(source):
+    assert _json_writers(ast.parse(source.read_text(), str(source))) == []
+
+
+@pytest.mark.parametrize("code, found", [
+    ("text = json.dumps(obj, indent=2)", ["json.dumps"]),
+    ("json.dump(obj, handle)", ["json.dump"]),
+    ("write = json.dumps", ["json.dumps"]),
+    ("from json import dumps", ["from json import dumps"]),
+    ("from json import loads, dump as d", ["from json import dump"]),
+    ("obj = json.loads(text)", []),
+    ("escape = json.encoder.encode_basestring_ascii", []),
+    ("text = _dumps(obj)", []),
+])
+def test_the_writer_guard_catches(code, found):
+    assert _json_writers(ast.parse(code)) == [f"line 1: {name}" for name in found]
 
 
 _EVALUATORS = {"bilinear_eval", "trilinear_eval"}

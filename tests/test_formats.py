@@ -8,13 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, MaltsevAlgebra, bilinear_eval, trilinear_eval
+from bolalg.algebra import (
+    BolAlgebra, MaltsevAlgebra, bilinear_eval, maltsev_to_bol, trilinear_eval,
+)
 from bolalg.cohomology import CochainPair, cohomology
 from bolalg.extension import semidirect_product, twisted_product
 from bolalg.formats import (
     MAX_DIMENSION,
     ParseError,
     RenderOverflowError,
+    _ratio_text,
     parse_algebra,
     parse_action,
     parse_cochain,
@@ -108,6 +111,27 @@ class TestScalars:
             render_scalar(value)
         assert not isinstance(info.value, ValueError)
         assert render_scalar(F(10 ** 4299 - 1)) == "9" * 4299
+
+    def test_a_ratio_of_two_ints_is_rendered_as_its_fraction(self):
+        import random
+
+        rng = random.Random(11)
+        for _ in range(500):
+            D = rng.choice([1, 2, 6, 12, 35, 10 ** 20, rng.randint(1, 10 ** 6)])
+            c = rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 30))
+            assert _ratio_text(c, D) == render_scalar(F(c, D))
+
+    @pytest.mark.parametrize("render", [render_algebra, lambda B: render_representation(
+        adjoint_representation(B)), lambda B: render_cochain(CochainPair.from_entries(
+            B, 1, [((0, 1), {0: F(1, 10 ** 4300)})], []))],
+        ids=["algebra", "representation", "cochain"])
+    def test_every_renderer_refuses_a_result_over_the_digit_limit(self, render):
+        # a product entry of 3,001 digits, so bracket entries of about 6,000
+        M = parse_algebra('{"kind": "maltsev", "dimension": 2, "binary": [{"args": [0, 1], '
+                          '"value": {"1": "1' + "0" * 3000 + '"}}]}')
+        with pytest.raises(RenderOverflowError, match="over 4,300 digits") as info:
+            render(maltsev_to_bol(M))
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_round_trip_is_identity(self):
         import random

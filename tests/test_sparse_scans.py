@@ -37,6 +37,7 @@ from bolalg.algebra import (
     MaltsevAlgebra,
     _coeffs,
     _scan,
+    entry_args,
     maltsev_to_bol,
     slot_tuples,
     verify_bol,
@@ -83,6 +84,7 @@ from .conftest import (
     random_fraction,
     random_representation_corpus,
     rho_of,
+    sum_slot_tuples,
     tabulate,
     unit_vec,
     zeros,
@@ -593,6 +595,25 @@ def test_slot_tuples_are_the_product_with_each_group_increasing(n, sizes):
         return all(t[a] < t[a + 1] for s, k in zip(starts, sizes) for a in range(s, s + k - 1))
     assert list(slot_tuples(n, sizes, grouped=False)) == full
     assert list(slot_tuples(n, sizes)) == [t for t in full if increasing(t)]
+
+
+# the sizes every scan and entry_args hand to slot_tuples
+_LIBRARY_SIZES = [(2,), (3,), (2, 1), (1, 2), (2, 2), (2, 1, 1), (1, 2, 1), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("sizes", _LIBRARY_SIZES + [(), (1,), (1, 1, 1)], ids=str)
+@pytest.mark.parametrize("n", range(8))
+def test_slot_tuples_are_the_sum_joined_reference(n, sizes):
+    for grouped in (True, False):
+        assert list(slot_tuples(n, sizes, grouped)) == list(sum_slot_tuples(n, sizes, grouped))
+    if sizes in ((2,), (2, 1)):
+        assert entry_args(n, len(sizes) + 1) == tuple(sum_slot_tuples(n, sizes))
+
+
+def test_entry_args_are_kept_as_one_tuple_per_n_and_arity():
+    args = entry_args(5, 3)
+    assert entry_args(5, 3) is args and isinstance(args, tuple)
+    assert entry_args(5, 2) + args == tuple(sum_slot_tuples(5, (2,))) + args
 
 
 def _planted_product(B, i, j, out, paired=True):
