@@ -26,10 +26,9 @@ product.  Conversely every extension induces, through its section,
 The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
-hat(B) is written from the integer entries of B's form at every args (B need
-not be antisymmetric), of the cocycle and of the module maps, placed by the
-formulas above (``algebra._entry_forms``), and both induced objects are read off its form in
-the frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
+hat(B) is written by the one split-algebra writer ``representation._split_form``,
+by the formulas above, and both induced objects are read off its form in the
+frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
 ints: the integer forms of hat(B) and B on the integer columns of i, p, sigma,
 the frame, the splitting and phi, over one common denominator per residual or
 value (``algebra._over``).
@@ -46,8 +45,6 @@ reported as cohomologous but without a certified equivalence map.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from fractions import Fraction
 
 from .algebra import (
     BolAlgebra,
@@ -55,8 +52,6 @@ from .algebra import (
     ConditionCheck,
     _add_form,
     _add_terms,
-    _entry_forms,
-    _form_entries,
     _integer_cols,
     _of_form,
     _once_per_object,
@@ -67,9 +62,9 @@ from .algebra import (
     slot_tuples,
     verify_bol,
 )
-from .cohomology import CochainPair, is_cocycle, solve_coboundary
+from .cohomology import CochainPair, _entry_coords, is_cocycle, solve_coboundary
 from .linalg import _ONE, _ZERO, Mat, image_rank, inverse, record, replace
-from .representation import Representation, _cochain_entries, _module_of, verify_representation
+from .representation import Representation, _module_of, _split_form, verify_representation
 
 
 class InvalidExtensionError(ValueError):
@@ -199,40 +194,15 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     _require_passed(verify_representation(R),
                     "twisted product needs a verified representation")
     _require_passed(is_cocycle(R, c), "twisted product needs a cocycle")
-    B = R.base
-    n, m = B.n, R.m
-    N = n + m
-    D, P, T = B.form
-    DR, rho, DV, theta = R.form
-    # hat(B)'s entries at every args: an index x < n is e_x in B, any other e_(x-n) in V.
-    # B's products land at k < n, the cocycle's and module maps' after them.
-    binary, ternary = defaultdict(list), defaultdict(list)
-    for part, arity, form in ((binary, 2, P), (ternary, 3, T)):
-        for args, terms in _form_entries(D, form, arity):
-            part[args] += terms
-        for args, terms in _cochain_entries(n, m, c.coords(), arity):
-            part[args] += ((n + a, p, q) for a, p, q in terms)
-    for x, y in itertools.product(range(n), repeat=2):
-        for a, row in enumerate(DV[x][y]):  # D(x1,x2)u3
-            for b, v in row:
-                ternary[x, y, n + b].append((n + a, v, DR))
-        for a, row in enumerate(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
-            for b, v in row:
-                ternary[x, n + b, y].append((n + a, -v, DR))
-                ternary[n + b, x, y].append((n + a, v, DR))
-    for x in range(n):
-        for a, row in enumerate(rho[x]):  # rho(x1)u2 - rho(x2)u1
-            for b, v in row:
-                binary[x, n + b].append((n + a, v, DR))
-                binary[n + b, x].append((n + a, -v, DR))
+    B, m = R.base, R.m
+    n, N = B.n, B.n + m
 
     def block(rows, cols, shift):
         """rows x cols block of the N x N identity: 1 where row = col + shift."""
         return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
                                      for r in range(rows) for c in range(cols)))
 
-    hat = _of_form(BolAlgebra, N, _entry_forms(N, ((2, binary.items(), False),
-                                                  (3, ternary.items(), False))), None)
+    hat = _of_form(BolAlgebra, N, _split_form(B.form, R.form, n, m, c.coords()), None)
     return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
 
 
@@ -282,7 +252,7 @@ def _in_frame(E: AbelianExtension) -> tuple:
 
 def induced_representation(E: AbelianExtension) -> Representation:
     """(rho, D, theta) read off hat(B) through the section: the module at indices n.. of
-    ``_in_frame(E)``, whose every image must land in the fiber."""
+    ``_in_frame(E)``; in a valid bundle each image lands in the fiber (else AssertionError)."""
     _require_valid(E)
     n, (_, P, T) = E.base.n, _in_frame(E)
     fiber, pairs = range(n, E.hat.n), list(itertools.product(range(n), repeat=2))
@@ -290,31 +260,30 @@ def induced_representation(E: AbelianExtension) -> Representation:
                          ("D image", (T[x][y][u] for x, y in pairs for u in fiber)),
                          ("theta image", (T[u][x][y] for x, y in pairs for u in fiber))):
         if any(image[:1] and image[0][0] < n for image in images):  # k ascending
-            raise InvalidExtensionError(
+            raise AssertionError(
                 f"{what} does not land in the fiber; extension data is inconsistent")
     return _module_of(E.base, E.m, _in_frame(E), n)
 
 
 def induced_cocycle(E: AbelianExtension) -> CochainPair:
     """(nu, omega) read off hat(B) through the section, at the i<j tuples: the fiber
-    parts of the entries of ``_in_frame(E)`` at base arguments.
+    parts of the entries of ``_in_frame(E)`` at base arguments (``_entry_coords``).
 
-    Both algebras are verified, so each value changes sign when x, y are
-    swapped and vanishes at x = y: the first value that leaves the fiber
-    in lexicographic order has x < y, and nu is read before omega."""
+    In a valid bundle each base part is B's, else AssertionError.  Both algebras are
+    verified, so each value changes sign when x, y are swapped and vanishes at x = y:
+    the first failure in lexicographic order has x < y, and nu is read before omega."""
     _require_valid(E)
     (D, P, T), (DB, PB, TB), n = _in_frame(E), E.base.form, E.base.n
 
     def value(what, framed, own):  # the fiber part of framed, whose base part must be own
         if tuple((k, x * DB) for k, x in framed if k < n) != tuple((k, c * D) for k, c in own):
-            raise InvalidExtensionError(
+            raise AssertionError(
                 f"{what} does not land in the fiber; extension data is inconsistent")
-        return {k - n: Fraction(x, D) for k, x in framed if k >= n}
-    return CochainPair.from_entries(
-        E.base, E.m, [((x, y), value("nu value", P[x][y], PB[x][y]))
-                      for x, y in entry_args(n, 2)],
-        [((x, y, z), value("omega value", T[x][y][z], TB[x][y][z]))
-         for x, y, z in entry_args(n, 3)])
+        return tuple((k - n, x, D) for k, x in framed if k >= n)
+    return CochainPair._of_coords(E.base, E.m, _entry_coords(n, E.m, (
+        (((x, y), value("nu value", P[x][y], PB[x][y])) for x, y in entry_args(n, 2)),
+        (((x, y, z), value("omega value", T[x][y][z], TB[x][y][z]))
+         for x, y, z in entry_args(n, 3)))))
 
 
 @record

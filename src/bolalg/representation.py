@@ -23,7 +23,7 @@ matrix by row times D_A * D_R, kept once per object (``_delta_rows``).  Every
 matrix identity (R1-R33, the Delta identity) is one packed int of signed slots
 per tuple (``_packed_map``), tested against 0 and read as ints over one common
 denominator only at a failure.  Each module the library makes is the part V of
-a split algebra B (+) V, read off its form by one reader, ``_module_of``.
+a split algebra B (+) V, written by ``_split_form`` and read by ``_module_of``.
 
 An action rho of a Maltsev algebra M on V is a Maltsev representation when
 the split null extension M (+) V, with the product
@@ -98,9 +98,8 @@ class Representation:
             for mat in row:
                 if mat.shape != (m, m):
                     raise ValueError(f"{what} matrix shape {mat.shape} != ({m},{m})")
-        rows = [tuple((k, x.numerator, x.denominator) for k, x in row)
-                for mat in (*rho, *itertools.chain(*D, *theta)) for row in mat.nonzero_rows]
-        self.__dict__.update(base=base, m=m, form=_rows_form(n, m, rows))
+        self.__dict__.update(base=base, m=m, form=_rows_form(n, m, _mat_rows(
+            (*rho, *itertools.chain(*D, *theta)))))
 
     @classmethod
     def _of_form(cls, base: BolAlgebra, m: int, form: tuple) -> "Representation":
@@ -152,6 +151,12 @@ def _antisymmetry_failure(R: Representation) -> str | None:
         if not check.passed:
             return _antisymmetry_error(name, check.witness[:2] if name == "D" else check.witness)
     return None
+
+
+def _mat_rows(mats) -> list:
+    """The nonzero rows ((k, p, q), ...) of each Mat of mats in turn, as _rows_form reads them."""
+    return [tuple((k, x.numerator, x.denominator) for k, x in row)
+            for mat in mats for row in mat.nonzero_rows]
 
 
 def _rows_form(n: int, m: int, rows: list) -> tuple:
@@ -326,6 +331,35 @@ def _module_of(base: BolAlgebra, m: int, form: tuple, at: int) -> Representation
     return Representation._of_form(base, m, _rows_form(base.n, m, flat))
 
 
+def _split_form(base_form: tuple, module_form: tuple, n: int, m: int, coords: Vec) -> tuple:
+    """The form (D, P, T) of B (+)_(nu,omega) V by the product formulas of the ``extension``
+    docstring: B of base_form at 0..n-1, u_b at n + b, (rho, D, theta) of module_form and
+    (nu, omega) of the cochain coordinates coords.  B's entries are written at every args (B
+    need not be antisymmetric), the cochain's (``_cochain_entries``) and the maps' after them
+    with their twins, by ``algebra._entry_forms``; ``_module_of`` reads the module back."""
+    (D, P, T), (DR, rho, DV, theta) = base_form, module_form
+    binary, ternary = defaultdict(list), defaultdict(list)
+    for part, arity, form in ((binary, 2, P), (ternary, 3, T)):
+        for args, terms in _form_entries(D, form, arity):
+            part[args] += terms
+        for args, terms in _cochain_entries(n, m, coords, arity):
+            part[args] += ((n + a, p, q) for a, p, q in terms)
+    for x, y in itertools.product(range(n), repeat=2):
+        for a, row in enumerate(DV[x][y]):  # D(x1,x2)u3
+            for b, v in row:
+                ternary[x, y, n + b].append((n + a, v, DR))
+        for a, row in enumerate(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
+            for b, v in row:
+                ternary[x, n + b, y].append((n + a, -v, DR))
+                ternary[n + b, x, y].append((n + a, v, DR))
+    for x in range(n):
+        for a, row in enumerate(rho[x]):  # rho(x1)u2 - rho(x2)u1
+            for b, v in row:
+                binary[x, n + b].append((n + a, v, DR))
+                binary[n + b, x].append((n + a, -v, DR))
+    return _entry_forms(n + m, ((2, binary.items(), False), (3, ternary.items(), False)))
+
+
 def adjoint_representation(B: BolAlgebra) -> Representation:
     """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v], the
     module of B's own form (D_R = D_A: every coefficient of B is in some map)."""
@@ -335,22 +369,17 @@ def adjoint_representation(B: BolAlgebra) -> Representation:
 
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
     """The split null extension M (+) V of an action rho, one m x m matrix per basis
-    element: e_i for i < n, the module vector u_a as e_(n+a), with the product
-    (a+u)(b+v) = ab + rho(a)v - rho(b)u.  The action is read once, by its nonzero rows, and
-    M's product written at every args, as M is not yet verified."""
+    element, (a+u)(b+v) = ab + rho(a)v - rho(b)u: ``_split_form`` of M (at every args, as M
+    is not yet verified), the module (rho, 0, 0) and the zero cochain.  The action is read
+    once, by its nonzero rows, as the public constructor reads a module (``_mat_rows``)."""
     if len(rho) != M.n:
         raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
     n, m = M.n, rho[0].rows if rho else 0
     if any(mat.shape != (m, m) for mat in rho):
         raise ValueError("action matrices must share one square shape")
-    action = defaultdict(list)  # rho(e_i) u_b = e_i u_b = -u_b e_i
-    for i in range(n):
-        for a, row in enumerate(rho[i].nonzero_rows):
-            for b, x in row:
-                action[i, n + b].append((n + a, x.numerator, x.denominator))
-                action[n + b, i].append((n + a, -x.numerator, x.denominator))
-    return _of_form(MaltsevAlgebra, n + m, _entry_forms(n + m, (
-        (2, [*_form_entries(*M.form[:2], 2), *action.items()], False), (3, (), False))), None)
+    module = _rows_form(n, m, _mat_rows(rho) + [()] * (2 * n * n * m))  # D = theta = 0
+    return _of_form(MaltsevAlgebra, n + m,
+                    _split_form(M.form, module, n, m, zero_vec(cochain_dim(n, m))), None)
 
 
 def induce_from_maltsev(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> Representation:

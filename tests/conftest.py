@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -49,6 +50,7 @@ from bolalg.representation import (
     PseudoderivationData,
     Representation,
     _antisymmetry_failure,
+    _cochain_entries,
     _delta_rows,
     adjoint_representation,
     induce_from_maltsev,
@@ -743,10 +745,11 @@ def dense_validate_extension(E) -> CheckReport:
 
 
 def dense_fiber_coords(Tinv: Mat, w: tuple, n: int, what: str) -> tuple:
+    """The fiber part of w in the frame; a base part is a fault of the library once the
+    bundle validates (AssertionError)."""
     coords = Tinv.apply(w)
     if any(coords[:n]):
-        raise importlib.import_module("bolalg.extension").InvalidExtensionError(
-            f"{what} does not land in the fiber; extension data is inconsistent")
+        raise AssertionError(f"{what} does not land in the fiber; extension data is inconsistent")
     return coords[n:]
 
 
@@ -1256,6 +1259,61 @@ def sum_slot_tuples(n: int, sizes: tuple[int, ...], grouped: bool = True):
         sizes = (1,) * sum(sizes)
     groups = (itertools.combinations(range(n), k) for k in sizes)
     return (sum(tup, ()) for tup in itertools.product(*groups))
+
+
+# ---------------------------------------------------------------------------
+# the former hand-written split algebras, which representation._split_form replaces
+
+
+def former_hat(R: Representation, c: CochainPair) -> BolAlgebra:
+    """The hat(B) of the former extension.twisted_product, assembled by hand: entries at
+    every args, B's at k < n, the cocycle's and the module maps' after them, written by
+    _entry_forms; no check of R or c."""
+    B = R.base
+    n, m = B.n, R.m
+    N = n + m
+    D, P, T = B.form
+    DR, rho, DV, theta = R.form
+    binary, ternary = defaultdict(list), defaultdict(list)
+    for part, arity, form in ((binary, 2, P), (ternary, 3, T)):
+        for args, terms in _form_entries(D, form, arity):
+            part[args] += terms
+        for args, terms in _cochain_entries(n, m, c.coords(), arity):
+            part[args] += ((n + a, p, q) for a, p, q in terms)
+    for x, y in itertools.product(range(n), repeat=2):
+        for a, row in enumerate(DV[x][y]):  # D(x1,x2)u3
+            for b, v in row:
+                ternary[x, y, n + b].append((n + a, v, DR))
+        for a, row in enumerate(theta[x][y]):  # -theta(x1,x3)u2 + theta(x2,x3)u1
+            for b, v in row:
+                ternary[x, n + b, y].append((n + a, -v, DR))
+                ternary[n + b, x, y].append((n + a, v, DR))
+    for x in range(n):
+        for a, row in enumerate(rho[x]):  # rho(x1)u2 - rho(x2)u1
+            for b, v in row:
+                binary[x, n + b].append((n + a, v, DR))
+                binary[n + b, x].append((n + a, -v, DR))
+    return _of_form(BolAlgebra, N, _entry_forms(N, ((2, binary.items(), False),
+                                                   (3, ternary.items(), False))), None)
+
+
+def former_null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:
+    """The former representation._null_extension: its own placement of the action, each
+    rho(e_i) u_b written at (i, n+b) and negated at (n+b, i), beside M's product at
+    every args, by _entry_forms."""
+    if len(rho) != M.n:
+        raise ValueError(f"expected {M.n} action matrices, got {len(rho)}")
+    n, m = M.n, rho[0].rows if rho else 0
+    if any(mat.shape != (m, m) for mat in rho):
+        raise ValueError("action matrices must share one square shape")
+    action = defaultdict(list)  # rho(e_i) u_b = e_i u_b = -u_b e_i
+    for i in range(n):
+        for a, row in enumerate(rho[i].nonzero_rows):
+            for b, x in row:
+                action[i, n + b].append((n + a, x.numerator, x.denominator))
+                action[n + b, i].append((n + a, -x.numerator, x.denominator))
+    return _of_form(MaltsevAlgebra, n + m, _entry_forms(n + m, (
+        (2, [*_form_entries(*M.form[:2], 2), *action.items()], False), (3, (), False))), None)
 
 
 # ---------------------------------------------------------------------------

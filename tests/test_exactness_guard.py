@@ -15,7 +15,10 @@ builds an algebra's tensors c and t.  No module calls the public
 ``Representation`` constructor, which reads matrices: every representation
 is written as its integer form.  Only the two form writers,
 ``algebra._entry_forms`` and ``representation._rows_form``, read a least
-common denominator off integer terms (``_integer_terms``).  Only
+common denominator off integer terms (``_integer_terms``), and only the
+tensor constructors, ``_of_entries``, the tensor constructor of a cochain
+pair, the deformation forms and ``representation._split_form``, the one
+writer of a split algebra B (+) V, call ``_entry_forms``.  Only
 ``algebra._bol_scans``, the one assembly of the Bol axioms, calls the B2 and
 B3 block scans.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
@@ -349,6 +352,44 @@ def test_only_the_two_form_writers_read_integer_terms(source):
 ])
 def test_the_denominator_guard_catches(code, calls):
     assert _denominator_calls(ast.parse(code)) == calls
+
+
+# The callers of the one form writer algebra._entry_forms, by top-level definition: the
+# tensor constructors and _of_entries, the tensor constructor of a cochain pair, the
+# deformation forms and the one split-algebra writer representation._split_form (the
+# hat(B) of extension.twisted_product and the null extension), so extension writes none.
+_FORM_WRITERS = {"algebra.py": ["MaltsevAlgebra: _entry_forms", "BolAlgebra: _entry_forms",
+                                "_of_entries: _entry_forms"],
+                 "cohomology.py": ["CochainPair: _entry_forms"],
+                 "deformation.py": ["_candidate_forms: _entry_forms", "_datum_forms: _entry_forms",
+                                    "deformed_algebra: _entry_forms"],
+                 "representation.py": ["_split_form: _entry_forms"]}
+
+
+def _form_writer_calls(tree: ast.Module) -> list[str]:
+    """Each call of _entry_forms, by top-level definition."""
+    return _calls_by_definition(tree, lambda top: {"_entry_forms"})
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_every_split_algebra_is_written_by_the_one_split_writer(source):
+    assert _form_writer_calls(ast.parse(source.read_text(), str(source))) == (
+        _FORM_WRITERS.get(source.name, []))
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def twisted_product(R, c):\n    return _of_form(BolAlgebra, N, _entry_forms(N, parts), None)",
+     ["twisted_product: _entry_forms"]),
+    ("def _null_extension(M, rho):\n    return algebra._entry_forms(n + m, parts)",
+     ["_null_extension: _entry_forms"]),
+    ("FORM = _entry_forms(0, ())", ["<module>: _entry_forms"]),
+    ("class E:\n    def hat(self):\n        return _entry_forms(self.n, self.parts)",
+     ["E: _entry_forms"]),
+    ("def twisted_product(R, c):\n    return _split_form(B.form, R.form, n, m, c.coords())", []),
+    ("def f(n):\n    return entry_forms(n, ())", []),
+])
+def test_the_form_writer_guard_catches(code, calls):
+    assert _form_writer_calls(ast.parse(code)) == calls
 
 
 # No caller of the public Representation constructor, which reads matrices: every

@@ -1,10 +1,12 @@
 import importlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from bolalg.algebra import BolAlgebra, VerificationError, verify_bol
+from bolalg import cli as CLI
+from bolalg.algebra import BolAlgebra, CheckReport, VerificationError, verify_bol
 from bolalg.cohomology import CochainPair, coboundary_of, cohomology, solve_coboundary
 from bolalg.extension import (
     AbelianExtension,
@@ -17,6 +19,7 @@ from bolalg.extension import (
     twisted_product,
     validate_extension,
 )
+from bolalg.formats import render_extension
 from bolalg.linalg import Mat, inverse, replace, vec_add, vec_sub, zero_vec
 from bolalg.representation import (
     PseudoderivationData,
@@ -364,16 +367,27 @@ def test_the_random_modules_read_back_as_before(index):
     (lambda: BolAlgebra.zero(2), "nu value"),  # e0*e1 differs: nu fails first
     (lambda: make_b2(-1), "omega value"),      # same product, [e0,e1,e0] differs
 ])
-def test_an_inconsistent_bundle_leaves_the_fiber_as_before(adj_1, monkeypatch, base, message):
+def test_an_inconsistent_bundle_leaves_the_fiber_as_before(
+        adj_1, monkeypatch, tmp_path, capsys, base, message):
+    # A bundle that validates has every value in the fiber, so one that leaves it is
+    # a fault of the library: an AssertionError, which the command line reports as an
+    # internal error (exit 3), not as "fail".
     E = replace(twisted_product(adj_1, cohomology(adj_1).z_basis[0]), base=base())
     assert validate_extension(E).first_failure().name == "p-homomorphism"
     monkeypatch.setattr(EXTENSION, "_require_valid", lambda E: None)
     errors = []
     for build in (induced_cocycle, _reference_induced_cocycle):
-        with pytest.raises(InvalidExtensionError) as info:
+        with pytest.raises(AssertionError) as info:
             build(E)
         errors.append(str(info.value))
-    assert errors == 2 * [f"{message} does not land in the fiber; extension data is inconsistent"]
+    text = f"{message} does not land in the fiber; extension data is inconsistent"
+    assert errors == 2 * [text]
+    bundle = tmp_path / "inconsistent.ext"
+    bundle.write_text(render_extension(E))
+    monkeypatch.setattr(CLI, "validate_extension", lambda E: CheckReport(()))
+    assert CLI.main(["extend-analyze", str(bundle), "--json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["message"]) == ("internal-error", f"AssertionError: {text}")
 
 
 def _reference_phi(E1, E2):
