@@ -29,13 +29,16 @@ A product of k coefficients in the form is D**k times the true one, so a
 residual adds up plain ints and is divided by D**k only when a Vec is
 built (``_over``): exact, and equal to the Fraction residual.  One
 assembly, ``_bol_scans``, runs the Bol axioms of a product form and a
-triple form: the antisymmetry scans it is given, which compare each form
-with its swapped twin negated, then the B1 cyclic sum, B2 and B3.
-``verify_bol`` runs it on (c, t) with B01 and B02, the deformation
+triple form: the antisymmetry checks it is given, each the scan that
+compares a form with its swapped twin negated, then the B1 cyclic sum, B2
+and B3.  ``verify_bol`` runs it on (c, t) with B01 and B02, the deformation
 module's (B01')-(B3') on (nu, mu, omega), B2's term of degree 3 being a
-parameter.  B2 and B3 run one (x, y) block at a time (``_b2_block``,
-``_b3_block``): what [x,y,.] and x*y give is made once for every
-(u, v, w), and a block where they are zero is skipped; Sagle's identity
+parameter.  An algebra's two antisymmetry results are decided once, kept on
+it (``_antisymmetry``), and written as passing by ``_of_entries``, whose
+i<j entries and twins cannot fail them: B01, B02, anticommutativity and a
+module's base read that one result.  B2 and B3 run one (x, y) block at a
+time (``_b2_block``, ``_b3_block``): what [x,y,.] and x*y give is made once
+for every (u, v, w), and a block where they are zero is skipped; Sagle's identity
 runs one x at a time.  The other modules' scans add up ints too, on
 matrices by their integer rows or columns and with products of integer
 vectors (``_add_form``); no scan calls the Fraction evaluators
@@ -66,7 +69,7 @@ from functools import cached_property
 
 from .linalg import (
     _ONE, _ZERO, Vec, _common_denominator, _exact, _require_held, _transposed_rows, is_zero_vec,
-    record, zero_vec,
+    record, replace, zero_vec,
 )
 
 
@@ -381,7 +384,8 @@ def _once_per_object(fn):
     The result sits in the object's ``__dict__``, as ``cached_property``
     keeps an algebra's tensors: it lives and dies with the object, and
     record equality and hashing ignore it.  Two threads racing on a new
-    object can at worst both compute it.
+    object can at worst both compute it.  ``once.keep(obj, result)`` writes
+    the result that the code building obj guarantees, so fn never runs on it.
     """
     key = f"_{fn.__name__}"
 
@@ -391,6 +395,7 @@ def _once_per_object(fn):
         if key not in kept:
             kept[key] = fn(obj)
         return kept[key]
+    once.keep = lambda obj, result: obj.__dict__.__setitem__(key, result)
     return once
 
 
@@ -485,8 +490,12 @@ def _of_form(cls, n: int, form: tuple, basis_names):
 
 
 def _of_entries(cls, n: int, binary, ternary, basis_names):
-    """_of_form of the i<j entries of c and t (() for a MaltsevAlgebra), by _entry_forms."""
-    return _of_form(cls, n, _entry_forms(n, ((2, binary, True), (3, ternary, True))), basis_names)
+    """_of_form of the i<j entries of c and t (() for a MaltsevAlgebra), by _entry_forms.
+    Each entry is written with its negated twin and no diagonal one is, so both forms
+    are antisymmetric: the passing ``_antisymmetry`` results are kept on the algebra."""
+    A = _of_form(cls, n, _entry_forms(n, ((2, binary, True), (3, ternary, True))), basis_names)
+    _antisymmetry.keep(A, (_PASSED, _PASSED))
+    return A
 
 
 @_once_per_object
@@ -560,6 +569,20 @@ def _antisymmetry_scan(name: str, D: int, form: tuple, arity: int,
             if (a or b) and a != tuple((k, -c) for k, c in b):
                 return ConditionCheck(name, False, (i, j) + rest, _integer_sum(D, m or n, a, b))
     return ConditionCheck(name, True)
+
+
+_PASSED = ConditionCheck("", True)
+
+
+@_once_per_object
+def _antisymmetry(A) -> tuple:
+    """The un-named _antisymmetry_scan results of A's product form and triple form, kept
+    on A: verify_bol names them B01 and B02, verify_maltsev names the first
+    anticommutativity, and ``representation._antisymmetry_failure`` reads a module's base
+    through them.  A Maltsev algebra's triple form is all empty, and passes unscanned."""
+    D, P, T = A.form
+    return (_antisymmetry_scan("", D, P, 2),
+            _antisymmetry_scan("", D, T, 3) if isinstance(A, BolAlgebra) else _PASSED)
 
 
 def _block_scan(name: str, pairs, nonzero, block) -> ConditionCheck:
@@ -638,17 +661,15 @@ def _b3_block(D: int, T: tuple, x: int, y: int, pairs: list):
     return None
 
 
-def _bol_scans(names: tuple, D: int, antisymmetric: tuple, P: tuple, T: tuple,
+def _bol_scans(names: tuple, D: int, checks: tuple, P: tuple, T: tuple,
                cubic: tuple) -> tuple:
-    """The antisymmetry scans ``antisymmetric`` ((name, form, arity), ...), then the
-    axioms named ``names`` (B1, B2, B3) of the integer product form P and triple
-    form T over D: the cyclic sum of T, _b2_scan with the degree-3 term ``cubic``
-    and _b3_scan.  Once every given antisymmetry passes, the B1 cyclic sum changes
-    sign under any swap and B2, B3 when x, y or u, v are swapped, so B1-B3 visit the
-    orbit representatives: they find the first failure."""
+    """The antisymmetry checks ``checks``, as given, then the axioms named ``names``
+    (B1, B2, B3) of the integer product form P and triple form T over D: the cyclic
+    sum of T, _b2_scan with the degree-3 term ``cubic`` and _b3_scan.  Once every
+    given antisymmetry passes, the B1 cyclic sum changes sign under any swap and B2,
+    B3 when x, y or u, v are swapped, so B1-B3 visit the orbit representatives: they
+    find the first failure."""
     n = len(P)
-    checks = tuple(_antisymmetry_scan(name, D, form, arity)
-                   for name, form, arity in antisymmetric)
     grouped = all(check.passed for check in checks)
     pairs = list(slot_tuples(n, (2,), grouped))
     b1, b2, b3 = names
@@ -667,11 +688,12 @@ def verify_bol(B: BolAlgebra) -> AxiomReport:
     B1-B3 visit the orbit representatives once B01 and B02 pass.
     Failure is data, not an error: each condition records its first failing
     tuple and the exact residual.  The report is kept on B, so each algebra
-    is scanned once.
+    is scanned once; B01 and B02 are its kept ``_antisymmetry``.
     """
     D, P, T = B.form
-    return AxiomReport(_bol_scans(("B1", "B2", "B3"), D, (("B01", P, 2), ("B02", T, 3)),
-                                  P, T, ((P, P, P),)))
+    b01, b02 = _antisymmetry(B)
+    checks = (replace(b01, name="B01"), replace(b02, name="B02"))
+    return AxiomReport(_bol_scans(("B1", "B2", "B3"), D, checks, P, T, ((P, P, P),)))
 
 
 def _times(P: tuple, u, v) -> tuple:
@@ -723,11 +745,10 @@ def verify_maltsev(M: MaltsevAlgebra) -> AxiomReport:
     over Q it therefore vanishes identically iff it vanishes for x in
     {e_i} and {e_i + e_j : i < j} with y, z over the basis (polarization).
     The report is kept on M, so maltsev_to_bol after verify_maltsev does
-    not scan again.
+    not scan again; anticommutativity is its kept ``_antisymmetry``.
     """
     rng = range(M.n)
-    D, P, _ = M.form
-    anti = _antisymmetry_scan("anticommutativity", D, P, 2)
+    anti = replace(_antisymmetry(M)[0], name="anticommutativity")
     xs = [(i,) for i in rng] + list(itertools.combinations(rng, 2))
     identity = next(filter(None, (_sagle_failure(M, x) for x in xs)),
                     ConditionCheck("maltsev-identity", True))

@@ -85,10 +85,12 @@ from .algebra import (
     _form_entries,
     _nonzeros,
     _over,
+    _require_passed,
     _scaled,
     _scan,
     entry_args,
     slot_tuples,
+    verify_bol,
 )
 from .linalg import (
     Mat, Vec, _common_denominator, _exact, _primitive, kernel_basis, record, rref, solve,
@@ -105,6 +107,7 @@ from .representation import (
     coboundary_matrix,
     pseudoderivation_params,
     unpack_params,
+    verify_representation,
 )
 
 
@@ -429,7 +432,9 @@ def cohomology(R: Representation) -> CohomologyReport:
     Z is the kernel of the assembled CC1-CC3 constraint matrix; B is the
     image of the coboundary map from (f, chi)-space; representatives of H
     are the Z-basis vectors that extend a basis of B inside Z, taken
-    greedily in the canonical order (read off one RREF).
+    greedily in the canonical order (read off one RREF).  When B does not sit
+    inside Z, which an R failing verification can cause, verify_bol(R.base) and
+    then verify_representation(R) are required to pass (VerificationError).
     """
     B = R.base
     n, m = B.n, R.m
@@ -454,7 +459,9 @@ def cohomology(R: Representation) -> CohomologyReport:
     vectors = Mat._of_rows(dim_c, tuple(map(_nonzeros, b_coords + z_coords)))
     pivots = rref(vectors.transpose()).pivots
     reps = [z_coords[p - dim_b] for p in pivots if p >= dim_b]
-    if len(reps) != dim_z - dim_b:
+    if len(reps) != dim_z - dim_b:  # B not inside Z: the input's fault, unless it verifies
+        _require_passed(verify_bol(B), "algebra fails Bol verification")
+        _require_passed(verify_representation(R), "representation fails verification")
         raise AssertionError(
             "coboundaries do not sit inside the cocycle space; "
             "is the representation verified?")

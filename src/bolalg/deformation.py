@@ -44,8 +44,8 @@ nu, omega) over one lcm D, kept per object: a datum's is written from the
 integer entries of the base's stored form and of the pair (``_datum_forms``),
 only a raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
 B01-B3 of (nu, omega), with mu's antisymmetry besides and mu entering B2's
-cubic term, and come from the one assembly behind verify_bol,
-``algebra._bol_scans`` (``_primed_axioms``);
+cubic term: ``_primed_axioms`` scans the three antisymmetries and hands them,
+with the forms, to the one assembly behind verify_bol, ``algebra._bol_scans``;
 check_first_order_formal takes (B2') and (B3') from it without the
 antisymmetry scans, which its datum passes by construction.  o3 reads nu
 from the datum's form.  B_t is written from the base's form and the datum's,
@@ -62,6 +62,7 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     _add_form,
+    _antisymmetry_scan,
     _bol_scans,
     _coefficients,
     _entry_forms,
@@ -140,8 +141,9 @@ def _primed_axioms(forms: tuple, antisymmetry: bool) -> tuple:
     + mu(nu_y, nu_x).  Without the antisymmetry scans the forms must be antisymmetric:
     (B1')-(B3') visit the orbit representatives."""
     D, MU, NU, OM = forms
-    antisymmetric = (("B01'", NU, 2), ("B02'", MU, 2), ("B03'", OM, 3)) if antisymmetry else ()
-    return _bol_scans(("B1'", "B2'", "B3'"), D, antisymmetric, NU, OM,
+    checks = tuple(_antisymmetry_scan(name, D, form, arity) for name, form, arity in (
+        ("B01'", NU, 2), ("B02'", MU, 2), ("B03'", OM, 3))) if antisymmetry else ()
+    return _bol_scans(("B1'", "B2'", "B3'"), D, checks, NU, OM,
                       ((NU, NU, MU), (MU, NU, NU), (NU, MU, NU)))
 
 

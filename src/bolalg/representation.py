@@ -56,6 +56,7 @@ from .algebra import (
     BolAlgebra,
     CheckReport,
     MaltsevAlgebra,
+    _antisymmetry,
     _antisymmetry_error,
     _antisymmetry_scan,
     _dense,
@@ -140,17 +141,16 @@ class Representation:
 def _antisymmetry_failure(R: Representation) -> str | None:
     """None when the product of B, its ternary product and D are antisymmetric
     in their first two slots, else the error message of the first failing
-    tuple (_antisymmetry_scan's, D's named by its (i, j)), checked in that order
-    on the kept integer forms.  Kept on R; the R, Delta-identity and cocycle
-    scans and the constraint rows visit orbit representatives only when it is None."""
-    (DA, P, T), (DR, _, D, _) = R.base.form, R.form
-    n, m = R.base.n, R.m
-    for name, denominator, form, arity, size in (
-            ("binary", DA, P, 2, n), ("ternary", DA, T, 3, n), ("D", DR, D, 3, m)):  # D by rows
-        check = _antisymmetry_scan(name, denominator, form, arity, size)
+    tuple (_antisymmetry_scan's, D's named by its (i, j)), checked in that order:
+    B's two read off its kept ``algebra._antisymmetry``, D scanned by its rows.
+    Kept on R, and written as None by adjoint_representation; the R, Delta-identity
+    and cocycle scans and the constraint rows visit orbit representatives only
+    when it is None."""
+    for name, check in zip(("binary", "ternary"), _antisymmetry(R.base)):
         if not check.passed:
-            return _antisymmetry_error(name, check.witness[:2] if name == "D" else check.witness)
-    return None
+            return _antisymmetry_error(name, check.witness)
+    check = _antisymmetry_scan("D", R.form[0], R.form[2], 3, R.m)
+    return None if check.passed else _antisymmetry_error("D", check.witness[:2])
 
 
 def _mat_rows(mats) -> list:
@@ -362,9 +362,13 @@ def _split_form(base_form: tuple, module_form: tuple, n: int, m: int, coords: Ve
 
 def adjoint_representation(B: BolAlgebra) -> Representation:
     """Adjoint module V = B: rho(u)v = u*v, D(u,v)w = [u,v,w], theta(u,v)w = [w,u,v], the
-    module of B's own form (D_R = D_A: every coefficient of B is in some map)."""
+    module of B's own form (D_R = D_A: every coefficient of B is in some map).  B passed
+    B01 and B02, and D(x, y) is [x, y, .] by transposition, so it keeps a passing
+    ``_antisymmetry_failure``."""
     _require_passed(verify_bol(B), "adjoint representation needs a verified Bol algebra")
-    return _module_of(B, B.n, B.form, 0)
+    R = _module_of(B, B.n, B.form, 0)
+    _antisymmetry_failure.keep(R, None)
+    return R
 
 
 def _null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:

@@ -1001,7 +1001,7 @@ def entry_values(t, args: tuple[int, ...]) -> tuple:
 
 
 def fraction_antisymmetry(name: str, t, n: int, arity: int) -> ConditionCheck:
-    """The former algebra._antisymmetry: t(i,j,...) + t(j,i,...) added up in
+    """The former Fraction antisymmetry scan: t(i,j,...) + t(j,i,...) added up in
     Fractions over all argument tuples."""
     return _scan(name, itertools.product(range(n), repeat=arity),
                  lambda *args: vec_add(entry_values(t, args),

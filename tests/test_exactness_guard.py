@@ -20,7 +20,11 @@ tensor constructors, ``_of_entries``, the tensor constructor of a cochain
 pair, the deformation forms and ``representation._split_form``, the one
 writer of a split algebra B (+) V, call ``_entry_forms``.  Only
 ``algebra._bol_scans``, the one assembly of the Bol axioms, calls the B2 and
-B3 block scans.  No scan
+B3 block scans.  Antisymmetry is scanned once per object, and only by
+``algebra._antisymmetry`` (an algebra's two forms), a module's D scan, the
+tensor constructor of a cochain pair and the deformation scans; only
+``algebra._of_entries`` and ``adjoint_representation`` write a kept result,
+the one their construction guarantees.  No scan
 module (``algebra``, ``representation``, ``cohomology``, ``deformation``)
 multiplies matrices with ``@`` or calls a ``commutator``: each matrix
 identity is one packed residual, an int of signed slots added up from the
@@ -496,6 +500,48 @@ def test_the_bol_axioms_are_assembled_once(source):
 ])
 def test_the_assembly_guard_catches(code, calls):
     assert _block_scan_calls(ast.parse(code)) == calls
+
+
+# Antisymmetry is decided once per object: an algebra's two forms by algebra._antisymmetry,
+# a module's D by representation._antisymmetry_failure (which reads its base's through
+# _antisymmetry), a cochain pair's tensors when read, and a deformation datum's (nu, mu,
+# omega) by its own scans.  Only _of_entries and adjoint_representation write a kept result
+# (``.keep``), the one their construction guarantees.
+_ANTISYMMETRY_SCANS = {"algebra.py": ["_antisymmetry: _antisymmetry_scan",
+                                      "_antisymmetry: _antisymmetry_scan"],
+                       "cohomology.py": ["CochainPair: _antisymmetry_scan"],
+                       "deformation.py": ["_primed_axioms: _antisymmetry_scan"],
+                       "representation.py": ["_antisymmetry_failure: _antisymmetry_scan"]}
+_KEPT_WRITERS = {"algebra.py": ["_of_entries: keep"],
+                 "representation.py": ["adjoint_representation: keep"]}
+
+
+def _antisymmetry_calls(tree: ast.Module) -> list[str]:
+    """Each call of _antisymmetry_scan and each call of a ``keep``, by top-level definition."""
+    return _calls_by_definition(tree, lambda top: {"_antisymmetry_scan", "keep"})
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.name)
+def test_antisymmetry_is_scanned_and_kept_where_pinned(source):
+    calls = _antisymmetry_calls(ast.parse(source.read_text(), str(source)))
+    assert [c for c in calls if not c.endswith(": keep")] == _ANTISYMMETRY_SCANS.get(
+        source.name, [])
+    assert [c for c in calls if c.endswith(": keep")] == _KEPT_WRITERS.get(source.name, [])
+
+
+@pytest.mark.parametrize("code, calls", [
+    ("def verify_bol(B):\n    return _antisymmetry_scan(\"B01\", D, P, 2)",
+     ["verify_bol: _antisymmetry_scan"]),
+    ("check = algebra._antisymmetry_scan(\"D\", DR, D, 3, m)", ["<module>: _antisymmetry_scan"]),
+    ("def twisted_product(R, c):\n    _antisymmetry.keep(E, (passed, passed))",
+     ["twisted_product: keep"]),
+    ("class P:\n    def read(self):\n        algebra._antisymmetry_failure.keep(self.R, None)",
+     ["P: keep"]),
+    ("def verify_bol(B):\n    b01, b02 = _antisymmetry(B)", []),
+    ("def f(A):\n    return antisymmetry_scan(A)", []),
+])
+def test_the_antisymmetry_guard_catches(code, calls):
+    assert _antisymmetry_calls(ast.parse(code)) == calls
 
 
 _MATRIX_SCANS = ("algebra.py", "representation.py", "cohomology.py", "deformation.py")

@@ -32,6 +32,10 @@ axiom check, with these ``bolalg.algebra`` functions rebound:
     B01/B02/B1   _antisymmetry_scan and _scan, inside "verify"
     B2, B3       _b2_scan and _b3_scan, the (x, y) block scans
 
+An algebra read from a file is written from i<j entries and their twins,
+so it keeps passing B01 and B02 results from its parse and its B01/B02/B1
+line holds only the B1 _scan: one call.
+
 kernel_basis eliminates its rows by one of two routes (see ``bolalg.linalg``),
 and the last line but one names the route it took.  On the mod-p route three
 more lines split its time, with these ``bolalg.linalg`` functions rebound
