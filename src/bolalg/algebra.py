@@ -498,9 +498,8 @@ def _of_entries(cls, n: int, binary, ternary, basis_names):
     return A
 
 
-@_once_per_object
 def _integer_cols(mat) -> tuple:
-    """The kept integer form (D, cols) of a Mat: D the lcm of its denominators,
+    """The integer form (D, cols) of a Mat: D the lcm of its denominators,
     cols[b] = ((a, entry (a, b) times D as an int), ...) over column b's nonzeros."""
     cols = _transposed_rows(mat.cols, mat.nonzero_rows)
     D = _common_denominator(x for col in cols for _, x in col)

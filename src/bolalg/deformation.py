@@ -40,9 +40,9 @@ companion.  The cochain route (coboundary with companion restricted to
 the joint kernel of Delta) is computed alongside and must agree.
 
 The scans add up ints through ``algebra``'s, on one integer form of (mu,
-nu, omega) over one lcm D, kept per object: a datum's is written from the
-integer entries of the base's stored form and of the pair (``_datum_forms``),
-only a raw candidate's is read off its tensors.  (B01')-(B3') are the Bol axioms
+nu, omega) over one lcm D: a datum's, kept on it, is written from the integer
+entries of the base's stored form and of the pair (``_datum_forms``), and only
+a raw candidate's is read off its tensors, once per check.  (B01')-(B3') are the Bol axioms
 B01-B3 of (nu, omega), with mu's antisymmetry besides and mu entering B2's
 cubic term: ``_primed_axioms`` scans the three antisymmetries and hands them,
 with the forms, to the one assembly behind verify_bol, ``algebra._bol_scans``;
@@ -115,9 +115,8 @@ class DeformationDatum:
             raise ValueError("deformation coefficients must be adjoint (V = B)")
 
 
-@_once_per_object
 def _candidate_forms(d: DeformationTypeCandidate) -> tuple:
-    """The kept integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
+    """The integer form (D, mu, nu, omega) of d, over one lcm D of their denominators."""
     n = d.n
     return _entry_forms(n, ((2, _coefficients("mu", d.mu, n, n, 2), False),
                             (2, _coefficients("nu", d.nu, n, n, 2), False),

@@ -27,8 +27,9 @@ The representation does not depend on the section; the cocycle moves by a
 zero-companion coboundary when the section moves.
 
 hat(B) is written by the one split-algebra writer ``representation._split_form``,
-by the formulas above, and both induced objects are read off its form in the
-frame [sigma | i] (``_in_frame``).  Every scan and read here adds up
+by the formulas above, and its i, p and sigma by rows; both induced objects are
+read off its form in the frame [sigma | i] (``_in_frame``), written from the rows
+of sigma and i.  Every scan and read here adds up
 ints: the integer forms of hat(B) and B on the integer columns of i, p, sigma,
 the frame, the splitting and phi, over one common denominator per residual or
 value (``algebra._over``).
@@ -63,7 +64,7 @@ from .algebra import (
     verify_bol,
 )
 from .cohomology import CochainPair, _entry_coords, is_cocycle, solve_coboundary
-from .linalg import _ONE, _ZERO, Mat, image_rank, inverse, record, replace
+from .linalg import _ONE, Mat, image_rank, inverse, record, replace
 from .representation import Representation, _module_of, _split_form, verify_representation
 
 
@@ -198,9 +199,9 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
     n, N = B.n, B.n + m
 
     def block(rows, cols, shift):
-        """rows x cols block of the N x N identity: 1 where row = col + shift."""
-        return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
-                                     for r in range(rows) for c in range(cols)))
+        """rows x cols block of the N x N identity, by rows: 1 where row = col + shift."""
+        return Mat._of_rows(cols, tuple(((r - shift, _ONE),) if 0 <= r - shift < cols else ()
+                                        for r in range(rows)))
 
     hat = _of_form(BolAlgebra, N, _split_form(B.form, R.form, n, m, c.coords()), None)
     return AbelianExtension(B, m, hat, block(N, m, n), block(n, N, 0), block(N, n, 0))
@@ -208,21 +209,22 @@ def twisted_product(R: Representation, c: CochainPair) -> AbelianExtension:
 
 @_once_per_object
 def _frame(E: AbelianExtension) -> Mat:
-    """[sigma | i], kept on E: column x < n is sigma(e_x), column n + a is i(e_a)."""
-    return Mat(E.hat.n, E.hat.n,
-               tuple(x for r in range(E.hat.n) for x in E.sigma.row(r) + E.i.row(r)))
+    """[sigma | i], kept on E and written by rows: sigma's row r, then i's shifted by n."""
+    shifted = (tuple((E.base.n + a, x) for a, x in row) for row in E.i.nonzero_rows)
+    return Mat._of_rows(E.hat.n, tuple(s + u for s, u in zip(E.sigma.nonzero_rows, shifted)))
 
 
 @_once_per_object
 def _splitting(E: AbelianExtension) -> Mat:
     """Inverse of the frame [sigma | i]: rows give (base, fiber) coordinates in hat(B).
 
-    Kept on E, so each bundle is inverted once; a singular frame raises on
-    every call."""
+    Kept on E, so each bundle is inverted once.  Callers validate E first, and then
+    sigma x + i u = 0 gives x = p(sigma x + i u) = 0 and u = 0 (rank i = m): a singular
+    frame is a library fault, an AssertionError on every call."""
     try:
         return inverse(_frame(E))
     except ValueError as exc:
-        raise InvalidExtensionError("section and injection do not split hat(B)") from exc
+        raise AssertionError("section and injection do not split hat(B)") from exc
 
 
 @_once_per_object

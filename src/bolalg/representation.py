@@ -496,12 +496,10 @@ def pseudoderivation_params(n: int, m: int) -> int:
 
 
 def unpack_params(n: int, m: int, params: Vec) -> PseudoderivationData:
-    if len(params) != n * m + m:
+    if len(params) != pseudoderivation_params(n, m):
         raise ValueError("parameter vector has wrong length")
-    cols = [params[j * m:(j + 1) * m] for j in range(n)]
-    f = Mat.from_cols(cols, rows=m) if n else Mat.zeros(m, 0)
-    chi = tuple(params[n * m:])
-    return PseudoderivationData(f, chi)
+    f = Mat.from_cols([params[j * m:(j + 1) * m] for j in range(n)], rows=m)
+    return PseudoderivationData(f, tuple(params[n * m:]))
 
 
 def cochain_dim(n: int, m: int) -> int:

@@ -44,7 +44,8 @@ from bolalg.algebra import (
 )
 from bolalg.cohomology import CochainPair, is_cocycle
 from bolalg.linalg import (
-    Mat, _common_denominator, _echelon, image_rank, inverse, vec_add, vec_scale, vec_sub, zero_vec,
+    _ONE, _ZERO, Mat, _common_denominator, _echelon, image_rank, inverse, vec_add, vec_scale,
+    vec_sub, zero_vec,
 )
 from bolalg.representation import (
     PseudoderivationData,
@@ -1295,6 +1296,26 @@ def former_hat(R: Representation, c: CochainPair) -> BolAlgebra:
                 binary[n + b, x].append((n + a, -v, DR))
     return _of_form(BolAlgebra, N, _entry_forms(N, ((2, binary.items(), False),
                                                    (3, ternary.items(), False))), None)
+
+
+def former_identity_block(rows: int, cols: int, shift: int) -> Mat:
+    """The former block of extension.twisted_product: rows x cols of the N x N identity,
+    1 where row = col + shift, every entry of the dense grid written."""
+    return Mat(rows, cols, tuple(_ONE if r == c + shift else _ZERO
+                                 for r in range(rows) for c in range(cols)))
+
+
+def former_twisted_maps(n: int, m: int) -> tuple:
+    """The former (i, p, sigma) of a twisted product of an n-dim base by an m-dim module."""
+    N = n + m
+    return (former_identity_block(N, m, n), former_identity_block(n, N, 0),
+            former_identity_block(N, n, 0))
+
+
+def former_frame(E) -> Mat:
+    """The former extension._frame: [sigma | i] as the dense N x N grid of their rows."""
+    return Mat(E.hat.n, E.hat.n,
+               tuple(x for r in range(E.hat.n) for x in E.sigma.row(r) + E.i.row(r)))
 
 
 def former_null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlgebra:

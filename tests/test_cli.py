@@ -6,6 +6,7 @@ import pytest
 
 import bolalg.algebra as algebra
 import bolalg.cli as cli
+import bolalg.extension as extension
 import bolalg.representation as representation
 from bolalg.cli import main
 
@@ -398,6 +399,24 @@ class TestCliPlumbing:
         assert code == 3 and out == ""
         assert err.endswith("internal error: AssertionError: coboundary rank/nullity "
                             "bookkeeping is wrong\n")
+
+    def test_a_singular_frame_after_validation_is_an_internal_error(self, run, monkeypatch,
+                                                                     tmp_path):
+        # sigma = 0 fails the section check; past a validation that passed it, the
+        # singular frame [sigma | i] is a library fault, not a failing bundle
+        ext = tmp_path / "e.ext"
+        assert run("extend-build", ALG1, SCALE, "--adjoint", "-o", str(ext), "--json")[0] == 0
+        obj = json.loads(ext.read_text())
+        obj["sigma"] = [["0"] * len(row) for row in obj["sigma"]]
+        ext.write_text(json.dumps(obj))
+        passed = algebra.CheckReport(())
+        monkeypatch.setattr(cli, "validate_extension", lambda E: passed)
+        monkeypatch.setattr(extension, "validate_extension", lambda E: passed)
+        code, obj, err = run("extend-analyze", str(ext), "--json")
+        assert code == 3
+        assert obj == {"command": "extend-analyze", "status": "internal-error",
+                       "message": "AssertionError: section and injection do not split hat(B)"}
+        assert "Traceback" in err
 
     def test_result_too_long_to_render_is_an_internal_error(self, run, tmp_path):
         # a valid input whose ternary product has numerals of about 6,000 digits

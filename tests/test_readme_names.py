@@ -1,10 +1,11 @@
-"""README.md names no private helper that is gone.
+"""README.md and ROADMAP.md name no private helper that is gone.
 
-Every private name README.md cites in backticks, ``_name`` or
+Every private name either document cites in backticks, ``_name`` or
 ``module._name`` (dunders aside), anywhere in a backticked span, must be
 defined (a function, a class or an assigned name) in a Python file under
 ``src/``, ``tests/``, ``tools/`` or ``perfbench/``.  A helper that is deleted
-or renamed must leave the README with it.
+or renamed must leave the documents with it; a document may still name it
+without backticks, as history.
 """
 
 import ast
@@ -37,11 +38,12 @@ def defined_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_every_private_name_the_readme_cites_is_defined():
-    cited = cited_private_names((ROOT / "README.md").read_text())
+@pytest.mark.parametrize("document, least", [("README.md", 50), ("ROADMAP.md", 30)])
+def test_every_private_name_the_documents_cite_is_defined(document, least):
+    cited = cited_private_names((ROOT / document).read_text())
     defined = set().union(*(defined_names(ast.parse(path.read_text(), str(path)))
                             for folder in FOLDERS for path in (ROOT / folder).rglob("*.py")))
-    assert len(cited) > 50  # the spans are found at all
+    assert len(cited) > least  # the spans are found at all
     assert sorted(cited - defined) == []
 
 
@@ -52,6 +54,8 @@ def test_every_private_name_the_readme_cites_is_defined():
     ("the dense tensors (`algebra._dense` of `_cochain_entries`)", {"_dense", "_cochain_entries"}),
     ("`__post_init__`, `R.form`, `rho_of`", set()),
     ("_outside_backticks and `x_y`", set()),
+    ("(PR 33; `_integer_forms` is gone)", {"_integer_forms"}),  # a deleted helper
+    ("(PR 33; the integer-forms helper is gone)", set()),
 ])
 def test_the_citation_reader_catches(text, names):
     assert cited_private_names(text) == names
