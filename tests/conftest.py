@@ -1,5 +1,6 @@
 """Shared fixtures: the worked examples and a reproducible random corpus."""
 
+import argparse
 import functools
 import importlib
 import itertools
@@ -42,6 +43,7 @@ from bolalg.algebra import (
     trilinear_eval,
     verify_bol,
 )
+from bolalg import cli
 from bolalg.cohomology import CochainPair, is_cocycle
 from bolalg.linalg import (
     _ONE, _ZERO, Mat, _common_denominator, _echelon, image_rank, inverse, vec_add, vec_scale,
@@ -1335,6 +1337,38 @@ def former_null_extension(M: MaltsevAlgebra, rho: tuple[Mat, ...]) -> MaltsevAlg
                 action[n + b, i].append((n + a, -x.numerator, x.denominator))
     return _of_form(MaltsevAlgebra, n + m, _entry_forms(n + m, (
         (2, [*_form_entries(*M.form[:2], 2), *action.items()], False), (3, (), False))), None)
+
+
+# ---------------------------------------------------------------------------
+# the former eager parser, which cli.build_parser's per-subcommand parsers replace
+
+
+def eager_build_parser() -> argparse.ArgumentParser:
+    """The former body of cli.build_parser: every subcommand's parser built up front
+    from its cli._COMMANDS row, whichever one the run parses."""
+    parser = argparse.ArgumentParser(
+        prog="bolalg",
+        description="Exact computations with Bol algebras: verification, "
+                    "representations, (2,3)-cohomology, deformations, and "
+                    "abelian extensions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--json", action="store_true",
+                       help="emit a machine-readable JSON report")
+        for arg in command.positionals:
+            arg_name, arg_help = (arg, None) if isinstance(arg, str) else arg
+            p.add_argument(arg_name, help=arg_help)
+        if command.rep_source:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--adjoint", action="store_true",
+                               help="use the adjoint representation")
+            group.add_argument("--rep", metavar="FILE",
+                               help="representation file over the algebra")
+        if command.output:
+            p.add_argument("-o", "--output", help=command.output)
+    return parser
 
 
 # ---------------------------------------------------------------------------

@@ -472,16 +472,19 @@ class TestCliPlumbing:
 
 def test_the_kept_parser_prints_help_at_the_current_width(monkeypatch, capsys):
     """main reuses one parser; its help still follows COLUMNS at print time,
-    as that of a parser built for the call."""
+    as that of a parser built for the call, and so does the help of a
+    subcommand whose parser is first built after COLUMNS changed."""
     assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    unparsed = [cli.build_parser.__wrapped__() for _ in range(3)]
     shown = {}
-    for columns in ("80", "40", "80"):
+    for columns, late in zip(("80", "40", "80"), unparsed):
         monkeypatch.setenv("COLUMNS", columns)
-        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+        for parse in (main, cli.build_parser.__wrapped__().parse_args, late.parse_args):
             with pytest.raises(SystemExit):
                 parse(["cohomology", "--help"])
-        kept, fresh = capsys.readouterr().out.split("usage:")[1:]
-        assert kept == fresh
+        kept, fresh, first_built = capsys.readouterr().out.split("usage:")[1:]
+        assert kept == fresh == first_built
         shown.setdefault(columns, kept)
         assert kept == shown[columns]
     assert shown["40"] != shown["80"]

@@ -58,10 +58,13 @@ written by the one writer, ``formats._dumps``, whose text is that of
 A fresh ``python -I -S`` that imports ``bolalg.cli`` and builds its parser
 loads none of ``dataclasses``, ``inspect``, ``ast``, ``dis``, ``tokenize``,
 ``typing`` and ``traceback``: each would add to the start of every command,
-which already takes longer than most commands compute.
+which already takes longer than most commands compute.  Building the parser
+there constructs one ``argparse.ArgumentParser``, the top level, and a parse
+builds the parser of its subcommand alone, once.
 """
 
 import ast
+import inspect
 import itertools
 import random
 import re
@@ -114,7 +117,8 @@ from bolalg.representation import (
 )
 
 from .conftest import (
-    DATA, b2_residual, b3_residual, m0_action, make_b2, make_m0, make_so3, random_fraction,
+    DATA, b2_residual, b3_residual, eager_build_parser, m0_action, make_b2, make_m0, make_so3,
+    random_fraction,
 )
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bolalg").glob("*.py"))
@@ -203,6 +207,54 @@ def test_the_command_line_starts_without_the_heavy_modules():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# ArgumentParser.__init__ calls, counted from the import on, after each step: building
+# the parser, a verify parse, a second verify parse and a read of the subcommand choices
+_PARSERS_BUILT = """
+import argparse, sys
+sys.path.insert(0, {src!r})
+built = 0
+init = argparse.ArgumentParser.__init__
+
+
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counted
+from bolalg import cli
+{builder}
+counts = []
+parser = cli.build_parser()
+counts.append(built)
+parser.parse_args(["verify", "x.alg", "--json"])
+counts.append(built)
+parser.parse_args(["verify", "y.alg"])
+counts.append(built)
+sub = next(a for a in parser._actions if a.dest == "command")
+set(sub.choices)
+counts.append(built)
+print(counts)
+"""
+
+
+def _parsers_built(builder: str = "") -> list[int]:
+    code = _PARSERS_BUILT.format(src=str(SOURCES[0].parents[1]), builder=builder)
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    return ast.literal_eval(done.stdout)
+
+
+def test_the_command_line_builds_only_the_parser_it_parses():
+    assert _parsers_built() == [1, 2, 2, 2]
+
+
+def test_the_parser_guard_catches_an_eager_builder():
+    eager = inspect.getsource(eager_build_parser) + "cli.build_parser = eager_build_parser"
+    assert _parsers_built(eager) == [17, 17, 17, 17]
 
 
 def _json_writers(tree: ast.AST) -> list[str]:
