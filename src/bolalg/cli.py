@@ -10,8 +10,9 @@ stderr).
 
 The subcommands are declared once, in ``_COMMANDS``.  The top-level parser
 lists them from that table, and each subcommand's parser is built from its
-row when that subcommand is first parsed, so a run builds only the one it
-runs.  Each handler returns ``(status, fields, text)``, ``text`` a thunk
+row when that subcommand is first parsed (or anything is first read of it
+that only the build sets), so a run builds only the one it runs.  Each
+handler returns ``(status, fields, text)``, ``text`` a thunk
 that builds the report's text lines; ``main`` calls it only for a text
 report, wraps the fields in the report envelope ``{"command", "status",
 ...}`` and ``_emit`` prints every report.
@@ -19,6 +20,7 @@ report, wraps the fields in the report envelope ``{"command", "status",
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import functools
 import sys
@@ -532,45 +534,76 @@ _COMMANDS = {
 }
 
 
+# held while a subcommand's parser is built: reentrant, so a read of an attribute
+# that the build itself makes before setting it finds the build under way
+_BUILD_LOCK = _thread.RLock()
+_BUILDING = ()
+
+
 class _Parser(argparse.ArgumentParser):
     """The bolalg parser and, through ``add_subparsers``, each subcommand's: a
     subcommand's ``ArgumentParser.__init__`` and the arguments of its ``_COMMANDS``
-    row wait for its first ``parse_known_args``, the one method argparse's
-    subcommand action calls.  One class for both keeps argparse's attribute reads
-    on one type (on Python 3.11 a second class made each parse 2-3 us slower)."""
+    row wait until it is first parsed, or until argparse or a caller first reads
+    an attribute it lacks (``__getattr__``), so it answers as a parser built up
+    front whatever is read of it.  The build runs once, under ``_BUILD_LOCK``,
+    and ``_row`` is cleared only when it is done, so a second thread waits for
+    it; a build that raises is run again in full by the next read.  One class
+    for both keeps argparse's attribute reads on one type (on Python 3.11 a
+    second class made each parse 2-3 us slower)."""
 
-    def __init__(self, command: _Command | None = None, **kwargs):
-        self._unbuilt = None if command is None else (command, kwargs)
+    _row = None  # (command, args, kwargs) until built, _BUILDING while built
+
+    def __init__(self, *args, command: _Command | None = None, **kwargs):
         if command is None:
-            super().__init__(**kwargs)
+            super().__init__(*args, **kwargs)
+        else:
+            self._row = (command, args, kwargs)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks
+        self._build()
+        return object.__getattribute__(self, name)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._unbuilt is not None:
-            command, kwargs = self._unbuilt
-            self._unbuilt = None
-            super().__init__(**kwargs)
-            self.add_argument("--json", action="store_true",
-                              help="emit a machine-readable JSON report")
-            for arg in command.positionals:
-                arg_name, arg_help = (arg, None) if isinstance(arg, str) else arg
-                self.add_argument(arg_name, help=arg_help)
-            if command.rep_source:
-                group = self.add_mutually_exclusive_group(required=True)
-                group.add_argument("--adjoint", action="store_true",
-                                   help="use the adjoint representation")
-                group.add_argument("--rep", metavar="FILE",
-                                   help="representation file over the algebra")
-            if command.output:
-                self.add_argument("-o", "--output", help=command.output)
+        if self._row is not None:
+            self._build()
         return super().parse_known_args(args, namespace)
+
+    def _build(self) -> None:
+        with _BUILD_LOCK:
+            row = self._row
+            if row is None or row is _BUILDING:
+                return
+            self._row = _BUILDING
+            try:
+                command, args, kwargs = row
+                super().__init__(*args, **kwargs)
+                self.add_argument("--json", action="store_true",
+                                  help="emit a machine-readable JSON report")
+                for arg in command.positionals:
+                    arg_name, arg_help = (arg, None) if isinstance(arg, str) else arg
+                    self.add_argument(arg_name, help=arg_help)
+                if command.rep_source:
+                    group = self.add_mutually_exclusive_group(required=True)
+                    group.add_argument("--adjoint", action="store_true",
+                                       help="use the adjoint representation")
+                    group.add_argument("--rep", metavar="FILE",
+                                       help="representation file over the algebra")
+                if command.output:
+                    self.add_argument("-o", "--output", help=command.output)
+            except BaseException:
+                self._row = row
+                raise
+            self._row = None
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The bolalg parser, built once per process: parsing does not change it,
-    and help text reads the terminal width when it is printed.  Its help,
-    choices and errors come from the ``_COMMANDS`` table; a subcommand's own
-    parser is built from its row when that subcommand is first parsed."""
+    """The bolalg parser, built once per process: help text reads the terminal
+    width when it is printed.  Its help, choices and errors come from the
+    ``_COMMANDS`` table; a subcommand's own parser is built from its row, once
+    and under a lock, when that subcommand is first parsed or read (``_Parser``),
+    and parsing changes nothing after that, so threads may share the parser."""
     parser = _Parser(
         prog="bolalg",
         description="Exact computations with Bol algebras: verification, "

@@ -6,7 +6,17 @@ exit code, stdout and stderr of every help text and of a battery of bad
 command lines must be byte-identical, from a parser made for the call and
 from the one the process keeps.  Every command line of the golden CLI cases
 must parse to the same ``Namespace``.
+
+A subcommand's parser read before it is parsed, by argparse when it registers
+it or by a caller, builds itself and answers as the eager one; threads that
+parse one new subcommand at once get the parser built once; and a build that
+raises is run again in full.
 """
+
+import argparse
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -56,3 +66,84 @@ def test_every_golden_command_line_parses_as_before(argv):
     expected = eager_build_parser().parse_args(argv)
     assert KEPT.__wrapped__().parse_args(argv) == expected
     assert KEPT().parse_args(argv) == expected
+
+
+def test_every_subcommand_parser_read_before_its_parse_answers_as_the_eager_one(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    eager = next(a for a in eager_build_parser()._actions if a.dest == "command").choices
+    lazy = next(a for a in KEPT.__wrapped__()._actions if a.dest == "command").choices
+    for name, parser in lazy.items():
+        assert parser.prog == eager[name].prog
+        assert parser.format_help() == eager[name].format_help()
+
+
+@pytest.mark.parametrize("argv", HELP + BAD, ids=lambda argv: " ".join(argv) or "(none)")
+def test_an_argparse_that_reads_each_new_parser_gets_the_eager_output(
+        argv, monkeypatch, capsys):
+    """As an argparse that checks each choice's help with the new subcommand
+    parser's formatter when it registers it: the read builds that parser, and
+    every output stays that of the eager parser."""
+    add_parser = argparse._SubParsersAction.add_parser
+    built = []
+
+    def reading(self, name, **kwargs):
+        parser = add_parser(self, name, **kwargs)
+        parser.formatter_class(prog=parser.prog)
+        built.append(parser._row is None)
+        return parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(monkeypatch, capsys, eager_build_parser, argv)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", reading)
+    assert _outcome(monkeypatch, capsys, KEPT.__wrapped__, argv) == expected
+    assert built == [True] * len(cli._COMMANDS)
+
+
+def test_threads_parsing_one_new_subcommand_wait_for_its_build(monkeypatch):
+    argv = ["cohomology", "a.alg", "--rep", "r.rep", "--json"]
+    expected = eager_build_parser().parse_args(argv)
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def slow(self, *args, **kwargs):
+        time.sleep(0.002)  # lets the other threads run while the parser is built
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", slow)
+    parser, start = KEPT.__wrapped__(), threading.Barrier(4)
+
+    def parse(_):
+        start.wait()
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as stop:
+            return f"exit {stop.code}"
+
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(parse, range(4))) == [expected] * 4
+
+
+def test_a_build_that_raises_is_run_again_in_full(monkeypatch):
+    argv = ["cohomology", "a.alg", "--adjoint"]
+    reference = eager_build_parser()
+    add_group = argparse._ActionsContainer.add_mutually_exclusive_group
+    failures = [RuntimeError("interrupted build")]
+
+    def failing_once(self, **kwargs):
+        if failures:
+            raise failures.pop()
+        return add_group(self, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_mutually_exclusive_group",
+                        failing_once)
+    parser = KEPT.__wrapped__()
+    with pytest.raises(RuntimeError, match="interrupted build"):
+        parser.parse_args(argv)
+    assert parser.parse_args(argv) == reference.parse_args(argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = next(a for a in parser._actions if a.dest == "command").choices
+    eager = next(a for a in reference._actions if a.dest == "command").choices
+    assert lazy["cohomology"].format_help() == eager["cohomology"].format_help()
+
+
+def test_the_parser_class_takes_argparse_positional_arguments():
+    assert cli._Parser("bolalg").format_usage() == argparse.ArgumentParser("bolalg").format_usage()
